@@ -10,7 +10,7 @@
 //! | `table2` | Table 2 — relative improvement per storage level |
 //! | `fig9` | Fig. 9 — multicore cache-blocking GFLOP/s + speedups (AVX2 & AVX-512) |
 //! | `fig10` | Fig. 10 — scalability vs cores |
-//! | `fig3d` | dedicated 3D pipeline — legacy reload-per-block vs z-ring, block-free + tessellate, with a radius-2 fold and a tuner probe |
+//! | `fig3d` | dedicated 3D z-ring pipeline — block-free + tessellate, with a radius-2 fold and a tuner probe |
 //! | `table3` | Table 3 — speedup over single core |
 //! | `costmodel` | §3.2 collects & profitability indices (90/25/9, 3.6/10, 2.25) |
 //! | `ablation` | folding factor, time-block, scheduling and transpose-scheme ablations |

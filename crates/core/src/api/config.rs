@@ -3,7 +3,6 @@
 use super::error::PlanError;
 use super::plan_exec::Plan;
 use crate::pattern::Pattern;
-use stencil_grid::{Grid1D, Grid2D, Grid3D};
 use stencil_runtime::PoolHandle;
 
 pub use crate::exec::folded3d::Ring3;
@@ -278,44 +277,5 @@ impl Solver {
     pub fn compile(&self) -> Result<Plan, PlanError> {
         let _span = stencil_obs::span(stencil_obs::SpanId::PlanCompile);
         Plan::compile(self)
-    }
-
-    /// One-shot run on a 1D grid (compiles on every call).
-    #[deprecated(
-        since = "0.2.0",
-        note = "call `.compile()` once and reuse the returned `Plan`; this wrapper re-plans \
-                (folding matrix, kernel plan, thread pool) on every invocation"
-    )]
-    pub fn run_1d(&self, grid: &Grid1D, t: usize) -> Grid1D {
-        self.compile()
-            .expect("invalid Solver configuration")
-            .run_1d(grid, t)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// One-shot run on a 2D grid (compiles on every call).
-    #[deprecated(
-        since = "0.2.0",
-        note = "call `.compile()` once and reuse the returned `Plan`; this wrapper re-plans \
-                (folding matrix, kernel plan, thread pool) on every invocation"
-    )]
-    pub fn run_2d(&self, grid: &Grid2D, t: usize) -> Grid2D {
-        self.compile()
-            .expect("invalid Solver configuration")
-            .run_2d(grid, t)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// One-shot run on a 3D grid (compiles on every call).
-    #[deprecated(
-        since = "0.2.0",
-        note = "call `.compile()` once and reuse the returned `Plan`; this wrapper re-plans \
-                (folding matrix, kernel plan, thread pool) on every invocation"
-    )]
-    pub fn run_3d(&self, grid: &Grid3D, t: usize) -> Grid3D {
-        self.compile()
-            .expect("invalid Solver configuration")
-            .run_3d(grid, t)
-            .unwrap_or_else(|e| panic!("{e}"))
     }
 }

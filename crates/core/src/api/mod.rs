@@ -44,10 +44,6 @@
 //!     .unwrap_err();
 //! assert!(matches!(err, PlanError::IncompatibleMethodTiling { .. }));
 //! ```
-//!
-//! The pre-plan one-shot methods (`Solver::run_1d` and friends) survive
-//! as deprecated wrappers that compile on every call — see their docs
-//! for the migration note.
 
 pub mod config;
 pub mod error;

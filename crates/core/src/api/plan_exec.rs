@@ -3,13 +3,14 @@
 
 use super::config::{Method, Ring3, Solver, Tiling, Tuning, Width};
 use super::error::PlanError;
-use crate::exec::folded::{self, FoldedKernel, MAX_R, MAX_R3};
+use crate::exec::folded::{self, FoldedKernel, MAX_F, MAX_R, MAX_R3};
 use crate::exec::folded3d;
 use crate::exec::{dlt, multiload, reorg, scalar, xlayout};
 use crate::folding::fold;
 use crate::pattern::Pattern;
 use crate::plan::FoldPlan;
 use crate::tile::{spatial, split, tessellate};
+use core::ops::Range;
 use stencil_grid::{Grid1D, Grid2D, Grid3D, PingPong};
 use stencil_runtime::PoolHandle;
 use stencil_simd::{NativeF64x4, NativeF64x8, SimdF64};
@@ -56,23 +57,236 @@ fn validate_ring(r: Ring3) -> Result<(), PlanError> {
     Ok(())
 }
 
-/// Range-kernel family a method maps to inside the tiled drivers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Family {
+/// True for the methods that run the register pipeline (transpose
+/// layout / temporal folding) — the ones the fold bounds apply to.
+fn is_register(method: Method) -> bool {
+    matches!(method, Method::TransposeLayout | Method::Folded { .. })
+}
+
+/// Plan the `m`-step register kernel of `p`, rejecting counterpart
+/// schedules that overflow the register budget (the fold is
+/// unexecutable even though the radius fits).
+fn plan_kernel(p: &Pattern, m: usize) -> Result<FoldedKernel, PlanError> {
+    let fold_plan = FoldPlan::new(p, m);
+    if fold_plan.fresh.len() > MAX_F {
+        return Err(PlanError::FoldPlanTooComplex {
+            m,
+            counterparts: fold_plan.fresh.len(),
+            max: MAX_F,
+        });
+    }
+    Ok(FoldedKernel::from_plan(fold_plan))
+}
+
+/// The kernel a route steps with. `R` is the register-pipeline state of
+/// the plan's dimensionality: nothing in 1D (the squares kernel needs
+/// only taps), the planned [`FoldedKernel`] in 2D, and the kernel plus
+/// its z-ring geometry in 3D.
+enum Kernel<R> {
     Scalar,
+    /// Unaligned-load vector kernel: `MultipleLoads`, and `DataReorg`
+    /// wherever it has no kernel of its own (tiled runs, 2D, 3D).
     Vector,
+    Register(R),
+}
+
+impl<R> Kernel<R> {
+    /// The kernel of `method`; `register` plans the pipeline state and
+    /// is only called for the register methods.
+    fn new(
+        method: Method,
+        register: impl FnOnce() -> Result<R, PlanError>,
+    ) -> Result<Self, PlanError> {
+        Ok(match method {
+            Method::Scalar => Kernel::Scalar,
+            m if is_register(m) => Kernel::Register(register()?),
+            // MultipleLoads / DataReorg. Dlt never steps a kernel (it
+            // routes to split tiling or the 1D DLT sweep) and Auto was
+            // resolved before any route is built.
+            _ => Kernel::Vector,
+        })
+    }
+}
+
+impl Kernel<()> {
+    fn step<V: SimdF64>(&self, taps: &[f64], s: &[f64], d: &mut [f64], lo: usize, hi: usize) {
+        match self {
+            Kernel::Scalar => scalar::step_range_1d(s, d, taps, lo, hi),
+            Kernel::Vector => multiload::step_range_1d::<V>(s, d, taps, lo, hi),
+            Kernel::Register(()) => folded::step_squares_range_1d::<V>(s, d, taps, lo, hi),
+        }
+    }
+}
+
+impl Kernel<FoldedKernel> {
+    fn step<V: SimdF64>(
+        &self,
+        q: &Pattern,
+        s: &Grid2D,
+        d: &mut Grid2D,
+        ys: Range<usize>,
+        xs: Range<usize>,
+    ) {
+        match self {
+            Kernel::Scalar => scalar::step_range_2d(s, d, q, ys, xs),
+            Kernel::Vector => multiload::step_range_2d::<V>(s, d, q, ys, xs),
+            Kernel::Register(k) => folded::step_range_2d::<V>(k, s, d, ys, xs),
+        }
+    }
+}
+
+impl Kernel<(FoldedKernel, Ring3)> {
+    #[allow(clippy::too_many_arguments)] // the 3D range-kernel parameter set
+    fn step<V: SimdF64>(
+        &self,
+        q: &Pattern,
+        s: &Grid3D,
+        d: &mut Grid3D,
+        zs: Range<usize>,
+        ys: Range<usize>,
+        xs: Range<usize>,
+    ) {
+        match self {
+            Kernel::Scalar => scalar::step_range_3d(s, d, q, zs, ys, xs),
+            Kernel::Vector => multiload::step_range_3d::<V>(s, d, q, zs, ys, xs),
+            Kernel::Register((k, ring)) => {
+                folded3d::step_range_3d_ring::<V>(k, *ring, s, d, zs, ys, xs)
+            }
+        }
+    }
+}
+
+/// Body and `t % m` tail kernels of a tiled route: the tail is the
+/// single-step kernel of the same method and exists exactly when `m > 1`
+/// leaves a remainder to run.
+fn body_and_tail<R>(
+    method: Method,
+    m: usize,
+    register: impl Fn(usize) -> Result<R, PlanError>,
+) -> Result<(Kernel<R>, Option<Kernel<R>>), PlanError> {
+    let body = Kernel::new(method, || register(m))?;
+    let tail = if m > 1 {
+        Some(Kernel::new(method, || register(1))?)
+    } else {
+        None
+    };
+    Ok((body, tail))
+}
+
+fn unresolved_tiling(tiling: Tiling) -> PlanError {
+    PlanError::InvalidTiling {
+        tiling,
+        reason: "Tiling::Auto must be resolved before a route is built",
+    }
+}
+
+/// Whole-grid sweep of a block-free 1D plan, one per method.
+enum Sweep1 {
+    Scalar,
+    MultipleLoads,
+    DataReorg,
+    Dlt,
+    /// Transpose layout, folded `m` steps at a time (`m = 1` for
+    /// `TransposeLayout`).
     Register,
 }
 
-fn family(method: Method) -> Family {
-    match method {
-        Method::Scalar => Family::Scalar,
-        Method::TransposeLayout | Method::Folded { .. } => Family::Register,
-        // MultipleLoads and DataReorg share the unaligned-load kernel in
-        // tiled execution; Dlt/Auto never reach a tiled family (compile
-        // rejects or resolves them).
-        _ => Family::Vector,
+/// What a 1D plan runs.
+enum Route1 {
+    BlockFree(Sweep1),
+    Tessellate {
+        time_block: usize,
+        body: Kernel<()>,
+        tail: Option<Kernel<()>>,
+    },
+    Split {
+        time_block: usize,
+    },
+}
+
+impl Route1 {
+    fn new(method: Method, tiling: Tiling, m: usize) -> Result<Self, PlanError> {
+        Ok(match tiling {
+            Tiling::None => Route1::BlockFree(match method {
+                Method::Scalar => Sweep1::Scalar,
+                Method::DataReorg => Sweep1::DataReorg,
+                Method::Dlt => Sweep1::Dlt,
+                m if is_register(m) => Sweep1::Register,
+                // MultipleLoads; Auto was resolved before any route is built.
+                _ => Sweep1::MultipleLoads,
+            }),
+            Tiling::Tessellate { time_block } => {
+                let (body, tail) = body_and_tail(method, m, |_| Ok(()))?;
+                Route1::Tessellate {
+                    time_block,
+                    body,
+                    tail,
+                }
+            }
+            Tiling::Split { time_block } => Route1::Split { time_block },
+            Tiling::Spatial { .. } => {
+                return Err(PlanError::UnsupportedDimension {
+                    feature: "spatial blocking",
+                    pattern_dims: 1,
+                })
+            }
+            Tiling::Auto => return Err(unresolved_tiling(tiling)),
+        })
     }
+}
+
+/// Tiling driver of a 2D/3D route.
+enum Driver {
+    Tessellate { time_block: usize },
+    Spatial { block: (usize, usize) },
+}
+
+/// What a 2D/3D plan runs (`R` as in [`Kernel`]).
+enum RouteN<R> {
+    BlockFree(Kernel<R>),
+    Tiled {
+        driver: Driver,
+        body: Kernel<R>,
+        tail: Option<Kernel<R>>,
+    },
+    Split {
+        time_block: usize,
+    },
+}
+
+impl<R> RouteN<R> {
+    fn new(
+        p: &Pattern,
+        method: Method,
+        tiling: Tiling,
+        m: usize,
+        register: impl Fn(usize) -> Result<R, PlanError>,
+    ) -> Result<Self, PlanError> {
+        let tiled = |driver| -> Result<Self, PlanError> {
+            let (body, tail) = body_and_tail(method, m, &register)?;
+            Ok(RouteN::Tiled { driver, body, tail })
+        };
+        match tiling {
+            Tiling::None if method == Method::Dlt => Err(PlanError::UnsupportedDimension {
+                feature: "block-free DLT (pair Method::Dlt with Tiling::Split for the SDSL hybrid)",
+                pattern_dims: p.dims(),
+            }),
+            Tiling::None => Ok(RouteN::BlockFree(Kernel::new(method, || register(m))?)),
+            Tiling::Tessellate { time_block } => tiled(Driver::Tessellate { time_block }),
+            Tiling::Spatial { block } => tiled(Driver::Spatial { block }),
+            Tiling::Split { time_block } => Ok(RouteN::Split { time_block }),
+            Tiling::Auto => Err(unresolved_tiling(tiling)),
+        }
+    }
+}
+
+/// The one route a compiled plan runs: tiling driver plus the kernel it
+/// steps, typed by dimensionality so a run can only reach the executors
+/// of the pattern it was compiled for.
+enum Route {
+    D1(Route1),
+    D2(RouteN<FoldedKernel>),
+    D3(RouteN<(FoldedKernel, Ring3)>),
 }
 
 /// A validated, compiled stencil execution plan.
@@ -102,12 +316,9 @@ pub struct Plan {
     m: usize,
     /// `fold(pattern, m)`; equals `pattern` when `m == 1`.
     folded: Pattern,
-    /// 2D/3D register-pipeline kernel (transpose-layout / folded paths).
-    kernel: Option<FoldedKernel>,
-    /// Single-step register kernel for the `t % m` tessellate tail.
-    tail_kernel: Option<FoldedKernel>,
-    /// Resolved z-ring geometry (`Some` exactly for 3D register plans).
-    ring3: Option<Ring3>,
+    /// What the runs execute, with the register kernels and z-ring
+    /// geometry inside the variants that use them.
+    route: Route,
     /// Opaque identity epoch ([`Solver::epoch`]): a generation counter
     /// for plan hot-swapping, with no effect on execution.
     epoch: u64,
@@ -123,7 +334,7 @@ impl std::fmt::Debug for Plan {
             .field("threads", &self.pool.threads())
             .field("m", &self.m)
             .field("effective_radius", &self.folded.radius())
-            .field("ring3", &self.ring3)
+            .field("ring3", &self.ring3())
             .field("epoch", &self.epoch)
             .finish()
     }
@@ -238,20 +449,6 @@ impl Plan {
             _ => {}
         }
 
-        // Dimensionality limits.
-        if matches!(tiling, Tiling::Spatial { .. }) && dims == 1 {
-            return Err(PlanError::UnsupportedDimension {
-                feature: "spatial blocking",
-                pattern_dims: 1,
-            });
-        }
-        if method == Method::Dlt && matches!(tiling, Tiling::None) && dims != 1 {
-            return Err(PlanError::UnsupportedDimension {
-                feature: "block-free DLT (pair Method::Dlt with Tiling::Split for the SDSL hybrid)",
-                pattern_dims: dims,
-            });
-        }
-
         // Folding bounds.
         let m = match method {
             Method::Folded { m } => m,
@@ -264,9 +461,8 @@ impl Plan {
                 max_radius: 0,
             });
         }
-        let register = family(method) == Family::Register;
         let cap = fold_radius_cap(dims, width);
-        if register && m * p.radius() > cap {
+        if is_register(method) && m * p.radius() > cap {
             return Err(PlanError::InvalidFold {
                 m,
                 folded_radius: m * p.radius(),
@@ -274,35 +470,20 @@ impl Plan {
             });
         }
 
-        // Derive the reusable artifacts once.
+        // Derive the reusable artifacts once. The route constructors
+        // also hold the dimensionality limits (no 1D spatial blocking,
+        // block-free DLT only in 1D): a combination without a route is
+        // a typed error here and cannot reach a run.
         let folded = if m > 1 { fold(p, m) } else { p.clone() };
-        let tiled = matches!(tiling, Tiling::Tessellate { .. });
-        let (kernel, tail_kernel) = if register && dims >= 2 {
-            let fold_plan = FoldPlan::new(p, m);
-            if fold_plan.fresh.len() > folded::MAX_F {
-                // The counterpart schedule overflows the register budget:
-                // the fold is unexecutable even though the radius fits.
-                return Err(PlanError::FoldPlanTooComplex {
-                    m,
-                    counterparts: fold_plan.fresh.len(),
-                    max: folded::MAX_F,
-                });
+        let route = match dims {
+            1 => Route::D1(Route1::new(method, tiling, m)?),
+            2 => Route::D2(RouteN::new(p, method, tiling, m, |m| plan_kernel(p, m))?),
+            _ => {
+                let ring = tuned_ring.unwrap_or_else(|| Ring3::auto(width.lanes(), m * p.radius()));
+                Route::D3(RouteN::new(p, method, tiling, m, |m| {
+                    Ok((plan_kernel(p, m)?, ring))
+                })?)
             }
-            let kernel = FoldedKernel::from_plan(fold_plan);
-            let tail = if tiled && m > 1 {
-                Some(FoldedKernel::new(p, 1))
-            } else {
-                None
-            };
-            (Some(kernel), tail)
-        } else {
-            (None, None)
-        };
-
-        let ring3 = if register && dims == 3 {
-            Some(tuned_ring.unwrap_or_else(|| Ring3::auto(width.lanes(), m * p.radius())))
-        } else {
-            None
         };
 
         let pool = cfg
@@ -317,9 +498,7 @@ impl Plan {
             pool,
             m,
             folded,
-            kernel,
-            tail_kernel,
-            ring3,
+            route,
             epoch: cfg.epoch,
         })
     }
@@ -358,7 +537,16 @@ impl Plan {
     /// register plans (transpose-layout / folded), `None` otherwise.
     /// Never `Some(invalid)`: compile validates pinned geometries.
     pub fn ring3(&self) -> Option<Ring3> {
-        self.ring3
+        match &self.route {
+            Route::D3(
+                RouteN::BlockFree(Kernel::Register((_, ring)))
+                | RouteN::Tiled {
+                    body: Kernel::Register((_, ring)),
+                    ..
+                },
+            ) => Some(*ring),
+            _ => None,
+        }
     }
 
     /// Identity epoch this plan was compiled with ([`Solver::epoch`]).
@@ -390,34 +578,11 @@ impl Plan {
     ///
     /// Errors: [`PlanError::DimensionMismatch`] when the domain's
     /// dimensionality differs from the pattern's, and
-    /// [`PlanError::MisalignedDomain`] when a DLT-layout plan is given a
-    /// grid whose innermost extent is not a lane multiple.
+    /// [`PlanError::MisalignedDomain`]/[`PlanError::DomainTooSmall`]
+    /// when a DLT-layout plan is given a grid whose innermost extent is
+    /// not a lane multiple or shorter than the lifted radius.
     pub fn run<D: Domain>(&self, domain: &D, t: usize) -> Result<D, PlanError> {
-        if self.dims() != D::DIMS {
-            return Err(PlanError::DimensionMismatch {
-                pattern_dims: self.dims(),
-                domain_dims: D::DIMS,
-            });
-        }
-        // The DLT layout (block-free 1D and the SDSL split-tiling hybrid)
-        // lifts the innermost dimension into lanes; ragged extents are a
-        // typed run error, not an executor assert.
-        if self.method == Method::Dlt {
-            let lanes = self.width.lanes();
-            let extent = domain.x_extent();
-            if !extent.is_multiple_of(lanes) {
-                return Err(PlanError::MisalignedDomain { extent, lanes });
-            }
-            // the lifted row (extent / lanes points) must cover the
-            // stencil radius
-            if extent / lanes < self.pattern.radius() {
-                return Err(PlanError::DomainTooSmall {
-                    extent,
-                    min: self.pattern.radius() * lanes,
-                });
-            }
-        }
-        Ok(D::run_with(self, domain, t))
+        self.run_at(domain, t, 0)
     }
 
     /// Run `t` time steps on a 1D grid.
@@ -440,460 +605,202 @@ impl Plan {
     /// tile phase is derived from global coordinates, so windows of one
     /// domain agree on every tile they share — the contract bit-exact
     /// domain sharding (the serving layer) relies on. For non-tessellate
-    /// tilings the origin changes nothing.
+    /// tilings the origin changes nothing. Same errors as [`Plan::run`].
     pub fn run_2d_at(&self, grid: &Grid2D, t: usize, origin_y: usize) -> Result<Grid2D, PlanError> {
-        if self.dims() != 2 {
-            return Err(PlanError::DimensionMismatch {
-                pattern_dims: self.dims(),
-                domain_dims: 2,
-            });
-        }
-        Ok(match self.width {
-            Width::W1 => self.exec_2d::<f64>(grid, t, origin_y),
-            Width::W4 => self.exec_2d::<NativeF64x4>(grid, t, origin_y),
-            Width::W8 => self.exec_2d::<NativeF64x8>(grid, t, origin_y),
-        })
+        self.run_at(grid, t, origin_y)
     }
 
     /// [`Plan::run_3d`] over a local window whose outer (z) axis starts
     /// at global coordinate `origin_z` (see [`Plan::run_2d_at`]).
     pub fn run_3d_at(&self, grid: &Grid3D, t: usize, origin_z: usize) -> Result<Grid3D, PlanError> {
-        if self.dims() != 3 {
-            return Err(PlanError::DimensionMismatch {
-                pattern_dims: self.dims(),
-                domain_dims: 3,
+        self.run_at(grid, t, origin_z)
+    }
+
+    /// The one path behind every run entry point: pick the vector type
+    /// of the compiled width, then let the domain's `exec_*` validate
+    /// the grid against the route and run it.
+    fn run_at<D: Domain>(&self, domain: &D, t: usize, origin: usize) -> Result<D, PlanError> {
+        match self.width {
+            Width::W1 => D::exec::<f64>(self, domain, t, origin),
+            Width::W4 => D::exec::<NativeF64x4>(self, domain, t, origin),
+            Width::W8 => D::exec::<NativeF64x8>(self, domain, t, origin),
+        }
+    }
+
+    fn dimension_mismatch(&self, domain_dims: usize) -> PlanError {
+        PlanError::DimensionMismatch {
+            pattern_dims: self.dims(),
+            domain_dims,
+        }
+    }
+
+    /// The DLT layout (block-free 1D and the SDSL split-tiling hybrid)
+    /// lifts the innermost dimension into lanes; a ragged or too-short
+    /// `extent` is a typed run error, not an executor assert.
+    fn check_layout(&self, extent: usize) -> Result<(), PlanError> {
+        if self.method != Method::Dlt {
+            return Ok(());
+        }
+        let lanes = self.width.lanes();
+        if !extent.is_multiple_of(lanes) {
+            return Err(PlanError::MisalignedDomain { extent, lanes });
+        }
+        // the lifted row (extent / lanes points) must cover the
+        // stencil radius
+        if extent / lanes < self.pattern.radius() {
+            return Err(PlanError::DomainTooSmall {
+                extent,
+                min: self.pattern.radius() * lanes,
             });
         }
-        Ok(match self.width {
-            Width::W1 => self.exec_3d::<f64>(grid, t, origin_z),
-            Width::W4 => self.exec_3d::<NativeF64x4>(grid, t, origin_z),
-            Width::W8 => self.exec_3d::<NativeF64x8>(grid, t, origin_z),
+        Ok(())
+    }
+
+    /// The runs of a tiled route advancing `t` levels: `t / m` inner
+    /// steps of `body` over Λ, then the `t % m` remainder as single
+    /// steps of `tail` over the base pattern. Each entry is `(kernel,
+    /// the pattern it steps, inner steps)`.
+    fn legs<'a, R>(
+        &'a self,
+        body: &'a Kernel<R>,
+        tail: &'a Option<Kernel<R>>,
+        t: usize,
+    ) -> impl Iterator<Item = (&'a Kernel<R>, &'a Pattern, usize)> {
+        let tail = tail.iter().map(move |k| (k, &self.pattern, t % self.m));
+        std::iter::once((body, &self.folded, t / self.m)).chain(tail)
+    }
+
+    fn exec_1d<V: SimdF64>(&self, grid: &Grid1D, t: usize) -> Result<Grid1D, PlanError> {
+        let Route::D1(route) = &self.route else {
+            return Err(self.dimension_mismatch(Grid1D::DIMS));
+        };
+        self.check_layout(grid.len())?;
+        let p = &self.pattern;
+        Ok(match route {
+            Route1::BlockFree(sweep) => match sweep {
+                Sweep1::Scalar => ping_pong(grid, |pp| scalar::sweep_1d(pp, p, t)),
+                Sweep1::MultipleLoads => ping_pong(grid, |pp| multiload::sweep_1d::<V>(pp, p, t)),
+                Sweep1::DataReorg => ping_pong(grid, |pp| reorg::sweep_1d::<V>(pp, p, t)),
+                Sweep1::Dlt => dlt::sweep_1d::<V>(grid, p, t),
+                Sweep1::Register => {
+                    xlayout::sweep_folded_1d_with::<V>(grid, p.weights(), &self.folded, self.m, t)
+                }
+            },
+            // Body and leftover steps go through the same tessellated
+            // range kernel — threaded, same frozen-boundary discipline.
+            Route1::Tessellate {
+                time_block,
+                body,
+                tail,
+            } => ping_pong(grid, |pp| {
+                for (kernel, q, steps) in self.legs(body, tail, t) {
+                    let (r, taps) = (q.radius(), q.weights());
+                    tessellate::run_1d(
+                        &self.pool,
+                        pp,
+                        r,
+                        r,
+                        *time_block,
+                        steps,
+                        &|s: &[f64], d: &mut [f64], lo, hi| kernel.step::<V>(taps, s, d, lo, hi),
+                    );
+                }
+            }),
+            Route1::Split { time_block } => {
+                split::sweep_1d::<V>(&self.pool, grid, p, *time_block, t)
+            }
         })
     }
 
-    // -----------------------------------------------------------------
-    // Execution (compile() has already excluded every invalid branch; the
-    // remaining matches are total without a single panic).
-    // -----------------------------------------------------------------
-
-    fn exec_1d<V: SimdF64>(&self, grid: &Grid1D, t: usize) -> Grid1D {
+    fn exec_2d<V: SimdF64>(
+        &self,
+        grid: &Grid2D,
+        t: usize,
+        origin_y: usize,
+    ) -> Result<Grid2D, PlanError> {
+        let Route::D2(route) = &self.route else {
+            return Err(self.dimension_mismatch(Grid2D::DIMS));
+        };
+        self.check_layout(grid.nx())?;
         let p = &self.pattern;
-        match self.tiling {
-            Tiling::None => match self.method {
-                Method::Scalar => {
-                    let mut pp = PingPong::new(grid.clone());
-                    scalar::sweep_1d(&mut pp, p, t);
-                    pp.into_current()
-                }
-                Method::DataReorg => {
-                    let mut pp = PingPong::new(grid.clone());
-                    reorg::sweep_1d::<V>(&mut pp, p, t);
-                    pp.into_current()
-                }
-                Method::Dlt => dlt::sweep_1d::<V>(grid, p, t),
-                Method::TransposeLayout => xlayout::sweep_1d::<V>(grid, p, t),
-                Method::Folded { .. } => {
-                    xlayout::sweep_folded_1d_with::<V>(grid, p.weights(), &self.folded, self.m, t)
-                }
-                // MultipleLoads; Auto is resolved at compile time.
-                _ => {
-                    let mut pp = PingPong::new(grid.clone());
-                    multiload::sweep_1d::<V>(&mut pp, p, t);
-                    pp.into_current()
-                }
-            },
-            Tiling::Tessellate { time_block } => {
-                let reff = self.folded.radius();
-                let tw = self.folded.weights();
-                let mut pp = PingPong::new(grid.clone());
-                let pool = &self.pool;
-                match family(self.method) {
-                    Family::Scalar => tessellate::run_1d(
-                        pool,
-                        &mut pp,
-                        reff,
-                        reff,
-                        time_block,
-                        t / self.m,
-                        &|s: &[f64], d: &mut [f64], lo, hi| scalar::step_range_1d(s, d, tw, lo, hi),
-                    ),
-                    Family::Vector => tessellate::run_1d(
-                        pool,
-                        &mut pp,
-                        reff,
-                        reff,
-                        time_block,
-                        t / self.m,
-                        &|s: &[f64], d: &mut [f64], lo, hi| {
-                            multiload::step_range_1d::<V>(s, d, tw, lo, hi)
-                        },
-                    ),
-                    Family::Register => tessellate::run_1d(
-                        pool,
-                        &mut pp,
-                        reff,
-                        reff,
-                        time_block,
-                        t / self.m,
-                        &|s: &[f64], d: &mut [f64], lo, hi| {
-                            folded::step_squares_range_1d::<V>(s, d, tw, lo, hi)
-                        },
-                    ),
-                }
-                // Leftover unfolded steps (t % m): the same tessellated
-                // range-step kernel as the body, with the base taps —
-                // threaded, with the same frozen-boundary discipline.
-                let tail = t % self.m;
-                if tail > 0 {
-                    let bw = p.weights();
-                    let r = p.radius();
-                    tessellate::run_1d(
-                        pool,
-                        &mut pp,
-                        r,
-                        r,
-                        time_block,
-                        tail,
-                        &|s: &[f64], d: &mut [f64], lo, hi| {
-                            folded::step_squares_range_1d::<V>(s, d, bw, lo, hi)
-                        },
-                    );
-                }
-                pp.into_current()
+        Ok(match route {
+            RouteN::BlockFree(Kernel::Scalar) => ping_pong(grid, |pp| scalar::sweep_2d(pp, p, t)),
+            RouteN::BlockFree(Kernel::Vector) => {
+                ping_pong(grid, |pp| multiload::sweep_2d::<V>(pp, p, t))
             }
-            Tiling::Split { time_block } => {
-                split::sweep_1d::<V>(&self.pool, grid, p, time_block, t)
+            RouteN::BlockFree(Kernel::Register(k)) => folded::sweep_2d_with::<V>(k, grid, p, t),
+            RouteN::Tiled { driver, body, tail } => ping_pong(grid, |pp| {
+                for (kernel, q, steps) in self.legs(body, tail, t) {
+                    let r = q.radius();
+                    let step =
+                        |s: &Grid2D, d: &mut Grid2D, ys, xs| kernel.step::<V>(q, s, d, ys, xs);
+                    match *driver {
+                        Driver::Tessellate { time_block } => tessellate::run_2d_at(
+                            &self.pool, pp, r, r, time_block, steps, origin_y, &step,
+                        ),
+                        Driver::Spatial { block } => {
+                            spatial::run_2d(&self.pool, pp, r, block, steps, &step)
+                        }
+                    }
+                }
+            }),
+            RouteN::Split { time_block } => {
+                split::sweep_2d::<V>(&self.pool, grid, p, *time_block, t)
             }
-            // Spatial blocking is rejected for 1D at compile time and
-            // Tiling::Auto is resolved there; this defensive fallback
-            // keeps the match total without a panic in release builds,
-            // and flags validation drift in debug ones.
-            Tiling::Spatial { .. } | Tiling::Auto => {
-                debug_assert!(false, "unresolved/invalid 1D tiling must not reach exec");
-                let mut pp = PingPong::new(grid.clone());
-                scalar::sweep_1d(&mut pp, p, t);
-                pp.into_current()
-            }
-        }
+        })
     }
 
-    fn exec_2d<V: SimdF64>(&self, grid: &Grid2D, t: usize, origin_y: usize) -> Grid2D {
+    fn exec_3d<V: SimdF64>(
+        &self,
+        grid: &Grid3D,
+        t: usize,
+        origin_z: usize,
+    ) -> Result<Grid3D, PlanError> {
+        let Route::D3(route) = &self.route else {
+            return Err(self.dimension_mismatch(Grid3D::DIMS));
+        };
+        self.check_layout(grid.nx())?;
         let p = &self.pattern;
-        match self.tiling {
-            Tiling::None => match (self.method, &self.kernel) {
-                (Method::Scalar, _) => {
-                    let mut pp = PingPong::new(grid.clone());
-                    scalar::sweep_2d(&mut pp, p, t);
-                    pp.into_current()
-                }
-                (Method::TransposeLayout | Method::Folded { .. }, Some(k)) => {
-                    folded::sweep_2d_with::<V>(k, grid, p, t)
-                }
-                // MultipleLoads / DataReorg (and the defensive rest; the
-                // register methods always carry a kernel after compile()).
-                (method, kernel) => {
-                    debug_assert!(
-                        !matches!(method, Method::TransposeLayout | Method::Folded { .. })
-                            || kernel.is_some(),
-                        "register plan compiled without its kernel"
-                    );
-                    let mut pp = PingPong::new(grid.clone());
-                    multiload::sweep_2d::<V>(&mut pp, p, t);
-                    pp.into_current()
-                }
-            },
-            Tiling::Tessellate { time_block } => {
-                let mut pp = PingPong::new(grid.clone());
-                let pool = &self.pool;
-                match (family(self.method), &self.kernel) {
-                    (Family::Register, Some(k)) => {
-                        let reff = k.radius();
-                        tessellate::run_2d_at(
-                            pool,
-                            &mut pp,
-                            reff,
-                            reff,
-                            time_block,
-                            t / self.m,
-                            origin_y,
-                            &|s: &Grid2D, d: &mut Grid2D, ys, xs| {
-                                folded::step_range_2d::<V>(k, s, d, ys, xs)
-                            },
-                        );
-                    }
-                    (Family::Scalar, _) => {
-                        let r = p.radius();
-                        tessellate::run_2d_at(
-                            pool,
-                            &mut pp,
-                            r,
-                            r,
-                            time_block,
-                            t,
-                            origin_y,
-                            &|s: &Grid2D, d: &mut Grid2D, ys, xs| {
-                                scalar::step_range_2d(s, d, p, ys, xs)
-                            },
-                        );
-                    }
-                    (fam, kernel) => {
-                        debug_assert!(
-                            fam != Family::Register || kernel.is_some(),
-                            "register plan compiled without its kernel"
-                        );
-                        let r = p.radius();
-                        tessellate::run_2d_at(
-                            pool,
-                            &mut pp,
-                            r,
-                            r,
-                            time_block,
-                            t,
-                            origin_y,
-                            &|s: &Grid2D, d: &mut Grid2D, ys, xs| {
-                                multiload::step_range_2d::<V>(s, d, p, ys, xs)
-                            },
-                        );
+        let ring_span = || stencil_obs::span(stencil_obs::SpanId::RingSweep);
+        Ok(match route {
+            RouteN::BlockFree(Kernel::Scalar) => ping_pong(grid, |pp| scalar::sweep_3d(pp, p, t)),
+            RouteN::BlockFree(Kernel::Vector) => {
+                ping_pong(grid, |pp| multiload::sweep_3d::<V>(pp, p, t))
+            }
+            RouteN::BlockFree(Kernel::Register((k, ring))) => {
+                let _span = ring_span();
+                folded3d::sweep_3d_ring_with::<V>(k, *ring, grid, p, t)
+            }
+            RouteN::Tiled { driver, body, tail } => ping_pong(grid, |pp| {
+                for (kernel, q, steps) in self.legs(body, tail, t) {
+                    let _span = matches!(kernel, Kernel::Register(_)).then(ring_span);
+                    let r = q.radius();
+                    let step = |s: &Grid3D, d: &mut Grid3D, zs, ys, xs| {
+                        kernel.step::<V>(q, s, d, zs, ys, xs)
+                    };
+                    match *driver {
+                        Driver::Tessellate { time_block } => tessellate::run_3d_at(
+                            &self.pool, pp, r, r, time_block, steps, origin_z, &step,
+                        ),
+                        Driver::Spatial { block } => {
+                            spatial::run_3d(&self.pool, pp, r, block, steps, &step)
+                        }
                     }
                 }
-                // Leftover unfolded steps through the same tessellated
-                // register kernel (single-step plan, precompiled). The
-                // vector-kernel fallback keeps the result correct even if
-                // a future compile() change forgets the tail kernel.
-                let tail = t % self.m;
-                if tail > 0 {
-                    if let Some(tk) = &self.tail_kernel {
-                        let r = tk.radius();
-                        tessellate::run_2d_at(
-                            pool,
-                            &mut pp,
-                            r,
-                            r,
-                            time_block,
-                            tail,
-                            origin_y,
-                            &|s: &Grid2D, d: &mut Grid2D, ys, xs| {
-                                folded::step_range_2d::<V>(tk, s, d, ys, xs)
-                            },
-                        );
-                    } else {
-                        debug_assert!(false, "tessellate tail executed without its kernel");
-                        let r = p.radius();
-                        tessellate::run_2d_at(
-                            pool,
-                            &mut pp,
-                            r,
-                            r,
-                            time_block,
-                            tail,
-                            origin_y,
-                            &|s: &Grid2D, d: &mut Grid2D, ys, xs| {
-                                multiload::step_range_2d::<V>(s, d, p, ys, xs)
-                            },
-                        );
-                    }
-                }
-                pp.into_current()
+            }),
+            RouteN::Split { time_block } => {
+                split::sweep_3d::<V>(&self.pool, grid, p, *time_block, t)
             }
-            Tiling::Split { time_block } => {
-                split::sweep_2d::<V>(&self.pool, grid, p, time_block, t)
-            }
-            // compile() resolves Auto; keep the match total (see exec_1d)
-            Tiling::Auto => {
-                debug_assert!(false, "Tiling::Auto must be resolved by compile()");
-                let mut pp = PingPong::new(grid.clone());
-                scalar::sweep_2d(&mut pp, p, t);
-                pp.into_current()
-            }
-            Tiling::Spatial { block } => {
-                let mut pp = PingPong::new(grid.clone());
-                let r = p.radius();
-                match family(self.method) {
-                    Family::Scalar => spatial::run_2d(
-                        &self.pool,
-                        &mut pp,
-                        r,
-                        block,
-                        t,
-                        &|s: &Grid2D, d: &mut Grid2D, ys, xs| {
-                            scalar::step_range_2d(s, d, p, ys, xs)
-                        },
-                    ),
-                    _ => spatial::run_2d(
-                        &self.pool,
-                        &mut pp,
-                        r,
-                        block,
-                        t,
-                        &|s: &Grid2D, d: &mut Grid2D, ys, xs| {
-                            multiload::step_range_2d::<V>(s, d, p, ys, xs)
-                        },
-                    ),
-                }
-                pp.into_current()
-            }
-        }
+        })
     }
+}
 
-    fn exec_3d<V: SimdF64>(&self, grid: &Grid3D, t: usize, origin_z: usize) -> Grid3D {
-        let p = &self.pattern;
-        // 3D register plans always resolve a ring at compile time; the
-        // defensive default only covers direct construction drift.
-        let ring = self.ring3.unwrap_or_default();
-        match self.tiling {
-            Tiling::None => match (self.method, &self.kernel) {
-                (Method::Scalar, _) => {
-                    let mut pp = PingPong::new(grid.clone());
-                    scalar::sweep_3d(&mut pp, p, t);
-                    pp.into_current()
-                }
-                (Method::TransposeLayout | Method::Folded { .. }, Some(k)) => {
-                    let _span = stencil_obs::span(stencil_obs::SpanId::RingSweep);
-                    folded3d::sweep_3d_ring_with::<V>(k, ring, grid, p, t)
-                }
-                (method, kernel) => {
-                    debug_assert!(
-                        !matches!(method, Method::TransposeLayout | Method::Folded { .. })
-                            || kernel.is_some(),
-                        "register plan compiled without its kernel"
-                    );
-                    let mut pp = PingPong::new(grid.clone());
-                    multiload::sweep_3d::<V>(&mut pp, p, t);
-                    pp.into_current()
-                }
-            },
-            Tiling::Tessellate { time_block } => {
-                let mut pp = PingPong::new(grid.clone());
-                let pool = &self.pool;
-                match (family(self.method), &self.kernel) {
-                    (Family::Register, Some(k)) => {
-                        let _span = stencil_obs::span(stencil_obs::SpanId::RingSweep);
-                        let reff = k.radius();
-                        tessellate::run_3d_at(
-                            pool,
-                            &mut pp,
-                            reff,
-                            reff,
-                            time_block,
-                            t / self.m,
-                            origin_z,
-                            &|s: &Grid3D, d: &mut Grid3D, zs, ys, xs| {
-                                folded3d::step_range_3d_ring::<V>(k, ring, s, d, zs, ys, xs)
-                            },
-                        );
-                    }
-                    (Family::Scalar, _) => {
-                        let r = p.radius();
-                        tessellate::run_3d_at(
-                            pool,
-                            &mut pp,
-                            r,
-                            r,
-                            time_block,
-                            t,
-                            origin_z,
-                            &|s: &Grid3D, d: &mut Grid3D, zs, ys, xs| {
-                                scalar::step_range_3d(s, d, p, zs, ys, xs)
-                            },
-                        );
-                    }
-                    (fam, kernel) => {
-                        debug_assert!(
-                            fam != Family::Register || kernel.is_some(),
-                            "register plan compiled without its kernel"
-                        );
-                        let r = p.radius();
-                        tessellate::run_3d_at(
-                            pool,
-                            &mut pp,
-                            r,
-                            r,
-                            time_block,
-                            t,
-                            origin_z,
-                            &|s: &Grid3D, d: &mut Grid3D, zs, ys, xs| {
-                                multiload::step_range_3d::<V>(s, d, p, zs, ys, xs)
-                            },
-                        );
-                    }
-                }
-                // Same tail discipline as 2D, with the same correct
-                // vector-kernel fallback.
-                let tail = t % self.m;
-                if tail > 0 {
-                    if let Some(tk) = &self.tail_kernel {
-                        let _span = stencil_obs::span(stencil_obs::SpanId::RingSweep);
-                        let r = tk.radius();
-                        tessellate::run_3d_at(
-                            pool,
-                            &mut pp,
-                            r,
-                            r,
-                            time_block,
-                            tail,
-                            origin_z,
-                            &|s: &Grid3D, d: &mut Grid3D, zs, ys, xs| {
-                                folded3d::step_range_3d_ring::<V>(tk, ring, s, d, zs, ys, xs)
-                            },
-                        );
-                    } else {
-                        debug_assert!(false, "tessellate tail executed without its kernel");
-                        let r = p.radius();
-                        tessellate::run_3d_at(
-                            pool,
-                            &mut pp,
-                            r,
-                            r,
-                            time_block,
-                            tail,
-                            origin_z,
-                            &|s: &Grid3D, d: &mut Grid3D, zs, ys, xs| {
-                                multiload::step_range_3d::<V>(s, d, p, zs, ys, xs)
-                            },
-                        );
-                    }
-                }
-                pp.into_current()
-            }
-            Tiling::Split { time_block } => {
-                split::sweep_3d::<V>(&self.pool, grid, p, time_block, t)
-            }
-            // compile() resolves Auto; keep the match total (see exec_1d)
-            Tiling::Auto => {
-                debug_assert!(false, "Tiling::Auto must be resolved by compile()");
-                let mut pp = PingPong::new(grid.clone());
-                scalar::sweep_3d(&mut pp, p, t);
-                pp.into_current()
-            }
-            Tiling::Spatial { block } => {
-                let mut pp = PingPong::new(grid.clone());
-                let r = p.radius();
-                match family(self.method) {
-                    Family::Scalar => spatial::run_3d(
-                        &self.pool,
-                        &mut pp,
-                        r,
-                        block,
-                        t,
-                        &|s: &Grid3D, d: &mut Grid3D, zs, ys, xs| {
-                            scalar::step_range_3d(s, d, p, zs, ys, xs)
-                        },
-                    ),
-                    _ => spatial::run_3d(
-                        &self.pool,
-                        &mut pp,
-                        r,
-                        block,
-                        t,
-                        &|s: &Grid3D, d: &mut Grid3D, zs, ys, xs| {
-                            multiload::step_range_3d::<V>(s, d, p, zs, ys, xs)
-                        },
-                    ),
-                }
-                pp.into_current()
-            }
-        }
-    }
+/// Advance a fresh ping-pong pair seeded with `grid` through `sweep` and
+/// return the latest level.
+fn ping_pong<G: Clone>(grid: &G, sweep: impl FnOnce(&mut PingPong<G>)) -> G {
+    let mut pp = PingPong::new(grid.clone());
+    sweep(&mut pp);
+    pp.into_current()
 }
 
 mod sealed {
@@ -923,62 +830,54 @@ pub trait Domain: Clone + sealed::Sealed {
     /// Spatial dimensionality of this domain type.
     const DIMS: usize;
 
-    /// Innermost (x) extent — used by [`Plan::run`] to validate
-    /// DLT-layout alignment.
+    /// Validate `domain` against `plan` and run `t` steps at vector type
+    /// `V`; `origin` is the global coordinate of the window's outer axis
+    /// (see [`Plan::run_2d_at`]; 1D windows have none).
     #[doc(hidden)]
-    fn x_extent(&self) -> usize;
-
-    /// Dispatch a validated plan run (called by [`Plan::run`] after the
-    /// dimensionality check).
-    #[doc(hidden)]
-    fn run_with(plan: &Plan, domain: &Self, t: usize) -> Self;
+    fn exec<V: SimdF64>(
+        plan: &Plan,
+        domain: &Self,
+        t: usize,
+        origin: usize,
+    ) -> Result<Self, PlanError>;
 }
 
 impl Domain for Grid1D {
     const DIMS: usize = 1;
 
-    fn x_extent(&self) -> usize {
-        self.len()
-    }
-
-    fn run_with(plan: &Plan, domain: &Self, t: usize) -> Self {
-        match plan.width {
-            Width::W1 => plan.exec_1d::<f64>(domain, t),
-            Width::W4 => plan.exec_1d::<NativeF64x4>(domain, t),
-            Width::W8 => plan.exec_1d::<NativeF64x8>(domain, t),
-        }
+    fn exec<V: SimdF64>(
+        plan: &Plan,
+        domain: &Self,
+        t: usize,
+        _origin: usize,
+    ) -> Result<Self, PlanError> {
+        plan.exec_1d::<V>(domain, t)
     }
 }
 
 impl Domain for Grid2D {
     const DIMS: usize = 2;
 
-    fn x_extent(&self) -> usize {
-        self.nx()
-    }
-
-    fn run_with(plan: &Plan, domain: &Self, t: usize) -> Self {
-        match plan.width {
-            Width::W1 => plan.exec_2d::<f64>(domain, t, 0),
-            Width::W4 => plan.exec_2d::<NativeF64x4>(domain, t, 0),
-            Width::W8 => plan.exec_2d::<NativeF64x8>(domain, t, 0),
-        }
+    fn exec<V: SimdF64>(
+        plan: &Plan,
+        domain: &Self,
+        t: usize,
+        origin: usize,
+    ) -> Result<Self, PlanError> {
+        plan.exec_2d::<V>(domain, t, origin)
     }
 }
 
 impl Domain for Grid3D {
     const DIMS: usize = 3;
 
-    fn x_extent(&self) -> usize {
-        self.nx()
-    }
-
-    fn run_with(plan: &Plan, domain: &Self, t: usize) -> Self {
-        match plan.width {
-            Width::W1 => plan.exec_3d::<f64>(domain, t, 0),
-            Width::W4 => plan.exec_3d::<NativeF64x4>(domain, t, 0),
-            Width::W8 => plan.exec_3d::<NativeF64x8>(domain, t, 0),
-        }
+    fn exec<V: SimdF64>(
+        plan: &Plan,
+        domain: &Self,
+        t: usize,
+        origin: usize,
+    ) -> Result<Self, PlanError> {
+        plan.exec_3d::<V>(domain, t, origin)
     }
 }
 
@@ -1147,18 +1046,6 @@ mod tests {
             .run_2d(&g, 5)
             .unwrap();
         assert!(max_abs_diff(&want.to_dense(), &got.to_dense()) < 1e-12);
-    }
-
-    #[test]
-    fn deprecated_one_shot_wrappers_still_work() {
-        // the migration shim: one-shot style compiles-per-call
-        #![allow(deprecated)]
-        let p = kernels::heat1d();
-        let g = Grid1D::from_fn(128, |i| (i % 7) as f64);
-        let want = ref_1d(&p, &g, 4);
-        #[allow(deprecated)]
-        let got = Solver::new(p).method(Method::MultipleLoads).run_1d(&g, 4);
-        assert!(max_abs_diff(want.as_slice(), got.as_slice()) < 1e-12);
     }
 
     #[test]

@@ -31,18 +31,16 @@
 // sets of the paper's pseudocode.
 #![allow(clippy::too_many_arguments)]
 
-use crate::folding::fold;
 use crate::pattern::Pattern;
 use crate::plan::FoldPlan;
-use stencil_grid::{Grid1D, Grid2D, Grid3D, PingPong};
+use stencil_grid::{Grid2D, PingPong};
 use stencil_simd::SimdF64;
 
 /// Upper bound on folded radius supported by the fixed-size register
 /// windows (1D/2D). 3D is bounded by [`MAX_R3`].
 pub const MAX_R: usize = 8;
-/// Folded-radius bound for the 3D kernels (both the legacy
-/// reload-per-block pipeline here and the z-ring pipeline in
-/// [`crate::exec::folded3d`]). Deep enough that `Folded { m: 2 }` stays
+/// Folded-radius bound for the 3D z-ring pipeline
+/// ([`crate::exec::folded3d`]). Deep enough that `Folded { m: 2 }` stays
 /// available for radius-2 3D stencils; the per-width register budget is
 /// enforced at compile time by `fold_radius_cap`, not here.
 pub const MAX_R3: usize = 4;
@@ -266,24 +264,6 @@ pub fn step_1d<V: SimdF64>(src: &[f64], dst: &mut [f64], taps: &[f64]) {
     dst[..rr].copy_from_slice(&src[..rr]);
     dst[n - rr..].copy_from_slice(&src[n - rr..]);
     step_squares_range_1d::<V>(src, dst, taps, rr, n - rr);
-}
-
-/// Block-free "Our (m steps)" sweep in original layout (register
-/// transpose on the fly). Leftover `t % m` steps run unfolded.
-pub fn sweep_1d<V: SimdF64>(grid: &Grid1D, p: &Pattern, m: usize, t: usize) -> Grid1D {
-    let folded = fold(p, m);
-    let mut pp = PingPong::new(grid.clone());
-    for _ in 0..t / m {
-        let (src, dst) = pp.src_dst();
-        step_1d::<V>(src.as_slice(), dst.as_mut_slice(), folded.weights());
-        pp.swap_folded(m);
-    }
-    for _ in 0..t % m {
-        let (src, dst) = pp.src_dst();
-        step_1d::<V>(src.as_slice(), dst.as_mut_slice(), p.weights());
-        pp.swap();
-    }
-    pp.into_current()
 }
 
 // ---------------------------------------------------------------------
@@ -631,16 +611,10 @@ pub fn step_2d<V: SimdF64>(k: &FoldedKernel, src: &Grid2D, dst: &mut Grid2D) {
     step_range_2d::<V>(k, src, dst, rr..ny - rr, rr..nx - rr);
 }
 
-/// Block-free "Our (m steps)" 2D sweep; `t % m` leftovers run unfolded
-/// through the multiple-loads kernel.
-pub fn sweep_2d<V: SimdF64>(grid: &Grid2D, p: &Pattern, m: usize, t: usize) -> Grid2D {
-    let k = FoldedKernel::new(p, m);
-    sweep_2d_with::<V>(&k, grid, p, t)
-}
-
-/// [`sweep_2d`] with the planned kernel supplied by the caller — the
-/// compile-once/run-many entry point: a plan builds the [`FoldedKernel`]
-/// once and reuses it across every run.
+/// Block-free "Our (m steps)" 2D sweep with the planned kernel supplied
+/// by the caller — the compile-once/run-many entry point: a plan builds
+/// the [`FoldedKernel`] once and reuses it across every run. `t % m`
+/// leftovers run unfolded through the multiple-loads kernel.
 pub fn sweep_2d_with<V: SimdF64>(k: &FoldedKernel, grid: &Grid2D, p: &Pattern, t: usize) -> Grid2D {
     let m = k.m();
     let mut pp = PingPong::new(grid.clone());
@@ -658,7 +632,8 @@ pub fn sweep_2d_with<V: SimdF64>(k: &FoldedKernel, grid: &Grid2D, p: &Pattern, t
 }
 
 // ---------------------------------------------------------------------
-// 3D plan-driven kernel (z-major stack of 2D slices, §3.3)
+// 3D: the scalar edge-column assembly shared with the z-ring pipeline
+// ([`crate::exec::folded3d`], which owns the 3D kernels)
 // ---------------------------------------------------------------------
 
 #[inline]
@@ -694,228 +669,25 @@ pub(crate) fn scalar_col_3d<V: SimdF64>(
     V::from_slice(&lanes[..vl])
 }
 
-#[inline]
-fn compute_block_3d<V: SimdF64>(
-    k: &FoldedKernel,
-    pv: &PlanV<V>,
-    s: &[f64],
-    sy: usize,
-    sz: usize,
-    z0: usize,
-    y0: usize,
-    bx: usize,
-    cols: &mut [[V; 8]; MAX_F],
-) {
-    let vl = V::LANES;
-    let rr = k.plan.radius;
-    let side = 2 * rr + 1;
-    // shared row loads: (2R+1) planes x (vl+2R) rows
-    let mut rowvec = [[V::zero(); 8 + 2 * MAX_R3]; 2 * MAX_R3 + 1];
-    for (u, plane) in rowvec[..side].iter_mut().enumerate() {
-        for (t, rv) in plane[..vl + 2 * rr].iter_mut().enumerate() {
-            // SAFETY: caller keeps the block R away from grid edges.
-            *rv = unsafe { V::load(s.as_ptr().add((z0 - rr + u) * sz + (y0 - rr + t) * sy + bx)) };
-        }
-    }
-    for (u, &id) in k.used_ids.iter().enumerate() {
-        let mut rows = [V::zero(); 8];
-        if id == 0 {
-            for (j, row) in rows[..vl].iter_mut().enumerate() {
-                *row = rowvec[rr][rr + j];
-            }
-        } else {
-            for (j, row) in rows[..vl].iter_mut().enumerate() {
-                let mut acc = V::zero();
-                for &(slab, wv) in &pv.taps[id] {
-                    let (pz, py) = (slab / side, slab % side);
-                    acc = rowvec[pz][j + py].mul_add(wv, acc);
-                }
-                *row = acc;
-            }
-        }
-        V::transpose(&mut rows[..vl]);
-        cols[u][..vl].copy_from_slice(&rows[..vl]);
-    }
-}
-
-/// One folded step on the cuboid `zs x ys x xs` of a 3D grid.
-pub fn step_range_3d<V: SimdF64>(
-    k: &FoldedKernel,
-    src: &Grid3D,
-    dst: &mut Grid3D,
-    zs: core::ops::Range<usize>,
-    ys: core::ops::Range<usize>,
-    xs: core::ops::Range<usize>,
-) {
-    let vl = V::LANES;
-    let rr = k.plan.radius;
-    debug_assert!(
-        rr <= MAX_R3 && k.plan.dims == 3,
-        "validated by Solver::compile"
-    );
-    if vl < rr.max(2) || rr > MAX_R3 || k.plan.dims != 3 {
-        // Same no-panic degradation contract as step_range_2d: widths and
-        // radii the register window cannot hold fall back to the scalar
-        // folded sweep (Solver::compile rejects them before a Plan exists).
-        crate::exec::scalar::step_range_3d(src, dst, &k.plan.folded, zs, ys, xs);
-        return;
-    }
-    let (sy, sz) = (src.stride_y(), src.stride_z());
-    let s = src.as_slice();
-    let (xlo, xhi) = (xs.start, xs.end);
-    let nfull = (xhi - xlo) / vl;
-    let pv = PlanV::<V>::new(k);
-
-    for z in zs {
-        let mut y = ys.start;
-        while y + vl <= ys.end {
-            if nfull == 0 {
-                crate::exec::scalar::step_range_3d(
-                    src,
-                    dst,
-                    &k.plan.folded,
-                    z..z + 1,
-                    y..y + vl,
-                    xs.clone(),
-                );
-                y += vl;
-                continue;
-            }
-            let mut tail = [[V::zero(); MAX_R]; MAX_F];
-            for kk in 0..rr {
-                let x = xlo - rr + kk;
-                for (u, &id) in k.used_ids.iter().enumerate() {
-                    tail[u][kk] = scalar_col_3d::<V>(k, s, sy, sz, z, y, x, id);
-                }
-            }
-            let mut bufs = [[[V::zero(); 8]; MAX_F]; 2];
-            let mut cb = 0usize;
-            compute_block_3d::<V>(k, &pv, s, sy, sz, z, y, xlo, &mut bufs[0]);
-
-            for b in 0..nfull {
-                let bx = xlo + b * vl;
-                if b + 1 < nfull {
-                    let (a0, a1) = bufs.split_at_mut(1);
-                    let head = if cb == 0 { &mut a1[0] } else { &mut a0[0] };
-                    compute_block_3d::<V>(k, &pv, s, sy, sz, z, y, bx + vl, head);
-                } else {
-                    let head = &mut bufs[1 - cb];
-                    for kk in 0..rr {
-                        let x = bx + vl + kk;
-                        for (u, &id) in k.used_ids.iter().enumerate() {
-                            head[u][kk] = scalar_col_3d::<V>(k, s, sy, sz, z, y, x, id);
-                        }
-                    }
-                }
-                let cur = &bufs[cb];
-                let head = &bufs[1 - cb];
-                let mut out = [V::zero(); 8];
-                for (kk, o) in out[..vl].iter_mut().enumerate() {
-                    let mut acc = V::zero();
-                    for dxi in 0..2 * rr + 1 {
-                        let pos = kk as isize + dxi as isize - rr as isize;
-                        for &(u, cv) in &pv.hcols[dxi] {
-                            let col = if pos < 0 {
-                                tail[u][(pos + rr as isize) as usize]
-                            } else if (pos as usize) < vl {
-                                cur[u][pos as usize]
-                            } else {
-                                head[u][pos as usize - vl]
-                            };
-                            acc = col.mul_add(cv, acc);
-                        }
-                    }
-                    *o = acc;
-                }
-                V::transpose(&mut out[..vl]);
-                let d = dst.as_mut_slice();
-                for (j, o) in out[..vl].iter().enumerate() {
-                    // SAFETY: in-bounds by the range contract.
-                    unsafe { o.store(d.as_mut_ptr().add(z * sz + (y + j) * sy + bx)) };
-                }
-                for u in 0..k.used_ids.len() {
-                    for kk in 0..rr {
-                        tail[u][kk] = cur[u][vl - rr + kk];
-                    }
-                }
-                cb = 1 - cb;
-            }
-            if xlo + nfull * vl < xhi {
-                crate::exec::scalar::step_range_3d(
-                    src,
-                    dst,
-                    &k.plan.folded,
-                    z..z + 1,
-                    y..y + vl,
-                    xlo + nfull * vl..xhi,
-                );
-            }
-            y += vl;
-        }
-        if y < ys.end {
-            crate::exec::scalar::step_range_3d(
-                src,
-                dst,
-                &k.plan.folded,
-                z..z + 1,
-                y..ys.end,
-                xs.clone(),
-            );
-        }
-    }
-}
-
-/// Full folded 3D step (Dirichlet band of width `R`).
-pub fn step_3d<V: SimdF64>(k: &FoldedKernel, src: &Grid3D, dst: &mut Grid3D) {
-    let (nz, ny, nx) = (src.nz(), src.ny(), src.nx());
-    let rr = k.plan.radius;
-    for z in 0..nz {
-        for y in 0..ny {
-            let interior = z >= rr && z < nz - rr && y >= rr && y < ny - rr;
-            if !interior {
-                dst.row_mut(z, y).copy_from_slice(src.row(z, y));
-            } else {
-                let srow = src.row(z, y);
-                let drow = dst.row_mut(z, y);
-                drow[..rr].copy_from_slice(&srow[..rr]);
-                drow[nx - rr..].copy_from_slice(&srow[nx - rr..]);
-            }
-        }
-    }
-    step_range_3d::<V>(k, src, dst, rr..nz - rr, rr..ny - rr, rr..nx - rr);
-}
-
-/// Block-free "Our (m steps)" 3D sweep.
-pub fn sweep_3d<V: SimdF64>(grid: &Grid3D, p: &Pattern, m: usize, t: usize) -> Grid3D {
-    let k = FoldedKernel::new(p, m);
-    sweep_3d_with::<V>(&k, grid, p, t)
-}
-
-/// [`sweep_3d`] with the planned kernel supplied by the caller (see
-/// [`sweep_2d_with`]).
-pub fn sweep_3d_with<V: SimdF64>(k: &FoldedKernel, grid: &Grid3D, p: &Pattern, t: usize) -> Grid3D {
-    let m = k.m();
-    let mut pp = PingPong::new(grid.clone());
-    for _ in 0..t / m {
-        let (src, dst) = pp.src_dst();
-        step_3d::<V>(k, src, dst);
-        pp.swap_folded(m);
-    }
-    for _ in 0..t % m {
-        let (src, dst) = pp.src_dst();
-        crate::exec::multiload::step_3d::<V>(src, dst, p);
-        pp.swap();
-    }
-    pp.into_current()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::exec::scalar;
+    use crate::folding::fold;
     use crate::kernels;
-    use stencil_grid::max_abs_diff;
+    use stencil_grid::{max_abs_diff, Grid1D};
     use stencil_simd::{NativeF64x4, NativeF64x8};
+
+    /// `steps` whole-grid [`step_1d`] steps with `taps`.
+    fn squares_sweep_1d<V: SimdF64>(g: &Grid1D, taps: &[f64], steps: usize) -> Grid1D {
+        let mut pp = PingPong::new(g.clone());
+        for _ in 0..steps {
+            let (src, dst) = pp.src_dst();
+            step_1d::<V>(src.as_slice(), dst.as_mut_slice(), taps);
+            pp.swap();
+        }
+        pp.into_current()
+    }
 
     fn scalar_folded_2d(g: &Grid2D, p: &Pattern, m: usize, steps: usize) -> Grid2D {
         let f = fold(p, m);
@@ -931,7 +703,7 @@ mod tests {
                 let g = Grid1D::from_fn(n, |i| ((i * 53) % 17) as f64 * 0.7);
                 let mut a = PingPong::new(g.clone());
                 scalar::sweep_1d(&mut a, &p, 4);
-                let out = sweep_1d::<NativeF64x4>(&g, &p, 1, 4);
+                let out = squares_sweep_1d::<NativeF64x4>(&g, p.weights(), 4);
                 assert!(
                     max_abs_diff(a.current().as_slice(), out.as_slice()) < 1e-12,
                     "n={n}"
@@ -948,7 +720,7 @@ mod tests {
         let g = Grid1D::from_fn(n, |i| (i as f64 * 0.21).cos());
         let mut a = PingPong::new(g.clone());
         scalar::sweep_1d(&mut a, &f, 3);
-        let out = sweep_1d::<NativeF64x8>(&g, &p, 2, 6);
+        let out = squares_sweep_1d::<NativeF64x8>(&g, f.weights(), 3);
         assert!(max_abs_diff(a.current().as_slice(), out.as_slice()) < 1e-12);
     }
 
@@ -958,7 +730,7 @@ mod tests {
             let g = Grid2D::from_fn(23, 29, |y, x| ((y * 13 + x * 7) % 19) as f64);
             let mut a = PingPong::new(g.clone());
             scalar::sweep_2d(&mut a, &p, 3);
-            let out = sweep_2d::<NativeF64x4>(&g, &p, 1, 3);
+            let out = sweep_2d_with::<NativeF64x4>(&FoldedKernel::new(&p, 1), &g, &p, 3);
             assert!(
                 max_abs_diff(&a.current().to_dense(), &out.to_dense()) < 1e-12,
                 "pts={}",
@@ -972,7 +744,7 @@ mod tests {
         for p in [kernels::heat2d(), kernels::box2d9p(), kernels::gb()] {
             let g = Grid2D::from_fn(26, 33, |y, x| ((y * 31 + x * 3) % 23) as f64 * 0.5);
             let want = scalar_folded_2d(&g, &p, 2, 3);
-            let out = sweep_2d::<NativeF64x4>(&g, &p, 2, 6);
+            let out = sweep_2d_with::<NativeF64x4>(&FoldedKernel::new(&p, 2), &g, &p, 6);
             assert!(
                 max_abs_diff(&want.to_dense(), &out.to_dense()) < 1e-10,
                 "pts={}",
@@ -999,34 +771,8 @@ mod tests {
         let p = kernels::heat2d();
         let g = Grid2D::from_fn(33, 41, |y, x| ((y * 5 + x * 11) % 29) as f64);
         let want = scalar_folded_2d(&g, &p, 2, 2);
-        let out = sweep_2d::<NativeF64x8>(&g, &p, 2, 4);
+        let out = sweep_2d_with::<NativeF64x8>(&FoldedKernel::new(&p, 2), &g, &p, 4);
         assert!(max_abs_diff(&want.to_dense(), &out.to_dense()) < 1e-10);
-    }
-
-    #[test]
-    fn folded_3d_matches_scalar() {
-        for p in [kernels::heat3d(), kernels::box3d27p()] {
-            let g = Grid3D::from_fn(10, 14, 18, |z, y, x| ((z * 3 + y * 7 + x) % 13) as f64);
-            // m = 1
-            let mut a = PingPong::new(g.clone());
-            scalar::sweep_3d(&mut a, &p, 2);
-            let out = sweep_3d::<NativeF64x4>(&g, &p, 1, 2);
-            assert!(
-                max_abs_diff(&a.current().to_dense(), &out.to_dense()) < 1e-12,
-                "m=1 pts={}",
-                p.points()
-            );
-            // m = 2
-            let f = fold(&p, 2);
-            let mut b = PingPong::new(g.clone());
-            scalar::sweep_3d(&mut b, &f, 2);
-            let out = sweep_3d::<NativeF64x4>(&g, &p, 2, 4);
-            assert!(
-                max_abs_diff(&b.current().to_dense(), &out.to_dense()) < 1e-10,
-                "m=2 pts={}",
-                p.points()
-            );
-        }
     }
 
     #[test]
@@ -1036,7 +782,7 @@ mod tests {
         // t=5 with m=2: 2 folded + 1 plain; compare interior to 5 scalar
         let mut a = PingPong::new(g.clone());
         scalar::sweep_2d(&mut a, &p, 5);
-        let out = sweep_2d::<NativeF64x4>(&g, &p, 2, 5);
+        let out = sweep_2d_with::<NativeF64x4>(&FoldedKernel::new(&p, 2), &g, &p, 5);
         let ad = a.current().to_dense();
         let od = out.to_dense();
         let nx = 20;

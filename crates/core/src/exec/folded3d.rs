@@ -1,11 +1,11 @@
 //! Z-ring 3D register pipeline — the dedicated 3D form of the paper's
 //! §3.3 folded executor.
 //!
-//! The legacy 3D path ([`crate::exec::folded::step_range_3d`]) reloads
-//! the full `(2R+1)`-plane × `(vl+2R)`-row vector window from memory for
-//! every output block and discards all plane overlap as `z` advances —
-//! exactly the data-organization redundancy the paper removes in 1D/2D.
-//! This module marches along `z` instead:
+//! Stacking the 2D pipeline of [`crate::exec::folded`] along `z` would
+//! reload the full `(2R+1)`-plane × `(vl+2R)`-row vector window from
+//! memory for every output block and discard all plane overlap as `z`
+//! advances — exactly the data-organization redundancy the paper removes
+//! in 1D/2D. This module marches along `z` instead:
 //!
 //! * **Z-plane rotation** — for each x-block the `(2R+1)` planes the
 //!   vertical fold reads live in a rotating ring (`slot = z mod (2R+1)`)
@@ -21,7 +21,7 @@
 //!   row).
 //! * **Fused assemble** — the scalar-assembled edge columns are built
 //!   once per (x-slab, z) and shared by every block of the slab, instead
-//!   of per block as in the legacy lookahead scheme.
+//!   of per block.
 //!
 //! The sweep is organized as y-block → x-slab ([`Ring3::slab`] vector
 //! blocks) → z-strip ([`Ring3::depth`] outputs): phase A fills a small
@@ -90,10 +90,9 @@ impl Default for Ring3 {
 }
 
 /// One folded step on the cuboid `zs × ys × xs` of a 3D grid through the
-/// z-ring pipeline. Same contract as the legacy
-/// [`crate::exec::folded::step_range_3d`]: writes exactly the region,
-/// reads within `R` of it, caller keeps the region `R` from the grid
-/// boundary. Degenerate widths and out-of-bound radii (unreachable
+/// z-ring pipeline. Range-kernel contract of the tiling drivers: writes
+/// exactly the region, reads within `R` of it, caller keeps the region
+/// `R` from the grid boundary. Degenerate widths and out-of-bound radii (unreachable
 /// through the Plan API) degrade to the scalar folded sweep — no panic.
 pub fn step_range_3d_ring<V: SimdF64>(
     k: &FoldedKernel,
@@ -204,8 +203,7 @@ fn step_ring_r<V: SimdF64, const R: usize>(
     // Shifts reuse across x-slabs: the last R columns of each slab's
     // last block, kept per strip z so the next slab's left edge is
     // register data too. Only the sweep's own edges (x = xlo and the
-    // last block's right halo) are ever assembled from scalar loads —
-    // the same two per (z, y-block) the legacy pipeline pays.
+    // last block's right halo) are ever assembled from scalar loads.
     scratch.carry.resize(depth * nids, [V::zero(); MAX_R3]);
     let Scratch { cols, carry } = &mut scratch;
 
@@ -361,9 +359,7 @@ fn load_plane<V: SimdF64, const R: usize>(
 }
 
 /// Generic z-march: ring of raw plane rows, full `(dz, dy)` vertical
-/// fold per output z. Tap order matches the legacy pipeline, so the
-/// per-output arithmetic is identical — only the redundant plane loads
-/// disappear.
+/// fold per output z, in the counterpart schedule's tap order.
 #[inline(always)]
 fn march_gen<V: SimdF64, const R: usize>(
     k: &FoldedKernel,
@@ -562,7 +558,7 @@ pub fn step_3d_ring<V: SimdF64>(k: &FoldedKernel, ring: Ring3, src: &Grid3D, dst
 
 /// Block-free "Our (m steps)" 3D sweep through the z-ring pipeline, with
 /// the planned kernel supplied by the caller (the compile-once/run-many
-/// entry point, cf. [`crate::exec::folded::sweep_3d_with`]). Leftover
+/// entry point, cf. [`crate::exec::folded::sweep_2d_with`]). Leftover
 /// `t % m` steps run unfolded through the multiple-loads kernel.
 pub fn sweep_3d_ring_with<V: SimdF64>(
     k: &FoldedKernel,
@@ -589,7 +585,7 @@ pub fn sweep_3d_ring_with<V: SimdF64>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::{folded, scalar};
+    use crate::exec::scalar;
     use crate::folding::fold;
     use crate::kernels;
     use stencil_grid::max_abs_diff;
@@ -617,22 +613,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn ring_matches_legacy_pipeline_bitwise_generic() {
-        // the generic march issues the same mul_add sequence as the
-        // legacy reload-per-block path; for a single-slab geometry the
-        // block-boundary columns come from the same block computations,
-        // so the interiors agree bit for bit
-        let p = kernels::heat3d();
-        let k = FoldedKernel::new(&p, 2);
-        let g = Grid3D::from_fn(16, 14, 11, |z, y, x| ((z * 5 + y * 11 + x * 3) % 17) as f64);
-        let mut legacy = g.clone();
-        folded::step_3d::<NativeF64x4>(&k, &g, &mut legacy);
-        let mut ring = g.clone();
-        step_3d_ring::<NativeF64x4>(&k, Ring3 { depth: 3, slab: 1 }, &g, &mut ring);
-        assert!(max_abs_diff(&legacy.to_dense(), &ring.to_dense()) < 1e-12);
     }
 
     #[test]

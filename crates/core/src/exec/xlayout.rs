@@ -13,7 +13,6 @@
 // Indexed tap/window loops keep the offset arithmetic explicit and unrolled.
 #![allow(clippy::needless_range_loop)]
 
-use crate::folding::fold;
 use crate::pattern::Pattern;
 use stencil_grid::layout::TransposeLayout;
 use stencil_grid::{Grid1D, PingPong};
@@ -170,18 +169,10 @@ pub fn sweep_1d<V: SimdF64>(grid: &Grid1D, p: &Pattern, t: usize) -> Grid1D {
 }
 
 /// "Our (m steps)" block-free sweep: temporal computation folding with
-/// unrolling factor `m` on the transpose layout. `t % m` leftover steps
-/// run unfolded.
-pub fn sweep_folded_1d<V: SimdF64>(grid: &Grid1D, p: &Pattern, m: usize, t: usize) -> Grid1D {
-    assert_eq!(p.dims(), 1);
-    assert!(m >= 1);
-    let folded = fold(p, m);
-    sweep_folded_1d_with::<V>(grid, p.weights(), &folded, m, t)
-}
-
-/// [`sweep_folded_1d`] with the folded pattern Λ supplied by the caller —
-/// the compile-once/run-many entry point: a plan computes Λ once and
-/// reuses it across every run.
+/// unrolling factor `m` on the transpose layout, with the folded pattern
+/// Λ = `fold(p, m)` supplied by the caller — the compile-once/run-many
+/// entry point: a plan computes Λ once and reuses it across every run.
+/// `t % m` leftover steps run unfolded with `base_taps`.
 pub fn sweep_folded_1d_with<V: SimdF64>(
     grid: &Grid1D,
     base_taps: &[f64],
@@ -202,6 +193,7 @@ pub fn sweep_folded_1d_with<V: SimdF64>(
 mod tests {
     use super::*;
     use crate::exec::scalar;
+    use crate::folding::fold;
     use crate::kernels;
     use stencil_grid::max_abs_diff;
     use stencil_simd::{NativeF64x4, NativeF64x8};
@@ -243,7 +235,7 @@ mod tests {
         let n = 128;
         let g = Grid1D::from_fn(n, |i| (i as f64 * 0.11).sin());
         let want = scalar_ref(&g, &p, t);
-        let out = sweep_folded_1d::<NativeF64x4>(&g, &p, m, t);
+        let out = sweep_folded_1d_with::<NativeF64x4>(&g, p.weights(), &fold(&p, m), m, t);
         let band = p.radius() * m * t; // generous: discrepancy zone growth
         for i in band..n - band {
             assert!((want[i] - out[i]).abs() < 1e-12, "i={i}");
@@ -259,7 +251,7 @@ mod tests {
         let folded = fold(&p, m);
         let g = Grid1D::from_fn(n, |i| ((i * 13) % 7) as f64);
         let want = scalar_ref(&g, &folded, t / m);
-        let out = sweep_folded_1d::<NativeF64x4>(&g, &p, m, t);
+        let out = sweep_folded_1d_with::<NativeF64x4>(&g, p.weights(), &folded, m, t);
         assert!(max_abs_diff(want.as_slice(), out.as_slice()) < 1e-12);
     }
 
@@ -270,7 +262,7 @@ mod tests {
         let g = Grid1D::from_fn(n, |i| (i % 5) as f64);
         // t=5, m=2: two folded + one plain. Interior equals 5 scalar steps.
         let want = scalar_ref(&g, &p, 5);
-        let out = sweep_folded_1d::<NativeF64x4>(&g, &p, 2, 5);
+        let out = sweep_folded_1d_with::<NativeF64x4>(&g, p.weights(), &fold(&p, 2), 2, 5);
         for i in 12..n - 12 {
             assert!((want[i] - out[i]).abs() < 1e-12, "i={i}");
         }
@@ -287,7 +279,7 @@ mod tests {
         let n = 160;
         let g = Grid1D::from_fn(n, |i| ((i * 31) % 11) as f64);
         let want = scalar_ref(&g, &folded, 3);
-        let out = sweep_folded_1d::<NativeF64x4>(&g, &p, 2, 6);
+        let out = sweep_folded_1d_with::<NativeF64x4>(&g, p.weights(), &folded, 2, 6);
         assert!(max_abs_diff(want.as_slice(), out.as_slice()) < 1e-12);
     }
 }

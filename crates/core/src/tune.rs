@@ -3,7 +3,7 @@
 //! efforts are required in automatic tuning and this will be done
 //! separately", §4.1).
 //!
-//! Three layers:
+//! Two layers:
 //!
 //! * [`auto_method`] / [`auto_tiling`] — the compile-time static
 //!   resolvers behind [`Method::Auto`] and [`Tiling::Auto`]: pick a
@@ -16,21 +16,12 @@
 //!   crate installs its probing autotuner here ([`install_tuner`]);
 //!   `stencil-core` itself stays free of probing and persistence so the
 //!   dependency edge points outward (tune → core, never back).
-//! * [`tune_time_block_1d`]/[`tune_time_block_2d`] — standalone measured
-//!   probes over the tessellation *time block* (the parameter Table 1
-//!   hand-tunes). Each candidate configuration is compiled **once** into
-//!   a [`crate::Plan`] and reused across the warm-up and both probe
-//!   passes, so tuning itself follows the plan-once/run-many discipline.
 
 use crate::api::{Method, Ring3, Tiling, Tuning, Width};
 use crate::cost;
 use crate::pattern::Pattern;
 use crate::plan::FoldPlan;
-use crate::Solver;
 use std::sync::OnceLock;
-use std::time::{Duration, Instant};
-use stencil_grid::{Grid1D, Grid2D};
-use stencil_runtime::PoolHandle;
 
 /// Profitability threshold θ >= 1 for choosing temporal folding
 /// (Eq. 3); folding must save at least this factor of arithmetic to be
@@ -76,7 +67,7 @@ pub fn auto_method(p: &Pattern, width: Width, tiling: Tiling) -> Method {
 
 /// Largest folded radius `m * r` the register pipeline supports for a
 /// pattern of dimensionality `dims` at vector width `width` — public
-/// wrapper around the bound [`Solver::compile`] enforces, so candidate
+/// wrapper around the bound [`Solver::compile`](crate::Solver::compile) enforces, so candidate
 /// generators (the measured tuner's `Folded { m: 3 }` probes) can
 /// skip configurations compilation would reject.
 pub fn fold_radius_cap(dims: usize, width: Width) -> usize {
@@ -132,7 +123,7 @@ pub fn auto_tiling(dims: usize, method: Method, threads: usize) -> Tiling {
 // The measured-tuning hook.
 // ---------------------------------------------------------------------
 
-/// What [`Solver::compile`] asks an installed [`MeasuredTuner`] to
+/// What [`Solver::compile`](crate::Solver::compile) asks an installed [`MeasuredTuner`] to
 /// decide. Fields that the user fixed in the configuration arrive as
 /// `Some(..)` and must be honored; `None` means "tune this".
 #[derive(Debug, Clone)]
@@ -151,10 +142,10 @@ pub struct TuneRequest<'a> {
     /// `Some` when the tiling was fixed by the user, `None` for
     /// [`Tiling::Auto`].
     pub tiling: Option<Tiling>,
-    /// The extents from [`Solver::domain_hint`], if any.
+    /// The extents from [`Solver::domain_hint`](crate::Solver::domain_hint), if any.
     pub domain_hint: Option<&'a [usize]>,
     /// `Some` when the z-ring geometry was pinned by the user
-    /// ([`Solver::ring3`]), `None` when the tuner may search the 3D
+    /// ([`Solver::ring3`](crate::Solver::ring3)), `None` when the tuner may search the 3D
     /// ring axes (z-strip depth × x-slab width). Only meaningful for 3D
     /// register methods.
     pub ring3: Option<Ring3>,
@@ -182,7 +173,7 @@ pub struct TuneDecision {
 
 /// Why a tuner could not decide; mapped onto the typed
 /// [`PlanError`](crate::PlanError) tuning variants by
-/// [`Solver::compile`].
+/// [`Solver::compile`](crate::Solver::compile).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TuneFailure {
     /// [`Tuning::CacheOnly`] and the per-host cache has no entry under
@@ -199,7 +190,7 @@ pub enum TuneFailure {
     },
 }
 
-/// A measured autotuner [`Solver::compile`] can route
+/// A measured autotuner [`Solver::compile`](crate::Solver::compile) can route
 /// [`Tuning::Measured`]/[`Tuning::CacheOnly`] resolutions through.
 ///
 /// Implementations must be cheap to call on a cache hit — `compile()`
@@ -233,231 +224,11 @@ pub fn installed_tuner() -> Option<&'static dyn MeasuredTuner> {
     TUNER.get().copied()
 }
 
-/// Outcome of a tuning run.
-#[derive(Debug, Clone)]
-pub struct TuneResult {
-    /// The winning time block.
-    pub time_block: usize,
-    /// Probe throughput per candidate, in points/sec (same order as the
-    /// candidate list).
-    pub probe_rates: Vec<(usize, f64)>,
-    /// Total time spent probing.
-    pub spent: Duration,
-}
-
-/// Default candidate ladder for time blocks.
-pub fn default_candidates() -> Vec<usize> {
-    vec![2, 4, 8, 16, 32, 64]
-}
-
-/// Tune the tessellation time block for a 1D problem of size `n`.
-///
-/// `probe_steps` inner steps per candidate (16 is plenty); the probe grid
-/// is capped at 1/4 of `n` (min 4096) so tuning costs a fraction of one
-/// real run.
-///
-/// # Panics
-///
-/// If `p` is not 1D or `method` cannot pair with tessellate tiling
-/// (e.g. [`Method::Dlt`]) — probing time blocks only makes sense for
-/// configurations `Solver::compile` accepts under `Tiling::Tessellate`.
-pub fn tune_time_block_1d(
-    p: &Pattern,
-    method: Method,
-    n: usize,
-    threads: usize,
-    probe_steps: usize,
-    candidates: &[usize],
-) -> TuneResult {
-    assert!(!candidates.is_empty());
-    let t0 = Instant::now();
-    let probe_n = (n / 4).clamp(4096.min(n), n);
-    let grid = Grid1D::from_fn(probe_n, |i| ((i * 31) % 17) as f64);
-    // one plan per candidate — compiled once, reused by every probe —
-    // all sharing a single worker pool
-    let pool = PoolHandle::new(threads);
-    let plans: Vec<_> = candidates
-        .iter()
-        .map(|&tb| {
-            let plan = Solver::new(p.clone())
-                .method(method)
-                .tiling(Tiling::Tessellate { time_block: tb })
-                .pool(pool.clone())
-                .compile()
-                .expect("tuning requires a tessellate-compatible method");
-            (tb, plan)
-        })
-        .collect();
-    let measure = |plan: &crate::Plan| -> f64 {
-        let t = Instant::now();
-        plan.run_1d(&grid, probe_steps)
-            .expect("tuner pattern must be 1D");
-        probe_n as f64 * probe_steps as f64 / t.elapsed().as_secs_f64()
-    };
-    let mut rates = Vec::with_capacity(candidates.len());
-    for (tb, plan) in &plans {
-        // warm-up + measure on the same compiled plan
-        plan.run_1d(&grid, probe_steps.min(4))
-            .expect("tuner pattern must be 1D");
-        rates.push((*tb, measure(plan)));
-    }
-    // the runoff re-probe looks the winner's plan back up by time block
-    let best = pick_best(&mut rates, |tb| {
-        measure(&plans.iter().find(|(c, _)| *c == tb).unwrap().1)
-    });
-    TuneResult {
-        time_block: best,
-        probe_rates: rates,
-        spent: t0.elapsed(),
-    }
-}
-
-/// Tune the tessellation time block for a 2D problem of `ny x nx`.
-///
-/// # Panics
-///
-/// If `p` is not 2D or `method` cannot pair with tessellate tiling
-/// (see [`tune_time_block_1d`]).
-pub fn tune_time_block_2d(
-    p: &Pattern,
-    method: Method,
-    (ny, nx): (usize, usize),
-    threads: usize,
-    probe_steps: usize,
-    candidates: &[usize],
-) -> TuneResult {
-    assert!(!candidates.is_empty());
-    let t0 = Instant::now();
-    let (py, px) = (
-        (ny / 2).clamp(64.min(ny), ny),
-        (nx / 2).clamp(64.min(nx), nx),
-    );
-    let grid = Grid2D::from_fn(py, px, |y, x| ((y * 13 + x * 7) % 19) as f64);
-    let pool = PoolHandle::new(threads);
-    let plans: Vec<_> = candidates
-        .iter()
-        .map(|&tb| {
-            let plan = Solver::new(p.clone())
-                .method(method)
-                .tiling(Tiling::Tessellate { time_block: tb })
-                .pool(pool.clone())
-                .compile()
-                .expect("tuning requires a tessellate-compatible method");
-            (tb, plan)
-        })
-        .collect();
-    let measure = |plan: &crate::Plan| -> f64 {
-        let t = Instant::now();
-        plan.run_2d(&grid, probe_steps)
-            .expect("tuner pattern must be 2D");
-        (py * px) as f64 * probe_steps as f64 / t.elapsed().as_secs_f64()
-    };
-    let mut rates = Vec::with_capacity(candidates.len());
-    for (tb, plan) in &plans {
-        plan.run_2d(&grid, probe_steps.min(4))
-            .expect("tuner pattern must be 2D");
-        rates.push((*tb, measure(plan)));
-    }
-    let best = pick_best(&mut rates, |tb| {
-        measure(&plans.iter().find(|(c, _)| *c == tb).unwrap().1)
-    });
-    TuneResult {
-        time_block: best,
-        probe_rates: rates,
-        spent: t0.elapsed(),
-    }
-}
-
-/// Pick the best candidate: re-probe the top two and keep the winner
-/// (single probes are noisy; a runoff between the leaders is cheap and
-/// fixes most mis-rankings).
-fn pick_best(rates: &mut [(usize, f64)], mut reprobe: impl FnMut(usize) -> f64) -> usize {
-    rates.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap());
-    if rates.len() == 1 {
-        return rates[0].0;
-    }
-    let (a, b) = (rates[0].0, rates[1].0);
-    let (ra, rb) = (reprobe(a), reprobe(b));
-    if rb > ra {
-        b
-    } else {
-        a
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::kernels;
-
-    #[test]
-    fn tuner_returns_a_candidate_1d() {
-        let cands = [2usize, 8, 16];
-        let r = tune_time_block_1d(
-            &kernels::heat1d(),
-            Method::Folded { m: 2 },
-            100_000,
-            2,
-            8,
-            &cands,
-        );
-        assert!(cands.contains(&r.time_block));
-        assert_eq!(r.probe_rates.len(), 3);
-        assert!(r.probe_rates.iter().all(|&(_, rate)| rate > 0.0));
-    }
-
-    #[test]
-    fn tuner_returns_a_candidate_2d() {
-        let cands = [2usize, 4];
-        let r = tune_time_block_2d(
-            &kernels::box2d9p(),
-            Method::Folded { m: 2 },
-            (128, 128),
-            2,
-            4,
-            &cands,
-        );
-        assert!(cands.contains(&r.time_block));
-    }
-
-    #[test]
-    fn tuned_solver_still_correct() {
-        // after tuning, a solve with the chosen tb matches the scalar
-        // reference — tuning must not change semantics
-        let p = kernels::heat1d();
-        let r = tune_time_block_1d(&p, Method::MultipleLoads, 50_000, 2, 6, &[4, 16]);
-        let g = Grid1D::from_fn(2048, |i| ((i * 7) % 23) as f64);
-        let want = Solver::new(p.clone())
-            .method(Method::Scalar)
-            .compile()
-            .unwrap()
-            .run_1d(&g, 12)
-            .unwrap();
-        let got = Solver::new(p)
-            .method(Method::MultipleLoads)
-            .tiling(Tiling::Tessellate {
-                time_block: r.time_block,
-            })
-            .threads(2)
-            .compile()
-            .unwrap()
-            .run_1d(&g, 12)
-            .unwrap();
-        assert!(stencil_grid::max_abs_diff(want.as_slice(), got.as_slice()) < 1e-12);
-    }
-
-    #[test]
-    fn single_candidate_shortcut() {
-        let r = tune_time_block_1d(
-            &kernels::heat1d(),
-            Method::MultipleLoads,
-            20_000,
-            1,
-            4,
-            &[8],
-        );
-        assert_eq!(r.time_block, 8);
-    }
+    use crate::Solver;
 
     #[test]
     fn auto_prefers_folding_when_profitable() {

@@ -5,7 +5,8 @@
 //! 1. **Typed error surface** — every invalid method × tiling ×
 //!    dimension combination returns the right [`PlanError`] variant from
 //!    `compile()`; no configuration reachable through the public API
-//!    panics.
+//!    panics, and every accepted one agrees with the scalar plan through
+//!    every run entry point (the method × tiling × width route table).
 //! 2. **Plan reuse** — a single compiled plan produces identical results
 //!    across repeated runs while reusing its thread pool and its folded
 //!    kernel (no per-run re-planning).
@@ -266,6 +267,24 @@ fn dlt_rejects_grids_shorter_than_the_lifted_radius() {
         plan.run_1d(&tiny, 1),
         Err(PlanError::DomainTooSmall { extent: 4, min: 8 })
     ));
+    // the windowed entry points of the SDSL hybrid check the same layout
+    let sdsl = |p: Pattern| {
+        Solver::new(p)
+            .method(Method::Dlt)
+            .tiling(Tiling::Split { time_block: 2 })
+            .width(Width::W4)
+            .compile()
+            .unwrap()
+    };
+    let too_small = Err(PlanError::DomainTooSmall { extent: 4, min: 8 });
+    let tiny2 = Grid2D::from_fn(16, 4, |y, x| (y + x) as f64);
+    let plan2 = sdsl(Pattern::new_2d(2, &[0.04; 25]));
+    assert_eq!(plan2.run_2d(&tiny2, 1).map(drop), too_small);
+    assert_eq!(plan2.run_2d_at(&tiny2, 1, 3).map(drop), too_small);
+    let tiny3 = Grid3D::from_fn(12, 12, 4, |z, y, x| (z + y + x) as f64);
+    let plan3 = sdsl(kernels::box3d125p());
+    assert_eq!(plan3.run_3d(&tiny3, 1).map(drop), too_small);
+    assert_eq!(plan3.run_3d_at(&tiny3, 1, 3).map(drop), too_small);
 }
 
 #[test]
@@ -295,10 +314,35 @@ fn run_rejects_wrong_dimensionality() {
     ));
 }
 
+/// Agreement of `got` with the scalar reference `want` away from the
+/// boundary: folding widens the Dirichlet band from `r` to `m * r`, and
+/// the discrepancy zone then grows by `r` per time step, so only cells
+/// at least `band = t * r` inside every face are comparable across
+/// methods. `extents` is outermost-first.
+fn interior_diff(want: &[f64], got: &[f64], extents: &[usize], band: usize) -> f64 {
+    let mut worst = 0.0f64;
+    for (i, (w, g)) in want.iter().zip(got).enumerate() {
+        let mut rest = i;
+        let inside = extents.iter().rev().all(|&n| {
+            let c = rest % n;
+            rest /= n;
+            c >= band && c + band < n
+        });
+        if inside {
+            worst = worst.max((w - g).abs());
+        }
+    }
+    worst
+}
+
 #[test]
 fn no_configuration_panics_through_the_public_api() {
-    // sweep the whole configuration space: compile() either returns a
-    // plan that runs, or a typed error — never a panic
+    // Sweep the whole method × tiling × width product on an aligned and
+    // a ragged grid per dimensionality, through every run entry point:
+    // compile() either returns a typed error or a plan whose runs agree
+    // with the Method::Scalar plan (or reject the grid with one typed
+    // layout error, the same from every entry point) — never a panic.
+    const T: usize = 5; // odd: Folded { m: 2 } also runs its t % m tail
     let patterns: [Pattern; 3] = [kernels::heat1d(), kernels::heat2d(), kernels::heat3d()];
     let methods = [
         Method::Scalar,
@@ -317,40 +361,100 @@ fn no_configuration_panics_through_the_public_api() {
         Tiling::Split { time_block: 2 },
         Tiling::Spatial { block: (8, 8) },
     ];
-    let g1 = Grid1D::from_fn(128, |i| (i % 7) as f64);
-    let g2 = Grid2D::from_fn(32, 36, |y, x| ((y + x) % 5) as f64);
-    let g3 = Grid3D::from_fn(16, 14, 18, |z, y, x| ((z + y + x) % 3) as f64);
-    let (mut ok, mut rejected) = (0usize, 0usize);
+    let widths = [Width::W1, Width::W4, Width::W8];
+    // second grid of each pair: innermost extent not a lane multiple
+    let g1 = [128usize, 131].map(|n| Grid1D::from_fn(n, |i| (i % 7) as f64));
+    let g2 = [(32usize, 40usize), (30, 37)]
+        .map(|(ny, nx)| Grid2D::from_fn(ny, nx, |y, x| ((y + x) % 5) as f64));
+    let g3 = [(16usize, 14usize, 24usize), (15, 14, 19)]
+        .map(|(nz, ny, nx)| Grid3D::from_fn(nz, ny, nx, |z, y, x| ((z + y + x) % 3) as f64));
+    // (dense scalar reference, extents) per dimensionality and grid
+    let scalar = |d: usize| {
+        Solver::new(patterns[d - 1].clone())
+            .method(Method::Scalar)
+            .compile()
+            .unwrap()
+    };
+    let want: [[(Vec<f64>, Vec<usize>); 2]; 3] = [
+        g1.each_ref().map(|g| {
+            let out = scalar(1).run_1d(g, T).unwrap();
+            (out.as_slice().to_vec(), vec![g.len()])
+        }),
+        g2.each_ref().map(|g| {
+            let out = scalar(2).run_2d(g, T).unwrap();
+            (out.to_dense(), vec![g.ny(), g.nx()])
+        }),
+        g3.each_ref().map(|g| {
+            let out = scalar(3).run_3d(g, T).unwrap();
+            (out.to_dense(), vec![g.nz(), g.ny(), g.nx()])
+        }),
+    ];
+
+    let pool = PoolHandle::new(2);
+    let (mut ok, mut rejected, mut layout_errors) = (0usize, 0usize, 0usize);
     for p in &patterns {
         for &m in &methods {
             for &tl in &tilings {
-                let cfg = Solver::new(p.clone()).method(m).tiling(tl).threads(2);
-                match cfg.compile() {
-                    Ok(plan) => {
-                        ok += 1;
-                        let run_result = match p.dims() {
-                            1 => plan.run_1d(&g1, 4).map(drop),
-                            2 => plan.run_2d(&g2, 4).map(drop),
-                            _ => plan.run_3d(&g3, 4).map(drop),
+                for &w in &widths {
+                    let cfg = Solver::new(p.clone())
+                        .method(m)
+                        .tiling(tl)
+                        .width(w)
+                        .pool(pool.clone());
+                    let Ok(plan) = cfg.compile() else {
+                        rejected += 1;
+                        continue;
+                    };
+                    ok += 1;
+                    for i in 0..2 {
+                        // every entry point, at origin 0 and off it
+                        let runs: Vec<Result<Vec<f64>, PlanError>> = match p.dims() {
+                            1 => vec![plan.run_1d(&g1[i], T).map(|o| o.as_slice().to_vec())],
+                            2 => [
+                                plan.run_2d(&g2[i], T),
+                                plan.run_2d_at(&g2[i], T, 0),
+                                plan.run_2d_at(&g2[i], T, 5),
+                            ]
+                            .map(|r| r.map(|o| o.to_dense()))
+                            .into(),
+                            _ => [
+                                plan.run_3d(&g3[i], T),
+                                plan.run_3d_at(&g3[i], T, 0),
+                                plan.run_3d_at(&g3[i], T, 5),
+                            ]
+                            .map(|r| r.map(|o| o.to_dense()))
+                            .into(),
                         };
-                        // a compiled plan may still reject a ragged grid
-                        // (DLT alignment) — but only with a typed error
-                        match run_result {
-                            Ok(()) => {}
-                            Err(PlanError::MisalignedDomain { .. }) => {}
-                            Err(e) => panic!("unexpected run error for {m:?}/{tl:?}: {e}"),
+                        let (want, extents) = &want[p.dims() - 1][i];
+                        let ctx = format!("{}D {m:?}/{tl:?}/{w:?} grid {i}", p.dims());
+                        for (entry, run) in runs.iter().enumerate() {
+                            // a compiled plan may still reject a grid (DLT
+                            // layout) — with the same typed error from
+                            // every entry point
+                            assert_eq!(
+                                run.as_ref().err(),
+                                runs[0].as_ref().err(),
+                                "{ctx}: entry {entry} disagrees with run_*"
+                            );
+                            match run {
+                                Ok(got) => {
+                                    let diff = interior_diff(want, got, extents, T * p.radius());
+                                    assert!(diff < 1e-10, "{ctx} entry {entry}: diff {diff}");
+                                }
+                                Err(PlanError::MisalignedDomain { .. }) => layout_errors += 1,
+                                Err(e) => panic!("{ctx} entry {entry}: unexpected run error {e}"),
+                            }
                         }
                     }
-                    Err(_) => rejected += 1,
                 }
             }
         }
     }
     assert_eq!(
         ok + rejected,
-        patterns.len() * methods.len() * tilings.len()
+        patterns.len() * methods.len() * tilings.len() * widths.len()
     );
-    assert!(ok > 0 && rejected > 0);
+    assert!(ok > 0 && rejected > 0 && layout_errors > 0);
 }
 
 // ---------------------------------------------------------------------
