@@ -22,7 +22,7 @@
 //! `--threshold` applies (default: fail on a >35% drop, comfortably
 //! above run-to-run noise for the smoke sizes).
 
-use stencil_tune::json::{self, Value};
+use stencil_obs::json::{self, Value};
 
 struct Gate {
     threshold: f64,

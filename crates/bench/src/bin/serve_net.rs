@@ -185,7 +185,7 @@ fn main() {
     assert_eq!(code, 200, "healthz must answer 200: {health}");
     let (code, metrics) = http_get(addr, "/metrics").expect("metrics scrape");
     assert_eq!(code, 200);
-    let scraped = StatsSnapshot::from_json(&stencil_tune::json::parse(&metrics).expect("json"))
+    let scraped = StatsSnapshot::from_json(&stencil_obs::json::parse(&metrics).expect("json"))
         .expect("metrics document matches the snapshot schema");
 
     let stats = server.shutdown();

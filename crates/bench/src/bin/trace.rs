@@ -127,7 +127,7 @@ fn main() {
     // scrape the whole HTTP surface while the server is live
     let (code, health) = http_get(addr, "/healthz").expect("healthz");
     assert_eq!(code, 200);
-    let doc = stencil_tune::json::parse(&health).expect("healthz json");
+    let doc = stencil_obs::json::parse(&health).expect("healthz json");
     assert!(doc.get("hostname").is_some() && doc.get("isa").is_some());
 
     let (code, prom) = http_get(addr, "/metrics?format=prometheus").expect("prometheus");
@@ -143,10 +143,10 @@ fn main() {
 
     let (code, trace) = http_get(addr, "/trace?ms=600000").expect("trace scrape");
     assert_eq!(code, 200);
-    let doc = stencil_tune::json::parse(&trace).expect("chrome trace parses");
+    let doc = stencil_obs::json::parse(&trace).expect("chrome trace parses");
     let events = doc
         .get("traceEvents")
-        .and_then(stencil_tune::json::Value::as_arr)
+        .and_then(stencil_obs::json::Value::as_arr)
         .expect("traceEvents array")
         .len();
     assert!(events > 0, "a traced run must emit span events");

@@ -120,10 +120,10 @@ impl Table {
     /// attributable to the machine that produced them.
     ///
     /// Writer and reader are the same implementation
-    /// (`stencil_tune::json`), so the dumps the tuner subsystem parses
+    /// (`stencil_obs::json`), so the dumps the tuner subsystem parses
     /// can never drift from what the harness emits.
     pub fn dump_json(tables: &[&Table], path: &str) -> std::io::Result<()> {
-        use stencil_tune::json::Value;
+        use stencil_obs::json::Value;
         let host = stencil_tune::host::HostFingerprint::detect();
         let obj = |pairs: Vec<(&str, Value)>| {
             Value::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
@@ -210,9 +210,9 @@ mod tests {
         assert!(s.contains("\"title\": \"j\""));
         let _ = std::fs::remove_file(path);
         // the dump is valid JSON and attributable: host metadata rides
-        // along with every table dump (checked with the tune crate's
-        // parser so writer and reader stay in agreement)
-        let doc = stencil_tune::json::parse(&s).unwrap();
+        // along with every table dump (checked with the shared parser
+        // so writer and reader stay in agreement)
+        let doc = stencil_obs::json::parse(&s).unwrap();
         let host = doc.get("host").expect("host stanza");
         assert!(host.get("hostname").unwrap().as_str().is_some());
         assert!(host.get("isa").unwrap().as_str().is_some());

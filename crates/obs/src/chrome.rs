@@ -52,10 +52,11 @@ impl TraceSink {
                 let _ = write!(
                     out,
                     "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{},\
-                     \"args\":{{\"name\":\"{}\"}}}}",
-                    e.tid,
-                    escape(&label)
+                     \"args\":{{\"name\":",
+                    e.tid
                 );
+                crate::json::write_string(&mut out, &label);
+                out.push_str("}}");
             }
             if !first {
                 out.push(',');
@@ -76,25 +77,6 @@ impl TraceSink {
         out.push_str("],\"displayTimeUnit\":\"ms\"}");
         out
     }
-}
-
-/// Escape a string for embedding in a JSON string literal.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

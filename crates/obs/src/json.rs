@@ -1,12 +1,13 @@
-//! Minimal JSON reader/writer for the tuning cache.
+//! The workspace's one JSON reader/writer.
 //!
-//! The build environment is offline, so — like
-//! `stencil-bench`'s hand-rolled report writer — this module implements
-//! the small JSON subset the cache file needs instead of pulling in
-//! `serde_json`: objects, arrays, strings with the RFC 8259 escapes,
-//! finite numbers, booleans and null. The parser is a plain
-//! recursive-descent over bytes; cache files are kilobytes, so clarity
-//! beats throughput here.
+//! The build environment is offline, so instead of pulling in
+//! `serde_json` this module implements the small JSON subset the
+//! project's artifacts need: objects, arrays, strings with the RFC 8259
+//! escapes, finite numbers, booleans and null. Every document the
+//! project reads or writes goes through it, and it lives in the one
+//! crate that sits below all of their owners. The parser is a plain
+//! recursive-descent over bytes; the documents are kilobytes, so
+//! clarity beats throughput here.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -18,15 +19,15 @@ pub enum Value {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any JSON number (always parsed as `f64`; the cache stores
-    /// nothing that needs more than 53 bits).
+    /// Any JSON number (always parsed as `f64`; no artifact stores
+    /// anything that needs more than 53 bits).
     Num(f64),
     /// String.
     Str(String),
     /// Array.
     Arr(Vec<Value>),
     /// Object. `BTreeMap` keeps serialization deterministic, which
-    /// makes cache files diffable and the round-trip test exact.
+    /// makes the files diffable and the round-trip tests exact.
     Obj(BTreeMap<String, Value>),
 }
 
@@ -104,7 +105,9 @@ impl Value {
     }
 }
 
-fn write_string(out: &mut String, s: &str) {
+/// Append `s` as a JSON string literal, quotes included ([`crate::chrome`]
+/// streams its document instead of building a [`Value`]).
+pub(crate) fn write_string(out: &mut String, s: &str) {
     out.push('"');
     for ch in s.chars() {
         match ch {
@@ -134,7 +137,7 @@ fn write_num(out: &mut String, n: f64) {
 }
 
 /// Why parsing failed: byte offset plus a static description — enough
-/// to decide "this cache file is corrupt, start fresh" and say why.
+/// to decide "this file is corrupt, start fresh" and say why.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
     /// Byte offset the parser gave up at.
@@ -312,6 +315,9 @@ impl Parser<'_> {
                         _ => return Err(self.err("a valid escape")),
                     }
                 }
+                // RFC 8259: control characters inside a string must be
+                // escaped, as `write_string` does
+                b if b < 0x20 => return Err(self.err("an escaped control character")),
                 _ => {
                     // copy the full UTF-8 scalar, not just one byte
                     let rest = &self.bytes[self.pos..];
@@ -387,7 +393,16 @@ mod tests {
 
     #[test]
     fn rejects_garbage_with_an_offset() {
-        for bad in ["", "{", "[1,]", "{\"a\" 1}", "tru", "1 2", "\"unterminated"] {
+        for bad in [
+            "",
+            "{",
+            "[1,]",
+            "{\"a\" 1}",
+            "tru",
+            "1 2",
+            "\"unterminated",
+            "\"\t\"",
+        ] {
             let e = parse(bad).unwrap_err();
             assert!(e.at <= bad.len(), "{bad:?}");
             assert!(!e.to_string().is_empty());

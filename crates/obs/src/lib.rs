@@ -27,6 +27,10 @@
 //! * [`chrome`] — [`TraceSink`]: renders a snapshot as Chrome
 //!   trace-event JSON (hand-rolled, like every other artifact the
 //!   project emits) loadable in Perfetto or `chrome://tracing`.
+//! * [`json`] — the workspace's one JSON [`Value`](json::Value),
+//!   writer and parser. Here because this crate sits below every crate
+//!   that reads or writes a document (tune cache, serve manifest, wire
+//!   headers, `/metrics`, `/healthz`, benchmark dumps).
 //! * [`timeline`] — the per-job [`Timeline`]: where one job's wall
 //!   time went (queue wait, compute, blocking IO, IO hidden under
 //!   compute). Assembled by the serve executor at job completion and
@@ -54,6 +58,7 @@
 
 pub mod chrome;
 pub mod clock;
+pub mod json;
 pub mod ring;
 pub mod timeline;
 

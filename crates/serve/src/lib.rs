@@ -25,8 +25,8 @@
 //!   parallel, stitched back **bit-identically** to the unsharded run.
 //! * [`metrics`] — the stats surface: jobs served, p50/p99 latency,
 //!   queue depth, registry hit ratio, shard/batch counts, tuner probe
-//!   counter and operator warnings, exported through the project's
-//!   hand-rolled JSON writer.
+//!   counter and operator warnings — each declared once, rendered as
+//!   JSON ([`stencil_obs::json`]) and as Prometheus text.
 //! * [`service`] — [`StencilService`]: executor workers tying the
 //!   pieces together, with graceful shutdown that reclaims the shared
 //!   pool.

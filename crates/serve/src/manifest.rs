@@ -4,7 +4,7 @@
 //! without a single probe run.
 //!
 //! The format is JSON through the project's shared hand-rolled
-//! reader/writer ([`stencil_tune::json`]):
+//! reader/writer ([`stencil_obs::json`]):
 //!
 //! ```json
 //! {
@@ -29,7 +29,7 @@
 use std::collections::BTreeMap;
 use std::path::Path;
 use stencil_core::{kernels, Pattern, Tuning};
-use stencil_tune::json::{self, Value};
+use stencil_obs::json::{self, Value};
 
 /// Current manifest schema version.
 pub const MANIFEST_VERSION: f64 = 1.0;

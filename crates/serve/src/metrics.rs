@@ -1,8 +1,18 @@
 //! The service's stats surface: lock-free counters, a log-bucketed
-//! latency histogram, and a JSON export through the same hand-rolled
-//! writer the tuning cache and the benchmark dumps use
-//! ([`stencil_tune::json`]), so one parser covers every artifact the
-//! project emits.
+//! latency histogram, and two renderings of one [`StatsSnapshot`] — the
+//! pinned JSON document (through [`stencil_obs::json`], the one writer
+//! and parser behind every artifact the project emits) and the
+//! Prometheus text exposition.
+//!
+//! **A metric is one row of a table; the JSON key is the field name.**
+//! The `serve_metrics!` invocation below declares each scalar once —
+//! field, `counter|gauge`, Prometheus series, one-line HELP (which is
+//! also the field's rustdoc) — and the [`ServeStats`] atomics, the
+//! [`StatsSnapshot`] fields, `snapshot()`, `to_json`, `from_json` and
+//! the exposition's scalar block all expand from that row;
+//! `labelled_rows!` does the same for the per-tenant and per-plan row
+//! types. Adding a metric is one row plus the place that increments it
+//! (plus the deliberate schema pin in `tests/json_roundtrip.rs`).
 //!
 //! Everything on the hot path is an atomic increment; the only lock is
 //! around the (rare, capped) operator warning list. A [`StatsSnapshot`]
@@ -11,10 +21,11 @@
 
 use crate::adapt::telemetry::TrafficMap;
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
+use stencil_obs::json::Value;
 use stencil_runtime::sync::Mutex;
-use stencil_tune::json::Value;
 
 /// Number of log2 latency buckets (bucket `i` counts samples with
 /// `floor(log2(us)) == i`; 63 covers every representable duration).
@@ -68,11 +79,7 @@ impl LatencyHistogram {
         // `count` counter: under concurrent record()s (all Relaxed) the
         // counter can run ahead of a bucket increment, and a rank no
         // bucket covers would return a nonsense sentinel
-        let counts: Vec<u64> = self
-            .buckets
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .collect();
+        let counts = self.bucket_counts();
         let total: u64 = counts.iter().sum();
         if total == 0 {
             return 0;
@@ -114,98 +121,295 @@ impl LatencyHistogram {
     }
 }
 
-/// Per-tenant admission counters, maintained by the network front end
-/// and exported inside the [`StatsSnapshot`] JSON.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TenantCounters {
-    /// Jobs this tenant got accepted into the queue.
-    pub submitted: u64,
-    /// Submissions refused (quota or queue backpressure).
-    pub rejected: u64,
-    /// Jobs completed for this tenant.
-    pub completed: u64,
+/// The Prometheus `# TYPE` of a table row, checked at compile time.
+macro_rules! kind {
+    (counter) => {
+        "counter"
+    };
+    (gauge) => {
+        "gauge"
+    };
 }
 
-/// Live counters of a running service. Shared (`Arc`) between the
-/// submission side, the executor workers, and the registry.
-#[derive(Default)]
-pub struct ServeStats {
-    /// Jobs accepted into the queue.
-    pub jobs_submitted: AtomicU64,
-    /// Jobs refused by backpressure (`try_submit` on a full queue).
-    pub jobs_rejected: AtomicU64,
-    /// Jobs completed successfully.
-    pub jobs_completed: AtomicU64,
-    /// Jobs that failed at execution.
-    pub jobs_failed: AtomicU64,
-    /// Jobs shed at dequeue because their queue-wait deadline had
-    /// already passed (counted separately from `jobs_failed`: the job
-    /// never ran).
-    pub jobs_shed: AtomicU64,
-    /// Submissions rejected because their registry key is quarantined
-    /// after repeated worker panics.
-    pub jobs_quarantined: AtomicU64,
-    /// Current queue depth gauge.
-    pub queue_depth: AtomicU64,
-    /// Registry lookups resolved by an already-compiled plan.
-    pub plan_hits: AtomicU64,
-    /// Registry lookups that had to compile.
-    pub plan_misses: AtomicU64,
-    /// Plans compiled during manifest warm-up.
-    pub warm_loaded: AtomicU64,
-    /// Warm-up or submit compiles that fell back from a measured
-    /// tuning mode to the static cost model (cold tune cache / no
-    /// tuner) — each one also pushes a warning line.
-    pub cold_fallbacks: AtomicU64,
-    /// Cold keys later upgraded to their real (measured) plan after the
-    /// tune cache was re-warmed while the service was running.
-    pub cold_recoveries: AtomicU64,
-    /// Same-plan batches drained from the queue (a batch of one still
-    /// counts).
-    pub batches: AtomicU64,
-    /// Jobs that rode in a batch of two or more.
-    pub batched_jobs: AtomicU64,
-    /// Largest batch drained so far.
-    pub max_batch: AtomicU64,
-    /// Jobs executed through the domain sharder.
-    pub sharded_jobs: AtomicU64,
-    /// Sub-domain slabs executed in total.
-    pub shards_executed: AtomicU64,
-    /// Jobs routed through the out-of-core streaming executor
-    /// (oversized 3D domains above the configured threshold).
-    pub ooc_jobs: AtomicU64,
-    /// Payload bytes OOC jobs read from their slab stores.
-    pub ooc_bytes_read: AtomicU64,
-    /// Payload bytes OOC jobs wrote to their slab stores.
-    pub ooc_bytes_written: AtomicU64,
-    /// OOC window loads already resident when the sweep asked.
-    pub ooc_prefetch_hits: AtomicU64,
-    /// OOC window loads the sweep had to wait for.
-    pub ooc_prefetch_misses: AtomicU64,
-    /// Microseconds OOC sweeps spent stalled on IO.
-    pub ooc_stall_us: AtomicU64,
-    /// Transient IO faults OOC slab stores absorbed by retrying with
-    /// backoff (each increment is one re-attempt that succeeded or fed
-    /// the next backoff step).
-    pub ooc_io_retries: AtomicU64,
-    /// End-to-end job latency (submit to completion, queue wait
-    /// included).
-    pub latency: LatencyHistogram,
-    /// Per-registry-key latency telemetry (the adaptive retuning
-    /// decider's hot-key input), recorded alongside `latency` for
-    /// every executed job.
-    pub traffic: TrafficMap,
-    /// Registry entries hot-swapped by the retuning decider.
-    pub swaps: AtomicU64,
-    /// Challenger sessions the decider started.
-    pub challenges: AtomicU64,
-    /// Challenges that did not end in a swap (lost, margin-short, no
-    /// verdict, or the winner failed to compile).
-    pub challenges_rejected: AtomicU64,
-    warnings: Mutex<Vec<String>>,
-    /// Per-tenant admission counters (network front end). Rarely
-    /// contended: one writer (the poll loop) plus snapshot readers.
-    tenants: Mutex<BTreeMap<String, TenantCounters>>,
+/// Declares a labelled row type (one row per tenant, per plan): the
+/// struct, its JSON object in both directions, and its Prometheus
+/// families. Row grammar: `field: counter|gauge "series" "HELP",` — the
+/// HELP line is also the field's rustdoc, and `///` lines above a row
+/// are appended to it.
+macro_rules! labelled_rows {
+    (
+        $(#[$meta:meta])*
+        $name:ident by $label:literal {
+            $($(#[$note:meta])* $field:ident: $kind:ident $series:literal $help:literal,)*
+        }
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct $name {
+            $(#[doc = $help] $(#[$note])* pub $field: u64,)*
+        }
+
+        impl $name {
+            fn to_json(self) -> Value {
+                Value::Obj(BTreeMap::from([
+                    $((stringify!($field).to_string(), Value::Num(self.$field as f64)),)*
+                ]))
+            }
+
+            fn from_json(row: &Value) -> Option<Self> {
+                Some(Self { $($field: counter(row, stringify!($field))?,)* })
+            }
+
+            /// One family per field, one series per row — and nothing,
+            /// not even HELP/TYPE headers, while there are no rows.
+            fn render(out: &mut String, rows: &BTreeMap<String, Self>) {
+                if rows.is_empty() {
+                    return;
+                }
+                let rows: Vec<_> = rows.iter().map(|(key, row)| (escape_label(key), row)).collect();
+                $(
+                    family(out, $series, kind!($kind), $help);
+                    for (label, row) in &rows {
+                        let _ = writeln!(out, "{}{{{}=\"{label}\"}} {}", $series, $label, row.$field);
+                    }
+                )*
+            }
+        }
+    };
+}
+
+labelled_rows! {
+    /// Per-tenant admission counters, maintained by the network front end
+    /// and exported inside the [`StatsSnapshot`] JSON.
+    TenantCounters by "tenant" {
+        submitted: counter "stencil_tenant_submitted_total" "Jobs this tenant got accepted into the queue.",
+        rejected: counter "stencil_tenant_rejected_total" "Submissions refused (quota or queue backpressure).",
+        completed: counter "stencil_tenant_completed_total" "Jobs completed for this tenant.",
+    }
+}
+
+labelled_rows! {
+    /// Per-plan (registry-key) latency telemetry inside a
+    /// [`StatsSnapshot`] — what the `/metrics` scrape surface exposes per
+    /// serving plan. Times are microseconds.
+    PlanTelemetry by "plan" {
+        /// Lifetime count, not the decider's hot-key window.
+        samples: counter "stencil_plan_samples_total" "Latency samples recorded under the registry key.",
+        p50_us: gauge "stencil_plan_latency_p50_microseconds" "Median latency under the registry key.",
+        p99_us: gauge "stencil_plan_latency_p99_microseconds" "99th-percentile latency under the registry key.",
+        /// The generation that served the latest sample.
+        epoch: gauge "stencil_plan_epoch" "Plan generation serving the key (bumps on hot-swap).",
+        queue_us: counter "stencil_plan_queue_microseconds_total" "Total time the key's jobs waited in the queue.",
+        compute_us: counter "stencil_plan_compute_microseconds_total" "Total time the key's jobs spent computing.",
+        io_us: counter "stencil_plan_io_microseconds_total" "Total time the key's jobs were blocked on IO.",
+        overlap_us: counter "stencil_plan_overlap_microseconds_total" "Total IO hidden under the key's compute.",
+    }
+}
+
+/// Declares the scalar metrics and expands everything that enumerates
+/// them: both structs, `snapshot()`, the JSON document in both
+/// directions and the exposition's scalar block.
+///
+/// * `counted` rows are `AtomicU64` fields of [`ServeStats`],
+///   incremented where the event happens:
+///   `field: counter|gauge "series" "HELP",`.
+/// * `sampled` rows have no atomic: `snapshot()` evaluates their
+///   expression (over the `ServeStats` bound to the name in the
+///   parentheses). The `: kind "series"` part is optional — a row
+///   without it is JSON-only.
+///
+/// The HELP line is also the field's rustdoc; `///` lines above a row
+/// are appended to it.
+macro_rules! serve_metrics {
+    (
+        counted {
+            $($(#[$cnote:meta])* $c:ident: $ckind:ident $cseries:literal $chelp:literal,)*
+        }
+        sampled($stats:ident) {
+            $($(#[$snote:meta])* $s:ident $(: $skind:ident $sseries:literal)? $shelp:literal = $sample:expr,)*
+        }
+    ) => {
+        /// Live counters of a running service. Shared (`Arc`) between the
+        /// submission side, the executor workers, and the registry.
+        #[derive(Default)]
+        pub struct ServeStats {
+            $(#[doc = $chelp] $(#[$cnote])* pub $c: AtomicU64,)*
+            /// End-to-end job latency (submit to completion, queue wait
+            /// included).
+            pub latency: LatencyHistogram,
+            /// Per-registry-key latency telemetry (the adaptive retuning
+            /// decider's hot-key input), recorded alongside `latency` for
+            /// every executed job.
+            pub traffic: TrafficMap,
+            warnings: Mutex<Vec<String>>,
+            /// Per-tenant admission counters (network front end). Rarely
+            /// contended: one writer (the poll loop) plus snapshot readers.
+            tenants: Mutex<BTreeMap<String, TenantCounters>>,
+        }
+
+        /// Plain-data copy of [`ServeStats`] at a point in time.
+        #[derive(Debug, Clone, PartialEq)]
+        pub struct StatsSnapshot {
+            $(#[doc = $chelp] $(#[$cnote])* pub $c: u64,)*
+            $(#[doc = $shelp] $(#[$snote])* pub $s: u64,)*
+            /// Mean end-to-end latency, microseconds.
+            pub mean_us: f64,
+            /// Operator warnings accumulated so far (oldest dropped past a
+            /// cap).
+            pub warnings: Vec<String>,
+            /// Per-tenant admission counters keyed by tenant name (empty when
+            /// the service runs without the network front end).
+            pub tenants: BTreeMap<String, TenantCounters>,
+            /// Per-plan latency telemetry keyed by registry key (empty until a
+            /// job completes).
+            pub plans: BTreeMap<String, PlanTelemetry>,
+        }
+
+        impl ServeStats {
+            /// Point-in-time copy of every counter (plus the installed tuner's
+            /// probe counter — a read-only gauge; tuner *warnings* are drained
+            /// onto the stats surface by the registry's warm-up, the one place
+            /// a bad cache first becomes visible, so concurrent services never
+            /// steal each other's lines).
+            pub fn snapshot(&self) -> StatsSnapshot {
+                let $stats = self;
+                StatsSnapshot {
+                    $($c: self.$c.load(Ordering::Relaxed),)*
+                    $($s: $sample,)*
+                    mean_us: self.latency.mean_us(),
+                    warnings: self.warnings.lock().clone(),
+                    tenants: self.tenants.lock().clone(),
+                    plans: self.plan_rows(),
+                }
+            }
+
+            /// Render the full stats surface in the Prometheus text exposition
+            /// format (version 0.0.4): every counter as a `_total` series, the
+            /// gauges, the end-to-end latency histogram as native cumulative
+            /// `_bucket` series (log2 upper bounds, matching
+            /// [`LatencyHistogram`]'s buckets), per-tenant admission counters
+            /// and per-plan latency/timeline series with escaped label values.
+            /// Everything but the histogram buckets comes from one
+            /// [`snapshot`](Self::snapshot), the reading the JSON document
+            /// renders too. Served by the net front end at
+            /// `/metrics?format=prometheus`; the pinned JSON document at
+            /// `/metrics` is untouched.
+            pub fn prometheus(&self) -> String {
+                let snap = self.snapshot();
+                let mut out = String::with_capacity(4096);
+                $(scalar(&mut out, $cseries, kind!($ckind), $chelp, snap.$c);)*
+                $($(scalar(&mut out, $sseries, kind!($skind), $shelp, snap.$s);)?)*
+                render_histogram(
+                    &mut out,
+                    "stencil_job_latency_microseconds",
+                    "End-to-end job latency (submit to completion).",
+                    &self.latency,
+                );
+                TenantCounters::render(&mut out, &snap.tenants);
+                PlanTelemetry::render(&mut out, &snap.plans);
+                out
+            }
+
+            /// `(field, kind, series, cell)` of every counted row, for the
+            /// test that walks the table.
+            #[cfg(test)]
+            fn counted_rows(&self) -> Vec<(&'static str, &'static str, &'static str, &AtomicU64)> {
+                vec![$((stringify!($c), kind!($ckind), $cseries, &self.$c),)*]
+            }
+        }
+
+        impl StatsSnapshot {
+            /// Serialize through the project's hand-rolled JSON writer.
+            pub fn to_json(&self) -> Value {
+                Value::Obj(BTreeMap::from([
+                    $((stringify!($c).to_string(), Value::Num(self.$c as f64)),)*
+                    $((stringify!($s).to_string(), Value::Num(self.$s as f64)),)*
+                    ("plan_hit_ratio".to_string(), Value::Num(self.hit_ratio())),
+                    ("mean_us".to_string(), Value::Num(self.mean_us)),
+                    (
+                        "warnings".to_string(),
+                        Value::Arr(self.warnings.iter().cloned().map(Value::Str).collect()),
+                    ),
+                    ("tenants".to_string(), rows_to_json(&self.tenants, TenantCounters::to_json)),
+                    ("plans".to_string(), rows_to_json(&self.plans, PlanTelemetry::to_json)),
+                ]))
+            }
+
+            /// Rebuild a snapshot from its [`StatsSnapshot::to_json`] document
+            /// (`None` on schema mismatch) — lets tests and dashboards
+            /// round-trip the dump through the shared parser.
+            pub fn from_json(doc: &Value) -> Option<Self> {
+                Some(Self {
+                    $($c: counter(doc, stringify!($c))?,)*
+                    $($s: counter(doc, stringify!($s))?,)*
+                    mean_us: doc.get("mean_us")?.as_num()?,
+                    warnings: doc
+                        .get("warnings")?
+                        .as_arr()?
+                        .iter()
+                        .map(|v| v.as_str().map(str::to_string))
+                        .collect::<Option<Vec<_>>>()?,
+                    tenants: rows_from_json(doc.get("tenants")?, TenantCounters::from_json)?,
+                    plans: rows_from_json(doc.get("plans")?, PlanTelemetry::from_json)?,
+                })
+            }
+        }
+    };
+}
+
+serve_metrics! {
+    counted {
+        jobs_submitted: counter "stencil_jobs_submitted_total" "Jobs accepted into the queue.",
+        /// (`try_submit` on a full queue.)
+        jobs_rejected: counter "stencil_jobs_rejected_total" "Jobs refused by backpressure.",
+        jobs_completed: counter "stencil_jobs_completed_total" "Jobs completed successfully.",
+        jobs_failed: counter "stencil_jobs_failed_total" "Jobs that failed at execution.",
+        /// Counted apart from failures: the job never ran.
+        jobs_shed: counter "stencil_jobs_shed_total" "Jobs shed at dequeue because their deadline had passed.",
+        /// A key is quarantined after repeated worker panics.
+        jobs_quarantined: counter "stencil_jobs_quarantined_total" "Submissions rejected on a panic-quarantined plan key.",
+        queue_depth: gauge "stencil_queue_depth" "Current submission queue depth.",
+        plan_hits: counter "stencil_plan_hits_total" "Registry lookups resolved by an already-compiled plan.",
+        plan_misses: counter "stencil_plan_misses_total" "Registry lookups that had to compile.",
+        warm_loaded: counter "stencil_warm_loaded_total" "Plans compiled during manifest warm-up.",
+        /// Warm-up or submit compiles under a measured tuning mode that
+        /// found a cold tune cache or no tuner; each one also pushes a
+        /// warning line.
+        cold_fallbacks: counter "stencil_cold_fallbacks_total" "Compiles that fell back to the static cost model.",
+        /// That is, after the tune cache was re-warmed while the service
+        /// was running.
+        cold_recoveries: counter "stencil_cold_recoveries_total" "Cold keys upgraded to their measured plan at runtime.",
+        /// A batch of one still counts.
+        batches: counter "stencil_batches_total" "Same-plan batches drained from the queue.",
+        batched_jobs: counter "stencil_batched_jobs_total" "Jobs that rode in a batch of two or more.",
+        max_batch: gauge "stencil_max_batch" "Largest batch drained so far.",
+        sharded_jobs: counter "stencil_sharded_jobs_total" "Jobs executed through the domain sharder.",
+        shards_executed: counter "stencil_shards_executed_total" "Sub-domain slabs executed in total.",
+        /// (Oversized 3D domains above the configured threshold.)
+        ooc_jobs: counter "stencil_ooc_jobs_total" "Jobs routed through the out-of-core streaming executor.",
+        ooc_bytes_read: counter "stencil_ooc_bytes_read_total" "Payload bytes OOC jobs read from their slab stores.",
+        ooc_bytes_written: counter "stencil_ooc_bytes_written_total" "Payload bytes OOC jobs wrote to their slab stores.",
+        ooc_prefetch_hits: counter "stencil_ooc_prefetch_hits_total" "OOC window loads already resident when the sweep asked.",
+        ooc_prefetch_misses: counter "stencil_ooc_prefetch_misses_total" "OOC window loads the sweep had to wait for.",
+        ooc_stall_us: counter "stencil_ooc_stall_microseconds_total" "Microseconds OOC sweeps spent stalled on IO.",
+        /// Each increment is one re-attempt, with backoff, that succeeded
+        /// or fed the next backoff step.
+        ooc_io_retries: counter "stencil_ooc_io_retries_total" "Transient IO faults OOC slab stores absorbed by retrying.",
+        swaps: counter "stencil_swaps_total" "Registry entries hot-swapped by the retuning decider.",
+        challenges: counter "stencil_challenges_total" "Challenger sessions the decider started.",
+        /// Lost, margin-short, no verdict, or the winner failed to
+        /// compile.
+        challenges_rejected: counter "stencil_challenges_rejected_total" "Challenges that did not end in a swap.",
+    }
+    sampled(stats) {
+        /// Process-wide, 0 when none is installed. Flat across a
+        /// warm-started service — the "zero probe runs" contract made
+        /// observable.
+        tuner_probes: counter "stencil_tuner_probes_total" "Probe sweeps the installed measured tuner has run."
+            = stencil_tune::installed_auto().map_or(0, |t| t.probe_count()),
+        p50_us "Median end-to-end latency, microseconds." = stats.latency.quantile_us(0.50),
+        p99_us "99th-percentile end-to-end latency, microseconds." = stats.latency.quantile_us(0.99),
+    }
 }
 
 impl std::fmt::Debug for ServeStats {
@@ -262,392 +466,12 @@ impl ServeStats {
         self.max_batch.fetch_max(n as u64, Ordering::Relaxed);
     }
 
-    /// Point-in-time copy of every counter (plus the installed tuner's
-    /// probe counter — a read-only gauge; tuner *warnings* are drained
-    /// onto the stats surface by the registry's warm-up, the one place
-    /// a bad cache first becomes visible, so concurrent services never
-    /// steal each other's lines).
-    pub fn snapshot(&self) -> StatsSnapshot {
-        let warnings = self.warnings.lock().clone();
-        let tenants = self.tenants.lock().clone();
-        let plans = self
-            .traffic
+    /// One [`PlanTelemetry`] row per registry key that has served a job.
+    fn plan_rows(&self) -> BTreeMap<String, PlanTelemetry> {
+        self.traffic
             .entries()
             .into_iter()
             .map(|(key, t)| {
-                let tl = t.timeline_totals();
-                (
-                    key,
-                    PlanTelemetry {
-                        samples: t.latency.count(),
-                        p50_us: t.latency.quantile_us(0.50),
-                        p99_us: t.latency.quantile_us(0.99),
-                        epoch: t.epoch(),
-                        queue_us: tl.queue_us,
-                        compute_us: tl.compute_us,
-                        io_us: tl.io_us,
-                        overlap_us: tl.overlap_us,
-                    },
-                )
-            })
-            .collect();
-        let ld = Ordering::Relaxed;
-        StatsSnapshot {
-            jobs_submitted: self.jobs_submitted.load(ld),
-            jobs_rejected: self.jobs_rejected.load(ld),
-            jobs_completed: self.jobs_completed.load(ld),
-            jobs_failed: self.jobs_failed.load(ld),
-            jobs_shed: self.jobs_shed.load(ld),
-            jobs_quarantined: self.jobs_quarantined.load(ld),
-            queue_depth: self.queue_depth.load(ld),
-            plan_hits: self.plan_hits.load(ld),
-            plan_misses: self.plan_misses.load(ld),
-            warm_loaded: self.warm_loaded.load(ld),
-            cold_fallbacks: self.cold_fallbacks.load(ld),
-            cold_recoveries: self.cold_recoveries.load(ld),
-            batches: self.batches.load(ld),
-            batched_jobs: self.batched_jobs.load(ld),
-            max_batch: self.max_batch.load(ld),
-            sharded_jobs: self.sharded_jobs.load(ld),
-            shards_executed: self.shards_executed.load(ld),
-            ooc_jobs: self.ooc_jobs.load(ld),
-            ooc_bytes_read: self.ooc_bytes_read.load(ld),
-            ooc_bytes_written: self.ooc_bytes_written.load(ld),
-            ooc_prefetch_hits: self.ooc_prefetch_hits.load(ld),
-            ooc_prefetch_misses: self.ooc_prefetch_misses.load(ld),
-            ooc_stall_us: self.ooc_stall_us.load(ld),
-            ooc_io_retries: self.ooc_io_retries.load(ld),
-            swaps: self.swaps.load(ld),
-            challenges: self.challenges.load(ld),
-            challenges_rejected: self.challenges_rejected.load(ld),
-            p50_us: self.latency.quantile_us(0.50),
-            p99_us: self.latency.quantile_us(0.99),
-            mean_us: self.latency.mean_us(),
-            tuner_probes: stencil_tune::installed_auto()
-                .map(|t| t.probe_count())
-                .unwrap_or(0),
-            warnings,
-            tenants,
-            plans,
-        }
-    }
-
-    /// Render the full stats surface in the Prometheus text exposition
-    /// format (version 0.0.4): every counter as a `_total` series, the
-    /// gauges, the end-to-end latency histogram as native cumulative
-    /// `_bucket` series (log2 upper bounds, matching
-    /// [`LatencyHistogram`]'s buckets), per-tenant admission counters
-    /// and per-plan latency/timeline series with escaped label values.
-    /// Served by the net front end at `/metrics?format=prometheus`; the
-    /// pinned JSON document at `/metrics` is untouched.
-    pub fn prometheus(&self) -> String {
-        use std::fmt::Write as _;
-        let ld = Ordering::Relaxed;
-        let mut out = String::with_capacity(4096);
-        let metric = |out: &mut String, name: &str, kind: &str, help: &str, v: f64| {
-            let _ = writeln!(out, "# HELP {name} {help}");
-            let _ = writeln!(out, "# TYPE {name} {kind}");
-            let _ = writeln!(out, "{name} {}", fmt_num(v));
-        };
-        metric(
-            &mut out,
-            "stencil_jobs_submitted_total",
-            "counter",
-            "Jobs accepted into the queue.",
-            self.jobs_submitted.load(ld) as f64,
-        );
-        metric(
-            &mut out,
-            "stencil_jobs_rejected_total",
-            "counter",
-            "Jobs refused by backpressure.",
-            self.jobs_rejected.load(ld) as f64,
-        );
-        metric(
-            &mut out,
-            "stencil_jobs_completed_total",
-            "counter",
-            "Jobs completed successfully.",
-            self.jobs_completed.load(ld) as f64,
-        );
-        metric(
-            &mut out,
-            "stencil_jobs_failed_total",
-            "counter",
-            "Jobs that failed at execution.",
-            self.jobs_failed.load(ld) as f64,
-        );
-        metric(
-            &mut out,
-            "stencil_jobs_shed_total",
-            "counter",
-            "Jobs shed at dequeue because their deadline had passed.",
-            self.jobs_shed.load(ld) as f64,
-        );
-        metric(
-            &mut out,
-            "stencil_jobs_quarantined_total",
-            "counter",
-            "Submissions rejected on a panic-quarantined plan key.",
-            self.jobs_quarantined.load(ld) as f64,
-        );
-        metric(
-            &mut out,
-            "stencil_queue_depth",
-            "gauge",
-            "Current submission queue depth.",
-            self.queue_depth.load(ld) as f64,
-        );
-        metric(
-            &mut out,
-            "stencil_plan_hits_total",
-            "counter",
-            "Registry lookups resolved by an already-compiled plan.",
-            self.plan_hits.load(ld) as f64,
-        );
-        metric(
-            &mut out,
-            "stencil_plan_misses_total",
-            "counter",
-            "Registry lookups that had to compile.",
-            self.plan_misses.load(ld) as f64,
-        );
-        metric(
-            &mut out,
-            "stencil_warm_loaded_total",
-            "counter",
-            "Plans compiled during manifest warm-up.",
-            self.warm_loaded.load(ld) as f64,
-        );
-        metric(
-            &mut out,
-            "stencil_cold_fallbacks_total",
-            "counter",
-            "Compiles that fell back to the static cost model.",
-            self.cold_fallbacks.load(ld) as f64,
-        );
-        metric(
-            &mut out,
-            "stencil_cold_recoveries_total",
-            "counter",
-            "Cold keys upgraded to their measured plan at runtime.",
-            self.cold_recoveries.load(ld) as f64,
-        );
-        metric(
-            &mut out,
-            "stencil_batches_total",
-            "counter",
-            "Same-plan batches drained from the queue.",
-            self.batches.load(ld) as f64,
-        );
-        metric(
-            &mut out,
-            "stencil_batched_jobs_total",
-            "counter",
-            "Jobs that rode in a batch of two or more.",
-            self.batched_jobs.load(ld) as f64,
-        );
-        metric(
-            &mut out,
-            "stencil_max_batch",
-            "gauge",
-            "Largest batch drained so far.",
-            self.max_batch.load(ld) as f64,
-        );
-        metric(
-            &mut out,
-            "stencil_sharded_jobs_total",
-            "counter",
-            "Jobs executed through the domain sharder.",
-            self.sharded_jobs.load(ld) as f64,
-        );
-        metric(
-            &mut out,
-            "stencil_shards_executed_total",
-            "counter",
-            "Sub-domain slabs executed in total.",
-            self.shards_executed.load(ld) as f64,
-        );
-        metric(
-            &mut out,
-            "stencil_ooc_jobs_total",
-            "counter",
-            "Jobs routed through the out-of-core streaming executor.",
-            self.ooc_jobs.load(ld) as f64,
-        );
-        metric(
-            &mut out,
-            "stencil_ooc_bytes_read_total",
-            "counter",
-            "Payload bytes OOC jobs read from their slab stores.",
-            self.ooc_bytes_read.load(ld) as f64,
-        );
-        metric(
-            &mut out,
-            "stencil_ooc_bytes_written_total",
-            "counter",
-            "Payload bytes OOC jobs wrote to their slab stores.",
-            self.ooc_bytes_written.load(ld) as f64,
-        );
-        metric(
-            &mut out,
-            "stencil_ooc_prefetch_hits_total",
-            "counter",
-            "OOC window loads already resident when the sweep asked.",
-            self.ooc_prefetch_hits.load(ld) as f64,
-        );
-        metric(
-            &mut out,
-            "stencil_ooc_prefetch_misses_total",
-            "counter",
-            "OOC window loads the sweep had to wait for.",
-            self.ooc_prefetch_misses.load(ld) as f64,
-        );
-        metric(
-            &mut out,
-            "stencil_ooc_stall_microseconds_total",
-            "counter",
-            "Microseconds OOC sweeps spent stalled on IO.",
-            self.ooc_stall_us.load(ld) as f64,
-        );
-        metric(
-            &mut out,
-            "stencil_ooc_io_retries_total",
-            "counter",
-            "Transient IO faults OOC slab stores absorbed by retrying.",
-            self.ooc_io_retries.load(ld) as f64,
-        );
-        metric(
-            &mut out,
-            "stencil_swaps_total",
-            "counter",
-            "Registry entries hot-swapped by the retuning decider.",
-            self.swaps.load(ld) as f64,
-        );
-        metric(
-            &mut out,
-            "stencil_challenges_total",
-            "counter",
-            "Challenger sessions the decider started.",
-            self.challenges.load(ld) as f64,
-        );
-        metric(
-            &mut out,
-            "stencil_challenges_rejected_total",
-            "counter",
-            "Challenges that did not end in a swap.",
-            self.challenges_rejected.load(ld) as f64,
-        );
-        metric(
-            &mut out,
-            "stencil_tuner_probes_total",
-            "counter",
-            "Probe sweeps the installed measured tuner has run.",
-            stencil_tune::installed_auto()
-                .map(|t| t.probe_count())
-                .unwrap_or(0) as f64,
-        );
-
-        render_histogram(
-            &mut out,
-            "stencil_job_latency_microseconds",
-            "End-to-end job latency (submit to completion).",
-            &self.latency,
-        );
-
-        let tenants = self.tenants.lock().clone();
-        for (name, kind, help, get) in [
-            (
-                "stencil_tenant_submitted_total",
-                "counter",
-                "Jobs this tenant got accepted into the queue.",
-                (|t: &TenantCounters| t.submitted) as fn(&TenantCounters) -> u64,
-            ),
-            (
-                "stencil_tenant_rejected_total",
-                "counter",
-                "Submissions refused (quota or queue backpressure).",
-                |t: &TenantCounters| t.rejected,
-            ),
-            (
-                "stencil_tenant_completed_total",
-                "counter",
-                "Jobs completed for this tenant.",
-                |t: &TenantCounters| t.completed,
-            ),
-        ] {
-            if tenants.is_empty() {
-                continue;
-            }
-            let _ = writeln!(out, "# HELP {name} {help}");
-            let _ = writeln!(out, "# TYPE {name} {kind}");
-            for (tenant, row) in &tenants {
-                let _ = writeln!(
-                    out,
-                    "{name}{{tenant=\"{}\"}} {}",
-                    escape_label(tenant),
-                    get(row)
-                );
-            }
-        }
-
-        let plans = self.traffic.entries();
-        for (name, kind, help, get) in [
-            (
-                "stencil_plan_samples_total",
-                "counter",
-                "Latency samples recorded under the registry key.",
-                (|t: &PlanTelemetry| t.samples) as fn(&PlanTelemetry) -> u64,
-            ),
-            (
-                "stencil_plan_latency_p50_microseconds",
-                "gauge",
-                "Median latency under the registry key.",
-                |t: &PlanTelemetry| t.p50_us,
-            ),
-            (
-                "stencil_plan_latency_p99_microseconds",
-                "gauge",
-                "99th-percentile latency under the registry key.",
-                |t: &PlanTelemetry| t.p99_us,
-            ),
-            (
-                "stencil_plan_epoch",
-                "gauge",
-                "Plan generation serving the key (bumps on hot-swap).",
-                |t: &PlanTelemetry| t.epoch,
-            ),
-            (
-                "stencil_plan_queue_microseconds_total",
-                "counter",
-                "Total time the key's jobs waited in the queue.",
-                |t: &PlanTelemetry| t.queue_us,
-            ),
-            (
-                "stencil_plan_compute_microseconds_total",
-                "counter",
-                "Total time the key's jobs spent computing.",
-                |t: &PlanTelemetry| t.compute_us,
-            ),
-            (
-                "stencil_plan_io_microseconds_total",
-                "counter",
-                "Total time the key's jobs were blocked on IO.",
-                |t: &PlanTelemetry| t.io_us,
-            ),
-            (
-                "stencil_plan_overlap_microseconds_total",
-                "counter",
-                "Total IO hidden under the key's compute.",
-                |t: &PlanTelemetry| t.overlap_us,
-            ),
-        ] {
-            if plans.is_empty() {
-                continue;
-            }
-            let _ = writeln!(out, "# HELP {name} {help}");
-            let _ = writeln!(out, "# TYPE {name} {kind}");
-            for (key, t) in &plans {
                 let tl = t.timeline_totals();
                 let row = PlanTelemetry {
                     samples: t.latency.count(),
@@ -659,27 +483,67 @@ impl ServeStats {
                     io_us: tl.io_us,
                     overlap_us: tl.overlap_us,
                 };
-                let _ = writeln!(
-                    out,
-                    "{name}{{plan=\"{}\"}} {}",
-                    escape_label(key),
-                    get(&row)
-                );
-            }
-        }
-        out
+                (key, row)
+            })
+            .collect()
     }
+}
+
+impl StatsSnapshot {
+    /// Registry hit ratio in `[0, 1]` (1.0 when there were no lookups).
+    pub fn hit_ratio(&self) -> f64 {
+        let total = self.plan_hits + self.plan_misses;
+        if total == 0 {
+            1.0
+        } else {
+            self.plan_hits as f64 / total as f64
+        }
+    }
+}
+
+/// The counter under `key` of a JSON object. Counters must be
+/// non-negative integers: a saturating `as` cast would silently repair
+/// corrupt documents instead of rejecting them.
+fn counter(doc: &Value, key: &str) -> Option<u64> {
+    doc.get(key)
+        .and_then(Value::as_num)
+        .filter(|&v| v >= 0.0 && v.fract() == 0.0 && v <= u64::MAX as f64)
+        .map(|v| v as u64)
+}
+
+/// A `{label: row}` JSON object from a map of labelled rows.
+fn rows_to_json<T: Copy>(rows: &BTreeMap<String, T>, row: fn(T) -> Value) -> Value {
+    Value::Obj(rows.iter().map(|(k, r)| (k.clone(), row(*r))).collect())
+}
+
+/// The inverse of [`rows_to_json`]: `None` unless `v` is an object and
+/// every row parses.
+fn rows_from_json<T>(v: &Value, row: fn(&Value) -> Option<T>) -> Option<BTreeMap<String, T>> {
+    let Value::Obj(rows) = v else { return None };
+    rows.iter()
+        .map(|(k, r)| Some((k.clone(), row(r)?)))
+        .collect()
+}
+
+/// The `# HELP` / `# TYPE` header of one metric family.
+fn family(out: &mut String, name: &str, kind: &str, help: &str) {
+    let _ = writeln!(out, "# HELP {name} {help}");
+    let _ = writeln!(out, "# TYPE {name} {kind}");
+}
+
+/// One unlabelled single-value family.
+fn scalar(out: &mut String, name: &str, kind: &str, help: &str, v: u64) {
+    family(out, name, kind, help);
+    let _ = writeln!(out, "{name} {v}");
 }
 
 /// Render one [`LatencyHistogram`] as native Prometheus histogram
 /// series: cumulative `_bucket{le="..."}` rows at the log2 upper
 /// bounds, the mandatory `+Inf` bucket, `_sum` and `_count`.
 fn render_histogram(out: &mut String, name: &str, help: &str, h: &LatencyHistogram) {
-    use std::fmt::Write as _;
     let counts = h.bucket_counts();
     let total: u64 = counts.iter().sum();
-    let _ = writeln!(out, "# HELP {name} {help}");
-    let _ = writeln!(out, "# TYPE {name} histogram");
+    family(out, name, "histogram", help);
     let mut cum = 0u64;
     for (i, &c) in counts.iter().enumerate() {
         cum += c;
@@ -716,307 +580,6 @@ fn escape_label(s: &str) -> String {
         }
     }
     out
-}
-
-/// Format a metric value: integers without a fraction, else shortest
-/// float (the exposition format accepts both).
-fn fmt_num(v: f64) -> String {
-    if v.fract() == 0.0 && v.abs() < 1e15 {
-        format!("{}", v as i64)
-    } else {
-        format!("{v}")
-    }
-}
-
-/// Per-plan (registry-key) latency telemetry inside a
-/// [`StatsSnapshot`] — what the `/metrics` scrape surface exposes per
-/// serving plan.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PlanTelemetry {
-    /// Latency samples recorded under the key (lifetime, not the
-    /// decider's hot-key window).
-    pub samples: u64,
-    /// Median latency under the key, microseconds.
-    pub p50_us: u64,
-    /// 99th-percentile latency under the key, microseconds.
-    pub p99_us: u64,
-    /// Epoch of the plan generation that served the latest sample —
-    /// bumps by one on every retuning hot-swap.
-    pub epoch: u64,
-    /// Total microseconds this key's jobs spent waiting in the queue.
-    pub queue_us: u64,
-    /// Total microseconds this key's jobs spent computing.
-    pub compute_us: u64,
-    /// Total microseconds this key's jobs were blocked on IO.
-    pub io_us: u64,
-    /// Total microseconds of IO hidden under this key's compute.
-    pub overlap_us: u64,
-}
-
-/// Plain-data copy of [`ServeStats`] at a point in time.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StatsSnapshot {
-    /// Jobs accepted into the queue.
-    pub jobs_submitted: u64,
-    /// Jobs refused by backpressure.
-    pub jobs_rejected: u64,
-    /// Jobs completed successfully.
-    pub jobs_completed: u64,
-    /// Jobs that failed at execution.
-    pub jobs_failed: u64,
-    /// Jobs shed at dequeue because their deadline had passed.
-    pub jobs_shed: u64,
-    /// Submissions rejected on a panic-quarantined plan key.
-    pub jobs_quarantined: u64,
-    /// Queue depth at snapshot time.
-    pub queue_depth: u64,
-    /// Registry hits.
-    pub plan_hits: u64,
-    /// Registry misses (compiles).
-    pub plan_misses: u64,
-    /// Plans compiled by manifest warm-up.
-    pub warm_loaded: u64,
-    /// CacheOnly → Static cold-start fallbacks.
-    pub cold_fallbacks: u64,
-    /// Cold keys upgraded to their measured plan at runtime.
-    pub cold_recoveries: u64,
-    /// Batches drained.
-    pub batches: u64,
-    /// Jobs that rode in multi-job batches.
-    pub batched_jobs: u64,
-    /// Largest batch.
-    pub max_batch: u64,
-    /// Jobs run sharded.
-    pub sharded_jobs: u64,
-    /// Total slabs executed.
-    pub shards_executed: u64,
-    /// Jobs routed through the out-of-core streaming executor.
-    pub ooc_jobs: u64,
-    /// Payload bytes OOC jobs read from their slab stores.
-    pub ooc_bytes_read: u64,
-    /// Payload bytes OOC jobs wrote to their slab stores.
-    pub ooc_bytes_written: u64,
-    /// OOC window loads already resident when the sweep asked.
-    pub ooc_prefetch_hits: u64,
-    /// OOC window loads the sweep had to wait for.
-    pub ooc_prefetch_misses: u64,
-    /// Microseconds OOC sweeps spent stalled on IO.
-    pub ooc_stall_us: u64,
-    /// Transient IO faults OOC slab stores absorbed by retrying.
-    pub ooc_io_retries: u64,
-    /// Registry entries hot-swapped by the retuning decider.
-    pub swaps: u64,
-    /// Challenger sessions started.
-    pub challenges: u64,
-    /// Challenges that did not end in a swap.
-    pub challenges_rejected: u64,
-    /// Median end-to-end latency, microseconds.
-    pub p50_us: u64,
-    /// 99th-percentile end-to-end latency, microseconds.
-    pub p99_us: u64,
-    /// Mean end-to-end latency, microseconds.
-    pub mean_us: f64,
-    /// Probe sweeps the installed measured tuner has run process-wide
-    /// (0 when none is installed). Flat across a warm-started service
-    /// — the "zero probe runs" contract made observable.
-    pub tuner_probes: u64,
-    /// Operator warnings accumulated so far (oldest dropped past a
-    /// cap).
-    pub warnings: Vec<String>,
-    /// Per-tenant admission counters keyed by tenant name (empty when
-    /// the service runs without the network front end).
-    pub tenants: BTreeMap<String, TenantCounters>,
-    /// Per-plan latency telemetry keyed by registry key (empty until a
-    /// job completes).
-    pub plans: BTreeMap<String, PlanTelemetry>,
-}
-
-impl StatsSnapshot {
-    /// Registry hit ratio in `[0, 1]` (1.0 when there were no lookups).
-    pub fn hit_ratio(&self) -> f64 {
-        let total = self.plan_hits + self.plan_misses;
-        if total == 0 {
-            1.0
-        } else {
-            self.plan_hits as f64 / total as f64
-        }
-    }
-
-    /// Serialize through the project's hand-rolled JSON writer.
-    pub fn to_json(&self) -> Value {
-        let mut m = std::collections::BTreeMap::new();
-        let mut num = |k: &str, v: f64| {
-            m.insert(k.to_string(), Value::Num(v));
-        };
-        num("jobs_submitted", self.jobs_submitted as f64);
-        num("jobs_rejected", self.jobs_rejected as f64);
-        num("jobs_completed", self.jobs_completed as f64);
-        num("jobs_failed", self.jobs_failed as f64);
-        num("jobs_shed", self.jobs_shed as f64);
-        num("jobs_quarantined", self.jobs_quarantined as f64);
-        num("queue_depth", self.queue_depth as f64);
-        num("plan_hits", self.plan_hits as f64);
-        num("plan_misses", self.plan_misses as f64);
-        num("plan_hit_ratio", self.hit_ratio());
-        num("warm_loaded", self.warm_loaded as f64);
-        num("cold_fallbacks", self.cold_fallbacks as f64);
-        num("cold_recoveries", self.cold_recoveries as f64);
-        num("batches", self.batches as f64);
-        num("batched_jobs", self.batched_jobs as f64);
-        num("max_batch", self.max_batch as f64);
-        num("sharded_jobs", self.sharded_jobs as f64);
-        num("shards_executed", self.shards_executed as f64);
-        num("ooc_jobs", self.ooc_jobs as f64);
-        num("ooc_bytes_read", self.ooc_bytes_read as f64);
-        num("ooc_bytes_written", self.ooc_bytes_written as f64);
-        num("ooc_prefetch_hits", self.ooc_prefetch_hits as f64);
-        num("ooc_prefetch_misses", self.ooc_prefetch_misses as f64);
-        num("ooc_stall_us", self.ooc_stall_us as f64);
-        num("ooc_io_retries", self.ooc_io_retries as f64);
-        num("swaps", self.swaps as f64);
-        num("challenges", self.challenges as f64);
-        num("challenges_rejected", self.challenges_rejected as f64);
-        num("p50_us", self.p50_us as f64);
-        num("p99_us", self.p99_us as f64);
-        num("mean_us", self.mean_us);
-        num("tuner_probes", self.tuner_probes as f64);
-        m.insert(
-            "warnings".to_string(),
-            Value::Arr(self.warnings.iter().cloned().map(Value::Str).collect()),
-        );
-        let tenants = self
-            .tenants
-            .iter()
-            .map(|(name, t)| {
-                let mut row = std::collections::BTreeMap::new();
-                row.insert("submitted".to_string(), Value::Num(t.submitted as f64));
-                row.insert("rejected".to_string(), Value::Num(t.rejected as f64));
-                row.insert("completed".to_string(), Value::Num(t.completed as f64));
-                (name.clone(), Value::Obj(row))
-            })
-            .collect();
-        m.insert("tenants".to_string(), Value::Obj(tenants));
-        let plans = self
-            .plans
-            .iter()
-            .map(|(key, t)| {
-                let mut row = std::collections::BTreeMap::new();
-                row.insert("samples".to_string(), Value::Num(t.samples as f64));
-                row.insert("p50_us".to_string(), Value::Num(t.p50_us as f64));
-                row.insert("p99_us".to_string(), Value::Num(t.p99_us as f64));
-                row.insert("epoch".to_string(), Value::Num(t.epoch as f64));
-                row.insert("queue_us".to_string(), Value::Num(t.queue_us as f64));
-                row.insert("compute_us".to_string(), Value::Num(t.compute_us as f64));
-                row.insert("io_us".to_string(), Value::Num(t.io_us as f64));
-                row.insert("overlap_us".to_string(), Value::Num(t.overlap_us as f64));
-                (key.clone(), Value::Obj(row))
-            })
-            .collect();
-        m.insert("plans".to_string(), Value::Obj(plans));
-        Value::Obj(m)
-    }
-
-    /// Rebuild a snapshot from its [`StatsSnapshot::to_json`] document
-    /// (`None` on schema mismatch) — lets tests and dashboards
-    /// round-trip the dump through the shared parser.
-    pub fn from_json(doc: &Value) -> Option<Self> {
-        let n = |k: &str| doc.get(k).and_then(Value::as_num);
-        // counters must be non-negative integers: a saturating `as`
-        // cast would silently repair corrupt documents instead of
-        // rejecting them
-        let u = |k: &str| {
-            n(k).filter(|&v| v >= 0.0 && v.fract() == 0.0 && v <= u64::MAX as f64)
-                .map(|v| v as u64)
-        };
-        Some(Self {
-            jobs_submitted: u("jobs_submitted")?,
-            jobs_rejected: u("jobs_rejected")?,
-            jobs_completed: u("jobs_completed")?,
-            jobs_failed: u("jobs_failed")?,
-            jobs_shed: u("jobs_shed")?,
-            jobs_quarantined: u("jobs_quarantined")?,
-            queue_depth: u("queue_depth")?,
-            plan_hits: u("plan_hits")?,
-            plan_misses: u("plan_misses")?,
-            warm_loaded: u("warm_loaded")?,
-            cold_fallbacks: u("cold_fallbacks")?,
-            cold_recoveries: u("cold_recoveries")?,
-            batches: u("batches")?,
-            batched_jobs: u("batched_jobs")?,
-            max_batch: u("max_batch")?,
-            sharded_jobs: u("sharded_jobs")?,
-            shards_executed: u("shards_executed")?,
-            ooc_jobs: u("ooc_jobs")?,
-            ooc_bytes_read: u("ooc_bytes_read")?,
-            ooc_bytes_written: u("ooc_bytes_written")?,
-            ooc_prefetch_hits: u("ooc_prefetch_hits")?,
-            ooc_prefetch_misses: u("ooc_prefetch_misses")?,
-            ooc_stall_us: u("ooc_stall_us")?,
-            ooc_io_retries: u("ooc_io_retries")?,
-            swaps: u("swaps")?,
-            challenges: u("challenges")?,
-            challenges_rejected: u("challenges_rejected")?,
-            p50_us: u("p50_us")?,
-            p99_us: u("p99_us")?,
-            mean_us: n("mean_us")?,
-            tuner_probes: u("tuner_probes")?,
-            warnings: doc
-                .get("warnings")?
-                .as_arr()?
-                .iter()
-                .map(|v| v.as_str().map(str::to_string))
-                .collect::<Option<Vec<_>>>()?,
-            tenants: match doc.get("tenants")? {
-                Value::Obj(rows) => rows
-                    .iter()
-                    .map(|(name, row)| {
-                        let c = |k: &str| {
-                            row.get(k)
-                                .and_then(Value::as_num)
-                                .filter(|&v| v >= 0.0 && v.fract() == 0.0 && v <= u64::MAX as f64)
-                                .map(|v| v as u64)
-                        };
-                        Some((
-                            name.clone(),
-                            TenantCounters {
-                                submitted: c("submitted")?,
-                                rejected: c("rejected")?,
-                                completed: c("completed")?,
-                            },
-                        ))
-                    })
-                    .collect::<Option<BTreeMap<_, _>>>()?,
-                _ => return None,
-            },
-            plans: match doc.get("plans")? {
-                Value::Obj(rows) => rows
-                    .iter()
-                    .map(|(key, row)| {
-                        let c = |k: &str| {
-                            row.get(k)
-                                .and_then(Value::as_num)
-                                .filter(|&v| v >= 0.0 && v.fract() == 0.0 && v <= u64::MAX as f64)
-                                .map(|v| v as u64)
-                        };
-                        Some((
-                            key.clone(),
-                            PlanTelemetry {
-                                samples: c("samples")?,
-                                p50_us: c("p50_us")?,
-                                p99_us: c("p99_us")?,
-                                epoch: c("epoch")?,
-                                queue_us: c("queue_us")?,
-                                compute_us: c("compute_us")?,
-                                io_us: c("io_us")?,
-                                overlap_us: c("overlap_us")?,
-                            },
-                        ))
-                    })
-                    .collect::<Option<BTreeMap<_, _>>>()?,
-                _ => return None,
-            },
-        })
-    }
 }
 
 #[cfg(test)]
@@ -1083,16 +646,13 @@ mod tests {
         );
         let snap = s.snapshot();
         let text = snap.to_json().pretty();
-        let back = StatsSnapshot::from_json(&stencil_tune::json::parse(&text).unwrap()).unwrap();
+        let back = StatsSnapshot::from_json(&stencil_obs::json::parse(&text).unwrap()).unwrap();
         assert_eq!(back, snap);
         assert!((back.hit_ratio() - 0.75).abs() < 1e-12);
         assert_eq!(back.warnings.len(), 1);
         assert_eq!(back.tenants.len(), 2);
         assert_eq!(back.tenants["acme"].completed, 4);
         assert_eq!(back.tenants["initech"].rejected, 2);
-        assert_eq!(back.swaps, 1);
-        assert_eq!(back.challenges, 3);
-        assert_eq!(back.challenges_rejected, 2);
         let plan = &back.plans["sig|small|static|pooled"];
         assert_eq!(plan.samples, 1);
         assert_eq!(plan.epoch, 4);
@@ -1105,8 +665,6 @@ mod tests {
         assert_eq!(back.ooc_prefetch_misses, 1);
         assert_eq!(back.ooc_stall_us, 77);
         assert_eq!(back.ooc_io_retries, 2);
-        assert_eq!(back.jobs_shed, 2);
-        assert_eq!(back.jobs_quarantined, 1);
     }
 
     #[test]
@@ -1171,6 +729,147 @@ mod tests {
         assert!(corrupt("batches", 1e300).is_none());
     }
 
+    /// `ServeStats::prometheus()` for the state
+    /// `prometheus_exposition_matches_golden` sets up, captured before
+    /// the renderers became table-driven.
+    const GOLDEN_EXPOSITION: &str = "\
+# HELP stencil_jobs_submitted_total Jobs accepted into the queue.
+# TYPE stencil_jobs_submitted_total counter
+stencil_jobs_submitted_total 5
+# HELP stencil_jobs_rejected_total Jobs refused by backpressure.
+# TYPE stencil_jobs_rejected_total counter
+stencil_jobs_rejected_total 0
+# HELP stencil_jobs_completed_total Jobs completed successfully.
+# TYPE stencil_jobs_completed_total counter
+stencil_jobs_completed_total 4
+# HELP stencil_jobs_failed_total Jobs that failed at execution.
+# TYPE stencil_jobs_failed_total counter
+stencil_jobs_failed_total 1
+# HELP stencil_jobs_shed_total Jobs shed at dequeue because their deadline had passed.
+# TYPE stencil_jobs_shed_total counter
+stencil_jobs_shed_total 0
+# HELP stencil_jobs_quarantined_total Submissions rejected on a panic-quarantined plan key.
+# TYPE stencil_jobs_quarantined_total counter
+stencil_jobs_quarantined_total 0
+# HELP stencil_queue_depth Current submission queue depth.
+# TYPE stencil_queue_depth gauge
+stencil_queue_depth 2
+# HELP stencil_plan_hits_total Registry lookups resolved by an already-compiled plan.
+# TYPE stencil_plan_hits_total counter
+stencil_plan_hits_total 0
+# HELP stencil_plan_misses_total Registry lookups that had to compile.
+# TYPE stencil_plan_misses_total counter
+stencil_plan_misses_total 0
+# HELP stencil_warm_loaded_total Plans compiled during manifest warm-up.
+# TYPE stencil_warm_loaded_total counter
+stencil_warm_loaded_total 0
+# HELP stencil_cold_fallbacks_total Compiles that fell back to the static cost model.
+# TYPE stencil_cold_fallbacks_total counter
+stencil_cold_fallbacks_total 0
+# HELP stencil_cold_recoveries_total Cold keys upgraded to their measured plan at runtime.
+# TYPE stencil_cold_recoveries_total counter
+stencil_cold_recoveries_total 0
+# HELP stencil_batches_total Same-plan batches drained from the queue.
+# TYPE stencil_batches_total counter
+stencil_batches_total 0
+# HELP stencil_batched_jobs_total Jobs that rode in a batch of two or more.
+# TYPE stencil_batched_jobs_total counter
+stencil_batched_jobs_total 0
+# HELP stencil_max_batch Largest batch drained so far.
+# TYPE stencil_max_batch gauge
+stencil_max_batch 0
+# HELP stencil_sharded_jobs_total Jobs executed through the domain sharder.
+# TYPE stencil_sharded_jobs_total counter
+stencil_sharded_jobs_total 0
+# HELP stencil_shards_executed_total Sub-domain slabs executed in total.
+# TYPE stencil_shards_executed_total counter
+stencil_shards_executed_total 0
+# HELP stencil_ooc_jobs_total Jobs routed through the out-of-core streaming executor.
+# TYPE stencil_ooc_jobs_total counter
+stencil_ooc_jobs_total 0
+# HELP stencil_ooc_bytes_read_total Payload bytes OOC jobs read from their slab stores.
+# TYPE stencil_ooc_bytes_read_total counter
+stencil_ooc_bytes_read_total 0
+# HELP stencil_ooc_bytes_written_total Payload bytes OOC jobs wrote to their slab stores.
+# TYPE stencil_ooc_bytes_written_total counter
+stencil_ooc_bytes_written_total 0
+# HELP stencil_ooc_prefetch_hits_total OOC window loads already resident when the sweep asked.
+# TYPE stencil_ooc_prefetch_hits_total counter
+stencil_ooc_prefetch_hits_total 0
+# HELP stencil_ooc_prefetch_misses_total OOC window loads the sweep had to wait for.
+# TYPE stencil_ooc_prefetch_misses_total counter
+stencil_ooc_prefetch_misses_total 0
+# HELP stencil_ooc_stall_microseconds_total Microseconds OOC sweeps spent stalled on IO.
+# TYPE stencil_ooc_stall_microseconds_total counter
+stencil_ooc_stall_microseconds_total 0
+# HELP stencil_ooc_io_retries_total Transient IO faults OOC slab stores absorbed by retrying.
+# TYPE stencil_ooc_io_retries_total counter
+stencil_ooc_io_retries_total 0
+# HELP stencil_swaps_total Registry entries hot-swapped by the retuning decider.
+# TYPE stencil_swaps_total counter
+stencil_swaps_total 0
+# HELP stencil_challenges_total Challenger sessions the decider started.
+# TYPE stencil_challenges_total counter
+stencil_challenges_total 0
+# HELP stencil_challenges_rejected_total Challenges that did not end in a swap.
+# TYPE stencil_challenges_rejected_total counter
+stencil_challenges_rejected_total 0
+# HELP stencil_tuner_probes_total Probe sweeps the installed measured tuner has run.
+# TYPE stencil_tuner_probes_total counter
+stencil_tuner_probes_total 0
+# HELP stencil_job_latency_microseconds End-to-end job latency (submit to completion).
+# TYPE stencil_job_latency_microseconds histogram
+stencil_job_latency_microseconds_bucket{le=\"2\"} 0
+stencil_job_latency_microseconds_bucket{le=\"4\"} 0
+stencil_job_latency_microseconds_bucket{le=\"8\"} 0
+stencil_job_latency_microseconds_bucket{le=\"16\"} 0
+stencil_job_latency_microseconds_bucket{le=\"32\"} 0
+stencil_job_latency_microseconds_bucket{le=\"64\"} 0
+stencil_job_latency_microseconds_bucket{le=\"128\"} 0
+stencil_job_latency_microseconds_bucket{le=\"256\"} 0
+stencil_job_latency_microseconds_bucket{le=\"512\"} 1
+stencil_job_latency_microseconds_bucket{le=\"1024\"} 1
+stencil_job_latency_microseconds_bucket{le=\"2048\"} 1
+stencil_job_latency_microseconds_bucket{le=\"4096\"} 1
+stencil_job_latency_microseconds_bucket{le=\"8192\"} 2
+stencil_job_latency_microseconds_bucket{le=\"+Inf\"} 2
+stencil_job_latency_microseconds_sum 5300
+stencil_job_latency_microseconds_count 2
+# HELP stencil_tenant_submitted_total Jobs this tenant got accepted into the queue.
+# TYPE stencil_tenant_submitted_total counter
+stencil_tenant_submitted_total{tenant=\"ac\\\"me\"} 3
+# HELP stencil_tenant_rejected_total Submissions refused (quota or queue backpressure).
+# TYPE stencil_tenant_rejected_total counter
+stencil_tenant_rejected_total{tenant=\"ac\\\"me\"} 0
+# HELP stencil_tenant_completed_total Jobs completed for this tenant.
+# TYPE stencil_tenant_completed_total counter
+stencil_tenant_completed_total{tenant=\"ac\\\"me\"} 0
+# HELP stencil_plan_samples_total Latency samples recorded under the registry key.
+# TYPE stencil_plan_samples_total counter
+stencil_plan_samples_total{plan=\"heat3d|large|static|pooled\"} 1
+# HELP stencil_plan_latency_p50_microseconds Median latency under the registry key.
+# TYPE stencil_plan_latency_p50_microseconds gauge
+stencil_plan_latency_p50_microseconds{plan=\"heat3d|large|static|pooled\"} 128
+# HELP stencil_plan_latency_p99_microseconds 99th-percentile latency under the registry key.
+# TYPE stencil_plan_latency_p99_microseconds gauge
+stencil_plan_latency_p99_microseconds{plan=\"heat3d|large|static|pooled\"} 128
+# HELP stencil_plan_epoch Plan generation serving the key (bumps on hot-swap).
+# TYPE stencil_plan_epoch gauge
+stencil_plan_epoch{plan=\"heat3d|large|static|pooled\"} 2
+# HELP stencil_plan_queue_microseconds_total Total time the key's jobs waited in the queue.
+# TYPE stencil_plan_queue_microseconds_total counter
+stencil_plan_queue_microseconds_total{plan=\"heat3d|large|static|pooled\"} 1
+# HELP stencil_plan_compute_microseconds_total Total time the key's jobs spent computing.
+# TYPE stencil_plan_compute_microseconds_total counter
+stencil_plan_compute_microseconds_total{plan=\"heat3d|large|static|pooled\"} 2
+# HELP stencil_plan_io_microseconds_total Total time the key's jobs were blocked on IO.
+# TYPE stencil_plan_io_microseconds_total counter
+stencil_plan_io_microseconds_total{plan=\"heat3d|large|static|pooled\"} 3
+# HELP stencil_plan_overlap_microseconds_total Total IO hidden under the key's compute.
+# TYPE stencil_plan_overlap_microseconds_total counter
+stencil_plan_overlap_microseconds_total{plan=\"heat3d|large|static|pooled\"} 4
+";
+
     #[test]
     fn prometheus_exposition_matches_golden() {
         let s = ServeStats::new();
@@ -1195,55 +894,9 @@ mod tests {
         );
         let text = s.prometheus();
 
-        // counters and gauges render as single-value series
-        assert!(text.contains("# TYPE stencil_jobs_submitted_total counter\n"));
-        assert!(text.contains("\nstencil_jobs_submitted_total 5\n"));
-        assert!(text.contains("\nstencil_jobs_completed_total 4\n"));
-        assert!(text.contains("\nstencil_jobs_failed_total 1\n"));
-        assert!(text.contains("# TYPE stencil_queue_depth gauge\n"));
-        assert!(text.contains("\nstencil_queue_depth 2\n"));
-
-        // the latency histogram block, exactly: cumulative log2
-        // buckets, +Inf, sum, count (300us -> le=512, 5000us -> le=8192;
-        // trailing empty buckets are elided)
-        let golden = "\
-# HELP stencil_job_latency_microseconds End-to-end job latency (submit to completion).
-# TYPE stencil_job_latency_microseconds histogram
-stencil_job_latency_microseconds_bucket{le=\"2\"} 0
-stencil_job_latency_microseconds_bucket{le=\"4\"} 0
-stencil_job_latency_microseconds_bucket{le=\"8\"} 0
-stencil_job_latency_microseconds_bucket{le=\"16\"} 0
-stencil_job_latency_microseconds_bucket{le=\"32\"} 0
-stencil_job_latency_microseconds_bucket{le=\"64\"} 0
-stencil_job_latency_microseconds_bucket{le=\"128\"} 0
-stencil_job_latency_microseconds_bucket{le=\"256\"} 0
-stencil_job_latency_microseconds_bucket{le=\"512\"} 1
-stencil_job_latency_microseconds_bucket{le=\"1024\"} 1
-stencil_job_latency_microseconds_bucket{le=\"2048\"} 1
-stencil_job_latency_microseconds_bucket{le=\"4096\"} 1
-stencil_job_latency_microseconds_bucket{le=\"8192\"} 2
-stencil_job_latency_microseconds_bucket{le=\"+Inf\"} 2
-stencil_job_latency_microseconds_sum 5300
-stencil_job_latency_microseconds_count 2
-";
-        assert!(text.contains(golden), "histogram block drifted:\n{text}");
-
-        // label values are escaped; per-tenant and per-plan series
-        // carry their labels
-        assert!(text.contains("stencil_tenant_submitted_total{tenant=\"ac\\\"me\"} 3\n"));
-        assert!(
-            text.contains("stencil_plan_samples_total{plan=\"heat3d|large|static|pooled\"} 1\n")
-        );
-        assert!(text.contains("stencil_plan_epoch{plan=\"heat3d|large|static|pooled\"} 2\n"));
-        assert!(text.contains(
-            "stencil_plan_queue_microseconds_total{plan=\"heat3d|large|static|pooled\"} 1\n"
-        ));
-        assert!(text.contains(
-            "stencil_plan_io_microseconds_total{plan=\"heat3d|large|static|pooled\"} 3\n"
-        ));
-        assert!(text.contains(
-            "stencil_plan_overlap_microseconds_total{plan=\"heat3d|large|static|pooled\"} 4\n"
-        ));
+        // the whole document, byte for byte (300us -> le=512, 5000us ->
+        // le=8192; trailing empty buckets are elided)
+        assert_eq!(text, GOLDEN_EXPOSITION, "exposition drifted:\n{text}");
 
         // exposition hygiene: every non-comment line is `name[{labels}] value`
         for line in text.lines() {
@@ -1259,6 +912,27 @@ stencil_job_latency_microseconds_count 2
         assert!(!empty.contains("stencil_tenant_"));
         assert!(!empty.contains("stencil_plan_samples_total"));
         assert!(empty.contains("stencil_job_latency_microseconds_bucket{le=\"+Inf\"} 0\n"));
+    }
+
+    #[test]
+    fn every_counted_row_reaches_both_formats() {
+        let s = ServeStats::new();
+        let rows = s.counted_rows();
+        for (i, (.., cell)) in rows.iter().enumerate() {
+            cell.store(1000 + i as u64, Ordering::Relaxed);
+        }
+        let snap = s.snapshot();
+        let doc = snap.to_json();
+        let text = s.prometheus();
+        for (i, (field, kind, series, _)) in rows.iter().enumerate() {
+            let v = 1000 + i as u64;
+            assert_eq!(doc.get(field).and_then(Value::as_num), Some(v as f64));
+            assert!(
+                text.contains(&format!("# TYPE {series} {kind}\n{series} {v}\n")),
+                "{field}: {series} {v} missing or mistyped:\n{text}"
+            );
+        }
+        assert_eq!(StatsSnapshot::from_json(&doc), Some(snap));
     }
 
     #[test]

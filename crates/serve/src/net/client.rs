@@ -13,7 +13,7 @@ use std::io::{Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
-use stencil_tune::json::Value;
+use stencil_obs::json::Value;
 
 use super::wire::{
     self, ClientMsg, Frame, RejectReason, ServerMsg, SubmitHeader, WireError, DEFAULT_MAX_FRAME,

@@ -27,11 +27,15 @@ use std::time::{Duration, Instant};
 use crate::metrics::StatsSnapshot;
 use crate::service::{JobDomain, JobSpec, JobTicket, ServeError, StencilService};
 use stencil_grid::{Grid1D, Grid2D, Grid3D};
+use stencil_obs::json::Value;
+use stencil_tune::host::HostFingerprint;
 
 use super::conn::{Conn, ConnMode};
 use super::round_steps;
 use super::tenant::TenantGate;
-use super::wire::{ClientMsg, Frame, RejectReason, ServerMsg, SubmitHeader, DEFAULT_MAX_FRAME};
+use super::wire::{
+    num, obj, ClientMsg, Frame, RejectReason, ServerMsg, SubmitHeader, DEFAULT_MAX_FRAME,
+};
 
 /// An HTTP scrape request larger than this is dropped unanswered.
 const MAX_HTTP_REQUEST: usize = 16 * 1024;
@@ -682,21 +686,9 @@ fn http_response_for(service: &StencilService, open_conns: u64, req: &[u8]) -> V
     let query = it.next().unwrap_or(b"");
     match path {
         b"/healthz" => {
-            let host = stencil_tune::host::HostFingerprint::detect();
-            http_response(
-                200,
-                "OK",
-                JSON_CT,
-                &format!(
-                    "{{\"status\": \"ok\", \"conns\": {open_conns}, \
-                     \"hostname\": \"{}\", \"isa\": \"{}\", \"threads\": {}, \
-                     \"started_unix\": {}}}\n",
-                    json_escape(&host.hostname),
-                    json_escape(&host.isa),
-                    host.threads,
-                    service.started_unix(),
-                ),
-            )
+            let host = HostFingerprint::detect();
+            let body = healthz_body(&host, open_conns, service.started_unix());
+            http_response(200, "OK", JSON_CT, &body)
         }
         b"/metrics" if query_param(query, "format").as_deref() == Some("prometheus") => {
             // stats() refreshes the queue-depth gauge the exposition
@@ -730,9 +722,19 @@ fn query_param(query: &[u8], name: &str) -> Option<String> {
     })
 }
 
-/// Minimal JSON string escaping for host-derived values.
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
+/// The `/healthz` document: liveness, open connections, host identity
+/// and the uptime anchor. Hostname and ISA come from the environment,
+/// so they go through the shared writer's escaping like any string.
+fn healthz_body(host: &HostFingerprint, open_conns: u64, started_unix: u64) -> String {
+    obj(vec![
+        ("status", Value::Str("ok".into())),
+        ("conns", num(open_conns)),
+        ("hostname", Value::Str(host.hostname.clone())),
+        ("isa", Value::Str(host.isa.clone())),
+        ("threads", num(host.threads as u64)),
+        ("started_unix", num(started_unix)),
+    ])
+    .pretty()
 }
 
 fn http_response(status: u16, reason: &str, ctype: &str, body: &str) -> Vec<u8> {
@@ -742,4 +744,31 @@ fn http_response(status: u16, reason: &str, ctype: &str, body: &str) -> Vec<u8> 
         body.len()
     )
     .into_bytes()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn healthz_body_escapes_host_strings() {
+        // a hostname read from the environment can hold anything
+        let host = HostFingerprint {
+            hostname: "a\tb\n\"c".into(),
+            isa: "avx2-w4\u{1}".into(),
+            threads: 8,
+        };
+        let doc = stencil_obs::json::parse(&healthz_body(&host, 3, 1_700_000_000))
+            .expect("/healthz must be valid JSON whatever the host strings hold");
+        let text = |k| doc.get(k).and_then(Value::as_str);
+        let n = |k| doc.get(k).and_then(Value::as_num);
+        assert_eq!(
+            (text("status"), text("hostname"), text("isa")),
+            (Some("ok"), Some("a\tb\n\"c"), Some("avx2-w4\u{1}"))
+        );
+        assert_eq!(
+            (n("conns"), n("threads"), n("started_unix")),
+            (Some(3.0), Some(8.0), Some(1.7e9))
+        );
+    }
 }

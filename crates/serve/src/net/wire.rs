@@ -8,7 +8,7 @@
 //! ```
 //!
 //! * kind `b'J'` — a JSON header (UTF-8, parsed by the project's
-//!   hand-rolled [`stencil_tune::json`] reader). Headers carry the
+//!   hand-rolled [`stencil_obs::json`] reader). Headers carry the
 //!   control plane: submissions, progress, rejections, stats.
 //! * kind `b'P'` — a raw payload: little-endian `f64` bits, no
 //!   serialization overhead. Payload frames carry grid data (a submit's
@@ -36,7 +36,7 @@
 
 use std::collections::BTreeMap;
 use stencil_core::{Pattern, Tuning};
-use stencil_tune::json::{self, Value};
+use stencil_obs::json::{self, Value};
 
 use crate::manifest::{kernel_by_name, tuning_from_str, tuning_to_str};
 
@@ -398,7 +398,7 @@ pub enum ServerMsg {
     ByeOk,
 }
 
-fn obj(fields: Vec<(&str, Value)>) -> Value {
+pub(super) fn obj(fields: Vec<(&str, Value)>) -> Value {
     Value::Obj(
         fields
             .into_iter()
@@ -407,7 +407,7 @@ fn obj(fields: Vec<(&str, Value)>) -> Value {
     )
 }
 
-fn num(n: u64) -> Value {
+pub(super) fn num(n: u64) -> Value {
     Value::Num(n as f64)
 }
 

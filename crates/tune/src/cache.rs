@@ -1,6 +1,6 @@
 //! The persistent per-host plan cache.
 //!
-//! One JSON file (see [`crate::json`]) holding every decision the
+//! One JSON file (see [`stencil_obs::json`]) holding every decision the
 //! probing tuner has measured on this machine. Entries are keyed by
 //! `hostname | ISA build | thread count | vector width | pattern
 //! signature | domain shape class | fixed-parameter constraints`, so a
@@ -14,10 +14,10 @@
 //! save, never partially edited.
 
 use crate::host::HostFingerprint;
-use crate::json::{self, Value};
 use std::collections::BTreeMap;
 use std::path::Path;
 use stencil_core::{Method, Pattern, Ring3, Tiling, Width};
+use stencil_obs::json::{self, Value};
 
 /// Current cache file schema version; bump on incompatible change
 /// (older files are discarded, not migrated — they are measurements,
@@ -520,7 +520,7 @@ mod tests {
             ..sample_entry("ringy")
         });
         let text = cache.to_json().pretty();
-        let back = TuneCache::from_json(&crate::json::parse(&text).unwrap()).unwrap();
+        let back = TuneCache::from_json(&json::parse(&text).unwrap()).unwrap();
         assert_eq!(back, cache);
         assert_eq!(
             back.get("ringy").unwrap().ring,
@@ -592,7 +592,7 @@ mod tests {
       "rate": 1.0, "model_method": "scalar", "probes": 1.0, "spent_ms": 1.0 }
   ]
 }"#;
-        let cache = TuneCache::from_json(&crate::json::parse(text).unwrap()).unwrap();
+        let cache = TuneCache::from_json(&json::parse(text).unwrap()).unwrap();
         assert_eq!(cache.len(), 1);
         assert!(cache.get("good").is_some());
         assert!(cache.get("bad-method").is_none());

@@ -10,10 +10,10 @@
 //! * [`probe`] — short timed sweeps of each candidate on small
 //!   representative domains, compile-once/run-many, all probes sharing
 //!   one process-wide worker pool, bounded by a wall-clock budget.
-//! * [`cache`] — a persistent per-host plan cache (hand-rolled JSON,
-//!   keyed by hostname × ISA build × threads × pattern signature ×
-//!   domain shape class), so a host probes once and every later
-//!   `compile()` is a warm lookup.
+//! * [`cache`] — a persistent per-host plan cache (JSON through
+//!   `stencil_obs::json`, keyed by hostname × ISA build × threads ×
+//!   pattern signature × domain shape class), so a host probes once
+//!   and every later `compile()` is a warm lookup.
 //! * [`AutoTuner`] — ties the three together and implements
 //!   `stencil-core`'s [`MeasuredTuner`] hook.
 //!
@@ -56,7 +56,6 @@
 pub mod cache;
 pub mod candidates;
 pub mod host;
-pub mod json;
 pub mod probe;
 
 use cache::{CacheEntry, CacheHealth, TuneCache};

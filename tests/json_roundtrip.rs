@@ -1,5 +1,5 @@
 //! Property-based round-trip tests for the hand-rolled JSON
-//! implementation (`stencil_tune::json`) — the single writer/parser
+//! implementation (`stencil_obs::json`) — the single writer/parser
 //! behind the tuning cache, the benchmark dumps, the serve manifest
 //! and the serve metrics surface. One implementation, so one property
 //! suite covers every artifact: escapes, unicode, nested structures,
@@ -7,8 +7,8 @@
 
 use proptest::prelude::*;
 use std::collections::BTreeMap;
+use stencil_lab::obs::json::{parse, Value};
 use stencil_lab::serve::{PlanTelemetry, StatsSnapshot, TenantCounters};
-use stencil_lab::tune::json::{parse, Value};
 
 /// Map sampled code points onto `char`s, biasing toward the cases the
 /// writer must escape: quotes, backslashes, control characters, and

@@ -5,8 +5,8 @@
 //! Perfetto-required field present on every event.
 
 use proptest::prelude::*;
+use stencil_lab::obs::json::{parse, Value};
 use stencil_lab::obs::{self, SpanId, TraceSink};
-use stencil_lab::tune::json::{parse, Value};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]

@@ -325,7 +325,7 @@ fn manifest_file_drives_warm_start_and_stats_round_trip() {
     // implementation (the same writer/parser as the tune cache and the
     // bench dumps)
     let text = stats.to_json().pretty();
-    let back = StatsSnapshot::from_json(&stencil_lab::tune::json::parse(&text).unwrap()).unwrap();
+    let back = StatsSnapshot::from_json(&stencil_lab::obs::json::parse(&text).unwrap()).unwrap();
     assert_eq!(back, stats);
     let _ = std::fs::remove_file(&path);
 }

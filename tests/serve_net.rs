@@ -19,13 +19,13 @@ use std::time::{Duration, Instant};
 use proptest::prelude::*;
 use stencil_lab::core::{kernels, Pattern};
 use stencil_lab::grid::{Grid2D, Grid3D};
+use stencil_lab::obs::json;
 use stencil_lab::runtime::PoolHandle;
 use stencil_lab::serve::net::{
     http_get, round_steps, wire, JobEvent, NetClient, NetConfig, NetError, NetServer, RejectReason,
     SubmitHeader,
 };
 use stencil_lab::serve::{JobDomain, JobSpec, ServeConfig, StatsSnapshot, StencilService};
-use stencil_lab::tune::json;
 
 fn start_server(cfg: ServeConfig, net: NetConfig) -> NetServer {
     NetServer::start(StencilService::start(cfg), net).expect("bind ephemeral port")
