@@ -123,25 +123,14 @@ fn cells(doc: &Value) -> Vec<((String, String, String), Option<f64>)> {
     out
 }
 
-/// Cells whose values are throughputs where "lower = worse". Counter
-/// columns (job counts, hit ratios, latency) are coverage-checked but
-/// not thresholded — a latency *increase* would need the inverse test
-/// and a far larger noise bar than a one-shot smoke run supports.
-fn is_rate_cell(table: &str, col: &str) -> bool {
+/// Cells whose values are throughputs where "lower = worse": every
+/// cell of the fig/table dumps (GFLOP/s or speedup grids) except the
+/// ooc store-stats table, which mixes deterministic IO volumes with
+/// timing-variable prefetch counters — byte counts, not rates, so
+/// coverage-checked only.
+fn is_rate_cell(table: &str) -> bool {
     let t = table.to_lowercase();
-    let c = col.to_lowercase();
-    if t.contains("serve") {
-        return c.contains("mpts") || c.contains("jobs_per_s");
-    }
-    // the ooc store-stats table mixes deterministic IO volumes with
-    // timing-variable prefetch counters: only the former are regression
-    // signals, and they are byte counts, not rates — coverage-check only
-    if t.contains("ooc") && t.contains("stats") {
-        return false;
-    }
-    // the fig/table dumps are GFLOP/s or speedup grids: every cell is a
-    // rate
-    !c.contains("latency") && !c.contains("_ms")
+    !(t.contains("ooc") && t.contains("stats"))
 }
 
 fn main() {
@@ -183,7 +172,7 @@ fn main() {
                 failures += 1;
                 continue;
             }
-            if !is_rate_cell(t, c) {
+            if !is_rate_cell(t) {
                 continue;
             }
             if bval > 0.0 && cval < bval * (1.0 - threshold) {

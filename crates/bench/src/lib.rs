@@ -15,8 +15,12 @@
 //! | `costmodel` | §3.2 collects & profitability indices (90/25/9, 3.6/10, 2.25) |
 //! | `ablation` | folding factor, time-block, scheduling and transpose-scheme ablations |
 //! | `tune` | pre-warm the per-host tuning cache (Table-1 kernels), chosen-vs-model report |
-//! | `serve` | drive the `stencil-serve` job service with a mixed closed-loop workload |
+//! | `fig_ooc` | out-of-core streaming: resident vs streaming vs streaming+prefetch at a quarter-domain budget |
+//! | `micro`, `micro2d` | 1D step-kernel cost across working-set sizes; 2D multiload vs the folded register pipeline |
 //! | `compare` | perf regression gate: fresh `--json` dumps vs committed baselines |
+//!
+//! The served, wire and out-of-core *system* paths are measured by the
+//! repo's `benchmark/` package (`benchmark/run.sh`), not from here.
 //!
 //! Default problem sizes are scaled to finish on a laptop; pass `--paper`
 //! for the Table-1 sizes and `--quick` for CI smoke runs. All binaries

@@ -569,10 +569,9 @@ fn temp_store_path() -> std::path::PathBuf {
 }
 
 /// Convenience wrapper for resident callers (the serve router, tests,
-/// benches): spill `grid` into a transient [`SlabStore`] under the
-/// system temp directory, stream `t` steps through it, materialize the
-/// result and remove the file — also on error, so transient stores
-/// never accumulate.
+/// benches): [`run_streaming_grid_resumable`] against a fresh transient
+/// store under the system temp directory, with the file removed on
+/// error too, so transient stores never accumulate.
 pub fn run_streaming_grid(
     plan: &Plan,
     grid: &Grid3D,
@@ -580,7 +579,10 @@ pub fn run_streaming_grid(
     cfg: &OocConfig,
 ) -> Result<(Grid3D, StreamReport), OocError> {
     let path = temp_store_path();
-    let result = run_streaming_grid_at(plan, grid, t, cfg, &path);
+    // a store a killed process left under a recycled pid is not an
+    // earlier attempt at this job: never resume from it
+    let _ = std::fs::remove_file(&path);
+    let result = run_streaming_grid_resumable(plan, grid, t, cfg, &path);
     let _ = std::fs::remove_file(&path);
     result
 }
@@ -641,6 +643,8 @@ pub fn run_streaming_grid_resumable(
             let _span = stencil_obs::span(stencil_obs::SpanId::OocLoad);
             store.to_grid()?
         };
+        // spilling in and materializing out block the caller regardless
+        // of prefetch mode: count them as blocked IO on the report
         report.io_blocked_us += spill_us + gather.elapsed().as_micros() as u64;
         Ok((out, report))
     })();
@@ -648,31 +652,4 @@ pub fn run_streaming_grid_resumable(
         let _ = std::fs::remove_file(path);
     }
     result
-}
-
-/// The internals of [`run_streaming_grid`] against an explicit path:
-/// spill, stream, materialize. The caller owns the file's lifetime.
-fn run_streaming_grid_at(
-    plan: &Plan,
-    grid: &Grid3D,
-    t: usize,
-    cfg: &OocConfig,
-    path: &std::path::Path,
-) -> Result<(Grid3D, StreamReport), OocError> {
-    let spill = Instant::now();
-    let store = {
-        let _span = stencil_obs::span(stencil_obs::SpanId::OocWriteback);
-        SlabStore::create(path, grid, plan.pattern().radius())?
-    };
-    let spill_us = spill.elapsed().as_micros() as u64;
-    let mut report = run_streaming(plan, &store, t, cfg)?;
-    let gather = Instant::now();
-    let out = {
-        let _span = stencil_obs::span(stencil_obs::SpanId::OocLoad);
-        store.to_grid()?
-    };
-    // spilling in and materializing out block the caller regardless
-    // of prefetch mode: count them as blocked IO on the report
-    report.io_blocked_us += spill_us + gather.elapsed().as_micros() as u64;
-    Ok((out, report))
 }

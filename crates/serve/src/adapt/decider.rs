@@ -46,7 +46,7 @@ pub struct AdaptConfig {
     /// Background decider tick period. `Duration::ZERO` spawns no
     /// thread: ticks only run through
     /// [`StencilService::retune_tick`](crate::StencilService::retune_tick)
-    /// (what deterministic tests and the bench driver use).
+    /// (what deterministic tests use).
     pub interval: Duration,
 }
 

@@ -29,11 +29,11 @@ use stencil_runtime::PoolHandle;
 
 /// Which execution shape a registry entry serves.
 ///
-/// Large jobs are sharded into single-thread slabs, and the register
-/// pipelines are only bit-exactly shardable in their block-free form
-/// (see [`shard::shardable`]) — so a pattern the service both shards
-/// and serves unsharded gets two entries: the pool-parallel tiled plan
-/// and the block-free slab plan.
+/// Large jobs are sharded into single-thread slabs, and the slab lanes
+/// run the block-free configuration ([`shard::shardable`] also admits
+/// tessellated register pipelines; the service does not shard those) —
+/// so a pattern the service both shards and serves unsharded gets two
+/// entries: the pool-parallel tiled plan and the block-free slab plan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlanShape {
     /// The tiling the tuner/cost model picks; runs on the shared pool.

@@ -215,32 +215,26 @@ impl From<stencil_ooc::OocError> for ServeError {
 ///
 /// Sharding splits a job *across workers* but still holds the whole
 /// domain (plus halos) in memory; the out-of-core path caps residency
-/// at [`OocThreshold::budget_bytes`] by marching file-backed z-slab
-/// windows — bit-identical to the resident run. Routing is per job:
-/// only 3D jobs above [`OocThreshold::max_resident_points`] whose plan
-/// is [`stencil_ooc::streamable`] take the streaming path; everything
-/// else falls through to the usual resident executor.
+/// at the streaming executor's `budget_bytes` by marching file-backed
+/// z-slab windows — bit-identical to the resident run. Routing is per
+/// job: only 3D jobs above [`OocThreshold::max_resident_points`] whose
+/// plan is [`stencil_ooc::streamable`] take the streaming path;
+/// everything else falls through to the usual resident executor.
 #[derive(Debug, Clone)]
 pub struct OocThreshold {
     /// 3D jobs above this many grid points stream through the store.
     pub max_resident_points: usize,
-    /// Resident window budget handed to [`stencil_ooc::OocConfig`].
-    pub budget_bytes: usize,
-    /// Overlap IO with compute via the background prefetch thread.
-    pub prefetch: bool,
-    /// Steps per streaming pass (0 = deepest that fits the budget).
-    pub steps_per_pass: usize,
+    /// The streaming executor's knobs (resident window budget, pass
+    /// depth, prefetch) for the jobs that do.
+    pub stream: stencil_ooc::OocConfig,
 }
 
 impl Default for OocThreshold {
     fn default() -> Self {
-        let d = stencil_ooc::OocConfig::default();
         Self {
             // 128 Mi points = 1 GiB of f64 payload before padding
             max_resident_points: 1 << 27,
-            budget_bytes: d.budget_bytes,
-            prefetch: d.prefetch,
-            steps_per_pass: d.steps_per_pass,
+            stream: stencil_ooc::OocConfig::default(),
         }
     }
 }
@@ -395,15 +389,35 @@ impl JobTicket {
     }
 }
 
+/// How a job executes — decided once, at submission (`resolve`), from
+/// the spec, the service configuration and the resolved plan.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum JobRoute {
+    /// One `Plan::run_*` on the shared pool.
+    Resident,
+    /// This many (> 1) single-thread slabs along the outer axis.
+    Sharded(usize),
+    /// A 3D job through the file-backed out-of-core executor.
+    Streamed,
+}
+
+impl JobRoute {
+    /// Slabs the job executes as (1 = unsharded).
+    fn shards(self) -> usize {
+        match self {
+            JobRoute::Sharded(n) => n,
+            JobRoute::Resident | JobRoute::Streamed => 1,
+        }
+    }
+}
+
 struct Job {
     /// Service-unique job id — the span correlation tag all of this
     /// job's trace events carry.
     id: u64,
     key: String,
     plan: Arc<Plan>,
-    /// Slabs this job will execute as (1 = unsharded), decided at
-    /// submission so batching groups by identical execution shape.
-    shards: usize,
+    route: JobRoute,
     domain: JobDomain,
     steps: usize,
     ticket: TicketHandle,
@@ -483,7 +497,7 @@ impl StencilService {
         });
         // the background lane: low-duty decider ticks between sleeps,
         // joined on shutdown. A zero interval means manual ticks only —
-        // what deterministic tests and the bench driver use.
+        // what deterministic tests use.
         let adapt_thread = decider.as_ref().and_then(|d| {
             let interval = inner.cfg.adapt.interval;
             if interval.is_zero() {
@@ -588,10 +602,10 @@ impl StencilService {
     }
 
     /// The execution decision for a spec: registry key, compiled plan
-    /// and shard count. Large 2D/3D jobs route to the block-free
-    /// registry shape (the only one the register pipelines shard
-    /// bit-exactly); everything else gets the pooled tiled plan.
-    fn resolve(&self, spec: &JobSpec) -> Result<(String, Arc<Plan>, usize), ServeError> {
+    /// and route. Large 2D/3D jobs resolve to the block-free registry
+    /// shape (the configuration the single-thread slab lanes clone);
+    /// everything else gets the pooled tiled plan.
+    fn resolve(&self, spec: &JobSpec) -> Result<(String, Arc<Plan>, JobRoute), ServeError> {
         let inner = &self.inner;
         let extents = spec.domain.extents();
         if spec.pattern.dims() != extents.len() {
@@ -618,20 +632,29 @@ impl StencilService {
         let (key, plan) = inner
             .registry
             .entry_for(&spec.pattern, Some(&extents), tuning, shape)?;
-        let shards = if want_shards > 1 && shard::shardable(&plan) {
-            want_shards
+        // the out-of-core gate outranks sharding: a domain too big to
+        // hold resident is too big to hold in sharded halves too
+        let streams = inner.cfg.ooc.as_ref().is_some_and(|th| {
+            matches!(spec.domain, JobDomain::D3(_))
+                && spec.domain.points() > th.max_resident_points
+                && stencil_ooc::streamable(&plan)
+        });
+        let route = if streams {
+            JobRoute::Streamed
+        } else if want_shards > 1 && shard::shardable(&plan) {
+            JobRoute::Sharded(want_shards)
         } else {
-            1
+            JobRoute::Resident
         };
-        Ok((key, plan, shards))
+        Ok((key, plan, route))
     }
 
     /// The plan (and shard count) a spec would execute with — the same
     /// decision [`StencilService::submit`] makes, exposed for
     /// introspection and tests.
     pub fn plan_for(&self, spec: &JobSpec) -> Result<(Arc<Plan>, usize), ServeError> {
-        let (_, plan, shards) = self.resolve(spec)?;
-        Ok((plan, shards))
+        let (_, plan, route) = self.resolve(spec)?;
+        Ok((plan, route.shards()))
     }
 
     fn enqueue(&self, spec: JobSpec, block: bool) -> Result<JobTicket, ServeError> {
@@ -639,7 +662,7 @@ impl StencilService {
         if inner.closing.load(Ordering::Acquire) {
             return Err(ServeError::ShuttingDown);
         }
-        let (key, plan, shards) = self.resolve(&spec)?;
+        let (key, plan, route) = self.resolve(&spec)?;
         if let Some(panics) = inner.registry.quarantined(&key) {
             inner.stats.jobs_rejected.fetch_add(1, Ordering::Relaxed);
             inner.stats.jobs_quarantined.fetch_add(1, Ordering::Relaxed);
@@ -650,7 +673,7 @@ impl StencilService {
             id: inner.next_job_id.fetch_add(1, Ordering::Relaxed),
             key,
             plan,
-            shards,
+            route,
             domain: spec.domain,
             steps: spec.steps,
             ticket: TicketHandle(Arc::clone(&ticket)),
@@ -796,7 +819,7 @@ fn execute(inner: &Inner, job: Job, batched: bool) {
     let latency_us = latency.as_micros() as u64;
     let epoch = job.plan.epoch();
     let io = match &outcome {
-        Ok((_, _, io)) => *io,
+        Ok((_, io)) => *io,
         Err(_) => ExecIo::default(),
     };
     // compute is the remainder, so queue + compute + io == latency
@@ -819,7 +842,8 @@ fn execute(inner: &Inner, job: Job, batched: bool) {
         .traffic
         .record(&job.key, latency, epoch, timeline, || job.domain.extents());
     match outcome {
-        Ok((output, shards, _)) => {
+        Ok((output, _)) => {
+            let shards = job.route.shards();
             inner.stats.jobs_completed.fetch_add(1, Ordering::Relaxed);
             if shards > 1 {
                 inner.stats.sharded_jobs.fetch_add(1, Ordering::Relaxed);
@@ -884,64 +908,52 @@ fn ooc_store_path(key: &str, g: &Grid3D, steps: usize) -> std::path::PathBuf {
     p
 }
 
-fn run_job(inner: &Inner, job: &Job) -> Result<(JobDomain, usize, ExecIo), ServeError> {
-    let plan = &job.plan;
-    let shards = job.shards;
+fn run_job(inner: &Inner, job: &Job) -> Result<(JobDomain, ExecIo), ServeError> {
+    let (plan, steps) = (&job.plan, job.steps);
     let resident = ExecIo::default();
     if stencil_faults::should_fire(stencil_faults::Failpoint::WorkerPanic) {
         panic!("injected failpoint: worker_panic");
     }
-    match &job.domain {
-        JobDomain::D1(g) => Ok((JobDomain::D1(plan.run_1d(g, job.steps)?), 1, resident)),
-        JobDomain::D2(g) => {
-            if shards > 1 {
-                let lanes = inner.registry.lane_plans(&job.key, plan, shards)?;
-                let out = shard::run_sharded_2d(&lanes, g, job.steps, shards)?;
-                Ok((JobDomain::D2(out), shards, resident))
-            } else {
-                Ok((JobDomain::D2(plan.run_2d(g, job.steps)?), 1, resident))
-            }
+    Ok(match (job.route, &job.domain) {
+        (JobRoute::Resident, JobDomain::D1(g)) => (JobDomain::D1(plan.run_1d(g, steps)?), resident),
+        (JobRoute::Resident, JobDomain::D2(g)) => (JobDomain::D2(plan.run_2d(g, steps)?), resident),
+        (JobRoute::Resident, JobDomain::D3(g)) => (JobDomain::D3(plan.run_3d(g, steps)?), resident),
+        (JobRoute::Sharded(n), JobDomain::D2(g)) => {
+            let lanes = inner.registry.lane_plans(&job.key, plan, n)?;
+            let out = shard::run_sharded_2d(&lanes, g, steps, n)?;
+            (JobDomain::D2(out), resident)
         }
-        JobDomain::D3(g) => {
-            // the out-of-core gate outranks sharding: a domain too big
-            // to hold resident is too big to hold in sharded halves too
-            if let Some(th) = &inner.cfg.ooc {
-                if g.nz() * g.ny() * g.nx() > th.max_resident_points
-                    && stencil_ooc::streamable(plan)
-                {
-                    let cfg = stencil_ooc::OocConfig {
-                        budget_bytes: th.budget_bytes,
-                        steps_per_pass: th.steps_per_pass,
-                        prefetch: th.prefetch,
-                    };
-                    // content-keyed store path: a failed attempt leaves
-                    // its store behind, and a resubmission of the same
-                    // job recovers it and resumes from the committed
-                    // round instead of starting over
-                    let path = ooc_store_path(&job.key, g, job.steps);
-                    let (out, report) =
-                        stencil_ooc::run_streaming_grid_resumable(plan, g, job.steps, &cfg, &path)?;
-                    inner.stats.ooc_jobs.fetch_add(1, Ordering::Relaxed);
-                    inner.stats.record_ooc(&report.stats);
-                    return Ok((
-                        JobDomain::D3(out),
-                        1,
-                        ExecIo {
-                            blocked_us: report.io_blocked_us,
-                            overlap_us: report.io_overlap_us,
-                        },
-                    ));
-                }
-            }
-            if shards > 1 {
-                let lanes = inner.registry.lane_plans(&job.key, plan, shards)?;
-                let out = shard::run_sharded_3d(&lanes, g, job.steps, shards)?;
-                Ok((JobDomain::D3(out), shards, resident))
-            } else {
-                Ok((JobDomain::D3(plan.run_3d(g, job.steps)?), 1, resident))
-            }
+        (JobRoute::Sharded(n), JobDomain::D3(g)) => {
+            let lanes = inner.registry.lane_plans(&job.key, plan, n)?;
+            let out = shard::run_sharded_3d(&lanes, g, steps, n)?;
+            (JobDomain::D3(out), resident)
         }
-    }
+        (JobRoute::Streamed, JobDomain::D3(g)) => {
+            let cfg = &inner
+                .cfg
+                .ooc
+                .as_ref()
+                .expect("resolve streams only with an ooc config")
+                .stream;
+            // content-keyed store path: a failed attempt leaves its
+            // store behind, and a resubmission of the same job recovers
+            // it and resumes from the committed round instead of
+            // starting over
+            let path = ooc_store_path(&job.key, g, steps);
+            let (out, report) =
+                stencil_ooc::run_streaming_grid_resumable(plan, g, steps, cfg, &path)?;
+            inner.stats.ooc_jobs.fetch_add(1, Ordering::Relaxed);
+            inner.stats.record_ooc(&report.stats);
+            let io = ExecIo {
+                blocked_us: report.io_blocked_us,
+                overlap_us: report.io_overlap_us,
+            };
+            (JobDomain::D3(out), io)
+        }
+        (JobRoute::Sharded(_), JobDomain::D1(_)) | (JobRoute::Streamed, _) => {
+            unreachable!("resolve shards only 2D/3D jobs and streams only 3D ones")
+        }
+    })
 }
 
 #[cfg(test)]
@@ -1192,8 +1204,10 @@ mod tests {
         cfg.ooc = Some(OocThreshold {
             max_resident_points: 8192, // the big job is 16384 points
             // a budget of ~32 window planes forces several windows
-            budget_bytes: 32 * Grid3D::zeros(1, 16, 16).stride_z() * 8 * 5,
-            ..OocThreshold::default()
+            stream: stencil_ooc::OocConfig {
+                budget_bytes: 32 * Grid3D::zeros(1, 16, 16).stride_z() * 8 * 5,
+                ..Default::default()
+            },
         });
         let svc = StencilService::start(cfg);
         let big = Grid3D::from_fn(64, 16, 16, |z, y, x| ((z * 5 + y * 3 + x) % 17) as f64);
@@ -1230,8 +1244,10 @@ mod tests {
         };
         cfg.ooc = Some(OocThreshold {
             max_resident_points: 8192, // the job is 16384 points
-            budget_bytes: 32 * Grid3D::zeros(1, 16, 16).stride_z() * 8 * 5,
-            ..OocThreshold::default()
+            stream: stencil_ooc::OocConfig {
+                budget_bytes: 32 * Grid3D::zeros(1, 16, 16).stride_z() * 8 * 5,
+                ..Default::default()
+            },
         });
         let svc = StencilService::start(cfg);
         let big = Grid3D::from_fn(64, 16, 16, |z, y, x| ((z * 5 + y * 3 + x) % 17) as f64);

@@ -265,7 +265,7 @@ impl AutoTuner {
             budget,
             &self.probes,
         );
-        let Some(best) = report.best() else {
+        let Some(mut outcome) = session_outcome(&report) else {
             return Err(TuneFailure::Failed {
                 reason: format!(
                     "challenge: every candidate failed to compile or run ({} skipped)",
@@ -273,7 +273,7 @@ impl AutoTuner {
                 ),
             });
         };
-        let incumbent_rate = report
+        outcome.incumbent_rate = report
             .outcomes
             .iter()
             .find(|o| {
@@ -283,25 +283,7 @@ impl AutoTuner {
                     && o.candidate.ring == incumbent.ring
             })
             .map(|o| o.rate);
-        let mut method_rates: Vec<(stencil_core::Method, f64)> = Vec::new();
-        for o in &report.outcomes {
-            if let Some(mr) = method_rates
-                .iter_mut()
-                .find(|(m, _)| *m == o.candidate.method)
-            {
-                mr.1 = mr.1.max(o.rate);
-            } else {
-                method_rates.push((o.candidate.method, o.rate));
-            }
-        }
-        Ok(ChallengeOutcome {
-            best: best.candidate,
-            rate: best.rate,
-            incumbent_rate,
-            probes: report.outcomes.len(),
-            spent_ms: report.spent.as_secs_f64() * 1e3,
-            method_rates,
-        })
+        Ok(outcome)
     }
 
     /// Persist a [`challenge`](AutoTuner::challenge) verdict under the
@@ -310,35 +292,77 @@ impl AutoTuner {
     /// is carried forward for methods this session did not re-measure —
     /// the dominance bookkeeping keeps accumulating across challenges.
     pub fn persist_verdict(&self, req: &TuneRequest<'_>, outcome: &ChallengeOutcome) {
-        let key = self.key_for(req);
-        let mut method_rates = outcome.method_rates.clone();
+        let mut entry = session_entry(self.key_for(req), req, outcome);
         self.with_cache(|c| {
-            if let Some(prev) = c.get(&key) {
+            if let Some(prev) = c.get(&entry.key) {
                 for &(m, r) in &prev.method_rates {
-                    if !method_rates.iter().any(|&(pm, _)| pm == m) {
-                        method_rates.push((m, r));
+                    if !entry.method_rates.iter().any(|&(pm, _)| pm == m) {
+                        entry.method_rates.push((m, r));
                     }
                 }
             }
-            c.put(CacheEntry {
-                key: key.clone(),
-                method: outcome.best.method,
-                tiling: outcome.best.tiling,
-                width: outcome.best.width,
-                ring: outcome.best.ring,
-                rate: outcome.rate,
-                model_method: candidates::model_choice(req.pattern, req.width, req.tiling),
-                probes: outcome.probes,
-                spent_ms: outcome.spent_ms,
-                method_rates: std::mem::take(&mut method_rates),
-            });
-            if let Ok(Some(disk)) = TuneCache::load(&self.cache_path) {
-                c.merge_missing_from(disk);
-            }
-            if let Err(e) = c.save(&self.cache_path) {
-                eprintln!("stencil-tune: could not persist {:?}: {e}", self.cache_path);
-            }
+            self.put_and_save(c, entry);
         });
+    }
+
+    /// Record `entry` in the cache image and write the image through to
+    /// disk.
+    fn put_and_save(&self, c: &mut TuneCache, entry: CacheEntry) {
+        c.put(entry);
+        // fold in decisions other processes persisted since our lazy
+        // load — the full-image write below must not erase them (our
+        // own entries win on key conflict)
+        if let Ok(Some(disk)) = TuneCache::load(&self.cache_path) {
+            c.merge_missing_from(disk);
+        }
+        // persistence is best-effort: a read-only cache dir costs
+        // re-probes in later processes, never a failed compile
+        if let Err(e) = c.save(&self.cache_path) {
+            eprintln!("stencil-tune: could not persist {:?}: {e}", self.cache_path);
+        }
+    }
+}
+
+/// Summarize a probe session: the fastest candidate, the spend, and
+/// the best rate each method reached (the per-method probe history
+/// behind the dominance pruning of future sessions). `None` when no
+/// candidate was measured; `incumbent_rate` is left for
+/// [`AutoTuner::challenge`] to fill.
+fn session_outcome(report: &probe::ProbeReport) -> Option<ChallengeOutcome> {
+    let best = report.best()?;
+    let mut method_rates: Vec<(stencil_core::Method, f64)> = Vec::new();
+    for o in &report.outcomes {
+        match method_rates
+            .iter_mut()
+            .find(|(m, _)| *m == o.candidate.method)
+        {
+            Some(mr) => mr.1 = mr.1.max(o.rate),
+            None => method_rates.push((o.candidate.method, o.rate)),
+        }
+    }
+    Some(ChallengeOutcome {
+        best: best.candidate,
+        rate: best.rate,
+        incumbent_rate: None,
+        probes: report.outcomes.len(),
+        spent_ms: report.spent.as_secs_f64() * 1e3,
+        method_rates,
+    })
+}
+
+/// The cache entry recording a probe session's winner under `key`.
+fn session_entry(key: String, req: &TuneRequest<'_>, session: &ChallengeOutcome) -> CacheEntry {
+    CacheEntry {
+        key,
+        method: session.best.method,
+        tiling: session.best.tiling,
+        width: session.best.width,
+        ring: session.best.ring,
+        rate: session.rate,
+        model_method: candidates::model_choice(req.pattern, req.width, req.tiling),
+        probes: session.probes,
+        spent_ms: session.spent_ms,
+        method_rates: session.method_rates.clone(),
     }
 }
 
@@ -439,7 +463,7 @@ impl MeasuredTuner for AutoTuner {
             &self.budget,
             &self.probes,
         );
-        let Some(best) = report.best() else {
+        let Some(session) = session_outcome(&report) else {
             return Err(TuneFailure::Failed {
                 reason: format!(
                     "every candidate failed to compile or run ({} skipped) for key {key:?}",
@@ -447,32 +471,7 @@ impl MeasuredTuner for AutoTuner {
                 ),
             });
         };
-
-        // per-method probe history: the best rate each method reached in
-        // this session, for the dominance pruning of future sessions
-        let mut method_rates: Vec<(stencil_core::Method, f64)> = Vec::new();
-        for o in &report.outcomes {
-            if let Some(mr) = method_rates
-                .iter_mut()
-                .find(|(m, _)| *m == o.candidate.method)
-            {
-                mr.1 = mr.1.max(o.rate);
-            } else {
-                method_rates.push((o.candidate.method, o.rate));
-            }
-        }
-        let entry = CacheEntry {
-            key: key.clone(),
-            method: best.candidate.method,
-            tiling: best.candidate.tiling,
-            width: best.candidate.width,
-            ring: best.candidate.ring,
-            rate: best.rate,
-            model_method: candidates::model_choice(req.pattern, req.width, req.tiling),
-            probes: report.outcomes.len(),
-            spent_ms: report.spent.as_secs_f64() * 1e3,
-            method_rates,
-        };
+        let entry = session_entry(key, req, &session);
         let decision = TuneDecision {
             method: entry.method,
             tiling: entry.tiling,
@@ -480,20 +479,7 @@ impl MeasuredTuner for AutoTuner {
             ring3: entry.ring,
             from_cache: false,
         };
-        self.with_cache(|c| {
-            c.put(entry);
-            // fold in decisions other processes persisted since our
-            // lazy load — the full-image write below must not erase
-            // them (our own entries win on key conflict)
-            if let Ok(Some(disk)) = TuneCache::load(&self.cache_path) {
-                c.merge_missing_from(disk);
-            }
-            // persistence is best-effort: a read-only cache dir costs
-            // re-probes in later processes, never a failed compile
-            if let Err(e) = c.save(&self.cache_path) {
-                eprintln!("stencil-tune: could not persist {:?}: {e}", self.cache_path);
-            }
-        });
+        self.with_cache(|c| self.put_and_save(c, entry));
         Ok(decision)
     }
 }

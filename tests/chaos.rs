@@ -337,6 +337,7 @@ fn one_byte_socket_reads_fragment_every_frame_but_jobs_stay_bit_exact() {
     client.bye().unwrap();
     let stats = server.shutdown();
     assert_eq!(stats.jobs_completed, 1);
+    assert_eq!(stats.jobs_failed, 0);
 }
 
 #[test]
@@ -470,6 +471,7 @@ fn deadline_shed_surfaces_as_a_typed_frame_over_the_wire() {
     let stats = server.shutdown();
     assert_eq!(stats.jobs_shed, 1);
     assert_eq!(stats.jobs_completed, 1);
+    assert_eq!(stats.jobs_failed, 0, "a shed is not a failure");
 }
 
 #[test]

@@ -142,7 +142,10 @@ fn sharded_3d_zring_pipeline_bit_identical_to_unsharded() {
 /// 2. a `Measured` warm-up probes once and persists — after which the
 ///    still-running cold service *recovers* its keys at runtime,
 /// 3. a fresh `CacheOnly` service warm-starts and serves with **zero**
-///    further probe runs and zero cold fallbacks.
+///    further probe runs and zero cold fallbacks,
+/// 4. an adapt-enabled service challenges a hot key through the
+///    production `ProbeLane` — a live probe session on that same tuner
+///    ([`live_probe_lane_challenges_a_hot_key`]).
 #[test]
 fn manifest_warm_start_cache_only_serves_with_zero_probe_runs() {
     let cache = std::env::temp_dir().join(format!(
@@ -253,7 +256,70 @@ fn manifest_warm_start_cache_only_serves_with_zero_probe_runs() {
         stats.tuner_probes, probes_after_warm,
         "warm-start (CacheOnly) must serve with zero probe runs"
     );
+
+    live_probe_lane_challenges_a_hot_key(tuner);
     let _ = std::fs::remove_file(&cache);
+}
+
+/// Phase 4 of the warm-start story (it runs there because the phases
+/// before it pin the process-global tuner's probe counter exactly): a
+/// service with `adapt` enabled and no background thread serves a key
+/// hot, one manual `retune_tick()` puts it on trial through the real
+/// `ProbeLane` — every other adapt test substitutes a `ScriptedLane` —
+/// and whatever the measured verdict, every result is bit-identical to
+/// a direct run of the plan generation that served it.
+fn live_probe_lane_challenges_a_hot_key(tuner: &stencil_lab::AutoTuner) {
+    const HOT: u64 = 6;
+    let svc = StencilService::start(ServeConfig {
+        adapt: AdaptConfig {
+            enabled: true,
+            min_samples: HOT,
+            lane_budget_ms: 20,
+            interval: Duration::ZERO,
+            ..AdaptConfig::default()
+        },
+        ..unsharded_cfg()
+    });
+    let g = Grid2D::from_fn(64, 64, |y, x| ((y * 13 + x * 5) % 17) as f64);
+    let spec = || JobSpec::new(kernels::box2d9p(), JobDomain::D2(g.clone()), 2);
+    let serve_one = || {
+        let r = svc.submit(spec()).unwrap().wait().unwrap();
+        match r.output {
+            JobDomain::D2(out) => (r.epoch, bits(&out.to_dense())),
+            _ => panic!("wrong dimensionality"),
+        }
+    };
+    let (incumbent, _) = svc.plan_for(&spec()).unwrap();
+    let before = bits(&incumbent.run_2d(&g, 2).unwrap().to_dense());
+    for _ in 0..HOT {
+        assert_eq!(serve_one(), (incumbent.epoch(), before.clone()));
+    }
+
+    let probes = tuner.probe_count();
+    let swapped = svc.retune_tick();
+    assert!(
+        tuner.probe_count() > probes,
+        "the production lane must run a live probe session"
+    );
+    let stats = svc.stats();
+    assert_eq!(stats.challenges, 1, "one hot key, one challenge");
+    assert_eq!(stats.swaps as usize, swapped);
+    assert_eq!(stats.challenges_rejected as usize, 1 - swapped);
+
+    // the measured challenger may or may not have won on this host:
+    // either way post-tick traffic runs the registry's current
+    // generation bit-exactly
+    let (current, _) = svc.plan_for(&spec()).unwrap();
+    assert_eq!(current.epoch(), incumbent.epoch() + swapped as u64);
+    let after = bits(&current.run_2d(&g, 2).unwrap().to_dense());
+    assert_eq!(serve_one(), (current.epoch(), after.clone()));
+    if swapped == 0 {
+        assert!(Arc::ptr_eq(&current, &incumbent));
+        assert_eq!(before, after);
+    }
+    let stats = svc.shutdown();
+    assert_eq!(stats.jobs_completed, HOT + 1);
+    assert_eq!(stats.jobs_failed, 0);
 }
 
 #[test]

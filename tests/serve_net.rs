@@ -25,7 +25,9 @@ use stencil_lab::serve::net::{
     http_get, round_steps, wire, JobEvent, NetClient, NetConfig, NetError, NetServer, RejectReason,
     SubmitHeader,
 };
-use stencil_lab::serve::{JobDomain, JobSpec, ServeConfig, StatsSnapshot, StencilService};
+use stencil_lab::serve::{
+    JobDomain, JobSpec, OocThreshold, ServeConfig, StatsSnapshot, StencilService,
+};
 
 fn start_server(cfg: ServeConfig, net: NetConfig) -> NetServer {
     NetServer::start(StencilService::start(cfg), net).expect("bind ephemeral port")
@@ -587,7 +589,19 @@ fn half_open_connections_are_reaped_by_the_idle_timeout() {
 
 #[test]
 fn http_scrape_surface_serves_healthz_and_metrics() {
-    let server = start_server(small_cfg(), NetConfig::default());
+    // one executor worker (the traced part below orders spans by it)
+    // and an out-of-core gate the traced 3D job is big enough to take
+    let server = start_server(
+        ServeConfig {
+            workers: 1,
+            ooc: Some(OocThreshold {
+                max_resident_points: 8192,
+                ..OocThreshold::default()
+            }),
+            ..small_cfg()
+        },
+        NetConfig::default(),
+    );
     // run one job so the counters are non-trivial
     let mut client = NetClient::connect(server.addr(), "scrape").unwrap();
     let grid = Grid2D::from_fn(32, 32, |y, x| (y * x % 5) as f64);
@@ -642,6 +656,57 @@ fn http_scrape_surface_serves_healthz_and_metrics() {
     assert_eq!(code, 200);
     let doc = json::parse(&trace).unwrap();
     assert!(doc.get("traceEvents").is_some());
+
+    // ...and carries a traced job's spans: a 3D job above the gate, so
+    // it streams. Job ids count this service's submissions from 1, so
+    // the id is known up front. The worker closes a job's `batch_drain`
+    // span only after completing it; the follow-up job runs on the same
+    // single worker, so once *its* result is back, every span of the
+    // traced job is in the rings.
+    let traced_id = (snap.jobs_submitted + 1) as f64;
+    let big = Grid3D::from_fn(48, 16, 16, |z, y, x| ((z * 5 + y * 3 + x) % 17) as f64);
+    stencil_lab::obs::set_enabled(true);
+    client
+        .run(
+            submit_header("heat3d", kernels::heat3d(), &[48, 16, 16], 4),
+            &big.to_dense(),
+        )
+        .unwrap();
+    client
+        .run(
+            submit_header("heat2d", kernels::heat2d(), &[32, 32], 3),
+            &grid.to_dense(),
+        )
+        .unwrap();
+    stencil_lab::obs::set_enabled(false);
+    let (code, trace) = http_get(server.addr(), "/trace").unwrap();
+    assert_eq!(code, 200);
+    let doc = json::parse(&trace).expect("a non-empty trace document parses");
+    let events = doc
+        .get("traceEvents")
+        .and_then(json::Value::as_arr)
+        .unwrap();
+    // an event with one of `names`, tagged with `job` when one is given
+    let has = |names: &[&str], job: Option<f64>| {
+        events.iter().any(|ev| {
+            let name = ev.get("name").and_then(json::Value::as_str);
+            let tag = ev
+                .get("args")
+                .and_then(|a| a.get("job"))
+                .and_then(json::Value::as_num);
+            name.is_some_and(|n| names.contains(&n)) && (job.is_none() || tag == job)
+        })
+    };
+    for span in ["queue_wait", "ooc_compute"] {
+        assert!(
+            has(&[span], Some(traced_id)),
+            "the traced job's {span} span must carry its id {traced_id}"
+        );
+    }
+    assert!(
+        has(&["batch_drain", "worker_job", "ring_sweep"], None),
+        "a traced job must leave an execution-side span"
+    );
 
     let (code, _) = http_get(server.addr(), "/nope").unwrap();
     assert_eq!(code, 404);
