@@ -31,6 +31,7 @@
 // sets of the paper's pseudocode.
 #![allow(clippy::too_many_arguments)]
 
+use crate::exec::folded3d::Sched3;
 use crate::pattern::Pattern;
 use crate::plan::FoldPlan;
 use stencil_grid::{Grid2D, PingPong};
@@ -52,10 +53,14 @@ pub struct FoldedKernel {
     plan: FoldPlan,
     /// `(slab_index, weight)` vertical taps per fresh id (empty for id 0).
     taps_by_id: Vec<Vec<(usize, f64)>>,
-    /// Flattened horizontal terms `(dx, fresh_id, coeff)`.
-    hterms: Vec<(isize, usize, f64)>,
+    /// Flattened horizontal terms `(dense id, dx index, coeff)`, dx-major
+    /// (`dense id` indexes [`Self::used_ids`], `dx index = dx + R`).
+    hterms: Vec<(usize, usize, f64)>,
     /// Fresh ids that must actually be computed per square.
     used_ids: Vec<usize>,
+    /// Flat vertical schedule of a 3D plan within the z-ring's radius
+    /// bound (`None` otherwise).
+    sched3: Option<Sched3>,
 }
 
 impl FoldedKernel {
@@ -69,22 +74,27 @@ impl FoldedKernel {
     pub fn from_plan(plan: FoldPlan) -> Self {
         assert!(plan.fresh.len() <= MAX_F, "too many counterparts");
         let taps_by_id: Vec<_> = (0..plan.fresh.len()).map(|id| plan.fold_taps(id)).collect();
-        let mut hterms = Vec::new();
-        let rr = plan.radius as isize;
-        for (ci, terms) in plan.h.iter().enumerate() {
-            for t in terms {
-                hterms.push((ci as isize - rr, t.id, t.coeff));
-            }
-        }
-        let mut used_ids: Vec<usize> = hterms.iter().map(|&(_, id, _)| id).collect();
+        let mut used_ids: Vec<usize> = plan.h.iter().flatten().map(|t| t.id).collect();
         used_ids.sort_unstable();
         used_ids.dedup();
-        Self {
+        let mut hterms = Vec::new();
+        for (dxi, terms) in plan.h.iter().enumerate() {
+            for t in terms {
+                let u = used_ids.iter().position(|&i| i == t.id).expect("used id");
+                hterms.push((u, dxi, t.coeff));
+            }
+        }
+        let mut k = Self {
             plan,
             taps_by_id,
             hterms,
             used_ids,
+            sched3: None,
+        };
+        if k.plan.dims == 3 && k.plan.radius <= MAX_R3 {
+            k.sched3 = Some(Sched3::new(&k));
         }
+        k
     }
 
     /// Folded radius `R = m * r`.
@@ -113,6 +123,17 @@ impl FoldedKernel {
         &self.taps_by_id
     }
 
+    /// Horizontal terms `(dense id, dx index, coeff)`, dx-major.
+    pub(crate) fn hterms(&self) -> &[(usize, usize, f64)] {
+        &self.hterms
+    }
+
+    /// The flat vertical schedule of a 3D plan within the z-ring's
+    /// radius bound; `None` otherwise.
+    pub(crate) fn sched3(&self) -> Option<&Sched3> {
+        self.sched3.as_ref()
+    }
+
     /// The underlying plan.
     pub fn plan(&self) -> &FoldPlan {
         &self.plan
@@ -136,24 +157,22 @@ impl FoldedKernel {
     }
 }
 
-/// Per-call splatted form of the plan: broadcasts hoisted out of the
-/// block loops (they would otherwise re-issue per square). Shared with
-/// the z-ring 3D pipeline ([`crate::exec::folded3d`]).
-pub(crate) struct PlanV<V> {
+/// Per-call splatted form of the plan for the 2D generic kernel:
+/// broadcasts hoisted out of the block loops (they would otherwise
+/// re-issue per square).
+struct PlanV<V> {
     /// `(slab_index, splat(w))` vertical taps per fresh id.
-    pub(crate) taps: Vec<Vec<(usize, V)>>,
+    taps: Vec<Vec<(usize, V)>>,
     /// Horizontal terms grouped by x-offset: `hcols[dx + R]` lists
-    /// `(fresh_id, splat(coeff))` — usually a single term per offset.
-    pub(crate) hcols: Vec<Vec<(usize, V)>>,
+    /// `(dense id, splat(coeff))` — usually a single term per offset.
+    hcols: Vec<Vec<(usize, V)>>,
 }
 
 impl<V: SimdF64> PlanV<V> {
-    pub(crate) fn new(k: &FoldedKernel) -> Self {
-        let rr = k.plan.radius as isize;
+    fn new(k: &FoldedKernel) -> Self {
         let mut hcols = vec![Vec::new(); 2 * k.plan.radius + 1];
-        for &(dx, id, c) in &k.hterms {
-            let u = k.used_ids.iter().position(|&i| i == id).expect("used id");
-            hcols[(dx + rr) as usize].push((u, V::splat(c)));
+        for &(u, dxi, c) in &k.hterms {
+            hcols[dxi].push((u, V::splat(c)));
         }
         Self {
             taps: k
@@ -629,44 +648,6 @@ pub fn sweep_2d_with<V: SimdF64>(k: &FoldedKernel, grid: &Grid2D, p: &Pattern, t
         pp.swap();
     }
     pp.into_current()
-}
-
-// ---------------------------------------------------------------------
-// 3D: the scalar edge-column assembly shared with the z-ring pipeline
-// ([`crate::exec::folded3d`], which owns the 3D kernels)
-// ---------------------------------------------------------------------
-
-#[inline]
-pub(crate) fn scalar_col_3d<V: SimdF64>(
-    k: &FoldedKernel,
-    s: &[f64],
-    sy: usize,
-    sz: usize,
-    z0: usize,
-    y0: usize,
-    x: usize,
-    id: usize,
-) -> V {
-    let vl = V::LANES;
-    let rr = k.plan.radius;
-    let side = 2 * rr + 1;
-    let mut lanes = [0.0f64; 8];
-    for (j, lane) in lanes[..vl].iter_mut().enumerate() {
-        if id == 0 {
-            *lane = s[z0 * sz + (y0 + j) * sy + x];
-        } else {
-            let mut acc = 0.0;
-            for &(slab, w) in &k.taps_by_id[id] {
-                let dz = (slab / side) as isize - rr as isize;
-                let dy = (slab % side) as isize - rr as isize;
-                let zz = (z0 as isize + dz) as usize;
-                let yy = ((y0 + j) as isize + dy) as usize;
-                acc += w * s[zz * sz + yy * sy + x];
-            }
-            *lane = acc;
-        }
-    }
-    V::from_slice(&lanes[..vl])
 }
 
 #[cfg(test)]

@@ -16,9 +16,24 @@ pub const ALIGN: usize = 64;
 pub const FIRST_TOUCH_MIN_BYTES: usize = 1 << 22;
 
 /// A heap-allocated, 64-byte aligned, fixed-length `f64` buffer.
+///
+/// The block is over-allocated by [`ALIGN`] bytes at `f64` alignment and
+/// aligned by hand, rather than requested 64-byte aligned: glibc's
+/// `memalign` asks its heap for `size + align + header` and trims, so
+/// the hole a freed grid leaves is always too small for the next grid of
+/// the *same* size. Every run clones two surfaces and frees them, and
+/// the heap ratcheted upward — `tiled_mt`'s peak RSS read 138–226 MiB
+/// for a live peak of 83 MiB, moving by tens of MiB with any unrelated
+/// 40-byte allocation. Plain `malloc` sizes repeat exactly, so holes are
+/// reused (96 MiB, whatever else the process allocates). The price: a
+/// heap that no longer hoards lets glibc trim its top, so a run whose two
+/// surfaces reach the trim threshold (2 × 16 MiB) page-faults them in
+/// again.
 pub struct AlignedBuf {
     ptr: *mut f64,
     len: usize,
+    /// Start of the allocation `ptr` was aligned within.
+    base: *mut u8,
 }
 
 // SAFETY: AlignedBuf owns its allocation exclusively; &AlignedBuf only
@@ -33,17 +48,19 @@ impl AlignedBuf {
             return Self {
                 ptr: core::ptr::NonNull::<f64>::dangling().as_ptr(),
                 len: 0,
+                base: core::ptr::null_mut(),
             };
         }
         let layout = Self::layout(len);
         // SAFETY: layout has non-zero size here.
-        let raw = unsafe { alloc_zeroed(layout) };
-        if raw.is_null() {
+        let base = unsafe { alloc_zeroed(layout) };
+        if base.is_null() {
             handle_alloc_error(layout);
         }
         Self {
-            ptr: raw.cast::<f64>(),
+            ptr: Self::align(base),
             len,
+            base,
         }
     }
 
@@ -67,11 +84,11 @@ impl AlignedBuf {
         }
         let layout = Self::layout(len);
         // SAFETY: layout has non-zero size here (len >= minimum bytes).
-        let raw = unsafe { alloc(layout) };
-        if raw.is_null() {
+        let base = unsafe { alloc(layout) };
+        if base.is_null() {
             handle_alloc_error(layout);
         }
-        let ptr = raw.cast::<f64>();
+        let ptr = Self::align(base);
         // chunk starts stay 64-byte aligned so no two workers share a
         // cache line (or a page, for page-aligned allocations)
         let per = len.div_ceil(workers).next_multiple_of(ALIGN / 8);
@@ -97,7 +114,7 @@ impl AlignedBuf {
             // SAFETY: chunk 0 is this thread's own disjoint range.
             unsafe { core::ptr::write_bytes(ptr, 0, per.min(len)) };
         });
-        Self { ptr, len }
+        Self { ptr, len, base }
     }
 
     /// Allocate and initialize from a function of the index.
@@ -114,9 +131,22 @@ impl AlignedBuf {
         Self::from_fn(src.len(), |i| src[i])
     }
 
+    /// `len` doubles plus the slack [`Self::align`] may skip.
     fn layout(len: usize) -> Layout {
-        Layout::from_size_align(len * core::mem::size_of::<f64>(), ALIGN)
-            .expect("buffer too large for layout")
+        Layout::from_size_align(
+            len * core::mem::size_of::<f64>() + ALIGN,
+            core::mem::align_of::<f64>(),
+        )
+        .expect("buffer too large for layout")
+    }
+
+    /// First [`ALIGN`]-aligned address of the allocation at `base`.
+    fn align(base: *mut u8) -> *mut f64 {
+        let skip = base as usize % ALIGN;
+        let skip = if skip == 0 { 0 } else { ALIGN - skip };
+        // SAFETY: `skip < ALIGN`, the slack `layout` adds, so `len`
+        // doubles still fit behind the result.
+        unsafe { base.add(skip) }.cast::<f64>()
     }
 
     /// Number of doubles.
@@ -166,8 +196,8 @@ impl AlignedBuf {
 impl Drop for AlignedBuf {
     fn drop(&mut self) {
         if self.len != 0 {
-            // SAFETY: allocated with the same layout in `zeroed`.
-            unsafe { dealloc(self.ptr.cast(), Self::layout(self.len)) };
+            // SAFETY: `base` was allocated with this layout.
+            unsafe { dealloc(self.base, Self::layout(self.len)) };
         }
     }
 }

@@ -75,9 +75,8 @@ pub fn lane_plans(plan: &Plan, lanes: usize) -> Result<Vec<Plan>, PlanError> {
                 .tiling(plan.tiling())
                 .width(plan.width())
                 .threads(1);
-            // the z-ring geometry changes slab-edge rounding inside the
-            // 3D pipeline: lanes must execute the exact configuration
-            // the source plan resolved, or the stitch is not bit-exact
+            // lanes execute the exact configuration the source plan
+            // resolved, its (possibly tuned) z-ring geometry included
             if let Some(ring) = plan.ring3() {
                 s = s.ring3(ring);
             }
