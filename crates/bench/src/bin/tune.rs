@@ -9,7 +9,7 @@
 //! still exercises the full probe→persist→reuse path end-to-end.
 
 use stencil_bench::{Args, Table};
-use stencil_core::tune::{auto_method, auto_tiling, TuneRequest};
+use stencil_core::tune::{auto_method, auto_tiling};
 use stencil_core::{Method, Solver, Tiling, Tuning, Width};
 use stencil_tune::cache::{method_str, tiling_str};
 
@@ -43,13 +43,12 @@ fn main() {
         let model_m = auto_method(&p, width, Tiling::Auto);
         let model_t = auto_tiling(p.dims(), model_m, threads);
         let before = tuner.probe_count();
-        let plan = match Solver::new(p.clone())
+        let solver = Solver::new(p.clone())
             .method(Method::Auto)
             .tiling(Tiling::Auto)
             .threads(threads)
-            .tuning(Tuning::Measured)
-            .compile()
-        {
+            .tuning(Tuning::Measured);
+        let plan = match solver.compile() {
             Ok(plan) => plan,
             Err(e) => {
                 eprintln!("{name}: tuning failed: {e}");
@@ -57,16 +56,7 @@ fn main() {
             }
         };
         let probes_run = tuner.probe_count() - before;
-        let entry = tuner.lookup(&TuneRequest {
-            pattern: &p,
-            width,
-            threads,
-            method: None,
-            tiling: None,
-            domain_hint: None,
-            ring3: None,
-            mode: Tuning::CacheOnly,
-        });
+        let entry = tuner.lookup(&solver.tune_request());
         let rate_m = entry.as_ref().map(|e| e.rate / 1e6).unwrap_or(f64::NAN);
         let agree = plan.method() == model_m;
         if !agree {

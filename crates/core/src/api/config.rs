@@ -1,8 +1,13 @@
-//! Solver configuration: method, tiling, width and thread selection.
+//! Solver configuration: method, tiling, width and thread selection —
+//! and [`PlanConfig::validate`], the one statement of which
+//! combinations a pattern admits.
 
 use super::error::PlanError;
 use super::plan_exec::Plan;
+use crate::exec::folded::{MAX_F, MAX_R, MAX_R3};
 use crate::pattern::Pattern;
+use crate::plan::FoldPlan;
+use crate::tune::TuneRequest;
 use stencil_runtime::PoolHandle;
 
 pub use crate::exec::folded3d::Ring3;
@@ -33,6 +38,23 @@ pub enum Method {
     /// the executor's radius bounds) into one of the concrete methods
     /// above. Query the choice with [`Plan::method`].
     Auto,
+}
+
+impl Method {
+    /// True for the methods that run the register pipeline (transpose
+    /// layout / temporal folding) — the ones the fold bounds, the
+    /// z-ring geometry and the slab alignment rules apply to.
+    pub fn is_register(self) -> bool {
+        matches!(self, Method::TransposeLayout | Method::Folded { .. })
+    }
+
+    /// Fold factor: `m` for `Folded { m }`, 1 for every other method.
+    pub(crate) fn fold(self) -> usize {
+        match self {
+            Method::Folded { m } => m,
+            _ => 1,
+        }
+    }
 }
 
 /// Tiling scheme.
@@ -126,6 +148,187 @@ pub enum Tuning {
     CacheOnly,
 }
 
+/// One plan configuration: the four axes a compile resolves and a
+/// tuner searches, as the one value every layer that names a
+/// configuration holds — [`Solver`], [`Plan`], tune requests and
+/// decisions, the measured tuner's candidates and cache entries, the
+/// serving layer's retune verdicts.
+///
+/// In a *request* an axis may be open: [`Method::Auto`],
+/// [`Tiling::Auto`], `ring3: None`. A [`Plan::config`] has none open
+/// (`ring3` is `Some` exactly for 3D register plans).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PlanConfig {
+    /// Vectorization method.
+    pub method: Method,
+    /// Tiling scheme.
+    pub tiling: Tiling,
+    /// Vector width (in a tune request: the widest the tuner may pick).
+    pub width: Width,
+    /// Z-ring pipeline geometry of a 3D register plan; `None` leaves it
+    /// to the static [`Ring3::auto`] default or the tuner. Validated
+    /// wherever it is set, executed only by 3D register plans.
+    pub ring3: Option<Ring3>,
+}
+
+/// Largest folded radius `m * r` the register pipeline supports for a
+/// pattern of dimensionality `dims` at vector width `width` (the 1D
+/// assembled vectors reach one lane per radius cell; 2D is bounded by
+/// the fixed register windows of [`crate::exec::folded`]). The 3D bound
+/// is the register-budget gate of the z-ring pipeline: [`MAX_R3`]
+/// capped by the lane count, since the transpose window holds one
+/// column per lane — a deep fold that cannot keep its window in
+/// registers is rejected at compile time rather than silently degraded.
+/// Scalar lanes keep the pre-ring cap of 2 (they run the scalar folded
+/// sweep, where the window budget is moot).
+pub(crate) fn fold_radius_cap(dims: usize, width: Width) -> usize {
+    match dims {
+        1 => width.lanes(),
+        2 => MAX_R,
+        _ => MAX_R3.min(width.lanes().max(2)),
+    }
+}
+
+/// The `m`-step counterpart plan of `p`, from (or added to) `built`, the
+/// fold plans one compile has made so far: rule 7 needs the plan, the
+/// static resolver prices it and the route executes it, and sharing
+/// them keeps a compile at one [`FoldPlan::new`] per `m`.
+pub(crate) fn fold_plan<'a>(built: &'a mut Vec<FoldPlan>, p: &Pattern, m: usize) -> &'a FoldPlan {
+    let at = built.iter().position(|f| f.m == m).unwrap_or_else(|| {
+        built.push(FoldPlan::new(p, m));
+        built.len() - 1
+    });
+    &built[at]
+}
+
+impl PlanConfig {
+    /// The rule table: can `p` be compiled under this configuration?
+    ///
+    /// The only statement of the method × tiling × width × ring ×
+    /// dimensionality rules: [`Solver::compile`] runs it on the request
+    /// *before* any tuner is consulted and again on the resolved
+    /// configuration, and the measured tuner filters its candidates with
+    /// it. An open axis passes every rule it takes part in, so on a
+    /// request this checks exactly what the pinned axes decide, whatever
+    /// the tuning mode. The first failing rule is reported, in this
+    /// order:
+    ///
+    /// 1. ring geometry inside its bounds ([`PlanError::InvalidRing`]);
+    /// 2. non-degenerate tiling parameters ([`PlanError::InvalidTiling`]);
+    /// 3. method × tiling: DLT takes split tiling or none, split tiling
+    ///    only DLT, spatial blocking no register method
+    ///    ([`PlanError::IncompatibleMethodTiling`]);
+    /// 4. fold factor `m >= 1`, then 5. a register method's folded
+    ///    radius `m * r` within the pipeline's bound at this width and
+    ///    dimensionality ([`PlanError::InvalidFold`]);
+    /// 6. dimensional limits: no spatial blocking in 1D, block-free DLT
+    ///    in 1D only ([`PlanError::UnsupportedDimension`]);
+    /// 7. a 2D/3D register method's counterpart plan (and, under
+    ///    tessellate tiling, that of its unfolded `t % m` tail) within
+    ///    the register budget ([`PlanError::FoldPlanTooComplex`]).
+    pub fn validate(&self, p: &Pattern) -> Result<(), PlanError> {
+        self.check(p, &mut Vec::new())
+    }
+
+    /// [`PlanConfig::validate`], leaving the counterpart plans rule 7
+    /// had to build in `built` (see [`fold_plan`]).
+    pub(crate) fn check(&self, p: &Pattern, built: &mut Vec<FoldPlan>) -> Result<(), PlanError> {
+        let PlanConfig {
+            method,
+            tiling,
+            width,
+            ring3,
+        } = *self;
+        let dims = p.dims();
+
+        if let Some(ring) = ring3.filter(|r| !r.valid()) {
+            let reason = if ring.depth == 0 {
+                "depth must be >= 1"
+            } else if ring.slab == 0 {
+                "slab must be >= 1"
+            } else {
+                "depth/slab exceed the supported ring bounds"
+            };
+            return Err(PlanError::InvalidRing { ring, reason });
+        }
+
+        match tiling {
+            Tiling::Tessellate { time_block } | Tiling::Split { time_block } if time_block == 0 => {
+                return Err(PlanError::InvalidTiling {
+                    tiling,
+                    reason: "time_block must be >= 1",
+                })
+            }
+            Tiling::Spatial { block: (a, b) } if a == 0 || b == 0 => {
+                return Err(PlanError::InvalidTiling {
+                    tiling,
+                    reason: "spatial block extents must be >= 1",
+                })
+            }
+            _ => {}
+        }
+
+        // Every method has a tiling it composes with and every tiling a
+        // method, so an open side decides nothing here.
+        let composes = match (method, tiling) {
+            (Method::Auto, _) | (_, Tiling::Auto) => true,
+            (Method::Dlt, t) => matches!(t, Tiling::Split { .. } | Tiling::None),
+            (_, Tiling::Split { .. }) => false,
+            (m, Tiling::Spatial { .. }) => !m.is_register(),
+            _ => true,
+        };
+        if !composes {
+            return Err(PlanError::IncompatibleMethodTiling { method, tiling });
+        }
+
+        let m = method.fold();
+        if m == 0 {
+            return Err(PlanError::InvalidFold {
+                m: 0,
+                folded_radius: 0,
+                max_radius: 0,
+            });
+        }
+        let (folded_radius, max_radius) =
+            (m.saturating_mul(p.radius()), fold_radius_cap(dims, width));
+        if method.is_register() && folded_radius > max_radius {
+            return Err(PlanError::InvalidFold {
+                m,
+                folded_radius,
+                max_radius,
+            });
+        }
+
+        if dims == 1 && matches!(tiling, Tiling::Spatial { .. }) {
+            return Err(PlanError::UnsupportedDimension {
+                feature: "spatial blocking",
+                pattern_dims: 1,
+            });
+        }
+        if dims > 1 && method == Method::Dlt && tiling == Tiling::None {
+            return Err(PlanError::UnsupportedDimension {
+                feature: "block-free DLT (pair Method::Dlt with Tiling::Split for the SDSL hybrid)",
+                pattern_dims: dims,
+            });
+        }
+
+        if method.is_register() && dims > 1 {
+            let tail = (m > 1 && matches!(tiling, Tiling::Tessellate { .. })).then_some(1);
+            for m in [Some(m), tail].into_iter().flatten() {
+                let counterparts = fold_plan(built, p, m).fresh.len();
+                if counterparts > MAX_F {
+                    return Err(PlanError::FoldPlanTooComplex {
+                        m,
+                        counterparts,
+                        max: MAX_F,
+                    });
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
 /// Stencil solver *configuration* — a cheap, cloneable builder.
 ///
 /// Nothing is derived and no threads are spawned until
@@ -134,14 +337,14 @@ pub enum Tuning {
 #[derive(Debug, Clone)]
 pub struct Solver {
     pub(crate) pattern: Pattern,
-    pub(crate) method: Method,
-    pub(crate) tiling: Tiling,
-    pub(crate) width: Width,
+    /// The requested configuration; `Auto` axes are resolved by
+    /// [`Solver::compile`].
+    pub(crate) config: PlanConfig,
+    /// Worker threads (always `pool.threads()` when a pool is shared).
     pub(crate) threads: usize,
     pub(crate) pool: Option<PoolHandle>,
     pub(crate) tuning: Tuning,
     pub(crate) domain_hint: Option<Vec<usize>>,
-    pub(crate) ring3: Option<Ring3>,
     pub(crate) epoch: u64,
 }
 
@@ -151,33 +354,43 @@ impl Solver {
     pub fn new(pattern: Pattern) -> Self {
         Self {
             pattern,
-            method: Method::MultipleLoads,
-            tiling: Tiling::None,
-            width: Width::native_max(),
+            config: PlanConfig {
+                method: Method::MultipleLoads,
+                tiling: Tiling::None,
+                width: Width::native_max(),
+                ring3: None,
+            },
             threads: 1,
             pool: None,
             tuning: Tuning::Static,
             domain_hint: None,
-            ring3: None,
             epoch: 0,
         }
     }
 
+    /// Set method, tiling, width and z-ring geometry at once — e.g. to
+    /// recompile exactly what another plan resolved to
+    /// ([`Plan::config`]), or a tuner's decision.
+    pub fn with_config(mut self, config: PlanConfig) -> Self {
+        self.config = config;
+        self
+    }
+
     /// Select the vectorization method.
     pub fn method(mut self, m: Method) -> Self {
-        self.method = m;
+        self.config.method = m;
         self
     }
 
     /// Select the tiling scheme.
     pub fn tiling(mut self, t: Tiling) -> Self {
-        self.tiling = t;
+        self.config.tiling = t;
         self
     }
 
     /// Select the vector width (default: [`Width::native_max`]).
     pub fn width(mut self, w: Width) -> Self {
-        self.width = w;
+        self.config.width = w;
         self
     }
 
@@ -238,7 +451,7 @@ impl Solver {
     /// Ignored for 1D/2D patterns and non-register methods. Out-of-bound
     /// values are a compile-time [`PlanError::InvalidRing`].
     pub fn ring3(mut self, r: Ring3) -> Self {
-        self.ring3 = Some(r);
+        self.config.ring3 = Some(r);
         self
     }
 
@@ -265,15 +478,31 @@ impl Solver {
         self.tuning
     }
 
+    /// The question [`Solver::compile`] puts to the installed measured
+    /// tuner (and the identity of its per-host cache entry). A cache
+    /// lookup or a retune challenge for this solver asks with it too.
+    pub fn tune_request(&self) -> TuneRequest<'_> {
+        TuneRequest {
+            pattern: &self.pattern,
+            config: self.config,
+            threads: self.threads,
+            domain_hint: self.domain_hint.as_deref(),
+            mode: self.tuning,
+        }
+    }
+
     /// Validate the configuration and derive everything the runs will
     /// reuse: the folded pattern Λ, the planned register kernel, the
     /// resolved method (for [`Method::Auto`]) and the worker pool.
     ///
     /// Every invalid method × tiling × dimension combination is reported
-    /// here as a typed [`PlanError`]; the returned [`Plan`] can only fail
-    /// on grid-shape errors at run time (wrong dimensionality, or a
-    /// DLT-layout extent that is ragged or smaller than the lifted
-    /// radius).
+    /// here as a typed [`PlanError`] — by [`PlanConfig::validate`], on
+    /// the request before anything is resolved (so the pinned axes get
+    /// the same error under every [`Tuning`] mode and an uncompilable
+    /// request never reaches a tuner) and on the resolved configuration
+    /// after; the returned [`Plan`] can only fail on grid-shape errors at
+    /// run time (wrong dimensionality, or a DLT-layout extent that is
+    /// ragged or smaller than the lifted radius).
     pub fn compile(&self) -> Result<Plan, PlanError> {
         let _span = stencil_obs::span(stencil_obs::SpanId::PlanCompile);
         Plan::compile(self)

@@ -1,82 +1,21 @@
 //! Compiled execution plans: validation, derived artifacts, and the
 //! dimension-dispatched run paths.
 
-use super::config::{Method, Ring3, Solver, Tiling, Tuning, Width};
+use super::config::{Method, PlanConfig, Ring3, Solver, Tiling, Tuning, Width};
 use super::error::PlanError;
-use crate::exec::folded::{self, FoldedKernel, MAX_F, MAX_R, MAX_R3};
+use crate::exec::folded::{self, FoldedKernel};
 use crate::exec::folded3d;
 use crate::exec::{dlt, multiload, reorg, scalar, xlayout};
 use crate::folding::fold;
 use crate::pattern::Pattern;
-use crate::plan::FoldPlan;
 use crate::tile::{spatial, split, tessellate};
 use core::ops::Range;
 use stencil_grid::{Grid1D, Grid2D, Grid3D, PingPong};
 use stencil_runtime::PoolHandle;
 use stencil_simd::{NativeF64x4, NativeF64x8, SimdF64};
 
-/// Largest folded radius `m * r` the register pipeline supports for a
-/// pattern of dimensionality `dims` at vector width `width` (the 1D
-/// assembled vectors reach one lane per radius cell; 2D is bounded by
-/// the fixed register windows of [`crate::exec::folded`]). The 3D bound
-/// is the register-budget gate of the z-ring pipeline: [`MAX_R3`]
-/// capped by the lane count, since the transpose window holds one
-/// column per lane — a deep fold that cannot keep its window in
-/// registers is rejected at compile time rather than silently degraded.
-/// Scalar lanes keep the pre-ring cap of 2 (they run the scalar folded
-/// sweep, where the window budget is moot).
-pub(crate) fn fold_radius_cap(dims: usize, width: Width) -> usize {
-    match dims {
-        1 => width.lanes(),
-        2 => MAX_R,
-        _ => MAX_R3.min(width.lanes().max(2)),
-    }
-}
-
-/// Reject degenerate or out-of-bound z-ring geometries with a typed
-/// error (shared by the user-pinned and tuner-supplied paths).
-fn validate_ring(r: Ring3) -> Result<(), PlanError> {
-    if r.depth == 0 {
-        return Err(PlanError::InvalidRing {
-            ring: r,
-            reason: "depth must be >= 1",
-        });
-    }
-    if r.slab == 0 {
-        return Err(PlanError::InvalidRing {
-            ring: r,
-            reason: "slab must be >= 1",
-        });
-    }
-    if !r.valid() {
-        return Err(PlanError::InvalidRing {
-            ring: r,
-            reason: "depth/slab exceed the supported ring bounds",
-        });
-    }
-    Ok(())
-}
-
-/// True for the methods that run the register pipeline (transpose
-/// layout / temporal folding) — the ones the fold bounds apply to.
-fn is_register(method: Method) -> bool {
-    matches!(method, Method::TransposeLayout | Method::Folded { .. })
-}
-
-/// Plan the `m`-step register kernel of `p`, rejecting counterpart
-/// schedules that overflow the register budget (the fold is
-/// unexecutable even though the radius fits).
-fn plan_kernel(p: &Pattern, m: usize) -> Result<FoldedKernel, PlanError> {
-    let fold_plan = FoldPlan::new(p, m);
-    if fold_plan.fresh.len() > MAX_F {
-        return Err(PlanError::FoldPlanTooComplex {
-            m,
-            counterparts: fold_plan.fresh.len(),
-            max: MAX_F,
-        });
-    }
-    Ok(FoldedKernel::from_plan(fold_plan))
-}
+/// Why a route constructor may assume its combination has a route.
+const VALIDATED: &str = "PlanConfig::validate accepted the resolved configuration";
 
 /// The kernel a route steps with. `R` is the register-pipeline state of
 /// the plan's dimensionality: nothing in 1D (the squares kernel needs
@@ -91,20 +30,17 @@ enum Kernel<R> {
 }
 
 impl<R> Kernel<R> {
-    /// The kernel of `method`; `register` plans the pipeline state and
+    /// The kernel of `method`; `register` builds the pipeline state and
     /// is only called for the register methods.
-    fn new(
-        method: Method,
-        register: impl FnOnce() -> Result<R, PlanError>,
-    ) -> Result<Self, PlanError> {
-        Ok(match method {
+    fn new(method: Method, register: impl FnOnce() -> R) -> Self {
+        match method {
             Method::Scalar => Kernel::Scalar,
-            m if is_register(m) => Kernel::Register(register()?),
+            m if m.is_register() => Kernel::Register(register()),
             // MultipleLoads / DataReorg. Dlt never steps a kernel (it
             // routes to split tiling or the 1D DLT sweep) and Auto was
             // resolved before any route is built.
             _ => Kernel::Vector,
-        })
+        }
     }
 }
 
@@ -161,23 +97,12 @@ impl Kernel<(FoldedKernel, Ring3)> {
 /// leaves a remainder to run.
 fn body_and_tail<R>(
     method: Method,
-    m: usize,
-    register: impl Fn(usize) -> Result<R, PlanError>,
-) -> Result<(Kernel<R>, Option<Kernel<R>>), PlanError> {
-    let body = Kernel::new(method, || register(m))?;
-    let tail = if m > 1 {
-        Some(Kernel::new(method, || register(1))?)
-    } else {
-        None
-    };
-    Ok((body, tail))
-}
-
-fn unresolved_tiling(tiling: Tiling) -> PlanError {
-    PlanError::InvalidTiling {
-        tiling,
-        reason: "Tiling::Auto must be resolved before a route is built",
-    }
+    mut register: impl FnMut(usize) -> R,
+) -> (Kernel<R>, Option<Kernel<R>>) {
+    let m = method.fold();
+    let body = Kernel::new(method, || register(m));
+    let tail = (m > 1).then(|| Kernel::new(method, || register(1)));
+    (body, tail)
 }
 
 /// Whole-grid sweep of a block-free 1D plan, one per method.
@@ -205,18 +130,18 @@ enum Route1 {
 }
 
 impl Route1 {
-    fn new(method: Method, tiling: Tiling, m: usize) -> Result<Self, PlanError> {
-        Ok(match tiling {
+    fn new(PlanConfig { method, tiling, .. }: PlanConfig) -> Self {
+        match tiling {
             Tiling::None => Route1::BlockFree(match method {
                 Method::Scalar => Sweep1::Scalar,
                 Method::DataReorg => Sweep1::DataReorg,
                 Method::Dlt => Sweep1::Dlt,
-                m if is_register(m) => Sweep1::Register,
+                m if m.is_register() => Sweep1::Register,
                 // MultipleLoads; Auto was resolved before any route is built.
                 _ => Sweep1::MultipleLoads,
             }),
             Tiling::Tessellate { time_block } => {
-                let (body, tail) = body_and_tail(method, m, |_| Ok(()))?;
+                let (body, tail) = body_and_tail(method, |_| ());
                 Route1::Tessellate {
                     time_block,
                     body,
@@ -224,14 +149,8 @@ impl Route1 {
                 }
             }
             Tiling::Split { time_block } => Route1::Split { time_block },
-            Tiling::Spatial { .. } => {
-                return Err(PlanError::UnsupportedDimension {
-                    feature: "spatial blocking",
-                    pattern_dims: 1,
-                })
-            }
-            Tiling::Auto => return Err(unresolved_tiling(tiling)),
-        })
+            Tiling::Spatial { .. } | Tiling::Auto => unreachable!("{VALIDATED}"),
+        }
     }
 }
 
@@ -255,27 +174,21 @@ enum RouteN<R> {
 }
 
 impl<R> RouteN<R> {
+    /// `register(m)` builds the `m`-step register-pipeline state.
     fn new(
-        p: &Pattern,
-        method: Method,
-        tiling: Tiling,
-        m: usize,
-        register: impl Fn(usize) -> Result<R, PlanError>,
-    ) -> Result<Self, PlanError> {
-        let tiled = |driver| -> Result<Self, PlanError> {
-            let (body, tail) = body_and_tail(method, m, &register)?;
-            Ok(RouteN::Tiled { driver, body, tail })
+        PlanConfig { method, tiling, .. }: PlanConfig,
+        mut register: impl FnMut(usize) -> R,
+    ) -> Self {
+        let mut tiled = |driver| {
+            let (body, tail) = body_and_tail(method, &mut register);
+            RouteN::Tiled { driver, body, tail }
         };
         match tiling {
-            Tiling::None if method == Method::Dlt => Err(PlanError::UnsupportedDimension {
-                feature: "block-free DLT (pair Method::Dlt with Tiling::Split for the SDSL hybrid)",
-                pattern_dims: p.dims(),
-            }),
-            Tiling::None => Ok(RouteN::BlockFree(Kernel::new(method, || register(m))?)),
+            Tiling::None => RouteN::BlockFree(Kernel::new(method, || register(method.fold()))),
             Tiling::Tessellate { time_block } => tiled(Driver::Tessellate { time_block }),
             Tiling::Spatial { block } => tiled(Driver::Spatial { block }),
-            Tiling::Split { time_block } => Ok(RouteN::Split { time_block }),
-            Tiling::Auto => Err(unresolved_tiling(tiling)),
+            Tiling::Split { time_block } => RouteN::Split { time_block },
+            Tiling::Auto => unreachable!("{VALIDATED}"),
         }
     }
 }
@@ -296,7 +209,8 @@ enum Route {
 /// * the folded pattern Λ ([`Plan::folded`]) and, for 2D/3D register
 ///   pipelines, the planned [`FoldedKernel`] with its counterpart
 ///   schedule,
-/// * the resolved [`Method`] (never [`Method::Auto`]) and [`Width`],
+/// * the resolved [`PlanConfig`] ([`Plan::config`]: no axis is open
+///   any more),
 /// * a shared [`PoolHandle`] whose worker threads outlive the plan's
 ///   runs — clone the handle into several plans to amortize one pool.
 ///
@@ -308,12 +222,8 @@ enum Route {
 /// No planning work happens per run.
 pub struct Plan {
     pattern: Pattern,
-    method: Method,
-    tiling: Tiling,
-    width: Width,
+    config: PlanConfig,
     pool: PoolHandle,
-    /// Fold factor (1 unless the method is `Folded { m > 1 }`).
-    m: usize,
     /// `fold(pattern, m)`; equals `pattern` when `m == 1`.
     folded: Pattern,
     /// What the runs execute, with the register kernels and z-ring
@@ -328,13 +238,13 @@ impl std::fmt::Debug for Plan {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Plan")
             .field("dims", &self.dims())
-            .field("method", &self.method)
-            .field("tiling", &self.tiling)
-            .field("width", &self.width)
+            .field("method", &self.config.method)
+            .field("tiling", &self.config.tiling)
+            .field("width", &self.config.width)
             .field("threads", &self.pool.threads())
-            .field("m", &self.m)
+            .field("m", &self.m())
             .field("effective_radius", &self.folded.radius())
-            .field("ring3", &self.ring3())
+            .field("ring3", &self.config.ring3)
             .field("epoch", &self.epoch)
             .finish()
     }
@@ -342,148 +252,75 @@ impl std::fmt::Debug for Plan {
 
 impl Plan {
     /// Validate `cfg` and derive the reusable artifacts (see
-    /// [`Solver::compile`], the public entry point).
+    /// [`Solver::compile`], the public entry point): validate the
+    /// request, resolve its open axes, validate the result, build the
+    /// route. Every rule lives in [`PlanConfig::validate`].
     pub(crate) fn compile(cfg: &Solver) -> Result<Plan, PlanError> {
         let p = &cfg.pattern;
         let dims = p.dims();
-        let threads = cfg
-            .pool
-            .as_ref()
-            .map(|h| h.threads())
-            .unwrap_or(cfg.threads);
+        let request = cfg.config;
+        // the fold plans this compile builds, each `m` once
+        let mut built = Vec::new();
 
-        // A user-pinned z-ring geometry is rejected *before* any tuner
-        // involvement: the error must be PlanError::InvalidRing in
-        // every tuning mode, never a TuningFailed after a wasted probe
-        // pass over candidates that cannot compile.
-        if let Some(r) = cfg.ring3 {
-            validate_ring(r)?;
-        }
+        // What the pinned axes decide is decided here — the same typed
+        // error in every tuning mode, and no tuner consulted (no probe
+        // spent) for a request that cannot compile.
+        request.check(p, &mut built)?;
 
-        // Resolve Method::Auto / Tiling::Auto first. The measured modes
-        // route through the installed tuner; Static (and measured modes
-        // with nothing left to tune) resolve from the §3.2 cost model.
-        let auto_parts = matches!(cfg.method, Method::Auto) || matches!(cfg.tiling, Tiling::Auto);
-        let (method, tiling, width, tuned_ring) = if auto_parts && cfg.tuning != Tuning::Static {
+        // The measured modes route through the installed tuner when
+        // something is left to tune.
+        let open = request.method == Method::Auto || request.tiling == Tiling::Auto;
+        let mut resolved = if open && cfg.tuning != Tuning::Static {
             let tuner = crate::tune::installed_tuner()
                 .ok_or(PlanError::TunerUnavailable { mode: cfg.tuning })?;
-            let req = crate::tune::TuneRequest {
-                pattern: p,
-                width: cfg.width,
-                threads,
-                method: match cfg.method {
-                    Method::Auto => None,
-                    m => Some(m),
-                },
-                tiling: match cfg.tiling {
-                    Tiling::Auto => None,
-                    t => Some(t),
-                },
-                domain_hint: cfg.domain_hint.as_deref(),
-                ring3: cfg.ring3,
-                mode: cfg.tuning,
-            };
-            let d = tuner.tune(&req).map_err(|e| match e {
+            let d = tuner.tune(&cfg.tune_request()).map_err(|e| match e {
                 crate::tune::TuneFailure::CacheMiss { key } => PlanError::TuneCacheMiss { key },
                 crate::tune::TuneFailure::Failed { reason } => PlanError::TuningFailed { reason },
             })?;
-            // A decision must be concrete; if a (buggy or foreign)
-            // tuner leaks an Auto through, resolve the remnant
-            // statically so no Plan ever carries Auto.
-            let method = match d.method {
-                Method::Auto => crate::tune::auto_method(p, d.width, d.tiling),
-                m => m,
-            };
-            let tiling = match d.tiling {
-                Tiling::Auto => crate::tune::auto_tiling(dims, method, threads),
-                t => t,
-            };
-            // the user's pinned ring always beats the tuner's
-            (method, tiling, d.width, cfg.ring3.or(d.ring3))
+            PlanConfig {
+                // the user's pinned ring always beats the tuner's
+                ring3: request.ring3.or(d.config.ring3),
+                ..d.config
+            }
         } else {
-            let method = match cfg.method {
-                Method::Auto => crate::tune::auto_method(p, cfg.width, cfg.tiling),
-                m => m,
-            };
-            let tiling = match cfg.tiling {
-                Tiling::Auto => crate::tune::auto_tiling(dims, method, threads),
-                t => t,
-            };
-            (method, tiling, cfg.width, cfg.ring3)
+            request
         };
-
-        // A tuner-supplied ring (cache entries are external input) gets
-        // the same validation as the user's.
-        if let Some(r) = tuned_ring {
-            validate_ring(r)?;
+        // Static (and whatever a buggy or foreign tuner leaves open —
+        // no Plan ever carries Auto) resolves from the §3.2 cost model.
+        if resolved.method == Method::Auto {
+            resolved.method =
+                crate::tune::resolve_method(p, &mut built, resolved.width, resolved.tiling);
+        }
+        if resolved.tiling == Tiling::Auto {
+            resolved.tiling = crate::tune::auto_tiling(dims, resolved.method, cfg.threads);
         }
 
-        // Degenerate tiling parameters.
-        match tiling {
-            Tiling::Tessellate { time_block } | Tiling::Split { time_block } if time_block == 0 => {
-                return Err(PlanError::InvalidTiling {
-                    tiling,
-                    reason: "time_block must be >= 1",
-                })
-            }
-            Tiling::Spatial { block: (a, b) } if a == 0 || b == 0 => {
-                return Err(PlanError::InvalidTiling {
-                    tiling,
-                    reason: "spatial block extents must be >= 1",
-                })
-            }
-            _ => {}
-        }
+        // Nothing is open any more, so this decides every rule (a
+        // tuner's decision — cache entries are external input — gets
+        // the same validation as the user's request).
+        resolved.check(p, &mut built)?;
 
-        // Method × tiling compatibility.
-        match (method, tiling) {
-            (Method::Dlt, Tiling::Tessellate { .. } | Tiling::Spatial { .. }) => {
-                return Err(PlanError::IncompatibleMethodTiling { method, tiling })
-            }
-            (m, Tiling::Split { .. }) if m != Method::Dlt => {
-                return Err(PlanError::IncompatibleMethodTiling { method, tiling })
-            }
-            (Method::TransposeLayout | Method::Folded { .. }, Tiling::Spatial { .. }) => {
-                return Err(PlanError::IncompatibleMethodTiling { method, tiling })
-            }
-            _ => {}
-        }
-
-        // Folding bounds.
-        let m = match method {
-            Method::Folded { m } => m,
-            _ => 1,
-        };
-        if m == 0 {
-            return Err(PlanError::InvalidFold {
-                m: 0,
-                folded_radius: 0,
-                max_radius: 0,
-            });
-        }
-        let cap = fold_radius_cap(dims, width);
-        if is_register(method) && m * p.radius() > cap {
-            return Err(PlanError::InvalidFold {
-                m,
-                folded_radius: m * p.radius(),
-                max_radius: cap,
-            });
-        }
-
-        // Derive the reusable artifacts once. The route constructors
-        // also hold the dimensionality limits (no 1D spatial blocking,
-        // block-free DLT only in 1D): a combination without a route is
-        // a typed error here and cannot reach a run.
+        // Derive the reusable artifacts once.
+        let m = resolved.method.fold();
         let folded = if m > 1 { fold(p, m) } else { p.clone() };
+        // only a 3D register plan executes a ring; it always has one
+        resolved.ring3 = (dims == 3 && resolved.method.is_register()).then(|| {
+            resolved
+                .ring3
+                .unwrap_or_else(|| Ring3::auto(resolved.width.lanes(), m * p.radius()))
+        });
+        let ring = resolved.ring3;
+        let mut kernel = |m| {
+            let at = built.iter().position(|f| f.m == m);
+            let at = at.expect("validating a 2D/3D register method plans its kernels");
+            FoldedKernel::from_plan(built.swap_remove(at))
+        };
         let route = match dims {
-            1 => Route::D1(Route1::new(method, tiling, m)?),
-            2 => Route::D2(RouteN::new(p, method, tiling, m, |m| plan_kernel(p, m))?),
-            _ => {
-                let ring = tuned_ring.unwrap_or_else(|| Ring3::auto(width.lanes(), m * p.radius()));
-                Route::D3(RouteN::new(p, method, tiling, m, |m| {
-                    Ok((plan_kernel(p, m)?, ring))
-                })?)
-            }
+            1 => Route::D1(Route1::new(resolved)),
+            2 => Route::D2(RouteN::new(resolved, kernel)),
+            _ => Route::D3(RouteN::new(resolved, |m| {
+                (kernel(m), ring.expect("a 3D register plan has a ring"))
+            })),
         };
 
         let pool = cfg
@@ -492,11 +329,8 @@ impl Plan {
             .unwrap_or_else(|| PoolHandle::new(cfg.threads));
         Ok(Plan {
             pattern: p.clone(),
-            method,
-            tiling,
-            width,
+            config: resolved,
             pool,
-            m,
             folded,
             route,
             epoch: cfg.epoch,
@@ -508,19 +342,26 @@ impl Plan {
         &self.pattern
     }
 
+    /// The configuration this plan resolved to — no axis open:
+    /// `Solver::new(pattern).with_config(plan.config())` compiles the
+    /// same plan again.
+    pub fn config(&self) -> PlanConfig {
+        self.config
+    }
+
     /// The resolved vectorization method (never [`Method::Auto`]).
     pub fn method(&self) -> Method {
-        self.method
+        self.config.method
     }
 
     /// The tiling scheme.
     pub fn tiling(&self) -> Tiling {
-        self.tiling
+        self.config.tiling
     }
 
     /// The resolved vector width.
     pub fn width(&self) -> Width {
-        self.width
+        self.config.width
     }
 
     /// The shared worker pool (clone the handle to reuse it elsewhere).
@@ -530,23 +371,14 @@ impl Plan {
 
     /// Fold factor `m` (1 unless the method is `Folded { m > 1 }`).
     pub fn m(&self) -> usize {
-        self.m
+        self.config.method.fold()
     }
 
     /// Resolved z-ring pipeline geometry — `Some` exactly for 3D
     /// register plans (transpose-layout / folded), `None` otherwise.
     /// Never `Some(invalid)`: compile validates pinned geometries.
     pub fn ring3(&self) -> Option<Ring3> {
-        match &self.route {
-            Route::D3(
-                RouteN::BlockFree(Kernel::Register((_, ring)))
-                | RouteN::Tiled {
-                    body: Kernel::Register((_, ring)),
-                    ..
-                },
-            ) => Some(*ring),
-            _ => None,
-        }
+        self.config.ring3
     }
 
     /// Identity epoch this plan was compiled with ([`Solver::epoch`]).
@@ -620,7 +452,7 @@ impl Plan {
     /// of the compiled width, then let the domain's `exec_*` validate
     /// the grid against the route and run it.
     fn run_at<D: Domain>(&self, domain: &D, t: usize, origin: usize) -> Result<D, PlanError> {
-        match self.width {
+        match self.config.width {
             Width::W1 => D::exec::<f64>(self, domain, t, origin),
             Width::W4 => D::exec::<NativeF64x4>(self, domain, t, origin),
             Width::W8 => D::exec::<NativeF64x8>(self, domain, t, origin),
@@ -638,10 +470,10 @@ impl Plan {
     /// lifts the innermost dimension into lanes; a ragged or too-short
     /// `extent` is a typed run error, not an executor assert.
     fn check_layout(&self, extent: usize) -> Result<(), PlanError> {
-        if self.method != Method::Dlt {
+        if self.config.method != Method::Dlt {
             return Ok(());
         }
-        let lanes = self.width.lanes();
+        let lanes = self.config.width.lanes();
         if !extent.is_multiple_of(lanes) {
             return Err(PlanError::MisalignedDomain { extent, lanes });
         }
@@ -666,8 +498,9 @@ impl Plan {
         tail: &'a Option<Kernel<R>>,
         t: usize,
     ) -> impl Iterator<Item = (&'a Kernel<R>, &'a Pattern, usize)> {
-        let tail = tail.iter().map(move |k| (k, &self.pattern, t % self.m));
-        std::iter::once((body, &self.folded, t / self.m)).chain(tail)
+        let m = self.m();
+        let tail = tail.iter().map(move |k| (k, &self.pattern, t % m));
+        std::iter::once((body, &self.folded, t / m)).chain(tail)
     }
 
     fn exec_1d<V: SimdF64>(&self, grid: &Grid1D, t: usize) -> Result<Grid1D, PlanError> {
@@ -683,7 +516,7 @@ impl Plan {
                 Sweep1::DataReorg => ping_pong(grid, |pp| reorg::sweep_1d::<V>(pp, p, t)),
                 Sweep1::Dlt => dlt::sweep_1d::<V>(grid, p, t),
                 Sweep1::Register => {
-                    xlayout::sweep_folded_1d_with::<V>(grid, p.weights(), &self.folded, self.m, t)
+                    xlayout::sweep_folded_1d_with::<V>(grid, p.weights(), &self.folded, self.m(), t)
                 }
             },
             // Body and leftover steps go through the same tessellated

@@ -48,8 +48,12 @@ pub fn collect_planned(plan: &FoldPlan) -> usize {
 
 /// Profitability index `P(E, E_Λ)` (Eq. 3) for a planned folding.
 pub fn profitability(p: &Pattern, m: usize) -> f64 {
-    let plan = FoldPlan::new(p, m);
-    collect_naive(p, m) as f64 / collect_planned(&plan) as f64
+    planned_profitability(p, &FoldPlan::new(p, m))
+}
+
+/// [`profitability`] of `plan`, an already-built fold plan of `p`.
+pub(crate) fn planned_profitability(p: &Pattern, plan: &FoldPlan) -> f64 {
+    collect_naive(p, plan.m) as f64 / collect_planned(plan) as f64
 }
 
 /// Per-point collect of a single-step update with shifts reusing

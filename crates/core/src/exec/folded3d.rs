@@ -105,12 +105,6 @@ impl Ring3 {
     }
 }
 
-impl Default for Ring3 {
-    fn default() -> Self {
-        Ring3 { depth: 8, slab: 4 }
-    }
-}
-
 /// Weights of one axis of a separable vertical fold (`2R+1` used).
 type AxisTaps = [f64; 2 * MAX_R3 + 1];
 
@@ -669,7 +663,8 @@ mod tests {
                 let k = FoldedKernel::new(&p, m);
                 let g = Grid3D::from_fn(18, 15, 22, |z, y, x| ((z * 3 + y * 7 + x) % 13) as f64);
                 let want = scalar_folded_3d(&g, &p, m, 2);
-                let got = sweep_3d_ring_with::<NativeF64x4>(&k, Ring3::default(), &g, &p, 2 * m);
+                let ring = Ring3::auto(4, k.radius());
+                let got = sweep_3d_ring_with::<NativeF64x4>(&k, ring, &g, &p, 2 * m);
                 assert!(
                     max_abs_diff(&want.to_dense(), &got.to_dense()) < 1e-10,
                     "m={m} pts={}",
@@ -877,14 +872,15 @@ mod tests {
         let k = FoldedKernel::new(&p, 2);
         let g = Grid3D::from_fn(12, 12, 12, |z, y, x| (z * 144 + y * 12 + x) as f64);
         let mut dst = g.clone();
+        let ring = Ring3::auto(4, k.radius());
         // ranges narrower than a vector exercise the scalar paths
-        step_range_3d_ring::<NativeF64x4>(&k, Ring3::default(), &g, &mut dst, 3..5, 2..5, 2..5);
+        step_range_3d_ring::<NativeF64x4>(&k, ring, &g, &mut dst, 3..5, 2..5, 2..5);
         let mut want = g.clone();
         scalar::step_range_3d(&g, &mut want, k.folded(), 3..5, 2..5, 2..5);
         assert!(max_abs_diff(&want.to_dense(), &dst.to_dense()) < 1e-12);
         // scalar lanes: whole call degrades to the scalar sweep
         let mut dst1 = g.clone();
-        step_range_3d_ring::<f64>(&k, Ring3::default(), &g, &mut dst1, 3..9, 2..10, 2..10);
+        step_range_3d_ring::<f64>(&k, ring, &g, &mut dst1, 3..9, 2..10, 2..10);
         let mut want1 = g.clone();
         scalar::step_range_3d(&g, &mut want1, k.folded(), 3..9, 2..10, 2..10);
         assert!(max_abs_diff(&want1.to_dense(), &dst1.to_dense()) < 1e-12);
@@ -896,7 +892,7 @@ mod tests {
         let k = FoldedKernel::new(&p, 2); // R = 4
         let g = Grid3D::from_fn(6, 6, 6, |z, y, x| (z + y + x) as f64);
         let mut dst = Grid3D::zeros(6, 6, 6);
-        step_3d_ring::<NativeF64x4>(&k, Ring3::default(), &g, &mut dst);
+        step_3d_ring::<NativeF64x4>(&k, Ring3::auto(4, k.radius()), &g, &mut dst);
         assert!(max_abs_diff(&g.to_dense(), &dst.to_dense()) < 1e-15);
     }
 }

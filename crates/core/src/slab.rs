@@ -80,7 +80,7 @@ pub fn shardable(plan: &Plan) -> bool {
     }
     match plan.method() {
         Method::Scalar | Method::MultipleLoads | Method::DataReorg => true,
-        Method::TransposeLayout | Method::Folded { .. } => {
+        m if m.is_register() => {
             matches!(plan.tiling(), Tiling::None | Tiling::Tessellate { .. })
         }
         _ => false,
@@ -107,10 +107,7 @@ pub fn shard_geometry(plan: &Plan, t: usize, outer: usize, inners: &[usize]) -> 
     let Tiling::Tessellate { time_block } = plan.tiling() else {
         return (base, 0);
     };
-    if !matches!(
-        plan.method(),
-        Method::TransposeLayout | Method::Folded { .. }
-    ) {
+    if !plan.method().is_register() {
         // row-independent kernels are bit-exact under any slab geometry
         return (base, 0);
     }

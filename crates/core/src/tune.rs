@@ -3,21 +3,25 @@
 //! efforts are required in automatic tuning and this will be done
 //! separately", §4.1).
 //!
-//! Two layers:
+//! Two layers, both *policy* over one configuration space: what a
+//! pattern admits is decided by [`PlanConfig::validate`] alone, and
+//! everything here chooses among what it admits.
 //!
 //! * [`auto_method`] / [`auto_tiling`] — the compile-time static
-//!   resolvers behind [`Method::Auto`] and [`Tiling::Auto`]: pick a
-//!   vectorization method and tiling from the op-collect cost model
-//!   (§3.2) and the register pipeline's radius bounds, with no probe
-//!   runs. This is the [`Tuning::Static`](crate::Tuning) path and the
-//!   fallback for everything else.
+//!   resolvers behind [`Method::Auto`] and [`Tiling::Auto`]: a
+//!   preference order from the op-collect cost model (§3.2), filtered
+//!   by the rule table, with no probe runs. This is the
+//!   [`Tuning::Static`](crate::Tuning) path, the fallback for
+//!   everything else, and the one resolver a bytes-aware cost model
+//!   has to change.
 //! * The [`MeasuredTuner`] hook — the seam the measured
 //!   [`Tuning`] modes route through. The `stencil-tune`
 //!   crate installs its probing autotuner here ([`install_tuner`]);
 //!   `stencil-core` itself stays free of probing and persistence so the
 //!   dependency edge points outward (tune → core, never back).
 
-use crate::api::{Method, Ring3, Tiling, Tuning, Width};
+use crate::api::config::fold_plan;
+use crate::api::{Method, PlanConfig, Tiling, Tuning, Width};
 use crate::cost;
 use crate::pattern::Pattern;
 use crate::plan::FoldPlan;
@@ -29,49 +33,56 @@ use std::sync::OnceLock;
 pub const AUTO_FOLD_THETA: f64 = 1.5;
 
 /// Resolve [`Method::Auto`] for `p` at vector width `width` under
-/// `tiling`, without probe runs:
+/// `tiling`, without probe runs: the first of
 ///
-/// * split tiling admits only DLT (the SDSL configuration);
-/// * spatial blocking uses the straightforward vector kernel;
-/// * otherwise prefer temporal folding `m = 2` when the folded radius
-///   fits the register pipeline, the counterpart plan fits the register
-///   budget, and the §3.2 profitability index clears
-///   [`AUTO_FOLD_THETA`]; fall back to the transpose-layout pipeline,
-///   then to multiple loads.
+/// 1. temporal folding `m = 2`, when the §3.2 profitability index
+///    clears [`AUTO_FOLD_THETA`],
+/// 2. the transpose-layout pipeline,
+/// 3. multiple loads,
+/// 4. DLT (what split tiling — the SDSL configuration — admits)
+///
+/// that [`PlanConfig::validate`] accepts with `tiling`. An open
+/// `tiling` resolves afterwards ([`auto_tiling`]) to one every method
+/// composes with.
 pub fn auto_method(p: &Pattern, width: Width, tiling: Tiling) -> Method {
-    match tiling {
-        Tiling::Split { .. } => return Method::Dlt,
-        Tiling::Spatial { .. } => return Method::MultipleLoads,
-        // Auto tiling resolves to None/Tessellate afterwards (see
-        // auto_tiling), both of which admit every register method.
-        Tiling::None | Tiling::Tessellate { .. } | Tiling::Auto => {}
-    }
-    let dims = p.dims();
-    let cap = fold_radius_cap(dims, width);
-    // The counterpart plan built here (and inside cost::profitability) is
-    // rebuilt by Plan::compile for the chosen method; patterns are tiny
-    // (<= (2R+1)^d weights), so this costs microseconds and only at
-    // compile time — never on the run path.
-    let fits = |m: usize| {
-        m * p.radius() <= cap
-            && (dims == 1 || FoldPlan::new(p, m).fresh.len() <= crate::exec::folded::MAX_F)
+    resolve_method(p, &mut Vec::new(), width, tiling)
+}
+
+/// [`auto_method`] sharing the compile's fold plans ([`fold_plan`]).
+pub(crate) fn resolve_method(
+    p: &Pattern,
+    built: &mut Vec<FoldPlan>,
+    width: Width,
+    tiling: Tiling,
+) -> Method {
+    let admits = |method, built: &mut Vec<FoldPlan>| {
+        let config = PlanConfig {
+            method,
+            tiling,
+            width,
+            ring3: None,
+        };
+        config.check(p, built).is_ok()
     };
-    if fits(2) && cost::profitability(p, 2) >= AUTO_FOLD_THETA {
-        Method::Folded { m: 2 }
-    } else if fits(1) {
-        Method::TransposeLayout
-    } else {
-        Method::MultipleLoads
+    let fold2 = Method::Folded { m: 2 };
+    if admits(fold2, built)
+        && cost::planned_profitability(p, fold_plan(built, p, 2)) >= AUTO_FOLD_THETA
+    {
+        return fold2;
     }
+    [Method::TransposeLayout, Method::MultipleLoads, Method::Dlt]
+        .into_iter()
+        .find(|&method| admits(method, built))
+        // nothing composes only for 1D spatial blocking: the request
+        // is invalid, and compile reports that for the default method
+        .unwrap_or(Method::MultipleLoads)
 }
 
 /// Largest folded radius `m * r` the register pipeline supports for a
-/// pattern of dimensionality `dims` at vector width `width` — public
-/// wrapper around the bound [`Solver::compile`](crate::Solver::compile) enforces, so candidate
-/// generators (the measured tuner's `Folded { m: 3 }` probes) can
-/// skip configurations compilation would reject.
+/// pattern of dimensionality `dims` at vector width `width` — the bound
+/// behind [`PlanError::InvalidFold`](crate::PlanError::InvalidFold).
 pub fn fold_radius_cap(dims: usize, width: Width) -> usize {
-    crate::api::plan_exec::fold_radius_cap(dims, width)
+    crate::api::config::fold_radius_cap(dims, width)
 }
 
 /// Bucket hinted domain extents into a coarse shape class: plans tuned
@@ -123,49 +134,50 @@ pub fn auto_tiling(dims: usize, method: Method, threads: usize) -> Tiling {
 // The measured-tuning hook.
 // ---------------------------------------------------------------------
 
-/// What [`Solver::compile`](crate::Solver::compile) asks an installed [`MeasuredTuner`] to
-/// decide. Fields that the user fixed in the configuration arrive as
-/// `Some(..)` and must be honored; `None` means "tune this".
+/// What [`Solver::compile`](crate::Solver::compile) asks an installed
+/// [`MeasuredTuner`] to decide — built by
+/// [`Solver::tune_request`](crate::Solver::tune_request).
 #[derive(Debug, Clone)]
 pub struct TuneRequest<'a> {
     /// The stencil pattern being compiled.
     pub pattern: &'a Pattern,
-    /// The configured vector width (the tuner may probe narrower widths
-    /// too — e.g. AVX-512 downclocking can make 4 lanes beat 8 — but
-    /// must never widen beyond it).
-    pub width: Width,
+    /// The requested configuration. Axes the user fixed must be
+    /// honored; an open one ([`Method::Auto`], [`Tiling::Auto`],
+    /// `ring3: None` — the z-ring axes of 3D register methods) means
+    /// "tune this". `width` is the configured width: the tuner may probe
+    /// narrower ones too — e.g. AVX-512 downclocking can make 4 lanes
+    /// beat 8 — but must never widen beyond it.
+    pub config: PlanConfig,
     /// Worker threads the compiled plan will run with.
     pub threads: usize,
-    /// `Some` when the method was fixed by the user, `None` for
-    /// [`Method::Auto`].
-    pub method: Option<Method>,
-    /// `Some` when the tiling was fixed by the user, `None` for
-    /// [`Tiling::Auto`].
-    pub tiling: Option<Tiling>,
     /// The extents from [`Solver::domain_hint`](crate::Solver::domain_hint), if any.
     pub domain_hint: Option<&'a [usize]>,
-    /// `Some` when the z-ring geometry was pinned by the user
-    /// ([`Solver::ring3`](crate::Solver::ring3)), `None` when the tuner may search the 3D
-    /// ring axes (z-strip depth × x-slab width). Only meaningful for 3D
-    /// register methods.
-    pub ring3: Option<Ring3>,
     /// The requested mode — [`Tuning::Measured`] may probe,
     /// [`Tuning::CacheOnly`] must not.
     pub mode: Tuning,
 }
 
+impl TuneRequest<'_> {
+    /// True when `config` answers this request: every axis the request
+    /// pins is as pinned (a configuration without a ring defers to a
+    /// pinned one, as compile does) and the width is not widened.
+    pub fn admits(&self, config: &PlanConfig) -> bool {
+        let want = &self.config;
+        (want.method == Method::Auto || config.method == want.method)
+            && (want.tiling == Tiling::Auto || config.tiling == want.tiling)
+            && config.width.lanes() <= want.width.lanes()
+            && (want.ring3.is_none() || config.ring3.is_none() || config.ring3 == want.ring3)
+    }
+}
+
 /// A tuner's answer: the concrete configuration to compile.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TuneDecision {
-    /// Chosen vectorization method (never [`Method::Auto`]).
-    pub method: Method,
-    /// Chosen tiling (never [`Tiling::Auto`]).
-    pub tiling: Tiling,
-    /// Chosen vector width (≤ the requested width).
-    pub width: Width,
-    /// Chosen z-ring geometry for 3D register plans (`None` = let the
-    /// static [`Ring3::auto`] default stand).
-    pub ring3: Option<Ring3>,
+    /// The chosen configuration: method and tiling never `Auto`, width
+    /// ≤ the requested width, `ring3` the z-ring geometry of a 3D
+    /// register plan (`None` = let the static
+    /// [`Ring3::auto`](crate::Ring3::auto) default stand).
+    pub config: PlanConfig,
     /// True when the decision came from the persistent cache without
     /// running a probe.
     pub from_cache: bool,
@@ -199,8 +211,8 @@ pub enum TuneFailure {
 /// microseconds. `stencil-tune`'s `AutoTuner` is the canonical
 /// implementation.
 pub trait MeasuredTuner: Send + Sync {
-    /// Decide a concrete (method, tiling, width) for `req`, probing if
-    /// the mode allows it.
+    /// Decide a concrete configuration for `req`, probing if the mode
+    /// allows it.
     fn tune(&self, req: &TuneRequest<'_>) -> Result<TuneDecision, TuneFailure>;
 }
 

@@ -8,23 +8,24 @@
 //!
 //! 1. scan the [`TrafficMap`](super::TrafficMap) for keys whose
 //!    samples-since-challenge window reached `min_samples`,
-//! 2. run each hot key through the [`ChallengerLane`],
+//! 2. run each hot key through the [`ChallengerLane`], asking with the
+//!    key's own registry request ([`PlanRegistry::request_for_key`]),
 //! 3. reset the key's window (win or lose — the hysteresis),
-//! 4. on a win by more than `margin`, compile the challenger against
-//!    the shared pool at the next epoch, [`PlanRegistry::swap_plan`] it
+//! 4. on a win by more than `margin` that honors the axes the request
+//!    pins, compile the challenger — the request with the verdict's
+//!    configuration — at the next epoch, [`PlanRegistry::swap_plan`] it
 //!    in, and persist the verdict to the per-host tune cache.
 //!
 //! In-flight jobs keep their `Arc<Plan>` across a swap and finish on
 //! the old generation bit-exactly; only jobs resolved after the swap
 //! see the new epoch.
 
-use super::lane::{ChallengeRequest, ChallengerLane, PlanChoice};
+use super::lane::{ChallengeRequest, ChallengerLane};
 use crate::metrics::ServeStats;
 use crate::registry::PlanRegistry;
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
 use std::time::Duration;
-use stencil_core::{Plan, PlanError, Solver, Tuning};
 
 /// Knobs of the adaptive retuning loop.
 #[derive(Debug, Clone, PartialEq)]
@@ -105,7 +106,13 @@ impl Decider {
     pub fn tick(&self) -> usize {
         let mut swaps = 0;
         for (key, traffic) in self.stats.traffic.hot(self.cfg.min_samples) {
-            let Some(incumbent) = self.registry.plan_for_key(&key) else {
+            let target = self.registry.plan_for_key(&key).and_then(|plan| {
+                let request =
+                    self.registry
+                        .request_for_key(&key, plan.pattern(), traffic.hint())?;
+                Some((plan, request))
+            });
+            let Some((incumbent, request)) = target else {
                 // traffic under a key the registry no longer serves:
                 // nothing to challenge, stop counting it as hot
                 traffic.reset_window();
@@ -113,10 +120,8 @@ impl Decider {
             };
             let req = ChallengeRequest {
                 key: key.clone(),
-                pattern: incumbent.pattern().clone(),
-                domain_hint: traffic.hint().to_vec(),
-                threads: self.registry.pool().threads(),
-                incumbent: PlanChoice::from_plan(&incumbent),
+                request,
+                incumbent: incumbent.config(),
                 budget_ms: self.cfg.lane_budget_ms,
             };
             self.stats.challenges.fetch_add(1, Relaxed);
@@ -124,16 +129,28 @@ impl Decider {
             // win or lose, the key starts a fresh window: a margin-edge
             // loser must re-earn min_samples before the next trial
             traffic.reset_window();
-            let Some(v) = verdict else {
+            // no re-measured incumbent rate means no fair comparison: a
+            // swap decided against a stale number is how flapping
+            // starts. A winner outside the axes the key pins (a tiled
+            // plan for a block-free slot) is no answer to its request.
+            let winner = verdict.and_then(|v| {
+                let challenger = v.best.config;
+                let beats = v.rate > v.incumbent_rate? * (1.0 + self.cfg.margin);
+                let eligible =
+                    challenger != req.incumbent && req.request.tune_request().admits(&challenger);
+                (beats && eligible).then_some(v)
+            });
+            let Some(v) = winner else {
                 self.stats.challenges_rejected.fetch_add(1, Relaxed);
                 continue;
             };
-            let beats = v.rate > v.incumbent_rate * (1.0 + self.cfg.margin);
-            if !beats || v.choice == req.incumbent {
-                self.stats.challenges_rejected.fetch_add(1, Relaxed);
-                continue;
-            }
-            match compile_choice(&req, &v.choice, incumbent.epoch() + 1, &self.registry) {
+            // the verdict pins every axis: no tuner is consulted
+            let challenger = req
+                .request
+                .clone()
+                .with_config(v.best.config)
+                .epoch(incumbent.epoch() + 1);
+            match challenger.compile() {
                 Ok(plan) => {
                     self.registry.swap_plan(&key, Arc::new(plan));
                     self.lane.persist(&req, &v);
@@ -152,51 +169,34 @@ impl Decider {
     }
 }
 
-/// Compile a fully-pinned challenger configuration against the
-/// registry's shared pool, tagged with the next plan epoch.
-fn compile_choice(
-    req: &ChallengeRequest,
-    choice: &PlanChoice,
-    epoch: u64,
-    registry: &PlanRegistry,
-) -> Result<Plan, PlanError> {
-    let mut solver = Solver::new(req.pattern.clone())
-        .method(choice.method)
-        .tiling(choice.tiling)
-        .width(choice.width)
-        .tuning(Tuning::Static)
-        .pool(registry.pool().clone())
-        .domain_hint(&req.domain_hint)
-        .epoch(epoch);
-    if let Some(r) = choice.ring {
-        solver = solver.ring3(r);
-    }
-    solver.compile()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::adapt::lane::{ChallengeVerdict, ScriptedLane};
+    use crate::adapt::lane::ScriptedLane;
     use crate::registry::PlanShape;
     use crate::shard::ShardPolicy;
     use std::time::Duration;
-    use stencil_core::api::Width;
-    use stencil_core::{kernels, Method, Tiling};
+    use stencil_core::{kernels, Method, PlanConfig, Tiling, Tuning};
+    use stencil_tune::candidates::Candidate;
+    use stencil_tune::{AutoTuner, ChallengeOutcome};
 
-    fn harness() -> (Arc<PlanRegistry>, Arc<ServeStats>, String) {
+    const HINT: [usize; 2] = [48, 48];
+
+    fn harness_for(shape: PlanShape) -> (Arc<PlanRegistry>, Arc<ServeStats>, String) {
         let stats = Arc::new(ServeStats::new());
         let registry = Arc::new(PlanRegistry::new(
             2,
             ShardPolicy::default(),
             Arc::clone(&stats),
         ));
-        let p = kernels::heat2d();
-        let hint = [48usize, 48];
         let (key, _) = registry
-            .entry_for(&p, Some(&hint), Tuning::Static, PlanShape::Pooled)
+            .entry_for(&kernels::heat2d(), Some(&HINT), Tuning::Static, shape)
             .unwrap();
         (registry, stats, key)
+    }
+
+    fn harness() -> (Arc<PlanRegistry>, Arc<ServeStats>, String) {
+        harness_for(PlanShape::Pooled)
     }
 
     fn heat_traffic(stats: &ServeStats, key: &str, n: usize, epoch: u64) {
@@ -206,32 +206,38 @@ mod tests {
                 Duration::from_micros(80),
                 epoch,
                 stencil_obs::Timeline::default(),
-                || vec![48, 48],
+                || HINT.to_vec(),
             );
         }
     }
 
-    fn winning_verdict(registry: &PlanRegistry, key: &str, rate: f64) -> ChallengeVerdict {
-        // a challenger that differs from whatever the incumbent
-        // resolved to (flip the width), and always compiles for heat2d
-        let incumbent = registry.plan_for_key(key).unwrap();
-        let width = match incumbent.width() {
-            Width::W4 => Width::W8,
-            _ => Width::W4,
-        };
-        ChallengeVerdict {
-            choice: PlanChoice {
-                method: Method::MultipleLoads,
-                tiling: Tiling::None,
-                width,
-                ring: None,
+    fn verdict(config: PlanConfig, rate: f64) -> ChallengeOutcome {
+        ChallengeOutcome {
+            best: Candidate {
+                config,
+                score: f64::NAN,
             },
             rate,
-            incumbent_rate: 1.0,
+            incumbent_rate: Some(1.0),
             probes: 3,
             spent_ms: 1.0,
-            method_rates: vec![(Method::MultipleLoads, rate)],
+            method_rates: vec![(config.method, rate)],
         }
+    }
+
+    fn winning_verdict(registry: &PlanRegistry, key: &str, rate: f64) -> ChallengeOutcome {
+        // a challenger that differs from what the incumbent resolved
+        // to (the vector kernel, block-free, where the cost model picks
+        // a fold), and always compiles for heat2d
+        let incumbent = registry.plan_for_key(key).unwrap();
+        assert_ne!(incumbent.method(), Method::MultipleLoads);
+        let config = PlanConfig {
+            method: Method::MultipleLoads,
+            tiling: Tiling::None,
+            width: incumbent.width(),
+            ring3: None,
+        };
+        verdict(config, rate)
     }
 
     #[test]
@@ -264,8 +270,7 @@ mod tests {
         let incumbent = registry.plan_for_key(&key).unwrap();
         // exactly at the boundary: rate == incumbent * (1 + margin) is
         // NOT a win (strict inequality) — the anti-flapping edge
-        let mut at_margin = winning_verdict(&registry, &key, 1.10);
-        at_margin.incumbent_rate = 1.0;
+        let at_margin = winning_verdict(&registry, &key, 1.10);
         let lane = ScriptedLane::new(vec![at_margin]);
         let cfg = AdaptConfig {
             enabled: true,
@@ -302,13 +307,9 @@ mod tests {
         let win = winning_verdict(&registry, &key, 2.0);
         // after the swap the script answers with an incumbent-favoring
         // verdict (challenger loses): a second hot window must not swap
-        let lose = ChallengeVerdict {
-            choice: PlanChoice::from_plan(&old),
-            rate: 1.0,
-            incumbent_rate: 2.0,
-            probes: 3,
-            spent_ms: 1.0,
-            method_rates: vec![(old.method(), 2.0)],
+        let lose = ChallengeOutcome {
+            incumbent_rate: Some(2.0),
+            ..verdict(old.config(), 1.0)
         };
         let lane = ScriptedLane::new(vec![win.clone(), lose]);
         let decider = Decider::new(
@@ -327,7 +328,7 @@ mod tests {
         let swapped = registry.plan_for_key(&key).unwrap();
         assert!(!Arc::ptr_eq(&swapped, &old));
         assert_eq!(swapped.epoch(), old.epoch() + 1);
-        assert_eq!(swapped.width(), win.choice.width);
+        assert_eq!(swapped.config(), win.best.config);
         // second hot window, losing verdict: no swap back
         heat_traffic(&stats, &key, 4, swapped.epoch());
         assert_eq!(decider.tick(), 0);
@@ -335,5 +336,64 @@ mod tests {
         assert_eq!(stats.swaps.load(Relaxed), 1);
         assert_eq!(stats.challenges.load(Relaxed), 2);
         assert_eq!(stats.challenges_rejected.load(Relaxed), 1);
+    }
+
+    #[test]
+    fn block_free_keys_retune_under_their_own_request() {
+        // the slab-lane slot pins Tiling::None: its challenge, its
+        // verdict and its cache entry all live under that request, not
+        // under the pooled key's open one
+        let (registry, stats, key) = harness_for(PlanShape::BlockFree);
+        let incumbent = registry.plan_for_key(&key).unwrap();
+        assert_eq!(incumbent.tiling(), Tiling::None);
+        let cache = std::env::temp_dir().join(format!(
+            "stencil-decider-block-free-{}.json",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_file(&cache);
+        // a tessellated "winner" is no answer to a block-free request,
+        // however fast; a block-free one is
+        let tiled = PlanConfig {
+            tiling: Tiling::Tessellate { time_block: 4 },
+            ..incumbent.config()
+        };
+        let block_free = winning_verdict(&registry, &key, 5.0);
+        let lane = ScriptedLane::new(vec![verdict(tiled, 5.0), block_free.clone()])
+            .with_tuner(AutoTuner::with_cache_path(&cache));
+        let decider = Decider::new(
+            AdaptConfig {
+                enabled: true,
+                min_samples: 4,
+                ..AdaptConfig::default()
+            },
+            Arc::clone(&registry),
+            Arc::clone(&stats),
+            Box::new(lane),
+        );
+        heat_traffic(&stats, &key, 4, 0);
+        assert_eq!(decider.tick(), 0, "a tiled plan must not take the slot");
+        assert_eq!(stats.challenges_rejected.load(Relaxed), 1);
+        assert!(Arc::ptr_eq(
+            &registry.plan_for_key(&key).unwrap(),
+            &incumbent
+        ));
+        heat_traffic(&stats, &key, 4, 0);
+        assert_eq!(decider.tick(), 1);
+        let swapped = registry.plan_for_key(&key).unwrap();
+        assert_eq!(swapped.config(), block_free.best.config);
+        // persisted where the key's next warm-start looks (ti=none),
+        // leaving the pooled key's entry alone
+        let tuner = AutoTuner::with_cache_path(&cache);
+        let request =
+            |shape| registry.request(&kernels::heat2d(), Some(&HINT), Tuning::CacheOnly, shape);
+        let entry = tuner
+            .lookup(&request(PlanShape::BlockFree).tune_request())
+            .expect("the verdict persists under the block-free request");
+        assert!(entry.key.ends_with("|m=*|ti=none|ri=*"), "{}", entry.key);
+        assert_eq!(entry.config, block_free.best.config);
+        assert!(tuner
+            .lookup(&request(PlanShape::Pooled).tune_request())
+            .is_none());
+        let _ = std::fs::remove_file(&cache);
     }
 }

@@ -2,98 +2,42 @@
 //! trial.
 //!
 //! The decider never probes inline — it hands a [`ChallengeRequest`]
-//! to a [`ChallengerLane`] and acts on the verdict. Production uses
-//! [`ProbeLane`], which re-runs the `stencil-tune` hill-climb over the
-//! incumbent's neighborhood (method × width × time-block × spatial
-//! tiles × `Ring3` geometry) through the process-installed
-//! [`AutoTuner`] on a small per-challenge budget; tests use
-//! [`ScriptedLane`], whose verdicts are fixed up front so every
-//! decider decision is reproducible down to the bit.
+//! to a [`ChallengerLane`] and acts on the verdict, a
+//! [`ChallengeOutcome`]. Production uses [`ProbeLane`], which re-runs
+//! the `stencil-tune` hill-climb over the incumbent's neighborhood
+//! (method × width × time-block × spatial tiles × `Ring3` geometry, as
+//! far as the key's own request leaves those axes open) through the
+//! process-installed [`AutoTuner`] on a small per-challenge budget;
+//! tests use [`ScriptedLane`], whose verdicts are fixed up front so
+//! every decider decision is reproducible down to the bit.
+//!
+//! A lane never states a configuration or a tune request of its own:
+//! the challenge carries the registry's request for the key, and what a
+//! lane asks the tuner is that request's `tune_request()`.
 
 use std::collections::VecDeque;
-use stencil_core::api::Width;
-use stencil_core::exec::folded3d::Ring3;
-use stencil_core::tune::TuneRequest;
-use stencil_core::{Method, Pattern, Plan, Tiling, Tuning};
+use stencil_core::{PlanConfig, Solver};
 use stencil_runtime::sync::Mutex;
-use stencil_tune::candidates::Candidate;
 use stencil_tune::probe::Budget;
 use stencil_tune::{AutoTuner, ChallengeOutcome};
-
-/// One fully-resolved plan configuration — the axes a hot-swap can
-/// change. (The compiled [`Plan`] adds the pool and the epoch tag on
-/// top of this.)
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PlanChoice {
-    /// Vectorization method.
-    pub method: Method,
-    /// Tiling scheme.
-    pub tiling: Tiling,
-    /// Vector width.
-    pub width: Width,
-    /// 3D z-ring geometry, when pinned.
-    pub ring: Option<Ring3>,
-}
-
-impl PlanChoice {
-    /// The configuration a compiled plan resolved to.
-    pub fn from_plan(plan: &Plan) -> Self {
-        Self {
-            method: plan.method(),
-            tiling: plan.tiling(),
-            width: plan.width(),
-            ring: plan.ring3(),
-        }
-    }
-
-    /// As a tuner candidate (unscored — the probe measures it).
-    pub fn to_candidate(self) -> Candidate {
-        Candidate {
-            method: self.method,
-            tiling: self.tiling,
-            width: self.width,
-            ring: self.ring,
-            score: f64::NAN,
-        }
-    }
-}
 
 /// Everything a lane needs to put one hot key on trial.
 #[derive(Debug, Clone)]
 pub struct ChallengeRequest {
-    /// The registry key under trial (diagnostics; the tune-cache key is
-    /// derived from the fields below).
+    /// The registry key under trial (diagnostics).
     pub key: String,
-    /// The stencil pattern served under the key.
-    pub pattern: Pattern,
-    /// Domain extents of the traffic observed under the key — the
-    /// probe's shape-class hint.
-    pub domain_hint: Vec<usize>,
-    /// Worker threads the incumbent runs with (the shared pool's
-    /// size).
-    pub threads: usize,
+    /// The key's own request
+    /// ([`PlanRegistry::request`](crate::PlanRegistry::request)): the
+    /// pattern, the axes the key pins, the shared pool and the domain
+    /// hint of the traffic observed under it. Lanes ask the tuner with
+    /// its [`Solver::tune_request`] — the question the key's next
+    /// compile asks — so a verdict is searched within, and persisted
+    /// under, exactly what a warm-start resolves.
+    pub request: Solver,
     /// The configuration currently serving the key.
-    pub incumbent: PlanChoice,
+    pub incumbent: PlanConfig,
     /// Probe budget for this challenge, in milliseconds.
     pub budget_ms: u64,
-}
-
-/// A lane's measured (or scripted) verdict on one challenge.
-#[derive(Debug, Clone)]
-pub struct ChallengeVerdict {
-    /// The session's winning configuration.
-    pub choice: PlanChoice,
-    /// The winner's rate (points × steps per second).
-    pub rate: f64,
-    /// The incumbent's own rate in the same session.
-    pub incumbent_rate: f64,
-    /// Probe sweeps the session ran (0 for scripted verdicts).
-    pub probes: usize,
-    /// Time spent probing, milliseconds.
-    pub spent_ms: f64,
-    /// Best rate per probed method — the probe history a persisted
-    /// verdict feeds back into the tune cache's dominance bookkeeping.
-    pub method_rates: Vec<(Method, f64)>,
 }
 
 /// Where challenger sessions run and where winning verdicts are
@@ -101,49 +45,13 @@ pub struct ChallengeVerdict {
 /// decider is single-threaded, but tests drive lanes directly).
 pub trait ChallengerLane: Send + Sync {
     /// Run one challenge session. `None` means no verdict could be
-    /// produced (no tuner installed, every candidate failed, the
-    /// incumbent was never re-measured) — the decider counts it as a
-    /// rejected challenge and moves on.
-    fn challenge(&self, req: &ChallengeRequest) -> Option<ChallengeVerdict>;
+    /// produced (no tuner installed, every candidate failed) — the
+    /// decider counts it as a rejected challenge and moves on.
+    fn challenge(&self, req: &ChallengeRequest) -> Option<ChallengeOutcome>;
 
     /// Persist a winning verdict to the per-host tune cache, so the
     /// next warm-start resolves straight to it.
-    fn persist(&self, req: &ChallengeRequest, verdict: &ChallengeVerdict);
-}
-
-/// The *unconstrained* tune request for a challenged key: method,
-/// tiling and ring are left open, and the width is the solver default,
-/// exactly mirroring how the registry compiles `Method::Auto` +
-/// `Tiling::Auto` plans — so a persisted verdict lands under the very
-/// cache key the next warm-start resolves.
-pub fn unconstrained_request<'a>(
-    pattern: &'a Pattern,
-    domain_hint: &'a [usize],
-    threads: usize,
-) -> TuneRequest<'a> {
-    TuneRequest {
-        pattern,
-        width: Width::native_max(),
-        threads,
-        method: None,
-        tiling: None,
-        domain_hint: Some(domain_hint),
-        ring3: None,
-        mode: Tuning::Measured,
-    }
-}
-
-fn outcome_of(verdict: &ChallengeVerdict) -> ChallengeOutcome {
-    let mut best = verdict.choice.to_candidate();
-    best.score = verdict.rate;
-    ChallengeOutcome {
-        best,
-        rate: verdict.rate,
-        incumbent_rate: Some(verdict.incumbent_rate),
-        probes: verdict.probes,
-        spent_ms: verdict.spent_ms,
-        method_rates: verdict.method_rates.clone(),
-    }
+    fn persist(&self, req: &ChallengeRequest, verdict: &ChallengeOutcome);
 }
 
 /// The production lane: challenges run as real probe sessions through
@@ -164,35 +72,17 @@ impl ProbeLane {
 }
 
 impl ChallengerLane for ProbeLane {
-    fn challenge(&self, req: &ChallengeRequest) -> Option<ChallengeVerdict> {
+    fn challenge(&self, req: &ChallengeRequest) -> Option<ChallengeOutcome> {
         let tuner = stencil_tune::installed_auto()?;
-        let treq = unconstrained_request(&req.pattern, &req.domain_hint, req.threads);
         let budget = Budget::from_millis(req.budget_ms);
-        let outcome = tuner
-            .challenge(&treq, &req.incumbent.to_candidate(), &budget)
-            .ok()?;
-        // no re-measured incumbent rate means no fair comparison: a
-        // swap decided against a stale number is how flapping starts
-        let incumbent_rate = outcome.incumbent_rate?;
-        Some(ChallengeVerdict {
-            choice: PlanChoice {
-                method: outcome.best.method,
-                tiling: outcome.best.tiling,
-                width: outcome.best.width,
-                ring: outcome.best.ring,
-            },
-            rate: outcome.rate,
-            incumbent_rate,
-            probes: outcome.probes,
-            spent_ms: outcome.spent_ms,
-            method_rates: outcome.method_rates,
-        })
+        tuner
+            .challenge(&req.request.tune_request(), &req.incumbent, &budget)
+            .ok()
     }
 
-    fn persist(&self, req: &ChallengeRequest, verdict: &ChallengeVerdict) {
+    fn persist(&self, req: &ChallengeRequest, verdict: &ChallengeOutcome) {
         if let Some(tuner) = stencil_tune::installed_auto() {
-            let treq = unconstrained_request(&req.pattern, &req.domain_hint, req.threads);
-            tuner.persist_verdict(&treq, &outcome_of(verdict));
+            tuner.persist_verdict(&req.request.tune_request(), verdict);
         }
     }
 }
@@ -204,14 +94,14 @@ impl ChallengerLane for ProbeLane {
 /// one, so parallel tests never share cache files.
 #[derive(Default)]
 pub struct ScriptedLane {
-    verdicts: Mutex<VecDeque<ChallengeVerdict>>,
+    verdicts: Mutex<VecDeque<ChallengeOutcome>>,
     persisted: Mutex<Vec<String>>,
     tuner: Option<AutoTuner>,
 }
 
 impl ScriptedLane {
     /// A lane that will answer challenges with `verdicts`, in order.
-    pub fn new(verdicts: Vec<ChallengeVerdict>) -> Self {
+    pub fn new(verdicts: Vec<ChallengeOutcome>) -> Self {
         Self {
             verdicts: Mutex::new(verdicts.into()),
             persisted: Mutex::new(Vec::new()),
@@ -247,15 +137,14 @@ impl std::fmt::Debug for ScriptedLane {
 }
 
 impl ChallengerLane for ScriptedLane {
-    fn challenge(&self, _req: &ChallengeRequest) -> Option<ChallengeVerdict> {
+    fn challenge(&self, _req: &ChallengeRequest) -> Option<ChallengeOutcome> {
         self.verdicts.lock().pop_front()
     }
 
-    fn persist(&self, req: &ChallengeRequest, verdict: &ChallengeVerdict) {
+    fn persist(&self, req: &ChallengeRequest, verdict: &ChallengeOutcome) {
         self.persisted.lock().push(req.key.clone());
         if let Some(tuner) = &self.tuner {
-            let treq = unconstrained_request(&req.pattern, &req.domain_hint, req.threads);
-            tuner.persist_verdict(&treq, &outcome_of(verdict));
+            tuner.persist_verdict(&req.request.tune_request(), verdict);
         }
     }
 }
@@ -263,35 +152,48 @@ impl ChallengerLane for ScriptedLane {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stencil_core::kernels;
+    use crate::registry::{PlanRegistry, PlanShape};
+    use crate::{ServeStats, ShardPolicy};
+    use std::sync::Arc;
+    use stencil_core::{kernels, Method, Tiling, Tuning, Width};
+    use stencil_tune::candidates::Candidate;
+
+    fn registry(threads: usize) -> PlanRegistry {
+        PlanRegistry::new(threads, ShardPolicy::default(), Arc::new(ServeStats::new()))
+    }
+
+    fn vector_block_free(width: Width) -> PlanConfig {
+        PlanConfig {
+            method: Method::MultipleLoads,
+            tiling: Tiling::None,
+            width,
+            ring3: None,
+        }
+    }
 
     fn req() -> ChallengeRequest {
         ChallengeRequest {
             key: "k".into(),
-            pattern: kernels::heat2d(),
-            domain_hint: vec![64, 64],
-            threads: 2,
-            incumbent: PlanChoice {
-                method: Method::MultipleLoads,
-                tiling: Tiling::None,
-                width: Width::native_max(),
-                ring: None,
-            },
+            request: registry(2).request(
+                &kernels::heat2d(),
+                Some(&[64, 64]),
+                Tuning::Static,
+                PlanShape::Pooled,
+            ),
+            incumbent: vector_block_free(Width::native_max()),
             budget_ms: 5,
         }
     }
 
     #[test]
     fn scripted_lane_replays_verdicts_in_order_then_dries_up() {
-        let v = |rate: f64| ChallengeVerdict {
-            choice: PlanChoice {
-                method: Method::MultipleLoads,
-                tiling: Tiling::None,
-                width: Width::W4,
-                ring: None,
+        let v = |rate: f64| ChallengeOutcome {
+            best: Candidate {
+                config: vector_block_free(Width::W4),
+                score: f64::NAN,
             },
             rate,
-            incumbent_rate: 1.0,
+            incumbent_rate: Some(1.0),
             probes: 0,
             spent_ms: 0.0,
             method_rates: vec![(Method::MultipleLoads, rate)],
@@ -307,13 +209,27 @@ mod tests {
 
     #[test]
     fn unconstrained_request_leaves_every_tunable_axis_open() {
+        // what a lane asks for a pooled key: the registry's own request
         let p = kernels::heat2d();
         let hint = [64usize, 64];
-        let r = unconstrained_request(&p, &hint, 4);
-        assert!(r.method.is_none());
-        assert!(r.tiling.is_none());
-        assert!(r.ring3.is_none());
-        assert_eq!(r.width, Width::native_max());
+        let registry = registry(4);
+        let pooled = registry.request(&p, Some(&hint), Tuning::Measured, PlanShape::Pooled);
+        let r = pooled.tune_request();
+        let open = PlanConfig {
+            method: Method::Auto,
+            tiling: Tiling::Auto,
+            width: Width::native_max(),
+            ring3: None,
+        };
+        assert_eq!(r.config, open);
         assert_eq!(r.threads, 4);
+        assert_eq!(r.domain_hint, Some(&hint[..]));
+        // a block-free key pins the tiling, and nothing else
+        let block_free = registry.request(&p, Some(&hint), Tuning::Measured, PlanShape::BlockFree);
+        let pinned = PlanConfig {
+            tiling: Tiling::None,
+            ..open
+        };
+        assert_eq!(block_free.tune_request().config, pinned);
     }
 }

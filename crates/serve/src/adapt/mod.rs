@@ -12,9 +12,10 @@
 //! * [`lane`] — the [`ChallengerLane`]: [`ProbeLane`] re-runs the
 //!   `stencil-tune` hill-climb over the incumbent's neighborhood in a
 //!   budgeted background session; [`ScriptedLane`] makes every verdict
-//!   reproducible in tests,
-//! * [`decider`] — the [`Decider`]: hot-key scan → challenge →
-//!   margin/hysteresis decision → epoch-tagged compile →
+//!   (a `stencil_tune::ChallengeOutcome`) reproducible in tests,
+//! * [`decider`] — the [`Decider`]: hot-key scan → challenge under the
+//!   key's own registry request → margin/hysteresis decision →
+//!   epoch-tagged compile →
 //!   [`PlanRegistry::swap_plan`](crate::PlanRegistry::swap_plan) →
 //!   verdict persisted to the per-host tune cache.
 //!
@@ -28,8 +29,5 @@ pub mod lane;
 pub mod telemetry;
 
 pub use decider::{AdaptConfig, Decider};
-pub use lane::{
-    unconstrained_request, ChallengeRequest, ChallengeVerdict, ChallengerLane, PlanChoice,
-    ProbeLane, ScriptedLane,
-};
+pub use lane::{ChallengeRequest, ChallengerLane, ProbeLane, ScriptedLane};
 pub use telemetry::{Clock, PlanTraffic, SharedClock, TrafficMap, VirtualClock, WallClock};

@@ -85,8 +85,7 @@ pub mod service;
 pub mod shard;
 
 pub use adapt::{
-    AdaptConfig, ChallengeVerdict, ChallengerLane, Decider, PlanChoice, ProbeLane, ScriptedLane,
-    SharedClock, VirtualClock,
+    AdaptConfig, ChallengerLane, Decider, ProbeLane, ScriptedLane, SharedClock, VirtualClock,
 };
 pub use manifest::{Manifest, ManifestEntry};
 pub use metrics::{LatencyHistogram, PlanTelemetry, ServeStats, StatsSnapshot, TenantCounters};

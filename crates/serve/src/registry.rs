@@ -17,7 +17,7 @@
 //! static cost model and surfaces a one-line warning on the stats
 //! surface instead of silently re-probing.
 
-use crate::manifest::{tuning_to_str, Manifest};
+use crate::manifest::{tuning_from_str, tuning_to_str, Manifest};
 use crate::metrics::ServeStats;
 use crate::shard::{self, ShardPolicy};
 use std::collections::HashMap;
@@ -48,6 +48,12 @@ impl PlanShape {
             PlanShape::Pooled => "pooled",
             PlanShape::BlockFree => "bf",
         }
+    }
+
+    fn from_token(token: &str) -> Option<Self> {
+        [PlanShape::Pooled, PlanShape::BlockFree]
+            .into_iter()
+            .find(|shape| shape.token() == token)
     }
 }
 
@@ -343,6 +349,34 @@ impl PlanRegistry {
         ));
     }
 
+    /// The request behind a registry entry: what
+    /// [`PlanRegistry::entry_for`] compiles and — through
+    /// [`Solver::tune_request`] — what its tune-cache entry answers.
+    /// `Method::Auto` on the shared pool; the shape decides the tiling
+    /// (open when pooled, pinned block-free for slab lanes). The
+    /// retuning decider challenges a key with this same value.
+    pub fn request(
+        &self,
+        pattern: &Pattern,
+        domain_hint: Option<&[usize]>,
+        tuning: Tuning,
+        shape: PlanShape,
+    ) -> Solver {
+        let tiling = match shape {
+            PlanShape::Pooled => Tiling::Auto,
+            PlanShape::BlockFree => Tiling::None,
+        };
+        let solver = Solver::new(pattern.clone())
+            .method(Method::Auto)
+            .tiling(tiling)
+            .tuning(tuning)
+            .pool(self.pool.clone());
+        match domain_hint {
+            Some(hint) => solver.domain_hint(hint),
+            None => solver,
+        }
+    }
+
     fn compile(
         &self,
         pattern: &Pattern,
@@ -350,19 +384,22 @@ impl PlanRegistry {
         tuning: Tuning,
         shape: PlanShape,
     ) -> Result<Plan, PlanError> {
-        let tiling = match shape {
-            PlanShape::Pooled => Tiling::Auto,
-            PlanShape::BlockFree => Tiling::None,
-        };
-        let mut solver = Solver::new(pattern.clone())
-            .method(Method::Auto)
-            .tiling(tiling)
-            .tuning(tuning)
-            .pool(self.pool.clone());
-        if let Some(hint) = domain_hint {
-            solver = solver.domain_hint(hint);
-        }
-        solver.compile()
+        self.request(pattern, domain_hint, tuning, shape).compile()
+    }
+
+    /// [`PlanRegistry::request`] for a raw registry `key` (whose tuning
+    /// mode and shape tokens it decodes) serving `pattern` on domains
+    /// like `domain_hint`; `None` for a string that is not a key.
+    pub fn request_for_key(
+        &self,
+        key: &str,
+        pattern: &Pattern,
+        domain_hint: &[usize],
+    ) -> Option<Solver> {
+        let mut tokens = key.rsplit('|');
+        let shape = PlanShape::from_token(tokens.next()?)?;
+        let tuning = tuning_from_str(tokens.next()?).ok()?;
+        Some(self.request(pattern, Some(domain_hint), tuning, shape))
     }
 
     /// The cached single-thread lane plans backing sharded execution of
@@ -596,9 +633,7 @@ mod tests {
         // a challenger generation: same configuration, next epoch
         let fresh = Arc::new(
             Solver::new(p.clone())
-                .method(plan.method())
-                .tiling(plan.tiling())
-                .width(plan.width())
+                .with_config(plan.config())
                 .pool(reg.pool().clone())
                 .epoch(plan.epoch() + 1)
                 .compile()

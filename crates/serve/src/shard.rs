@@ -68,21 +68,12 @@ impl ShardPolicy {
 /// one per concurrent slab, so parallel slab runs never contend for a
 /// pool. The service's registry caches the returned set per plan key.
 pub fn lane_plans(plan: &Plan, lanes: usize) -> Result<Vec<Plan>, PlanError> {
-    (0..lanes.max(1))
-        .map(|_| {
-            let mut s = Solver::new(plan.pattern().clone())
-                .method(plan.method())
-                .tiling(plan.tiling())
-                .width(plan.width())
-                .threads(1);
-            // lanes execute the exact configuration the source plan
-            // resolved, its (possibly tuned) z-ring geometry included
-            if let Some(ring) = plan.ring3() {
-                s = s.ring3(ring);
-            }
-            s.compile()
-        })
-        .collect()
+    // lanes execute the exact configuration the source plan resolved,
+    // its (possibly tuned) z-ring geometry included
+    let lane = Solver::new(plan.pattern().clone())
+        .with_config(plan.config())
+        .threads(1);
+    (0..lanes.max(1)).map(|_| lane.compile()).collect()
 }
 
 /// Per-slab outcome: the interior `[lo, hi)`, the slab origin, and the

@@ -16,7 +16,8 @@
 use crate::host::HostFingerprint;
 use std::collections::BTreeMap;
 use std::path::Path;
-use stencil_core::{Method, Pattern, Ring3, Tiling, Width};
+use stencil_core::tune::TuneRequest;
+use stencil_core::{Method, Pattern, PlanConfig, Ring3, Tiling, Width};
 use stencil_obs::json::{self, Value};
 
 /// Current cache file schema version; bump on incompatible change
@@ -31,15 +32,10 @@ pub const CACHE_VERSION: f64 = 2.0;
 pub struct CacheEntry {
     /// Full cache key (see module docs for the components).
     pub key: String,
-    /// Winning method.
-    pub method: Method,
-    /// Winning tiling.
-    pub tiling: Tiling,
-    /// Winning width.
-    pub width: Width,
-    /// Winning z-ring geometry for 3D register decisions (`None` = the
-    /// static [`Ring3::auto`] default, and for every non-3D decision).
-    pub ring: Option<Ring3>,
+    /// The winning configuration (`ring3`: the z-ring geometry of a 3D
+    /// register decision; `None` = the static [`Ring3::auto`] default,
+    /// and for every other decision).
+    pub config: PlanConfig,
     /// Measured throughput of the winner, in grid-point updates/sec.
     pub rate: f64,
     /// What the §3.2 cost model would have chosen, for
@@ -245,9 +241,9 @@ impl TuneCache {
             .map(|e| {
                 let mut m = BTreeMap::new();
                 m.insert("key".into(), Value::Str(e.key.clone()));
-                m.insert("method".into(), Value::Str(method_str(e.method)));
-                m.insert("tiling".into(), Value::Str(tiling_str(e.tiling)));
-                m.insert("width".into(), Value::Num(e.width.lanes() as f64));
+                m.insert("method".into(), Value::Str(method_str(e.config.method)));
+                m.insert("tiling".into(), Value::Str(tiling_str(e.config.tiling)));
+                m.insert("width".into(), Value::Num(e.config.width.lanes() as f64));
                 m.insert("rate".into(), Value::Num(e.rate));
                 m.insert(
                     "model_method".into(),
@@ -255,7 +251,7 @@ impl TuneCache {
                 );
                 m.insert("probes".into(), Value::Num(e.probes as f64));
                 m.insert("spent_ms".into(), Value::Num(e.spent_ms));
-                if let Some(r) = e.ring {
+                if let Some(r) = e.config.ring3 {
                     m.insert("ring".into(), Value::Str(ring_str(r)));
                 }
                 if !e.method_rates.is_empty() {
@@ -301,7 +297,7 @@ impl TuneCache {
                 continue;
             }
             // optional fields (absent in pre-ring/pre-history caches)
-            let ring = e.get("ring").and_then(Value::as_str).and_then(parse_ring);
+            let ring3 = e.get("ring").and_then(Value::as_str).and_then(parse_ring);
             let method_rates: Vec<(Method, f64)> = e
                 .get("method_rates")
                 .and_then(Value::as_arr)
@@ -318,10 +314,12 @@ impl TuneCache {
                 .unwrap_or_default();
             cache.put(CacheEntry {
                 key: e.get("key")?.as_str()?.to_string(),
-                method,
-                tiling,
-                width: parse_width(e.get("width")?.as_num()? as usize)?,
-                ring,
+                config: PlanConfig {
+                    method,
+                    tiling,
+                    width: parse_width(e.get("width")?.as_num()? as usize)?,
+                    ring3,
+                },
                 rate: e.get("rate")?.as_num()?,
                 model_method: parse_method(e.get("model_method")?.as_str()?)?,
                 probes: e.get("probes")?.as_num()? as usize,
@@ -350,28 +348,34 @@ pub fn pattern_signature(p: &Pattern) -> String {
 /// shared with the serving plan registry.
 pub use stencil_core::tune::shape_class;
 
-/// Build the full cache key for a tuning request.
-#[allow(clippy::too_many_arguments)] // one parameter per key component, by design
-pub fn cache_key(
-    host: &HostFingerprint,
-    p: &Pattern,
-    width: Width,
-    threads: usize,
-    fixed_method: Option<Method>,
-    fixed_tiling: Option<Tiling>,
-    fixed_ring: Option<Ring3>,
-    hint: Option<&[usize]>,
-) -> String {
+/// Build the full cache key for a tuning request on `host`; an open
+/// axis of the requested configuration is keyed as `*`.
+pub fn cache_key(host: &HostFingerprint, req: &TuneRequest<'_>) -> String {
+    let PlanConfig {
+        method,
+        tiling,
+        width,
+        ring3,
+    } = req.config;
+    let open = || "*".to_string();
     format!(
         "{}|t{}|w{}|{}|{}|m={}|ti={}|ri={}",
         host.key_prefix(),
-        threads,
+        req.threads,
         width.lanes(),
-        pattern_signature(p),
-        shape_class(hint),
-        fixed_method.map(method_str).unwrap_or_else(|| "*".into()),
-        fixed_tiling.map(tiling_str).unwrap_or_else(|| "*".into()),
-        fixed_ring.map(ring_str).unwrap_or_else(|| "*".into()),
+        pattern_signature(req.pattern),
+        shape_class(req.domain_hint),
+        if method == Method::Auto {
+            open()
+        } else {
+            method_str(method)
+        },
+        if tiling == Tiling::Auto {
+            open()
+        } else {
+            tiling_str(tiling)
+        },
+        ring3.map_or_else(open, ring_str),
     )
 }
 
@@ -482,10 +486,12 @@ mod tests {
     fn sample_entry(key: &str) -> CacheEntry {
         CacheEntry {
             key: key.into(),
-            method: Method::Folded { m: 2 },
-            tiling: Tiling::Tessellate { time_block: 16 },
-            width: Width::W4,
-            ring: None,
+            config: PlanConfig {
+                method: Method::Folded { m: 2 },
+                tiling: Tiling::Tessellate { time_block: 16 },
+                width: Width::W4,
+                ring3: None,
+            },
             rate: 1.25e9,
             model_method: Method::Folded { m: 2 },
             probes: 7,
@@ -502,17 +508,23 @@ mod tests {
         ));
         cache.put(CacheEntry {
             key: "other".into(),
-            method: Method::Dlt,
-            tiling: Tiling::Split { time_block: 8 },
-            width: Width::W8,
+            config: PlanConfig {
+                method: Method::Dlt,
+                tiling: Tiling::Split { time_block: 8 },
+                width: Width::W8,
+                ring3: None,
+            },
             model_method: Method::TransposeLayout,
             ..sample_entry("other")
         });
         // the 3D fields round-trip too: a winning ring and probe history
         cache.put(CacheEntry {
             key: "ringy".into(),
-            method: Method::Folded { m: 2 },
-            ring: Some(Ring3 { depth: 16, slab: 8 }),
+            config: PlanConfig {
+                method: Method::Folded { m: 2 },
+                ring3: Some(Ring3 { depth: 16, slab: 8 }),
+                ..sample_entry("ringy").config
+            },
             method_rates: vec![
                 (Method::Folded { m: 2 }, 2.0e9),
                 (Method::MultipleLoads, 0.9e9),
@@ -523,7 +535,7 @@ mod tests {
         let back = TuneCache::from_json(&json::parse(&text).unwrap()).unwrap();
         assert_eq!(back, cache);
         assert_eq!(
-            back.get("ringy").unwrap().ring,
+            back.get("ringy").unwrap().config.ring3,
             Some(Ring3 { depth: 16, slab: 8 })
         );
         assert_eq!(back.get("ringy").unwrap().method_rates.len(), 2);
@@ -710,74 +722,36 @@ mod tests {
 
     #[test]
     fn keys_differ_across_host_isa_pattern_and_class() {
-        let p = kernels::heat1d();
-        let base = cache_key(
-            &host("a", "avx2-w4"),
-            &p,
-            Width::W4,
-            8,
-            None,
-            None,
-            None,
-            None,
-        );
-        let other_host = cache_key(
-            &host("b", "avx2-w4"),
-            &p,
-            Width::W4,
-            8,
-            None,
-            None,
-            None,
-            None,
-        );
-        let other_isa = cache_key(
-            &host("a", "avx512f-w8"),
-            &p,
-            Width::W4,
-            8,
-            None,
-            None,
-            None,
-            None,
-        );
-        let other_pat = cache_key(
-            &host("a", "avx2-w4"),
-            &kernels::d1p5(),
-            Width::W4,
-            8,
-            None,
-            None,
-            None,
-            None,
-        );
-        let other_class = cache_key(
-            &host("a", "avx2-w4"),
-            &p,
-            Width::W4,
-            8,
-            None,
-            None,
-            None,
-            Some(&[1024]),
-        );
-        for k in [&other_host, &other_isa, &other_pat, &other_class] {
+        let (p, other_p) = (kernels::heat1d(), kernels::d1p5());
+        let req = |pattern, domain_hint| TuneRequest {
+            pattern,
+            config: crate::open_config(Width::W4),
+            threads: 8,
+            domain_hint,
+            mode: stencil_core::Tuning::Measured,
+        };
+        let base = cache_key(&host("a", "avx2-w4"), &req(&p, None));
+        assert!(base.ends_with("|m=*|ti=*|ri=*"), "{base}");
+        let other_host = cache_key(&host("b", "avx2-w4"), &req(&p, None));
+        let other_isa = cache_key(&host("a", "avx512f-w8"), &req(&p, None));
+        let other_pat = cache_key(&host("a", "avx2-w4"), &req(&other_p, None));
+        let other_class = cache_key(&host("a", "avx2-w4"), &req(&p, Some(&[1024])));
+        // a pinned axis is its own key
+        let mut pinned = req(&p, None);
+        pinned.config.tiling = Tiling::None;
+        let other_pin = cache_key(&host("a", "avx2-w4"), &pinned);
+        assert!(other_pin.ends_with("|m=*|ti=none|ri=*"), "{other_pin}");
+        for k in [
+            &other_host,
+            &other_isa,
+            &other_pat,
+            &other_class,
+            &other_pin,
+        ] {
             assert_ne!(&base, k);
         }
         // same request, same key (determinism)
-        assert_eq!(
-            base,
-            cache_key(
-                &host("a", "avx2-w4"),
-                &p,
-                Width::W4,
-                8,
-                None,
-                None,
-                None,
-                None
-            )
-        );
+        assert_eq!(base, cache_key(&host("a", "avx2-w4"), &req(&p, None)));
     }
 
     #[test]

@@ -9,22 +9,22 @@
 //! its time budget runs out, so the best-predicted configurations are
 //! always measured first and an exhausted budget degrades toward the
 //! cost model's own choice rather than toward noise.
+//!
+//! Everything here is *policy* — which configurations are worth a
+//! probe, in which order. Which ones a pattern admits is
+//! [`PlanConfig::validate`]'s call alone: the generator proposes, the
+//! rule table filters, so an emitted candidate always compiles.
 
-use stencil_core::tune::{default_time_block, fold_radius_cap};
-use stencil_core::{cost, kernels, FoldPlan, Method, Pattern, Ring3, Tiling, Width};
+use stencil_core::tune::{auto_tiling, default_time_block};
+use stencil_core::{cost, kernels, Method, Pattern, PlanConfig, Ring3, Tiling, Width};
 
 /// One concrete configuration the probe harness can compile and time.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Candidate {
-    /// Vectorization method.
-    pub method: Method,
-    /// Tiling scheme (never [`Tiling::Auto`]).
-    pub tiling: Tiling,
-    /// Vector width.
-    pub width: Width,
-    /// Z-ring geometry for 3D register methods (`None` = the static
-    /// [`Ring3::auto`] default); always `None` elsewhere.
-    pub ring: Option<Ring3>,
+    /// The configuration: no axis open, and `ring3` is `Some` only for
+    /// a 3D register method whose geometry departs from the static
+    /// [`Ring3::auto`] default (`None` = that default).
+    pub config: PlanConfig,
     /// The cost-model score that ranked this candidate's method
     /// (higher = predicted better); kept for reporting.
     pub score: f64,
@@ -52,26 +52,22 @@ pub fn ranked_methods(p: &Pattern) -> Vec<(Method, f64)> {
     out
 }
 
-/// True when the register pipeline can execute an `m`-step fold of `p`
-/// at `width`: the folded radius fits the pipeline bound and (for
-/// 2D/3D) the counterpart schedule fits the register budget — the same
-/// checks `Solver::compile` enforces, applied up front so the generator
-/// never emits a deeper fold compilation would reject.
-pub fn fold_fits(p: &Pattern, m: usize, width: Width) -> bool {
-    m * p.radius() <= fold_radius_cap(p.dims(), width)
-        && (p.dims() == 1 || FoldPlan::new(p, m).fresh.len() <= stencil_core::exec::folded::MAX_F)
-}
-
 /// Width-aware method ranking: [`ranked_methods`] plus a `Folded { m: 3 }`
-/// probe wherever the register budget allows it at `width`. The m = 3
-/// fold saves more arithmetic than m = 2 whenever its wider counterpart
-/// schedule still fits the registers, but only a probe can tell whether
-/// the extra register pressure pays off on a given host — so it enters
-/// the measured search, never the static resolver.
+/// probe wherever `p` admits it at `width`. The m = 3 fold saves more
+/// arithmetic than m = 2 whenever its wider counterpart schedule still
+/// fits the registers, but only a probe can tell whether the extra
+/// register pressure pays off on a given host — so it enters the
+/// measured search, never the static resolver.
 pub fn ranked_methods_at(p: &Pattern, width: Width) -> Vec<(Method, f64)> {
     let mut out = ranked_methods(p);
-    if fold_fits(p, 3, width) {
-        out.push((Method::Folded { m: 3 }, cost::profitability(p, 3)));
+    let fold3 = PlanConfig {
+        method: Method::Folded { m: 3 },
+        tiling: Tiling::Auto,
+        width,
+        ring3: None,
+    };
+    if fold3.validate(p).is_ok() {
+        out.push((fold3.method, cost::profitability(p, 3)));
         out.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap());
     }
     out
@@ -103,11 +99,10 @@ fn widths(requested: Width) -> Vec<Width> {
 /// and a deep/wide one for bandwidth-bound ones. Non-3D or non-register
 /// configurations have no ring axis.
 fn rings_for(method: Method, dims: usize, fixed_ring: Option<Ring3>) -> Vec<Option<Ring3>> {
-    let register = matches!(method, Method::TransposeLayout | Method::Folded { .. });
-    if dims != 3 || !register {
+    if dims != 3 || !method.is_register() {
         // the ring axis only exists for 3D register pipelines: a pinned
         // ring must not leak onto methods that cannot execute one (the
-        // `Candidate::ring`/`CacheEntry::ring` "None elsewhere" contract)
+        // [`Candidate::config`] "None elsewhere" contract)
         return vec![None];
     }
     if let Some(r) = fixed_ring {
@@ -120,93 +115,62 @@ fn rings_for(method: Method, dims: usize, fixed_ring: Option<Ring3>) -> Vec<Opti
     ]
 }
 
-/// Generate the ordered candidate list for a tuning request.
+/// Generate the ordered candidate list for a tuning `request`.
 ///
-/// `fixed_method`/`fixed_tiling`/`fixed_ring` pin user-chosen
-/// parameters: only the unfixed axes are searched. The 3D register
-/// methods additionally search the z-ring axes (z-strip depth × x-slab
-/// width: the static default plus two neighborhood moves). `top_k`
-/// bounds how many cost-model-ranked methods enter the search (the
-/// budget usually bites first).
-pub fn generate(
-    p: &Pattern,
-    requested_width: Width,
-    threads: usize,
-    fixed_method: Option<Method>,
-    fixed_tiling: Option<Tiling>,
-    fixed_ring: Option<Ring3>,
-    top_k: usize,
-) -> Vec<Candidate> {
+/// The axes `request` pins (a concrete method or tiling, a `Some` ring)
+/// are kept as they are: only the open ones are searched. The 3D
+/// register methods additionally search the z-ring axes (z-strip depth
+/// × x-slab width: the static default plus two neighborhood moves).
+/// `top_k` bounds how many cost-model-ranked methods enter the search
+/// (the budget usually bites first); methods the pinned axes rule out
+/// do not count against it, so a request that validates always has a
+/// candidate.
+pub fn generate(p: &Pattern, request: &PlanConfig, threads: usize, top_k: usize) -> Vec<Candidate> {
     let dims = p.dims();
-    let methods: Vec<(Method, f64)> = match (fixed_method, fixed_tiling) {
-        (Some(m), _) => vec![(m, f64::NAN)],
+    let admits = |config: &PlanConfig| config.validate(p).is_ok();
+    let methods: Vec<(Method, f64)> = match (request.method, request.tiling) {
         // split tiling admits only DLT (the SDSL configuration) in any
-        // dimensionality — the ranked list would offer nothing valid
-        (None, Some(Tiling::Split { .. })) => vec![(Method::Dlt, f64::NAN)],
-        (None, _) => ranked_methods_at(p, requested_width)
+        // dimensionality, which the ranked list omits for 2D/3D
+        (Method::Auto, Tiling::Split { .. }) => vec![(Method::Dlt, f64::NAN)],
+        (Method::Auto, _) => ranked_methods_at(p, request.width)
             .into_iter()
+            .filter(|&(method, _)| admits(&PlanConfig { method, ..*request }))
             .take(top_k.max(1))
             .collect(),
+        (m, _) => vec![(m, f64::NAN)],
     };
     // Width is only an open axis on full-auto requests: a caller who
     // pinned the method is comparing configurations (e.g. the fig9
     // AVX-512 column) and must get exactly the width they asked for.
-    let widths = if fixed_method.is_some() {
-        vec![requested_width]
+    let widths = if request.method == Method::Auto {
+        widths(request.width)
     } else {
-        widths(requested_width)
+        vec![request.width]
     };
     let mut out = Vec::new();
     for (method, score) in methods {
-        let tilings: Vec<Tiling> = match fixed_tiling {
-            Some(t) => vec![t],
-            None => tilings_for(method, dims, threads),
+        let tilings: Vec<Tiling> = match request.tiling {
+            Tiling::Auto => tilings_for(method, dims, threads),
+            t => vec![t],
         };
         for tiling in tilings {
-            if !composes(method, tiling, dims) {
-                continue;
-            }
+            // the width neighborhood can narrow below what a deep fold
+            // needs (m = 3 at 8 lanes does not fit 4): the rule table
+            // drops those per width
             for &width in &widths {
-                // the width neighborhood can narrow below what a deep
-                // fold needs (m = 3 at 8 lanes does not fit 4): drop
-                // per-width rather than hand the probe a dead compile
-                if let Method::Folded { m } = method {
-                    if !fold_fits(p, m, width) {
-                        continue;
-                    }
-                }
-                for ring in rings_for(method, dims, fixed_ring) {
-                    out.push(Candidate {
+                for ring3 in rings_for(method, dims, request.ring3) {
+                    let config = PlanConfig {
                         method,
                         tiling,
                         width,
-                        ring,
-                        score,
-                    });
+                        ring3,
+                    };
+                    if admits(&config) {
+                        out.push(Candidate { config, score });
+                    }
                 }
             }
         }
-    }
-    // Safety net: whatever the fixed axes, the static resolvers' pick
-    // always exists — a request Tuning::Static could satisfy must never
-    // die with "no candidates" under Tuning::Measured.
-    if out.is_empty() {
-        let method = fixed_method.unwrap_or_else(|| {
-            stencil_core::tune::auto_method(
-                p,
-                requested_width,
-                fixed_tiling.unwrap_or(Tiling::Auto),
-            )
-        });
-        let tiling =
-            fixed_tiling.unwrap_or_else(|| stencil_core::tune::auto_tiling(dims, method, threads));
-        out.push(Candidate {
-            method,
-            tiling,
-            width: requested_width,
-            ring: fixed_ring,
-            score: f64::NAN,
-        });
     }
     out
 }
@@ -224,87 +188,49 @@ pub fn generate(
 /// its periodic re-probe for free.
 pub fn neighborhood(
     p: &Pattern,
-    incumbent: &Candidate,
+    incumbent: &PlanConfig,
     threads: usize,
     top_k: usize,
 ) -> Vec<Candidate> {
     let dims = p.dims();
     let mut out: Vec<Candidate> = Vec::new();
-    let push = |c: Candidate, out: &mut Vec<Candidate>| {
-        if !composes(c.method, c.tiling, dims) {
-            return;
-        }
-        if let Method::Folded { m } = c.method {
-            if !fold_fits(p, m, c.width) {
-                return;
-            }
-        }
-        if let Some(r) = c.ring {
-            if !r.valid() {
-                return;
-            }
-        }
-        // dedup on the configuration axes only: the same move can be
-        // reached with different (or NaN) scores
-        if !out.iter().any(|e| {
-            e.method == c.method && e.tiling == c.tiling && e.width == c.width && e.ring == c.ring
-        }) {
-            out.push(c);
+    let mut push = |config: PlanConfig, score: f64| {
+        // dedup on the configuration only: the same move can be reached
+        // with different (or NaN) scores
+        if config.validate(p).is_ok() && !out.iter().any(|e| e.config == config) {
+            out.push(Candidate { config, score });
         }
     };
-    push(*incumbent, &mut out);
+    let mut step = |config: PlanConfig| push(config, f64::NAN);
+    step(*incumbent);
     // single-axis tiling moves
     let tb_moves = |tb: usize| [tb * 2, tb / 2].into_iter().filter(|&t| t >= 1);
-    match incumbent.tiling {
-        Tiling::Tessellate { time_block } => {
-            for tb in tb_moves(time_block) {
-                push(
-                    Candidate {
-                        tiling: Tiling::Tessellate { time_block: tb },
-                        ..*incumbent
-                    },
-                    &mut out,
-                );
-            }
-        }
-        Tiling::Split { time_block } => {
-            for tb in tb_moves(time_block) {
-                push(
-                    Candidate {
-                        tiling: Tiling::Split { time_block: tb },
-                        ..*incumbent
-                    },
-                    &mut out,
-                );
-            }
-        }
+    let tilings: Vec<Tiling> = match incumbent.tiling {
+        Tiling::Tessellate { time_block } => tb_moves(time_block)
+            .map(|time_block| Tiling::Tessellate { time_block })
+            .collect(),
+        Tiling::Split { time_block } => tb_moves(time_block)
+            .map(|time_block| Tiling::Split { time_block })
+            .collect(),
         Tiling::Spatial { block: (a, b) } => {
-            for block in [(a * 2, b), (a.max(2) / 2, b), (a, b * 2), (a, b.max(2) / 2)] {
-                push(
-                    Candidate {
-                        tiling: Tiling::Spatial { block },
-                        ..*incumbent
-                    },
-                    &mut out,
-                );
-            }
+            [(a * 2, b), (a.max(2) / 2, b), (a, b * 2), (a, b.max(2) / 2)]
+                .map(|block| Tiling::Spatial { block })
+                .into()
         }
-        Tiling::None | Tiling::Auto => {
-            // block-free incumbent: tiling at the static default is the
-            // one move on this axis
-            push(
-                Candidate {
-                    tiling: Tiling::Tessellate {
-                        time_block: default_time_block(dims),
-                    },
-                    ..*incumbent
-                },
-                &mut out,
-            );
-        }
+        // block-free incumbent: tiling at the static default is the
+        // one move on this axis
+        Tiling::None | Tiling::Auto => vec![Tiling::Tessellate {
+            time_block: default_time_block(dims),
+        }],
+    };
+    for tiling in tilings {
+        step(PlanConfig {
+            tiling,
+            ..*incumbent
+        });
     }
     // single-axis z-ring moves (3D register methods only)
-    for ring in match incumbent.ring {
+    for ring3 in match incumbent.ring3 {
         Some(r) => vec![
             Some(Ring3 {
                 depth: r.depth * 2,
@@ -325,19 +251,17 @@ pub fn neighborhood(
         ],
         None => rings_for(incumbent.method, dims, None),
     } {
-        if ring != incumbent.ring {
-            push(Candidate { ring, ..*incumbent }, &mut out);
-        }
+        step(PlanConfig {
+            ring3,
+            ..*incumbent
+        });
     }
     // width narrowing (the W8-vs-W4 downclocking question, revisited)
     if incumbent.width == Width::W8 {
-        push(
-            Candidate {
-                width: Width::W4,
-                ..*incumbent
-            },
-            &mut out,
-        );
+        step(PlanConfig {
+            width: Width::W4,
+            ..*incumbent
+        });
     }
     // method alternates at their natural tiling — including methods the
     // probe history has marked dominated
@@ -348,73 +272,47 @@ pub fn neighborhood(
         if method == incumbent.method {
             continue;
         }
-        let tiling = stencil_core::tune::auto_tiling(dims, method, threads);
-        for ring in rings_for(method, dims, None) {
-            push(
-                Candidate {
-                    method,
-                    tiling,
-                    width: incumbent.width,
-                    ring,
-                    score,
-                },
-                &mut out,
-            );
+        let tiling = auto_tiling(dims, method, threads);
+        for ring3 in rings_for(method, dims, None) {
+            let config = PlanConfig {
+                method,
+                tiling,
+                width: incumbent.width,
+                ring3,
+            };
+            push(config, score);
         }
     }
     out
 }
 
 /// Tiling candidates for one method: its natural pairing first, then
-/// the neighborhood moves.
+/// the neighborhood moves. Proposals only — the rule table drops what
+/// the dimensionality does not admit (block-free DLT beyond 1D, spatial
+/// blocking in 1D).
 fn tilings_for(method: Method, dims: usize, threads: usize) -> Vec<Tiling> {
-    let mut out = Vec::new();
+    let time_blocks = time_blocks(dims).into_iter();
     if method == Method::Dlt {
-        // DLT pairs with split tiling (SDSL); block-free is 1D-only.
-        for tb in time_blocks(dims) {
-            out.push(Tiling::Split { time_block: tb });
-        }
-        if dims == 1 {
-            out.push(Tiling::None);
-        }
-        return out;
+        // DLT pairs with split tiling (SDSL), then runs block-free.
+        return time_blocks
+            .map(|time_block| Tiling::Split { time_block })
+            .chain([Tiling::None])
+            .collect();
     }
-    for tb in time_blocks(dims) {
-        out.push(Tiling::Tessellate { time_block: tb });
-    }
+    let mut out: Vec<Tiling> = time_blocks
+        .map(|time_block| Tiling::Tessellate { time_block })
+        .collect();
     // Block-free is competitive single-threaded and for small grids.
     if threads == 1 {
         out.push(Tiling::None);
     }
-    // Plain spatial blocking: only the vector/scalar kernel families
-    // support it, and only in 2D/3D — two representative tile shapes.
-    if dims >= 2 && matches!(method, Method::MultipleLoads | Method::Scalar) {
+    // Plain spatial blocking, for the vector/scalar kernel families:
+    // two representative tile shapes.
+    if matches!(method, Method::MultipleLoads | Method::Scalar) {
         out.push(Tiling::Spatial { block: (8, 64) });
         out.push(Tiling::Spatial { block: (16, 128) });
     }
     out
-}
-
-/// Mirror of `Solver::compile`'s method × tiling × dimension rules, so
-/// the generator never emits a candidate the probe would only throw
-/// away. (A drifted rule is still safe: the probe skips configurations
-/// that fail to compile.)
-fn composes(method: Method, tiling: Tiling, dims: usize) -> bool {
-    match (method, tiling) {
-        (Method::Dlt, Tiling::Split { .. }) => true,
-        (Method::Dlt, Tiling::None) => dims == 1,
-        (Method::Dlt, _) => false,
-        (_, Tiling::Split { .. }) => false,
-        (Method::TransposeLayout | Method::Folded { .. }, Tiling::Spatial { .. }) => false,
-        (_, Tiling::Spatial { .. }) => dims >= 2,
-        _ => true,
-    }
-}
-
-/// The cost model's own pick for this request — recorded in every cache
-/// entry so `stencil-bench tune` can print chosen-vs-model.
-pub fn model_choice(p: &Pattern, width: Width, fixed_tiling: Option<Tiling>) -> Method {
-    stencil_core::tune::auto_method(p, width, fixed_tiling.unwrap_or(Tiling::Auto))
 }
 
 /// Every candidate list is non-trivial for the Table-1 kernels; used by
@@ -436,6 +334,8 @@ pub fn table1_patterns() -> Vec<(&'static str, Pattern)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::open_config as open;
+    use stencil_core::Solver;
 
     #[test]
     fn cost_model_seeds_a_profitable_leader() {
@@ -461,64 +361,80 @@ mod tests {
     #[test]
     fn generator_respects_fixed_axes() {
         let p = kernels::heat2d();
-        let only_tiling = generate(
-            &p,
-            Width::W4,
-            4,
-            Some(Method::TransposeLayout),
-            None,
-            None,
-            3,
-        );
+        let request = PlanConfig {
+            method: Method::TransposeLayout,
+            ..open(Width::W4)
+        };
+        let only_tiling = generate(&p, &request, 4, 3);
         assert!(!only_tiling.is_empty());
         assert!(only_tiling
             .iter()
-            .all(|c| c.method == Method::TransposeLayout));
-        let only_method = generate(
-            &p,
-            Width::W4,
-            4,
-            None,
-            Some(Tiling::Tessellate { time_block: 6 }),
-            None,
-            3,
-        );
+            .all(|c| c.config.method == Method::TransposeLayout));
+        let request = PlanConfig {
+            tiling: Tiling::Tessellate { time_block: 6 },
+            ..open(Width::W4)
+        };
+        let only_method = generate(&p, &request, 4, 3);
         assert!(!only_method.is_empty());
         assert!(only_method
             .iter()
-            .all(|c| c.tiling == Tiling::Tessellate { time_block: 6 }));
+            .all(|c| c.config.tiling == Tiling::Tessellate { time_block: 6 }));
     }
 
     #[test]
     fn every_candidate_compiles() {
-        // the composes() mirror stays in sync with Solver::compile
+        // a candidate that does not compile is a generator bug: the
+        // rule table filtered it, and the rule table is what compiles
         for (name, p) in table1_patterns() {
             for threads in [1, 4] {
-                for c in generate(&p, Width::native_max(), threads, None, None, None, 4) {
-                    let mut s = stencil_core::Solver::new(p.clone())
-                        .method(c.method)
-                        .tiling(c.tiling)
-                        .width(c.width);
-                    if let Some(ring) = c.ring {
-                        s = s.ring3(ring);
-                    }
-                    let r = s.compile();
-                    // wide folds can exceed the register budget at
-                    // narrow widths; that is the probe's skip path, not
-                    // a generator bug — everything else must compile
-                    if let Err(e) = r {
-                        assert!(
-                            matches!(
-                                e,
-                                stencil_core::PlanError::InvalidFold { .. }
-                                    | stencil_core::PlanError::FoldPlanTooComplex { .. }
-                            ),
-                            "{name}: {c:?} -> {e}"
-                        );
+                let generated = generate(&p, &open(Width::native_max()), threads, 4);
+                assert!(!generated.is_empty(), "{name}");
+                let incumbent = Solver::new(p.clone())
+                    .method(Method::Auto)
+                    .tiling(Tiling::Auto)
+                    .threads(threads)
+                    .compile()
+                    .unwrap()
+                    .config();
+                let moves = neighborhood(&p, &incumbent, threads, 4);
+                assert_eq!(moves[0].config, incumbent, "{name}");
+                for c in generated.iter().chain(&moves) {
+                    let plan = Solver::new(p.clone())
+                        .with_config(c.config)
+                        .compile()
+                        .unwrap_or_else(|e| panic!("{name}: {c:?} -> {e}"));
+                    // the ring axis exists for 3D register methods only
+                    if c.config.ring3.is_some() {
+                        assert!(p.dims() == 3 && c.config.method.is_register(), "{c:?}");
+                        assert_eq!(plan.ring3(), c.config.ring3);
                     }
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_request_that_validates_always_has_a_candidate() {
+        // pinned axes that rule out the top-ranked methods must not
+        // starve the search: spatial blocking admits none of the
+        // register methods the cost model ranks first
+        let spatial = Tiling::Spatial { block: (8, 64) };
+        for p in [kernels::heat2d(), kernels::box3d27p()] {
+            let request = PlanConfig {
+                tiling: spatial,
+                ..open(Width::W4)
+            };
+            request.validate(&p).unwrap();
+            let cands = generate(&p, &request, 4, 3);
+            assert!(!cands.is_empty(), "dims {}", p.dims());
+            assert!(cands.iter().all(|c| c.config.tiling == spatial));
+        }
+        // ...and one that does not validate has none to waste a probe on
+        let request = PlanConfig {
+            tiling: spatial,
+            ..open(Width::W4)
+        };
+        assert!(generate(&kernels::heat1d(), &request, 4, 3).is_empty());
     }
 
     #[test]
@@ -527,22 +443,16 @@ mod tests {
         // method list omits for 2D/3D — the generator must still
         // produce compilable candidates (the SDSL configuration)
         for p in [kernels::heat1d(), kernels::heat2d(), kernels::heat3d()] {
-            let cands = generate(
-                &p,
-                Width::W4,
-                4,
-                None,
-                Some(Tiling::Split { time_block: 4 }),
-                None,
-                3,
-            );
+            let request = PlanConfig {
+                tiling: Tiling::Split { time_block: 4 },
+                ..open(Width::W4)
+            };
+            let cands = generate(&p, &request, 4, 3);
             assert!(!cands.is_empty(), "dims {}", p.dims());
-            assert!(cands.iter().all(|c| c.method == Method::Dlt));
+            assert!(cands.iter().all(|c| c.config.method == Method::Dlt));
             for c in &cands {
-                stencil_core::Solver::new(p.clone())
-                    .method(c.method)
-                    .tiling(c.tiling)
-                    .width(c.width)
+                Solver::new(p.clone())
+                    .with_config(c.config)
                     .compile()
                     .unwrap();
             }
@@ -551,23 +461,23 @@ mod tests {
 
     #[test]
     fn spatial_candidates_only_in_2d_plus_and_vector_family() {
-        let c1 = generate(&kernels::heat1d(), Width::W4, 4, None, None, None, 4);
+        let c1 = generate(&kernels::heat1d(), &open(Width::W4), 4, 4);
         assert!(c1
             .iter()
-            .all(|c| !matches!(c.tiling, Tiling::Spatial { .. })));
-        let c2 = generate(&kernels::heat2d(), Width::W4, 4, None, None, None, 4);
+            .all(|c| !matches!(c.config.tiling, Tiling::Spatial { .. })));
+        let c2 = generate(&kernels::heat2d(), &open(Width::W4), 4, 4);
         assert!(c2
             .iter()
-            .filter(|c| matches!(c.tiling, Tiling::Spatial { .. }))
-            .all(|c| c.method == Method::MultipleLoads || c.method == Method::Scalar));
+            .filter(|c| matches!(c.config.tiling, Tiling::Spatial { .. }))
+            .all(|c| matches!(c.config.method, Method::MultipleLoads | Method::Scalar)));
     }
 
     #[test]
     fn folded_m3_enters_the_pool_by_radius_and_width() {
         let has_m3 = |p: &Pattern, w: Width| {
-            generate(p, w, 4, None, None, None, 8)
+            generate(p, &open(w), 4, 8)
                 .iter()
-                .any(|c| c.method == Method::Folded { m: 3 })
+                .any(|c| c.config.method == Method::Folded { m: 3 })
         };
         // 1D cap is one radius cell per lane: heat1d (r = 1) folds to
         // radius 3, which fits 4 and 8 lanes alike...
@@ -583,13 +493,13 @@ mod tests {
         assert!(has_m3(&kernels::heat3d(), Width::W4));
         // ...but a radius-2 box at m = 3 reaches radius 6, beyond it
         assert!(!has_m3(&kernels::box3d125p(), Width::W8));
-        // every emitted m = 3 candidate actually compiles
-        for c in generate(&kernels::d1p5(), Width::W8, 4, None, None, None, 8) {
-            if c.method == (Method::Folded { m: 3 }) {
-                stencil_core::Solver::new(kernels::d1p5())
-                    .method(c.method)
-                    .tiling(c.tiling)
-                    .width(c.width)
+        // the width neighborhood narrows per candidate: m = 3 of d1p5
+        // is offered at 8 lanes and never at 4 — so each one compiles
+        for c in generate(&kernels::d1p5(), &open(Width::W8), 4, 8) {
+            if c.config.method == (Method::Folded { m: 3 }) {
+                assert_eq!(c.config.width, Width::W8);
+                Solver::new(kernels::d1p5())
+                    .with_config(c.config)
                     .compile()
                     .unwrap();
             }
@@ -598,61 +508,40 @@ mod tests {
 
     #[test]
     fn width_neighborhood_narrows_from_w8() {
-        let c = generate(&kernels::heat1d(), Width::W8, 1, None, None, None, 1);
-        assert!(c.iter().any(|x| x.width == Width::W8));
-        assert!(c.iter().any(|x| x.width == Width::W4));
-        let c4 = generate(&kernels::heat1d(), Width::W4, 1, None, None, None, 1);
-        assert!(c4.iter().all(|x| x.width == Width::W4));
+        let c = generate(&kernels::heat1d(), &open(Width::W8), 1, 1);
+        assert!(c.iter().any(|x| x.config.width == Width::W8));
+        assert!(c.iter().any(|x| x.config.width == Width::W4));
+        let c4 = generate(&kernels::heat1d(), &open(Width::W4), 1, 1);
+        assert!(c4.iter().all(|x| x.config.width == Width::W4));
     }
 
     #[test]
     fn ring_axis_searched_only_for_3d_register_methods() {
+        let folded = |c: &&Candidate| matches!(c.config.method, Method::Folded { .. });
+        let vector = |c: &&Candidate| c.config.method == Method::MultipleLoads;
         // 3D register candidates carry ring neighborhood moves...
-        let c3 = generate(&kernels::heat3d(), Width::W4, 4, None, None, None, 4);
-        assert!(c3
-            .iter()
-            .any(|c| matches!(c.method, Method::Folded { .. }) && c.ring.is_some()));
-        assert!(c3
-            .iter()
-            .any(|c| matches!(c.method, Method::Folded { .. }) && c.ring.is_none()));
+        let c3 = generate(&kernels::heat3d(), &open(Width::W4), 4, 4);
+        assert!(c3.iter().filter(folded).any(|c| c.config.ring3.is_some()));
+        assert!(c3.iter().filter(folded).any(|c| c.config.ring3.is_none()));
         // ...the vector family and lower dimensionalities never do
-        assert!(c3
-            .iter()
-            .filter(|c| c.method == Method::MultipleLoads)
-            .all(|c| c.ring.is_none()));
-        let c2 = generate(&kernels::heat2d(), Width::W4, 4, None, None, None, 4);
-        assert!(c2.iter().all(|c| c.ring.is_none()));
+        assert!(c3.iter().filter(vector).all(|c| c.config.ring3.is_none()));
+        let c2 = generate(&kernels::heat2d(), &open(Width::W4), 4, 4);
+        assert!(c2.iter().all(|c| c.config.ring3.is_none()));
         // a pinned ring collapses the axis...
-        let pinned = Ring3 { depth: 6, slab: 3 };
-        let cp = generate(
-            &kernels::heat3d(),
-            Width::W4,
-            4,
-            None,
-            None,
-            Some(pinned),
-            4,
-        );
+        let pinned = PlanConfig {
+            ring3: Some(Ring3 { depth: 6, slab: 3 }),
+            ..open(Width::W4)
+        };
+        let cp = generate(&kernels::heat3d(), &pinned, 4, 4);
         assert!(cp
             .iter()
-            .filter(|c| matches!(c.method, Method::Folded { .. } | Method::TransposeLayout))
-            .all(|c| c.ring == Some(pinned)));
+            .filter(|c| c.config.method.is_register())
+            .all(|c| c.config.ring3 == pinned.ring3));
         // ...but never leaks onto methods (or dimensionalities) that
         // cannot execute a ring
-        assert!(cp
-            .iter()
-            .filter(|c| c.method == Method::MultipleLoads)
-            .all(|c| c.ring.is_none()));
-        let cp2 = generate(
-            &kernels::heat2d(),
-            Width::W4,
-            4,
-            None,
-            None,
-            Some(pinned),
-            4,
-        );
-        assert!(cp2.iter().all(|c| c.ring.is_none()));
+        assert!(cp.iter().filter(vector).all(|c| c.config.ring3.is_none()));
+        let cp2 = generate(&kernels::heat2d(), &pinned, 4, 4);
+        assert!(cp2.iter().all(|c| c.config.ring3.is_none()));
     }
 
     #[test]
@@ -660,21 +549,28 @@ mod tests {
         // the MAX_R3 = 4 window exists so folded m = 2 stays available
         // for radius-2 3D stencils (folded radius 4)
         let p = kernels::box3d125p();
-        assert!(fold_fits(&p, 2, Width::W4));
-        assert!(fold_fits(&p, 2, Width::W8));
-        assert!(!fold_fits(&p, 3, Width::W8), "radius 6 exceeds the window");
-        let cands = generate(&p, Width::W4, 4, None, None, None, 8);
-        assert!(cands.iter().any(|c| c.method == Method::Folded { m: 2 }));
+        let fold = |m: usize, width: Width| PlanConfig {
+            method: Method::Folded { m },
+            ..open(width)
+        };
+        fold(2, Width::W4).validate(&p).unwrap();
+        fold(2, Width::W8).validate(&p).unwrap();
+        assert!(
+            fold(3, Width::W8).validate(&p).is_err(),
+            "radius 6 exceeds the window"
+        );
+        let cands = generate(&p, &open(Width::W4), 4, 8);
+        let mut m2 = cands
+            .iter()
+            .filter(|c| c.config.method == Method::Folded { m: 2 })
+            .peekable();
+        assert!(m2.peek().is_some());
         // and every emitted m = 2 candidate compiles with its ring
-        for c in cands.iter().filter(|c| c.method == Method::Folded { m: 2 }) {
-            let mut s = stencil_core::Solver::new(p.clone())
-                .method(c.method)
-                .tiling(c.tiling)
-                .width(c.width);
-            if let Some(r) = c.ring {
-                s = s.ring3(r);
-            }
-            let plan = s.compile().unwrap();
+        for c in m2 {
+            let plan = Solver::new(p.clone())
+                .with_config(c.config)
+                .compile()
+                .unwrap();
             assert!(plan.ring3().is_some());
         }
     }

@@ -64,8 +64,8 @@ use probe::{Budget, ProbeDomain};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock, PoisonError};
-use stencil_core::tune::{MeasuredTuner, TuneDecision, TuneFailure, TuneRequest};
-use stencil_core::Tuning;
+use stencil_core::tune::{auto_method, MeasuredTuner, TuneDecision, TuneFailure, TuneRequest};
+use stencil_core::{Method, PlanConfig, Tuning};
 
 pub use stencil_core::tune::{install_tuner, installed_tuner};
 
@@ -153,7 +153,7 @@ impl AutoTuner {
     /// probe spend), not just the decision. `stencil-bench tune` uses
     /// this for its chosen-vs-model report.
     pub fn lookup(&self, req: &TuneRequest<'_>) -> Option<CacheEntry> {
-        let key = self.key_for(req);
+        let key = cache::cache_key(&self.hostd, req);
         self.with_cache(|c| c.get(&key).cloned())
     }
 
@@ -222,28 +222,17 @@ impl AutoTuner {
         self.with_cache(|c| c.health_for(&hostd))
     }
 
-    fn key_for(&self, req: &TuneRequest<'_>) -> String {
-        cache::cache_key(
-            &self.hostd,
-            req.pattern,
-            req.width,
-            req.threads,
-            req.method,
-            req.tiling,
-            req.ring3,
-            req.domain_hint,
-        )
-    }
-
     /// Probe the hill-climb neighborhood of an `incumbent` configuration
     /// — the challenger session of online retuning. Unlike
     /// [`MeasuredTuner::tune`], this ignores any cache hit (the point is
     /// to re-measure under *today's* machine and workload), probes the
     /// incumbent itself alongside its [`candidates::neighborhood`]
     /// moves — dominated methods included, which is how periodic
-    /// dominance re-probe falls out — and touches neither the cache
-    /// image nor the disk: the caller decides whether the verdict is
-    /// worth keeping ([`AutoTuner::persist_verdict`]).
+    /// dominance re-probe falls out; moves that contradict an axis
+    /// `req` pins are dropped before any budget is spent on them — and
+    /// touches neither the cache image nor the disk: the caller decides
+    /// whether the verdict is worth keeping
+    /// ([`AutoTuner::persist_verdict`]).
     ///
     /// `budget` is per call, independent of the tuner's own probe
     /// budget, so a low-priority background lane can spend a few tens of
@@ -251,10 +240,11 @@ impl AutoTuner {
     pub fn challenge(
         &self,
         req: &TuneRequest<'_>,
-        incumbent: &candidates::Candidate,
+        incumbent: &PlanConfig,
         budget: &Budget,
     ) -> Result<ChallengeOutcome, TuneFailure> {
-        let cands = candidates::neighborhood(req.pattern, incumbent, req.threads, self.top_k);
+        let mut cands = candidates::neighborhood(req.pattern, incumbent, req.threads, self.top_k);
+        cands.retain(|c| req.admits(&c.config));
         let class = cache::shape_class(req.domain_hint);
         let domain = ProbeDomain::build(req.pattern, class);
         let report = probe::run(
@@ -276,12 +266,7 @@ impl AutoTuner {
         outcome.incumbent_rate = report
             .outcomes
             .iter()
-            .find(|o| {
-                o.candidate.method == incumbent.method
-                    && o.candidate.tiling == incumbent.tiling
-                    && o.candidate.width == incumbent.width
-                    && o.candidate.ring == incumbent.ring
-            })
+            .find(|o| o.candidate.config == *incumbent)
             .map(|o| o.rate);
         Ok(outcome)
     }
@@ -292,7 +277,7 @@ impl AutoTuner {
     /// is carried forward for methods this session did not re-measure —
     /// the dominance bookkeeping keeps accumulating across challenges.
     pub fn persist_verdict(&self, req: &TuneRequest<'_>, outcome: &ChallengeOutcome) {
-        let mut entry = session_entry(self.key_for(req), req, outcome);
+        let mut entry = session_entry(cache::cache_key(&self.hostd, req), req, outcome);
         self.with_cache(|c| {
             if let Some(prev) = c.get(&entry.key) {
                 for &(m, r) in &prev.method_rates {
@@ -330,14 +315,12 @@ impl AutoTuner {
 /// [`AutoTuner::challenge`] to fill.
 fn session_outcome(report: &probe::ProbeReport) -> Option<ChallengeOutcome> {
     let best = report.best()?;
-    let mut method_rates: Vec<(stencil_core::Method, f64)> = Vec::new();
+    let mut method_rates: Vec<(Method, f64)> = Vec::new();
     for o in &report.outcomes {
-        match method_rates
-            .iter_mut()
-            .find(|(m, _)| *m == o.candidate.method)
-        {
+        let method = o.candidate.config.method;
+        match method_rates.iter_mut().find(|(m, _)| *m == method) {
             Some(mr) => mr.1 = mr.1.max(o.rate),
-            None => method_rates.push((o.candidate.method, o.rate)),
+            None => method_rates.push((method, o.rate)),
         }
     }
     Some(ChallengeOutcome {
@@ -354,19 +337,20 @@ fn session_outcome(report: &probe::ProbeReport) -> Option<ChallengeOutcome> {
 fn session_entry(key: String, req: &TuneRequest<'_>, session: &ChallengeOutcome) -> CacheEntry {
     CacheEntry {
         key,
-        method: session.best.method,
-        tiling: session.best.tiling,
-        width: session.best.width,
-        ring: session.best.ring,
+        config: session.best.config,
         rate: session.rate,
-        model_method: candidates::model_choice(req.pattern, req.width, req.tiling),
+        // the cost model's own pick for this request, so
+        // `stencil-bench tune` can print chosen-vs-model
+        model_method: auto_method(req.pattern, req.config.width, req.config.tiling),
         probes: session.probes,
         spent_ms: session.spent_ms,
         method_rates: session.method_rates.clone(),
     }
 }
 
-/// Result of one [`AutoTuner::challenge`] probe session.
+/// Result of one [`AutoTuner::challenge`] probe session — and the
+/// verdict the serving layer's retune lanes pass around (a scripted
+/// lane fills one in by hand, with `probes: 0`).
 #[derive(Debug, Clone)]
 pub struct ChallengeOutcome {
     /// The session's winning configuration (possibly the incumbent).
@@ -382,7 +366,7 @@ pub struct ChallengeOutcome {
     pub spent_ms: f64,
     /// Best rate per probed method — the probe history fed back into
     /// the cache by [`AutoTuner::persist_verdict`].
-    pub method_rates: Vec<(stencil_core::Method, f64)>,
+    pub method_rates: Vec<(Method, f64)>,
 }
 
 /// Fraction of a session's best rate below which a probed method counts
@@ -396,13 +380,10 @@ pub const DOMINANCE_SESSIONS: usize = 2;
 
 impl MeasuredTuner for AutoTuner {
     fn tune(&self, req: &TuneRequest<'_>) -> Result<TuneDecision, TuneFailure> {
-        let key = self.key_for(req);
-        if let Some(hit) = self.with_cache(|c| c.get(&key).cloned()) {
+        let key = cache::cache_key(&self.hostd, req);
+        if let Some(hit) = self.with_cache(|c| c.get(&key).map(|e| e.config)) {
             return Ok(TuneDecision {
-                method: hit.method,
-                tiling: hit.tiling,
-                width: hit.width,
-                ring3: hit.ring,
+                config: hit,
                 from_cache: true,
             });
         }
@@ -410,28 +391,20 @@ impl MeasuredTuner for AutoTuner {
             return Err(TuneFailure::CacheMiss { key });
         }
 
-        let mut cands = candidates::generate(
-            req.pattern,
-            req.width,
-            req.threads,
-            req.method,
-            req.tiling,
-            req.ring3,
-            self.top_k,
-        );
+        let mut cands = candidates::generate(req.pattern, &req.config, req.threads, self.top_k);
         // Probe history shrinks the list: methods this host's prior
         // sessions consistently measured far off the lead are dropped
         // before any budget is spent on them. Fixed methods are never
         // pruned (the caller asked for exactly that one), and the prune
         // never empties the list — the top-ranked survivor always runs.
-        if req.method.is_none() {
+        if req.config.method == Method::Auto {
             let sig = cache::pattern_signature(req.pattern);
             let hostd = self.hostd.clone();
             let doomed = self.with_cache(|c| {
                 c.dominated_methods(
                     &hostd,
                     req.threads,
-                    req.width,
+                    req.config.width,
                     &sig,
                     DOMINANCE_SESSIONS,
                     DOMINANCE_MARGIN,
@@ -440,7 +413,7 @@ impl MeasuredTuner for AutoTuner {
             if !doomed.is_empty() {
                 let kept: Vec<candidates::Candidate> = cands
                     .iter()
-                    .filter(|c| !doomed.contains(&c.method))
+                    .filter(|c| !doomed.contains(&c.config.method))
                     .copied()
                     .collect();
                 if !kept.is_empty() {
@@ -473,10 +446,7 @@ impl MeasuredTuner for AutoTuner {
         };
         let entry = session_entry(key, req, &session);
         let decision = TuneDecision {
-            method: entry.method,
-            tiling: entry.tiling,
-            width: entry.width,
-            ring3: entry.ring,
+            config: entry.config,
             from_cache: false,
         };
         self.with_cache(|c| self.put_and_save(c, entry));
@@ -555,10 +525,21 @@ pub fn installed_auto() -> Option<&'static AutoTuner> {
     .then_some(ours)
 }
 
+/// Test fixture: a request at `width` with every tunable axis open.
+#[cfg(test)]
+pub(crate) fn open_config(width: stencil_core::Width) -> PlanConfig {
+    PlanConfig {
+        method: Method::Auto,
+        tiling: stencil_core::Tiling::Auto,
+        width,
+        ring3: None,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stencil_core::{kernels, Method, Tiling, Width};
+    use stencil_core::{kernels, Tiling, Width};
 
     fn temp_path(tag: &str) -> PathBuf {
         std::env::temp_dir().join(format!(
@@ -574,12 +555,9 @@ mod tests {
     ) -> TuneRequest<'a> {
         TuneRequest {
             pattern: p,
-            width: Width::W4,
+            config: open_config(Width::W4),
             threads: 2,
-            method: None,
-            tiling: None,
             domain_hint: hint,
-            ring3: None,
             mode,
         }
     }
@@ -593,8 +571,8 @@ mod tests {
 
         let d1 = tuner.tune(&req(&p, Tuning::Measured, None)).unwrap();
         assert!(!d1.from_cache);
-        assert_ne!(d1.method, Method::Auto);
-        assert_ne!(d1.tiling, Tiling::Auto);
+        assert_ne!(d1.config.method, Method::Auto);
+        assert_ne!(d1.config.tiling, Tiling::Auto);
         let probes_after_first = tuner.probe_count();
         assert!(probes_after_first > 0);
         assert!(path.exists(), "cache must be persisted");
@@ -602,17 +580,14 @@ mod tests {
         // same request: cache hit, identical decision, zero new probes
         let d2 = tuner.tune(&req(&p, Tuning::Measured, None)).unwrap();
         assert!(d2.from_cache);
-        assert_eq!(
-            (d2.method, d2.tiling, d2.width),
-            (d1.method, d1.tiling, d1.width)
-        );
+        assert_eq!(d2.config, d1.config);
         assert_eq!(tuner.probe_count(), probes_after_first);
 
         // a fresh tuner instance reads the same decision from disk
         let cold = AutoTuner::with_cache_path(&path);
         let d3 = cold.tune(&req(&p, Tuning::CacheOnly, None)).unwrap();
         assert!(d3.from_cache);
-        assert_eq!(d3.method, d1.method);
+        assert_eq!(d3.config.method, d1.config.method);
         assert_eq!(cold.probe_count(), 0);
         let _ = std::fs::remove_file(&path);
     }
@@ -704,15 +679,43 @@ mod tests {
         let tuner = AutoTuner::with_cache_path(&path).budget(Budget::from_millis(100));
         let p = kernels::heat2d();
         let mut r = req(&p, Tuning::Measured, None);
-        r.method = Some(Method::TransposeLayout);
+        r.config.method = Method::TransposeLayout;
         let d = tuner.tune(&r).unwrap();
-        assert_eq!(d.method, Method::TransposeLayout);
+        assert_eq!(d.config.method, Method::TransposeLayout);
         let _ = std::fs::remove_file(&path);
     }
 
     #[test]
+    fn challenge_spends_no_probe_on_moves_the_request_pins_away() {
+        let tuner = AutoTuner::with_cache_path(temp_path("pinned-challenge"));
+        let p = kernels::heat2d();
+        let incumbent = PlanConfig {
+            method: Method::MultipleLoads,
+            tiling: Tiling::None,
+            width: Width::W4,
+            ring3: None,
+        };
+        let budget = Budget::from_millis(200);
+        // unconstrained: the tiling move and the method alternates (at
+        // their natural, tessellated tiling on 2 threads) are all probed
+        let open = req(&p, Tuning::Measured, None);
+        let free = tuner.challenge(&open, &incumbent, &budget).unwrap();
+        assert!(free.probes > 1, "{free:?}");
+        // block-free pinned: every one of those moves contradicts the
+        // request, so the incumbent is the only configuration measured
+        let mut pinned = req(&p, Tuning::Measured, None);
+        pinned.config.tiling = Tiling::None;
+        let before = tuner.probe_count();
+        let held = tuner.challenge(&pinned, &incumbent, &budget).unwrap();
+        assert_eq!(held.probes, 1, "{held:?}");
+        assert_eq!(held.best.config, incumbent);
+        assert!(held.incumbent_rate.is_some());
+        // warm-up + timed sweep of that one candidate, nothing else
+        assert_eq!(tuner.probe_count() - before, 2);
+    }
+
+    #[test]
     fn probe_history_prunes_dominated_methods() {
-        use stencil_core::{Method, Tiling};
         let path = temp_path("dominance");
         let _ = std::fs::remove_file(&path);
         let p = kernels::heat1d();
@@ -721,13 +724,15 @@ mod tests {
         // history shows DataReorg hopelessly dominated
         let mut seeded = cache::TuneCache::new();
         for (hint, rate) in [(&[2048usize][..], 1.0e8), (&[500_000usize][..], 1.2e8)] {
-            let key = cache::cache_key(&hostd, &p, Width::W4, 2, None, None, None, Some(hint));
+            let key = cache::cache_key(&hostd, &req(&p, Tuning::Measured, Some(hint)));
             seeded.put(cache::CacheEntry {
                 key,
-                method: Method::Folded { m: 2 },
-                tiling: Tiling::Tessellate { time_block: 8 },
-                width: Width::W4,
-                ring: None,
+                config: PlanConfig {
+                    method: Method::Folded { m: 2 },
+                    tiling: Tiling::Tessellate { time_block: 8 },
+                    width: Width::W4,
+                    ring3: None,
+                },
                 rate: 10.0 * rate,
                 model_method: Method::Folded { m: 2 },
                 probes: 5,

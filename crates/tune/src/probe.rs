@@ -13,7 +13,7 @@
 use crate::candidates::Candidate;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
-use stencil_core::{Pattern, Plan, Solver, Tiling, Tuning};
+use stencil_core::{Pattern, Plan, Solver, Tiling};
 use stencil_grid::{Grid1D, Grid2D, Grid3D};
 use stencil_runtime::PoolHandle;
 
@@ -191,15 +191,9 @@ pub fn run(
             continue;
         }
         // compile once; warm-up and the timed sweep reuse the plan
-        let mut solver = Solver::new(p.clone())
-            .method(cand.method)
-            .tiling(cand.tiling)
-            .width(cand.width)
-            .pool(pool.clone())
-            .tuning(Tuning::Static);
-        if let Some(ring) = cand.ring {
-            solver = solver.ring3(ring);
-        }
+        let solver = Solver::new(p.clone())
+            .with_config(cand.config)
+            .pool(pool.clone());
         let Ok(plan) = solver.compile() else {
             skipped += 1;
             continue;
@@ -247,7 +241,7 @@ pub fn run(
 
 /// The candidate's time block (0 for untiled schemes).
 fn time_block_of(c: &Candidate) -> usize {
-    match c.tiling {
+    match c.config.tiling {
         Tiling::Tessellate { time_block } | Tiling::Split { time_block } => time_block,
         _ => 0,
     }
@@ -263,13 +257,13 @@ fn steps_for(c: &Candidate) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::candidates;
-    use stencil_core::{kernels, Width};
+    use crate::{candidates, open_config as open};
+    use stencil_core::{kernels, Method, PlanConfig, Width};
 
     #[test]
     fn probes_pick_a_candidate_and_count_sweeps() {
         let p = kernels::heat1d();
-        let cands = candidates::generate(&p, Width::W4, 2, None, None, None, 2);
+        let cands = candidates::generate(&p, &open(Width::W4), 2, 2);
         let domain = ProbeDomain::build(&p, "tiny");
         let counter = AtomicU64::new(0);
         let report = run(&p, &cands, 2, &domain, &Budget::from_millis(400), &counter);
@@ -281,7 +275,7 @@ mod tests {
     #[test]
     fn budget_early_exit_still_measures_one() {
         let p = kernels::box2d9p();
-        let cands = candidates::generate(&p, Width::W4, 1, None, None, None, 4);
+        let cands = candidates::generate(&p, &open(Width::W4), 1, 4);
         let domain = ProbeDomain::build(&p, "tiny");
         let counter = AtomicU64::new(0);
         // zero budget: the first candidate is still probed (never return
@@ -312,10 +306,11 @@ mod tests {
         let p = kernels::heat1d();
         // folded m=2 at W1 cannot fit the register pipeline in 1D
         let cands = [Candidate {
-            method: stencil_core::Method::Folded { m: 2 },
-            tiling: Tiling::None,
-            width: Width::W1,
-            ring: None,
+            config: PlanConfig {
+                method: Method::Folded { m: 2 },
+                tiling: Tiling::None,
+                ..open(Width::W1)
+            },
             score: f64::NAN,
         }];
         let domain = ProbeDomain::build(&p, "tiny");

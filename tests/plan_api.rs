@@ -17,8 +17,8 @@
 use stencil_lab::core::kernels;
 use stencil_lab::grid::max_abs_diff;
 use stencil_lab::{
-    Domain, Grid1D, Grid2D, Grid3D, Method, Pattern, PlanError, PoolHandle, Ring3, Solver, Tiling,
-    Tuning, Width,
+    Domain, Grid1D, Grid2D, Grid3D, Method, Pattern, PlanConfig, PlanError, PoolHandle, Ring3,
+    Solver, Tiling, Tuning, Width,
 };
 
 // ---------------------------------------------------------------------
@@ -342,6 +342,8 @@ fn no_configuration_panics_through_the_public_api() {
     // compile() either returns a typed error or a plan whose runs agree
     // with the Method::Scalar plan (or reject the grid with one typed
     // layout error, the same from every entry point) — never a panic.
+    // The rule table is the oracle for which: PlanConfig::validate
+    // accepts exactly the cells that compile, with the same error.
     const T: usize = 5; // odd: Folded { m: 2 } also runs its t % m tail
     let patterns: [Pattern; 3] = [kernels::heat1d(), kernels::heat2d(), kernels::heat3d()];
     let methods = [
@@ -401,11 +403,30 @@ fn no_configuration_panics_through_the_public_api() {
                         .tiling(tl)
                         .width(w)
                         .pool(pool.clone());
-                    let Ok(plan) = cfg.compile() else {
+                    let cell = PlanConfig {
+                        method: m,
+                        tiling: tl,
+                        width: w,
+                        ring3: None,
+                    };
+                    let compiled = cfg.compile();
+                    assert_eq!(
+                        cell.validate(p).err(),
+                        compiled.as_ref().err().cloned(),
+                        "{}D {cell:?}: validate and compile disagree",
+                        p.dims()
+                    );
+                    let Ok(plan) = compiled else {
                         rejected += 1;
                         continue;
                     };
                     ok += 1;
+                    // what a plan reports recompiles to the same plan
+                    assert_eq!(plan.config().validate(p), Ok(()));
+                    if m != Method::Auto {
+                        let ring3 = plan.ring3();
+                        assert_eq!(plan.config(), PlanConfig { ring3, ..cell });
+                    }
                     for i in 0..2 {
                         // every entry point, at origin 0 and off it
                         let runs: Vec<Result<Vec<f64>, PlanError>> = match p.dims() {

@@ -15,14 +15,14 @@ use std::sync::Arc;
 use std::time::Duration;
 use stencil_lab::core::api::Width;
 use stencil_lab::core::kernels;
-use stencil_lab::serve::adapt::unconstrained_request;
 use stencil_lab::serve::registry::PlanShape;
 use stencil_lab::serve::{
-    AdaptConfig, ChallengeVerdict, Decider, JobDomain, JobSpec, LatencyHistogram, Manifest,
-    PlanChoice, ScriptedLane, ServeConfig, ServeError, ShardPolicy, SharedClock, StatsSnapshot,
-    StencilService, VirtualClock,
+    AdaptConfig, Decider, JobDomain, JobSpec, LatencyHistogram, Manifest, ScriptedLane,
+    ServeConfig, ServeError, ShardPolicy, SharedClock, StatsSnapshot, StencilService, VirtualClock,
 };
-use stencil_lab::{Grid2D, Grid3D, Method, Tiling, Tuning};
+use stencil_lab::tune::candidates::Candidate;
+use stencil_lab::tune::ChallengeOutcome;
+use stencil_lab::{Grid2D, Grid3D, Method, PlanConfig, Tiling, Tuning};
 
 fn sharded_cfg() -> ServeConfig {
     ServeConfig {
@@ -437,18 +437,23 @@ fn flip_width(w: Width) -> Width {
     }
 }
 
-/// A scripted verdict whose challenger differs from the incumbent (the
-/// width flips) — always compilable for the 2D kernels used here.
-fn scripted_verdict(incumbent_width: Width, rate: f64, incumbent_rate: f64) -> ChallengeVerdict {
-    ChallengeVerdict {
-        choice: PlanChoice {
-            method: Method::MultipleLoads,
-            tiling: Tiling::None,
-            width: flip_width(incumbent_width),
-            ring: None,
+/// A scripted verdict whose challenger differs from the statically
+/// resolved incumbent (a tessellated fold on two threads): the vector
+/// kernel, block-free, at the incumbent's width — always compilable for
+/// the 2D kernels used here.
+fn scripted_verdict(incumbent_width: Width, rate: f64, incumbent_rate: f64) -> ChallengeOutcome {
+    ChallengeOutcome {
+        best: Candidate {
+            config: PlanConfig {
+                method: Method::MultipleLoads,
+                tiling: Tiling::None,
+                width: incumbent_width,
+                ring3: None,
+            },
+            score: f64::NAN,
         },
         rate,
-        incumbent_rate,
+        incumbent_rate: Some(incumbent_rate),
         probes: 3,
         spent_ms: 1.0,
         method_rates: vec![(Method::MultipleLoads, rate)],
@@ -487,6 +492,7 @@ fn decider_hysteresis_prevents_swap_flapping_at_the_margin_boundary() {
     };
     serve_hot(HOT);
     let (incumbent, _) = svc.plan_for(&spec()).unwrap();
+    assert_ne!(incumbent.method(), Method::MultipleLoads);
     let w = incumbent.width();
     // script: margin-edge loser (1.10 == 1.0 * (1 + margin), strict
     // comparison -> not a win), then a clear winner, then a loser
@@ -521,7 +527,7 @@ fn decider_hysteresis_prevents_swap_flapping_at_the_margin_boundary() {
     let key = svc.stats().plans.keys().next().unwrap().clone();
     let swapped = svc.registry_handle().plan_for_key(&key).unwrap();
     assert_eq!(swapped.epoch(), incumbent.epoch() + 1);
-    assert_eq!(swapped.width(), flip_width(w));
+    assert_eq!(swapped.method(), Method::MultipleLoads);
 
     // a post-swap loser leaves the new incumbent untouched
     serve_hot(HOT);
@@ -666,7 +672,7 @@ fn seeded_virtual_clock_retune_swaps_once_and_persists_the_verdict() {
 
     let new_plan = svc.registry_handle().plan_for_key(key).unwrap();
     assert_eq!(new_plan.epoch(), 1);
-    assert_eq!(new_plan.width(), verdict.choice.width);
+    assert_eq!(new_plan.config(), verdict.best.config);
     let r = svc.submit(spec()).unwrap().wait().unwrap();
     assert_eq!(r.epoch, 1, "post-swap traffic runs the new generation");
     let out = match r.output {
@@ -686,15 +692,20 @@ fn seeded_virtual_clock_retune_swaps_once_and_persists_the_verdict() {
     let dump = stats.to_json().pretty();
     assert!(dump.contains("\"swaps\"") && dump.contains("\"challenges\""));
 
-    // the verdict was persisted under the unconstrained request — the
-    // exact key a fresh warm-start resolves
+    // the verdict was persisted under the key's own (pooled, hence
+    // unconstrained) request — the exact key a fresh warm-start resolves
     let fresh = AutoTuner::with_cache_path(&cache);
-    let p = kernels::box2d9p();
+    let warm_start = svc.registry_handle().request(
+        &kernels::box2d9p(),
+        Some(&[64, 64]),
+        Tuning::CacheOnly,
+        PlanShape::Pooled,
+    );
     let entry = fresh
-        .lookup(&unconstrained_request(&p, &[64, 64], 2))
+        .lookup(&warm_start.tune_request())
         .expect("the winning verdict must persist to the tune cache");
-    assert_eq!(entry.method, verdict.choice.method);
-    assert_eq!(entry.width, verdict.choice.width);
+    assert!(entry.key.ends_with("|m=*|ti=*|ri=*"), "{}", entry.key);
+    assert_eq!(entry.config, verdict.best.config);
     svc.shutdown();
     let _ = std::fs::remove_file(&cache);
 }

@@ -3,18 +3,22 @@
 //! `Tuning::CacheOnly`.
 //!
 //! The probe-count assertions share one installed process-wide tuner,
-//! so everything counter-sensitive lives in a single sequential test
-//! (`measured_tuning_end_to_end`); the other tests use private
-//! `AutoTuner` instances with their own cache files and counters.
+//! so the two counter-sensitive tests (`measured_tuning_end_to_end` and
+//! `invalid_pinned_axes_get_the_static_error_in_every_tuning_mode`)
+//! take [`probe_counter`]'s lock; the other tests either never probe or
+//! use private `AutoTuner` instances with their own cache files and
+//! counters.
 
 use std::path::PathBuf;
-use std::sync::OnceLock;
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 use stencil_lab::core::kernels;
 use stencil_lab::core::tune::{TuneFailure, TuneRequest};
 use stencil_lab::grid::max_abs_diff;
 use stencil_lab::tune::cache::TuneCache;
 use stencil_lab::tune::probe::Budget;
-use stencil_lab::{AutoTuner, Grid1D, Method, PlanError, Solver, Tiling, Tuning, Width};
+use stencil_lab::{
+    AutoTuner, Grid1D, Method, Pattern, PlanConfig, PlanError, Ring3, Solver, Tiling, Tuning, Width,
+};
 
 fn temp_path(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!(
@@ -41,13 +45,40 @@ fn global_tuner() -> &'static AutoTuner {
     })
 }
 
+/// A measured request for `p` on two threads at four lanes, every
+/// tunable axis open.
+fn open_request(p: &Pattern) -> TuneRequest<'_> {
+    TuneRequest {
+        pattern: p,
+        config: PlanConfig {
+            method: Method::Auto,
+            tiling: Tiling::Auto,
+            width: Width::W4,
+            ring3: None,
+        },
+        threads: 2,
+        domain_hint: None,
+        mode: Tuning::Measured,
+    }
+}
+
+/// The installed tuner with its probe counter held still: tests that
+/// assert on `probe_count()` deltas run one at a time.
+fn probe_counter() -> (&'static AutoTuner, MutexGuard<'static, ()>) {
+    static LOCK: Mutex<()> = Mutex::new(());
+    (
+        global_tuner(),
+        LOCK.lock().unwrap_or_else(PoisonError::into_inner),
+    )
+}
+
 /// The acceptance path: `Solver::tuning(Tuning::Measured).compile()`
 /// probes once, persists the winner to the per-host cache, and every
 /// later compile — Measured or CacheOnly — reuses the cached choice
 /// without running a single probe.
 #[test]
 fn measured_tuning_end_to_end() {
-    let tuner = global_tuner();
+    let (tuner, _held) = probe_counter();
     let p = kernels::heat1d();
     let solve = |mode: Tuning| {
         Solver::new(p.clone())
@@ -112,6 +143,69 @@ fn measured_tuning_end_to_end() {
     );
 }
 
+/// A request whose *pinned* axes cannot compile gets the typed error
+/// of the static path in every tuning mode — the rule table runs before
+/// any tuner is consulted, so no probe is spent on it either.
+#[test]
+fn invalid_pinned_axes_get_the_static_error_in_every_tuning_mode() {
+    let (tuner, _held) = probe_counter();
+    // m = 3 folds this asymmetric radius-2 pattern to 13 distinct
+    // columns: inside the 2D radius cap, beyond the counterpart budget
+    let busy: Vec<f64> = (0..25).map(|i| 1.0 / (3.0 + i as f64)).collect();
+    let auto = |p: Pattern| Solver::new(p).method(Method::Auto).tiling(Tiling::Auto);
+    // each case pins one axis to a value no plan admits; the rest is open
+    let cases = [
+        (
+            "m = 0",
+            auto(kernels::heat2d()).method(Method::Folded { m: 0 }),
+        ),
+        (
+            "m = 9",
+            auto(kernels::heat2d()).method(Method::Folded { m: 9 }),
+        ),
+        (
+            "time_block = 0",
+            auto(kernels::heat2d()).tiling(Tiling::Tessellate { time_block: 0 }),
+        ),
+        (
+            "1D spatial",
+            auto(kernels::heat1d()).tiling(Tiling::Spatial { block: (8, 8) }),
+        ),
+        (
+            "ring out of bounds",
+            auto(kernels::heat3d()).ring3(Ring3 {
+                depth: usize::MAX,
+                slab: 4,
+            }),
+        ),
+        (
+            "counterpart budget",
+            auto(Pattern::new_2d(2, &busy)).method(Method::Folded { m: 3 }),
+        ),
+    ];
+    for (name, request) in cases {
+        let compile = |mode: Tuning| request.clone().threads(2).tuning(mode).compile();
+        let before = tuner.probe_count();
+        let want = compile(Tuning::Static).expect_err(name);
+        assert!(
+            !matches!(
+                want,
+                PlanError::TuningFailed { .. } | PlanError::TuneCacheMiss { .. }
+            ),
+            "{name}: {want}"
+        );
+        for mode in [Tuning::Measured, Tuning::CacheOnly] {
+            let got = compile(mode).expect_err(name);
+            assert_eq!(got, want, "{name} under {mode:?}");
+        }
+        assert_eq!(
+            tuner.probe_count(),
+            before,
+            "{name}: a request that cannot compile spends no probe"
+        );
+    }
+}
+
 #[test]
 fn cache_only_cold_is_a_typed_miss() {
     // gb() is tuned by no other test in this binary, so its class is
@@ -157,14 +251,8 @@ fn cache_round_trips_and_foreign_hosts_reprobe() {
     let _ = std::fs::remove_file(&path);
     let p = kernels::d1p5();
     let req = |mode: Tuning| TuneRequest {
-        pattern: &p,
-        width: Width::W4,
-        threads: 2,
-        method: None,
-        tiling: None,
-        domain_hint: None,
-        ring3: None,
         mode,
+        ..open_request(&p)
     };
 
     let warm = AutoTuner::with_cache_path(&path).budget(Budget::from_millis(100));
@@ -175,10 +263,7 @@ fn cache_round_trips_and_foreign_hosts_reprobe() {
     let cold = AutoTuner::with_cache_path(&path);
     let d2 = stencil_lab::core::tune::MeasuredTuner::tune(&cold, &req(Tuning::CacheOnly)).unwrap();
     assert!(d2.from_cache);
-    assert_eq!(
-        (d2.method, d2.tiling, d2.width),
-        (d1.method, d1.tiling, d1.width)
-    );
+    assert_eq!(d2.config, d1.config);
     assert_eq!(cold.probe_count(), 0);
 
     // foreign fingerprint: same file, different host → miss
@@ -204,16 +289,7 @@ fn corrupt_cache_degrades_gracefully() {
     std::fs::write(&path, "not json at all {{{").unwrap();
     let p = kernels::heat2d();
     let tuner = AutoTuner::with_cache_path(&path).budget(Budget::from_millis(100));
-    let req = TuneRequest {
-        pattern: &p,
-        width: Width::W4,
-        threads: 2,
-        method: None,
-        tiling: None,
-        domain_hint: None,
-        ring3: None,
-        mode: Tuning::Measured,
-    };
+    let req = open_request(&p);
     let d = stencil_lab::core::tune::MeasuredTuner::tune(&tuner, &req).unwrap();
     assert!(!d.from_cache, "corrupt cache must re-probe, not error");
     // the rewritten file is valid again
