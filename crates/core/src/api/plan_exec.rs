@@ -561,9 +561,13 @@ impl Plan {
             RouteN::BlockFree(Kernel::Vector) => {
                 ping_pong(grid, |pp| multiload::sweep_2d::<V>(pp, p, t))
             }
-            RouteN::BlockFree(Kernel::Register(k)) => folded::sweep_2d_with::<V>(k, grid, p, t),
+            RouteN::BlockFree(Kernel::Register(k)) => {
+                let _span = ring_span();
+                folded::sweep_2d_with::<V>(k, grid, p, t)
+            }
             RouteN::Tiled { driver, body, tail } => ping_pong(grid, |pp| {
                 for (kernel, q, steps) in self.legs(body, tail, t) {
+                    let _span = matches!(kernel, Kernel::Register(_)).then(ring_span);
                     let r = q.radius();
                     let step =
                         |s: &Grid2D, d: &mut Grid2D, ys, xs| kernel.step::<V>(q, s, d, ys, xs);
@@ -594,7 +598,6 @@ impl Plan {
         };
         self.check_layout(grid.nx())?;
         let p = &self.pattern;
-        let ring_span = || stencil_obs::span(stencil_obs::SpanId::RingSweep);
         Ok(match route {
             RouteN::BlockFree(Kernel::Scalar) => ping_pong(grid, |pp| scalar::sweep_3d(pp, p, t)),
             RouteN::BlockFree(Kernel::Vector) => {
@@ -626,6 +629,12 @@ impl Plan {
             }
         })
     }
+}
+
+/// The register-kernel span of a run or leg (one per sweep, never per
+/// tile): the ledger's "register-kernel self time" in 2D and 3D.
+fn ring_span() -> stencil_obs::SpanGuard {
+    stencil_obs::span(stencil_obs::SpanId::RingSweep)
 }
 
 /// Advance a fresh ping-pong pair seeded with `grid` through `sweep` and

@@ -1,23 +1,12 @@
-//! Register-folded executor — the paper's §3.3 pipeline ("Our (m steps)").
+//! Register-folded executor — the paper's §3.3 pipeline ("Our (m steps)"):
+//! the planned kernel ([`FoldedKernel`]), the 1D squares kernel, and the
+//! 2D entry points of the register pipeline.
 //!
-//! Memory stays in the original layout; each `vl x vl` square of grid
-//! points is processed entirely in registers:
-//!
-//! 1. **Vertical folding** — fold the `vl + 2R` surrounding rows with
-//!    each fresh counterpart's λ column (one row-vector load per row,
-//!    *shared* by every counterpart).
-//! 2. **Register transpose** — the §2.3 two/three-stage transpose turns
-//!    counterpart rows into per-x columns.
-//! 3. **Horizontal folding** — combine counterpart columns across
-//!    x-offsets with the planned coefficients (the separable case touches
-//!    a single counterpart, cf. Eq. 6).
-//! 4. **Weighted transpose** — transpose the output square back and store
-//!    rows (the paper's optional final transpose; we always restore the
-//!    original layout so tiling layers see one consistent layout).
-//!
-//! **Shifts reusing** (§3.4): the transposed counterpart columns of the
-//! current square are carried over as the left-halo of the next square —
-//! each column is computed exactly once per sweep.
+//! Memory stays in the original layout. In 2D and 3D each `vl x vl`
+//! block of grid points is folded vertically, transposed in registers,
+//! folded horizontally and transposed back by the one pane kernel of
+//! [`crate::exec::folded3d`]; a 2D grid is its one-plane case, entered
+//! through [`step_range_2d`], [`step_2d`] and [`sweep_2d_with`].
 //!
 //! The 1D variant ([`step_squares_range_1d`]) degenerates to: transpose
 //! square, horizontal fold with assembled block-edge vectors, transpose
@@ -27,11 +16,8 @@
 // indexed loops here are offset
 // windows (ext[j + k]) where iterator rewrites obscure the paper's
 // notation and codegen alike
-// Kernel entry points mirror the (plan, grid, strides, block) parameter
-// sets of the paper's pseudocode.
-#![allow(clippy::too_many_arguments)]
 
-use crate::exec::folded3d::Sched3;
+use crate::exec::folded3d::{self, step_ring_r, Ring3, Sched, View};
 use crate::pattern::Pattern;
 use crate::plan::FoldPlan;
 use stencil_grid::{Grid2D, PingPong};
@@ -51,16 +37,13 @@ pub const MAX_F: usize = 10;
 /// Precomputed, executor-friendly form of a [`FoldPlan`].
 pub struct FoldedKernel {
     plan: FoldPlan,
-    /// `(slab_index, weight)` vertical taps per fresh id (empty for id 0).
-    taps_by_id: Vec<Vec<(usize, f64)>>,
     /// Flattened horizontal terms `(dense id, dx index, coeff)`, dx-major
-    /// (`dense id` indexes [`Self::used_ids`], `dx index = dx + R`).
+    /// (`dense id` counts the fresh ids some term uses, in id order;
+    /// `dx index = dx + R`).
     hterms: Vec<(usize, usize, f64)>,
-    /// Fresh ids that must actually be computed per square.
-    used_ids: Vec<usize>,
-    /// Flat vertical schedule of a 3D plan within the z-ring's radius
-    /// bound (`None` otherwise).
-    sched3: Option<Sched3>,
+    /// Flat vertical schedule of a 2D or 3D plan within the register
+    /// pipeline's radius bound (`None` otherwise).
+    sched: Option<Sched>,
 }
 
 impl FoldedKernel {
@@ -73,7 +56,7 @@ impl FoldedKernel {
     /// (lets a compile step validate the plan first and reuse it).
     pub fn from_plan(plan: FoldPlan) -> Self {
         assert!(plan.fresh.len() <= MAX_F, "too many counterparts");
-        let taps_by_id: Vec<_> = (0..plan.fresh.len()).map(|id| plan.fold_taps(id)).collect();
+        // fresh ids that must actually be computed per square
         let mut used_ids: Vec<usize> = plan.h.iter().flatten().map(|t| t.id).collect();
         used_ids.sort_unstable();
         used_ids.dedup();
@@ -84,17 +67,18 @@ impl FoldedKernel {
                 hterms.push((u, dxi, t.coeff));
             }
         }
-        let mut k = Self {
-            plan,
-            taps_by_id,
-            hterms,
-            used_ids,
-            sched3: None,
+        // the register pipeline's radius bound; 1D has its squares kernel
+        let cap = match plan.dims {
+            2 => MAX_R,
+            3 => MAX_R3,
+            _ => 0,
         };
-        if k.plan.dims == 3 && k.plan.radius <= MAX_R3 {
-            k.sched3 = Some(Sched3::new(&k));
+        let sched = (plan.radius <= cap).then(|| Sched::new(&plan, &used_ids));
+        Self {
+            plan,
+            hterms,
+            sched,
         }
-        k
     }
 
     /// Folded radius `R = m * r`.
@@ -112,26 +96,15 @@ impl FoldedKernel {
         &self.plan.folded
     }
 
-    /// Fresh ids referenced by at least one horizontal term, in dense
-    /// window order (shared with the z-ring pipeline).
-    pub(crate) fn used_ids(&self) -> &[usize] {
-        &self.used_ids
-    }
-
-    /// `(slab_index, weight)` vertical taps per fresh id.
-    pub(crate) fn taps_by_id(&self) -> &[Vec<(usize, f64)>] {
-        &self.taps_by_id
-    }
-
     /// Horizontal terms `(dense id, dx index, coeff)`, dx-major.
     pub(crate) fn hterms(&self) -> &[(usize, usize, f64)] {
         &self.hterms
     }
 
-    /// The flat vertical schedule of a 3D plan within the z-ring's
-    /// radius bound; `None` otherwise.
-    pub(crate) fn sched3(&self) -> Option<&Sched3> {
-        self.sched3.as_ref()
+    /// The flat vertical schedule of a 2D or 3D plan within the register
+    /// pipeline's radius bound; `None` otherwise.
+    pub(crate) fn sched(&self) -> Option<&Sched> {
+        self.sched.as_ref()
     }
 
     /// The underlying plan.
@@ -142,47 +115,18 @@ impl FoldedKernel {
     /// True when the folded matrix is rank-1 (separable): exactly one
     /// fresh counterpart, dense over the full column, and every
     /// horizontal offset contributes a single scaled term of it — the
-    /// paper's Fig. 5 case (uniform boxes). Enables the fully-unrolled
-    /// fast path.
+    /// paper's Fig. 5 case (uniform boxes). Enables the const-trip
+    /// marches of the register pipeline.
     pub fn is_separable(&self) -> bool {
-        let side = 2 * self.plan.radius + 1;
-        self.used_ids == [1]
-            && self.taps_by_id.len() > 1
-            && self.taps_by_id[1].len() == side.pow(self.plan.dims as u32 - 1)
-            && self.taps_by_id[1]
-                .iter()
-                .enumerate()
-                .all(|(i, &(slab, _))| slab == i)
-            && self.plan.h.iter().all(|t| t.len() == 1 && t[0].id == 1)
+        separable(&self.plan)
     }
 }
 
-/// Per-call splatted form of the plan for the 2D generic kernel:
-/// broadcasts hoisted out of the block loops (they would otherwise
-/// re-issue per square).
-struct PlanV<V> {
-    /// `(slab_index, splat(w))` vertical taps per fresh id.
-    taps: Vec<Vec<(usize, V)>>,
-    /// Horizontal terms grouped by x-offset: `hcols[dx + R]` lists
-    /// `(dense id, splat(coeff))` — usually a single term per offset.
-    hcols: Vec<Vec<(usize, V)>>,
-}
-
-impl<V: SimdF64> PlanV<V> {
-    fn new(k: &FoldedKernel) -> Self {
-        let mut hcols = vec![Vec::new(); 2 * k.plan.radius + 1];
-        for &(u, dxi, c) in &k.hterms {
-            hcols[dxi].push((u, V::splat(c)));
-        }
-        Self {
-            taps: k
-                .taps_by_id
-                .iter()
-                .map(|t| t.iter().map(|&(s, w)| (s, V::splat(w))).collect())
-                .collect(),
-            hcols,
-        }
-    }
+/// [`FoldedKernel::is_separable`] of the kernel `plan` builds.
+pub(crate) fn separable(plan: &FoldPlan) -> bool {
+    let column = (2 * plan.radius + 1).pow(plan.dims as u32 - 1);
+    plan.h.iter().all(|t| t.len() == 1 && t[0].id == 1)
+        && plan.fold_taps(1).iter().map(|t| t.0).eq(0..column)
 }
 
 // ---------------------------------------------------------------------
@@ -286,45 +230,17 @@ pub fn step_1d<V: SimdF64>(src: &[f64], dst: &mut [f64], taps: &[f64]) {
 }
 
 // ---------------------------------------------------------------------
-// 2D plan-driven kernel
+// 2D entry points of the pane kernel
 // ---------------------------------------------------------------------
 
-/// Scalar construction of one transposed counterpart column: lane `j` =
-/// vertical fold of counterpart `id` at `(y0 + j, x)`.
-#[inline]
-fn scalar_col_2d<V: SimdF64>(
-    k: &FoldedKernel,
-    s: &[f64],
-    stride: usize,
-    y0: usize,
-    x: usize,
-    id: usize,
-) -> V {
-    let vl = V::LANES;
-    let rr = k.plan.radius;
-    let mut lanes = [0.0f64; 8];
-    for (j, lane) in lanes[..vl].iter_mut().enumerate() {
-        if id == 0 {
-            *lane = s[(y0 + j) * stride + x];
-        } else {
-            let mut acc = 0.0;
-            for &(slab, w) in &k.taps_by_id[id] {
-                let dy = slab as isize - rr as isize;
-                let yy = (y0 + j) as isize + dy;
-                acc += w * s[yy as usize * stride + x];
-            }
-            *lane = acc;
-        }
-    }
-    V::from_slice(&lanes[..vl])
-}
-
-/// Compute the transposed counterpart columns of the `vl`-wide block at
-/// `(y0, bx)`: `cols[id][kk]` = column `bx + kk`. Row vectors are loaded
-/// once and shared by all counterparts (the flops/byte gain of §3.3).
 /// One folded step on the rectangle `ys x xs` of a 2D grid (original
-/// layout). All reads stay within `R` of the rectangle. Caller keeps the
-/// rectangle at least `R` away from the grid boundary.
+/// layout) through the register pipeline of [`crate::exec::folded3d`],
+/// of which a 2D grid is the one-plane case. Range-kernel contract of
+/// the tiling drivers: writes exactly the rectangle, reads within `R` of
+/// it, caller keeps it `R` from the grid boundary (checked). Rectangles
+/// narrower than one vector in `x` or `y`, degenerate widths and
+/// out-of-bound radii (the latter two unreachable through the Plan API)
+/// run the scalar folded sweep — no panic.
 pub fn step_range_2d<V: SimdF64>(
     k: &FoldedKernel,
     src: &Grid2D,
@@ -332,293 +248,42 @@ pub fn step_range_2d<V: SimdF64>(
     ys: core::ops::Range<usize>,
     xs: core::ops::Range<usize>,
 ) {
-    let vl = V::LANES;
     let rr = k.plan.radius;
     debug_assert!(
         rr <= MAX_R && k.plan.dims == 2,
         "validated by Solver::compile"
     );
-    if vl < rr.max(2) || rr > MAX_R || k.plan.dims != 2 {
-        // Degenerate widths (scalar lanes, or R wider than the vector) and
-        // out-of-bound radii (unreachable through the Plan API, which
-        // rejects them as PlanError::InvalidFold at compile time): the
-        // register pipeline has nothing to fold — plain folded sweep, no
-        // panic path.
-        crate::exec::scalar::step_range_2d(src, dst, &k.plan.folded, ys, xs);
-        return;
-    }
-    // monomorphize on the folded radius: the window loops then have
-    // constant trip counts and the position branches resolve statically
-    if k.is_separable() {
-        return match rr {
-            1 => step_range_2d_sep::<V, 1>(k, src, dst, ys, xs),
-            2 => step_range_2d_sep::<V, 2>(k, src, dst, ys, xs),
-            3 => step_range_2d_sep::<V, 3>(k, src, dst, ys, xs),
-            4 => step_range_2d_sep::<V, 4>(k, src, dst, ys, xs),
-            _ => step_range_2d_r::<V, 0>(k, src, dst, ys, xs),
-        };
-    }
+    let Some(sched) = folded3d::vector_sched::<V>(k, &ys, &xs) else {
+        return crate::exec::scalar::step_range_2d(src, dst, &k.plan.folded, ys, xs);
+    };
+    // one plane deep: the pane budget `Ring3::auto` splits between strip
+    // and slab goes to the slab — half of it, which keeps the pane of
+    // every 2D plan (up to `MAX_F` counterparts) within 32 KiB
+    let auto = Ring3::auto(V::LANES, rr);
+    let ring = Ring3 {
+        depth: 1,
+        slab: auto.depth * auto.slab / 2,
+    };
+    let view = View::plane(src, dst);
+    // monomorphize on the folded radius: constant window trip counts
     match rr {
-        1 => step_range_2d_r::<V, 1>(k, src, dst, ys, xs),
-        2 => step_range_2d_r::<V, 2>(k, src, dst, ys, xs),
-        3 => step_range_2d_r::<V, 3>(k, src, dst, ys, xs),
-        4 => step_range_2d_r::<V, 4>(k, src, dst, ys, xs),
-        _ => step_range_2d_r::<V, 0>(k, src, dst, ys, xs),
+        1 => step_ring_r::<V, 1, 0>(k, sched, ring, view, 0..1, ys, xs),
+        2 => step_ring_r::<V, 2, 0>(k, sched, ring, view, 0..1, ys, xs),
+        3 => step_ring_r::<V, 3, 0>(k, sched, ring, view, 0..1, ys, xs),
+        4 => step_ring_r::<V, 4, 0>(k, sched, ring, view, 0..1, ys, xs),
+        _ => step_ring_r::<V, 0, 0>(k, sched, ring, view, 0..1, ys, xs),
     }
 }
 
-/// Separable (rank-1) fast path: single counterpart `c1`, fully
-/// const-trip loops. This is exactly Fig. 5's pipeline: vertical fold
-/// with λ(1), transpose, horizontal fold with the same scaled weights,
-/// weighted transpose back — with the previous square's last `R`
-/// transposed columns reused as shifts.
-fn step_range_2d_sep<V: SimdF64, const R: usize>(
-    k: &FoldedKernel,
-    src: &Grid2D,
-    dst: &mut Grid2D,
-    ys: core::ops::Range<usize>,
-    xs: core::ops::Range<usize>,
-) {
-    let vl = V::LANES;
-    let stride = src.stride();
-    let s = src.as_slice();
-    let (xlo, xhi) = (xs.start, xs.end);
-    let nfull = (xhi - xlo) / vl;
-
-    // broadcast the single counterpart's vertical taps and the
-    // horizontal scale coefficients once
-    let mut vtap = [V::zero(); 16];
-    for (t, &(_, w)) in k.taps_by_id[1].iter().enumerate() {
-        vtap[t] = V::splat(w);
-    }
-    let mut htap = [V::zero(); 16];
-    for (dxi, terms) in k.plan.h.iter().enumerate() {
-        htap[dxi] = V::splat(terms[0].coeff);
-    }
-
-    let mut y = ys.start;
-    while y + vl <= ys.end {
-        if nfull == 0 {
-            crate::exec::scalar::step_range_2d(src, dst, &k.plan.folded, y..y + vl, xs.clone());
-            y += vl;
-            continue;
-        }
-        // window of transposed counterpart columns [bx - R, bx + vl + R)
-        let mut win = [V::zero(); 8 + 2 * 8];
-        // left tail: scalar vertical folds
-        for kk in 0..R {
-            win[kk] = scalar_col_2d::<V>(k, s, stride, y, xlo - R + kk, 1);
-        }
-        // first block
-        compute_sep_block_2d::<V, R>(s, stride, y, xlo, &vtap, &mut win, R);
-
-        for b in 0..nfull {
-            let bx = xlo + b * vl;
-            // lookahead: columns [bx + vl, bx + vl + R)
-            if b + 1 < nfull {
-                compute_sep_block_2d::<V, R>(s, stride, y, bx + vl, &vtap, &mut win, R + vl);
-            } else {
-                for kk in 0..R {
-                    win[R + vl + kk] = scalar_col_2d::<V>(k, s, stride, y, bx + vl + kk, 1);
-                }
-            }
-            // horizontal fold: out[kk] = sum_dx htap[dx] * win[kk + dx]
-            let mut out = [V::zero(); 8];
-            for (kk, o) in out[..vl].iter_mut().enumerate() {
-                let mut acc = win[kk].mul(htap[0]);
-                for dxi in 1..2 * R + 1 {
-                    acc = win[kk + dxi].mul_add(htap[dxi], acc);
-                }
-                *o = acc;
-            }
-            V::transpose(&mut out[..vl]);
-            let d = dst.as_mut_slice();
-            for (j, o) in out[..vl].iter().enumerate() {
-                // SAFETY: bx + vl <= xhi <= nx, rows y..y+vl inside grid.
-                unsafe { o.store(d.as_mut_ptr().add((y + j) * stride + bx)) };
-            }
-            // shifts reuse: slide the window left by vl (tail plus the
-            // freshly computed block become the next iteration's prefix)
-            for kk in 0..R + vl {
-                win[kk] = win[kk + vl];
-            }
-        }
-        if xlo + nfull * vl < xhi {
-            crate::exec::scalar::step_range_2d(
-                src,
-                dst,
-                &k.plan.folded,
-                y..y + vl,
-                xlo + nfull * vl..xhi,
-            );
-        }
-        y += vl;
-    }
-    if y < ys.end {
-        crate::exec::scalar::step_range_2d(src, dst, &k.plan.folded, y..ys.end, xs);
-    }
-}
-
-/// Compute the transposed single-counterpart columns of the block at
-/// `(y0, bx)` into `win[at..at + vl]`.
-#[inline(always)]
-fn compute_sep_block_2d<V: SimdF64, const R: usize>(
-    s: &[f64],
-    stride: usize,
-    y0: usize,
-    bx: usize,
-    vtap: &[V; 16],
-    win: &mut [V; 8 + 2 * 8],
-    at: usize,
-) {
-    let vl = V::LANES;
-    let mut rowvec = [V::zero(); 8 + 2 * 8];
-    for (t, rv) in rowvec[..vl + 2 * R].iter_mut().enumerate() {
-        // SAFETY: caller keeps the block R away from grid edges.
-        *rv = unsafe { V::load(s.as_ptr().add((y0 - R + t) * stride + bx)) };
-    }
-    let mut rows = [V::zero(); 8];
-    for (j, row) in rows[..vl].iter_mut().enumerate() {
-        let mut acc = rowvec[j].mul(vtap[0]);
-        for t in 1..2 * R + 1 {
-            acc = rowvec[j + t].mul_add(vtap[t], acc);
-        }
-        *row = acc;
-    }
-    V::transpose(&mut rows[..vl]);
-    win[at..at + vl].copy_from_slice(&rows[..vl]);
-}
-
-fn step_range_2d_r<V: SimdF64, const R: usize>(
-    k: &FoldedKernel,
-    src: &Grid2D,
-    dst: &mut Grid2D,
-    ys: core::ops::Range<usize>,
-    xs: core::ops::Range<usize>,
-) {
-    let vl = V::LANES;
-    let rr = if R == 0 { k.plan.radius } else { R };
-    let stride = src.stride();
-    let s = src.as_slice();
-    let (xlo, xhi) = (xs.start, xs.end);
-    let nfull = (xhi - xlo) / vl;
-    let pv = PlanV::<V>::new(k);
-    let nids = k.used_ids.len();
-
-    let mut y = ys.start;
-    while y + vl <= ys.end {
-        if nfull == 0 {
-            crate::exec::scalar::step_range_2d(src, dst, &k.plan.folded, y..y + vl, xs.clone());
-            y += vl;
-            continue;
-        }
-        // sliding windows of transposed counterpart columns, one per used
-        // id, indexed densely 0..nids (not by raw id) to keep them hot
-        let mut win = [[V::zero(); 8 + 2 * 8]; MAX_F];
-        for kk in 0..rr {
-            for (u, &id) in k.used_ids.iter().enumerate() {
-                win[u][kk] = scalar_col_2d::<V>(k, s, stride, y, xlo - rr + kk, id);
-            }
-        }
-        compute_block_2d_win::<V, R>(k, &pv, s, stride, y, xlo, &mut win, rr);
-
-        for b in 0..nfull {
-            let bx = xlo + b * vl;
-            if b + 1 < nfull {
-                compute_block_2d_win::<V, R>(k, &pv, s, stride, y, bx + vl, &mut win, rr + vl);
-            } else {
-                for kk in 0..rr {
-                    for (u, &id) in k.used_ids.iter().enumerate() {
-                        win[u][rr + vl + kk] =
-                            scalar_col_2d::<V>(k, s, stride, y, bx + vl + kk, id);
-                    }
-                }
-            }
-            // horizontal folding over the windows (ids remapped dense)
-            let mut out = [V::zero(); 8];
-            for (kk, o) in out[..vl].iter_mut().enumerate() {
-                let mut acc = V::zero();
-                for dxi in 0..2 * rr + 1 {
-                    for &(u, cv) in &pv.hcols[dxi] {
-                        acc = win[u][kk + dxi].mul_add(cv, acc);
-                    }
-                }
-                *o = acc;
-            }
-            V::transpose(&mut out[..vl]);
-            let d = dst.as_mut_slice();
-            for (j, o) in out[..vl].iter().enumerate() {
-                // SAFETY: bx + vl <= xhi <= nx, rows y..y+vl inside grid.
-                unsafe { o.store(d.as_mut_ptr().add((y + j) * stride + bx)) };
-            }
-            // shifts reuse: slide each window left by vl
-            for w in win[..nids].iter_mut() {
-                for kk in 0..rr + vl {
-                    w[kk] = w[kk + vl];
-                }
-            }
-        }
-        if xlo + nfull * vl < xhi {
-            crate::exec::scalar::step_range_2d(
-                src,
-                dst,
-                &k.plan.folded,
-                y..y + vl,
-                xlo + nfull * vl..xhi,
-            );
-        }
-        y += vl;
-    }
-    if y < ys.end {
-        crate::exec::scalar::step_range_2d(src, dst, &k.plan.folded, y..ys.end, xs);
-    }
-}
-
-/// Compute all used counterparts' transposed columns of the block at
-/// `(y0, bx)` into `win[u][at..at + vl]` (dense id index `u`). Row
-/// vectors are loaded once and shared by every counterpart.
-#[inline(always)]
-fn compute_block_2d_win<V: SimdF64, const R: usize>(
-    k: &FoldedKernel,
-    pv: &PlanV<V>,
-    s: &[f64],
-    stride: usize,
-    y0: usize,
-    bx: usize,
-    win: &mut [[V; 8 + 2 * 8]; MAX_F],
-    at: usize,
-) {
-    let vl = V::LANES;
-    let rr = if R == 0 { k.plan.radius } else { R };
-    let mut rowvec = [V::zero(); 8 + 2 * MAX_R];
-    for (t, rv) in rowvec[..vl + 2 * rr].iter_mut().enumerate() {
-        // SAFETY: caller keeps the block R away from grid edges.
-        *rv = unsafe { V::load(s.as_ptr().add((y0 - rr + t) * stride + bx)) };
-    }
-    for (u, &id) in k.used_ids.iter().enumerate() {
-        let mut rows = [V::zero(); 8];
-        if id == 0 {
-            rows[..vl].copy_from_slice(&rowvec[rr..rr + vl]);
-        } else {
-            for (j, row) in rows[..vl].iter_mut().enumerate() {
-                let mut acc = V::zero();
-                for &(slab, wv) in &pv.taps[id] {
-                    acc = rowvec[j + slab].mul_add(wv, acc);
-                }
-                *row = acc;
-            }
-        }
-        V::transpose(&mut rows[..vl]);
-        win[u][at..at + vl].copy_from_slice(&rows[..vl]);
-    }
-}
-
-/// Full folded 2D step (Dirichlet band of width `R`).
+/// Full folded 2D step (Dirichlet band of width `R` copied from `src`,
+/// so `dst` may hold anything). Grids too small to hold an interior
+/// degenerate to a copy.
 pub fn step_2d<V: SimdF64>(k: &FoldedKernel, src: &Grid2D, dst: &mut Grid2D) {
     let (ny, nx) = (src.ny(), src.nx());
     let rr = k.plan.radius;
+    let has_interior = ny > 2 * rr && nx > 2 * rr;
     for y in 0..ny {
-        if y < rr || y >= ny - rr {
+        if !has_interior || y < rr || y >= ny - rr {
             dst.row_mut(y).copy_from_slice(src.row(y));
         } else {
             let srow = src.row(y);
@@ -627,7 +292,9 @@ pub fn step_2d<V: SimdF64>(k: &FoldedKernel, src: &Grid2D, dst: &mut Grid2D) {
             drow[nx - rr..].copy_from_slice(&srow[nx - rr..]);
         }
     }
-    step_range_2d::<V>(k, src, dst, rr..ny - rr, rr..nx - rr);
+    if has_interior {
+        step_range_2d::<V>(k, src, dst, rr..ny - rr, rr..nx - rr);
+    }
 }
 
 /// Block-free "Our (m steps)" 2D sweep with the planned kernel supplied
@@ -636,10 +303,19 @@ pub fn step_2d<V: SimdF64>(k: &FoldedKernel, src: &Grid2D, dst: &mut Grid2D) {
 /// leftovers run unfolded through the multiple-loads kernel.
 pub fn sweep_2d_with<V: SimdF64>(k: &FoldedKernel, grid: &Grid2D, p: &Pattern, t: usize) -> Grid2D {
     let m = k.m();
+    let rr = k.plan.radius;
+    let (ny, nx) = (grid.ny(), grid.nx());
+    let has_interior = ny > 2 * rr && nx > 2 * rr;
+    // both surfaces start as clones of `grid`, so the Dirichlet band is
+    // in place on each and no folded step ever writes it: the range
+    // kernel runs on the interior directly (no interior: every step is
+    // the identity)
     let mut pp = PingPong::new(grid.clone());
     for _ in 0..t / m {
-        let (src, dst) = pp.src_dst();
-        step_2d::<V>(k, src, dst);
+        if has_interior {
+            let (src, dst) = pp.src_dst();
+            step_range_2d::<V>(k, src, dst, rr..ny - rr, rr..nx - rr);
+        }
         pp.swap_folded(m);
     }
     for _ in 0..t % m {

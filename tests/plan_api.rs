@@ -478,6 +478,82 @@ fn no_configuration_panics_through_the_public_api() {
     assert!(ok > 0 && rejected > 0 && layout_errors > 0);
 }
 
+#[test]
+fn register_plans_survive_grids_without_an_interior() {
+    // The register pipeline addresses its surfaces with raw vector loads
+    // and stores, and nothing between the wire and `Plan::run_*` checks
+    // extents: every grid from one cell per axis up must come back `Ok` —
+    // untouched when an axis is no wider than the 2R Dirichlet band (no
+    // interior ⇒ every folded step is the identity), and otherwise equal
+    // to the scalar plan of the folded pattern. Under the sanitize lane
+    // this is the standing proof that those accesses stay in bounds.
+    let methods = [
+        Method::Auto,
+        Method::TransposeLayout,
+        Method::Folded { m: 2 },
+    ];
+    let compile = |p: &Pattern, method: Method, width: Width| {
+        Solver::new(p.clone())
+            .method(method)
+            .tiling(Tiling::None)
+            .width(width)
+            .compile()
+            .unwrap()
+    };
+    let sizes = |rr: usize, vl: usize| [1, 2, 2 * rr, 2 * rr + 1, 2 * rr + vl - 1, 40];
+    let field = |z: usize, y: usize, x: usize| ((z * 5 + y * 3 + x * 7) % 11) as f64 - 4.0;
+    let mut identities = 0usize;
+    for (width, vl) in [(Width::W4, 4usize), (Width::W8, 8)] {
+        for p in [kernels::heat2d(), kernels::box2d9p(), kernels::gb()] {
+            for method in methods {
+                let plan = compile(&p, method, width);
+                let (rr, m) = (plan.effective_radius(), plan.m());
+                let scalar = compile(plan.folded(), Method::Scalar, width);
+                for ny in sizes(rr, vl) {
+                    for nx in sizes(rr, vl) {
+                        let g = Grid2D::from_fn(ny, nx, |y, x| field(0, y, x));
+                        let ctx = format!("{}pt {method:?} {width:?} {ny}x{nx}", p.points());
+                        // 2m steps: folded steps only, no `t % m` tail
+                        let got = plan.run_2d(&g, 2 * m).expect(&ctx).to_dense();
+                        if ny <= 2 * rr || nx <= 2 * rr {
+                            assert_eq!(got, g.to_dense(), "{ctx}");
+                            identities += 1;
+                        } else {
+                            let want = scalar.run_2d(&g, 2).unwrap().to_dense();
+                            assert!(max_abs_diff(&want, &got) < 1e-10, "{ctx}");
+                        }
+                    }
+                }
+            }
+        }
+        // the 3D analogue: the ring kernel has had the guard since PR 18
+        let p = kernels::heat3d();
+        for method in methods {
+            let plan = compile(&p, method, width);
+            let (rr, m) = (plan.effective_radius(), plan.m());
+            let scalar = compile(plan.folded(), Method::Scalar, width);
+            let sizes = sizes(rr, vl);
+            for (nz, ny, nx) in sizes
+                .into_iter()
+                .flat_map(|nz| sizes.into_iter().map(move |ny| (nz, ny)))
+                .flat_map(|(nz, ny)| sizes.into_iter().map(move |nx| (nz, ny, nx)))
+            {
+                let g = Grid3D::from_fn(nz, ny, nx, field);
+                let ctx = format!("heat3d {method:?} {width:?} {nz}x{ny}x{nx}");
+                let got = plan.run_3d(&g, 2 * m).expect(&ctx).to_dense();
+                if nz <= 2 * rr || ny <= 2 * rr || nx <= 2 * rr {
+                    assert_eq!(got, g.to_dense(), "{ctx}");
+                    identities += 1;
+                } else {
+                    let want = scalar.run_3d(&g, 2).unwrap().to_dense();
+                    assert!(max_abs_diff(&want, &got) < 1e-10, "{ctx}");
+                }
+            }
+        }
+    }
+    assert!(identities > 0);
+}
+
 // ---------------------------------------------------------------------
 // 2. plan reuse
 // ---------------------------------------------------------------------

@@ -233,6 +233,99 @@ fn spatial_blocking_matches() {
     assert!(max_abs_diff(&want.to_dense(), &got.to_dense()) < TOL);
 }
 
+/// The register pipeline is range independent: every output is one fixed
+/// chain of fused multiply-adds over its own inputs, whichever range call
+/// produces it. So a static partition of the interior — every block,
+/// the remainder ones included, at least a vector wide and not a
+/// multiple of it — reproduces the block-free plan's bits on any thread
+/// count, in 2D as in 3D. `PlanConfig::validate` refuses
+/// `Tiling::Spatial` for the register methods, so the partition is driven
+/// through `tile::spatial` with the kernel the plan itself steps with.
+/// Tessellate stays at tolerance (the tests above): its trapezoid tips
+/// are narrower than a vector and take the scalar guard, which sums in
+/// another order.
+#[test]
+fn register_plans_are_partition_independent() {
+    use stencil_lab::core::exec::folded::{step_range_2d, FoldedKernel};
+    use stencil_lab::core::exec::folded3d::step_range_3d_ring;
+    use stencil_lab::core::tile::spatial;
+    use stencil_lab::simd::NativeF64x4;
+    use stencil_lab::{PingPong, ThreadPool, Width};
+
+    let bits = |dense: Vec<f64>| dense.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    let block_free = |p: &stencil_lab::Pattern, method: Method| {
+        Solver::new(p.clone())
+            .method(method)
+            .tiling(Tiling::None)
+            .width(Width::W4)
+            .threads(1)
+            .compile()
+            .unwrap()
+    };
+    let methods = [Method::TransposeLayout, Method::Folded { m: 2 }];
+    for p in [kernels::heat2d(), kernels::box2d9p(), kernels::gb()] {
+        for method in methods {
+            let plan = block_free(&p, method);
+            let (m, rr) = (plan.m(), plan.effective_radius());
+            // interior 40 x 42: blocks of 7 x 9 leave remainders 5 and 6
+            let g = Grid2D::from_fn(40 + 2 * rr, 42 + 2 * rr, |y, x| {
+                ((y * 13 + x * 7) % 97) as f64 * 0.3
+            });
+            let want = bits(plan.run_2d(&g, 3 * m).unwrap().to_dense());
+            let k = FoldedKernel::new(&p, m);
+            for threads in [1usize, 2] {
+                let mut pp = PingPong::new(g.clone());
+                spatial::run_2d(
+                    &ThreadPool::new(threads),
+                    &mut pp,
+                    rr,
+                    (7, 9),
+                    3,
+                    &|s: &Grid2D, d: &mut Grid2D, ys, xs| {
+                        step_range_2d::<NativeF64x4>(&k, s, d, ys, xs)
+                    },
+                );
+                assert!(
+                    want == bits(pp.current().to_dense()),
+                    "{}pt {method:?} threads={threads}",
+                    p.points()
+                );
+            }
+        }
+    }
+    // what PR 18 established for the ring, pinned beside it
+    for p in [kernels::heat3d(), kernels::box3d27p()] {
+        for method in methods {
+            let plan = block_free(&p, method);
+            let (m, rr) = (plan.m(), plan.effective_radius());
+            let ring = plan.ring3().expect("3D register plan");
+            let g = Grid3D::from_fn(11 + 2 * rr, 19 + 2 * rr, 23 + 2 * rr, |z, y, x| {
+                ((z * 3 + y * 7 + x * 11) % 53) as f64 * 0.3
+            });
+            let want = bits(plan.run_3d(&g, 2 * m).unwrap().to_dense());
+            let k = FoldedKernel::new(&p, m);
+            for threads in [1usize, 2] {
+                let mut pp = PingPong::new(g.clone());
+                spatial::run_3d(
+                    &ThreadPool::new(threads),
+                    &mut pp,
+                    rr,
+                    (3, 7),
+                    2,
+                    &|s: &Grid3D, d: &mut Grid3D, zs, ys, xs| {
+                        step_range_3d_ring::<NativeF64x4>(&k, ring, s, d, zs, ys, xs)
+                    },
+                );
+                assert!(
+                    want == bits(pp.current().to_dense()),
+                    "{}pt {method:?} threads={threads}",
+                    p.points()
+                );
+            }
+        }
+    }
+}
+
 #[test]
 fn odd_step_counts_and_leftovers() {
     // t not divisible by m: leftover steps must complete correctly
