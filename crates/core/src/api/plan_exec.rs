@@ -448,6 +448,30 @@ impl Plan {
         self.run_at(grid, t, origin_z)
     }
 
+    /// [`Plan::run_3d_at`] in place on a caller-owned pair: `pp.current()`
+    /// is the window going in and the advanced window coming out, and no
+    /// grid is allocated. The scratch surface may hold anything — another
+    /// window's data in a recycled buffer, say: the run establishes the
+    /// current surface's Dirichlet band on it ([`Plan::effective_radius`]
+    /// cells per axis) and writes every other cell before reading it.
+    /// Bit-identical to `run_3d_at(pp.current(), t, origin_z)`; same
+    /// errors, and on an error the pair is untouched.
+    ///
+    /// # Panics
+    /// If the two surfaces differ in shape.
+    pub fn run_3d_pair_at(
+        &self,
+        pp: &mut PingPong<Grid3D>,
+        t: usize,
+        origin_z: usize,
+    ) -> Result<(), PlanError> {
+        match self.config.width {
+            Width::W1 => self.exec_3d_pair::<f64>(pp, t, origin_z),
+            Width::W4 => self.exec_3d_pair::<NativeF64x4>(pp, t, origin_z),
+            Width::W8 => self.exec_3d_pair::<NativeF64x8>(pp, t, origin_z),
+        }
+    }
+
     /// The one path behind every run entry point: pick the vector type
     /// of the compiled width, then let the domain's `exec_*` validate
     /// the grid against the route and run it.
@@ -587,27 +611,65 @@ impl Plan {
         })
     }
 
+    /// The 3D route, once `nx` passes the layout check.
+    fn route_3d(&self, nx: usize) -> Result<&RouteN<(FoldedKernel, Ring3)>, PlanError> {
+        let Route::D3(route) = &self.route else {
+            return Err(self.dimension_mismatch(Grid3D::DIMS));
+        };
+        self.check_layout(nx)?;
+        Ok(route)
+    }
+
     fn exec_3d<V: SimdF64>(
         &self,
         grid: &Grid3D,
         t: usize,
         origin_z: usize,
     ) -> Result<Grid3D, PlanError> {
-        let Route::D3(route) = &self.route else {
-            return Err(self.dimension_mismatch(Grid3D::DIMS));
-        };
-        self.check_layout(grid.nx())?;
-        let p = &self.pattern;
-        Ok(match route {
-            RouteN::BlockFree(Kernel::Scalar) => ping_pong(grid, |pp| scalar::sweep_3d(pp, p, t)),
-            RouteN::BlockFree(Kernel::Vector) => {
-                ping_pong(grid, |pp| multiload::sweep_3d::<V>(pp, p, t))
+        Ok(match self.route_3d(grid.nx())? {
+            // split tiling lifts the grid into its own DLT pair
+            RouteN::Split { time_block } => {
+                split::sweep_3d::<V>(&self.pool, grid, &self.pattern, *time_block, t)
             }
+            route => ping_pong(grid, |pp| self.sweep_3d::<V>(route, pp, t, origin_z)),
+        })
+    }
+
+    fn exec_3d_pair<V: SimdF64>(
+        &self,
+        pp: &mut PingPong<Grid3D>,
+        t: usize,
+        origin_z: usize,
+    ) -> Result<(), PlanError> {
+        let route = self.route_3d(pp.current().nx())?;
+        // all a sweep asks of the scratch surface (see `sweep_3d`)
+        let (cur, scratch) = pp.both_mut();
+        scratch.copy_band_from(cur, self.effective_radius());
+        self.sweep_3d::<V>(route, pp, t, origin_z);
+        Ok(())
+    }
+
+    /// Advance `pp` by `t` steps along `route`. Both surfaces must carry
+    /// the Dirichlet band of `effective_radius()` cells per axis — the
+    /// tiled and register sweeps never write it — and every route writes
+    /// an interior cell of the scratch surface before reading it, so that
+    /// is all the scratch surface needs to hold.
+    fn sweep_3d<V: SimdF64>(
+        &self,
+        route: &RouteN<(FoldedKernel, Ring3)>,
+        pp: &mut PingPong<Grid3D>,
+        t: usize,
+        origin_z: usize,
+    ) {
+        let p = &self.pattern;
+        match route {
+            RouteN::BlockFree(Kernel::Scalar) => scalar::sweep_3d(pp, p, t),
+            RouteN::BlockFree(Kernel::Vector) => multiload::sweep_3d::<V>(pp, p, t),
             RouteN::BlockFree(Kernel::Register((k, ring))) => {
                 let _span = ring_span();
-                folded3d::sweep_3d_ring_with::<V>(k, *ring, grid, p, t)
+                folded3d::sweep_3d_ring::<V>(k, *ring, pp, p, t)
             }
-            RouteN::Tiled { driver, body, tail } => ping_pong(grid, |pp| {
+            RouteN::Tiled { driver, body, tail } => {
                 for (kernel, q, steps) in self.legs(body, tail, t) {
                     let _span = matches!(kernel, Kernel::Register(_)).then(ring_span);
                     let r = q.radius();
@@ -623,11 +685,15 @@ impl Plan {
                         }
                     }
                 }
-            }),
-            RouteN::Split { time_block } => {
-                split::sweep_3d::<V>(&self.pool, grid, p, *time_block, t)
             }
-        })
+            // never streamed or sharded: the owned-grid sweep lands in
+            // the scratch surface
+            RouteN::Split { time_block } => {
+                let out = split::sweep_3d::<V>(&self.pool, pp.current(), p, *time_block, t);
+                *pp.src_dst().1 = out;
+                pp.swap();
+            }
+        }
     }
 }
 

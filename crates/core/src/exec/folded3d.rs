@@ -667,28 +667,16 @@ fn march_sep<V: SimdF64, const R: usize, const RZ: usize>(
 pub fn step_3d_ring<V: SimdF64>(k: &FoldedKernel, ring: Ring3, src: &Grid3D, dst: &mut Grid3D) {
     let (nz, ny, nx) = (src.nz(), src.ny(), src.nx());
     let rr = k.radius();
-    let has_interior = nz > 2 * rr && ny > 2 * rr && nx > 2 * rr;
-    for z in 0..nz {
-        for y in 0..ny {
-            if !has_interior || z < rr || z >= nz - rr || y < rr || y >= ny - rr {
-                dst.row_mut(z, y).copy_from_slice(src.row(z, y));
-            } else {
-                let srow = src.row(z, y);
-                let drow = dst.row_mut(z, y);
-                drow[..rr].copy_from_slice(&srow[..rr]);
-                drow[nx - rr..].copy_from_slice(&srow[nx - rr..]);
-            }
-        }
-    }
-    if has_interior {
+    dst.copy_band_from(src, rr);
+    if nz > 2 * rr && ny > 2 * rr && nx > 2 * rr {
         step_range_3d_ring::<V>(k, ring, src, dst, rr..nz - rr, rr..ny - rr, rr..nx - rr);
     }
 }
 
 /// Block-free "Our (m steps)" 3D sweep through the z-ring pipeline, with
 /// the planned kernel supplied by the caller (the compile-once/run-many
-/// entry point, cf. [`crate::exec::folded::sweep_2d_with`]). Leftover
-/// `t % m` steps run unfolded through the multiple-loads kernel.
+/// entry point, cf. [`crate::exec::folded::sweep_2d_with`]): two clones
+/// of `grid`, then [`sweep_3d_ring`].
 pub fn sweep_3d_ring_with<V: SimdF64>(
     k: &FoldedKernel,
     ring: Ring3,
@@ -696,15 +684,30 @@ pub fn sweep_3d_ring_with<V: SimdF64>(
     p: &Pattern,
     t: usize,
 ) -> Grid3D {
+    let mut pp = PingPong::new(grid.clone());
+    sweep_3d_ring::<V>(k, ring, &mut pp, p, t);
+    pp.into_current()
+}
+
+/// [`sweep_3d_ring_with`] on a caller-owned pair. The scratch surface
+/// must carry the current surface's Dirichlet band of `k.radius()` cells
+/// per axis (a clone does; so does [`Grid3D::copy_band_from`]) — no
+/// folded step writes it — and may hold anything inside it. Leftover
+/// `t % m` steps run unfolded through the multiple-loads kernel.
+pub fn sweep_3d_ring<V: SimdF64>(
+    k: &FoldedKernel,
+    ring: Ring3,
+    pp: &mut PingPong<Grid3D>,
+    p: &Pattern,
+    t: usize,
+) {
     let m = k.m();
     let rr = k.radius();
-    let (nz, ny, nx) = (grid.nz(), grid.ny(), grid.nx());
+    let (nz, ny, nx) = (pp.current().nz(), pp.current().ny(), pp.current().nx());
     let has_interior = nz > 2 * rr && ny > 2 * rr && nx > 2 * rr;
-    // both surfaces start as clones of `grid`, so the Dirichlet band is
-    // in place on each and no folded step ever writes it: the range
-    // kernel runs on the interior directly (no interior: every step is
-    // the identity)
-    let mut pp = PingPong::new(grid.clone());
+    // the Dirichlet band is in place on both surfaces and no folded step
+    // ever writes it: the range kernel runs on the interior directly (no
+    // interior: the surfaces are all band, every step is the identity)
     for _ in 0..t / m {
         if has_interior {
             let (src, dst) = pp.src_dst();
@@ -717,7 +720,6 @@ pub fn sweep_3d_ring_with<V: SimdF64>(
         crate::exec::multiload::step_3d::<V>(src, dst, p);
         pp.swap();
     }
-    pp.into_current()
 }
 
 #[cfg(test)]

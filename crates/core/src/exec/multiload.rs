@@ -204,19 +204,7 @@ pub fn step_range_3d<V: SimdF64>(
 /// Full 3D step with Dirichlet boundaries.
 pub fn step_3d<V: SimdF64>(src: &Grid3D, dst: &mut Grid3D, p: &Pattern) {
     let (nz, ny, nx, r) = (src.nz(), src.ny(), src.nx(), p.radius());
-    for z in 0..nz {
-        for y in 0..ny {
-            let interior = z >= r && z < nz - r && y >= r && y < ny - r;
-            if !interior {
-                dst.row_mut(z, y).copy_from_slice(src.row(z, y));
-            } else {
-                let srow = src.row(z, y);
-                let drow = dst.row_mut(z, y);
-                drow[..r].copy_from_slice(&srow[..r]);
-                drow[nx - r..].copy_from_slice(&srow[nx - r..]);
-            }
-        }
-    }
+    dst.copy_band_from(src, r);
     step_range_3d::<V>(src, dst, p, r..nz - r, r..ny - r, r..nx - r);
 }
 

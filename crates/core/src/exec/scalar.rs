@@ -139,19 +139,7 @@ pub fn step_range_3d(
 pub fn step_3d(src: &Grid3D, dst: &mut Grid3D, p: &Pattern) {
     let (nz, ny, nx, r) = (src.nz(), src.ny(), src.nx(), p.radius());
     assert!(nz >= 2 * r && ny >= 2 * r && nx >= 2 * r);
-    for z in 0..nz {
-        for y in 0..ny {
-            let interior_zy = z >= r && z < nz - r && y >= r && y < ny - r;
-            if !interior_zy {
-                dst.row_mut(z, y).copy_from_slice(src.row(z, y));
-            } else {
-                let srow = src.row(z, y);
-                let drow = dst.row_mut(z, y);
-                drow[..r].copy_from_slice(&srow[..r]);
-                drow[nx - r..].copy_from_slice(&srow[nx - r..]);
-            }
-        }
-    }
+    dst.copy_band_from(src, r);
     step_range_3d(src, dst, p, r..nz - r, r..ny - r, r..nx - r);
 }
 

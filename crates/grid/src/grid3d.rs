@@ -147,6 +147,27 @@ impl Grid3D {
         out
     }
 
+    /// Copy `src`'s Dirichlet band — every cell within `r` of a face —
+    /// into `self`, which must have `src`'s shape; interior cells of
+    /// `self` are left as they are. A grid no wider than `2r` along some
+    /// axis has no interior and is copied whole.
+    pub fn copy_band_from(&mut self, src: &Grid3D, r: usize) {
+        let (nz, ny, nx) = (self.nz, self.ny, self.nx);
+        assert_eq!((nz, ny, nx), (src.nz, src.ny, src.nx), "shape mismatch");
+        let all_band = nz <= 2 * r || ny <= 2 * r || nx <= 2 * r;
+        for z in 0..nz {
+            for y in 0..ny {
+                let (srow, drow) = (src.row(z, y), self.row_mut(z, y));
+                if all_band || z < r || z >= nz - r || y < r || y >= ny - r {
+                    drow.copy_from_slice(srow);
+                } else {
+                    drow[..r].copy_from_slice(&srow[..r]);
+                    drow[nx - r..].copy_from_slice(&srow[nx - r..]);
+                }
+            }
+        }
+    }
+
     /// Fill every logical cell with a constant.
     pub fn fill(&mut self, v: f64) {
         for z in 0..self.nz {
@@ -191,6 +212,33 @@ mod tests {
     fn to_dense() {
         let g = Grid3D::from_fn(2, 2, 2, |z, y, x| (z * 4 + y * 2 + x) as f64);
         assert_eq!(g.to_dense(), (0..8).map(|i| i as f64).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn copy_band_from_leaves_the_interior_alone() {
+        let src = Grid3D::from_fn(7, 6, 9, |z, y, x| (z * 100 + y * 10 + x) as f64);
+        for r in 0..5 {
+            let mut dst = Grid3D::zeros(7, 6, 9);
+            dst.fill(f64::NAN);
+            dst.copy_band_from(&src, r);
+            for z in 0..7usize {
+                for y in 0..6usize {
+                    for x in 0..9usize {
+                        // r = 3 leaves no interior along y: all band
+                        let band = r >= 3
+                            || [(z, 7), (y, 6), (x, 9)]
+                                .iter()
+                                .any(|&(c, n)| c < r || c >= n - r);
+                        let got = dst[(z, y, x)];
+                        if band {
+                            assert_eq!(got, src[(z, y, x)], "r={r} ({z},{y},{x})");
+                        } else {
+                            assert!(got.is_nan(), "r={r} ({z},{y},{x})");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

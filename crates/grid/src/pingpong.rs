@@ -102,11 +102,16 @@ impl<G> PingPong<G> {
 
     /// Consume and return the buffer holding the latest level.
     pub fn into_current(self) -> G {
+        self.into_pair().0
+    }
+
+    /// Consume and return both buffers as `(current, previous)`.
+    pub fn into_pair(self) -> (G, G) {
         let [a, b] = self.bufs;
         if self.cur == 0 {
-            a
+            (a, b)
         } else {
-            b
+            (b, a)
         }
     }
 }

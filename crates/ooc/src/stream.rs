@@ -8,10 +8,26 @@
 //! pass (s steps, surface S -> 1-S):
 //!   for each window k (interior [lo, hi), slab [slo, shi)):
 //!     load  planes [slo, shi) of surface S           (slab + halo)
-//!     run   plan.run_3d_at(window, s, slo)           (origin-anchored)
+//!     run   plan.run_3d_pair_at(pair, s, slo)        (origin-anchored)
 //!     store planes [lo, hi) to surface 1-S           (interior only)
+//!           ... and, on the final pass of a grid job, scatter them to
+//!           the result grid
 //!   commit: sync, flip surface, round += s
 //! ```
+//!
+//! Each byte moves once. The loaded window *is* one surface of the pair
+//! the plan sweeps ([`Plan::run_3d_pair_at`]; the other is a recycled
+//! buffer that needs no contents), the swept pair's output surface is
+//! what write-back hands to the store, and the store reads and writes
+//! the window's memory directly (see [`crate::store`]). What a run holds
+//! is therefore [`RESIDENT_WINDOWS_PREFETCH`] = 4 windows — the swept
+//! pair, the prefetched next window, the previous output awaiting
+//! write-back — or [`RESIDENT_WINDOWS_SYNC`] = 2 without the IO thread,
+//! and windows are sized as the budget divided by that.
+//! [`run_streaming_grid`] allocates the result grid up front and the
+//! final pass lands each window's interior in it on its way to the
+//! file: the file is still written, synced and committed, it is just not
+//! read back.
 //!
 //! Temporal blocking is the whole economy: every slab crosses the IO
 //! boundary **once per pass of `s` steps** instead of once per step —
@@ -21,8 +37,8 @@
 //! the concatenated passes execute exactly the resident run's sequence
 //! of folded macro-steps, per-round time blocks and tail steps; window
 //! geometry reuses the serving sharder's halo arithmetic
-//! ([`shard_geometry`] / [`slab_bounds`]) and the origin-anchored
-//! `run_3d_at` tile phase — which together make the streamed result
+//! ([`shard_geometry`] / [`slab_bounds`]) and the origin-anchored tile
+//! phase of `run_3d_at` — which together make the streamed result
 //! **bit-identical** to the resident run.
 //!
 //! With [`OocConfig::prefetch`] set, a background IO thread loads
@@ -40,25 +56,34 @@ use stencil_core::slab::{
 };
 use stencil_core::Plan;
 use stencil_faults::Failpoint;
-use stencil_grid::Grid3D;
+use stencil_grid::{Grid3D, PingPong};
 
 use crate::error::OocError;
 use crate::store::{SlabStore, StoreStats};
 
-/// Resident windows a prefetching run holds at peak: the window being
-/// swept, the sweep's internal pingpong pair, the prefetched next
-/// window and the previous window's output awaiting writeback.
-pub const RESIDENT_WINDOWS_PREFETCH: usize = 5;
-/// Resident windows a synchronous run holds at peak: the window being
-/// swept and the sweep's internal pingpong pair.
-pub const RESIDENT_WINDOWS_SYNC: usize = 3;
+/// Resident windows a prefetching run holds at peak: the swept pair (the
+/// loaded window *is* one of its two surfaces), the prefetched next
+/// window and the previous window's output awaiting write-back.
+pub const RESIDENT_WINDOWS_PREFETCH: usize = 4;
+/// Resident windows a synchronous run holds at peak: the swept pair —
+/// the loaded window and the scratch surface it is advanced against.
+pub const RESIDENT_WINDOWS_SYNC: usize = 2;
+
+/// One-plane staging buffers alive at once when windows take the store's
+/// staged path (padded rows): the IO thread's read buffer, the write
+/// buffer of a `write_planes` call and the sweep thread's read buffer
+/// for a failed prefetch.
+const STAGING_PLANES_PREFETCH: usize = 3;
+/// Synchronously: one read buffer, one write buffer.
+const STAGING_PLANES_SYNC: usize = 2;
 
 /// Streaming executor knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OocConfig {
     /// Resident-memory budget in bytes for window buffers. The
     /// executor sizes windows so that its peak buffer residency
-    /// (`RESIDENT_WINDOWS_*` windows) stays within this budget.
+    /// (`RESIDENT_WINDOWS_*` windows, plus a few one-plane staging
+    /// buffers when rows are padded) stays within this budget.
     pub budget_bytes: usize,
     /// Steps per pass — the temporal-blocking depth. `0` (the default)
     /// means "as many as the budget allows"; other values are rounded
@@ -88,15 +113,17 @@ pub struct StreamReport {
     pub steps_per_pass: usize,
     /// Windows per pass (of the first, deepest pass).
     pub windows_per_pass: usize,
-    /// Planes of the widest window (slab + halo).
+    /// Planes of the widest window (slab + halo) of any pass.
     pub window_planes: usize,
-    /// Peak resident window bytes the executor accounted for —
+    /// Peak resident bytes the executor accounts for: `RESIDENT_WINDOWS_*`
+    /// windows of `window_planes` planes plus the staging buffers —
+    /// checked on every run against the buffers actually alive, and
     /// guaranteed `<=` the configured budget.
     pub resident_bytes: usize,
     /// Microseconds the sweep thread was *blocked* on IO during this
     /// run: all of it in synchronous mode, only the prefetch stalls
-    /// (plus store spill/materialize when run via
-    /// [`run_streaming_grid`]) when prefetching.
+    /// (plus the store spill when run via [`run_streaming_grid`]) when
+    /// prefetching.
     pub io_blocked_us: u64,
     /// Microseconds of IO the prefetch pipeline ran in the background
     /// while compute proceeded — data movement hidden under arithmetic.
@@ -180,12 +207,18 @@ fn plan_pass(
     }
 }
 
-/// A bounded freelist of window buffers: windows are recycled across
-/// loads and outputs instead of reallocated, and at most `cap` spares
-/// are retained. New buffers are first-touched in parallel by the
-/// plan's worker count.
+/// The window buffers of a run: every buffer alive is either handed out
+/// or a spare, and `live` counts both, so its high-water mark is what
+/// [`StreamReport::resident_bytes`] has to cover. Buffers are recycled
+/// across loads, scratch surfaces and passes; once `cap` are alive a
+/// request no spare fits (the first and last windows of a pass are
+/// shorter) frees a spare before it allocates — spares are recycled out
+/// of the cap, never kept beside it. New buffers are first-touched in
+/// parallel by the plan's worker count.
 struct WindowPool {
     spare: Vec<Grid3D>,
+    live: usize,
+    peak: usize,
     cap: usize,
     workers: usize,
 }
@@ -194,6 +227,8 @@ impl WindowPool {
     fn new(cap: usize, workers: usize) -> Self {
         Self {
             spare: Vec::new(),
+            live: 0,
+            peak: 0,
             cap,
             workers,
         }
@@ -207,13 +242,16 @@ impl WindowPool {
         {
             return self.spare.swap_remove(i);
         }
+        if self.live >= self.cap && self.spare.pop().is_some() {
+            self.live -= 1;
+        }
+        self.live += 1;
+        self.peak = self.peak.max(self.live);
         Grid3D::zeros_parallel(nz, ny, nx, self.workers)
     }
 
     fn release(&mut self, g: Grid3D) {
-        if self.spare.len() < self.cap {
-            self.spare.push(g);
-        }
+        self.spare.push(g);
     }
 }
 
@@ -262,6 +300,20 @@ pub fn run_streaming(
     t: usize,
     cfg: &OocConfig,
 ) -> Result<StreamReport, OocError> {
+    stream(plan, store, t, cfg, None)
+}
+
+/// [`run_streaming`]; with `result` (a grid of the store's shape) the
+/// final pass also lands every window's interior there, so a caller who
+/// wants the domain resident does not read the file back (`t > 0`: there
+/// is no pass to land it otherwise).
+fn stream(
+    plan: &Plan,
+    store: &SlabStore,
+    t: usize,
+    cfg: &OocConfig,
+    mut result: Option<&mut Grid3D>,
+) -> Result<StreamReport, OocError> {
     if !streamable(plan) {
         return Err(OocError::UnsupportedPlan {
             reason: "streaming needs a 3D slab-shardable plan \
@@ -281,12 +333,14 @@ pub fn run_streaming(
     }
 
     let plane = plane_resident_bytes(ny, nx);
-    let residency = if cfg.prefetch {
-        RESIDENT_WINDOWS_PREFETCH
+    let (residency, staging_planes) = if cfg.prefetch {
+        (RESIDENT_WINDOWS_PREFETCH, STAGING_PLANES_PREFETCH)
     } else {
-        RESIDENT_WINDOWS_SYNC
+        (RESIDENT_WINDOWS_SYNC, STAGING_PLANES_SYNC)
     };
-    let cap_planes = cfg.budget_bytes / residency.max(1) / plane.max(1);
+    // nothing on the direct path: windows move without a staging copy
+    let staging = staging_planes * store.staging_bytes();
+    let cap_planes = cfg.budget_bytes.saturating_sub(staging) / residency / plane.max(1);
 
     // deepest pass the budget can carry: multiples of the composition
     // quantum (or a single pass of all t steps), descending
@@ -307,7 +361,7 @@ pub fn run_streaming(
             let needed_planes = span_floor(plan, s, min_span).max(2 * halo + 1) + 2 * SLAB_ALIGN;
             return Err(OocError::BudgetTooSmall {
                 budget: cfg.budget_bytes,
-                needed: needed_planes.min(nz) * plane * residency,
+                needed: needed_planes.min(nz) * plane * residency + staging,
             });
         }
         s = ((s - 1) / u).max(1) * u;
@@ -315,16 +369,8 @@ pub fn run_streaming(
 
     report.steps_per_pass = s;
     report.windows_per_pass = geom.windows.len();
-    report.window_planes = geom
-        .windows
-        .iter()
-        .map(|&(_, _, slo, shi)| shi - slo)
-        .max()
-        .unwrap_or(0);
-    report.resident_bytes = residency * report.window_planes * plane;
-    debug_assert!(report.resident_bytes <= cfg.budget_bytes);
 
-    let mut pool = WindowPool::new(2, plan.pool().threads());
+    let mut pool = WindowPool::new(residency, plan.pool().threads());
     let stats0 = store.stats();
     let mut remaining = t;
     while remaining > 0 {
@@ -333,16 +379,30 @@ pub fn run_streaming(
         // tail); its shallower halo always fits where the deep one did
         let geom = plan_pass(plan, shape, s_pass, cap_planes)
             .expect("a shallower pass fits wherever the deep pass fits");
+        let widest = geom.windows.iter().map(|&(_, _, slo, shi)| shi - slo);
+        report.window_planes = report.window_planes.max(widest.max().unwrap_or(0));
+        // only the final pass produces the planes the caller asked for
+        let result = result.as_deref_mut().filter(|_| s_pass == remaining);
         store.begin_pass()?;
         if cfg.prefetch {
-            run_pass_prefetch(plan, store, s_pass, &geom, &mut pool)?;
+            run_pass_prefetch(plan, store, s_pass, &geom, &mut pool, result)?;
         } else {
-            run_pass_sync(plan, store, s_pass, &geom, &mut pool)?;
+            run_pass_sync(plan, store, s_pass, &geom, &mut pool, result)?;
         }
         store.commit_pass(s_pass as u64)?;
         report.passes += 1;
         remaining -= s_pass;
     }
+    report.resident_bytes = residency * report.window_planes * plane + staging;
+    assert!(
+        pool.peak * report.window_planes * plane + staging <= report.resident_bytes
+            && report.resident_bytes <= cfg.budget_bytes,
+        "{} windows of {} planes were alive at once: the report accounts {} bytes, the budget is {}",
+        pool.peak,
+        report.window_planes,
+        report.resident_bytes,
+        cfg.budget_bytes
+    );
     report.stats = store.stats();
     // Split this run's IO time (stores are reusable, so deltas) into
     // sweep-blocking vs. hidden-under-compute. Synchronously, every IO
@@ -359,12 +419,57 @@ pub fn run_streaming(
     Ok(report)
 }
 
+/// Advance the loaded window `win` by `s` steps as one surface of a pair
+/// whose other surface is a recycled buffer: `(output, spare)`.
+fn sweep_window(
+    plan: &Plan,
+    pool: &mut WindowPool,
+    win: Grid3D,
+    s: usize,
+    origin_z: usize,
+) -> Result<(Grid3D, Grid3D), OocError> {
+    let scratch = pool.acquire(win.nz(), win.ny(), win.nx());
+    let mut pair = PingPong::from_pair(win, scratch);
+    let _span = stencil_obs::span(stencil_obs::SpanId::OocCompute);
+    plan.run_3d_pair_at(&mut pair, s, origin_z)?;
+    Ok(pair.into_pair())
+}
+
+/// Write a window's interior planes back and, on the final pass, land
+/// them in `result` as well (timed as IO: it is the transfer a
+/// read-back of the file would otherwise make).
+fn write_back(
+    store: &SlabStore,
+    surface: u64,
+    z_global: usize,
+    grid: &Grid3D,
+    z_lo: usize,
+    z_hi: usize,
+    result: Option<&mut Grid3D>,
+) -> Result<(), OocError> {
+    let _span = stencil_obs::span(stencil_obs::SpanId::OocWriteback);
+    store.write_planes(surface, z_global, grid, z_lo, z_hi)?;
+    if let Some(result) = result {
+        let t0 = Instant::now();
+        for z in z_lo..z_hi {
+            for y in 0..grid.ny() {
+                result
+                    .row_mut(z_global + z - z_lo, y)
+                    .copy_from_slice(grid.row(z, y));
+            }
+        }
+        store.note_io(t0.elapsed());
+    }
+    Ok(())
+}
+
 fn run_pass_sync(
     plan: &Plan,
     store: &SlabStore,
     s: usize,
     geom: &PassGeom,
     pool: &mut WindowPool,
+    mut result: Option<&mut Grid3D>,
 ) -> Result<(), OocError> {
     let (_, ny, nx) = store.shape();
     let src = store.surface();
@@ -375,15 +480,10 @@ fn run_pass_sync(
             let _span = stencil_obs::span(stencil_obs::SpanId::OocLoad);
             store.read_window(src, slo, shi, &mut win, &mut scratch)?;
         }
-        let out = {
-            let _span = stencil_obs::span(stencil_obs::SpanId::OocCompute);
-            plan.run_3d_at(&win, s, slo)?
-        };
-        pool.release(win);
-        {
-            let _span = stencil_obs::span(stencil_obs::SpanId::OocWriteback);
-            store.write_planes(1 - src, lo, &out, lo - slo, hi - slo)?;
-        }
+        let (out, spare) = sweep_window(plan, pool, win, s, slo)?;
+        pool.release(spare);
+        let result = result.as_deref_mut();
+        write_back(store, 1 - src, lo, &out, lo - slo, hi - slo, result)?;
         pool.release(out);
     }
     Ok(())
@@ -395,6 +495,7 @@ fn run_pass_prefetch(
     s: usize,
     geom: &PassGeom,
     pool: &mut WindowPool,
+    mut result: Option<&mut Grid3D>,
 ) -> Result<(), OocError> {
     let (_, ny, nx) = store.shape();
     let src = store.surface();
@@ -403,11 +504,11 @@ fn run_pass_prefetch(
         let (req_tx, req_rx) = mpsc::channel::<IoReq>();
         let (done_tx, done_rx) = mpsc::channel::<IoDone>();
         // the IO thread borrows the store (positioned reads/writes, no
-        // shared cursor) and exits when the request channel closes —
-        // the scope guarantees it is joined before this function
-        // returns, so no thread or buffer can leak. Its spans carry the
-        // sweep thread's job tag so traces group the background IO with
-        // the job it serves.
+        // shared cursor) and the result grid, and exits when the request
+        // channel closes — the scope guarantees it is joined before this
+        // function returns, so no thread or buffer can leak. Its spans
+        // carry the sweep thread's job tag so traces group the
+        // background IO with the job it serves.
         let job = stencil_obs::current_job();
         scope.spawn(move || {
             stencil_obs::with_job(job, || {
@@ -442,8 +543,9 @@ fn run_pass_prefetch(
                             z_lo,
                             z_hi,
                         } => {
-                            let _span = stencil_obs::span(stencil_obs::SpanId::OocWriteback);
-                            let res = store.write_planes(surface, z_global, &grid, z_lo, z_hi);
+                            let result = result.as_deref_mut();
+                            let res =
+                                write_back(store, surface, z_global, &grid, z_lo, z_hi, result);
                             IoDone::Stored { buf: grid, res }
                         }
                     };
@@ -523,11 +625,8 @@ fn run_pass_prefetch(
             if k + 1 < windows.len() {
                 issue_load(&mut *pool, &req_tx, k + 1);
             }
-            let out = {
-                let _span = stencil_obs::span(stencil_obs::SpanId::OocCompute);
-                plan.run_3d_at(&win, s, slo)?
-            };
-            pool.release(win);
+            let (out, spare) = sweep_window(plan, pool, win, s, slo)?;
+            pool.release(spare);
             req_tx
                 .send(IoReq::Store {
                     surface: 1 - src,
@@ -637,19 +736,117 @@ pub fn run_streaming_grid_resumable(
     let spill_us = spill.elapsed().as_micros() as u64;
     let done = store.round() as usize;
     let result = (|| {
-        let mut report = run_streaming(plan, &store, total_steps - done, cfg)?;
-        let gather = Instant::now();
-        let out = {
+        if done == total_steps {
+            // no pass left to land the result: the leftover store had
+            // already committed its last one
             let _span = stencil_obs::span(stencil_obs::SpanId::OocLoad);
-            store.to_grid()?
-        };
-        // spilling in and materializing out block the caller regardless
-        // of prefetch mode: count them as blocked IO on the report
-        report.io_blocked_us += spill_us + gather.elapsed().as_micros() as u64;
+            let out = store.to_grid()?;
+            let report = StreamReport {
+                io_blocked_us: spill.elapsed().as_micros() as u64,
+                ..StreamReport::default()
+            };
+            return Ok((out, report));
+        }
+        let mut out = Grid3D::zeros(shape.0, shape.1, shape.2);
+        let mut report = stream(plan, &store, total_steps - done, cfg, Some(&mut out))?;
+        // spilling in blocks the caller regardless of prefetch mode
+        report.io_blocked_us += spill_us;
         Ok((out, report))
     })();
     if result.is_ok() {
         let _ = std::fs::remove_file(path);
     }
     result
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use stencil_core::{kernels, Method, Solver};
+
+    fn shape(g: &Grid3D) -> (usize, usize, usize) {
+        (g.nz(), g.ny(), g.nx())
+    }
+
+    #[test]
+    fn window_pool_recycles_inside_its_cap() {
+        let mut pool = WindowPool::new(2, 1);
+        let (a, b) = (pool.acquire(6, 4, 8), pool.acquire(6, 4, 8));
+        assert_eq!((pool.live, pool.peak), (2, 2));
+        pool.release(a);
+        // a fitting spare is handed back, nothing is allocated
+        let a = pool.acquire(6, 4, 8);
+        assert_eq!((pool.live, pool.spare.len()), (2, 0));
+        // no spare fits a shorter window: one is freed to make room
+        pool.release(a);
+        pool.release(b);
+        let c = pool.acquire(4, 4, 8);
+        assert_eq!(shape(&c), (4, 4, 8));
+        assert_eq!((pool.live, pool.peak, pool.spare.len()), (2, 2, 1));
+        // with nothing to free the pool grows — and its peak says so,
+        // which is what `stream` holds against the report
+        let _d = pool.acquire(5, 4, 8);
+        let _e = pool.acquire(5, 4, 8);
+        assert_eq!((pool.live, pool.peak), (3, 3));
+    }
+
+    #[test]
+    fn the_accounted_residency_is_the_residency_held() {
+        // passes whose first and last windows are shorter than the rest
+        // (no halo beyond the domain), run one after the other on one
+        // pool: exactly RESIDENT_WINDOWS_* buffers are ever alive, spares
+        // included; unpadded (16) and padded (12) rows
+        let plan = Solver::new(kernels::heat3d())
+            .method(Method::Folded { m: 2 })
+            .compile()
+            .unwrap();
+        for (prefetch, residency) in [
+            (true, RESIDENT_WINDOWS_PREFETCH),
+            (false, RESIDENT_WINDOWS_SYNC),
+        ] {
+            for nx in [16usize, 12] {
+                let g = Grid3D::from_fn(96, 10, nx, |z, y, x| ((z * 7 + y * 3 + x) % 13) as f64);
+                let path = temp_store_path();
+                let store = SlabStore::create(&path, &g, 1).unwrap();
+                let mut pool = WindowPool::new(residency, 1);
+                for s in [4usize, 2] {
+                    let geom = plan_pass(&plan, store.shape(), s, 28).expect("28 planes fit");
+                    let mut spans: Vec<_> = geom.windows.iter().map(|w| w.3 - w.2).collect();
+                    spans.dedup();
+                    assert!(spans.len() >= 3, "short first and last windows: {spans:?}");
+                    store.begin_pass().unwrap();
+                    if prefetch {
+                        run_pass_prefetch(&plan, &store, s, &geom, &mut pool, None).unwrap();
+                    } else {
+                        run_pass_sync(&plan, &store, s, &geom, &mut pool, None).unwrap();
+                    }
+                    store.commit_pass(s as u64).unwrap();
+                    assert_eq!(pool.peak, residency, "prefetch={prefetch} nx={nx} s={s}");
+                    assert_eq!(pool.live, pool.spare.len(), "every buffer came back");
+                }
+                let want = plan.run_3d(&g, 6).unwrap();
+                assert_eq!(store.to_grid().unwrap().to_dense(), want.to_dense());
+                drop(store);
+                std::fs::remove_file(&path).unwrap();
+
+                // the same run through the front door: the report is the
+                // formula, the budget holds, and the run's own always-on
+                // check of both against the pool passed
+                let plane = plane_resident_bytes(10, nx);
+                let cfg = OocConfig {
+                    budget_bytes: residency * 28 * plane + 3 * 10 * nx * 8,
+                    steps_per_pass: 4,
+                    prefetch,
+                };
+                let (got, report) = run_streaming_grid(&plan, &g, 6, &cfg).unwrap();
+                assert_eq!(got.to_dense(), want.to_dense());
+                let staging = report.resident_bytes - residency * report.window_planes * plane;
+                let staged_planes = if prefetch { 3 } else { 2 };
+                let padded = usize::from(nx == 12);
+                assert_eq!(staging, padded * staged_planes * 10 * nx * 8);
+                assert!(report.resident_bytes <= cfg.budget_bytes);
+                assert!(report.passes == 2 && report.window_planes <= 28);
+            }
+        }
+    }
 }

@@ -18,7 +18,7 @@
 //! serialize them.
 
 use stencil_core::{Plan, PlanError, Solver};
-use stencil_grid::{Grid2D, Grid3D};
+use stencil_grid::{Grid2D, Grid3D, PingPong};
 
 pub use stencil_core::slab::{
     effective_shards, interior_ranges, shard_geometry, shardable, slab_bounds, SLAB_ALIGN,
@@ -166,9 +166,13 @@ pub fn run_sharded_3d(
                 slab.row_mut(z, y).copy_from_slice(grid.row(slab_lo + z, y));
             }
         }
-        // the slab's global origin anchors tessellate tile phase
-        lane.run_3d_at(&slab, t, slab_lo)
-            .map(|done| (lo, hi, slab_lo, done))
+        // the slab is one surface of the pair the lane sweeps (the other
+        // needs no contents); its global origin anchors tessellate tile
+        // phase
+        let scratch = Grid3D::zeros(slab_hi - slab_lo, grid.ny(), grid.nx());
+        let mut pair = PingPong::from_pair(slab, scratch);
+        lane.run_3d_pair_at(&mut pair, t, slab_lo)
+            .map(|()| (lo, hi, slab_lo, pair.into_current()))
     };
     {
         let _fanout = stencil_obs::span(stencil_obs::SpanId::ShardFanout);

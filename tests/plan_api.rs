@@ -17,8 +17,8 @@
 use stencil_lab::core::kernels;
 use stencil_lab::grid::max_abs_diff;
 use stencil_lab::{
-    Domain, Grid1D, Grid2D, Grid3D, Method, Pattern, PlanConfig, PlanError, PoolHandle, Ring3,
-    Solver, Tiling, Tuning, Width,
+    Domain, Grid1D, Grid2D, Grid3D, Method, Pattern, PingPong, PlanConfig, PlanError, PoolHandle,
+    Ring3, Solver, Tiling, Tuning, Width,
 };
 
 // ---------------------------------------------------------------------
@@ -552,6 +552,104 @@ fn register_plans_survive_grids_without_an_interior() {
         }
     }
     assert!(identities > 0);
+}
+
+#[test]
+fn the_pair_entry_equals_the_owned_grid_entry_with_a_poisoned_scratch() {
+    // `run_3d_pair_at` sweeps a caller-owned pair whose scratch surface is
+    // a recycled buffer: it may copy the Dirichlet band and nothing else,
+    // so every route has to write an interior cell before reading it. NaN
+    // in every scratch cell (padding included) is what proves it: over
+    // every slab-shardable 3D cell of the product, windows at and off the
+    // origin, folded, tail and zero step counts, the pair's current
+    // surface carries the bits `run_3d_at` returns.
+    let bits = |g: &Grid3D| g.to_dense().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    let poisoned = |like: &Grid3D| {
+        let mut g = like.clone();
+        g.as_mut_slice().fill(f64::NAN);
+        g
+    };
+    let field = |z: usize, y: usize, x: usize| ((z * 5 + y * 3 + x * 7) % 11) as f64 * 0.5 - 2.0;
+    let pool = PoolHandle::new(2);
+    let (mut cells, mut identities) = (0usize, 0usize);
+    for p in [kernels::heat3d(), kernels::box3d27p(), kernels::star3d_r2()] {
+        for method in [
+            Method::Scalar,
+            Method::MultipleLoads,
+            Method::TransposeLayout,
+            Method::Folded { m: 2 },
+            Method::Folded { m: 3 },
+        ] {
+            for tiling in [
+                Tiling::None,
+                Tiling::Tessellate { time_block: 2 },
+                Tiling::Spatial { block: (4, 8) },
+            ] {
+                for width in [Width::W4, Width::W8] {
+                    let cell = PlanConfig {
+                        method,
+                        tiling,
+                        width,
+                        ring3: None,
+                    };
+                    if cell.validate(&p).is_err() {
+                        continue;
+                    }
+                    let plan = Solver::new(p.clone())
+                        .with_config(cell)
+                        .pool(pool.clone())
+                        .compile()
+                        .unwrap();
+                    if !stencil_lab::core::slab::shardable(&plan) {
+                        continue;
+                    }
+                    cells += 1;
+                    let (m, rr) = (plan.m(), plan.effective_radius());
+                    let mut windows = vec![Grid3D::from_fn(27, 2 * rr + 3, 21, field)];
+                    if tiling == Tiling::None {
+                        // no interior along z: every folded step is the
+                        // identity (the tiled drivers refuse such grids)
+                        windows.push(Grid3D::from_fn(2 * rr, 2 * rr + 3, 21, field));
+                    }
+                    for (w, g) in windows.iter().enumerate() {
+                        for origin in [0, 7] {
+                            for t in [0, 1, m, m + 1, 2 * m + 1] {
+                                let ctx = format!(
+                                    "{}pt {cell:?} window {w} origin {origin} t {t}",
+                                    p.points()
+                                );
+                                let once = plan.run_3d_at(g, t, origin).expect(&ctx);
+                                let twice = plan.run_3d_at(&once, t, origin).expect(&ctx);
+                                let mut pair = PingPong::from_pair(g.clone(), poisoned(g));
+                                plan.run_3d_pair_at(&mut pair, t, origin).expect(&ctx);
+                                assert!(bits(pair.current()) == bits(&once), "{ctx}");
+                                if w == 1 && t % m == 0 {
+                                    assert!(bits(&once) == bits(g), "{ctx}: identity");
+                                    identities += 1;
+                                }
+                                // the same pair again: its scratch surface now
+                                // holds whatever the first run left there
+                                plan.run_3d_pair_at(&mut pair, t, origin).expect(&ctx);
+                                assert!(bits(pair.current()) == bits(&twice), "{ctx}: reused");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert!(cells >= 40 && identities > 0, "{cells} cells");
+
+    // errors come before the pair is touched, and match `run_3d_at`'s
+    let plan = Solver::new(kernels::heat2d()).compile().unwrap();
+    let g = Grid3D::from_fn(6, 6, 8, field);
+    let mut pair = PingPong::from_pair(g.clone(), poisoned(&g));
+    assert_eq!(
+        plan.run_3d_pair_at(&mut pair, 2, 0).err(),
+        plan.run_3d_at(&g, 2, 0).err()
+    );
+    assert!(bits(pair.current()) == bits(&g));
+    assert!(pair.previous().as_slice().iter().all(|v| v.is_nan()));
 }
 
 // ---------------------------------------------------------------------
