@@ -35,6 +35,23 @@
 //! the rollback is metadata-only) and the job can resume. Truncation is
 //! caught by checking the file length against the header shape.
 //!
+//! ## Named and unnamed stores
+//!
+//! A sync buys one thing: that a process which opens the file *after a
+//! crash* finds what was written. A **named** store ([`SlabStore::create`],
+//! [`SlabStore::open`], [`SlabStore::recover`]) has such readers — anyone
+//! holding its path — so every pass syncs the raised dirty flag before its
+//! first payload write and the payload before its commit. An **unnamed**
+//! store ([`SlabStore::unnamed`]) is unlinked before its first payload
+//! byte: no path leads to it, in this process or a later one, a crash (or
+//! `kill -9`) leaves nothing behind for the kernel to keep, and dropping it
+//! releases its pages. It has no reader to sync for, so
+//! `sync_payload` — the one place that asks — returns at once. Everything
+//! else is the same code on both: the header is still written and the
+//! dirty flag still brackets each pass (a reader of the open handle sees a
+//! well-formed version-1 file), and reads, writes, the retry loop and the
+//! failpoints do not know which kind they serve.
+//!
 //! ## Moving planes
 //!
 //! A window grid whose rows are unpadded (`stride_y == nx`) holds planes
@@ -135,7 +152,8 @@ struct StatsCell {
 /// sweep thread can use one store concurrently.
 pub struct SlabStore {
     file: File,
-    path: PathBuf,
+    /// `None`: unlinked at creation, so nothing can ever reopen it.
+    path: Option<PathBuf>,
     nz: usize,
     ny: usize,
     nx: usize,
@@ -155,9 +173,31 @@ impl SlabStore {
             .create(true)
             .truncate(true)
             .open(path)?;
+        Self::seed(file, Some(path.to_path_buf()), grid, radius)
+    }
+
+    /// [`create`](Self::create) for a store nobody will reopen: the file
+    /// briefly has the name `at` (which must not belong to a live store)
+    /// and is unlinked before it has a length — see the module docs.
+    pub fn unnamed(at: &Path, grid: &Grid3D, radius: usize) -> Result<Self, OocError> {
+        // what a killed process of an earlier build left under a recycled
+        // pid; `create_new`, so no live name is ever truncated through
+        let _ = std::fs::remove_file(at);
+        let mut fresh = OpenOptions::new();
+        let file = fresh.read(true).write(true).create_new(true).open(at)?;
+        std::fs::remove_file(at)?;
+        Self::seed(file, None, grid, radius)
+    }
+
+    fn seed(
+        file: File,
+        path: Option<PathBuf>,
+        grid: &Grid3D,
+        radius: usize,
+    ) -> Result<Self, OocError> {
         let store = Self {
             file,
-            path: path.to_path_buf(),
+            path,
             nz: grid.nz(),
             ny: grid.ny(),
             nx: grid.nx(),
@@ -221,7 +261,7 @@ impl SlabStore {
         }
         let store = Self {
             file,
-            path: path.to_path_buf(),
+            path: Some(path.to_path_buf()),
             nz: u64_at(16) as usize,
             ny: u64_at(24) as usize,
             nx: u64_at(32) as usize,
@@ -273,8 +313,12 @@ impl SlabStore {
     }
 
     /// `sync_data` behind the retry/backoff loop and the `ooc_fsync`
-    /// failpoint.
+    /// failpoint — for a store a later process can reopen. An unnamed
+    /// store owes a crash nothing (module docs), failpoint included.
     fn sync_payload(&self) -> Result<(), OocError> {
+        if self.path.is_none() {
+            return Ok(());
+        }
         self.retry_io(Failpoint::OocFsync, || self.file.sync_data())?;
         Ok(())
     }
@@ -299,9 +343,9 @@ impl SlabStore {
         self.surface.load(Ordering::Relaxed)
     }
 
-    /// Path of the backing file.
-    pub fn path(&self) -> &Path {
-        &self.path
+    /// Path of the backing file; `None` for an unnamed store.
+    pub fn path(&self) -> Option<&Path> {
+        self.path.as_deref()
     }
 
     /// Unpadded bytes of one z plane in the file.
@@ -309,14 +353,9 @@ impl SlabStore {
         self.ny * self.nx * 8
     }
 
-    /// Bytes of the one-plane staging buffer a window of this store's
-    /// shape moves through — 0 when it moves directly (unpadded rows).
-    pub(crate) fn staging_bytes(&self) -> usize {
-        if file_layout(&Grid3D::zeros(0, self.ny, self.nx)) {
-            0
-        } else {
-            self.plane_file_bytes()
-        }
+    #[cfg(test)]
+    fn staging_bytes(&self) -> usize {
+        staging_bytes(self.ny, self.nx)
     }
 
     fn surface_bytes(&self) -> u64 {
@@ -506,15 +545,26 @@ impl std::fmt::Debug for SlabStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "SlabStore({}x{}x{} r{} round={} surface={} at {})",
+            "SlabStore({}x{}x{} r{} round={} surface={} at {:?})",
             self.nz,
             self.ny,
             self.nx,
             self.radius,
             self.round(),
             self.surface(),
-            self.path.display()
+            self.path
         )
+    }
+}
+
+/// Bytes of the one-plane staging buffer a window of `ny x nx` planes
+/// moves through — 0 when it moves directly (unpadded rows). A function
+/// of the shape, so a run can be sized before its store exists.
+pub(crate) fn staging_bytes(ny: usize, nx: usize) -> usize {
+    if file_layout(&Grid3D::zeros(0, ny, nx)) {
+        0
+    } else {
+        ny * nx * 8
     }
 }
 
@@ -674,6 +724,52 @@ mod tests {
             assert_eq!(bits(&back), bits(&g), "nx={nx}");
             assert_eq!(store.stats(), stats, "materializing is not traffic");
         }
+    }
+
+    #[test]
+    fn an_unnamed_store_round_trips_without_a_directory_entry() {
+        // a directory of its own, so its listing is this test's alone
+        let dir = tmp("unnamed").with_extension("d");
+        std::fs::create_dir_all(&dir).unwrap();
+        let entries = || std::fs::read_dir(&dir).unwrap().count();
+        let bits = |g: &Grid3D| g.to_dense().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        // direct (nx = 16) and staged (nx = 11) moves
+        for nx in [16usize, 11] {
+            let at = dir.join(format!("brief{nx}.slab"));
+            // a leftover under the brief name is replaced, never reused
+            std::fs::write(&at, b"left by a killed process").unwrap();
+            let g = Grid3D::from_fn(9, 4, nx, |z, y, x| (z * 67 + y * 13 + x) as f64 - 0.5);
+            let store = SlabStore::unnamed(&at, &g, 1).unwrap();
+            assert_eq!(store.path(), None);
+            assert_eq!(
+                entries(),
+                0,
+                "nx={nx}: the name is gone while the store lives"
+            );
+            assert_eq!(
+                store.stats(),
+                StoreStats::default(),
+                "seeding is not traffic"
+            );
+            assert_eq!(bits(&store.to_grid().unwrap()), bits(&g), "nx={nx}");
+
+            // one pass through the same protocol a named store runs
+            let mut win = Grid3D::zeros(4, 4, nx);
+            let mut scratch = Vec::new();
+            store.read_window(0, 3, 7, &mut win, &mut scratch).unwrap();
+            for (z, y) in (0..4).flat_map(|z| (0..4).map(move |y| (z, y))) {
+                assert_eq!(win.row(z, y), g.row(z + 3, y), "nx={nx} z={z} y={y}");
+            }
+            let next = Grid3D::from_fn(9, 4, nx, |z, y, x| -((z * 5 + y * 3 + x) as f64));
+            store.begin_pass().unwrap();
+            store.write_planes(1, 0, &next, 0, 5).unwrap();
+            store.write_planes(1, 5, &next, 5, 9).unwrap();
+            store.commit_pass(3).unwrap();
+            assert_eq!((store.round(), store.surface()), (3, 1));
+            assert_eq!(bits(&store.to_grid().unwrap()), bits(&next), "nx={nx}");
+            assert_eq!(entries(), 0);
+        }
+        std::fs::remove_dir(&dir).unwrap();
     }
 
     #[test]

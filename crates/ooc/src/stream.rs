@@ -12,7 +12,7 @@
 //!     store planes [lo, hi) to surface 1-S           (interior only)
 //!           ... and, on the final pass of a grid job, scatter them to
 //!           the result grid
-//!   commit: sync, flip surface, round += s
+//!   commit: sync (a named store), flip surface, round += s
 //! ```
 //!
 //! Each byte moves once. The loaded window *is* one surface of the pair
@@ -24,10 +24,21 @@
 //! pair, the prefetched next window, the previous output awaiting
 //! write-back — or [`RESIDENT_WINDOWS_SYNC`] = 2 without the IO thread,
 //! and windows are sized as the budget divided by that.
-//! [`run_streaming_grid`] allocates the result grid up front and the
-//! final pass lands each window's interior in it on its way to the
-//! file: the file is still written, synced and committed, it is just not
-//! read back.
+//! The grid entries allocate the result grid up front and the final pass
+//! lands each window's interior in it on its way to the file: the file
+//! is still written and committed, it is just not read back.
+//!
+//! What a run owes a crash depends on who could reopen its store.
+//! [`run_streaming`], [`resume_streaming`] and
+//! [`run_streaming_grid_resumable`] work on a *named* store: every pass
+//! syncs the dirty flag before its first write and the payload before
+//! its commit, so a later process resumes from the last committed round.
+//! [`run_streaming_grid`] spills into an *unnamed* store
+//! ([`SlabStore::unnamed`]): the same passes, no syncs, no file to
+//! delete — a killed run leaves nothing and is rerun from its input.
+//! Both grid entries size the run first (`schedule`), so a job that can
+//! never run (plan not streamable, budget below the minimum window) is
+//! refused before a byte is spilled.
 //!
 //! Temporal blocking is the whole economy: every slab crosses the IO
 //! boundary **once per pass of `s` steps** instead of once per step —
@@ -59,7 +70,7 @@ use stencil_faults::Failpoint;
 use stencil_grid::{Grid3D, PingPong};
 
 use crate::error::OocError;
-use crate::store::{SlabStore, StoreStats};
+use crate::store::{staging_bytes, SlabStore, StoreStats};
 
 /// Resident windows a prefetching run holds at peak: the swept pair (the
 /// loaded window *is* one of its two surfaces), the prefetched next
@@ -303,33 +314,43 @@ pub fn run_streaming(
     stream(plan, store, t, cfg, None)
 }
 
-/// [`run_streaming`]; with `result` (a grid of the store's shape) the
-/// final pass also lands every window's interior there, so a caller who
-/// wants the domain resident does not read the file back (`t > 0`: there
-/// is no pass to land it otherwise).
-fn stream(
+/// What a run does, fixed by the plan, the shape and the budget alone.
+struct Schedule {
+    /// `RESIDENT_WINDOWS_*` of the mode.
+    residency: usize,
+    /// Resident bytes of one plane, and of the mode's staging buffers.
+    plane: usize,
+    staging: usize,
+    /// Most planes a window may hold.
+    cap_planes: usize,
+    /// Steps of a full-depth pass, and the windows it is cut into.
+    s: usize,
+    windows_per_pass: usize,
+}
+
+/// The part of a run of `t` steps that needs no IO: refuse what can never
+/// stream (so callers ask before they spill a domain), and size the
+/// windows and the deepest pass the budget carries. `None`: nothing to run.
+fn schedule(
     plan: &Plan,
-    store: &SlabStore,
+    shape: (usize, usize, usize),
     t: usize,
     cfg: &OocConfig,
-    mut result: Option<&mut Grid3D>,
-) -> Result<StreamReport, OocError> {
+) -> Result<Option<Schedule>, OocError> {
     if !streamable(plan) {
         return Err(OocError::UnsupportedPlan {
             reason: "streaming needs a 3D slab-shardable plan \
                      (natural layout, block-free or tessellate tiling)",
         });
     }
-    let shape = store.shape();
     let (nz, ny, nx) = shape;
     if nz == 0 || ny == 0 || nx == 0 {
         return Err(OocError::UnsupportedPlan {
             reason: "empty domain",
         });
     }
-    let mut report = StreamReport::default();
     if t == 0 {
-        return Ok(report);
+        return Ok(None);
     }
 
     let plane = plane_resident_bytes(ny, nx);
@@ -339,7 +360,7 @@ fn stream(
         (RESIDENT_WINDOWS_SYNC, STAGING_PLANES_SYNC)
     };
     // nothing on the direct path: windows move without a staging copy
-    let staging = staging_planes * store.staging_bytes();
+    let staging = staging_planes * staging_bytes(ny, nx);
     let cap_planes = cfg.budget_bytes.saturating_sub(staging) / residency / plane.max(1);
 
     // deepest pass the budget can carry: multiples of the composition
@@ -350,9 +371,16 @@ fn stream(
         w => w.min(t),
     };
     let mut s = if want >= t { t } else { (want / u).max(1) * u };
-    let geom = loop {
-        if let Some(g) = plan_pass(plan, shape, s, cap_planes) {
-            break g;
+    loop {
+        if let Some(geom) = plan_pass(plan, shape, s, cap_planes) {
+            return Ok(Some(Schedule {
+                residency,
+                plane,
+                staging,
+                cap_planes,
+                s,
+                windows_per_pass: geom.windows.len(),
+            }));
         }
         if s <= u {
             // even the shallowest legal pass does not fit: report the
@@ -365,19 +393,37 @@ fn stream(
             });
         }
         s = ((s - 1) / u).max(1) * u;
-    };
+    }
+}
 
-    report.steps_per_pass = s;
-    report.windows_per_pass = geom.windows.len();
+/// [`run_streaming`]; with `result` (a grid of the store's shape) the
+/// final pass also lands every window's interior there, so a caller who
+/// wants the domain resident does not read the file back (`t > 0`: there
+/// is no pass to land it otherwise).
+fn stream(
+    plan: &Plan,
+    store: &SlabStore,
+    t: usize,
+    cfg: &OocConfig,
+    mut result: Option<&mut Grid3D>,
+) -> Result<StreamReport, OocError> {
+    let shape = store.shape();
+    let mut report = StreamReport::default();
+    let Some(sch) = schedule(plan, shape, t, cfg)? else {
+        return Ok(report);
+    };
+    let (residency, plane, staging) = (sch.residency, sch.plane, sch.staging);
+    report.steps_per_pass = sch.s;
+    report.windows_per_pass = sch.windows_per_pass;
 
     let mut pool = WindowPool::new(residency, plan.pool().threads());
     let stats0 = store.stats();
     let mut remaining = t;
     while remaining > 0 {
-        let s_pass = s.min(remaining);
+        let s_pass = sch.s.min(remaining);
         // the final pass may be shallower (it takes the t % quantum
         // tail); its shallower halo always fits where the deep one did
-        let geom = plan_pass(plan, shape, s_pass, cap_planes)
+        let geom = plan_pass(plan, shape, s_pass, sch.cap_planes)
             .expect("a shallower pass fits wherever the deep pass fits");
         let widest = geom.windows.iter().map(|&(_, _, slo, shi)| shi - slo);
         report.window_planes = report.window_planes.max(widest.max().unwrap_or(0));
@@ -656,7 +702,8 @@ fn run_pass_prefetch(
 
 static TEMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
-/// A collision-free temp path for a transient store.
+/// A collision-free temp path: the name a transient store has until it
+/// is unlinked.
 fn temp_store_path() -> std::path::PathBuf {
     let mut p = std::env::temp_dir();
     p.push(format!(
@@ -667,23 +714,30 @@ fn temp_store_path() -> std::path::PathBuf {
     p
 }
 
-/// Convenience wrapper for resident callers (the serve router, tests,
-/// benches): [`run_streaming_grid_resumable`] against a fresh transient
-/// store under the system temp directory, with the file removed on
-/// error too, so transient stores never accumulate.
+/// `t` steps of `plan` on a resident `grid`, streamed through a transient
+/// store, for callers who hold the domain and want it back (tests,
+/// benches, a service without a store directory). The store is
+/// [unnamed](SlabStore::unnamed): a file under the system temp directory
+/// that is unlinked before it holds a byte of payload. Nothing can reopen
+/// it, so this entry owes a crash nothing — it syncs nothing, has no file
+/// to delete on success or on error, and transient stores never
+/// accumulate, under `kill -9` included (the kernel frees an unlinked
+/// file with its last handle). A run that dies is rerun from `grid`.
 pub fn run_streaming_grid(
     plan: &Plan,
     grid: &Grid3D,
     t: usize,
     cfg: &OocConfig,
 ) -> Result<(Grid3D, StreamReport), OocError> {
-    let path = temp_store_path();
-    // a store a killed process left under a recycled pid is not an
-    // earlier attempt at this job: never resume from it
-    let _ = std::fs::remove_file(&path);
-    let result = run_streaming_grid_resumable(plan, grid, t, cfg, &path);
-    let _ = std::fs::remove_file(&path);
-    result
+    if schedule(plan, (grid.nz(), grid.ny(), grid.nx()), t, cfg)?.is_none() {
+        return Ok((grid.clone(), StreamReport::default()));
+    }
+    let spill = Instant::now();
+    let store = {
+        let _span = stencil_obs::span(stencil_obs::SpanId::OocWriteback);
+        SlabStore::unnamed(&temp_store_path(), grid, plan.pattern().radius())?
+    };
+    stream_to_grid(plan, &store, t, cfg, spill)
 }
 
 /// Resume an interrupted streamed job at `path`: recover the store
@@ -706,14 +760,19 @@ pub fn resume_streaming(
     Ok((store, report))
 }
 
-/// [`run_streaming_grid`] against a caller-chosen store path with
-/// resume-on-resubmission semantics: if `path` already holds a store of
-/// the same shape and radius — left behind by an earlier attempt that
-/// died or errored mid-job — it is recovered and the job resumes from
-/// its committed round instead of starting over. On success the file is
-/// removed; on error it is **left in place** so a resubmission of the
-/// same job can pick up where this attempt stopped. This is the serve
-/// layer's crash-recovery route for out-of-core jobs.
+/// [`run_streaming_grid`] against a named store at a caller-chosen path,
+/// with resume-on-resubmission semantics — the entry that owes a crash
+/// something, and pays it: every pass is bracketed by the synced dirty
+/// flag and committed behind a payload sync (see [`crate::store`]). If
+/// `path` already holds a store of the same shape and radius — left
+/// behind by an earlier attempt that died or errored mid-job — it is
+/// recovered and the job resumes from its committed round instead of
+/// starting over. On success the file is removed; on an error of the run
+/// it is **left in place** so a resubmission of the same job can pick up
+/// where this attempt stopped. A job that can never run (a plan that does
+/// not stream, a budget below the minimum window) is refused before
+/// `path` is touched. This is the serve layer's crash-recovery route for
+/// out-of-core jobs.
 pub fn run_streaming_grid_resumable(
     plan: &Plan,
     grid: &Grid3D,
@@ -723,6 +782,7 @@ pub fn run_streaming_grid_resumable(
 ) -> Result<(Grid3D, StreamReport), OocError> {
     let radius = plan.pattern().radius();
     let shape = (grid.nz(), grid.ny(), grid.nx());
+    schedule(plan, shape, total_steps, cfg)?;
     let spill = Instant::now();
     let store = match SlabStore::recover(path) {
         Ok(s) if s.shape() == shape && s.radius() == radius && s.round() <= total_steps as u64 => s,
@@ -733,30 +793,42 @@ pub fn run_streaming_grid_resumable(
             SlabStore::create(path, grid, radius)?
         }
     };
-    let spill_us = spill.elapsed().as_micros() as u64;
-    let done = store.round() as usize;
-    let result = (|| {
-        if done == total_steps {
-            // no pass left to land the result: the leftover store had
-            // already committed its last one
-            let _span = stencil_obs::span(stencil_obs::SpanId::OocLoad);
-            let out = store.to_grid()?;
-            let report = StreamReport {
-                io_blocked_us: spill.elapsed().as_micros() as u64,
-                ..StreamReport::default()
-            };
-            return Ok((out, report));
-        }
-        let mut out = Grid3D::zeros(shape.0, shape.1, shape.2);
-        let mut report = stream(plan, &store, total_steps - done, cfg, Some(&mut out))?;
-        // spilling in blocks the caller regardless of prefetch mode
-        report.io_blocked_us += spill_us;
-        Ok((out, report))
-    })();
+    let result = stream_to_grid(plan, &store, total_steps, cfg, spill);
     if result.is_ok() {
         let _ = std::fs::remove_file(path);
     }
     result
+}
+
+/// What both grid entries do once their store exists (since `spill`):
+/// stream the steps its committed round lacks, the final pass landing
+/// the result in a resident grid.
+fn stream_to_grid(
+    plan: &Plan,
+    store: &SlabStore,
+    total_steps: usize,
+    cfg: &OocConfig,
+    spill: Instant,
+) -> Result<(Grid3D, StreamReport), OocError> {
+    let spill_us = spill.elapsed().as_micros() as u64;
+    let done = store.round() as usize;
+    if done == total_steps {
+        // no pass left to land the result: the leftover store had
+        // already committed its last one
+        let _span = stencil_obs::span(stencil_obs::SpanId::OocLoad);
+        let out = store.to_grid()?;
+        let report = StreamReport {
+            io_blocked_us: spill.elapsed().as_micros() as u64,
+            ..StreamReport::default()
+        };
+        return Ok((out, report));
+    }
+    let (nz, ny, nx) = store.shape();
+    let mut out = Grid3D::zeros(nz, ny, nx);
+    let mut report = stream(plan, store, total_steps - done, cfg, Some(&mut out))?;
+    // spilling in blocks the caller regardless of prefetch mode
+    report.io_blocked_us += spill_us;
+    Ok((out, report))
 }
 
 #[cfg(test)]

@@ -7,7 +7,10 @@
 
 use stencil_core::{kernels, Method, Pattern, Plan, Solver, Tiling};
 use stencil_grid::Grid3D;
-use stencil_ooc::{run_streaming, run_streaming_grid, OocConfig, OocError, SlabStore};
+use stencil_ooc::{
+    run_streaming, run_streaming_grid, run_streaming_grid_resumable, OocConfig, OocError,
+    SlabStore, StreamReport,
+};
 
 fn bits(g: &Grid3D) -> Vec<u64> {
     g.to_dense().iter().map(|v| v.to_bits()).collect()
@@ -298,4 +301,122 @@ fn transient_stores_are_cleaned_up() {
     };
     let _ = run_streaming_grid(&plan, &g, 4, &tiny);
     assert_eq!(count(), before, "transient store files leaked");
+}
+
+#[test]
+fn jobs_that_can_never_run_are_refused_before_any_io() {
+    let g = workload(24, 10, 10);
+    let dlt = Solver::new(kernels::heat3d())
+        .method(Method::Dlt)
+        .tiling(Tiling::Split { time_block: 2 })
+        .compile()
+        .unwrap();
+    let folded = Solver::new(kernels::heat3d())
+        .method(Method::Folded { m: 2 })
+        .compile()
+        .unwrap();
+    let one_plane = OocConfig {
+        budget_bytes: Grid3D::zeros(1, 10, 10).stride_z() * 8,
+        ..OocConfig::default()
+    };
+    // the resumable route keeps a failed attempt's store for resubmission;
+    // a resubmission of these could never succeed, so they leave none
+    let mut path = std::env::temp_dir();
+    path.push(format!("stencil-ooc-refused-{}.slab", std::process::id()));
+    let left_a_store = || std::fs::remove_file(&path).is_ok();
+    left_a_store();
+    assert!(matches!(
+        run_streaming_grid_resumable(&dlt, &g, 2, &OocConfig::default(), &path),
+        Err(OocError::UnsupportedPlan { .. })
+    ));
+    assert!(!left_a_store(), "a plan that cannot stream");
+    match run_streaming_grid_resumable(&folded, &g, 4, &one_plane, &path) {
+        Err(OocError::BudgetTooSmall { budget, needed }) => {
+            assert!(budget == one_plane.budget_bytes && needed > budget)
+        }
+        other => panic!("expected BudgetTooSmall, got {other:?}"),
+    }
+    assert!(!left_a_store(), "a budget below the minimum window");
+
+    // zero steps: the input, and no store to spill it into — but a plan
+    // that cannot stream is still refused
+    let (same, report) = run_streaming_grid(&folded, &g, 0, &one_plane).unwrap();
+    assert_eq!(bits(&same), bits(&g));
+    assert_eq!(report, StreamReport::default());
+    assert!(matches!(
+        run_streaming_grid(&dlt, &g, 0, &OocConfig::default()),
+        Err(OocError::UnsupportedPlan { .. })
+    ));
+}
+
+/// Set in the re-executed test binary of `a_killed_job_leaks_nothing`.
+const KILL_CHILD: &str = "STENCIL_OOC_KILL_CHILD";
+/// The child gives up by itself after this long, and the parent fails.
+const KILL_CHILD_CEILING: std::time::Duration = std::time::Duration::from_secs(30);
+
+/// The child of `a_killed_job_leaks_nothing`: streamed runs of a 30 MiB
+/// domain back to back, a line on stdout after each. A no-op as a test.
+#[test]
+fn killed_job_child() {
+    if std::env::var_os(KILL_CHILD).is_none() {
+        return;
+    }
+    use std::io::Write;
+    let g = workload(960, 64, 64);
+    let plan = Solver::new(kernels::heat3d())
+        .method(Method::Folded { m: 2 })
+        .compile()
+        .unwrap();
+    let cfg = OocConfig {
+        budget_bytes: g.stride_z() * 8 * g.nz() / 4,
+        ..OocConfig::default()
+    };
+    let start = std::time::Instant::now();
+    while start.elapsed() < KILL_CHILD_CEILING {
+        run_streaming_grid(&plan, &g, 2, &cfg).unwrap();
+        let mut out = std::io::stdout();
+        writeln!(out, "spilled").and_then(|()| out.flush()).unwrap();
+    }
+}
+
+#[test]
+fn a_killed_job_leaks_nothing() {
+    use std::io::BufRead;
+    use std::process::{Command, Stdio};
+    let mut child = Command::new(std::env::current_exe().unwrap())
+        .args(["--exact", "killed_job_child", "--nocapture"])
+        .env(KILL_CHILD, "1")
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .unwrap();
+    let pid = child.id();
+    let stdout = std::io::BufReader::new(child.stdout.take().unwrap());
+    let (tx, rx) = std::sync::mpsc::channel();
+    let reader = std::thread::spawn(move || {
+        for line in stdout.lines().map_while(Result::ok) {
+            if line.contains("spilled") && tx.send(()).is_err() {
+                break;
+            }
+        }
+    });
+    // one run is through, the next is under way: its store is spilled or
+    // being swept when the kill lands (nothing here depends on where)
+    let ran = rx.recv_timeout(KILL_CHILD_CEILING);
+    std::thread::sleep(std::time::Duration::from_millis(10));
+    child.kill().unwrap();
+    child.wait().unwrap();
+    reader.join().unwrap(); // the pipe closed with the child
+    ran.expect("the re-executed test binary never finished a streamed run");
+    let prefix = format!("stencil-ooc-{pid}-");
+    let left: Vec<_> = std::fs::read_dir(std::env::temp_dir())
+        .unwrap()
+        .filter_map(Result::ok)
+        .map(|e| e.file_name().to_string_lossy().into_owned())
+        .filter(|n| n.starts_with(&prefix))
+        .collect();
+    for n in &left {
+        let _ = std::fs::remove_file(std::env::temp_dir().join(n));
+    }
+    assert!(left.is_empty(), "the killed job left {left:?}");
 }

@@ -80,6 +80,11 @@ fn transient_store_io_faults_are_retried_to_a_bit_exact_result() {
         steps_per_pass: 0,
         prefetch: false,
     };
+    // a transient store is unnamed and owes no sync (it never consults
+    // `ooc_fsync`): that leg runs the resumable route's named store
+    let mut path = std::env::temp_dir();
+    path.push(format!("stencil-chaos-fsync-{}.slab", std::process::id()));
+    let _ = std::fs::remove_file(&path);
     for (fp, seed) in [
         (Failpoint::OocRead, 0xC0FF_EE01),
         (Failpoint::OocWrite, 0xC0FF_EE02),
@@ -88,10 +93,14 @@ fn transient_store_io_faults_are_retried_to_a_bit_exact_result() {
         faults::disarm_all();
         faults::arm_probability(fp, 0.25, seed);
         faults::set_enabled(true);
-        let (got, report) =
-            ooc::run_streaming_grid(&plan, &grid, steps, &cfg).unwrap_or_else(|e| {
-                panic!("{}: streamed run must absorb p=0.25 faults: {e}", fp.name())
-            });
+        let run = if fp == Failpoint::OocFsync {
+            ooc::run_streaming_grid_resumable(&plan, &grid, steps, &cfg, &path)
+        } else {
+            ooc::run_streaming_grid(&plan, &grid, steps, &cfg)
+        };
+        let (got, report) = run.unwrap_or_else(|e| {
+            panic!("{}: streamed run must absorb p=0.25 faults: {e}", fp.name())
+        });
         assert_eq!(want, bits3(&got), "{}: result diverged", fp.name());
         assert!(
             faults::fired(fp) > 0,
@@ -104,6 +113,66 @@ fn transient_store_io_faults_are_retried_to_a_bit_exact_result() {
             fp.name()
         );
     }
+}
+
+#[test]
+fn an_unnamed_store_owes_no_sync() {
+    let _g = serial();
+    let _r = Reset;
+    let plan = streamable_plan();
+    let grid = workload(48, 14, 16);
+    let steps = 6;
+    let want = bits3(&plan.run_3d(&grid, steps).unwrap());
+    // every sync would fail, hard: a transient run never asks for one
+    faults::arm_probability(Failpoint::OocFsync, 1.0, 17);
+    faults::set_enabled(true);
+    for prefetch in [true, false] {
+        let cfg = OocConfig {
+            budget_bytes: budget_for(14, 16, 24, prefetch),
+            steps_per_pass: 2,
+            prefetch,
+        };
+        let (got, report) = ooc::run_streaming_grid(&plan, &grid, steps, &cfg)
+            .expect("nothing a transient store does can hit ooc_fsync");
+        assert_eq!(want, bits3(&got), "prefetch={prefetch}");
+        assert_eq!(report.passes, 3);
+        assert_eq!(faults::hits(Failpoint::OocFsync), 0, "prefetch={prefetch}");
+    }
+}
+
+#[test]
+fn a_named_store_syncs_exactly_as_before() {
+    let _g = serial();
+    let _r = Reset;
+    let plan = streamable_plan();
+    let grid = workload(48, 12, 14);
+    let cfg = OocConfig {
+        budget_bytes: budget_for(12, 14, 24, false),
+        steps_per_pass: 2,
+        prefetch: false,
+    };
+    let mut path = std::env::temp_dir();
+    path.push(format!("stencil-chaos-syncs-{}.slab", std::process::id()));
+    // a site counts hits only while armed: this arms it without ever firing
+    faults::arm_nth(Failpoint::OocFsync, u64::MAX);
+    faults::set_enabled(true);
+    let syncs = || faults::hits(Failpoint::OocFsync);
+
+    let store = SlabStore::create(&path, &grid, plan.pattern().radius()).unwrap();
+    assert_eq!(syncs(), 1, "create: the round-0 payload");
+    let report = ooc::run_streaming(&plan, &store, 6, &cfg).unwrap();
+    assert_eq!(report.passes, 3);
+    assert_eq!(syncs(), 7, "begin_pass + commit_pass, three times");
+    drop(store);
+    let store = SlabStore::recover(&path).unwrap();
+    assert_eq!(syncs(), 8, "recover: the cleared dirty flag");
+    drop(store);
+    let (store, report) = ooc::resume_streaming(&plan, &path, 8, &cfg).unwrap();
+    assert_eq!((store.round(), report.passes), (8, 1));
+    assert_eq!(syncs(), 11, "recover, then one more pass");
+    assert_eq!(faults::fired(Failpoint::OocFsync), 0);
+    drop(store);
+    std::fs::remove_file(&path).unwrap();
 }
 
 #[test]
