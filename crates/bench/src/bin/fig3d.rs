@@ -12,7 +12,7 @@
 use stencil_bench::{gflops, measure, workload, Args, Table};
 use stencil_core::exec::folded::FoldedKernel;
 use stencil_core::exec::folded3d::{self, Ring3};
-use stencil_core::tile::tessellate;
+use stencil_core::tile::{tessellate, tile_width};
 use stencil_core::{kernels, Method, Pattern, Solver, Tiling, Tuning};
 use stencil_grid::{Grid3D, PingPong};
 use stencil_runtime::PoolHandle;
@@ -54,13 +54,15 @@ fn ring_tess(
 ) -> Grid3D {
     let reff = k.radius();
     let mut pp = PingPong::new(g.clone());
-    tessellate::run_3d(
+    tessellate::run_3d_at(
         pool,
         &mut pp,
         reff,
         reff,
+        tile_width(&[g.ny(), g.nx()], reff, tb),
         tb,
         steps,
+        0,
         &|s: &Grid3D, d: &mut Grid3D, zs, ys, xs| {
             folded3d::step_range_3d_ring::<NativeF64x4>(k, ring, s, d, zs, ys, xs)
         },

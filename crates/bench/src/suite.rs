@@ -11,7 +11,7 @@ use crate::measure;
 use crate::workload;
 use std::time::Duration;
 use stencil_core::exec::{apop, life};
-use stencil_core::tile::tessellate;
+use stencil_core::tile::{tessellate, tile_width};
 use stencil_core::{kernels, Method, Pattern, Plan, Solver, Tiling, Tuning, Width};
 use stencil_grid::{Grid2D, PingPong};
 use stencil_runtime::PoolHandle;
@@ -351,6 +351,7 @@ fn run_apop(method: MethodId, pool: &PoolHandle, sizes: &Sizes) -> Option<Durati
                     &mut pp,
                     1,
                     1,
+                    tile_width(&[], 1, tb),
                     tb,
                     t,
                     &|s: &[f64], d: &mut [f64], lo, hi| {
@@ -387,6 +388,7 @@ fn apop_tess<V: SimdF64>(
             &mut pp,
             1,
             1,
+            tile_width(&[], 1, tb),
             tb,
             t,
             &|s: &[f64], d: &mut [f64], lo, hi| apop::step_range::<V>(s, d, &taps, &pay, lo, hi),
@@ -416,6 +418,7 @@ fn apop_tess_folded<V: SimdF64>(
             &mut pp,
             rr,
             rr,
+            tile_width(&[], rr, tb),
             tb,
             t / m,
             &|s: &[f64], d: &mut [f64], lo, hi| {
@@ -437,13 +440,15 @@ fn run_life(method: MethodId, pool: &PoolHandle, sizes: &Sizes) -> Option<Durati
         MethodId::Tess => Some(
             measure::best_of(sizes.reps, || {
                 let mut pp = PingPong::new(g.clone());
-                tessellate::run_2d(
+                tessellate::run_2d_at(
                     pool,
                     &mut pp,
                     1,
                     1,
+                    tile_width(&[g.nx()], 1, tb),
                     tb,
                     t,
+                    0,
                     &|s: &Grid2D, d: &mut Grid2D, ys, xs| life::step_range_scalar(s, d, ys, xs),
                 );
                 pp.into_current()
@@ -465,13 +470,15 @@ fn life_tess<V: SimdF64>(
 ) -> Duration {
     measure::best_of(reps, || {
         let mut pp = PingPong::new(g.clone());
-        tessellate::run_2d(
+        tessellate::run_2d_at(
             pool,
             &mut pp,
             1,
             1,
+            tile_width(&[g.nx()], 1, tb),
             tb,
             t,
+            0,
             &|s: &Grid2D, d: &mut Grid2D, ys, xs| life::step_range::<V>(s, d, ys, xs),
         );
         pp.into_current()
@@ -489,13 +496,15 @@ fn life_tess2<V: SimdF64>(
     measure::best_of(reps, || {
         let mut pp = PingPong::new(g.clone());
         // fused double generation: reff = 2 per inner step
-        tessellate::run_2d(
+        tessellate::run_2d_at(
             pool,
             &mut pp,
             2,
             2,
+            tile_width(&[g.nx()], 2, tb),
             tb,
             t / 2,
+            0,
             &|s: &Grid2D, d: &mut Grid2D, ys, xs| life::step2_range::<V>(s, d, ys, xs),
         );
         pp.into_current()

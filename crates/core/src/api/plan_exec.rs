@@ -8,7 +8,7 @@ use crate::exec::folded3d;
 use crate::exec::{dlt, multiload, reorg, scalar, xlayout};
 use crate::folding::fold;
 use crate::pattern::Pattern;
-use crate::tile::{spatial, split, tessellate};
+use crate::tile::{spatial, split, tessellate, tile_width};
 use core::ops::Range;
 use stencil_grid::{Grid1D, Grid2D, Grid3D, PingPong};
 use stencil_runtime::PoolHandle;
@@ -557,6 +557,7 @@ impl Plan {
                         pp,
                         r,
                         r,
+                        tile_width(&[], r, *time_block),
                         *time_block,
                         steps,
                         &|s: &[f64], d: &mut [f64], lo, hi| kernel.step::<V>(taps, s, d, lo, hi),
@@ -596,9 +597,12 @@ impl Plan {
                     let step =
                         |s: &Grid2D, d: &mut Grid2D, ys, xs| kernel.step::<V>(q, s, d, ys, xs);
                     match *driver {
-                        Driver::Tessellate { time_block } => tessellate::run_2d_at(
-                            &self.pool, pp, r, r, time_block, steps, origin_y, &step,
-                        ),
+                        Driver::Tessellate { time_block } => {
+                            let w = tile_width(&[grid.nx()], r, time_block);
+                            tessellate::run_2d_at(
+                                &self.pool, pp, r, r, w, time_block, steps, origin_y, &step,
+                            )
+                        }
                         Driver::Spatial { block } => {
                             spatial::run_2d(&self.pool, pp, r, block, steps, &step)
                         }
@@ -677,9 +681,13 @@ impl Plan {
                         kernel.step::<V>(q, s, d, zs, ys, xs)
                     };
                     match *driver {
-                        Driver::Tessellate { time_block } => tessellate::run_3d_at(
-                            &self.pool, pp, r, r, time_block, steps, origin_z, &step,
-                        ),
+                        Driver::Tessellate { time_block } => {
+                            let (ny, nx) = (pp.current().ny(), pp.current().nx());
+                            let w = tile_width(&[ny, nx], r, time_block);
+                            tessellate::run_3d_at(
+                                &self.pool, pp, r, r, w, time_block, steps, origin_z, &step,
+                            )
+                        }
                         Driver::Spatial { block } => {
                             spatial::run_3d(&self.pool, pp, r, block, steps, &step)
                         }

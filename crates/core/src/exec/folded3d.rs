@@ -61,8 +61,11 @@
 //! ranges at least `vl` wide in `x` and `y` yields identical bits
 //! (overlapped blocks merely rewrite them), in 2D and in 3D, which is
 //! what bit-exact domain sharding (serve), static partitions and
-//! out-of-core windows rely on. Ranges narrower than one vector in `x`
-//! or `y` — tessellate's trapezoid tips — agree to rounding only.
+//! out-of-core windows rely on — and what makes a 3D tessellate tile
+//! (`z` cut, `y` and `x` whole) bit-identical to the block-free sweep.
+//! Ranges narrower than one vector in `x` or `y` — the tips of 2D
+//! tessellate's inverted tiles, `y` being the cut axis there — agree to
+//! rounding only.
 
 #![allow(clippy::needless_range_loop)]
 // offset windows (plane[j + dy]) mirror the paper's notation

@@ -25,25 +25,36 @@
 //!   data-reorganization): a cell's instruction stream depends only on
 //!   its x position, so any slab geometry is bit-exact — these slab
 //!   under every tiling.
-//! * **Register pipelines** (transpose-layout, folded): rows are
-//!   processed in vector-width groups counted from the sweep origin,
-//!   with a scalar remainder at the top. A slab changes the origin, so
-//!   [`slab_bounds`] aligns every slab start to [`SLAB_ALIGN`] rows and
-//!   pads interior slab tops until the processed row count keeps the
-//!   full run's group phase with no mid-grid remainder — which covers
-//!   the *block-free* sweep (whose origin is the grid edge). Under
-//!   **tessellate tiling** the tile geometry itself is the hazard:
-//!   since [`DimTiling`] anchors tile phase to global coordinates, a
-//!   slab executed through `Plan::run_*_at` with its global origin
-//!   reproduces every interior tile of the full run exactly. Only the
-//!   slab-edge tiles diverge (they see a frozen band where the full
-//!   run has live cells), so the halo grows by one tile width — the
+//! * **Register pipelines** (transpose-layout, folded): every output is
+//!   one fixed chain of fused multiply-adds whichever block, strip or
+//!   call produces it, so any partition into ranges at least one vector
+//!   wide in `x` and `y` gives identical bits (range independence, see
+//!   `exec::folded3d`). A block-free slab is such a partition, and so is
+//!   every **3D** tessellate tile — tessellation cuts `z` only and hands
+//!   the kernel `y` and `x` whole — so a 3D register plan slabs with the
+//!   classic `t * r` halo under either tiling, and its tessellated
+//!   result equals its block-free one bit for bit wherever both run the
+//!   same kernels (`t % m == 0`). What is left is **2D tessellate
+//!   tips**: `y` is the cut axis there, an inverted tile's first steps
+//!   are `2 * reff * (t + 1)` rows tall, and below one vector they run
+//!   the scalar folded sweep, which agrees with the vector chain to
+//!   rounding only. Since [`DimTiling`] anchors tile phase to global
+//!   coordinates and [`tile_width`] reads nothing a window does not
+//!   share with its domain, a slab executed through `Plan::run_2d_at`
+//!   with its global origin reproduces every interior tile of the full
+//!   run, tips included. Only the slab-edge tiles diverge (they see a
+//!   frozen band where the full run has live cells and do not shrink on
+//!   that side), so the halo grows by one real tile width — the
 //!   divergence starts inside the edge tile and travels inward at one
 //!   effective radius per inner step, exactly like the classic bound —
 //!   and every slab must stay large enough to run the same per-round
-//!   time blocks as the full run ([`shard_geometry`]). With both in
-//!   place, register pipelines slab bit-exactly under tessellate
-//!   tiling too.
+//!   time blocks as the full run ([`shard_geometry`]).
+//!
+//! [`slab_bounds`] still aligns slab starts to [`SLAB_ALIGN`] rows and
+//! pads interior slab tops to a whole number of alignment units. Range
+//! independence no longer needs either for the answer; they keep every
+//! slab's rows on the vector-group phase of the full sweep, so a slab
+//! runs the blocks the full run runs rather than shifted-back ones.
 //!
 //! ## Time-axis composition ([`pass_quantum`])
 //!
@@ -55,14 +66,14 @@
 //! runs group steps as `t / m` macro-steps plus a `t % m` unfolded
 //! tail, so any pass boundary at a multiple of `m` composes exactly.
 //! Tessellate runs additionally group (possibly folded) rounds into
-//! per-round time blocks of `C = min(time_block, per-dimension caps)`
-//! — a constant of the full-domain extents — consuming `C, C, ...,
-//! rest` rounds; a pass boundary at a multiple of `m * C` steps
-//! preserves that grouping. [`pass_quantum`] returns this composition
-//! unit.
+//! per-round time blocks of `C = min(time_block, the cut axis' round
+//! cap)` — a constant of the full-domain outer extent
+//! ([`DimTiling::max_tb`]) — consuming `C, C, ..., rest` rounds; a pass
+//! boundary at a multiple of `m * C` steps preserves that grouping.
+//! [`pass_quantum`] returns this composition unit.
 
 use crate::api::{Method, Plan, Tiling};
-use crate::tile::DimTiling;
+use crate::tile::{tile_width, DimTiling};
 
 /// Slab starts are aligned down to this many outer-axis layers — the
 /// widest vector lane count, so every register pipeline's row grouping
@@ -91,44 +102,34 @@ pub fn shardable(plan: &Plan) -> bool {
 /// sharded along an outer axis of extent `outer` (inner extents in
 /// `inners`).
 ///
-/// The base halo is the classic contamination bound `t * r`. For
-/// register pipelines under tessellate tiling, the slab's edge tiles
-/// diverge from the full run's (the slab edge is a frozen band), so
-/// divergence can start anywhere inside the widest tile: the halo
-/// grows by one tile width `2 * r_step * tb_round`, computed for both
-/// the folded body rounds and the `t % m` unfolded tail rounds. The
-/// returned minimum span keeps every slab able to run the same
-/// per-round time blocks as the full run — the condition under which
-/// the per-round tile geometry (and therefore every kernel call on
-/// interior tiles) is identical, making the stitch bit-exact.
+/// The base halo is the classic contamination bound `t * r`, and it is
+/// the whole answer for every plan whose bits do not depend on the tile
+/// geometry: untiled ones, row-independent kernels, and 3D register
+/// pipelines (see the module docs). A **2D** register pipeline under
+/// tessellate tiling diverges from the full run inside its slab-edge
+/// tiles, anywhere in them, so its halo grows by one tile width — the
+/// real one, [`tile_width`] of the slab's rows, for the folded body
+/// rounds and the `t % m` unfolded tail rounds alike. The returned
+/// minimum span keeps every such slab able to run the same per-round
+/// time blocks as the full run ([`DimTiling::max_tb`] of the cut axis)
+/// — the condition under which the per-round tile geometry (and
+/// therefore every kernel call on interior tiles) is identical, making
+/// the stitch bit-exact.
 pub fn shard_geometry(plan: &Plan, t: usize, outer: usize, inners: &[usize]) -> (usize, usize) {
     let r = plan.pattern().radius();
     let base = t * r;
     let Tiling::Tessellate { time_block } = plan.tiling() else {
         return (base, 0);
     };
-    if !plan.method().is_register() {
-        // row-independent kernels are bit-exact under any slab geometry
+    if !plan.method().is_register() || plan.dims() != 2 {
         return (base, 0);
     }
-    let round_tb = |rad: usize, steps: usize| -> usize {
-        if steps == 0 || rad == 0 {
-            return 0;
-        }
-        let mut tb = DimTiling::max_tb(outer, rad, rad, time_block);
-        for &n in inners {
-            tb = tb.min(DimTiling::max_tb(n, rad, rad, time_block));
-        }
-        tb.min(steps)
-    };
-    let reff = plan.effective_radius();
-    let mut extra = 0usize;
-    let mut min_span = 0usize;
-    for (rad, steps) in [(reff, t / plan.m()), (r, t % plan.m())] {
-        let tb = round_tb(rad, steps);
-        if tb > 0 {
-            extra = extra.max(2 * rad * tb);
-            min_span = min_span.max(2 * rad * (tb + 1));
+    let (mut extra, mut min_span) = (0usize, 0usize);
+    for (rad, steps) in [(plan.effective_radius(), t / plan.m()), (r, t % plan.m())] {
+        if steps > 0 && rad > 0 {
+            let tb = DimTiling::max_tb(outer, rad, rad, time_block).min(steps);
+            extra = extra.max(tile_width(inners, rad, time_block));
+            min_span = min_span.max(DimTiling::min_extent(rad, rad, tb));
         }
     }
     (base + extra, min_span)
@@ -232,27 +233,16 @@ pub fn effective_shards(
 /// * Untiled plans compose at the fold factor `m` (1 when unfolded).
 /// * Tessellate plans compose at `m * C`, where `C` is the constant
 ///   per-round time block the resident run settles on:
-///   `min(time_block, per-dimension interior caps)`.
+///   `min(time_block, the round cap of the cut axis extents[0])`.
 pub fn pass_quantum(plan: &Plan, extents: &[usize]) -> usize {
     let m = plan.m().max(1);
-    let Tiling::Tessellate { time_block } = plan.tiling() else {
-        return m;
-    };
     let reff = plan.effective_radius();
-    if reff == 0 {
-        return m;
+    match (plan.tiling(), extents.first()) {
+        (Tiling::Tessellate { time_block }, Some(&outer)) if reff > 0 => {
+            m * DimTiling::max_tb(outer, reff, reff, time_block)
+        }
+        _ => m,
     }
-    let mut c = time_block.max(1);
-    for &n in extents {
-        // domains below the Dirichlet band cannot run at all; cap at 1
-        // instead of underflowing so callers get a typed error later
-        c = c.min(if n > 2 * reff {
-            DimTiling::max_tb(n, reff, reff, time_block)
-        } else {
-            1
-        });
-    }
-    m * c.max(1)
 }
 
 #[cfg(test)]
@@ -313,14 +303,19 @@ mod tests {
             .compile()
             .unwrap();
         assert_eq!(pass_quantum(&p, &[64, 64, 64]), 2);
-        // tessellate: m * min(time_block, per-dim caps); reff = 2 and
-        // ny = 12 caps the round at (12 - 4) / 4 = 2
+        // tessellate: m * min(time_block, the cut axis' round cap). Only
+        // z is cut, so ny = 12 no longer caps the round (it read 2 * 2
+        // while y was tiled too: (12 - 4) / 4 = 2) ...
         let p = Solver::new(kernels::heat3d())
             .method(Method::Folded { m: 2 })
             .tiling(Tiling::Tessellate { time_block: 4 })
             .compile()
             .unwrap();
-        assert_eq!(pass_quantum(&p, &[64, 12, 64]), 2 * 2);
+        assert_eq!(pass_quantum(&p, &[64, 12, 64]), 2 * 4);
+        // ... and a short z does: reff = 2, (12 - 4) / 4 = 2
+        assert_eq!(pass_quantum(&p, &[12, 64, 64]), 2 * 2);
+        // no interior along z: one step a round, not an underflow
+        assert_eq!(pass_quantum(&p, &[3, 64, 64]), 2);
         // wide domain: time_block itself is the cap
         assert_eq!(pass_quantum(&p, &[64, 64, 64]), 2 * 4);
         // unfolded tessellate vector plan: just the round cap
@@ -330,5 +325,45 @@ mod tests {
             .compile()
             .unwrap();
         assert_eq!(pass_quantum(&p, &[64, 64, 64]), 3);
+    }
+
+    #[test]
+    fn shard_geometry_widens_2d_register_tessellate_by_the_real_tile_width() {
+        use crate::{Method, Tiling, Width};
+        let plan = |p: crate::Pattern, method, tiling| {
+            Solver::new(p)
+                .method(method)
+                .tiling(tiling)
+                .width(Width::W4)
+                .compile()
+                .unwrap()
+        };
+        let fold2 = Method::Folded { m: 2 };
+        let tess = Tiling::Tessellate { time_block: 8 };
+        // 2D fold2, tb 8, 4096-wide rows: 16 rows fit the budget, the
+        // floor 2 * 2 * 8 = 32 binds. t = 17: eight folded rounds and a
+        // one-step tail; halo = 17 * 1 + 32, span = the body's
+        // 2 * 2 * 8 + 4 (the parent widened by the same 32 here, by a
+        // coincidence of floor and rule)
+        let p = plan(kernels::heat2d(), fold2, tess);
+        assert_eq!(shard_geometry(&p, 17, 200, &[4096]), (17 + 32, 36));
+        // 1024-wide rows: the rule's 64 rows, twice the floor (the parent
+        // widened by 2 * rad * tb = 32: less than the tile the run uses)
+        assert_eq!(shard_geometry(&p, 16, 1024, &[1024]), (16 + 64, 36));
+        // few steps shorten the round a slab must fit, not the tile
+        assert_eq!(shard_geometry(&p, 2, 1024, &[1024]), (2 + 64, 8));
+        // 3D register plans are range independent with y and x whole: the
+        // classic halo and no minimum span (the parent: 8 + 16 and 20)
+        let p3 = plan(
+            kernels::heat3d(),
+            fold2,
+            Tiling::Tessellate { time_block: 4 },
+        );
+        assert_eq!(shard_geometry(&p3, 8, 128, &[128, 128]), (8, 0));
+        // row-independent kernels and untiled plans: always the classic halo
+        let ml = plan(kernels::heat2d(), Method::MultipleLoads, tess);
+        assert_eq!(shard_geometry(&ml, 16, 1024, &[1024]), (16, 0));
+        let free = plan(kernels::heat2d(), fold2, Tiling::None);
+        assert_eq!(shard_geometry(&free, 16, 1024, &[1024]), (16, 0));
     }
 }

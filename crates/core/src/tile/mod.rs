@@ -3,25 +3,52 @@
 //!
 //! ## Tessellation geometry
 //!
-//! Time blocking runs in *rounds* of `tb` (possibly folded) steps. Within
-//! a round, each dimension is cut into tiles of width `w = 2 * reff * tb`
-//! (`reff` = radius advanced per inner step: `m * r` for an m-folded
-//! kernel). Per dimension a cell has a *triangle profile*
-//! `tau(i) = floor(dist_to_tile_edge / reff)` capped at `tb`; the stages
-//! then update, at inner step `t`:
+//! Time blocking runs in *rounds* of `tb` (possibly folded) steps, and
+//! only the **outermost** axis is cut (`x` in 1D, `y` in 2D, `z` in 3D):
+//! the unit-stride axis feeds the register pipeline's transposed
+//! `vl × vl` block march, which wants whole rows ("An Efficient
+//! Vectorization Scheme", PAPERS.md), and a tile that keeps its inner
+//! axes whole is never narrower than a vector there. An uncut axis is
+//! the one-tile case — its whole interior `[band, n - band)` at every
+//! step — so the drivers pass it to the kernel as is.
 //!
-//! * triangle ranges `[L + reff*(t+1), R - reff*(t+1))` — shrinking;
+//! **Tile width and time block are separate parameters** (the paper's
+//! Table 1 tunes them apart). The time block `tb` is how many steps a
+//! tile advances between barriers; the width `w` is how much of the cut
+//! axis it owns. [`DimTiling::min_width`] is the geometric floor — both
+//! slopes of a tile advance `reff` cells a step (`reff` = radius of one
+//! inner step: `m * r` for an m-folded kernel) — and [`tile_width`] is
+//! the one rule the production routes size a tile by: as wide as
+//! [`TILE_BYTES`] of the two surfaces allows, so a tile's working set
+//! sits in a core's private L2 for its whole time loop (Casper,
+//! PAPERS.md: stencils are bound at the last-level cache). Past the
+//! budget — inner slices so large that even a floor-width tile outgrows
+//! it, from ~256² planes up — the floor binds and tessellation behaves
+//! like a static partition of the cut axis with one barrier per `tb`
+//! steps; a second-level cut of the next axis waits for a workload that
+//! needs it.
+//!
+//! With tile edges at global multiples of `w`, a round has **two
+//! stages** in every dimensionality, a pool barrier between them. At
+//! inner step `t` they update:
+//!
+//! * trapezoid ranges `[L + reff*(t+1), R - reff*(t+1))` — shrinking
+//!   from a tile's edges `L`, `R`; the flat top left after `tb` steps is
+//!   `w - 2*reff*tb` wide (a triangle at the floor width);
 //! * inverted ranges `[B - reff*(t+1), B + reff*(t+1))` — growing around
 //!   each interior tile boundary `B`.
 //!
-//! A d-dimensional stage is a choice of triangle/inverted per dimension
-//! (`2^d` stages, barriers between; the paper's d+1-stage recombination
-//! is a scheduling refinement of the same tessellation — see DESIGN.md).
-//! Stage `s` updates, at step `t`, the product of its per-dim ranges;
-//! every cell is updated exactly `tb` times per round with no redundant
-//! computation, and all cross-tile reads within a stage touch only
-//! quiescent data — the correctness tests in `tessellate.rs` verify
-//! bit-equality against plain sweeps under heavy thread counts.
+//! Every cell is updated exactly `tb` times per round with no redundant
+//! computation. **Disjointness** — what every `unsafe { pair.src_dst(t) }`
+//! site of the drivers rests on — holds for any `w >= 2*reff*tb`: two
+//! trapezoids of one stage lie strictly inside different tiles at every
+//! step pair, and two inverted tiles reach at most `reff*tb <= w/2` from
+//! centres `w` apart, so `[B - w/2, B + w/2)` never overlap; a tile's
+//! reads at step `t` stay within `reff` of its own range, which is
+//! inside its range at step `t - 1` or in cells the previous stage (or
+//! round) left quiescent. The property tests below walk both facts over
+//! floor, odd, wide and one-tile widths; the drivers' tests check
+//! results against plain sweeps under heavy thread counts.
 //!
 //! Domain edges: ranges are clamped to the Dirichlet interior
 //! `[band, n - band)`, and tiles touching a domain edge do not shrink on
@@ -31,19 +58,37 @@ pub mod spatial;
 pub mod split;
 pub mod tessellate;
 
+use crate::tune::TILE_BYTES;
 use core::ops::Range;
 
-/// Per-dimension tessellation geometry for one round.
+/// The tile width of the cut (outermost) axis — the one rule every
+/// production route, shard and out-of-core window derives it from:
+/// as many slices of the inner axes as [`TILE_BYTES`] holds of both
+/// surfaces, and never below the floor [`DimTiling::min_width`].
 ///
-/// Tile boundaries are anchored to **global** coordinates: a dimension
+/// `inners` are the extents of the axes *inside* the cut one (none in
+/// 1D, `[nx]` in 2D, `[ny, nx]` in 3D), so a slice is 8 B, a row or a
+/// plane. The width depends on them, `reff` and `tb` **only** — never
+/// on the cut axis' own extent or on the thread count — so every window
+/// of one domain puts its tile edges at the same global coordinates
+/// ([`DimTiling::new_at`]).
+pub fn tile_width(inners: &[usize], reff: usize, tb: usize) -> usize {
+    let slice_bytes = inners
+        .iter()
+        .fold(8usize, |b, &n| b.saturating_mul(n.max(1)));
+    DimTiling::min_width(reff, tb).max(TILE_BYTES / 2 / slice_bytes)
+}
+
+/// Tessellation geometry of the cut axis for one round.
+///
+/// Tile boundaries are anchored to **global** coordinates: an axis
 /// that models the local window `[origin, origin + n)` of a larger
 /// domain places its tile edges at global multiples of the tile width
 /// `w`, not at multiples of the window start. Two windows of the same
 /// domain therefore agree on every interior tile they share — the
 /// property that lets the serving layer shard register-pipeline plans
 /// under tessellate tiling bit-exactly. `origin = 0` (the
-/// [`DimTiling::new`] constructor) reproduces the classic whole-domain
-/// geometry unchanged.
+/// [`DimTiling::new`] constructor) is the whole-domain geometry.
 #[derive(Debug, Clone, Copy)]
 pub struct DimTiling {
     /// Grid extent in this dimension (local window length).
@@ -54,9 +99,9 @@ pub struct DimTiling {
     pub reff: usize,
     /// Inner steps per round.
     pub tb: usize,
-    /// Tile width `2 * reff * tb`.
+    /// Tile width, at least [`DimTiling::min_width`] of `reff`, `tb`.
     pub w: usize,
-    /// Number of triangle tiles intersecting the window.
+    /// Number of trapezoid tiles intersecting the window.
     pub ntri: usize,
     /// Global coordinate of local index 0 (tile-phase anchor).
     pub origin: usize,
@@ -65,19 +110,32 @@ pub struct DimTiling {
 }
 
 impl DimTiling {
-    /// Build the whole-domain geometry (`origin = 0`); `tb` is clamped
-    /// so at least one tile fits.
-    pub fn new(n: usize, band: usize, reff: usize, tb: usize) -> Self {
-        Self::new_at(n, band, reff, tb, 0)
+    /// The narrowest tile a round of `tb` steps fits in: both slopes
+    /// advance `reff` cells a step, so a narrower tile's trapezoids
+    /// would cross and its inverted neighbours overlap.
+    pub fn min_width(reff: usize, tb: usize) -> usize {
+        2 * reff * tb
+    }
+
+    /// Build the whole-domain geometry (`origin = 0`).
+    pub fn new(n: usize, band: usize, reff: usize, tb: usize, w: usize) -> Self {
+        Self::new_at(n, band, reff, tb, w, 0)
     }
 
     /// Build the geometry of a local window starting at global
     /// coordinate `origin` — tile phase is derived from global
     /// coordinates, never from the window start.
-    pub fn new_at(n: usize, band: usize, reff: usize, tb: usize, origin: usize) -> Self {
+    ///
+    /// # Panics
+    /// If the window has no interior (`n <= 2 * band`: the drivers never
+    /// build a geometry for one) or `w` is below [`DimTiling::min_width`].
+    pub fn new_at(n: usize, band: usize, reff: usize, tb: usize, w: usize, origin: usize) -> Self {
         assert!(reff >= 1 && tb >= 1);
         assert!(n > 2 * band, "grid smaller than its Dirichlet bands");
-        let w = 2 * reff * tb;
+        assert!(
+            w >= Self::min_width(reff, tb),
+            "tile narrower than its time block"
+        );
         let k0 = origin / w;
         let ntri = ((origin + n).div_ceil(w) - k0).max(1);
         Self {
@@ -92,14 +150,27 @@ impl DimTiling {
         }
     }
 
-    /// Largest `tb` such that the tile width `2*reff*tb` does not exceed
-    /// the interior extent (so profiles are well-formed).
+    /// The round cap of the cut axis: the largest `tb <= wanted` whose
+    /// floor-width tile fits the interior. An axis it binds on is one
+    /// tile at every width, so the cap only shortens that tile's rounds;
+    /// it is the round structure [`crate::slab::pass_quantum`] and
+    /// [`crate::slab::shard_geometry`]'s minimum span describe.
     pub fn max_tb(n: usize, band: usize, reff: usize, wanted: usize) -> usize {
-        let interior = n - 2 * band;
-        wanted.max(1).min((interior / (2 * reff)).max(1))
+        // no interior: the drivers run no round at all; callers sizing a
+        // schedule get 1 rather than an underflow
+        let interior = n.saturating_sub(2 * band);
+        wanted
+            .max(1)
+            .min((interior / Self::min_width(reff, 1)).max(1))
     }
 
-    /// Triangle tile `k`'s update range at inner step `t` (may be
+    /// The inverse of [`DimTiling::max_tb`]: the shortest extent whose
+    /// round cap still admits `tb`.
+    pub fn min_extent(band: usize, reff: usize, tb: usize) -> usize {
+        Self::min_width(reff, tb) + 2 * band
+    }
+
+    /// Trapezoid tile `k`'s update range at inner step `t` (may be
     /// empty), in local window coordinates. Tiles at window edges do not
     /// shrink on the edge side (the window edge is a frozen band —
     /// either the true domain edge or a shard's halo boundary).
@@ -201,11 +272,51 @@ impl<G> RawPair<G> {
 mod tests {
     use super::*;
 
+    /// The widths every property test walks for `(n, reff, tb)`: the
+    /// floor, one past it, a flat top of half a floor, an odd wide tile
+    /// and one tile — widths [`tile_width`] never yields on a test grid.
+    fn widths(n: usize, reff: usize, tb: usize) -> [usize; 5] {
+        let floor = DimTiling::min_width(reff, tb);
+        [
+            floor,
+            floor + 1,
+            3 * reff * tb,
+            4 * reff * tb + 3,
+            n.max(floor),
+        ]
+    }
+
+    /// Per-cell update counts of one round (trapezoids plus inverted).
+    fn update_counts(d: &DimTiling) -> Vec<usize> {
+        let mut count = vec![0usize; d.n];
+        for inv in [false, true] {
+            for i in 0..d.count(inv) {
+                for t in 0..d.tb {
+                    for c in d.range(inv, i, t) {
+                        count[c] += 1;
+                    }
+                }
+            }
+        }
+        count
+    }
+
+    fn assert_every_interior_cell_updated_tb_times(d: &DimTiling) {
+        for (i, &c) in update_counts(d).iter().enumerate() {
+            let want = if i < d.band || i >= d.n - d.band {
+                0
+            } else {
+                d.tb
+            };
+            assert_eq!(c, want, "{d:?} i={i}");
+        }
+    }
+
     #[test]
     fn triangle_profiles_match_paper_fig7() {
         // W = 8, tb = 4, reff = 1: per-cell update counts from triangles
         // must be the staircase min(dist, tb) for interior tiles.
-        let d = DimTiling::new(24, 1, 1, 4);
+        let d = DimTiling::new(24, 1, 1, 4, 8);
         assert_eq!(d.w, 8);
         let mut count = [0usize; 24];
         for k in 0..d.ntri {
@@ -217,57 +328,51 @@ mod tests {
         }
         // middle tile [8, 16): profile 0,1,2,3,3,2,1,0 relative to edges
         assert_eq!(&count[8..16], &[0, 1, 2, 3, 3, 2, 1, 0]);
+        // a wider tile is a trapezoid: the same slopes, a flat top of
+        // w - 2*reff*tb cells at the full tb
+        let d = DimTiling::new(36, 1, 1, 4, 12);
+        let mut count = [0usize; 36];
+        for t in 0..d.tb {
+            for i in d.triangle_range(1, t) {
+                count[i] += 1;
+            }
+        }
+        assert_eq!(&count[12..24], &[0, 1, 2, 3, 4, 4, 4, 4, 3, 2, 1, 0]);
     }
 
     #[test]
     fn triangles_plus_inverted_update_everything_tb_times() {
         for (n, band, reff, tb) in [(40usize, 1, 1, 4), (64, 2, 2, 3), (33, 1, 1, 2)] {
-            let d = DimTiling::new(n, band, reff, tb);
-            let mut count = vec![0usize; n];
-            for k in 0..d.ntri {
-                for t in 0..tb {
-                    for i in d.triangle_range(k, t) {
-                        count[i] += 1;
-                    }
-                }
-            }
-            for b in 1..d.ntri {
-                for t in 0..tb {
-                    for i in d.inverted_range(b, t) {
-                        count[i] += 1;
-                    }
-                }
-            }
-            for (i, &c) in count.iter().enumerate() {
-                let want = if i < band || i >= n - band { 0 } else { tb };
-                assert_eq!(c, want, "n={n} band={band} reff={reff} tb={tb} i={i}");
+            for w in widths(n, reff, tb) {
+                assert_every_interior_cell_updated_tb_times(&DimTiling::new(n, band, reff, tb, w));
             }
         }
     }
 
     #[test]
     fn no_write_overlap_within_stage_at_any_step_pair() {
-        // Disjointness of concurrent tiles: triangle tiles never overlap
-        // at any (t, t') pair, and inverted tiles never overlap.
-        let d = DimTiling::new(48, 1, 1, 4);
-        for k1 in 0..d.ntri {
-            for k2 in k1 + 1..d.ntri {
-                for t1 in 0..d.tb {
-                    for t2 in 0..d.tb {
-                        let a = d.triangle_range(k1, t1);
-                        let b = d.triangle_range(k2, t2);
-                        assert!(a.end <= b.start || b.end <= a.start);
-                    }
-                }
-            }
-        }
-        for b1 in 1..d.ntri {
-            for b2 in b1 + 1..d.ntri {
-                for t1 in 0..d.tb {
-                    for t2 in 0..d.tb {
-                        let a = d.inverted_range(b1, t1);
-                        let b = d.inverted_range(b2, t2);
-                        assert!(a.end <= b.start || b.end <= a.start);
+        // Disjointness of concurrent tiles: trapezoid tiles never overlap
+        // at any (t, t') pair, and inverted tiles never overlap — at the
+        // floor width and at every wider one, origin 0 and off it.
+        for (n, band, reff, tb) in [(48usize, 1, 1, 4), (96, 2, 2, 3)] {
+            for w in widths(n, reff, tb) {
+                for origin in [0, 5, w - 1, 3 * w + 2] {
+                    let d = DimTiling::new_at(n, band, reff, tb, w, origin);
+                    for inv in [false, true] {
+                        for i1 in 0..d.count(inv) {
+                            for i2 in i1 + 1..d.count(inv) {
+                                for t1 in 0..d.tb {
+                                    for t2 in 0..d.tb {
+                                        let a = d.range(inv, i1, t1);
+                                        let b = d.range(inv, i2, t2);
+                                        assert!(
+                                            a.is_empty() || b.is_empty() || a.end <= b.start,
+                                            "{d:?} inv={inv} tiles {i1},{i2} steps {t1},{t2}"
+                                        );
+                                    }
+                                }
+                            }
+                        }
                     }
                 }
             }
@@ -285,25 +390,9 @@ mod tests {
             (33, 1, 1, 2, 100),
             (48, 2, 2, 2, 7),
         ] {
-            let d = DimTiling::new_at(n, band, reff, tb, origin);
-            let mut count = vec![0usize; n];
-            for k in 0..d.ntri {
-                for t in 0..tb {
-                    for i in d.triangle_range(k, t) {
-                        count[i] += 1;
-                    }
-                }
-            }
-            for b in 1..d.ntri {
-                for t in 0..tb {
-                    for i in d.inverted_range(b, t) {
-                        count[i] += 1;
-                    }
-                }
-            }
-            for (i, &c) in count.iter().enumerate() {
-                let want = if i < band || i >= n - band { 0 } else { tb };
-                assert_eq!(c, want, "n={n} origin={origin} i={i}");
+            for w in widths(n, reff, tb) {
+                let d = DimTiling::new_at(n, band, reff, tb, w, origin);
+                assert_every_interior_cell_updated_tb_times(&d);
             }
         }
     }
@@ -313,46 +402,90 @@ mod tests {
         // a window [o, o+n) of a larger domain reproduces, translated,
         // every tile range that is fully interior to both — tile phase
         // comes from global coordinates, not the window start
-        let big = DimTiling::new(96, 1, 1, 3); // w = 6
-        for o in [18usize, 21, 30] {
-            let n = 48;
-            let win = DimTiling::new_at(n, 1, 1, 3, o);
-            assert_eq!(win.w, big.w);
-            for t in 0..3 {
-                for k in 1..win.ntri - 1 {
-                    let kg = o / win.w + k;
-                    if kg == 0 || kg >= big.ntri - 1 {
-                        continue;
+        let (reff, tb) = (1, 3);
+        for w in widths(96, reff, tb) {
+            let big = DimTiling::new(96, 1, reff, tb, w);
+            for o in [18usize, 21, 30] {
+                let n = 48;
+                let win = DimTiling::new_at(n, 1, reff, tb, w, o);
+                assert_eq!(win.w, big.w);
+                for t in 0..tb {
+                    for k in 1..win.ntri - 1 {
+                        let kg = o / win.w + k;
+                        if kg == 0 || kg >= big.ntri - 1 {
+                            continue;
+                        }
+                        let wr = win.triangle_range(k, t);
+                        let br = big.triangle_range(kg, t);
+                        // compare only ranges unclamped by either edge band
+                        if wr.start > win.band
+                            && wr.end < win.n - win.band
+                            && br.start > big.band
+                            && br.end < big.n - big.band
+                        {
+                            assert_eq!(
+                                (wr.start + o, wr.end + o),
+                                (br.start, br.end),
+                                "w={w} o={o} k={k} t={t}"
+                            );
+                        }
                     }
-                    let wr = win.triangle_range(k, t);
-                    let br = big.triangle_range(kg, t);
-                    // compare only ranges unclamped by either edge band
-                    if wr.start > win.band
-                        && wr.end < win.n - win.band
-                        && br.start > big.band
-                        && br.end < big.n - big.band
-                    {
-                        assert_eq!(
-                            (wr.start + o, wr.end + o),
-                            (br.start, br.end),
-                            "o={o} k={k} t={t}"
-                        );
-                    }
-                }
-                for b in 1..win.ntri {
-                    let bg = o / win.w + b;
-                    let wr = win.inverted_range(b, t);
-                    let br = big.inverted_range(bg, t);
-                    if wr.start > win.band && wr.end < win.n - win.band {
-                        assert_eq!(
-                            (wr.start + o, wr.end + o),
-                            (br.start, br.end),
-                            "o={o} b={b} t={t}"
-                        );
+                    for b in 1..win.ntri {
+                        let bg = o / win.w + b;
+                        let wr = win.inverted_range(b, t);
+                        let br = big.inverted_range(bg, t);
+                        if wr.start > win.band && wr.end < win.n - win.band {
+                            assert_eq!(
+                                (wr.start + o, wr.end + o),
+                                (br.start, br.end),
+                                "w={w} o={o} b={b} t={t}"
+                            );
+                        }
                     }
                 }
             }
         }
+    }
+
+    #[test]
+    fn an_uncut_axis_is_one_tile_with_no_inverted_stage() {
+        for (n, band, reff, tb) in [(40usize, 1, 1, 4), (9, 2, 2, 1), (5, 2, 2, 7)] {
+            let d = DimTiling::new(n, band, reff, tb, n.max(DimTiling::min_width(reff, tb)));
+            assert_eq!((d.count(false), d.count(true)), (1, 0));
+            for t in 0..tb {
+                assert_eq!(d.triangle_range(0, t), band..n - band);
+            }
+        }
+    }
+
+    #[test]
+    fn tile_width_is_the_budget_over_two_surfaces_of_a_slice() {
+        // 1D: 1 MiB / (2 * 8 B) cells, whatever the time block asks for
+        assert_eq!(tile_width(&[], 1, 32), 65_536);
+        assert_eq!(tile_width(&[], 2, 32), 65_536);
+        // 2D, 1024-wide rows: 64 rows (tiled_mt's 1024^2 cells)
+        assert_eq!(tile_width(&[1024], 2, 8), 64);
+        assert_eq!(tile_width(&[1024], 1, 8), 64);
+        // a 61-wide row: 1074 rows — every small test grid is one tile
+        assert_eq!(tile_width(&[61], 1, 3), 1074);
+        // 3D, 96^2 planes: 7 planes fit, the floor 2 * 2 * 4 = 16 binds
+        assert_eq!(tile_width(&[96, 96], 2, 4), 16);
+        assert_eq!(tile_width(&[96, 96], 1, 4), 8);
+        // 512^2 planes (2 MiB each): far past the budget, the floor
+        assert_eq!(tile_width(&[512, 512], 2, 4), 16);
+        assert_eq!(tile_width(&[512, 512], 1, 1), 2);
+        // the floor end in 1D and 2D: a time block deeper than the budget
+        assert_eq!(tile_width(&[], 4, 16_384), 131_072);
+        assert_eq!(tile_width(&[4096], 2, 8), 32);
+        // degenerate inner extents never divide by zero or overflow
+        assert_eq!(tile_width(&[0], 1, 1), 65_536);
+        assert_eq!(tile_width(&[usize::MAX, usize::MAX], 1, 2), 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "tile narrower than its time block")]
+    fn a_tile_narrower_than_its_time_block_is_refused() {
+        DimTiling::new(40, 1, 1, 4, 7);
     }
 
     #[test]
@@ -361,6 +494,20 @@ mod tests {
         assert_eq!(DimTiling::max_tb(100, 1, 1, 1000), 49);
         assert_eq!(DimTiling::max_tb(20, 2, 2, 8), 4);
         assert!(DimTiling::max_tb(6, 2, 1, 5) >= 1);
+    }
+
+    #[test]
+    fn min_extent_inverts_max_tb() {
+        for (band, reff) in [(1usize, 1usize), (2, 2), (4, 2)] {
+            for tb in 1..6 {
+                let n = DimTiling::min_extent(band, reff, tb);
+                assert_eq!(DimTiling::max_tb(n, band, reff, usize::MAX), tb);
+                assert_eq!(
+                    DimTiling::max_tb(n - 1, band, reff, usize::MAX),
+                    (tb - 1).max(1)
+                );
+            }
+        }
     }
 
     #[test]

@@ -14,13 +14,16 @@
 //!   attributes to DLT-constrained blocking.
 //! * **2D/3D (hybrid)**: DLT along x (per row), split-tiling triangles
 //!   along the outermost dimension, full sweeps in between — Henretty's
-//!   hybrid tiling shape.
+//!   hybrid tiling shape, which is tessellate's cut-axis round (the
+//!   driver body of [`crate::tile::tessellate`], same tile-width rule)
+//!   over lifted rows.
 
 use crate::exec::dlt::step_dlt_range;
 use crate::pattern::Pattern;
-use crate::tile::RawPair;
+use crate::tile::tessellate::run_cut;
+use crate::tile::{tile_width, RawPair};
 use stencil_grid::layout::DltLayout;
-use stencil_grid::{AlignedBuf, Grid1D, Grid2D, PingPong};
+use stencil_grid::{AlignedBuf, Grid1D, Grid2D, Grid3D, PingPong};
 use stencil_runtime::{parallel_for, ThreadPool};
 use stencil_simd::SimdF64;
 
@@ -227,33 +230,10 @@ pub fn sweep_2d<V: SimdF64>(
     let b = a.clone();
     let mut pp = PingPong::from_pair(a, b);
 
-    let mut remaining = t_steps;
-    while remaining > 0 {
-        let tbr = crate::tile::DimTiling::max_tb(ny, r, r, tb).min(remaining);
-        let dimy = crate::tile::DimTiling::new(ny, r, r, tbr);
-        let (cur, scratch) = pp.both_mut();
-        let pair = RawPair::new(cur, scratch);
-        for stage_inv in [false, true] {
-            let tiles = dimy.count(stage_inv);
-            parallel_for(pool, tiles, 1, &|tr| {
-                for i in tr {
-                    for t in 0..tbr {
-                        let yr = dimy.range(stage_inv, i, t);
-                        if yr.is_empty() {
-                            continue;
-                        }
-                        // SAFETY: y-ranges disjoint within a stage.
-                        let (src, dst) = unsafe { pair.src_dst(t) };
-                        step_dlt_rows_2d::<V>(src, dst, p, yr);
-                    }
-                }
-            });
-        }
-        for _ in 0..tbr {
-            pp.swap();
-        }
-        remaining -= tbr;
-    }
+    // the triangles along y are tessellate's cut-axis rounds, same width rule
+    let w = tile_width(&[nx], r, tb);
+    let step = |s: &Grid2D, d: &mut Grid2D, ys| step_dlt_rows_2d::<V>(s, d, p, ys);
+    run_cut(pool, &mut pp, &[ny], r, r, w, tb, t_steps, 0, &step);
 
     // un-lift
     let lifted = pp.into_current();
@@ -267,8 +247,8 @@ pub fn sweep_2d<V: SimdF64>(
 /// One 3D step over DLT-lifted rows: planes `zs`, all rows, all lifted
 /// columns.
 fn step_dlt_rows_3d<V: SimdF64>(
-    src: &stencil_grid::Grid3D,
-    dst: &mut stencil_grid::Grid3D,
+    src: &Grid3D,
+    dst: &mut Grid3D,
     p: &Pattern,
     zs: core::ops::Range<usize>,
 ) {
@@ -319,11 +299,11 @@ fn step_dlt_rows_3d<V: SimdF64>(
 /// full y sweeps. `grid.nx()` must be a multiple of `V::LANES`.
 pub fn sweep_3d<V: SimdF64>(
     pool: &ThreadPool,
-    grid: &stencil_grid::Grid3D,
+    grid: &Grid3D,
     p: &Pattern,
     tb: usize,
     t_steps: usize,
-) -> stencil_grid::Grid3D {
+) -> Grid3D {
     assert_eq!(p.dims(), 3);
     let (nz, ny, nx) = (grid.nz(), grid.ny(), grid.nx());
     let vl = V::LANES;
@@ -331,7 +311,7 @@ pub fn sweep_3d<V: SimdF64>(
     let r = p.radius();
     let row_layout = DltLayout::new(nx, vl);
 
-    let mut a = stencil_grid::Grid3D::zeros(nz, ny, nx);
+    let mut a = Grid3D::zeros(nz, ny, nx);
     for z in 0..nz {
         for y in 0..ny {
             row_layout.to_dlt::<V>(grid.row(z, y), a.row_mut(z, y));
@@ -340,36 +320,12 @@ pub fn sweep_3d<V: SimdF64>(
     let b = a.clone();
     let mut pp = PingPong::from_pair(a, b);
 
-    let mut remaining = t_steps;
-    while remaining > 0 {
-        let tbr = crate::tile::DimTiling::max_tb(nz, r, r, tb).min(remaining);
-        let dimz = crate::tile::DimTiling::new(nz, r, r, tbr);
-        let (cur, scratch) = pp.both_mut();
-        let pair = RawPair::new(cur, scratch);
-        for stage_inv in [false, true] {
-            let tiles = dimz.count(stage_inv);
-            parallel_for(pool, tiles, 1, &|tr| {
-                for i in tr {
-                    for t in 0..tbr {
-                        let zr = dimz.range(stage_inv, i, t);
-                        if zr.is_empty() {
-                            continue;
-                        }
-                        // SAFETY: z-ranges disjoint within a stage.
-                        let (src, dst) = unsafe { pair.src_dst(t) };
-                        step_dlt_rows_3d::<V>(src, dst, p, zr);
-                    }
-                }
-            });
-        }
-        for _ in 0..tbr {
-            pp.swap();
-        }
-        remaining -= tbr;
-    }
+    let w = tile_width(&[ny, nx], r, tb);
+    let step = |s: &Grid3D, d: &mut Grid3D, zs| step_dlt_rows_3d::<V>(s, d, p, zs);
+    run_cut(pool, &mut pp, &[nz], r, r, w, tb, t_steps, 0, &step);
 
     let lifted = pp.into_current();
-    let mut out = stencil_grid::Grid3D::zeros(nz, ny, nx);
+    let mut out = Grid3D::zeros(nz, ny, nx);
     for z in 0..nz {
         for y in 0..ny {
             row_layout.from_dlt::<V>(lifted.row(z, y), out.row_mut(z, y));
@@ -436,9 +392,7 @@ mod tests {
     #[test]
     fn sdsl_3d_matches_scalar() {
         for p in [kernels::heat3d(), kernels::box3d27p()] {
-            let g = stencil_grid::Grid3D::from_fn(15, 13, 32, |z, y, x| {
-                ((z * 5 + y * 11 + x * 3) % 17) as f64
-            });
+            let g = Grid3D::from_fn(15, 13, 32, |z, y, x| ((z * 5 + y * 11 + x * 3) % 17) as f64);
             let steps = 5;
             let mut want = PingPong::new(g.clone());
             scalar::sweep_3d(&mut want, &p, steps);

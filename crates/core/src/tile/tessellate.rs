@@ -1,30 +1,100 @@
 //! Tessellate tiling drivers (1D/2D/3D), generic over the inner kernel.
 //!
-//! Each driver advances a ping-pong pair by `steps` *inner* steps (an
-//! inner step is whatever the kernel does — one time level for plain
-//! kernels, `m` levels for folded ones), in rounds of at most `tb` steps.
-//! Within a round the stages run under pool barriers; tiles within a
-//! stage run in parallel, each executing its whole time loop (the
-//! temporal reuse that makes tessellation a cache-blocking scheme).
+//! Each driver advances a ping-pong pair by `steps` *inner* steps (one
+//! time level for plain kernels, `m` for folded ones) in rounds of at
+//! most `tb` steps. Only the outermost axis is cut, into tiles `w` wide —
+//! the caller's width, [`tile_width`](super::tile_width) on the
+//! production routes; the inner axes go to the kernel whole. A round is
+//! two stages under pool barriers, trapezoids then inverted tiles, in
+//! every dimensionality; the tiles of a stage run in parallel, each its
+//! whole time loop (the temporal reuse that makes tessellation a
+//! cache-blocking scheme), and a stage with no tiles — the inverted stage
+//! of a one-tile axis — dispatches nothing.
 //!
 //! Kernel contract (the tiles' disjointness proof depends on it): a call
 //! `kernel(src, dst, region)` writes exactly `region` of `dst` and reads
 //! only within `reff` of `region` in `src`.
+//!
+//! A grid with no interior on some axis (`n <= 2 * band`) is all
+//! Dirichlet band and every step the identity: the drivers advance the
+//! pair's step count and write nothing, as the block-free routes do.
+
+// every driver takes the geometry's inputs flat: reff, band, w, tb, steps, origin
+#![allow(clippy::too_many_arguments)]
 
 use crate::tile::{DimTiling, RawPair};
 use core::ops::Range;
 use stencil_grid::{Grid1D, Grid2D, Grid3D, PingPong};
 use stencil_runtime::{parallel_for, ThreadPool};
 
+/// The one driver body: rounds of two stages over tiles `w` wide of the
+/// cut axis `extents[0]`, whose window starts at global coordinate
+/// `origin`; `kernel(src, dst, range)` steps `range` of the cut axis
+/// across the whole interior of the other `extents`.
+pub(crate) fn run_cut<G, K>(
+    pool: &ThreadPool,
+    pp: &mut PingPong<G>,
+    extents: &[usize],
+    reff: usize,
+    band: usize,
+    w: usize,
+    tb: usize,
+    steps: usize,
+    origin: usize,
+    kernel: &K,
+) where
+    K: Fn(&G, &mut G, Range<usize>) + Sync,
+{
+    if extents.iter().any(|&e| e <= 2 * band) {
+        // all band: both surfaces agree on it, every step is the identity
+        return (0..steps).for_each(|_| pp.swap());
+    }
+    let n = extents[0];
+    let mut remaining = steps;
+    while remaining > 0 {
+        let tb_round = DimTiling::max_tb(n, band, reff, tb).min(remaining);
+        let dim = DimTiling::new_at(n, band, reff, tb_round, w, origin);
+        let (cur, scratch) = pp.both_mut();
+        let pair = RawPair::new(cur, scratch);
+        for inv in [false, true] {
+            let tiles = dim.count(inv);
+            if tiles == 0 {
+                continue;
+            }
+            parallel_for(pool, tiles, 1, &|tile_range: Range<usize>| {
+                for i in tile_range {
+                    for t in 0..tb_round {
+                        let r = dim.range(inv, i, t);
+                        if r.is_empty() {
+                            continue;
+                        }
+                        // SAFETY: within a stage, tile write regions are
+                        // disjoint across all step pairs at any width the
+                        // geometry accepts (tile::tests), and reads stay
+                        // within reff of the region: quiescent or own data.
+                        let (src, dst) = unsafe { pair.src_dst(t) };
+                        kernel(src, dst, r);
+                    }
+                }
+            });
+        }
+        // the band was never written and both surfaces agree on it
+        (0..tb_round).for_each(|_| pp.swap());
+        remaining -= tb_round;
+    }
+}
+
 /// Tessellated 1D run: advances `pp` by `steps` inner steps.
 ///
-/// `reff`: radius of one inner step; `band`: Dirichlet band width;
+/// `reff`: radius of one inner step; `band`: Dirichlet band width; `w`:
+/// tile width, at least [`DimTiling::min_width`] of `reff` and `tb`;
 /// `tb`: requested inner steps per round; `kernel(src, dst, lo, hi)`.
 pub fn run_1d<K>(
     pool: &ThreadPool,
     pp: &mut PingPong<Grid1D>,
     reff: usize,
     band: usize,
+    w: usize,
     tb: usize,
     steps: usize,
     kernel: &K,
@@ -32,65 +102,24 @@ pub fn run_1d<K>(
     K: Fn(&[f64], &mut [f64], usize, usize) + Sync,
 {
     let n = pp.current().len();
-    let mut remaining = steps;
-    while remaining > 0 {
-        let tb_round = DimTiling::max_tb(n, band, reff, tb).min(remaining);
-        let dim = DimTiling::new(n, band, reff, tb_round);
-        let (cur, scratch) = pp.both_mut();
-        let pair = RawPair::new(cur, scratch);
-        for stage_inv in [false, true] {
-            let tiles = dim.count(stage_inv);
-            parallel_for(pool, tiles, 1, &|tile_range: Range<usize>| {
-                for i in tile_range {
-                    for t in 0..tb_round {
-                        let r = dim.range(stage_inv, i, t);
-                        if r.is_empty() {
-                            continue;
-                        }
-                        // SAFETY: within a stage, tile write regions are
-                        // disjoint across all step pairs (tested in
-                        // tile::tests) and reads stay within reff of the
-                        // region, touching only quiescent or own data.
-                        let (src, dst) = unsafe { pair.src_dst(t) };
-                        kernel(src.as_slice(), dst.as_mut_slice(), r.start, r.end);
-                    }
-                }
-            });
-        }
-        // Boundary cells must keep their frozen values in both arrays;
-        // they were never written, and both arrays already agree there.
-        for _ in 0..tb_round {
-            pp.swap();
-        }
-        remaining -= tb_round;
-    }
+    let step = |s: &Grid1D, d: &mut Grid1D, xs: Range<usize>| {
+        kernel(s.as_slice(), d.as_mut_slice(), xs.start, xs.end)
+    };
+    run_cut(pool, pp, &[n], reff, band, w, tb, steps, 0, &step)
 }
 
-/// Tessellated 2D run. Stages: TT, VT (x-valley), TV (y-valley), VV.
-pub fn run_2d<K>(
-    pool: &ThreadPool,
-    pp: &mut PingPong<Grid2D>,
-    reff: usize,
-    band: usize,
-    tb: usize,
-    steps: usize,
-    kernel: &K,
-) where
-    K: Fn(&Grid2D, &mut Grid2D, Range<usize>, Range<usize>) + Sync,
-{
-    run_2d_at(pool, pp, reff, band, tb, steps, 0, kernel)
-}
-
-/// [`run_2d`] over a local window whose outer (y) axis starts at global
-/// coordinate `origin_y`: tile phase is anchored to global coordinates,
-/// so two windows of one domain agree on every tile they share (the
+/// Tessellated 2D run: `y` is cut into tiles `w` rows wide and every
+/// `kernel(src, dst, ys, xs)` call gets the whole interior of `x`. The
+/// window's outer (y) axis starts at global coordinate `origin_y` (0 for
+/// a whole domain): tile phase is anchored to global coordinates, so two
+/// windows of one domain agree on every tile they share (the
 /// bit-exact-sharding contract; see [`DimTiling::new_at`]).
-#[allow(clippy::too_many_arguments)] // origin rides along the driver's parameter set
 pub fn run_2d_at<K>(
     pool: &ThreadPool,
     pp: &mut PingPong<Grid2D>,
     reff: usize,
     band: usize,
+    w: usize,
     tb: usize,
     steps: usize,
     origin_y: usize,
@@ -99,67 +128,31 @@ pub fn run_2d_at<K>(
     K: Fn(&Grid2D, &mut Grid2D, Range<usize>, Range<usize>) + Sync,
 {
     let (ny, nx) = (pp.current().ny(), pp.current().nx());
-    let mut remaining = steps;
-    while remaining > 0 {
-        let tb_round = DimTiling::max_tb(ny, band, reff, tb)
-            .min(DimTiling::max_tb(nx, band, reff, tb))
-            .min(remaining);
-        let dy = DimTiling::new_at(ny, band, reff, tb_round, origin_y);
-        let dx = DimTiling::new(nx, band, reff, tb_round);
-        let (cur, scratch) = pp.both_mut();
-        let pair = RawPair::new(cur, scratch);
-        for stage in 0..4u32 {
-            let (inv_y, inv_x) = (stage & 2 != 0, stage & 1 != 0);
-            let (cy, cx) = (dy.count(inv_y), dx.count(inv_x));
-            let tiles = cy * cx;
-            parallel_for(pool, tiles, 1, &|tile_range: Range<usize>| {
-                for tile in tile_range {
-                    let (iy, ix) = (tile / cx, tile % cx);
-                    for t in 0..tb_round {
-                        let yr = dy.range(inv_y, iy, t);
-                        let xr = dx.range(inv_x, ix, t);
-                        if yr.is_empty() || xr.is_empty() {
-                            continue;
-                        }
-                        // SAFETY: per-dimension disjointness makes the
-                        // product regions disjoint within a stage; reads
-                        // stay within reff (kernel contract).
-                        let (src, dst) = unsafe { pair.src_dst(t) };
-                        kernel(src, dst, yr, xr);
-                    }
-                }
-            });
-        }
-        for _ in 0..tb_round {
-            pp.swap();
-        }
-        remaining -= tb_round;
-    }
+    // run_cut calls the kernel only on a grid with an interior on every axis
+    let step = |s: &Grid2D, d: &mut Grid2D, ys: Range<usize>| kernel(s, d, ys, band..nx - band);
+    run_cut(
+        pool,
+        pp,
+        &[ny, nx],
+        reff,
+        band,
+        w,
+        tb,
+        steps,
+        origin_y,
+        &step,
+    )
 }
 
-/// Tessellated 3D run (8 stages: every triangle/inverted choice per dim).
-pub fn run_3d<K>(
-    pool: &ThreadPool,
-    pp: &mut PingPong<Grid3D>,
-    reff: usize,
-    band: usize,
-    tb: usize,
-    steps: usize,
-    kernel: &K,
-) where
-    K: Fn(&Grid3D, &mut Grid3D, Range<usize>, Range<usize>, Range<usize>) + Sync,
-{
-    run_3d_at(pool, pp, reff, band, tb, steps, 0, kernel)
-}
-
-/// [`run_3d`] over a local window whose outer (z) axis starts at global
-/// coordinate `origin_z` (see [`run_2d_at`]).
-#[allow(clippy::too_many_arguments)] // origin rides along the driver's parameter set
+/// Tessellated 3D run: `z` is cut into tiles `w` planes wide and every
+/// `kernel(src, dst, zs, ys, xs)` call gets the whole interior of `y` and
+/// `x`; `origin_z` as in [`run_2d_at`].
 pub fn run_3d_at<K>(
     pool: &ThreadPool,
     pp: &mut PingPong<Grid3D>,
     reff: usize,
     band: usize,
+    w: usize,
     tb: usize,
     steps: usize,
     origin_z: usize,
@@ -168,44 +161,21 @@ pub fn run_3d_at<K>(
     K: Fn(&Grid3D, &mut Grid3D, Range<usize>, Range<usize>, Range<usize>) + Sync,
 {
     let (nz, ny, nx) = (pp.current().nz(), pp.current().ny(), pp.current().nx());
-    let mut remaining = steps;
-    while remaining > 0 {
-        let tb_round = DimTiling::max_tb(nz, band, reff, tb)
-            .min(DimTiling::max_tb(ny, band, reff, tb))
-            .min(DimTiling::max_tb(nx, band, reff, tb))
-            .min(remaining);
-        let dz = DimTiling::new_at(nz, band, reff, tb_round, origin_z);
-        let dy = DimTiling::new(ny, band, reff, tb_round);
-        let dx = DimTiling::new(nx, band, reff, tb_round);
-        let (cur, scratch) = pp.both_mut();
-        let pair = RawPair::new(cur, scratch);
-        for stage in 0..8u32 {
-            let (inv_z, inv_y, inv_x) = (stage & 4 != 0, stage & 2 != 0, stage & 1 != 0);
-            let (cz, cy, cx) = (dz.count(inv_z), dy.count(inv_y), dx.count(inv_x));
-            let tiles = cz * cy * cx;
-            parallel_for(pool, tiles, 1, &|tile_range: Range<usize>| {
-                for tile in tile_range {
-                    let (iz, rem) = (tile / (cy * cx), tile % (cy * cx));
-                    let (iy, ix) = (rem / cx, rem % cx);
-                    for t in 0..tb_round {
-                        let zr = dz.range(inv_z, iz, t);
-                        let yr = dy.range(inv_y, iy, t);
-                        let xr = dx.range(inv_x, ix, t);
-                        if zr.is_empty() || yr.is_empty() || xr.is_empty() {
-                            continue;
-                        }
-                        // SAFETY: same disjointness argument, per dim.
-                        let (src, dst) = unsafe { pair.src_dst(t) };
-                        kernel(src, dst, zr, yr, xr);
-                    }
-                }
-            });
-        }
-        for _ in 0..tb_round {
-            pp.swap();
-        }
-        remaining -= tb_round;
-    }
+    let step = |s: &Grid3D, d: &mut Grid3D, zs: Range<usize>| {
+        kernel(s, d, zs, band..ny - band, band..nx - band)
+    };
+    run_cut(
+        pool,
+        pp,
+        &[nz, ny, nx],
+        reff,
+        band,
+        w,
+        tb,
+        steps,
+        origin_z,
+        &step,
+    )
 }
 
 #[cfg(test)]
@@ -222,6 +192,14 @@ mod tests {
         ThreadPool::new(8)
     }
 
+    /// The widths every driver test runs at: the floor (many narrow
+    /// tiles, triangle tips), an odd trapezoid, and one tile — what the
+    /// production rule makes of every grid this small.
+    fn widths(n: usize, reff: usize, tb: usize) -> [usize; 3] {
+        let floor = DimTiling::min_width(reff, tb);
+        [floor, floor + 3, n.max(floor)]
+    }
+
     #[test]
     fn tess_1d_scalar_kernel_matches_plain_sweep() {
         let p = kernels::heat1d();
@@ -231,18 +209,21 @@ mod tests {
         let mut want = PingPong::new(g.clone());
         scalar::sweep_1d(&mut want, &p, steps);
         let taps = p.weights().to_vec();
-        let mut pp = PingPong::new(g);
-        run_1d(
-            &pool(),
-            &mut pp,
-            1,
-            1,
-            4,
-            steps,
-            &|s: &[f64], d: &mut [f64], lo, hi| scalar::step_range_1d(s, d, &taps, lo, hi),
-        );
-        assert_eq!(pp.steps(), steps);
-        assert!(max_abs_diff(want.current().as_slice(), pp.current().as_slice()) < 1e-12);
+        for w in widths(n, 1, 4) {
+            let mut pp = PingPong::new(g.clone());
+            run_1d(
+                &pool(),
+                &mut pp,
+                1,
+                1,
+                w,
+                4,
+                steps,
+                &|s: &[f64], d: &mut [f64], lo, hi| scalar::step_range_1d(s, d, &taps, lo, hi),
+            );
+            assert_eq!(pp.steps(), steps);
+            assert!(max_abs_diff(want.current().as_slice(), pp.current().as_slice()) < 1e-12);
+        }
     }
 
     #[test]
@@ -254,19 +235,22 @@ mod tests {
         let mut want = PingPong::new(g.clone());
         scalar::sweep_1d(&mut want, &p, steps);
         let taps = p.weights().to_vec();
-        let mut pp = PingPong::new(g);
-        run_1d(
-            &pool(),
-            &mut pp,
-            2,
-            2,
-            5,
-            steps,
-            &|s: &[f64], d: &mut [f64], lo, hi| {
-                multiload::step_range_1d::<NativeF64x4>(s, d, &taps, lo, hi)
-            },
-        );
-        assert!(max_abs_diff(want.current().as_slice(), pp.current().as_slice()) < 1e-12);
+        for w in widths(n, 2, 5) {
+            let mut pp = PingPong::new(g.clone());
+            run_1d(
+                &pool(),
+                &mut pp,
+                2,
+                2,
+                w,
+                5,
+                steps,
+                &|s: &[f64], d: &mut [f64], lo, hi| {
+                    multiload::step_range_1d::<NativeF64x4>(s, d, &taps, lo, hi)
+                },
+            );
+            assert!(max_abs_diff(want.current().as_slice(), pp.current().as_slice()) < 1e-12);
+        }
     }
 
     #[test]
@@ -280,19 +264,22 @@ mod tests {
         let mut want = PingPong::new(g.clone());
         scalar::sweep_1d(&mut want, &f, folded_steps);
         let taps = f.weights().to_vec();
-        let mut pp = PingPong::new(g);
-        run_1d(
-            &pool(),
-            &mut pp,
-            2,
-            2,
-            3,
-            folded_steps,
-            &|s: &[f64], d: &mut [f64], lo, hi| {
-                folded::step_squares_range_1d::<NativeF64x4>(s, d, &taps, lo, hi)
-            },
-        );
-        assert!(max_abs_diff(want.current().as_slice(), pp.current().as_slice()) < 1e-12);
+        for w in widths(n, 2, 3) {
+            let mut pp = PingPong::new(g.clone());
+            run_1d(
+                &pool(),
+                &mut pp,
+                2,
+                2,
+                w,
+                3,
+                folded_steps,
+                &|s: &[f64], d: &mut [f64], lo, hi| {
+                    folded::step_squares_range_1d::<NativeF64x4>(s, d, &taps, lo, hi)
+                },
+            );
+            assert!(max_abs_diff(want.current().as_slice(), pp.current().as_slice()) < 1e-12);
+        }
     }
 
     #[test]
@@ -303,23 +290,27 @@ mod tests {
             let mut want = PingPong::new(g.clone());
             scalar::sweep_2d(&mut want, &p, steps);
             let pc = p.clone();
-            let mut pp = PingPong::new(g);
-            run_2d(
-                &pool(),
-                &mut pp,
-                1,
-                1,
-                3,
-                steps,
-                &|s: &Grid2D, d: &mut Grid2D, ys, xs| {
-                    multiload::step_range_2d::<NativeF64x4>(s, d, &pc, ys, xs)
-                },
-            );
-            assert!(
-                max_abs_diff(&want.current().to_dense(), &pp.current().to_dense()) < 1e-12,
-                "pts={}",
-                p.points()
-            );
+            for w in widths(49, 1, 3) {
+                let mut pp = PingPong::new(g.clone());
+                run_2d_at(
+                    &pool(),
+                    &mut pp,
+                    1,
+                    1,
+                    w,
+                    3,
+                    steps,
+                    0,
+                    &|s: &Grid2D, d: &mut Grid2D, ys, xs| {
+                        multiload::step_range_2d::<NativeF64x4>(s, d, &pc, ys, xs)
+                    },
+                );
+                assert!(
+                    max_abs_diff(&want.current().to_dense(), &pp.current().to_dense()) < 1e-12,
+                    "pts={} w={w}",
+                    p.points()
+                );
+            }
         }
     }
 
@@ -332,19 +323,23 @@ mod tests {
         let folded_steps = 5;
         let mut want = PingPong::new(g.clone());
         scalar::sweep_2d(&mut want, &f, folded_steps);
-        let mut pp = PingPong::new(g);
-        run_2d(
-            &pool(),
-            &mut pp,
-            2,
-            2,
-            2,
-            folded_steps,
-            &|s: &Grid2D, d: &mut Grid2D, ys, xs| {
-                folded::step_range_2d::<NativeF64x4>(&k, s, d, ys, xs)
-            },
-        );
-        assert!(max_abs_diff(&want.current().to_dense(), &pp.current().to_dense()) < 1e-10);
+        for w in widths(53, 2, 2) {
+            let mut pp = PingPong::new(g.clone());
+            run_2d_at(
+                &pool(),
+                &mut pp,
+                2,
+                2,
+                w,
+                2,
+                folded_steps,
+                0,
+                &|s: &Grid2D, d: &mut Grid2D, ys, xs| {
+                    folded::step_range_2d::<NativeF64x4>(&k, s, d, ys, xs)
+                },
+            );
+            assert!(max_abs_diff(&want.current().to_dense(), &pp.current().to_dense()) < 1e-10);
+        }
     }
 
     #[test]
@@ -355,19 +350,23 @@ mod tests {
         let mut want = PingPong::new(g.clone());
         scalar::sweep_3d(&mut want, &p, steps);
         let pc = p.clone();
-        let mut pp = PingPong::new(g);
-        run_3d(
-            &pool(),
-            &mut pp,
-            1,
-            1,
-            2,
-            steps,
-            &|s: &Grid3D, d: &mut Grid3D, zs, ys, xs| {
-                multiload::step_range_3d::<NativeF64x4>(s, d, &pc, zs, ys, xs)
-            },
-        );
-        assert!(max_abs_diff(&want.current().to_dense(), &pp.current().to_dense()) < 1e-12);
+        for w in widths(17, 1, 2) {
+            let mut pp = PingPong::new(g.clone());
+            run_3d_at(
+                &pool(),
+                &mut pp,
+                1,
+                1,
+                w,
+                2,
+                steps,
+                0,
+                &|s: &Grid3D, d: &mut Grid3D, zs, ys, xs| {
+                    multiload::step_range_3d::<NativeF64x4>(s, d, &pc, zs, ys, xs)
+                },
+            );
+            assert!(max_abs_diff(&want.current().to_dense(), &pp.current().to_dense()) < 1e-12);
+        }
     }
 
     #[test]
@@ -380,40 +379,47 @@ mod tests {
         let mut want = PingPong::new(g.clone());
         scalar::sweep_1d(&mut want, &p, 24);
         let big_pool = ThreadPool::new(16);
-        for _ in 0..5 {
-            let mut pp = PingPong::new(g.clone());
-            run_1d(
-                &big_pool,
-                &mut pp,
-                1,
-                1,
-                6,
-                24,
-                &|s: &[f64], d: &mut [f64], lo, hi| scalar::step_range_1d(s, d, &taps, lo, hi),
-            );
-            assert!(max_abs_diff(want.current().as_slice(), pp.current().as_slice()) < 1e-12);
+        for w in widths(n, 1, 6) {
+            for _ in 0..5 {
+                let mut pp = PingPong::new(g.clone());
+                run_1d(
+                    &big_pool,
+                    &mut pp,
+                    1,
+                    1,
+                    w,
+                    6,
+                    24,
+                    &|s: &[f64], d: &mut [f64], lo, hi| scalar::step_range_1d(s, d, &taps, lo, hi),
+                );
+                assert!(max_abs_diff(want.current().as_slice(), pp.current().as_slice()) < 1e-12);
+            }
         }
     }
 
     #[test]
     fn tess_handles_tb_larger_than_grid_allows() {
-        // requested tb too big: driver clamps it per round
+        // requested tb too big: driver clamps it per round, so the
+        // narrowest width it accepts is the capped round's floor
         let p = kernels::heat1d();
         let taps = p.weights().to_vec();
         let g = Grid1D::from_fn(24, |i| i as f64);
         let mut want = PingPong::new(g.clone());
         scalar::sweep_1d(&mut want, &p, 10);
-        let mut pp = PingPong::new(g);
-        run_1d(
-            &pool(),
-            &mut pp,
-            1,
-            1,
-            1000,
-            10,
-            &|s: &[f64], d: &mut [f64], lo, hi| scalar::step_range_1d(s, d, &taps, lo, hi),
-        );
-        assert!(max_abs_diff(want.current().as_slice(), pp.current().as_slice()) < 1e-12);
+        for w in widths(24, 1, DimTiling::max_tb(24, 1, 1, 1000)) {
+            let mut pp = PingPong::new(g.clone());
+            run_1d(
+                &pool(),
+                &mut pp,
+                1,
+                1,
+                w,
+                1000,
+                10,
+                &|s: &[f64], d: &mut [f64], lo, hi| scalar::step_range_1d(s, d, &taps, lo, hi),
+            );
+            assert!(max_abs_diff(want.current().as_slice(), pp.current().as_slice()) < 1e-12);
+        }
     }
 
     #[test]
@@ -423,17 +429,21 @@ mod tests {
         let steps = 6;
         // reference: plain generations
         let want = life::sweep::<NativeF64x4>(&g, steps);
-        let mut pp = PingPong::new(g);
-        run_2d(
-            &pool(),
-            &mut pp,
-            1,
-            1,
-            3,
-            steps,
-            &|s: &Grid2D, d: &mut Grid2D, ys, xs| life::step_range::<NativeF64x4>(s, d, ys, xs),
-        );
-        assert!(max_abs_diff(&want.to_dense(), &pp.current().to_dense()) < 1e-15);
+        for w in widths(40, 1, 3) {
+            let mut pp = PingPong::new(g.clone());
+            run_2d_at(
+                &pool(),
+                &mut pp,
+                1,
+                1,
+                w,
+                3,
+                steps,
+                0,
+                &|s: &Grid2D, d: &mut Grid2D, ys, xs| life::step_range::<NativeF64x4>(s, d, ys, xs),
+            );
+            assert!(max_abs_diff(&want.to_dense(), &pp.current().to_dense()) < 1e-15);
+        }
     }
 
     /// Property-style: random shapes and step counts, scalar kernel.
@@ -449,20 +459,85 @@ mod tests {
             let mut want = PingPong::new(g.clone());
             scalar::sweep_2d(&mut want, &p, steps);
             let pc = p.clone();
-            let mut pp = PingPong::new(g);
-            run_2d(
-                &pool(),
-                &mut pp,
-                1,
-                1,
-                tb,
-                steps,
-                &|s: &Grid2D, d: &mut Grid2D, ys, xs| scalar::step_range_2d(s, d, &pc, ys, xs),
-            );
-            assert!(
-                max_abs_diff(&want.current().to_dense(), &pp.current().to_dense()) < 1e-12,
-                "ny={ny} nx={nx} steps={steps} tb={tb}"
-            );
+            for w in widths(ny, 1, tb) {
+                let mut pp = PingPong::new(g.clone());
+                run_2d_at(
+                    &pool(),
+                    &mut pp,
+                    1,
+                    1,
+                    w,
+                    tb,
+                    steps,
+                    0,
+                    &|s: &Grid2D, d: &mut Grid2D, ys, xs| scalar::step_range_2d(s, d, &pc, ys, xs),
+                );
+                assert!(
+                    max_abs_diff(&want.current().to_dense(), &pp.current().to_dense()) < 1e-12,
+                    "ny={ny} nx={nx} steps={steps} tb={tb} w={w}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn windows_off_the_origin_match_plain_sweeps_at_every_width() {
+        // a window's tile edges sit at global multiples of w, wherever
+        // the window starts: same answers as the plain sweep of the window
+        let p = kernels::heat3d();
+        let g = Grid3D::from_fn(21, 12, 14, |z, y, x| ((z * 7 + y * 3 + x) % 17) as f64);
+        let mut want = PingPong::new(g.clone());
+        scalar::sweep_3d(&mut want, &p, 6);
+        for w in widths(21, 1, 3) {
+            for origin in [0, 5, w - 1, 2 * w + 1] {
+                let mut pp = PingPong::new(g.clone());
+                run_3d_at(
+                    &pool(),
+                    &mut pp,
+                    1,
+                    1,
+                    w,
+                    3,
+                    6,
+                    origin,
+                    &|s: &Grid3D, d: &mut Grid3D, zs, ys, xs| {
+                        scalar::step_range_3d(s, d, &p, zs, ys, xs)
+                    },
+                );
+                assert_eq!(
+                    want.current().to_dense(),
+                    pp.current().to_dense(),
+                    "w={w} origin={origin}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_grid_without_an_interior_only_advances_the_step_count() {
+        // n <= 2 * band on any axis: all band, every step the identity —
+        // the kernel is never called and neither surface is written
+        let never_1d = |_: &[f64], _: &mut [f64], _, _| panic!("no interior, no call");
+        let never_2d = |_: &Grid2D, _: &mut Grid2D, _, _| panic!("no interior, no call");
+        let never_3d = |_: &Grid3D, _: &mut Grid3D, _, _, _| panic!("no interior, no call");
+        let band = 2;
+        for n in 1..=2 * band {
+            let g = Grid1D::from_fn(n, |i| i as f64 + 0.5);
+            let mut pp = PingPong::new(g.clone());
+            run_1d(&pool(), &mut pp, band, band, 8, 2, 5, &never_1d);
+            assert_eq!((pp.steps(), pp.current().as_slice()), (5, g.as_slice()));
+            for (ny, nx) in [(n, 9), (9, n)] {
+                let g = Grid2D::from_fn(ny, nx, |y, x| (y * 10 + x) as f64);
+                let mut pp = PingPong::new(g.clone());
+                run_2d_at(&pool(), &mut pp, band, band, 8, 2, 5, 3, &never_2d);
+                assert_eq!((pp.steps(), pp.current().to_dense()), (5, g.to_dense()));
+            }
+            for (nz, ny, nx) in [(n, 9, 9), (9, n, 9), (9, 9, n)] {
+                let g = Grid3D::from_fn(nz, ny, nx, |z, y, x| (z * 100 + y * 10 + x) as f64);
+                let mut pp = PingPong::new(g.clone());
+                run_3d_at(&pool(), &mut pp, band, band, 8, 2, 5, 3, &never_3d);
+                assert_eq!((pp.steps(), pp.current().to_dense()), (5, g.to_dense()));
+            }
         }
     }
 }

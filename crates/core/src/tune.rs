@@ -105,6 +105,11 @@ pub fn shape_class(hint: Option<&[usize]>) -> &'static str {
 /// patterns — the static seed the measured tuner searches around
 /// (roughly the ratios of the paper's Table-1 hand-tuned values,
 /// scaled to the harness's default domains).
+///
+/// The time block decides how many steps a tile advances between pool
+/// barriers, and with them the slope a tile loses per round and the
+/// *floor* of its width. It does not decide how wide a tile is: that is
+/// [`TILE_BYTES`]' job ([`crate::tile::tile_width`]).
 pub fn default_time_block(dims: usize) -> usize {
     match dims {
         1 => 32,
@@ -113,11 +118,24 @@ pub fn default_time_block(dims: usize) -> usize {
     }
 }
 
+/// What one tessellate tile may hold of the two time levels it sweeps:
+/// half the smallest private L2 this code is measured on (2 MiB a core
+/// on the reference host), which leaves the other half to the neighbour
+/// slopes a tile reads and to whatever else the core touches. A tile is
+/// `TILE_BYTES / 2` bytes of whole inner slices of the cut axis wide
+/// ([`crate::tile::tile_width`]), however short its time block. A
+/// constant of the code, not a knob: no [`Tiling`] field, no option, no
+/// environment variable reads or overrides it.
+pub const TILE_BYTES: usize = 1 << 20;
+
 /// Resolve [`Tiling::Auto`] without probe runs: DLT must pair with
 /// split tiling (the SDSL configuration); any other method gets
 /// tessellate tiling with the [`default_time_block`] when worker
 /// threads are available, and plain block-free sweeps single-threaded
-/// (where tiling overhead cannot be amortized across cores).
+/// (where tiling overhead cannot be amortized across cores). Only the
+/// time block is resolved here — the tile width follows from the grid
+/// at run time ([`crate::tile::tile_width`]), so one plan tiles every
+/// domain it is given to its own cache-sized tiles.
 pub fn auto_tiling(dims: usize, method: Method, threads: usize) -> Tiling {
     match method {
         Method::Dlt => Tiling::Split {

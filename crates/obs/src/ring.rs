@@ -256,8 +256,15 @@ mod tests {
                 }
             })
         };
+        // An optimised reader finishes any fixed number of scans before
+        // the writer thread's first push: wait for the writer, then scan
+        // until a fixed number of spans has been checked — so the
+        // invariant is exercised in both profiles, with no clock in it.
+        while ring.pushed() == 0 {
+            std::thread::yield_now();
+        }
         let mut seen = 0usize;
-        for _ in 0..200 {
+        while seen < 200 * RING_CAP {
             for e in ring.events() {
                 assert_eq!(e.t1_us, e.t0_us + 17, "torn slot leaked to a reader");
                 assert_eq!(e.job, e.t0_us);
@@ -266,6 +273,5 @@ mod tests {
         }
         stop.store(1, Ordering::Relaxed);
         writer.join().unwrap();
-        assert!(seen > 0, "reader should observe spans while writing");
     }
 }

@@ -356,6 +356,64 @@ mod tests {
     }
 
     #[test]
+    fn sharded_2d_on_a_grid_the_width_rule_cuts_is_bit_identical() {
+        // every grid above is one tile under the production width rule,
+        // so its lanes never meet a tile edge. 4096-wide rows leave 16 of
+        // them in a tile's budget: fold2 at time block 4 runs at that
+        // width as its floor (tips below a vector take the scalar path),
+        // the transpose layout at twice its floor of 6 — nine tiles along
+        // the 136 rows, and lanes whose halo is the real tile width. The
+        // general box and an inexact field: with dyadic weights and data
+        // every path is exact and a halo too short would go unnoticed
+        let g = Grid2D::from_fn(136, 4096, |y, x| (y as f64 * 0.37 + x as f64 * 0.011).sin());
+        for (method, tb, t) in [
+            (Method::Folded { m: 2 }, 4usize, 7usize), // odd t: tail rounds too
+            (Method::TransposeLayout, 3, 4),
+        ] {
+            let plan = Solver::new(kernels::gb())
+                .method(method)
+                .tiling(Tiling::Tessellate { time_block: tb })
+                .threads(2)
+                .compile()
+                .unwrap();
+            assert_eq!(shard_geometry(&plan, t, 136, &[4096]).0, t + 16);
+            let want = plan.run_2d(&g, t).unwrap();
+            let lanes = lane_plans(&plan, 3).unwrap();
+            for shards in [2usize, 3] {
+                let got = run_sharded_2d(&lanes, &g, t, shards).unwrap();
+                assert_eq!(bits2d(&want), bits2d(&got), "{method:?} shards={shards}");
+            }
+        }
+    }
+
+    #[test]
+    fn sharded_3d_across_tile_edges_needs_only_the_classic_halo() {
+        // 64 x 66 planes: fold2 at time block 4 tiles z at its floor of 16
+        // planes, so 56 planes are four tiles and every lane crosses tile
+        // edges the full run does not cut where the lane does. The lanes
+        // carry no tessellate widening (halo = t * r): z-only tiles keep y
+        // and x whole, and the ring kernel's bits do not depend on how z
+        // is partitioned. Odd t: the tail rounds run the m = 1 kernel.
+        let g = Grid3D::from_fn(56, 64, 66, |z, y, x| {
+            (z as f64 * 0.41 + y as f64 * 0.23 + x as f64 * 0.07).sin()
+        });
+        let t = 5;
+        let plan = Solver::new(kernels::heat3d())
+            .method(Method::Folded { m: 2 })
+            .tiling(Tiling::Tessellate { time_block: 4 })
+            .threads(2)
+            .compile()
+            .unwrap();
+        assert_eq!(shard_geometry(&plan, t, 56, &[64, 66]), (t, 0));
+        let want = plan.run_3d(&g, t).unwrap();
+        let lanes = lane_plans(&plan, 3).unwrap();
+        for shards in [2usize, 3] {
+            let got = run_sharded_3d(&lanes, &g, t, shards).unwrap();
+            assert_eq!(bits3d(&want), bits3d(&got), "shards={shards}");
+        }
+    }
+
+    #[test]
     fn span_guard_sheds_shards_instead_of_diverging() {
         // a domain too small for the requested shard count under the
         // widened tessellate halo must still be bit-exact (fewer slabs

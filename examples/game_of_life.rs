@@ -8,7 +8,7 @@
 
 use std::time::Instant;
 use stencil_lab::core::exec::life;
-use stencil_lab::core::tile::tessellate;
+use stencil_lab::core::tile::{tessellate, tile_width};
 use stencil_lab::runtime::PoolHandle;
 use stencil_lab::simd::NativeF64x4;
 use stencil_lab::{Grid2D, PingPong};
@@ -84,13 +84,15 @@ fn main() {
 
     let t0 = Instant::now();
     let mut pp = PingPong::new(soup.clone());
-    tessellate::run_2d(
+    tessellate::run_2d_at(
         &pool,
         &mut pp,
         1,
         1,
+        tile_width(&[nx], 1, 8),
         8,
         t,
+        0,
         &|s: &Grid2D, d: &mut Grid2D, ys, xs| life::step_range_scalar(s, d, ys, xs),
     );
     let scalar_out = pp.into_current();
@@ -101,13 +103,15 @@ fn main() {
 
     let t0 = Instant::now();
     let mut pp = PingPong::new(soup.clone());
-    tessellate::run_2d(
+    tessellate::run_2d_at(
         &pool,
         &mut pp,
         1,
         1,
+        tile_width(&[nx], 1, 8),
         8,
         t,
+        0,
         &|s: &Grid2D, d: &mut Grid2D, ys, xs| life::step_range::<NativeF64x4>(s, d, ys, xs),
     );
     let vec_out = pp.into_current();
@@ -118,13 +122,15 @@ fn main() {
 
     let t0 = Instant::now();
     let mut pp = PingPong::new(soup.clone());
-    tessellate::run_2d(
+    tessellate::run_2d_at(
         &pool,
         &mut pp,
         2,
         2,
+        tile_width(&[nx], 2, 8),
         8,
         t / 2,
+        0,
         &|s: &Grid2D, d: &mut Grid2D, ys, xs| life::step2_range::<NativeF64x4>(s, d, ys, xs),
     );
     println!(

@@ -344,6 +344,10 @@ fn no_configuration_panics_through_the_public_api() {
     // layout error, the same from every entry point) — never a panic.
     // The rule table is the oracle for which: PlanConfig::validate
     // accepts exactly the cells that compile, with the same error.
+    // Those grids are one tile under the production width rule, so every
+    // tessellated cell also runs a third grid the rule cuts in three —
+    // trapezoids against the same scalar oracle — on one thread and on
+    // four, which must agree bit for bit: the width reads no thread count.
     const T: usize = 5; // odd: Folded { m: 2 } also runs its t % m tail
     let patterns: [Pattern; 3] = [kernels::heat1d(), kernels::heat2d(), kernels::heat3d()];
     let methods = [
@@ -392,6 +396,28 @@ fn no_configuration_panics_through_the_public_api() {
         }),
     ];
 
+    // multi-tile at time block 3: 65 536 cells, 16 rows of 4096, 15
+    // planes of 64 x 66 are what a tile's budget holds (every floor here
+    // is lower), so each grid is two whole tiles and a ragged third
+    let wide1 = Grid1D::from_fn(2 * 65_536 + 8_001, |i| (i as f64 * 0.013).sin());
+    let wide2 = Grid2D::from_fn(38, 4096, |y, x| (y as f64 * 0.37 + x as f64 * 0.011).sin());
+    let wide3 = Grid3D::from_fn(34, 64, 66, |z, y, x| {
+        (z as f64 * 0.41 + y as f64 * 0.23 + x as f64 * 0.07).sin()
+    });
+    let wide_want: [(Vec<f64>, Vec<usize>); 3] = [
+        (
+            scalar(1).run_1d(&wide1, T).unwrap().as_slice().to_vec(),
+            vec![wide1.len()],
+        ),
+        (
+            scalar(2).run_2d(&wide2, T).unwrap().to_dense(),
+            vec![38, 4096],
+        ),
+        (
+            scalar(3).run_3d(&wide3, T).unwrap().to_dense(),
+            vec![34, 64, 66],
+        ),
+    ];
     let pool = PoolHandle::new(2);
     let (mut ok, mut rejected, mut layout_errors) = (0usize, 0usize, 0usize);
     for p in &patterns {
@@ -467,6 +493,29 @@ fn no_configuration_panics_through_the_public_api() {
                             }
                         }
                     }
+                    if !matches!(tl, Tiling::Tessellate { .. }) {
+                        continue;
+                    }
+                    let ctx = format!("{}D {m:?}/{tl:?}/{w:?} wide grid", p.dims());
+                    let (want, extents) = &wide_want[p.dims() - 1];
+                    let on = |threads: usize| {
+                        let plan = cfg.clone().threads(threads).compile().expect(&ctx);
+                        match p.dims() {
+                            1 => plan.run_1d(&wide1, T).map(|o| o.as_slice().to_vec()),
+                            2 => plan.run_2d(&wide2, T).map(|o| o.to_dense()),
+                            _ => plan.run_3d(&wide3, T).map(|o| o.to_dense()),
+                        }
+                        .expect(&ctx)
+                    };
+                    let (one, four) = (on(1), on(4));
+                    let diff = interior_diff(want, &one, extents, T * p.radius());
+                    assert!(diff < 1e-10, "{ctx}: diff {diff}");
+                    assert!(
+                        one.iter()
+                            .zip(&four)
+                            .all(|(a, b)| a.to_bits() == b.to_bits()),
+                        "{ctx}: 1 and 4 threads differ"
+                    );
                 }
             }
         }
@@ -552,6 +601,73 @@ fn register_plans_survive_grids_without_an_interior() {
         }
     }
     assert!(identities > 0);
+}
+
+#[test]
+fn tessellated_plans_treat_a_grid_without_an_interior_as_the_block_free_route_does() {
+    // The tessellate route of the same plans: an axis no wider than the
+    // 2R band used to trip the tile geometry's `assert!` ("grid smaller
+    // than its Dirichlet bands") — reachable from a tenant's grid. Every
+    // extent from one cell up to the first with an interior (2R + 1: one
+    // cell, narrower than any vector), on each axis in turn, through
+    // every entry point, gives the block-free plan's bits: the grid
+    // itself while there is no interior. 2m steps: no `t % m` tail, which
+    // the two routes run through different kernels.
+    let compile = |p: &Pattern, tiling: Tiling, width: Width| {
+        Solver::new(p.clone())
+            .method(Method::Folded { m: 2 })
+            .tiling(tiling)
+            .width(width)
+            .threads(2)
+            .compile()
+            .unwrap()
+    };
+    let tess = Tiling::Tessellate { time_block: 3 };
+    let field = |z: usize, y: usize, x: usize| ((z * 5 + y * 3 + x * 7) % 11) as f64 * 0.3 - 1.0;
+    let (mut identities, t) = (0usize, 4);
+    for width in [Width::W4, Width::W8] {
+        let [p1, p2, p3] = [kernels::heat1d(), kernels::heat2d(), kernels::heat3d()];
+        let (free1, tess1) = (compile(&p1, Tiling::None, width), compile(&p1, tess, width));
+        let (free2, tess2) = (compile(&p2, Tiling::None, width), compile(&p2, tess, width));
+        let (free3, tess3) = (compile(&p3, Tiling::None, width), compile(&p3, tess, width));
+        let band = 2 * tess3.effective_radius();
+        assert_eq!(band, 4);
+        for n in 1..=band + 1 {
+            let ctx = format!("{width:?} extent {n}");
+            let g = Grid1D::from_fn(n, |x| field(0, 0, x));
+            let want = free1.run_1d(&g, t).unwrap();
+            let got = tess1.run_1d(&g, t).expect(&ctx);
+            // one interior cell is one scalar-remainder fold in both sweeps
+            assert_eq!(want.as_slice(), got.as_slice(), "{ctx}");
+            identities += usize::from(n <= band && got.as_slice() == g.as_slice());
+
+            for (ny, nx) in [(n, 12), (12, n), (n, n)] {
+                let g = Grid2D::from_fn(ny, nx, |y, x| field(0, y, x));
+                let want = free2.run_2d(&g, t).unwrap().to_dense();
+                for got in [tess2.run_2d(&g, t), tess2.run_2d_at(&g, t, 5)] {
+                    assert_eq!(want, got.expect(&ctx).to_dense(), "{ctx} {ny}x{nx}");
+                }
+                identities += usize::from(n <= band && want == g.to_dense());
+            }
+            for (nz, ny, nx) in [(n, 12, 12), (12, n, 12), (12, 12, n), (n, n, n)] {
+                let g = Grid3D::from_fn(nz, ny, nx, field);
+                let want = free3.run_3d(&g, t).unwrap().to_dense();
+                let ctx = format!("{ctx} {nz}x{ny}x{nx}");
+                for got in [tess3.run_3d(&g, t), tess3.run_3d_at(&g, t, 5)] {
+                    assert_eq!(want, got.expect(&ctx).to_dense(), "{ctx}");
+                }
+                // the pair entry, its scratch surface poisoned
+                let mut poison = g.clone();
+                poison.fill(f64::NAN);
+                let mut pair = PingPong::from_pair(g.clone(), poison);
+                tess3.run_3d_pair_at(&mut pair, t, 5).expect(&ctx);
+                assert_eq!(want, pair.current().to_dense(), "{ctx} pair");
+                identities += usize::from(n <= band && want == g.to_dense());
+            }
+        }
+    }
+    // 4 identity extents x (1 + 3 + 4) grids x 2 widths
+    assert_eq!(identities, 64);
 }
 
 #[test]

@@ -241,9 +241,10 @@ fn spatial_blocking_matches() {
 /// count, in 2D as in 3D. `PlanConfig::validate` refuses
 /// `Tiling::Spatial` for the register methods, so the partition is driven
 /// through `tile::spatial` with the kernel the plan itself steps with.
-/// Tessellate stays at tolerance (the tests above): its trapezoid tips
-/// are narrower than a vector and take the scalar guard, which sums in
-/// another order.
+/// 2D tessellate stays at tolerance (the tests above): it cuts `y`, and
+/// the tips of its inverted tiles are fewer rows than a vector and take
+/// the scalar guard, which sums in another order. 3D tessellate cuts `z`
+/// only and is bitwise (`tessellated_3d_register_plans_equal_their_block_free_twin_bitwise`).
 #[test]
 fn register_plans_are_partition_independent() {
     use stencil_lab::core::exec::folded::{step_range_2d, FoldedKernel};
@@ -351,5 +352,94 @@ fn odd_step_counts_and_leftovers() {
     let band = 2 * t;
     for i in band..n - band {
         assert!((want[i] - got[i]).abs() < TOL, "i={i}");
+    }
+}
+
+fn bits(dense: Vec<f64>) -> Vec<u64> {
+    dense.iter().map(|v| v.to_bits()).collect()
+}
+
+/// Tessellation cuts `z` only, so every 3D kernel call has `y` and `x`
+/// whole — never narrower than a vector — and by range independence a
+/// register plan's tessellated folded steps are the block-free plan's,
+/// bit for bit, whatever the tile width, time block or thread count.
+/// 64 x 66 planes put 15 of them in a tile's budget: `fold2` at
+/// `time_block` 4 runs at its floor of 16 planes (triangles, tips one
+/// fold deep), everything else at 15 (trapezoids) — three tiles along
+/// the 36 planes either way. `t % m == 0`: the two routes run a `t % m`
+/// tail through different kernels (`multiload` block-free, the `m = 1`
+/// register kernel tessellated), so only the folded steps are
+/// comparable.
+#[test]
+fn tessellated_3d_register_plans_equal_their_block_free_twin_bitwise() {
+    use stencil_lab::Width;
+    let g = Grid3D::from_fn(36, 64, 66, |z, y, x| {
+        (z as f64 * 0.41 + y as f64 * 0.23 + x as f64 * 0.07).sin()
+    });
+    let t = 8;
+    let widths = [Width::W1, Width::W4, Width::W8];
+    // the 27-point box at one width: its debug-build sweeps are the slow ones
+    for (p, widths) in [
+        (kernels::heat3d(), &widths[..]),
+        (kernels::box3d27p(), &widths[1..2]),
+    ] {
+        for method in [Method::Folded { m: 2 }, Method::TransposeLayout] {
+            for &width in widths {
+                let plan = |tiling, threads| {
+                    Solver::new(p.clone())
+                        .method(method)
+                        .tiling(tiling)
+                        .width(width)
+                        .threads(threads)
+                        .compile()
+                        .unwrap()
+                };
+                let want = bits(plan(Tiling::None, 1).run_3d(&g, t).unwrap().to_dense());
+                for time_block in [2usize, 4] {
+                    let tess = plan(Tiling::Tessellate { time_block }, 3);
+                    assert!(
+                        want == bits(tess.run_3d(&g, t).unwrap().to_dense()),
+                        "{}pt {method:?} {width:?} tb={time_block}",
+                        p.points()
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// A grid wide enough that the production width rule cuts it: 4096-wide
+/// rows leave 16 of them in a tile's budget, which is `fold2`'s floor at
+/// `time_block` 4 (triangles) and twice the transpose layout's
+/// (trapezoids) — five tiles along the 72 rows, tips included, through
+/// `Plan` rather than through a hand-set width. The tiled result agrees
+/// with the block-free plan to rounding (2D tips take the scalar guard)
+/// and reproduces its own bits on another thread count: the width reads
+/// neither the pool nor the outer extent.
+#[test]
+fn tessellation_2d_cuts_a_wide_grid_into_cache_sized_tiles() {
+    // inexact weights and field: heat2d's dyadic ones round nowhere
+    let g = Grid2D::from_fn(72, 4096, |y, x| (y as f64 * 0.37 + x as f64 * 0.011).sin());
+    let t = 8;
+    for (p, method) in [
+        (kernels::gb(), Method::Folded { m: 2 }),
+        (kernels::gb(), Method::TransposeLayout),
+        (kernels::box2d9p(), Method::Folded { m: 2 }),
+    ] {
+        let plan = |tiling, threads| {
+            Solver::new(p.clone())
+                .method(method)
+                .tiling(tiling)
+                .threads(threads)
+                .compile()
+                .unwrap()
+        };
+        let want = plan(Tiling::None, 1).run_2d(&g, t).unwrap().to_dense();
+        let tiling = Tiling::Tessellate { time_block: 4 };
+        let got = plan(tiling, 1).run_2d(&g, t).unwrap().to_dense();
+        let ctx = format!("{}pt {method:?}", p.points());
+        assert!(max_abs_diff(&want, &got) < 1e-10, "{ctx}");
+        let again = plan(tiling, 3).run_2d(&g, t).unwrap().to_dense();
+        assert!(bits(got) == bits(again), "{ctx}: 1 and 3 threads differ");
     }
 }
