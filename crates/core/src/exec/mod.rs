@@ -31,6 +31,17 @@ pub mod xlayout;
 
 use std::cell::UnsafeCell;
 
+/// True when some axis of `extents` has no interior under a Dirichlet
+/// band `band` cells wide (`n <= 2 * band`): the grid is all band and
+/// every step is the identity. The one statement of the rule every
+/// sweep, full-step helper and tiling driver applies to such a grid — a
+/// sweep or driver advances its pair's step count and writes nothing
+/// (both surfaces agree on the band), a full-step helper copies its
+/// source.
+pub(crate) fn all_band(extents: &[usize], band: usize) -> bool {
+    extents.iter().any(|&n| n <= 2 * band)
+}
+
 /// Dispatch a kernel implementation on the tap count, monomorphizing the
 /// common stencil sizes so LLVM sees constant trip counts — full
 /// unrolling plus register allocation of the tap window, worth 3-7x on

@@ -8,7 +8,7 @@
 // Indexed tap/window loops keep the offset arithmetic explicit and unrolled.
 #![allow(clippy::needless_range_loop)]
 
-use crate::exec::{dispatch_taps, tap_count};
+use crate::exec::{all_band, dispatch_taps, tap_count};
 use crate::pattern::Pattern;
 use stencil_grid::{Grid1D, Grid2D, Grid3D, PingPong};
 use stencil_simd::SimdF64;
@@ -56,10 +56,14 @@ fn step_range_1d_t<V: SimdF64, const T: usize>(
     }
 }
 
-/// Full 1D step with Dirichlet boundaries.
+/// Full 1D step with Dirichlet boundaries (a grid with no interior is
+/// copied whole: the step is the identity, as for every full step here).
 pub fn step_1d<V: SimdF64>(src: &[f64], dst: &mut [f64], taps: &[f64]) {
     let n = src.len();
     let r = taps.len() / 2;
+    if all_band(&[n], r) {
+        return dst.copy_from_slice(src);
+    }
     dst[..r].copy_from_slice(&src[..r]);
     dst[n - r..].copy_from_slice(&src[n - r..]);
     step_range_1d::<V>(src, dst, taps, r, n - r);
@@ -125,8 +129,9 @@ pub fn step_range_2d<V: SimdF64>(
 /// Full 2D step with Dirichlet boundaries.
 pub fn step_2d<V: SimdF64>(src: &Grid2D, dst: &mut Grid2D, p: &Pattern) {
     let (ny, nx, r) = (src.ny(), src.nx(), p.radius());
+    let no_interior = all_band(&[ny, nx], r);
     for y in 0..ny {
-        if y < r || y >= ny - r {
+        if no_interior || y < r || y >= ny - r {
             dst.row_mut(y).copy_from_slice(src.row(y));
         } else {
             let srow = src.row(y);
@@ -135,7 +140,9 @@ pub fn step_2d<V: SimdF64>(src: &Grid2D, dst: &mut Grid2D, p: &Pattern) {
             drow[nx - r..].copy_from_slice(&srow[nx - r..]);
         }
     }
-    step_range_2d::<V>(src, dst, p, r..ny - r, r..nx - r);
+    if !no_interior {
+        step_range_2d::<V>(src, dst, p, r..ny - r, r..nx - r);
+    }
 }
 
 /// Run `t` steps on a 2D ping-pong pair.
@@ -205,7 +212,9 @@ pub fn step_range_3d<V: SimdF64>(
 pub fn step_3d<V: SimdF64>(src: &Grid3D, dst: &mut Grid3D, p: &Pattern) {
     let (nz, ny, nx, r) = (src.nz(), src.ny(), src.nx(), p.radius());
     dst.copy_band_from(src, r);
-    step_range_3d::<V>(src, dst, p, r..nz - r, r..ny - r, r..nx - r);
+    if !all_band(&[nz, ny, nx], r) {
+        step_range_3d::<V>(src, dst, p, r..nz - r, r..ny - r, r..nx - r);
+    }
 }
 
 /// Run `t` steps on a 3D ping-pong pair.

@@ -95,6 +95,10 @@ fn head_tail_scalar(src: &[f64], dst: &mut [f64], taps: &[f64], lo: usize, hi: u
 pub fn step_1d<V: SimdF64>(src: &[f64], dst: &mut [f64], taps: &[f64]) {
     let n = src.len();
     let r = taps.len() / 2;
+    if crate::exec::all_band(&[n], r) {
+        // no interior: the step is the identity
+        return dst.copy_from_slice(src);
+    }
     dst[..r].copy_from_slice(&src[..r]);
     dst[n - r..].copy_from_slice(&src[n - r..]);
     step_range_1d::<V>(src, dst, taps, r, n - r);

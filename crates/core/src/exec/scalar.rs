@@ -2,7 +2,13 @@
 //!
 //! Every other executor in this crate is validated against these sweeps;
 //! they favour obviousness over speed.
+//!
+//! The sweeps take any grid: one with no interior on some axis (`n <=
+//! 2r`) is all Dirichlet band and every step the identity, so they
+//! advance the pair's step count and write nothing, as every other route
+//! does. The `step_*` helpers keep `n >= 2r` as their contract.
 
+use crate::exec::all_band;
 use crate::pattern::Pattern;
 use stencil_grid::{Grid1D, Grid2D, Grid3D, PingPong};
 
@@ -33,6 +39,9 @@ pub fn step_1d(src: &[f64], dst: &mut [f64], taps: &[f64]) {
 /// Run `t` Jacobi steps on a ping-pong pair.
 pub fn sweep_1d(pp: &mut PingPong<Grid1D>, p: &Pattern, t: usize) {
     assert_eq!(p.dims(), 1);
+    if all_band(&[pp.current().len()], p.radius()) {
+        return (0..t).for_each(|_| pp.swap());
+    }
     for _ in 0..t {
         let (src, dst) = pp.src_dst();
         step_1d(src.as_slice(), dst.as_mut_slice(), p.weights());
@@ -93,6 +102,9 @@ pub fn step_2d(src: &Grid2D, dst: &mut Grid2D, p: &Pattern) {
 
 /// Run `t` Jacobi steps on a 2D ping-pong pair.
 pub fn sweep_2d(pp: &mut PingPong<Grid2D>, p: &Pattern, t: usize) {
+    if all_band(&[pp.current().ny(), pp.current().nx()], p.radius()) {
+        return (0..t).for_each(|_| pp.swap());
+    }
     for _ in 0..t {
         let (src, dst) = pp.src_dst();
         step_2d(src, dst, p);
@@ -145,6 +157,10 @@ pub fn step_3d(src: &Grid3D, dst: &mut Grid3D, p: &Pattern) {
 
 /// Run `t` Jacobi steps on a 3D ping-pong pair.
 pub fn sweep_3d(pp: &mut PingPong<Grid3D>, p: &Pattern, t: usize) {
+    let g = pp.current();
+    if all_band(&[g.nz(), g.ny(), g.nx()], p.radius()) {
+        return (0..t).for_each(|_| pp.swap());
+    }
     for _ in 0..t {
         let (src, dst) = pp.src_dst();
         step_3d(src, dst, p);

@@ -2,7 +2,13 @@
 //! cache-sized tiles processed in parallel. No temporal reuse — the
 //! baseline tiling the temporal schemes are measured against, and the
 //! parallelization used for the block-free multicore rows.
+//!
+//! A grid with no interior on some axis (`n <= 2 * band`) is all
+//! Dirichlet band and every step the identity: the drivers advance the
+//! pair's step count and write nothing, as the tessellate drivers and
+//! the block-free routes do.
 
+use crate::exec::all_band;
 use crate::tile::RawPair;
 use core::ops::Range;
 use stencil_grid::{Grid2D, Grid3D, PingPong};
@@ -21,6 +27,10 @@ pub fn run_2d<K>(
     K: Fn(&Grid2D, &mut Grid2D, Range<usize>, Range<usize>) + Sync,
 {
     let (ny, nx) = (pp.current().ny(), pp.current().nx());
+    if all_band(&[ny, nx], band) {
+        // all band: both surfaces agree on it, every step is the identity
+        return (0..steps).for_each(|_| pp.swap());
+    }
     let (ylo, yhi) = (band, ny - band);
     let (xlo, xhi) = (band, nx - band);
     let tiles_y = (yhi - ylo).div_ceil(by).max(1);
@@ -60,6 +70,10 @@ pub fn run_3d<K>(
     K: Fn(&Grid3D, &mut Grid3D, Range<usize>, Range<usize>, Range<usize>) + Sync,
 {
     let (nz, ny, nx) = (pp.current().nz(), pp.current().ny(), pp.current().nx());
+    if all_band(&[nz, ny, nx], band) {
+        // all band, as in run_2d
+        return (0..steps).for_each(|_| pp.swap());
+    }
     let (zlo, zhi) = (band, nz - band);
     let (ylo, yhi) = (band, ny - band);
     let tiles_z = (zhi - zlo).div_ceil(bz).max(1);

@@ -22,6 +22,7 @@
 // every driver takes the geometry's inputs flat: reff, band, w, tb, steps, origin
 #![allow(clippy::too_many_arguments)]
 
+use crate::exec::all_band;
 use crate::tile::{DimTiling, RawPair};
 use core::ops::Range;
 use stencil_grid::{Grid1D, Grid2D, Grid3D, PingPong};
@@ -45,7 +46,7 @@ pub(crate) fn run_cut<G, K>(
 ) where
     K: Fn(&G, &mut G, Range<usize>) + Sync,
 {
-    if extents.iter().any(|&e| e <= 2 * band) {
+    if all_band(extents, band) {
         // all band: both surfaces agree on it, every step is the identity
         return (0..steps).for_each(|_| pp.swap());
     }

@@ -7,6 +7,12 @@
 //! `rejected` / `error`. The client is deliberately synchronous: each
 //! call reads until its answer arrives, which is exactly what a
 //! closed-loop bench or an e2e test wants.
+//!
+//! Grid payloads take no per-frame buffer: a submit's values are
+//! encoded from the caller's slice through one fixed stack chunk onto
+//! the socket, and a result's bytes are decoded into its `Vec<f64>` as
+//! they arrive, a stack chunk at a time (see [`super::wire`] for the one
+//! encoder and decoder both use).
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
@@ -17,7 +23,11 @@ use stencil_obs::json::Value;
 
 use super::wire::{
     self, ClientMsg, Frame, RejectReason, ServerMsg, SubmitHeader, WireError, DEFAULT_MAX_FRAME,
+    KIND_PAYLOAD, LEN_PREFIX,
 };
+
+/// Bytes of the stack chunk a payload is streamed through each way.
+const CHUNK: usize = 64 * 1024;
 
 /// Client-side failure.
 #[derive(Debug)]
@@ -241,7 +251,10 @@ impl NetClient {
         self.next_id += 1;
         let id = header.id;
         self.send_msg(&ClientMsg::Submit(header))?;
-        self.send_frame(&Frame::Payload(data.to_vec()))?;
+        let stream = &mut self.stream;
+        wire::encode_payload(data.len(), [data], &mut [0; CHUNK], |bytes| {
+            stream.write_all(bytes)
+        })?;
         loop {
             // a failed submission answers job-error instead of accepted
             if let Some(ev) = self.take_event(id) {
@@ -411,14 +424,7 @@ impl NetClient {
                 latency_us,
                 extents,
             } => {
-                let data = match self.recv_frame()? {
-                    Frame::Payload(d) => d,
-                    Frame::Header(_) => {
-                        return Err(NetError::Protocol(
-                            "done header without its payload frame".into(),
-                        ))
-                    }
-                };
+                let data = self.recv_payload()?;
                 self.events
                     .entry(id)
                     .or_default()
@@ -457,12 +463,8 @@ impl NetClient {
     }
 
     fn send_msg(&mut self, msg: &ClientMsg) -> Result<(), NetError> {
-        self.send_frame(&Frame::Header(msg.to_json()))
-    }
-
-    fn send_frame(&mut self, frame: &Frame) -> Result<(), NetError> {
         let mut buf = Vec::new();
-        wire::encode(frame, &mut buf);
+        wire::encode(&Frame::Header(msg.to_json()), &mut buf);
         self.stream.write_all(&buf)?;
         Ok(())
     }
@@ -484,9 +486,32 @@ impl NetClient {
                 self.rbuf.drain(..used);
                 return Ok(frame);
             }
-            let mut chunk = [0u8; 64 * 1024];
-            let n = match self.stream.read(&mut chunk) {
-                Ok(n) => n,
+            self.fill_rbuf()?;
+        }
+    }
+
+    /// Read once from the socket onto the end of the read buffer. The
+    /// end of the stream is an error: the typed truncation when a
+    /// partial frame is stranded, else a protocol error.
+    fn fill_rbuf(&mut self) -> Result<(), NetError> {
+        let mut chunk = [0u8; CHUNK];
+        let n = self.read_some(&mut chunk)?;
+        if n == 0 {
+            // orderly remote close mid-read: surface the typed
+            // truncation if a partial frame is stranded
+            wire::decode_eof(&self.rbuf, self.max_frame)?;
+            return Err(NetError::Protocol("connection closed by the server".into()));
+        }
+        self.rbuf.extend_from_slice(&chunk[..n]);
+        Ok(())
+    }
+
+    /// One `read()` into `buf`, retried when interrupted; 0 at the end
+    /// of the stream.
+    fn read_some(&mut self, buf: &mut [u8]) -> Result<usize, NetError> {
+        loop {
+            match self.stream.read(buf) {
+                Ok(n) => return Ok(n),
                 // the OS reports a read timeout as WouldBlock (unix)
                 // or TimedOut (windows); both mean "the server went
                 // quiet past the bound", which deserves its own type
@@ -500,17 +525,59 @@ impl NetClient {
                         limit: self.read_timeout,
                     })
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(e.into()),
-            };
-            if n == 0 {
-                // orderly remote close mid-read: surface the typed
-                // truncation if a partial frame is stranded
-                wire::decode_eof(&self.rbuf, self.max_frame)?;
-                return Err(NetError::Protocol("connection closed by the server".into()));
             }
-            self.rbuf.extend_from_slice(&chunk[..n]);
         }
+    }
+
+    /// Receive the payload frame that follows a `done` header, decoding
+    /// its values into the result as the bytes arrive: the bytes already
+    /// buffered behind its head first, then straight off the socket
+    /// through a stack chunk, never reading past the frame's end. Wire
+    /// errors keep [`Self::recv_frame`]'s types; the stream ending
+    /// mid-frame is the same [`WireError::Truncated`].
+    fn recv_payload(&mut self) -> Result<Vec<f64>, NetError> {
+        let (kind, len) = loop {
+            if let Some(head) = wire::frame_head(&self.rbuf, self.max_frame)? {
+                break head;
+            }
+            self.fill_rbuf()?;
+        };
+        if kind != KIND_PAYLOAD {
+            // whatever it is decodes (or fails) as any frame would
+            self.recv_frame()?;
+            return Err(NetError::Protocol(
+                "done header without its payload frame".into(),
+            ));
+        }
+        let head = LEN_PREFIX + 1;
+        let n = wire::payload_values(len - 1)?;
+        let mut data = Vec::with_capacity(n);
+        let buffered = (self.rbuf.len() - head).min(n * 8);
+        data.extend(wire::f64s(&self.rbuf[head..head + buffered]));
+        // a value split across reads waits at the chunk's front
+        let mut chunk = [0u8; CHUNK];
+        let mut carry = buffered % 8;
+        chunk[..carry].copy_from_slice(&self.rbuf[head + buffered - carry..head + buffered]);
+        self.rbuf.drain(..head + buffered);
+        while data.len() < n {
+            let rest = (n - data.len()) * 8 - carry;
+            let end = carry + rest.min(CHUNK - carry);
+            let got = self.read_some(&mut chunk[carry..end])?;
+            if got == 0 {
+                return Err(WireError::Truncated {
+                    have: head + data.len() * 8 + carry,
+                    need: LEN_PREFIX + len,
+                }
+                .into());
+            }
+            let avail = carry + got;
+            data.extend(wire::f64s(&chunk[..avail]));
+            carry = avail % 8;
+            chunk.copy_within(avail - carry..avail, 0);
+        }
+        Ok(data)
     }
 }
 
@@ -537,7 +604,170 @@ pub fn http_get(addr: impl ToSocketAddrs, path: &str) -> Result<(u16, String), N
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::net::TcpListener;
+    use std::net::{SocketAddr, TcpListener};
+    use stencil_core::kernels;
+
+    /// A one-connection server that answers the hello and one submit
+    /// (header and payload) with `accepted` and a `done` header, then
+    /// plays `result` — the bytes of the payload frame, or a prefix of
+    /// them — on the socket.
+    fn scripted_server(
+        result: impl FnOnce(&mut TcpStream, Vec<u8>) + Send + 'static,
+    ) -> (SocketAddr, std::thread::JoinHandle<()>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            let (mut sock, _) = listener.accept().unwrap();
+            sock.set_nodelay(true).unwrap();
+            let mut rbuf = Vec::new();
+            let mut next = |sock: &mut TcpStream| loop {
+                if let Some((frame, used)) = wire::decode(&rbuf, DEFAULT_MAX_FRAME).unwrap() {
+                    rbuf.drain(..used);
+                    return frame;
+                }
+                let mut chunk = [0u8; 4096];
+                let n = sock.read(&mut chunk).unwrap();
+                assert!(n > 0, "the client hung up early");
+                rbuf.extend_from_slice(&chunk[..n]);
+            };
+            let msg = |m: ServerMsg| {
+                let mut out = Vec::new();
+                wire::encode(&Frame::Header(m.to_json()), &mut out);
+                out
+            };
+            next(&mut sock); // hello
+            sock.write_all(&msg(ServerMsg::HelloOk {
+                tenant: "t".into(),
+                quota: 1,
+            }))
+            .unwrap();
+            next(&mut sock); // submit header
+            let Frame::Payload(data) = next(&mut sock) else {
+                panic!("a submit's payload frame")
+            };
+            let mut reply = msg(ServerMsg::Accepted { id: 1 });
+            reply.extend(msg(ServerMsg::Done {
+                id: 1,
+                shards: 1,
+                batched: false,
+                latency_us: 1,
+                extents: vec![data.len()],
+            }));
+            sock.write_all(&reply).unwrap();
+            let mut payload = Vec::new();
+            wire::encode(&Frame::Payload(data), &mut payload);
+            result(&mut sock, payload);
+        });
+        (addr, server)
+    }
+
+    fn header(n: usize) -> SubmitHeader {
+        SubmitHeader {
+            id: 0,
+            name: "heat1d".into(),
+            pattern: kernels::heat1d(),
+            extents: vec![n],
+            steps: 1,
+            rounds: 1,
+            tuning: None,
+            deadline_ms: None,
+        }
+    }
+
+    /// Values whose bits only survive a bit-exact path.
+    fn awkward(n: usize) -> Vec<f64> {
+        let special = [
+            0.0,
+            -0.0,
+            f64::from_bits(0x7ff8_0000_dead_beef), // NaN with payload bits
+            f64::from_bits(0xfff0_0000_0000_0001), // signalling NaN, sign set
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::from_bits(1), // smallest subnormal
+        ];
+        (0..n)
+            .map(|i| special.get(i % 11).copied().unwrap_or(i as f64 * -0.37))
+            .collect()
+    }
+
+    #[test]
+    fn a_result_payload_decodes_across_reads_that_split_its_values() {
+        // the server echoes the submitted values as the result, in pieces
+        // of 1, 2, 3, 5, 7, 11 and 13 bytes with a pause after each, so
+        // the client's reads end inside values and its carry bridges
+        // them; the first piece rides the read that brings the done header
+        let data = awkward(160);
+        let (addr, server) = scripted_server(|sock, payload| {
+            let pieces = [1usize, 2, 3, 5, 7, 11, 13];
+            let mut at = 0;
+            for len in pieces.iter().cycle() {
+                let end = (at + len).min(payload.len());
+                sock.write_all(&payload[at..end]).unwrap();
+                at = end;
+                if at == payload.len() {
+                    break;
+                }
+                std::thread::sleep(Duration::from_micros(300));
+            }
+        });
+        let mut client = NetClient::connect(addr, "t").unwrap();
+        let out = client.run(header(data.len()), &data).unwrap();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&out.data), bits(&data));
+        server.join().unwrap();
+    }
+
+    #[test]
+    fn a_stalled_result_payload_times_out_typed() {
+        // half the payload, then silence with the socket held open: the
+        // payload read is bounded like any receive
+        let (addr, server) = scripted_server(|sock, payload| {
+            sock.write_all(&payload[..payload.len() / 2]).unwrap();
+            std::thread::sleep(Duration::from_millis(800));
+        });
+        let limit = Duration::from_millis(150);
+        let mut client = NetClient::connect_with_timeout(addr, "t", Some(limit)).unwrap();
+        let err = client
+            .run(header(64), &awkward(64))
+            .expect_err("a stalled payload must fail");
+        assert!(
+            matches!(err, NetError::Timeout { limit: Some(l) } if l == limit),
+            "expected a typed timeout, got {err:?}"
+        );
+        server.join().unwrap();
+    }
+
+    #[test]
+    fn a_cut_or_misframed_result_payload_is_a_typed_wire_error() {
+        // the stream ends 3 bytes into the 4th value of 10: the typed
+        // truncation with the frame's byte counts, as decode_eof reports
+        let (addr, server) = scripted_server(|sock, payload| {
+            sock.write_all(&payload[..LEN_PREFIX + 1 + 3 * 8 + 3])
+                .unwrap();
+        });
+        let mut client = NetClient::connect(addr, "t").unwrap();
+        let err = client.run(header(10), &awkward(10)).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                NetError::Wire(WireError::Truncated { have: 32, need: 85 })
+            ),
+            "{err:?}"
+        );
+        server.join().unwrap();
+        // a payload body that is not a whole number of values
+        let (addr, server) = scripted_server(|sock, _| {
+            sock.write_all(&[0, 0, 0, 4, KIND_PAYLOAD, 1, 2, 3])
+                .unwrap();
+        });
+        let mut client = NetClient::connect(addr, "t").unwrap();
+        let err = client.run(header(10), &awkward(10)).unwrap_err();
+        assert!(
+            matches!(err, NetError::Wire(WireError::BadPayloadLen(3))),
+            "{err:?}"
+        );
+        server.join().unwrap();
+    }
 
     #[test]
     fn a_server_that_accepts_but_never_replies_times_out_typed() {

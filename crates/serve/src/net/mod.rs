@@ -6,7 +6,8 @@
 //! - **Wire format** ([`wire`]): `[u32 BE length][kind][body]` frames.
 //!   Kind `b'J'` carries a JSON message header; kind `b'P'` carries a
 //!   raw little-endian `f64` grid payload, so multi-megabyte grids
-//!   never round-trip through text.
+//!   never round-trip through text — and cross each layer once, decoded
+//!   into and encoded from the job grid's rows.
 //! - **Server** ([`server`]): one poll-based readiness loop over
 //!   non-blocking sockets and a connection slab — thousands of idle
 //!   connections cost buffers, not threads. Job execution stays on the

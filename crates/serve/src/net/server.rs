@@ -13,6 +13,16 @@
 //! workers. Thousands of idle connections therefore cost buffer memory
 //! and a read probe per tick, not threads.
 //!
+//! Grid bytes cross the loop once each way: a submit's payload is
+//! decoded from the connection's read buffer straight into the rows of
+//! the job's grid — allocated only once the frame's checks and the
+//! payload-against-extents check have passed — and a result is encoded
+//! from the output grid's rows straight onto the connection's write
+//! buffer. A tick that moves bytes either way, or a job, counts as work,
+//! so the loop sleeps its `tick` only when nothing moved — never after a
+//! flush that made progress on a large frame. The write buffer's cursor
+//! and its backlog cap (unsent bytes only) are described in `conn`.
+//!
 //! Disconnect semantics: a peer that vanishes mid-job has its jobs
 //! abandoned at reap time — pending rounds are never submitted, the
 //! in-flight round's ticket is dropped (its result is discarded when
@@ -34,7 +44,8 @@ use super::conn::{Conn, ConnMode};
 use super::round_steps;
 use super::tenant::TenantGate;
 use super::wire::{
-    num, obj, ClientMsg, Frame, RejectReason, ServerMsg, SubmitHeader, DEFAULT_MAX_FRAME,
+    self, num, obj, Body, ClientMsg, Frame, RejectReason, ServerMsg, SubmitHeader,
+    DEFAULT_MAX_FRAME,
 };
 
 /// An HTTP scrape request larger than this is dropped unanswered.
@@ -157,7 +168,19 @@ impl Drop for NetServer {
 /// One slab slot: the connection plus its active jobs.
 struct Session {
     conn: Conn,
+    /// A received submit header waiting for its grid payload frame.
+    pending_submit: Option<SubmitHeader>,
     jobs: Vec<NetJob>,
+}
+
+/// A frame as the loop reads it: headers parsed, a payload decoded only
+/// when a submit header is waiting for it.
+enum Inbound {
+    Header(Value),
+    /// The pending submit's domain, or why its payload does not fit it.
+    Submission(Result<JobDomain, String>),
+    /// A payload frame no submit header announced.
+    StrayPayload,
 }
 
 /// A job the loop is driving through its rounds.
@@ -203,6 +226,7 @@ fn serve_loop(
                     let _ = stream.set_nodelay(true);
                     sessions.push(Session {
                         conn: Conn::new(stream, peer, Instant::now()),
+                        pending_submit: None,
                         jobs: Vec::new(),
                     });
                     busy = true;
@@ -238,7 +262,7 @@ fn serve_loop(
                 }
             }
             busy |= poll_jobs(service, &mut gate, sess);
-            sess.conn.flush_write(cfg.max_frame);
+            busy |= sess.conn.flush_write(cfg.max_frame) > 0;
         }
         // reap: dead sockets, drained goodbyes, and idle half-opens
         sessions.retain_mut(|sess| {
@@ -287,7 +311,16 @@ fn process_frames(
         if sess.conn.closing || sess.conn.dead {
             return busy;
         }
-        let frame = match sess.conn.next_frame(cfg.max_frame) {
+        let extents = sess.pending_submit.as_ref().map(|h| h.extents.as_slice());
+        let frame = match sess.conn.next_frame(cfg.max_frame, |body| {
+            Ok(match (body, extents) {
+                (Body::Header(text), _) => Inbound::Header(wire::parse_header(text)?),
+                (Body::Payload(bytes), Some(extents)) => {
+                    Inbound::Submission(domain_from(extents, bytes))
+                }
+                (Body::Payload(_), None) => Inbound::StrayPayload,
+            })
+        }) {
             Ok(Some(f)) => f,
             Ok(None) => return busy,
             Err(e) => {
@@ -305,30 +338,30 @@ fn process_frames(
         };
         busy = true;
         // a submit header must be followed by exactly one payload frame
-        if let Some(pending) = sess.conn.pending_submit.take() {
-            match frame {
-                Frame::Payload(data) => {
-                    handle_submission(service, gate, sess, pending, data);
-                    continue;
-                }
-                Frame::Header(_) => {
-                    sess.conn.send(&header(ServerMsg::Error {
-                        message: "submit header must be followed by its grid payload".into(),
-                    }));
-                    sess.conn.closing = true;
-                    return true;
-                }
-            }
-        }
         let msg = match frame {
-            Frame::Payload(_) => {
+            Inbound::Submission(domain) => {
+                let pending = sess
+                    .pending_submit
+                    .take()
+                    .expect("decoded for a pending submit");
+                handle_submission(service, gate, sess, pending, domain);
+                continue;
+            }
+            Inbound::Header(_) if sess.pending_submit.is_some() => {
+                sess.conn.send(&header(ServerMsg::Error {
+                    message: "submit header must be followed by its grid payload".into(),
+                }));
+                sess.conn.closing = true;
+                return true;
+            }
+            Inbound::StrayPayload => {
                 sess.conn.send(&header(ServerMsg::Error {
                     message: "unexpected payload frame without a submit header".into(),
                 }));
                 sess.conn.closing = true;
                 return true;
             }
-            Frame::Header(doc) => match ClientMsg::from_json(&doc) {
+            Inbound::Header(doc) => match ClientMsg::from_json(&doc) {
                 Ok(m) => m,
                 Err(e) => {
                     sess.conn.send(&header(ServerMsg::Error {
@@ -355,7 +388,7 @@ fn process_frames(
                     sess.conn.closing = true;
                     return true;
                 }
-                sess.conn.pending_submit = Some(h);
+                sess.pending_submit = Some(h);
             }
             ClientMsg::Cancel { id } => {
                 if let Some(pos) = sess.jobs.iter().position(|j| j.id == id) {
@@ -396,12 +429,12 @@ fn handle_submission(
     gate: &mut TenantGate,
     sess: &mut Session,
     h: SubmitHeader,
-    data: Vec<f64>,
+    domain: Result<JobDomain, String>,
 ) {
     let stats = service.stats_handle();
     let tenant = sess.conn.tenant.clone().expect("checked at submit header");
     let id = h.id;
-    let domain = match domain_from(&h.extents, data) {
+    let domain = match domain {
         Ok(d) => d,
         Err(message) => {
             sess.conn.send(&header(ServerMsg::JobError { id, message }));
@@ -505,15 +538,14 @@ fn poll_jobs(service: &Arc<StencilService>, gate: &mut TenantGate, sess: &mut Se
                     job.any_batched |= result.batched;
                     if job.round == job.chunks.len() {
                         // final round: ship the result grid
-                        let (extents, data) = flatten(&result.output);
                         sess.conn.send(&header(ServerMsg::Done {
                             id: job.id,
                             shards: result.shards as u64,
                             batched: job.any_batched,
                             latency_us: job.latency_us,
-                            extents,
+                            extents: result.output.extents(),
                         }));
-                        sess.conn.send(&Frame::Payload(data));
+                        send_grid(&mut sess.conn, &result.output);
                         stats.tenant_update(&job.tenant, |t| t.completed += 1);
                         gate.release(&job.tenant);
                         sess.jobs.swap_remove(i);
@@ -627,36 +659,57 @@ fn retry_after_ms(service: &StencilService) -> u64 {
     scaled.clamp(1, 5_000)
 }
 
-/// Build the job domain from a submit's extents and payload.
-fn domain_from(extents: &[usize], data: Vec<f64>) -> Result<JobDomain, String> {
+/// Build the job domain from a submit's extents and its payload frame's
+/// body, decoding the body straight into the grid's rows.
+fn domain_from(extents: &[usize], payload: &[u8]) -> Result<JobDomain, String> {
     let points = extents
         .iter()
         .try_fold(1usize, |acc, &e| acc.checked_mul(e))
         .ok_or("extents overflow")?;
-    if points != data.len() {
+    let carried = payload.len() / 8;
+    if points != carried {
         return Err(format!(
-            "payload carries {} f64s for a {extents:?} domain ({points} points)",
-            data.len()
+            "payload carries {carried} f64s for a {extents:?} domain ({points} points)"
         ));
     }
+    // the payload is the grid's rows in order, each `nx` values long
+    let mut rows = payload.chunks_exact(8 * extents.last().copied().unwrap_or(1));
+    let mut fill = |row: &mut [f64]| {
+        let src = rows.next().expect("one row each");
+        row.iter_mut()
+            .zip(wire::f64s(src))
+            .for_each(|(d, v)| *d = v);
+    };
     match *extents {
-        [n] => Ok(JobDomain::D1(Grid1D::from_fn(n, |i| data[i]))),
-        [ny, nx] => Ok(JobDomain::D2(Grid2D::from_fn(ny, nx, |y, x| {
-            data[y * nx + x]
-        }))),
-        [nz, ny, nx] => Ok(JobDomain::D3(Grid3D::from_fn(nz, ny, nx, |z, y, x| {
-            data[(z * ny + y) * nx + x]
-        }))),
+        [n] => {
+            let mut g = Grid1D::zeros(n);
+            fill(g.as_mut_slice());
+            Ok(JobDomain::D1(g))
+        }
+        [ny, nx] => {
+            let mut g = Grid2D::zeros(ny, nx);
+            (0..ny).for_each(|y| fill(g.row_mut(y)));
+            Ok(JobDomain::D2(g))
+        }
+        [nz, ny, nx] => {
+            let mut g = Grid3D::zeros(nz, ny, nx);
+            (0..nz).for_each(|z| (0..ny).for_each(|y| fill(g.row_mut(z, y))));
+            Ok(JobDomain::D3(g))
+        }
         _ => Err(format!("{}D domains are not supported", extents.len())),
     }
 }
 
-/// A result grid as (extents, row-major dense data).
-fn flatten(domain: &JobDomain) -> (Vec<usize>, Vec<f64>) {
+/// Stage a result grid's payload frame, encoded from its rows.
+fn send_grid(conn: &mut Conn, domain: &JobDomain) {
+    let n = domain.points();
     match domain {
-        JobDomain::D1(g) => (vec![g.len()], g.as_slice().to_vec()),
-        JobDomain::D2(g) => (vec![g.ny(), g.nx()], g.to_dense()),
-        JobDomain::D3(g) => (vec![g.nz(), g.ny(), g.nx()], g.to_dense()),
+        JobDomain::D1(g) => conn.send_payload(n, [g.as_slice()]),
+        JobDomain::D2(g) => conn.send_payload(n, (0..g.ny()).map(|y| g.row(y))),
+        JobDomain::D3(g) => conn.send_payload(
+            n,
+            (0..g.nz()).flat_map(|z| (0..g.ny()).map(move |y| g.row(z, y))),
+        ),
     }
 }
 

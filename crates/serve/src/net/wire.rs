@@ -27,6 +27,18 @@
 //! stream that *ended* mid-frame, which [`decode_eof`] reports as
 //! [`WireError::Truncated`]).
 //!
+//! Payload bytes cross each layer once. There is one payload encoder
+//! (`encode_payload`: a frame's head, then each row's little-endian
+//! bits, staged through a caller's fixed chunk) and one decoder
+//! (`f64s`: the values a run of bytes holds). The server encodes a
+//! result straight from the grid's rows into its write buffer and
+//! decodes a submit straight from its read buffer into the rows of the
+//! job's grid (`split` hands it the frame's body in place); the client
+//! streams a submit from the caller's slice through one stack chunk and
+//! decodes a result into its `Vec<f64>` as the bytes arrive. [`encode`]
+//! and [`decode`]'s payload arms are the same two routines over a whole
+//! `Vec<f64>`.
+//!
 //! Length prefixes are capped at [`HARD_FRAME_CAP`] (1 GiB). The cap
 //! doubles as protocol sniffing: every ASCII uppercase letter is ≥
 //! `0x41`, so the first byte of an HTTP request line (`GET /metrics…`)
@@ -126,6 +138,12 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
+/// Bytes of one payload value on the wire.
+const F64_BYTES: usize = 8;
+
+/// Bytes of the chunk [`encode`] and the server stage a payload through.
+const ENCODE_CHUNK: usize = 4096;
+
 /// Append `frame`'s encoding to `out`.
 pub fn encode(frame: &Frame, out: &mut Vec<u8>) {
     match frame {
@@ -136,15 +154,135 @@ pub fn encode(frame: &Frame, out: &mut Vec<u8>) {
             out.push(KIND_HEADER);
             out.extend_from_slice(body.as_bytes());
         }
-        Frame::Payload(data) => {
-            let len = 1 + data.len() * 8;
-            out.extend_from_slice(&(len as u32).to_be_bytes());
-            out.push(KIND_PAYLOAD);
-            for v in data {
-                out.extend_from_slice(&v.to_bits().to_le_bytes());
+        Frame::Payload(data) => append_payload(data.len(), [data.as_slice()], out),
+    }
+}
+
+/// The one payload encoder: the frame of the `n` values `rows` yields —
+/// its head, then each value's little-endian bits — staged through
+/// `chunk` and handed to `sink` a filled chunk at a time (the last one
+/// possibly short). `rows` must yield exactly `n` values.
+pub(crate) fn encode_payload<'a, E>(
+    n: usize,
+    rows: impl IntoIterator<Item = &'a [f64]>,
+    chunk: &mut [u8],
+    mut sink: impl FnMut(&[u8]) -> Result<(), E>,
+) -> Result<(), E> {
+    debug_assert!(
+        chunk.len() >= LEN_PREFIX + 1 + F64_BYTES,
+        "a chunk holds a head and a value"
+    );
+    let len = 1 + n * F64_BYTES;
+    chunk[..LEN_PREFIX].copy_from_slice(&(len as u32).to_be_bytes());
+    chunk[LEN_PREFIX] = KIND_PAYLOAD;
+    let mut used = LEN_PREFIX + 1;
+    for mut row in rows {
+        while !row.is_empty() {
+            let take = ((chunk.len() - used) / F64_BYTES).min(row.len());
+            if take == 0 {
+                sink(&chunk[..used])?;
+                used = 0;
+                continue;
             }
+            let dst = &mut chunk[used..used + take * F64_BYTES];
+            for (d, v) in dst.chunks_exact_mut(F64_BYTES).zip(&row[..take]) {
+                d.copy_from_slice(&v.to_le_bytes());
+            }
+            used += take * F64_BYTES;
+            row = &row[take..];
         }
     }
+    sink(&chunk[..used])
+}
+
+/// [`encode_payload`] onto the end of `out`, which grows once.
+pub(crate) fn append_payload<'a>(
+    n: usize,
+    rows: impl IntoIterator<Item = &'a [f64]>,
+    out: &mut Vec<u8>,
+) {
+    out.reserve(LEN_PREFIX + 1 + n * F64_BYTES);
+    let appended = encode_payload(n, rows, &mut [0; ENCODE_CHUNK], |bytes| {
+        out.extend_from_slice(bytes);
+        Ok::<(), std::convert::Infallible>(())
+    });
+    let Ok(()) = appended;
+}
+
+/// The one payload decoder: the values whose little-endian bits `src`
+/// holds, one per 8 bytes (a trailing partial value is not one). An
+/// iterator, so a caller appends to uninitialised capacity or assigns
+/// into a grid's rows without a zero-filled buffer in between.
+pub(crate) fn f64s(src: &[u8]) -> impl Iterator<Item = f64> + '_ {
+    src.chunks_exact(F64_BYTES)
+        .map(|c| f64::from_le_bytes(c.try_into().expect("an 8-byte chunk")))
+}
+
+/// A complete frame at the front of a buffer, its body still in place.
+pub(crate) enum Body<'a> {
+    /// A header frame's body: JSON text, not yet parsed
+    /// ([`parse_header`]).
+    Header(&'a [u8]),
+    /// A payload frame's body: a whole number of values' bits.
+    Payload(&'a [u8]),
+}
+
+/// The kind byte and declared length of the frame at the front of
+/// `buf`, once its length prefix and kind byte have arrived — with the
+/// checks [`decode`] makes of the prefix. `Ok(None)`: read more.
+pub(crate) fn frame_head(buf: &[u8], max_frame: usize) -> Result<Option<(u8, usize)>, WireError> {
+    let Some(prefix) = buf.first_chunk::<LEN_PREFIX>() else {
+        return Ok(None);
+    };
+    let len = u32::from_be_bytes(*prefix) as usize;
+    if len == 0 {
+        return Err(WireError::EmptyFrame);
+    }
+    let max = max_frame.min(HARD_FRAME_CAP);
+    if len > max {
+        return Err(WireError::FrameTooLarge { len, max });
+    }
+    Ok(buf.get(LEN_PREFIX).map(|&kind| (kind, len)))
+}
+
+/// Values in a payload body of `body_len` bytes, or the typed error for
+/// a body that is not a whole number of them.
+pub(crate) fn payload_values(body_len: usize) -> Result<usize, WireError> {
+    if body_len.is_multiple_of(F64_BYTES) {
+        Ok(body_len / F64_BYTES)
+    } else {
+        Err(WireError::BadPayloadLen(body_len))
+    }
+}
+
+/// The frame at the front of `buf` without materializing its body:
+/// `Ok(Some((body, consumed)))` for a complete frame, `Ok(None)` for a
+/// prefix of one, and [`decode`]'s errors, in its order, before any
+/// body is touched.
+pub(crate) fn split(buf: &[u8], max_frame: usize) -> Result<Option<(Body<'_>, usize)>, WireError> {
+    let Some((kind, len)) = frame_head(buf, max_frame)? else {
+        return Ok(None);
+    };
+    let total = LEN_PREFIX + len;
+    let Some(body) = buf.get(LEN_PREFIX + 1..total) else {
+        return Ok(None);
+    };
+    let body = match kind {
+        KIND_HEADER => Body::Header(body),
+        KIND_PAYLOAD => {
+            payload_values(body.len())?;
+            Body::Payload(body)
+        }
+        other => return Err(WireError::UnknownKind(other)),
+    };
+    Ok(Some((body, total)))
+}
+
+/// Parse a header frame's body.
+pub(crate) fn parse_header(body: &[u8]) -> Result<Value, WireError> {
+    let text =
+        std::str::from_utf8(body).map_err(|e| WireError::BadJson(format!("not UTF-8: {e}")))?;
+    json::parse(text).map_err(|e| WireError::BadJson(e.to_string()))
 }
 
 /// Try to decode one frame from the front of `buf`.
@@ -154,44 +292,12 @@ pub fn encode(frame: &Frame, out: &mut Vec<u8>) {
 /// * `Ok(None)` — the buffer holds only a prefix of a frame; read more.
 /// * `Err(_)` — the peer sent something unrecoverable; close.
 pub fn decode(buf: &[u8], max_frame: usize) -> Result<Option<(Frame, usize)>, WireError> {
-    if buf.len() < LEN_PREFIX {
+    let Some((body, total)) = split(buf, max_frame)? else {
         return Ok(None);
-    }
-    let len = u32::from_be_bytes([buf[0], buf[1], buf[2], buf[3]]) as usize;
-    if len == 0 {
-        return Err(WireError::EmptyFrame);
-    }
-    let max = max_frame.min(HARD_FRAME_CAP);
-    if len > max {
-        return Err(WireError::FrameTooLarge { len, max });
-    }
-    let total = LEN_PREFIX + len;
-    if buf.len() < total {
-        return Ok(None);
-    }
-    let kind = buf[LEN_PREFIX];
-    let body = &buf[LEN_PREFIX + 1..total];
-    let frame = match kind {
-        KIND_HEADER => {
-            let text = std::str::from_utf8(body)
-                .map_err(|e| WireError::BadJson(format!("not UTF-8: {e}")))?;
-            Frame::Header(json::parse(text).map_err(|e| WireError::BadJson(e.to_string()))?)
-        }
-        KIND_PAYLOAD => {
-            if !body.len().is_multiple_of(8) {
-                return Err(WireError::BadPayloadLen(body.len()));
-            }
-            Frame::Payload(
-                body.chunks_exact(8)
-                    .map(|c| {
-                        f64::from_bits(u64::from_le_bytes([
-                            c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7],
-                        ]))
-                    })
-                    .collect(),
-            )
-        }
-        other => return Err(WireError::UnknownKind(other)),
+    };
+    let frame = match body {
+        Body::Header(text) => Frame::Header(parse_header(text)?),
+        Body::Payload(bytes) => Frame::Payload(f64s(bytes).collect()),
     };
     Ok(Some((frame, total)))
 }

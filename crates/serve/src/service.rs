@@ -814,7 +814,12 @@ fn execute(inner: &Inner, job: Job, batched: bool) {
             return;
         }
     }
-    let outcome = stencil_obs::with_job(job.id, || run_job(inner, &job));
+    // the job's grid goes to the run by value: a sharded job stitches
+    // its result back into it
+    let extents = job.domain.extents();
+    let outcome = stencil_obs::with_job(job.id, || {
+        run_job(inner, &job.key, &job.plan, job.route, job.domain, job.steps)
+    });
     let latency = inner.cfg.clock.now().saturating_sub(job.submitted);
     let latency_us = latency.as_micros() as u64;
     let epoch = job.plan.epoch();
@@ -840,7 +845,7 @@ fn execute(inner: &Inner, job: Job, batched: bool) {
     inner
         .stats
         .traffic
-        .record(&job.key, latency, epoch, timeline, || job.domain.extents());
+        .record(&job.key, latency, epoch, timeline, || extents);
     match outcome {
         Ok((output, _)) => {
             let shards = job.route.shards();
@@ -908,24 +913,36 @@ fn ooc_store_path(key: &str, g: &Grid3D, steps: usize) -> std::path::PathBuf {
     p
 }
 
-fn run_job(inner: &Inner, job: &Job) -> Result<(JobDomain, ExecIo), ServeError> {
-    let (plan, steps) = (&job.plan, job.steps);
+fn run_job(
+    inner: &Inner,
+    key: &str,
+    plan: &Arc<Plan>,
+    route: JobRoute,
+    domain: JobDomain,
+    steps: usize,
+) -> Result<(JobDomain, ExecIo), ServeError> {
     let resident = ExecIo::default();
     if stencil_faults::should_fire(stencil_faults::Failpoint::WorkerPanic) {
         panic!("injected failpoint: worker_panic");
     }
-    Ok(match (job.route, &job.domain) {
-        (JobRoute::Resident, JobDomain::D1(g)) => (JobDomain::D1(plan.run_1d(g, steps)?), resident),
-        (JobRoute::Resident, JobDomain::D2(g)) => (JobDomain::D2(plan.run_2d(g, steps)?), resident),
-        (JobRoute::Resident, JobDomain::D3(g)) => (JobDomain::D3(plan.run_3d(g, steps)?), resident),
+    Ok(match (route, domain) {
+        (JobRoute::Resident, JobDomain::D1(g)) => {
+            (JobDomain::D1(plan.run_1d(&g, steps)?), resident)
+        }
+        (JobRoute::Resident, JobDomain::D2(g)) => {
+            (JobDomain::D2(plan.run_2d(&g, steps)?), resident)
+        }
+        (JobRoute::Resident, JobDomain::D3(g)) => {
+            (JobDomain::D3(plan.run_3d(&g, steps)?), resident)
+        }
         (JobRoute::Sharded(n), JobDomain::D2(g)) => {
-            let lanes = inner.registry.lane_plans(&job.key, plan, n)?;
-            let out = shard::run_sharded_2d(&lanes, g, steps, n)?;
+            let lanes = inner.registry.lane_plans(key, plan, n)?;
+            let out = shard::run_sharded_2d_owned(&lanes, g, steps, n)?;
             (JobDomain::D2(out), resident)
         }
         (JobRoute::Sharded(n), JobDomain::D3(g)) => {
-            let lanes = inner.registry.lane_plans(&job.key, plan, n)?;
-            let out = shard::run_sharded_3d(&lanes, g, steps, n)?;
+            let lanes = inner.registry.lane_plans(key, plan, n)?;
+            let out = shard::run_sharded_3d_owned(&lanes, g, steps, n)?;
             (JobDomain::D3(out), resident)
         }
         (JobRoute::Streamed, JobDomain::D3(g)) => {
@@ -939,9 +956,9 @@ fn run_job(inner: &Inner, job: &Job) -> Result<(JobDomain, ExecIo), ServeError> 
             // store behind, and a resubmission of the same job recovers
             // it and resumes from the committed round instead of
             // starting over
-            let path = ooc_store_path(&job.key, g, steps);
+            let path = ooc_store_path(key, &g, steps);
             let (out, report) =
-                stencil_ooc::run_streaming_grid_resumable(plan, g, steps, cfg, &path)?;
+                stencil_ooc::run_streaming_grid_resumable(plan, &g, steps, cfg, &path)?;
             inner.stats.ooc_jobs.fetch_add(1, Ordering::Relaxed);
             inner.stats.record_ooc(&report.stats);
             let io = ExecIo {

@@ -12,6 +12,14 @@
 //! decides when sharding pays, per-slab single-thread lane plans, and
 //! the scatter/stitch executors.
 //!
+//! One body (`run_slabs`) runs the slabs of a 2D or a 3D grid; the
+//! entries differ only in where the interiors are stitched. The service
+//! owns its job's grid and calls the `_owned` entries: the fan-out copies
+//! every slab out of the grid (slabs read it concurrently), and only
+//! then are the advanced interiors stitched back into that same grid —
+//! no second grid is allocated. The borrowed entries stitch into a fresh
+//! zeroed grid and leave the input alone.
+//!
 //! Each slab runs on its own single-thread [`Plan`] (same pattern,
 //! method, tiling, width and z-ring geometry as the source plan) so
 //! the slabs really execute concurrently — a shared pool would
@@ -76,12 +84,134 @@ pub fn lane_plans(plan: &Plan, lanes: usize) -> Result<Vec<Plan>, PlanError> {
     (0..lanes.max(1)).map(|_| lane.compile()).collect()
 }
 
-/// Per-slab outcome: the interior `[lo, hi)`, the slab origin, and the
-/// slab's advanced grid.
-type SlabResult<G> = Option<Result<(usize, usize, usize, G), PlanError>>;
+/// What the one shard body needs of a grid it cuts along its outermost
+/// axis.
+trait Sharded: Sized + Send + Sync {
+    /// The extents, outermost first.
+    fn extents(&self) -> Vec<usize>;
+    /// A zeroed grid of `outer` layers of this one's shape.
+    fn zeroed(&self, outer: usize) -> Self;
+    /// Copy `n` outer layers of `src`, from its layer `from`, to this
+    /// grid's layer `to` on.
+    fn copy_layers(&mut self, src: &Self, from: usize, to: usize, n: usize);
+    /// Advance `slab`, whose first layer is global layer `origin`, by
+    /// `t` steps of `lane`.
+    fn run(lane: &Plan, slab: Self, t: usize, origin: usize) -> Result<Self, PlanError>;
+}
+
+impl Sharded for Grid2D {
+    fn extents(&self) -> Vec<usize> {
+        vec![self.ny(), self.nx()]
+    }
+    fn zeroed(&self, outer: usize) -> Self {
+        Grid2D::zeros(outer, self.nx())
+    }
+    fn copy_layers(&mut self, src: &Self, from: usize, to: usize, n: usize) {
+        for i in 0..n {
+            self.row_mut(to + i).copy_from_slice(src.row(from + i));
+        }
+    }
+    fn run(lane: &Plan, slab: Self, t: usize, origin: usize) -> Result<Self, PlanError> {
+        lane.run_2d_at(&slab, t, origin)
+    }
+}
+
+impl Sharded for Grid3D {
+    fn extents(&self) -> Vec<usize> {
+        vec![self.nz(), self.ny(), self.nx()]
+    }
+    fn zeroed(&self, outer: usize) -> Self {
+        Grid3D::zeros(outer, self.ny(), self.nx())
+    }
+    fn copy_layers(&mut self, src: &Self, from: usize, to: usize, n: usize) {
+        for i in 0..n {
+            for y in 0..self.ny() {
+                self.row_mut(to + i, y)
+                    .copy_from_slice(src.row(from + i, y));
+            }
+        }
+    }
+    fn run(lane: &Plan, slab: Self, t: usize, origin: usize) -> Result<Self, PlanError> {
+        // the slab is one surface of the pair the lane sweeps (the other
+        // needs no contents)
+        let scratch = slab.zeroed(slab.nz());
+        let mut pair = PingPong::from_pair(slab, scratch);
+        lane.run_3d_pair_at(&mut pair, t, origin)
+            .map(|()| pair.into_current())
+    }
+}
+
+/// An advanced slab: its interior `[lo, hi)`, its first layer's global
+/// index, and its grid.
+struct Slab<G> {
+    lo: usize,
+    hi: usize,
+    origin: usize,
+    grid: G,
+}
+
+/// The one shard body: run `t` steps of the lanes' plan on `grid` as
+/// parallel halo slabs along its outer axis. The slabs are copied out of
+/// `grid` inside the fan-out, so once this returns nothing reads `grid`
+/// any more and the caller may stitch into it.
+fn run_slabs<G: Sharded>(
+    lanes: &[Plan],
+    grid: &G,
+    t: usize,
+    shards: usize,
+) -> Result<Vec<Slab<G>>, PlanError> {
+    assert!(!lanes.is_empty(), "need at least one lane plan");
+    let extents = grid.extents();
+    let outer = extents[0];
+    let shards = shards.clamp(1, lanes.len());
+    let (halo, min_span) = shard_geometry(&lanes[0], t, outer, &extents[1..]);
+    let r_eff = lanes[0].effective_radius();
+    let shards = effective_shards(outer, shards, halo, r_eff, min_span);
+    let ranges = interior_ranges(outer, shards);
+    let mut slots: Vec<Option<Result<Slab<G>, PlanError>>> =
+        (0..ranges.len()).map(|_| None).collect();
+    let run_slab = |lo: usize, hi: usize, lane: &Plan| {
+        let (slab_lo, slab_hi) = slab_bounds(lo, hi, outer, halo, r_eff);
+        let mut slab = grid.zeroed(slab_hi - slab_lo);
+        slab.copy_layers(grid, slab_lo, 0, slab_hi - slab_lo);
+        // the slab's global origin anchors tessellate tile phase
+        G::run(lane, slab, t, slab_lo).map(|grid| Slab {
+            lo,
+            hi,
+            origin: slab_lo,
+            grid,
+        })
+    };
+    let _fanout = stencil_obs::span(stencil_obs::SpanId::ShardFanout);
+    std::thread::scope(|scope| {
+        let mut work = slots.iter_mut().zip(&ranges).zip(lanes);
+        // the coordinator runs the last slab itself instead of idling
+        // at the scope barrier: one fewer spawn, no oversubscription
+        let inline = work.next_back();
+        for ((slot, &(lo, hi)), lane) in work {
+            let run_slab = &run_slab;
+            scope.spawn(move || *slot = Some(run_slab(lo, hi, lane)));
+        }
+        if let Some(((slot, &(lo, hi)), lane)) = inline {
+            *slot = Some(run_slab(lo, hi, lane));
+        }
+    });
+    slots
+        .into_iter()
+        .map(|slot| slot.expect("every slab thread writes its slot"))
+        .collect()
+}
+
+/// Stitch every slab's interior into `out`.
+fn stitch<G: Sharded>(out: &mut G, slabs: Vec<Slab<G>>) {
+    let _join = stencil_obs::span(stencil_obs::SpanId::ShardJoin);
+    for s in slabs {
+        out.copy_layers(&s.grid, s.lo - s.origin, s.lo, s.hi - s.lo);
+    }
+}
 
 /// Run `t` steps of `plan` on `grid` as parallel halo slabs and stitch
-/// the result — bit-identical to `plan.run_2d(grid, t)`.
+/// the result into a new grid — bit-identical to `plan.run_2d(grid, t)`.
 ///
 /// `lanes` supplies one single-thread plan per concurrent slab (see
 /// [`lane_plans`]); the number of slabs executed is
@@ -95,49 +225,24 @@ pub fn run_sharded_2d(
     t: usize,
     shards: usize,
 ) -> Result<Grid2D, PlanError> {
-    assert!(!lanes.is_empty(), "need at least one lane plan");
-    let ny = grid.ny();
-    let shards = shards.clamp(1, lanes.len());
-    let (halo, min_span) = shard_geometry(&lanes[0], t, ny, &[grid.nx()]);
-    let r_eff = lanes[0].effective_radius();
-    let shards = effective_shards(ny, shards, halo, r_eff, min_span);
-    let ranges = interior_ranges(ny, shards);
-    let mut out = Grid2D::zeros(ny, grid.nx());
-    let mut slots: Vec<SlabResult<Grid2D>> = (0..ranges.len()).map(|_| None).collect();
-    let run_slab = |lo: usize, hi: usize, lane: &Plan| {
-        let (slab_lo, slab_hi) = slab_bounds(lo, hi, ny, halo, r_eff);
-        let mut slab = Grid2D::zeros(slab_hi - slab_lo, grid.nx());
-        for y in 0..slab_hi - slab_lo {
-            slab.row_mut(y).copy_from_slice(grid.row(slab_lo + y));
-        }
-        // the slab's global origin anchors tessellate tile phase
-        lane.run_2d_at(&slab, t, slab_lo)
-            .map(|done| (lo, hi, slab_lo, done))
-    };
-    {
-        let _fanout = stencil_obs::span(stencil_obs::SpanId::ShardFanout);
-        std::thread::scope(|scope| {
-            let mut work = slots.iter_mut().zip(&ranges).zip(lanes);
-            // the coordinator runs the last slab itself instead of idling
-            // at the scope barrier: one fewer spawn, no oversubscription
-            let inline = work.next_back();
-            for ((slot, &(lo, hi)), lane) in work {
-                let run_slab = &run_slab;
-                scope.spawn(move || *slot = Some(run_slab(lo, hi, lane)));
-            }
-            if let Some(((slot, &(lo, hi)), lane)) = inline {
-                *slot = Some(run_slab(lo, hi, lane));
-            }
-        });
-    }
-    let _join = stencil_obs::span(stencil_obs::SpanId::ShardJoin);
-    for slot in slots {
-        let (lo, hi, slab_lo, done) = slot.expect("every slab thread writes its slot")?;
-        for y in lo..hi {
-            out.row_mut(y).copy_from_slice(done.row(y - slab_lo));
-        }
-    }
+    let slabs = run_slabs(lanes, grid, t, shards)?;
+    let mut out = Grid2D::zeros(grid.ny(), grid.nx());
+    stitch(&mut out, slabs);
     Ok(out)
+}
+
+/// [`run_sharded_2d`] on a grid the caller gives up: the slabs are
+/// stitched back into it once the fan-out has copied them out, so no
+/// output grid is allocated.
+pub fn run_sharded_2d_owned(
+    lanes: &[Plan],
+    mut grid: Grid2D,
+    t: usize,
+    shards: usize,
+) -> Result<Grid2D, PlanError> {
+    let slabs = run_slabs(lanes, &grid, t, shards)?;
+    stitch(&mut grid, slabs);
+    Ok(grid)
 }
 
 /// 3D counterpart of [`run_sharded_2d`]: slabs along `z`, bit-identical
@@ -148,57 +253,23 @@ pub fn run_sharded_3d(
     t: usize,
     shards: usize,
 ) -> Result<Grid3D, PlanError> {
-    assert!(!lanes.is_empty(), "need at least one lane plan");
-    let nz = grid.nz();
-    let shards = shards.clamp(1, lanes.len());
-    let (halo, min_span) = shard_geometry(&lanes[0], t, nz, &[grid.ny(), grid.nx()]);
-    let r_eff = lanes[0].effective_radius();
-    // same degradation ladder as run_sharded_2d
-    let shards = effective_shards(nz, shards, halo, r_eff, min_span);
-    let ranges = interior_ranges(nz, shards);
-    let mut out = Grid3D::zeros(nz, grid.ny(), grid.nx());
-    let mut slots: Vec<SlabResult<Grid3D>> = (0..ranges.len()).map(|_| None).collect();
-    let run_slab = |lo: usize, hi: usize, lane: &Plan| {
-        let (slab_lo, slab_hi) = slab_bounds(lo, hi, nz, halo, r_eff);
-        let mut slab = Grid3D::zeros(slab_hi - slab_lo, grid.ny(), grid.nx());
-        for z in 0..slab_hi - slab_lo {
-            for y in 0..grid.ny() {
-                slab.row_mut(z, y).copy_from_slice(grid.row(slab_lo + z, y));
-            }
-        }
-        // the slab is one surface of the pair the lane sweeps (the other
-        // needs no contents); its global origin anchors tessellate tile
-        // phase
-        let scratch = Grid3D::zeros(slab_hi - slab_lo, grid.ny(), grid.nx());
-        let mut pair = PingPong::from_pair(slab, scratch);
-        lane.run_3d_pair_at(&mut pair, t, slab_lo)
-            .map(|()| (lo, hi, slab_lo, pair.into_current()))
-    };
-    {
-        let _fanout = stencil_obs::span(stencil_obs::SpanId::ShardFanout);
-        std::thread::scope(|scope| {
-            let mut work = slots.iter_mut().zip(&ranges).zip(lanes);
-            // coordinator runs the last slab inline (see run_sharded_2d)
-            let inline = work.next_back();
-            for ((slot, &(lo, hi)), lane) in work {
-                let run_slab = &run_slab;
-                scope.spawn(move || *slot = Some(run_slab(lo, hi, lane)));
-            }
-            if let Some(((slot, &(lo, hi)), lane)) = inline {
-                *slot = Some(run_slab(lo, hi, lane));
-            }
-        });
-    }
-    let _join = stencil_obs::span(stencil_obs::SpanId::ShardJoin);
-    for slot in slots {
-        let (lo, hi, slab_lo, done) = slot.expect("every slab thread writes its slot")?;
-        for z in lo..hi {
-            for y in 0..grid.ny() {
-                out.row_mut(z, y).copy_from_slice(done.row(z - slab_lo, y));
-            }
-        }
-    }
+    let slabs = run_slabs(lanes, grid, t, shards)?;
+    let mut out = Grid3D::zeros(grid.nz(), grid.ny(), grid.nx());
+    stitch(&mut out, slabs);
     Ok(out)
+}
+
+/// [`run_sharded_3d`] stitched back into the grid the caller gives up
+/// (see [`run_sharded_2d_owned`]).
+pub fn run_sharded_3d_owned(
+    lanes: &[Plan],
+    mut grid: Grid3D,
+    t: usize,
+    shards: usize,
+) -> Result<Grid3D, PlanError> {
+    let slabs = run_slabs(lanes, &grid, t, shards)?;
+    stitch(&mut grid, slabs);
+    Ok(grid)
 }
 
 #[cfg(test)]
@@ -212,6 +283,23 @@ mod tests {
 
     fn bits3d(g: &Grid3D) -> Vec<u64> {
         g.to_dense().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Both 2D entries, held to each other: the owned one stitches into
+    /// the grid it is given, the borrowed one into a new grid.
+    fn sharded_2d(lanes: &[Plan], g: &Grid2D, t: usize, shards: usize) -> Grid2D {
+        let borrowed = run_sharded_2d(lanes, g, t, shards).unwrap();
+        let owned = run_sharded_2d_owned(lanes, g.clone(), t, shards).unwrap();
+        assert_eq!(bits2d(&borrowed), bits2d(&owned), "owned vs borrowed");
+        owned
+    }
+
+    /// [`sharded_2d`] in 3D.
+    fn sharded_3d(lanes: &[Plan], g: &Grid3D, t: usize, shards: usize) -> Grid3D {
+        let borrowed = run_sharded_3d(lanes, g, t, shards).unwrap();
+        let owned = run_sharded_3d_owned(lanes, g.clone(), t, shards).unwrap();
+        assert_eq!(bits3d(&borrowed), bits3d(&owned), "owned vs borrowed");
+        owned
     }
 
     #[test]
@@ -255,7 +343,7 @@ mod tests {
             let want = plan.run_2d(&g, t).unwrap();
             let lanes = lane_plans(&plan, 3).unwrap();
             for shards in [1, 2, 3] {
-                let got = run_sharded_2d(&lanes, &g, t, shards).unwrap();
+                let got = sharded_2d(&lanes, &g, t, shards);
                 assert_eq!(
                     bits2d(&want),
                     bits2d(&got),
@@ -285,7 +373,7 @@ mod tests {
             assert!(shardable(&plan), "{method:?}/{tiling:?}");
             let want = plan.run_3d(&g, 4).unwrap();
             let lanes = lane_plans(&plan, 2).unwrap();
-            let got = run_sharded_3d(&lanes, &g, 4, 2).unwrap();
+            let got = sharded_3d(&lanes, &g, 4, 2);
             assert_eq!(bits3d(&want), bits3d(&got), "{method:?}/{tiling:?}");
         }
     }
@@ -324,7 +412,7 @@ mod tests {
             let want = plan.run_2d(&g, t).unwrap();
             let lanes = lane_plans(&plan, 4).unwrap();
             for shards in [1usize, 2, 3, 4] {
-                let got = run_sharded_2d(&lanes, &g, t, shards).unwrap();
+                let got = sharded_2d(&lanes, &g, t, shards);
                 assert_eq!(bits2d(&want), bits2d(&got), "{method:?} shards={shards}");
             }
         }
@@ -349,7 +437,7 @@ mod tests {
             let want = plan.run_3d(&g, t).unwrap();
             let lanes = lane_plans(&plan, 3).unwrap();
             for shards in [2usize, 3] {
-                let got = run_sharded_3d(&lanes, &g, t, shards).unwrap();
+                let got = sharded_3d(&lanes, &g, t, shards);
                 assert_eq!(bits3d(&want), bits3d(&got), "shards={shards} t={t}");
             }
         }
@@ -380,7 +468,7 @@ mod tests {
             let want = plan.run_2d(&g, t).unwrap();
             let lanes = lane_plans(&plan, 3).unwrap();
             for shards in [2usize, 3] {
-                let got = run_sharded_2d(&lanes, &g, t, shards).unwrap();
+                let got = sharded_2d(&lanes, &g, t, shards);
                 assert_eq!(bits2d(&want), bits2d(&got), "{method:?} shards={shards}");
             }
         }
@@ -408,7 +496,7 @@ mod tests {
         let want = plan.run_3d(&g, t).unwrap();
         let lanes = lane_plans(&plan, 3).unwrap();
         for shards in [2usize, 3] {
-            let got = run_sharded_3d(&lanes, &g, t, shards).unwrap();
+            let got = sharded_3d(&lanes, &g, t, shards);
             assert_eq!(bits3d(&want), bits3d(&got), "shards={shards}");
         }
     }
@@ -426,7 +514,7 @@ mod tests {
             .unwrap();
         let want = plan.run_3d(&g, 6).unwrap();
         let lanes = lane_plans(&plan, 4).unwrap();
-        let got = run_sharded_3d(&lanes, &g, 6, 4).unwrap();
+        let got = sharded_3d(&lanes, &g, 6, 4);
         assert_eq!(bits3d(&want), bits3d(&got));
     }
 
@@ -456,7 +544,7 @@ mod tests {
                 .unwrap();
             let want = plan.run_3d(&g, 4).unwrap();
             let lanes = lane_plans(&plan, workers).unwrap();
-            let got = run_sharded_3d(&lanes, &g, 4, workers).unwrap();
+            let got = sharded_3d(&lanes, &g, 4, workers);
             assert_eq!(bits3d(&want), bits3d(&got), "{method:?}/{tiling:?}");
         }
     }

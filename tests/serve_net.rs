@@ -8,11 +8,16 @@
 //!   process; multi-round jobs stream progress and match an
 //!   identically chunked reference.
 //! * **wire properties** — framing round-trips arbitrary payload bits,
-//!   and arbitrary byte garbage decodes to typed errors, never panics.
+//!   and arbitrary byte garbage decodes to typed errors, never panics;
+//!   over a live socket, payloads survive one-byte server reads and
+//!   results many partial client reads bit for bit (NaN payloads and
+//!   signed zeros included), and a payload that disagrees with its
+//!   extents or its own frame length gets the typed error.
 //! * **fault injection** — full queues and exhausted quotas answer
 //!   typed `rejected` frames with a backoff hint, disconnects mid-job
 //!   release the tenant's quota, half-open connections are reaped by
-//!   the idle timeout, and shutdown leaks no pool threads.
+//!   the idle timeout, a peer that stops reading its results is dropped
+//!   at the unsent-backlog cap, and shutdown leaks no pool threads.
 
 use std::time::{Duration, Instant};
 
@@ -740,4 +745,207 @@ fn shutdown_releases_pool_threads() {
         "server shutdown must release every plan's pool handle (count={})",
         pool.strong_count()
     );
+}
+
+/// Write one frame to a raw socket.
+fn write_frame(stream: &mut std::net::TcpStream, frame: &wire::Frame) {
+    let mut buf = Vec::new();
+    wire::encode(frame, &mut buf);
+    std::io::Write::write_all(stream, &buf).unwrap();
+}
+
+/// The next server message on a raw socket, or `None` once it closed.
+fn next_msg(stream: &mut std::net::TcpStream, buf: &mut Vec<u8>) -> Option<wire::ServerMsg> {
+    loop {
+        if let Some((frame, used)) = wire::decode(buf, wire::DEFAULT_MAX_FRAME).unwrap() {
+            buf.drain(..used);
+            let wire::Frame::Header(doc) = frame else {
+                panic!("expected a header frame")
+            };
+            return Some(wire::ServerMsg::from_json(&doc).unwrap());
+        }
+        let mut chunk = [0u8; 4096];
+        let n = std::io::Read::read(stream, &mut chunk).unwrap();
+        if n == 0 {
+            return None;
+        }
+        buf.extend_from_slice(&chunk[..n]);
+    }
+}
+
+/// Bits only a bit-exact path keeps, at `i` of every 13 cells.
+fn awkward(i: usize, v: f64) -> f64 {
+    match i % 13 {
+        0 => -0.0,
+        1 => 0.0,
+        2 => f64::from_bits(0x7ff8_0000_dead_beef), // NaN with payload bits
+        3 => f64::from_bits(0xfff0_0000_0000_0001), // signalling NaN, sign set
+        4 => f64::from_bits(1),                     // smallest subnormal
+        _ => v,
+    }
+}
+
+#[test]
+fn payloads_survive_one_byte_server_reads_and_many_partial_client_reads_bit_for_bit() {
+    use stencil_lab::faults::{self, Failpoint};
+    struct Disarm;
+    impl Drop for Disarm {
+        fn drop(&mut self) {
+            faults::disarm(Failpoint::NetShortRead);
+            faults::set_enabled(false);
+        }
+    }
+    let server = start_server(small_cfg(), NetConfig::default());
+    let mut client = NetClient::connect(server.addr(), "bits").unwrap();
+
+    // the server reads one byte per syscall: the submit's payload is
+    // reassembled in its read buffer and decoded from there into the
+    // job's grid. Fragmenting reads never changes bytes, so other tests
+    // of this binary sharing the armed failpoint only run slower
+    let grid = Grid2D::from_fn(24, 40, |y, x| awkward(y * 40 + x, (y * x % 7) as f64));
+    let disarm = Disarm;
+    faults::arm_probability(Failpoint::NetShortRead, 1.0, 7);
+    faults::set_enabled(true);
+    let out = client
+        .run(
+            submit_header("heat2d", kernels::heat2d(), &[24, 40], 3),
+            &grid.to_dense(),
+        )
+        .unwrap();
+    assert!(faults::fired(Failpoint::NetShortRead) > 0);
+    drop(disarm);
+    let spec = JobSpec::new(kernels::heat2d(), JobDomain::D2(grid.clone()), 3);
+    let (plan, _) = server.service().plan_for(&spec).unwrap();
+    let want = plan.run_2d(&grid, 3).unwrap().to_dense();
+    assert_eq!(bits(&out.data), bits(&want));
+    // the Dirichlet band is copied through: the special bits come back
+    assert_eq!(out.data[0].to_bits(), (-0.0f64).to_bits());
+    assert_eq!(out.data[2].to_bits(), 0x7ff8_0000_dead_beef);
+
+    // a 512 KiB result: the client decodes it across many partial reads
+    let big = Grid3D::from_fn(40, 40, 40, |z, y, x| {
+        awkward(
+            (z * 40 + y) * 40 + x,
+            ((z + 2 * y + 3 * x) % 11) as f64 * 0.5,
+        )
+    });
+    let out = client
+        .run(
+            submit_header("heat3d", kernels::heat3d(), &[40, 40, 40], 2),
+            &big.to_dense(),
+        )
+        .unwrap();
+    let spec = JobSpec::new(kernels::heat3d(), JobDomain::D3(big.clone()), 2);
+    let (plan, _) = server.service().plan_for(&spec).unwrap();
+    assert_eq!(
+        bits(&out.data),
+        bits(&plan.run_3d(&big, 2).unwrap().to_dense())
+    );
+    client.bye().unwrap();
+    server.shutdown();
+}
+
+#[test]
+fn a_payload_that_disagrees_with_its_extents_or_a_misframed_one_gets_the_typed_error() {
+    let server = start_server(small_cfg(), NetConfig::default());
+    // too few values for the extents: a job error, checked before any
+    // grid is allocated; the connection keeps serving
+    let mut client = NetClient::connect(server.addr(), "t").unwrap();
+    let err = client
+        .submit(
+            submit_header("heat2d", kernels::heat2d(), &[8, 8], 1),
+            &[0.5; 63],
+        )
+        .unwrap_err();
+    assert!(
+        matches!(&err, NetError::Remote(m)
+            if m == "payload carries 63 f64s for a [8, 8] domain (64 points)"),
+        "{err:?}"
+    );
+    assert_eq!(client.health().unwrap().0, "ok");
+    client.bye().unwrap();
+
+    // a payload frame whose length is bad: a protocol error, then close
+    for (frame, want) in [
+        (
+            &[0u8, 0, 0, 4, wire::KIND_PAYLOAD, 1, 2, 3][..],
+            "payload frame body of 3 bytes is not a whole number of f64s",
+        ),
+        (&[0, 0, 0, 0][..], "zero-length frame"),
+    ] {
+        let mut raw = std::net::TcpStream::connect(server.addr()).unwrap();
+        let mut buf = Vec::new();
+        write_frame(
+            &mut raw,
+            &wire::Frame::Header(wire::ClientMsg::Hello { tenant: "t".into() }.to_json()),
+        );
+        assert!(matches!(
+            next_msg(&mut raw, &mut buf),
+            Some(wire::ServerMsg::HelloOk { .. })
+        ));
+        let mut h = submit_header("heat2d", kernels::heat2d(), &[8, 8], 1);
+        h.id = 1;
+        write_frame(
+            &mut raw,
+            &wire::Frame::Header(wire::ClientMsg::Submit(h).to_json()),
+        );
+        std::io::Write::write_all(&mut raw, frame).unwrap();
+        match next_msg(&mut raw, &mut buf) {
+            Some(wire::ServerMsg::Error { message }) => assert_eq!(message, want),
+            other => panic!("expected a protocol error, got {other:?}"),
+        }
+        assert!(next_msg(&mut raw, &mut buf).is_none(), "closed after it");
+    }
+    server.shutdown();
+}
+
+#[test]
+fn a_peer_that_stops_reading_large_results_is_dropped_at_the_backlog_cap() {
+    // 1 MiB frames, so 2 MiB of unsent results is the cap; 24 results of
+    // 1 MiB for a peer that never reads overflow what the sockets hold
+    // (a few MiB) by far. The peer keeps its socket open and the idle
+    // timeout is out of reach, so only the cap can drop it
+    let server = start_server(
+        ServeConfig {
+            queue_capacity: 32,
+            ..small_cfg()
+        },
+        NetConfig {
+            max_frame: 1 << 20,
+            tenant_quota: 32,
+            idle_timeout: Duration::from_secs(600),
+            ..NetConfig::default()
+        },
+    );
+    let mut raw = std::net::TcpStream::connect(server.addr()).unwrap();
+    assert!(wait_until(Duration::from_secs(10), || server.connections() == 1));
+    let grid = Grid2D::from_fn(360, 360, |y, x| ((y + x) % 9) as f64);
+    let mut burst = Vec::new();
+    wire::encode(
+        &wire::Frame::Header(
+            wire::ClientMsg::Hello {
+                tenant: "mute".into(),
+            }
+            .to_json(),
+        ),
+        &mut burst,
+    );
+    for id in 1..=24u64 {
+        let mut h = submit_header("heat2d", kernels::heat2d(), &[360, 360], 1);
+        h.id = id;
+        wire::encode(
+            &wire::Frame::Header(wire::ClientMsg::Submit(h).to_json()),
+            &mut burst,
+        );
+        wire::encode(&wire::Frame::Payload(grid.to_dense()), &mut burst);
+    }
+    // the server may drop the peer before it has read every submit
+    let _ = std::io::Write::write_all(&mut raw, &burst);
+    assert!(
+        wait_until(Duration::from_secs(60), || server.connections() == 0),
+        "a peer past the unsent backlog cap must be dropped"
+    );
+    assert!(server.service().stats().jobs_submitted >= 2);
+    drop(raw);
+    server.shutdown();
 }
