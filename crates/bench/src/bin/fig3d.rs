@@ -37,7 +37,9 @@ fn ring_blockfree(
     reps: usize,
 ) -> f64 {
     let (_, d) = measure::best_of(reps, || {
-        folded3d::sweep_3d_ring_with::<NativeF64x4>(k, ring, g, p, t)
+        let mut pp = PingPong::new(g.clone());
+        folded3d::sweep_3d_ring::<NativeF64x4>(k, ring, &mut pp, p, t);
+        pp.into_current()
     });
     rate(g, p, t, d)
 }

@@ -16,6 +16,8 @@ use stencil_simd::{NativeF64x4, NativeF64x8, SimdF64};
 
 /// Why a route constructor may assume its combination has a route.
 const VALIDATED: &str = "PlanConfig::validate accepted the resolved configuration";
+/// Why a sweep may assume the route of its dimensionality.
+const CHECKED: &str = "Plan::check accepted the domain's dimensionality";
 
 /// The kernel a route steps with. `R` is the register-pipeline state of
 /// the plan's dimensionality: nothing in 1D (the squares kernel needs
@@ -214,8 +216,9 @@ enum Route {
 /// * a shared [`PoolHandle`] whose worker threads outlive the plan's
 ///   runs — clone the handle into several plans to amortize one pool.
 ///
-/// `run_1d`/`run_2d`/`run_3d` (or the dimension-generic [`Plan::run`])
-/// can be invoked any number of times; the only errors they can return
+/// `run_1d`/`run_2d`/`run_3d` (or the dimension-generic [`Plan::run`]),
+/// and [`Plan::run_pair_at`] on a pair the caller owns, can be invoked
+/// any number of times; the only errors they can return
 /// concern the grid itself — [`PlanError::DimensionMismatch`], plus
 /// [`PlanError::MisalignedDomain`]/[`PlanError::DomainTooSmall`] for
 /// DLT-layout plans, whose lifted rows constrain the innermost extent.
@@ -406,7 +409,9 @@ impl Plan {
 
     /// Run `t` time steps on any supported domain ([`Grid1D`],
     /// [`Grid2D`], [`Grid3D`]); dimension-generic front end of
-    /// `run_1d`/`run_2d`/`run_3d`.
+    /// `run_1d`/`run_2d`/`run_3d`: the grid is cloned into a fresh pair
+    /// and the latest level returned ([`Plan::run_pair_at`] sweeps a
+    /// pair the caller owns instead).
     ///
     /// Errors: [`PlanError::DimensionMismatch`] when the domain's
     /// dimensionality differs from the pattern's, and
@@ -414,7 +419,10 @@ impl Plan {
     /// when a DLT-layout plan is given a grid whose innermost extent is
     /// not a lane multiple or shorter than the lifted radius.
     pub fn run<D: Domain>(&self, domain: &D, t: usize) -> Result<D, PlanError> {
-        self.run_at(domain, t, 0)
+        self.check(domain)?;
+        let mut pp = PingPong::new(domain.clone());
+        D::sweep(self, &mut pp, t, 0);
+        Ok(pp.into_current())
     }
 
     /// Run `t` time steps on a 1D grid.
@@ -432,62 +440,49 @@ impl Plan {
         self.run(grid, t)
     }
 
-    /// [`Plan::run_2d`] over a local window of a larger domain whose
-    /// outer (y) axis starts at global coordinate `origin_y`: tessellate
-    /// tile phase is derived from global coordinates, so windows of one
-    /// domain agree on every tile they share — the contract bit-exact
-    /// domain sharding (the serving layer) relies on. For non-tessellate
-    /// tilings the origin changes nothing. Same errors as [`Plan::run`].
-    pub fn run_2d_at(&self, grid: &Grid2D, t: usize, origin_y: usize) -> Result<Grid2D, PlanError> {
-        self.run_at(grid, t, origin_y)
-    }
-
-    /// [`Plan::run_3d`] over a local window whose outer (z) axis starts
-    /// at global coordinate `origin_z` (see [`Plan::run_2d_at`]).
-    pub fn run_3d_at(&self, grid: &Grid3D, t: usize, origin_z: usize) -> Result<Grid3D, PlanError> {
-        self.run_at(grid, t, origin_z)
-    }
-
-    /// [`Plan::run_3d_at`] in place on a caller-owned pair: `pp.current()`
-    /// is the window going in and the advanced window coming out, and no
-    /// grid is allocated. The scratch surface may hold anything — another
-    /// window's data in a recycled buffer, say: the run establishes the
-    /// current surface's Dirichlet band on it ([`Plan::effective_radius`]
-    /// cells per axis) and writes every other cell before reading it.
-    /// Bit-identical to `run_3d_at(pp.current(), t, origin_z)`; same
-    /// errors, and on an error the pair is untouched.
+    /// Run `t` time steps in place on a caller-owned pair of any
+    /// dimensionality: `pp.current()` is the grid going in and the
+    /// advanced grid coming out, and no grid is allocated. The scratch
+    /// surface may hold anything — another window's data in a recycled
+    /// buffer, say: the run establishes the current surface's Dirichlet
+    /// band on it ([`Plan::effective_radius`] cells per axis) and writes
+    /// every other cell before reading it.
+    ///
+    /// `origin` is the global coordinate of the grid's outer axis (`y` in
+    /// 2D, `z` in 3D) when it is a local window of a larger domain:
+    /// tessellate tile phase is derived from global coordinates, so
+    /// windows of one domain agree on every tile they share — the contract
+    /// bit-exact sharding and out-of-core streaming rely on. Other tilings,
+    /// and 1D grids, ignore it.
+    ///
+    /// Bit-identical to [`Plan::run`] at `origin` 0; same errors, and on
+    /// an error the pair is untouched.
     ///
     /// # Panics
     /// If the two surfaces differ in shape.
-    pub fn run_3d_pair_at(
+    pub fn run_pair_at<D: Domain>(
         &self,
-        pp: &mut PingPong<Grid3D>,
+        pp: &mut PingPong<D>,
         t: usize,
-        origin_z: usize,
+        origin: usize,
     ) -> Result<(), PlanError> {
-        match self.config.width {
-            Width::W1 => self.exec_3d_pair::<f64>(pp, t, origin_z),
-            Width::W4 => self.exec_3d_pair::<NativeF64x4>(pp, t, origin_z),
-            Width::W8 => self.exec_3d_pair::<NativeF64x8>(pp, t, origin_z),
-        }
+        self.check(pp.current())?;
+        // all a sweep asks of the scratch surface (see `sweep_3d`)
+        let (cur, scratch) = pp.both_mut();
+        scratch.copy_band_from(cur, self.effective_radius());
+        D::sweep(self, pp, t, origin);
+        Ok(())
     }
 
-    /// The one path behind every run entry point: pick the vector type
-    /// of the compiled width, then let the domain's `exec_*` validate
-    /// the grid against the route and run it.
-    fn run_at<D: Domain>(&self, domain: &D, t: usize, origin: usize) -> Result<D, PlanError> {
-        match self.config.width {
-            Width::W1 => D::exec::<f64>(self, domain, t, origin),
-            Width::W4 => D::exec::<NativeF64x4>(self, domain, t, origin),
-            Width::W8 => D::exec::<NativeF64x8>(self, domain, t, origin),
+    /// The errors a run can return, decided before it touches a grid.
+    fn check<D: Domain>(&self, domain: &D) -> Result<(), PlanError> {
+        if D::DIMS != self.dims() {
+            return Err(PlanError::DimensionMismatch {
+                pattern_dims: self.dims(),
+                domain_dims: D::DIMS,
+            });
         }
-    }
-
-    fn dimension_mismatch(&self, domain_dims: usize) -> PlanError {
-        PlanError::DimensionMismatch {
-            pattern_dims: self.dims(),
-            domain_dims,
-        }
+        self.check_layout(domain.inner_extent())
     }
 
     /// The DLT layout (block-free 1D and the SDSL split-tiling hybrid)
@@ -527,29 +522,29 @@ impl Plan {
         std::iter::once((body, &self.folded, t / m)).chain(tail)
     }
 
-    fn exec_1d<V: SimdF64>(&self, grid: &Grid1D, t: usize) -> Result<Grid1D, PlanError> {
+    /// Advance `pp` by `t` steps along the 1D route. Routes that leave
+    /// the grid's layout (the transpose layout, DLT, split tiling) change
+    /// it on the pair's own surfaces and put the result back into it.
+    fn sweep_1d<V: SimdF64>(&self, pp: &mut PingPong<Grid1D>, t: usize) {
         let Route::D1(route) = &self.route else {
-            return Err(self.dimension_mismatch(Grid1D::DIMS));
+            unreachable!("{CHECKED}")
         };
-        self.check_layout(grid.len())?;
         let p = &self.pattern;
-        Ok(match route {
-            Route1::BlockFree(sweep) => match sweep {
-                Sweep1::Scalar => ping_pong(grid, |pp| scalar::sweep_1d(pp, p, t)),
-                Sweep1::MultipleLoads => ping_pong(grid, |pp| multiload::sweep_1d::<V>(pp, p, t)),
-                Sweep1::DataReorg => ping_pong(grid, |pp| reorg::sweep_1d::<V>(pp, p, t)),
-                Sweep1::Dlt => dlt::sweep_1d::<V>(grid, p, t),
-                Sweep1::Register => {
-                    xlayout::sweep_folded_1d_with::<V>(grid, p.weights(), &self.folded, self.m(), t)
-                }
-            },
+        match route {
+            Route1::BlockFree(Sweep1::Scalar) => scalar::sweep_1d(pp, p, t),
+            Route1::BlockFree(Sweep1::MultipleLoads) => multiload::sweep_1d::<V>(pp, p, t),
+            Route1::BlockFree(Sweep1::DataReorg) => reorg::sweep_1d::<V>(pp, p, t),
+            Route1::BlockFree(Sweep1::Dlt) => dlt::sweep_1d::<V>(pp, p, t),
+            Route1::BlockFree(Sweep1::Register) => {
+                xlayout::sweep_1d::<V>(pp, p, &self.folded, self.m(), t)
+            }
             // Body and leftover steps go through the same tessellated
             // range kernel — threaded, same frozen-boundary discipline.
             Route1::Tessellate {
                 time_block,
                 body,
                 tail,
-            } => ping_pong(grid, |pp| {
+            } => {
                 for (kernel, q, steps) in self.legs(body, tail, t) {
                     let (r, taps) = (q.radius(), q.weights());
                     tessellate::run_1d(
@@ -563,34 +558,25 @@ impl Plan {
                         &|s: &[f64], d: &mut [f64], lo, hi| kernel.step::<V>(taps, s, d, lo, hi),
                     );
                 }
-            }),
-            Route1::Split { time_block } => {
-                split::sweep_1d::<V>(&self.pool, grid, p, *time_block, t)
             }
-        })
+            Route1::Split { time_block } => split::sweep_1d::<V>(&self.pool, pp, p, *time_block, t),
+        }
     }
 
-    fn exec_2d<V: SimdF64>(
-        &self,
-        grid: &Grid2D,
-        t: usize,
-        origin_y: usize,
-    ) -> Result<Grid2D, PlanError> {
+    /// Advance `pp` by `t` steps along the 2D route (see `sweep_3d`).
+    fn sweep_2d<V: SimdF64>(&self, pp: &mut PingPong<Grid2D>, t: usize, origin_y: usize) {
         let Route::D2(route) = &self.route else {
-            return Err(self.dimension_mismatch(Grid2D::DIMS));
+            unreachable!("{CHECKED}")
         };
-        self.check_layout(grid.nx())?;
         let p = &self.pattern;
-        Ok(match route {
-            RouteN::BlockFree(Kernel::Scalar) => ping_pong(grid, |pp| scalar::sweep_2d(pp, p, t)),
-            RouteN::BlockFree(Kernel::Vector) => {
-                ping_pong(grid, |pp| multiload::sweep_2d::<V>(pp, p, t))
-            }
+        match route {
+            RouteN::BlockFree(Kernel::Scalar) => scalar::sweep_2d(pp, p, t),
+            RouteN::BlockFree(Kernel::Vector) => multiload::sweep_2d::<V>(pp, p, t),
             RouteN::BlockFree(Kernel::Register(k)) => {
                 let _span = ring_span();
-                folded::sweep_2d_with::<V>(k, grid, p, t)
+                folded::sweep_2d::<V>(k, pp, p, t)
             }
-            RouteN::Tiled { driver, body, tail } => ping_pong(grid, |pp| {
+            RouteN::Tiled { driver, body, tail } => {
                 for (kernel, q, steps) in self.legs(body, tail, t) {
                     let _span = matches!(kernel, Kernel::Register(_)).then(ring_span);
                     let r = q.radius();
@@ -598,7 +584,7 @@ impl Plan {
                         |s: &Grid2D, d: &mut Grid2D, ys, xs| kernel.step::<V>(q, s, d, ys, xs);
                     match *driver {
                         Driver::Tessellate { time_block } => {
-                            let w = tile_width(&[grid.nx()], r, time_block);
+                            let w = tile_width(&[pp.current().nx()], r, time_block);
                             tessellate::run_2d_at(
                                 &self.pool, pp, r, r, w, time_block, steps, origin_y, &step,
                             )
@@ -608,63 +594,20 @@ impl Plan {
                         }
                     }
                 }
-            }),
-            RouteN::Split { time_block } => {
-                split::sweep_2d::<V>(&self.pool, grid, p, *time_block, t)
             }
-        })
+            RouteN::Split { time_block } => split::sweep_2d::<V>(&self.pool, pp, p, *time_block, t),
+        }
     }
 
-    /// The 3D route, once `nx` passes the layout check.
-    fn route_3d(&self, nx: usize) -> Result<&RouteN<(FoldedKernel, Ring3)>, PlanError> {
+    /// Advance `pp` by `t` steps along the 3D route. Both surfaces must
+    /// carry the Dirichlet band of `effective_radius()` cells per axis —
+    /// the tiled and register sweeps never write it — and every route
+    /// writes an interior cell of the scratch surface before reading it,
+    /// so that is all the scratch surface needs to hold.
+    fn sweep_3d<V: SimdF64>(&self, pp: &mut PingPong<Grid3D>, t: usize, origin_z: usize) {
         let Route::D3(route) = &self.route else {
-            return Err(self.dimension_mismatch(Grid3D::DIMS));
+            unreachable!("{CHECKED}")
         };
-        self.check_layout(nx)?;
-        Ok(route)
-    }
-
-    fn exec_3d<V: SimdF64>(
-        &self,
-        grid: &Grid3D,
-        t: usize,
-        origin_z: usize,
-    ) -> Result<Grid3D, PlanError> {
-        Ok(match self.route_3d(grid.nx())? {
-            // split tiling lifts the grid into its own DLT pair
-            RouteN::Split { time_block } => {
-                split::sweep_3d::<V>(&self.pool, grid, &self.pattern, *time_block, t)
-            }
-            route => ping_pong(grid, |pp| self.sweep_3d::<V>(route, pp, t, origin_z)),
-        })
-    }
-
-    fn exec_3d_pair<V: SimdF64>(
-        &self,
-        pp: &mut PingPong<Grid3D>,
-        t: usize,
-        origin_z: usize,
-    ) -> Result<(), PlanError> {
-        let route = self.route_3d(pp.current().nx())?;
-        // all a sweep asks of the scratch surface (see `sweep_3d`)
-        let (cur, scratch) = pp.both_mut();
-        scratch.copy_band_from(cur, self.effective_radius());
-        self.sweep_3d::<V>(route, pp, t, origin_z);
-        Ok(())
-    }
-
-    /// Advance `pp` by `t` steps along `route`. Both surfaces must carry
-    /// the Dirichlet band of `effective_radius()` cells per axis — the
-    /// tiled and register sweeps never write it — and every route writes
-    /// an interior cell of the scratch surface before reading it, so that
-    /// is all the scratch surface needs to hold.
-    fn sweep_3d<V: SimdF64>(
-        &self,
-        route: &RouteN<(FoldedKernel, Ring3)>,
-        pp: &mut PingPong<Grid3D>,
-        t: usize,
-        origin_z: usize,
-    ) {
         let p = &self.pattern;
         match route {
             RouteN::BlockFree(Kernel::Scalar) => scalar::sweep_3d(pp, p, t),
@@ -694,13 +637,7 @@ impl Plan {
                     }
                 }
             }
-            // never streamed or sharded: the owned-grid sweep lands in
-            // the scratch surface
-            RouteN::Split { time_block } => {
-                let out = split::sweep_3d::<V>(&self.pool, pp.current(), p, *time_block, t);
-                *pp.src_dst().1 = out;
-                pp.swap();
-            }
+            RouteN::Split { time_block } => split::sweep_3d::<V>(&self.pool, pp, p, *time_block, t),
         }
     }
 }
@@ -711,14 +648,6 @@ fn ring_span() -> stencil_obs::SpanGuard {
     stencil_obs::span(stencil_obs::SpanId::RingSweep)
 }
 
-/// Advance a fresh ping-pong pair seeded with `grid` through `sweep` and
-/// return the latest level.
-fn ping_pong<G: Clone>(grid: &G, sweep: impl FnOnce(&mut PingPong<G>)) -> G {
-    let mut pp = PingPong::new(grid.clone());
-    sweep(&mut pp);
-    pp.into_current()
-}
-
 mod sealed {
     pub trait Sealed {}
     impl Sealed for stencil_grid::Grid1D {}
@@ -727,11 +656,13 @@ mod sealed {
 }
 
 /// A grid type a [`Plan`] can run on — implemented by [`Grid1D`],
-/// [`Grid2D`] and [`Grid3D`] (sealed). Enables dimension-generic code:
+/// [`Grid2D`] and [`Grid3D`] (sealed). Enables dimension-generic code,
+/// both through [`Plan::run`] and through [`Plan::run_pair_at`] on a
+/// [`PingPong`] pair of the domain:
 ///
 /// ```
 /// use stencil_core::{kernels, Domain, Plan, Solver};
-/// use stencil_grid::Grid2D;
+/// use stencil_grid::{Grid2D, PingPong};
 ///
 /// fn advance<D: Domain>(plan: &Plan, state: &D, t: usize) -> D {
 ///     plan.run(state, t).expect("dimensionality checked by caller")
@@ -741,59 +672,91 @@ mod sealed {
 /// let g = Grid2D::from_fn(32, 32, |y, x| (y + x) as f64);
 /// let out = advance(&plan, &g, 3);
 /// assert_eq!(out.to_dense().len(), 32 * 32);
+///
+/// // the same run on a pair the caller owns: no grid is allocated
+/// let mut pair = PingPong::from_pair(g, Grid2D::zeros(32, 32));
+/// plan.run_pair_at(&mut pair, 3, 0).unwrap();
+/// assert_eq!(pair.current(), &out);
 /// ```
 pub trait Domain: Clone + sealed::Sealed {
     /// Spatial dimensionality of this domain type.
     const DIMS: usize;
 
-    /// Validate `domain` against `plan` and run `t` steps at vector type
-    /// `V`; `origin` is the global coordinate of the window's outer axis
-    /// (see [`Plan::run_2d_at`]; 1D windows have none).
+    /// The innermost extent: the axis a DLT-layout plan lifts into lanes.
     #[doc(hidden)]
-    fn exec<V: SimdF64>(
-        plan: &Plan,
-        domain: &Self,
-        t: usize,
-        origin: usize,
-    ) -> Result<Self, PlanError>;
+    fn inner_extent(&self) -> usize;
+
+    /// Copy `src`'s Dirichlet band of `r` cells per axis into `self`.
+    #[doc(hidden)]
+    fn copy_band_from(&mut self, src: &Self, r: usize);
+
+    /// Advance `pp` by `t` steps of `plan`'s route at the vector type of
+    /// its compiled width; `origin` is the global coordinate of the
+    /// window's outer axis (see [`Plan::run_pair_at`]; 1D windows have
+    /// none). `plan` has accepted the domain. Not generic, so every
+    /// route's kernels are compiled once, in this crate, whichever crate
+    /// runs a plan.
+    #[doc(hidden)]
+    fn sweep(plan: &Plan, pp: &mut PingPong<Self>, t: usize, origin: usize);
 }
 
 impl Domain for Grid1D {
     const DIMS: usize = 1;
 
-    fn exec<V: SimdF64>(
-        plan: &Plan,
-        domain: &Self,
-        t: usize,
-        _origin: usize,
-    ) -> Result<Self, PlanError> {
-        plan.exec_1d::<V>(domain, t)
+    fn inner_extent(&self) -> usize {
+        self.len()
+    }
+
+    fn copy_band_from(&mut self, src: &Self, r: usize) {
+        Grid1D::copy_band_from(self, src, r)
+    }
+
+    fn sweep(plan: &Plan, pp: &mut PingPong<Self>, t: usize, _origin: usize) {
+        match plan.config.width {
+            Width::W1 => plan.sweep_1d::<f64>(pp, t),
+            Width::W4 => plan.sweep_1d::<NativeF64x4>(pp, t),
+            Width::W8 => plan.sweep_1d::<NativeF64x8>(pp, t),
+        }
     }
 }
 
 impl Domain for Grid2D {
     const DIMS: usize = 2;
 
-    fn exec<V: SimdF64>(
-        plan: &Plan,
-        domain: &Self,
-        t: usize,
-        origin: usize,
-    ) -> Result<Self, PlanError> {
-        plan.exec_2d::<V>(domain, t, origin)
+    fn inner_extent(&self) -> usize {
+        self.nx()
+    }
+
+    fn copy_band_from(&mut self, src: &Self, r: usize) {
+        Grid2D::copy_band_from(self, src, r)
+    }
+
+    fn sweep(plan: &Plan, pp: &mut PingPong<Self>, t: usize, origin: usize) {
+        match plan.config.width {
+            Width::W1 => plan.sweep_2d::<f64>(pp, t, origin),
+            Width::W4 => plan.sweep_2d::<NativeF64x4>(pp, t, origin),
+            Width::W8 => plan.sweep_2d::<NativeF64x8>(pp, t, origin),
+        }
     }
 }
 
 impl Domain for Grid3D {
     const DIMS: usize = 3;
 
-    fn exec<V: SimdF64>(
-        plan: &Plan,
-        domain: &Self,
-        t: usize,
-        origin: usize,
-    ) -> Result<Self, PlanError> {
-        plan.exec_3d::<V>(domain, t, origin)
+    fn inner_extent(&self) -> usize {
+        self.nx()
+    }
+
+    fn copy_band_from(&mut self, src: &Self, r: usize) {
+        Grid3D::copy_band_from(self, src, r)
+    }
+
+    fn sweep(plan: &Plan, pp: &mut PingPong<Self>, t: usize, origin: usize) {
+        match plan.config.width {
+            Width::W1 => plan.sweep_3d::<f64>(pp, t, origin),
+            Width::W4 => plan.sweep_3d::<NativeF64x4>(pp, t, origin),
+            Width::W8 => plan.sweep_3d::<NativeF64x8>(pp, t, origin),
+        }
     }
 }
 

@@ -21,7 +21,7 @@
 
 use crate::pattern::Pattern;
 use stencil_grid::layout::DltLayout;
-use stencil_grid::{AlignedBuf, Grid1D, PingPong};
+use stencil_grid::{Grid1D, PingPong};
 use stencil_simd::SimdF64;
 
 /// Vector of DLT column `q`, for `q` in `[-cols, 2*cols)`: in-range
@@ -113,86 +113,43 @@ fn step_dlt_range_t<V: SimdF64, const T: usize>(
     }
 }
 
-/// Driver owning the DLT-transformed ping-pong buffers.
-pub struct DltSweep1D<V: SimdF64> {
-    layout: DltLayout,
-    bufs: PingPong<AlignedBuf>,
-    taps: Vec<f64>,
-    _marker: core::marker::PhantomData<V>,
+/// DLT block-free sweep of a pair: the current surface is lifted onto
+/// the scratch one (the global transpose the paper counts as part of
+/// DLT's cost, out of place), `t` steps run on the pair in DLT space, and
+/// the result is transposed back onto the other surface. A step writes
+/// every cell, so the scratch surface may hold anything. The length must
+/// be a multiple of `V::LANES` whose lifted row covers the radius.
+pub fn sweep_1d<V: SimdF64>(pp: &mut PingPong<Grid1D>, p: &Pattern, t: usize) {
+    let layout = DltLayout::new(pp.current().len(), V::LANES);
+    let cols = layout.cols();
+    assert!(p.radius() <= cols, "radius exceeds lifted row");
+    relayout(pp, |s, d| {
+        layout.to_dlt::<V>(s.as_slice(), d.as_mut_slice())
+    });
+    for _ in 0..t {
+        let (src, dst) = pp.src_dst();
+        step_dlt_range::<V>(
+            src.as_slice(),
+            dst.as_mut_slice(),
+            p.weights(),
+            cols,
+            0,
+            cols,
+        );
+        pp.swap();
+    }
+    relayout(pp, |s, d| {
+        layout.from_dlt::<V>(s.as_slice(), d.as_mut_slice())
+    });
 }
 
-impl<V: SimdF64> DltSweep1D<V> {
-    /// Transform `grid` into DLT layout (counted by the paper as part of
-    /// DLT's cost). `grid.len()` must be a multiple of `V::LANES`.
-    pub fn new(grid: &Grid1D, p: &Pattern) -> Self {
-        assert_eq!(p.dims(), 1);
-        let n = grid.len();
-        assert_eq!(n % V::LANES, 0, "DLT needs n divisible by vl");
-        assert!(p.radius() <= n / V::LANES, "radius exceeds lifted row");
-        let layout = DltLayout::new(n, V::LANES);
-        let mut a = AlignedBuf::zeroed(n);
-        layout.to_dlt::<V>(grid.as_slice(), a.as_mut_slice());
-        let b = a.clone();
-        Self {
-            layout,
-            bufs: PingPong::from_pair(a, b),
-            taps: p.weights().to_vec(),
-            _marker: core::marker::PhantomData,
-        }
-    }
-
-    /// Advance `t` time steps in DLT space.
-    pub fn steps(&mut self, t: usize) {
-        let cols = self.layout.cols();
-        for _ in 0..t {
-            let (src, dst) = self.bufs.src_dst();
-            step_dlt_range::<V>(
-                src.as_slice(),
-                dst.as_mut_slice(),
-                &self.taps,
-                cols,
-                0,
-                cols,
-            );
-            self.bufs.swap();
-        }
-    }
-
-    /// Completed time steps.
-    pub fn steps_done(&self) -> usize {
-        self.bufs.steps()
-    }
-
-    /// Transform back to the original layout.
-    pub fn into_grid(self) -> Grid1D {
-        let mut out = Grid1D::zeros(self.layout.cols() * V::LANES);
-        self.layout
-            .from_dlt::<V>(self.bufs.current().as_slice(), out.as_mut_slice());
-        out
-    }
-
-    /// Shared access to the DLT-space ping-pong pair (used by the split
-    /// tiling layer).
-    pub fn bufs_mut(&mut self) -> &mut PingPong<AlignedBuf> {
-        &mut self.bufs
-    }
-
-    /// The layout descriptor.
-    pub fn layout(&self) -> DltLayout {
-        self.layout
-    }
-
-    /// The stencil taps.
-    pub fn taps(&self) -> &[f64] {
-        &self.taps
-    }
-}
-
-/// Convenience: full DLT sweep (transform, `t` steps, transform back).
-pub fn sweep_1d<V: SimdF64>(grid: &Grid1D, p: &Pattern, t: usize) -> Grid1D {
-    let mut d = DltSweep1D::<V>::new(grid, p);
-    d.steps(t);
-    d.into_grid()
+/// Move `pp`'s current surface to another layout: `convert(current,
+/// scratch)` writes every cell of the scratch surface, which becomes the
+/// current one — a change of layout, not a time level, so no step counts.
+pub(crate) fn relayout<G>(pp: &mut PingPong<G>, convert: impl FnOnce(&G, &mut G)) {
+    let (src, dst) = pp.src_dst();
+    convert(src, dst);
+    pp.swap_folded(0);
 }
 
 #[cfg(test)]
@@ -203,6 +160,13 @@ mod tests {
     use stencil_grid::max_abs_diff;
     use stencil_simd::{NativeF64x4, NativeF64x8};
 
+    /// [`sweep_1d`] on a fresh pair seeded with `g`.
+    fn sweep<V: SimdF64>(g: &Grid1D, p: &Pattern, t: usize) -> Grid1D {
+        let mut pp = PingPong::new(g.clone());
+        sweep_1d::<V>(&mut pp, p, t);
+        pp.into_current()
+    }
+
     #[test]
     fn matches_scalar_1d() {
         for p in [kernels::heat1d(), kernels::d1p5()] {
@@ -210,13 +174,13 @@ mod tests {
                 let g = Grid1D::from_fn(n, |i| ((i * 41) % 23) as f64 * 0.5);
                 let mut a = PingPong::new(g.clone());
                 scalar::sweep_1d(&mut a, &p, 6);
-                let out4 = sweep_1d::<NativeF64x4>(&g, &p, 6);
+                let out4 = sweep::<NativeF64x4>(&g, &p, 6);
                 assert!(
                     max_abs_diff(a.current().as_slice(), out4.as_slice()) < 1e-12,
                     "x4 n={n} p={}pt",
                     p.points()
                 );
-                let out8 = sweep_1d::<NativeF64x8>(&g, &p, 6);
+                let out8 = sweep::<NativeF64x8>(&g, &p, 6);
                 assert!(
                     max_abs_diff(a.current().as_slice(), out8.as_slice()) < 1e-12,
                     "x8 n={n}"
@@ -233,7 +197,7 @@ mod tests {
         let cols = n / 4;
         let p = kernels::heat1d();
         let g = Grid1D::from_fn(n, |i| if i == cols - 1 { 1.0 } else { 0.0 });
-        let out = sweep_1d::<NativeF64x4>(&g, &p, 1);
+        let out = sweep::<NativeF64x4>(&g, &p, 1);
         assert!(out[cols] > 0.0, "impulse must cross the seam");
         let mut a = PingPong::new(g);
         scalar::sweep_1d(&mut a, &p, 1);
@@ -242,20 +206,18 @@ mod tests {
 
     #[test]
     fn ring_range_steps_cover_once() {
-        // stepping [0, cols) in two wrapped halves equals one full step
+        // one step round the ring from column 5, wrapping past `cols`,
+        // equals a full step
         let n = 96;
         let p = kernels::heat1d();
         let g = Grid1D::from_fn(n, |i| (i as f64 * 0.17).cos());
-        let mut d = DltSweep1D::<NativeF64x4>::new(&g, &p);
-        let cols = d.layout().cols();
-        {
-            let taps: Vec<f64> = d.taps().to_vec();
-            let (src, dst) = d.bufs_mut().src_dst();
-            let (s, dm) = (src.as_slice().to_vec(), dst.as_mut_slice());
-            step_dlt_range::<NativeF64x4>(&s, dm, &taps, cols, 5, cols + 5);
-            d.bufs_mut().swap();
-        }
-        let out = d.into_grid();
+        let layout = DltLayout::new(n, 4);
+        let cols = layout.cols();
+        let (mut lifted, mut stepped, mut out) = (g.clone(), g.clone(), g.clone());
+        layout.to_dlt::<NativeF64x4>(g.as_slice(), lifted.as_mut_slice());
+        let (s, d) = (lifted.as_slice(), stepped.as_mut_slice());
+        step_dlt_range::<NativeF64x4>(s, d, p.weights(), cols, 5, cols + 5);
+        layout.from_dlt::<NativeF64x4>(stepped.as_slice(), out.as_mut_slice());
         let mut a = PingPong::new(g);
         scalar::sweep_1d(&mut a, &p, 1);
         assert!(max_abs_diff(a.current().as_slice(), out.as_slice()) < 1e-12);

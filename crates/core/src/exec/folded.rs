@@ -6,7 +6,7 @@
 //! block of grid points is folded vertically, transposed in registers,
 //! folded horizontally and transposed back by the one pane kernel of
 //! [`crate::exec::folded3d`]; a 2D grid is its one-plane case, entered
-//! through [`step_range_2d`], [`step_2d`] and [`sweep_2d_with`].
+//! through [`step_range_2d`], [`step_2d`] and [`sweep_2d`].
 //!
 //! The 1D variant ([`step_squares_range_1d`]) degenerates to: transpose
 //! square, horizontal fold with assembled block-edge vectors, transpose
@@ -17,6 +17,7 @@
 // windows (ext[j + k]) where iterator rewrites obscure the paper's
 // notation and codegen alike
 
+use crate::exec::all_band;
 use crate::exec::folded3d::{self, step_ring_r, Ring3, Sched, View};
 use crate::pattern::Pattern;
 use crate::plan::FoldPlan;
@@ -281,36 +282,25 @@ pub fn step_range_2d<V: SimdF64>(
 pub fn step_2d<V: SimdF64>(k: &FoldedKernel, src: &Grid2D, dst: &mut Grid2D) {
     let (ny, nx) = (src.ny(), src.nx());
     let rr = k.plan.radius;
-    let has_interior = ny > 2 * rr && nx > 2 * rr;
-    for y in 0..ny {
-        if !has_interior || y < rr || y >= ny - rr {
-            dst.row_mut(y).copy_from_slice(src.row(y));
-        } else {
-            let srow = src.row(y);
-            let drow = dst.row_mut(y);
-            drow[..rr].copy_from_slice(&srow[..rr]);
-            drow[nx - rr..].copy_from_slice(&srow[nx - rr..]);
-        }
-    }
-    if has_interior {
+    dst.copy_band_from(src, rr);
+    if !all_band(&[ny, nx], rr) {
         step_range_2d::<V>(k, src, dst, rr..ny - rr, rr..nx - rr);
     }
 }
 
-/// Block-free "Our (m steps)" 2D sweep with the planned kernel supplied
-/// by the caller — the compile-once/run-many entry point: a plan builds
-/// the [`FoldedKernel`] once and reuses it across every run. `t % m`
+/// Block-free "Our (m steps)" 2D sweep of a pair with the planned kernel
+/// supplied by the caller (a plan builds the [`FoldedKernel`] once and
+/// reuses it across every run) — the one-plane twin of
+/// [`folded3d::sweep_3d_ring`]. The scratch surface must carry the
+/// current surface's Dirichlet band of `k.radius()` cells per axis — no
+/// folded step writes it — and may hold anything inside it. `t % m`
 /// leftovers run unfolded through the multiple-loads kernel.
-pub fn sweep_2d_with<V: SimdF64>(k: &FoldedKernel, grid: &Grid2D, p: &Pattern, t: usize) -> Grid2D {
+pub fn sweep_2d<V: SimdF64>(k: &FoldedKernel, pp: &mut PingPong<Grid2D>, p: &Pattern, t: usize) {
     let m = k.m();
     let rr = k.plan.radius;
-    let (ny, nx) = (grid.ny(), grid.nx());
-    let has_interior = ny > 2 * rr && nx > 2 * rr;
-    // both surfaces start as clones of `grid`, so the Dirichlet band is
-    // in place on each and no folded step ever writes it: the range
-    // kernel runs on the interior directly (no interior: every step is
-    // the identity)
-    let mut pp = PingPong::new(grid.clone());
+    let (ny, nx) = (pp.current().ny(), pp.current().nx());
+    // no interior: the surfaces are all band, every step is the identity
+    let has_interior = !all_band(&[ny, nx], rr);
     for _ in 0..t / m {
         if has_interior {
             let (src, dst) = pp.src_dst();
@@ -323,7 +313,6 @@ pub fn sweep_2d_with<V: SimdF64>(k: &FoldedKernel, grid: &Grid2D, p: &Pattern, t
         crate::exec::multiload::step_2d::<V>(src, dst, p);
         pp.swap();
     }
-    pp.into_current()
 }
 
 #[cfg(test)]
@@ -343,6 +332,13 @@ mod tests {
             step_1d::<V>(src.as_slice(), dst.as_mut_slice(), taps);
             pp.swap();
         }
+        pp.into_current()
+    }
+
+    /// [`sweep_2d`] on a fresh pair seeded with `g`.
+    fn sweep<V: SimdF64>(k: &FoldedKernel, g: &Grid2D, p: &Pattern, t: usize) -> Grid2D {
+        let mut pp = PingPong::new(g.clone());
+        sweep_2d::<V>(k, &mut pp, p, t);
         pp.into_current()
     }
 
@@ -387,7 +383,7 @@ mod tests {
             let g = Grid2D::from_fn(23, 29, |y, x| ((y * 13 + x * 7) % 19) as f64);
             let mut a = PingPong::new(g.clone());
             scalar::sweep_2d(&mut a, &p, 3);
-            let out = sweep_2d_with::<NativeF64x4>(&FoldedKernel::new(&p, 1), &g, &p, 3);
+            let out = sweep::<NativeF64x4>(&FoldedKernel::new(&p, 1), &g, &p, 3);
             assert!(
                 max_abs_diff(&a.current().to_dense(), &out.to_dense()) < 1e-12,
                 "pts={}",
@@ -401,7 +397,7 @@ mod tests {
         for p in [kernels::heat2d(), kernels::box2d9p(), kernels::gb()] {
             let g = Grid2D::from_fn(26, 33, |y, x| ((y * 31 + x * 3) % 23) as f64 * 0.5);
             let want = scalar_folded_2d(&g, &p, 2, 3);
-            let out = sweep_2d_with::<NativeF64x4>(&FoldedKernel::new(&p, 2), &g, &p, 6);
+            let out = sweep::<NativeF64x4>(&FoldedKernel::new(&p, 2), &g, &p, 6);
             assert!(
                 max_abs_diff(&want.to_dense(), &out.to_dense()) < 1e-10,
                 "pts={}",
@@ -428,7 +424,7 @@ mod tests {
         let p = kernels::heat2d();
         let g = Grid2D::from_fn(33, 41, |y, x| ((y * 5 + x * 11) % 29) as f64);
         let want = scalar_folded_2d(&g, &p, 2, 2);
-        let out = sweep_2d_with::<NativeF64x8>(&FoldedKernel::new(&p, 2), &g, &p, 4);
+        let out = sweep::<NativeF64x8>(&FoldedKernel::new(&p, 2), &g, &p, 4);
         assert!(max_abs_diff(&want.to_dense(), &out.to_dense()) < 1e-10);
     }
 
@@ -439,7 +435,7 @@ mod tests {
         // t=5 with m=2: 2 folded + 1 plain; compare interior to 5 scalar
         let mut a = PingPong::new(g.clone());
         scalar::sweep_2d(&mut a, &p, 5);
-        let out = sweep_2d_with::<NativeF64x4>(&FoldedKernel::new(&p, 2), &g, &p, 5);
+        let out = sweep::<NativeF64x4>(&FoldedKernel::new(&p, 2), &g, &p, 5);
         let ad = a.current().to_dense();
         let od = out.to_dense();
         let nx = 20;

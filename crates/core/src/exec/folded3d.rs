@@ -676,23 +676,10 @@ pub fn step_3d_ring<V: SimdF64>(k: &FoldedKernel, ring: Ring3, src: &Grid3D, dst
     }
 }
 
-/// Block-free "Our (m steps)" 3D sweep through the z-ring pipeline, with
-/// the planned kernel supplied by the caller (the compile-once/run-many
-/// entry point, cf. [`crate::exec::folded::sweep_2d_with`]): two clones
-/// of `grid`, then [`sweep_3d_ring`].
-pub fn sweep_3d_ring_with<V: SimdF64>(
-    k: &FoldedKernel,
-    ring: Ring3,
-    grid: &Grid3D,
-    p: &Pattern,
-    t: usize,
-) -> Grid3D {
-    let mut pp = PingPong::new(grid.clone());
-    sweep_3d_ring::<V>(k, ring, &mut pp, p, t);
-    pp.into_current()
-}
-
-/// [`sweep_3d_ring_with`] on a caller-owned pair. The scratch surface
+/// Block-free "Our (m steps)" 3D sweep of a pair through the z-ring
+/// pipeline, with the planned kernel supplied by the caller (a plan
+/// builds the [`FoldedKernel`] once and reuses it across every run) —
+/// the 3D twin of [`crate::exec::folded::sweep_2d`]. The scratch surface
 /// must carry the current surface's Dirichlet band of `k.radius()` cells
 /// per axis (a clone does; so does [`Grid3D::copy_band_from`]) — no
 /// folded step writes it — and may hold anything inside it. Leftover
@@ -728,7 +715,7 @@ pub fn sweep_3d_ring<V: SimdF64>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::folded::{step_range_2d, sweep_2d_with, MAX_F};
+    use crate::exec::folded::{step_range_2d, sweep_2d, MAX_F};
     use crate::exec::scalar;
     use crate::folding::fold;
     use crate::kernels;
@@ -746,6 +733,26 @@ mod tests {
         let f = fold(p, m);
         let mut pp = PingPong::new(g.clone());
         scalar::sweep_2d(&mut pp, &f, steps);
+        pp.into_current()
+    }
+
+    /// [`sweep_3d_ring`] on a fresh pair seeded with `g`.
+    fn ring_sweep<V: SimdF64>(
+        k: &FoldedKernel,
+        ring: Ring3,
+        g: &Grid3D,
+        p: &Pattern,
+        t: usize,
+    ) -> Grid3D {
+        let mut pp = PingPong::new(g.clone());
+        sweep_3d_ring::<V>(k, ring, &mut pp, p, t);
+        pp.into_current()
+    }
+
+    /// [`sweep_2d`] on a fresh pair seeded with `g`.
+    fn plane_sweep<V: SimdF64>(k: &FoldedKernel, g: &Grid2D, p: &Pattern, t: usize) -> Grid2D {
+        let mut pp = PingPong::new(g.clone());
+        sweep_2d::<V>(k, &mut pp, p, t);
         pp.into_current()
     }
 
@@ -780,7 +787,7 @@ mod tests {
                 let want = scalar_folded_3d(&g, p, m, 1).to_dense();
                 for slab in [1usize, 2, 4] {
                     let ring = Ring3 { depth: 2, slab };
-                    let got = sweep_3d_ring_with::<V>(&k, ring, &g, p, m);
+                    let got = ring_sweep::<V>(&k, ring, &g, p, m);
                     assert!(
                         max_abs_diff(&want, &got.to_dense()) < 1e-10,
                         "pts={} m={m} vl={vl} rx={rx} ry={ry} slab={slab}",
@@ -802,7 +809,7 @@ mod tests {
                 for blocks in [2, 2 * MAX_RING_SLAB + 1] {
                     let g = plane_with_interior(rr, vl + ry, blocks * vl + rx);
                     let want = scalar_folded_2d(&g, p, m, 1).to_dense();
-                    let got = sweep_2d_with::<V>(&k, &g, p, m);
+                    let got = plane_sweep::<V>(&k, &g, p, m);
                     assert!(
                         max_abs_diff(&want, &got.to_dense()) < 1e-10,
                         "pts={} m={m} vl={vl} rx={rx} ry={ry} blocks={blocks}",
@@ -832,7 +839,7 @@ mod tests {
                 let g = Grid3D::from_fn(18, 15, 22, |z, y, x| ((z * 3 + y * 7 + x) % 13) as f64);
                 let want = scalar_folded_3d(&g, &p, m, 2);
                 let ring = Ring3::auto(4, k.radius());
-                let got = sweep_3d_ring_with::<NativeF64x4>(&k, ring, &g, &p, 2 * m);
+                let got = ring_sweep::<NativeF64x4>(&k, ring, &g, &p, 2 * m);
                 assert!(
                     max_abs_diff(&want.to_dense(), &got.to_dense()) < 1e-10,
                     "m={m} pts={}",
@@ -869,7 +876,7 @@ mod tests {
                 slab: 32,
             },
         ] {
-            let got = sweep_3d_ring_with::<NativeF64x4>(&k, ring, &g, &p, 6);
+            let got = ring_sweep::<NativeF64x4>(&k, ring, &g, &p, 6);
             assert!(
                 max_abs_diff(&want.to_dense(), &got.to_dense()) < 1e-10,
                 "{ring:?}"
@@ -984,7 +991,7 @@ mod tests {
         let k = FoldedKernel::new(p, m);
         let rr = k.radius();
         let ring = Ring3::auto(vl, rr);
-        let out = sweep_3d_ring_with::<V>(&k, ring, g, p, m);
+        let out = ring_sweep::<V>(&k, ring, g, p, m);
         let mut dst = out.clone();
         for i in 0..6 {
             let (z0, y0, x0) = (rr + i, rr + i, rr + 3 * i);
@@ -999,7 +1006,7 @@ mod tests {
         let vl = V::LANES;
         let k = FoldedKernel::new(p, m);
         let rr = k.radius();
-        let out = sweep_2d_with::<V>(&k, g, p, m);
+        let out = plane_sweep::<V>(&k, g, p, m);
         let mut dst = out.clone();
         for i in 0..6 {
             let (y0, x0) = (rr + i, rr + 3 * i);
@@ -1107,9 +1114,9 @@ mod tests {
             let g = Grid3D::from_fn(26, 24, 28, |z, y, x| ((z * 7 + y + x * 5) % 19) as f64);
             let want = scalar_folded_3d(&g, &p, m, 2);
             let got = if w8 {
-                sweep_3d_ring_with::<NativeF64x8>(&k, Ring3::auto(8, k.radius()), &g, &p, 2 * m)
+                ring_sweep::<NativeF64x8>(&k, Ring3::auto(8, k.radius()), &g, &p, 2 * m)
             } else {
-                sweep_3d_ring_with::<NativeF64x4>(&k, Ring3::auto(4, k.radius()), &g, &p, 2 * m)
+                ring_sweep::<NativeF64x4>(&k, Ring3::auto(4, k.radius()), &g, &p, 2 * m)
             };
             assert!(
                 max_abs_diff(&want.to_dense(), &got.to_dense()) < 1e-10,

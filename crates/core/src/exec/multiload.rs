@@ -129,18 +129,8 @@ pub fn step_range_2d<V: SimdF64>(
 /// Full 2D step with Dirichlet boundaries.
 pub fn step_2d<V: SimdF64>(src: &Grid2D, dst: &mut Grid2D, p: &Pattern) {
     let (ny, nx, r) = (src.ny(), src.nx(), p.radius());
-    let no_interior = all_band(&[ny, nx], r);
-    for y in 0..ny {
-        if no_interior || y < r || y >= ny - r {
-            dst.row_mut(y).copy_from_slice(src.row(y));
-        } else {
-            let srow = src.row(y);
-            let drow = dst.row_mut(y);
-            drow[..r].copy_from_slice(&srow[..r]);
-            drow[nx - r..].copy_from_slice(&srow[nx - r..]);
-        }
-    }
-    if !no_interior {
+    dst.copy_band_from(src, r);
+    if !all_band(&[ny, nx], r) {
         step_range_2d::<V>(src, dst, p, r..ny - r, r..nx - r);
     }
 }

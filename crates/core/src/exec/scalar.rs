@@ -86,17 +86,7 @@ pub fn step_range_2d(
 pub fn step_2d(src: &Grid2D, dst: &mut Grid2D, p: &Pattern) {
     let (ny, nx, r) = (src.ny(), src.nx(), p.radius());
     assert!(ny >= 2 * r && nx >= 2 * r);
-    // boundary rows/cols keep previous values
-    for y in 0..ny {
-        if y < r || y >= ny - r {
-            dst.row_mut(y).copy_from_slice(src.row(y));
-        } else {
-            let srow = src.row(y);
-            let drow = dst.row_mut(y);
-            drow[..r].copy_from_slice(&srow[..r]);
-            drow[nx - r..].copy_from_slice(&srow[nx - r..]);
-        }
-    }
+    dst.copy_band_from(src, r);
     step_range_2d(src, dst, p, r..ny - r, r..nx - r);
 }
 

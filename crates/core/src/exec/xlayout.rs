@@ -93,10 +93,14 @@ fn step_x_t<V: SimdF64, const T: usize>(src: &[f64], dst: &mut [f64], taps: &[f6
     for i in 0..first_edge_end {
         scalar_cell(i, dst);
     }
-    if nblocks >= 2 {
-        for i in (nblocks - 1) * block..n {
-            scalar_cell(i, dst);
-        }
+    // the last block unless it is block 0, and the tail either way
+    let last_edge = if nblocks >= 2 {
+        (nblocks - 1) * block
+    } else {
+        first_edge_end
+    };
+    for i in last_edge..n {
+        scalar_cell(i, dst);
     }
 }
 
@@ -111,82 +115,37 @@ fn load_set<V: SimdF64>(src: &[f64], base: usize) -> [V; 8] {
     set
 }
 
-/// Driver owning transpose-layout ping-pong buffers.
-pub struct XLayoutSweep1D<V: SimdF64> {
-    bufs: PingPong<Grid1D>,
-    vl: usize,
-    _marker: core::marker::PhantomData<V>,
-}
-
-impl<V: SimdF64> XLayoutSweep1D<V> {
-    /// Transform `grid` into the transpose layout (performed "twice
-    /// before and after the stencil computation" — paper §2.2).
-    pub fn new(grid: &Grid1D) -> Self {
-        let lay = TransposeLayout::new(V::LANES);
-        let mut a = grid.clone();
-        lay.apply::<V>(a.as_mut_slice());
-        let b = a.clone();
-        Self {
-            bufs: PingPong::from_pair(a, b),
-            vl: V::LANES,
-            _marker: core::marker::PhantomData,
-        }
-    }
-
-    /// Advance `t` single steps with taps.
-    pub fn steps(&mut self, taps: &[f64], t: usize) {
-        for _ in 0..t {
-            let (src, dst) = self.bufs.src_dst();
-            step_x::<V>(src.as_slice(), dst.as_mut_slice(), taps);
-            self.bufs.swap();
-        }
-    }
-
-    /// Advance `t` folded steps (each advancing `m` time levels).
-    pub fn steps_folded(&mut self, taps: &[f64], t: usize, m: usize) {
-        for _ in 0..t {
-            let (src, dst) = self.bufs.src_dst();
-            step_x::<V>(src.as_slice(), dst.as_mut_slice(), taps);
-            self.bufs.swap_folded(m);
-        }
-    }
-
-    /// Undo the layout and return the latest grid.
-    pub fn into_grid(self) -> Grid1D {
-        let lay = TransposeLayout::new(self.vl);
-        let mut g = self.bufs.into_current();
-        lay.apply::<V>(g.as_mut_slice());
-        g
-    }
-}
-
-/// "Our" block-free sweep: transform, `t` steps, transform back.
-pub fn sweep_1d<V: SimdF64>(grid: &Grid1D, p: &Pattern, t: usize) -> Grid1D {
-    assert_eq!(p.dims(), 1);
-    let mut s = XLayoutSweep1D::<V>::new(grid);
-    s.steps(p.weights(), t);
-    s.into_grid()
-}
-
-/// "Our (m steps)" block-free sweep: temporal computation folding with
-/// unrolling factor `m` on the transpose layout, with the folded pattern
-/// Λ = `fold(p, m)` supplied by the caller — the compile-once/run-many
-/// entry point: a plan computes Λ once and reuses it across every run.
-/// `t % m` leftover steps run unfolded with `base_taps`.
-pub fn sweep_folded_1d_with<V: SimdF64>(
-    grid: &Grid1D,
-    base_taps: &[f64],
+/// "Our" / "Our (m steps)" block-free sweep of a pair: the transpose
+/// layout is applied in place on the current surface (once before and
+/// once after the stencil computation — paper §2.2), `t / m` steps of
+/// the folded pattern Λ = `folded` advance `m` levels each (temporal
+/// computation folding; `folded` is `p` when `m = 1`, and a plan
+/// computes it once for every run), the `t % m` leftovers run unfolded
+/// with `p`, and the layout is undone on the surface holding the result.
+/// [`step_x`] writes every cell, so the scratch surface may hold
+/// anything.
+pub fn sweep_1d<V: SimdF64>(
+    pp: &mut PingPong<Grid1D>,
+    p: &Pattern,
     folded: &Pattern,
     m: usize,
     t: usize,
-) -> Grid1D {
+) {
     assert!(m >= 1);
-    assert_eq!(folded.dims(), 1);
     assert!(folded.radius() <= V::LANES, "folded radius exceeds vl");
-    let mut s = XLayoutSweep1D::<V>::new(grid);
-    s.steps_folded(folded.weights(), t / m, m);
-    s.steps(base_taps, t % m);
-    s.into_grid()
+    let lay = TransposeLayout::new(V::LANES);
+    lay.apply::<V>(pp.both_mut().0.as_mut_slice());
+    for _ in 0..t / m {
+        let (src, dst) = pp.src_dst();
+        step_x::<V>(src.as_slice(), dst.as_mut_slice(), folded.weights());
+        pp.swap_folded(m);
+    }
+    for _ in 0..t % m {
+        let (src, dst) = pp.src_dst();
+        step_x::<V>(src.as_slice(), dst.as_mut_slice(), p.weights());
+        pp.swap();
+    }
+    lay.apply::<V>(pp.both_mut().0.as_mut_slice());
 }
 
 #[cfg(test)]
@@ -198,6 +157,13 @@ mod tests {
     use stencil_grid::max_abs_diff;
     use stencil_simd::{NativeF64x4, NativeF64x8};
 
+    /// [`sweep_1d`] on a fresh pair seeded with `g`.
+    fn sweep<V: SimdF64>(g: &Grid1D, p: &Pattern, folded: &Pattern, m: usize, t: usize) -> Grid1D {
+        let mut pp = PingPong::new(g.clone());
+        sweep_1d::<V>(&mut pp, p, folded, m, t);
+        pp.into_current()
+    }
+
     fn scalar_ref(g: &Grid1D, p: &Pattern, t: usize) -> Grid1D {
         let mut a = PingPong::new(g.clone());
         scalar::sweep_1d(&mut a, p, t);
@@ -207,16 +173,17 @@ mod tests {
     #[test]
     fn matches_scalar_1d() {
         for p in [kernels::heat1d(), kernels::d1p5()] {
-            for n in [48usize, 64, 160, 203] {
+            // 20 and 100: one whole block and a ragged tail at 4 and 8 lanes
+            for n in [20usize, 48, 64, 100, 160, 203] {
                 let g = Grid1D::from_fn(n, |i| ((i * 67) % 29) as f64 * 0.3);
                 let want = scalar_ref(&g, &p, 5);
-                let out4 = sweep_1d::<NativeF64x4>(&g, &p, 5);
+                let out4 = sweep::<NativeF64x4>(&g, &p, &p, 1, 5);
                 assert!(
                     max_abs_diff(want.as_slice(), out4.as_slice()) < 1e-12,
                     "x4 n={n} pts={}",
                     p.points()
                 );
-                let out8 = sweep_1d::<NativeF64x8>(&g, &p, 5);
+                let out8 = sweep::<NativeF64x8>(&g, &p, &p, 1, 5);
                 assert!(
                     max_abs_diff(want.as_slice(), out8.as_slice()) < 1e-12,
                     "x8 n={n}"
@@ -235,7 +202,7 @@ mod tests {
         let n = 128;
         let g = Grid1D::from_fn(n, |i| (i as f64 * 0.11).sin());
         let want = scalar_ref(&g, &p, t);
-        let out = sweep_folded_1d_with::<NativeF64x4>(&g, p.weights(), &fold(&p, m), m, t);
+        let out = sweep::<NativeF64x4>(&g, &p, &fold(&p, m), m, t);
         let band = p.radius() * m * t; // generous: discrepancy zone growth
         for i in band..n - band {
             assert!((want[i] - out[i]).abs() < 1e-12, "i={i}");
@@ -251,7 +218,7 @@ mod tests {
         let folded = fold(&p, m);
         let g = Grid1D::from_fn(n, |i| ((i * 13) % 7) as f64);
         let want = scalar_ref(&g, &folded, t / m);
-        let out = sweep_folded_1d_with::<NativeF64x4>(&g, p.weights(), &folded, m, t);
+        let out = sweep::<NativeF64x4>(&g, &p, &folded, m, t);
         assert!(max_abs_diff(want.as_slice(), out.as_slice()) < 1e-12);
     }
 
@@ -262,7 +229,7 @@ mod tests {
         let g = Grid1D::from_fn(n, |i| (i % 5) as f64);
         // t=5, m=2: two folded + one plain. Interior equals 5 scalar steps.
         let want = scalar_ref(&g, &p, 5);
-        let out = sweep_folded_1d_with::<NativeF64x4>(&g, p.weights(), &fold(&p, 2), 2, 5);
+        let out = sweep::<NativeF64x4>(&g, &p, &fold(&p, 2), 2, 5);
         for i in 12..n - 12 {
             assert!((want[i] - out[i]).abs() < 1e-12, "i={i}");
         }
@@ -279,7 +246,7 @@ mod tests {
         let n = 160;
         let g = Grid1D::from_fn(n, |i| ((i * 31) % 11) as f64);
         let want = scalar_ref(&g, &folded, 3);
-        let out = sweep_folded_1d_with::<NativeF64x4>(&g, p.weights(), &folded, 2, 6);
+        let out = sweep::<NativeF64x4>(&g, &p, &folded, 2, 6);
         assert!(max_abs_diff(want.as_slice(), out.as_slice()) < 1e-12);
     }
 }

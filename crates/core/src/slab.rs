@@ -40,7 +40,7 @@
 //!   the scalar folded sweep, which agrees with the vector chain to
 //!   rounding only. Since [`DimTiling`] anchors tile phase to global
 //!   coordinates and [`tile_width`] reads nothing a window does not
-//!   share with its domain, a slab executed through `Plan::run_2d_at`
+//!   share with its domain, a slab swept through `Plan::run_pair_at`
 //!   with its global origin reproduces every interior tile of the full
 //!   run, tips included. Only the slab-edge tiles diverge (they see a
 //!   frozen band where the full run has live cells and do not shrink on

@@ -18,12 +18,12 @@
 //!   driver body of [`crate::tile::tessellate`], same tile-width rule)
 //!   over lifted rows.
 
-use crate::exec::dlt::step_dlt_range;
+use crate::exec::dlt::{relayout, step_dlt_range};
 use crate::pattern::Pattern;
 use crate::tile::tessellate::run_cut;
 use crate::tile::{tile_width, RawPair};
 use stencil_grid::layout::DltLayout;
-use stencil_grid::{AlignedBuf, Grid1D, Grid2D, Grid3D, PingPong};
+use stencil_grid::{Grid1D, Grid2D, Grid3D, PingPong};
 use stencil_runtime::{parallel_for, ThreadPool};
 use stencil_simd::SimdF64;
 
@@ -76,28 +76,26 @@ impl RingTiling {
     }
 }
 
-/// SDSL-style 1D sweep: DLT transform, split-tiled `t` steps, transform
-/// back. `grid.len()` must be a multiple of `V::LANES`.
+/// SDSL-style 1D sweep of a pair: the current surface is lifted onto the
+/// scratch one, `t_steps` split-tiled steps run on the pair in DLT space
+/// (the ring tiles of a step cover every column, so the scratch surface
+/// may hold anything), and the result is transposed back onto the other
+/// surface. The length must be a multiple of `V::LANES`.
 pub fn sweep_1d<V: SimdF64>(
     pool: &ThreadPool,
-    grid: &Grid1D,
+    pp: &mut PingPong<Grid1D>,
     p: &Pattern,
     tb: usize,
     t_steps: usize,
-) -> Grid1D {
+) {
     assert_eq!(p.dims(), 1);
-    let n = grid.len();
-    let vl = V::LANES;
-    assert_eq!(n % vl, 0, "SDSL (DLT) needs n divisible by vl");
-    let layout = DltLayout::new(n, vl);
+    let layout = DltLayout::new(pp.current().len(), V::LANES);
     let cols = layout.cols();
     let r = p.radius();
-    let taps = p.weights().to_vec();
-
-    let mut a = AlignedBuf::zeroed(n);
-    layout.to_dlt::<V>(grid.as_slice(), a.as_mut_slice());
-    let b = a.clone();
-    let mut pp = PingPong::from_pair(a, b);
+    let taps = p.weights();
+    relayout(pp, |s, d| {
+        layout.to_dlt::<V>(s.as_slice(), d.as_mut_slice())
+    });
 
     let mut remaining = t_steps;
     while remaining > 0 {
@@ -117,7 +115,7 @@ pub fn sweep_1d<V: SimdF64>(
                     // SAFETY: triangle ranges are disjoint across tiles
                     // at every step pair; reads stay within r.
                     let (src, dst) = unsafe { pair.src_dst(t) };
-                    step_dlt_range::<V>(src.as_slice(), dst.as_mut_slice(), &taps, cols, lo, hi);
+                    step_dlt_range::<V>(src.as_slice(), dst.as_mut_slice(), taps, cols, lo, hi);
                 }
             }
         });
@@ -132,7 +130,7 @@ pub fn sweep_1d<V: SimdF64>(
                     // SAFETY: inverted ranges are disjoint across
                     // boundaries (half-width <= w/2).
                     let (src, dst) = unsafe { pair.src_dst(t) };
-                    step_dlt_range::<V>(src.as_slice(), dst.as_mut_slice(), &taps, cols, lo, hi);
+                    step_dlt_range::<V>(src.as_slice(), dst.as_mut_slice(), taps, cols, lo, hi);
                 }
             }
         });
@@ -141,10 +139,9 @@ pub fn sweep_1d<V: SimdF64>(
         }
         remaining -= tb_round;
     }
-
-    let mut out = Grid1D::zeros(n);
-    layout.from_dlt::<V>(pp.current().as_slice(), out.as_mut_slice());
-    out
+    relayout(pp, |s, d| {
+        layout.from_dlt::<V>(s.as_slice(), d.as_mut_slice())
+    });
 }
 
 /// One 2D step over DLT-lifted rows: `ys` rows, all lifted columns.
@@ -206,42 +203,36 @@ fn dlt_vec_at<V: SimdF64>(row: &[f64], cols: usize, q: isize) -> V {
     }
 }
 
-/// SDSL-style 2D sweep: DLT along x, split-tiling triangles along y.
-/// `grid.nx()` must be a multiple of `V::LANES`.
+/// SDSL-style 2D sweep of a pair: DLT along x, split-tiling triangles
+/// along y. Every row of the current surface is lifted onto the scratch
+/// one, the steps run on the pair, and the rows are un-lifted onto the
+/// other surface; the scratch surface may hold anything. `nx` must be a
+/// multiple of `V::LANES`.
 pub fn sweep_2d<V: SimdF64>(
     pool: &ThreadPool,
-    grid: &Grid2D,
+    pp: &mut PingPong<Grid2D>,
     p: &Pattern,
     tb: usize,
     t_steps: usize,
-) -> Grid2D {
+) {
     assert_eq!(p.dims(), 2);
-    let (ny, nx) = (grid.ny(), grid.nx());
-    let vl = V::LANES;
-    assert_eq!(nx % vl, 0, "hybrid SDSL needs nx divisible by vl");
+    let (ny, nx) = (pp.current().ny(), pp.current().nx());
     let r = p.radius();
-    let row_layout = DltLayout::new(nx, vl);
-
-    // lift every row
-    let mut a = Grid2D::zeros(ny, nx);
-    for y in 0..ny {
-        row_layout.to_dlt::<V>(grid.row(y), a.row_mut(y));
-    }
-    let b = a.clone();
-    let mut pp = PingPong::from_pair(a, b);
-
+    let row_layout = DltLayout::new(nx, V::LANES);
+    let rows = |src: &Grid2D, dst: &mut Grid2D, map: Relayout| {
+        for y in 0..ny {
+            map(&row_layout, src.row(y), dst.row_mut(y));
+        }
+    };
+    relayout(pp, |s, d| rows(s, d, DltLayout::to_dlt::<V>));
+    // the lifted steps never write the band rows: both surfaces need them
+    let (cur, scratch) = pp.both_mut();
+    scratch.copy_band_from(cur, r);
     // the triangles along y are tessellate's cut-axis rounds, same width rule
     let w = tile_width(&[nx], r, tb);
     let step = |s: &Grid2D, d: &mut Grid2D, ys| step_dlt_rows_2d::<V>(s, d, p, ys);
-    run_cut(pool, &mut pp, &[ny], r, r, w, tb, t_steps, 0, &step);
-
-    // un-lift
-    let lifted = pp.into_current();
-    let mut out = Grid2D::zeros(ny, nx);
-    for y in 0..ny {
-        row_layout.from_dlt::<V>(lifted.row(y), out.row_mut(y));
-    }
-    out
+    run_cut(pool, pp, &[ny], r, r, w, tb, t_steps, 0, &step);
+    relayout(pp, |s, d| rows(s, d, DltLayout::from_dlt::<V>));
 }
 
 /// One 3D step over DLT-lifted rows: planes `zs`, all rows, all lifted
@@ -295,44 +286,39 @@ fn step_dlt_rows_3d<V: SimdF64>(
     }
 }
 
-/// SDSL-style 3D sweep: DLT along x, split-tiling triangles along z,
-/// full y sweeps. `grid.nx()` must be a multiple of `V::LANES`.
+/// SDSL-style 3D sweep of a pair: DLT along x, split-tiling triangles
+/// along z, full y sweeps, the pair handled as in [`sweep_2d`]. `nx` must
+/// be a multiple of `V::LANES`.
 pub fn sweep_3d<V: SimdF64>(
     pool: &ThreadPool,
-    grid: &Grid3D,
+    pp: &mut PingPong<Grid3D>,
     p: &Pattern,
     tb: usize,
     t_steps: usize,
-) -> Grid3D {
+) {
     assert_eq!(p.dims(), 3);
-    let (nz, ny, nx) = (grid.nz(), grid.ny(), grid.nx());
-    let vl = V::LANES;
-    assert_eq!(nx % vl, 0, "hybrid SDSL needs nx divisible by vl");
+    let (nz, ny, nx) = (pp.current().nz(), pp.current().ny(), pp.current().nx());
     let r = p.radius();
-    let row_layout = DltLayout::new(nx, vl);
-
-    let mut a = Grid3D::zeros(nz, ny, nx);
-    for z in 0..nz {
-        for y in 0..ny {
-            row_layout.to_dlt::<V>(grid.row(z, y), a.row_mut(z, y));
+    let row_layout = DltLayout::new(nx, V::LANES);
+    let rows = |src: &Grid3D, dst: &mut Grid3D, map: Relayout| {
+        for z in 0..nz {
+            for y in 0..ny {
+                map(&row_layout, src.row(z, y), dst.row_mut(z, y));
+            }
         }
-    }
-    let b = a.clone();
-    let mut pp = PingPong::from_pair(a, b);
-
+    };
+    relayout(pp, |s, d| rows(s, d, DltLayout::to_dlt::<V>));
+    let (cur, scratch) = pp.both_mut();
+    scratch.copy_band_from(cur, r);
     let w = tile_width(&[ny, nx], r, tb);
     let step = |s: &Grid3D, d: &mut Grid3D, zs| step_dlt_rows_3d::<V>(s, d, p, zs);
-    run_cut(pool, &mut pp, &[nz], r, r, w, tb, t_steps, 0, &step);
-
-    let lifted = pp.into_current();
-    let mut out = Grid3D::zeros(nz, ny, nx);
-    for z in 0..nz {
-        for y in 0..ny {
-            row_layout.from_dlt::<V>(lifted.row(z, y), out.row_mut(z, y));
-        }
-    }
-    out
+    // y is never cut, but a y extent without an interior is all band too
+    run_cut(pool, pp, &[nz, ny], r, r, w, tb, t_steps, 0, &step);
+    relayout(pp, |s, d| rows(s, d, DltLayout::from_dlt::<V>));
 }
+
+/// One row's layout change: [`DltLayout::to_dlt`] or [`DltLayout::from_dlt`].
+type Relayout = fn(&DltLayout, &[f64], &mut [f64]);
 
 #[cfg(test)]
 mod tests {
@@ -354,9 +340,10 @@ mod tests {
                 let steps = 10;
                 let mut want = PingPong::new(g.clone());
                 scalar::sweep_1d(&mut want, &p, steps);
-                let out = sweep_1d::<NativeF64x4>(&pool(), &g, &p, 3, steps);
+                let mut out = PingPong::new(g.clone());
+                sweep_1d::<NativeF64x4>(&pool(), &mut out, &p, 3, steps);
                 assert!(
-                    max_abs_diff(want.current().as_slice(), out.as_slice()) < 1e-12,
+                    max_abs_diff(want.current().as_slice(), out.current().as_slice()) < 1e-12,
                     "x4 n={n} pts={}",
                     p.points()
                 );
@@ -372,8 +359,9 @@ mod tests {
         let steps = 8;
         let mut want = PingPong::new(g.clone());
         scalar::sweep_1d(&mut want, &p, steps);
-        let out = sweep_1d::<NativeF64x8>(&pool(), &g, &p, 4, steps);
-        assert!(max_abs_diff(want.current().as_slice(), out.as_slice()) < 1e-12);
+        let mut out = PingPong::new(g.clone());
+        sweep_1d::<NativeF64x8>(&pool(), &mut out, &p, 4, steps);
+        assert!(max_abs_diff(want.current().as_slice(), out.current().as_slice()) < 1e-12);
     }
 
     #[test]
@@ -385,8 +373,9 @@ mod tests {
         let steps = 6;
         let mut want = PingPong::new(g.clone());
         scalar::sweep_1d(&mut want, &p, steps);
-        let out = sweep_1d::<NativeF64x4>(&pool(), &g, &p, 8, steps);
-        assert!(max_abs_diff(want.current().as_slice(), out.as_slice()) < 1e-12);
+        let mut out = PingPong::new(g.clone());
+        sweep_1d::<NativeF64x4>(&pool(), &mut out, &p, 8, steps);
+        assert!(max_abs_diff(want.current().as_slice(), out.current().as_slice()) < 1e-12);
     }
 
     #[test]
@@ -396,9 +385,10 @@ mod tests {
             let steps = 5;
             let mut want = PingPong::new(g.clone());
             scalar::sweep_3d(&mut want, &p, steps);
-            let out = sweep_3d::<NativeF64x4>(&pool(), &g, &p, 2, steps);
+            let mut out = PingPong::new(g.clone());
+            sweep_3d::<NativeF64x4>(&pool(), &mut out, &p, 2, steps);
             assert!(
-                max_abs_diff(&want.current().to_dense(), &out.to_dense()) < 1e-12,
+                max_abs_diff(&want.current().to_dense(), &out.current().to_dense()) < 1e-12,
                 "pts={}",
                 p.points()
             );
@@ -412,9 +402,10 @@ mod tests {
             let steps = 6;
             let mut want = PingPong::new(g.clone());
             scalar::sweep_2d(&mut want, &p, steps);
-            let out = sweep_2d::<NativeF64x4>(&pool(), &g, &p, 3, steps);
+            let mut out = PingPong::new(g.clone());
+            sweep_2d::<NativeF64x4>(&pool(), &mut out, &p, 3, steps);
             assert!(
-                max_abs_diff(&want.current().to_dense(), &out.to_dense()) < 1e-12,
+                max_abs_diff(&want.current().to_dense(), &out.current().to_dense()) < 1e-12,
                 "pts={}",
                 p.points()
             );

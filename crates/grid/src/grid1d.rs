@@ -62,6 +62,21 @@ impl Grid1D {
     pub fn fill(&mut self, v: f64) {
         self.buf.fill(v);
     }
+
+    /// Copy `src`'s Dirichlet band — the `r` cells at each end — into
+    /// `self`, which must have `src`'s length; interior cells of `self`
+    /// are left as they are. A grid no longer than `2r` has no interior
+    /// and is copied whole.
+    pub fn copy_band_from(&mut self, src: &Grid1D, r: usize) {
+        let n = self.len();
+        assert_eq!(n, src.len(), "shape mismatch");
+        let (s, d) = (src.as_slice(), self.as_mut_slice());
+        if n <= 2 * r {
+            return d.copy_from_slice(s);
+        }
+        d[..r].copy_from_slice(&s[..r]);
+        d[n - r..].copy_from_slice(&s[n - r..]);
+    }
 }
 
 impl core::ops::Index<usize> for Grid1D {
@@ -90,6 +105,24 @@ mod tests {
         assert_eq!(g[7], 7.0);
         g[7] = 1.5;
         assert_eq!(g.as_slice()[7], 1.5);
+    }
+
+    #[test]
+    fn copy_band_from_leaves_the_interior_alone() {
+        let src = Grid1D::from_fn(9, |i| i as f64);
+        for r in 0..6 {
+            let mut dst = Grid1D::zeros(9);
+            dst.fill(f64::NAN);
+            dst.copy_band_from(&src, r);
+            for i in 0..9 {
+                // r = 5 leaves no interior: all band
+                if r >= 5 || i < r || i >= 9 - r {
+                    assert_eq!(dst[i], src[i], "r={r} i={i}");
+                } else {
+                    assert!(dst[i].is_nan(), "r={r} i={i}");
+                }
+            }
+        }
     }
 
     #[test]

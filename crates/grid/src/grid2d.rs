@@ -118,6 +118,25 @@ impl Grid2D {
             self.row_mut(y).fill(v);
         }
     }
+
+    /// Copy `src`'s Dirichlet band — every cell within `r` of an edge —
+    /// into `self`, which must have `src`'s shape; interior cells of
+    /// `self` are left as they are. A grid no wider than `2r` along some
+    /// axis has no interior and is copied whole.
+    pub fn copy_band_from(&mut self, src: &Grid2D, r: usize) {
+        let (ny, nx) = (self.ny, self.nx);
+        assert_eq!((ny, nx), (src.ny, src.nx), "shape mismatch");
+        let all_band = ny <= 2 * r || nx <= 2 * r;
+        for y in 0..ny {
+            let (srow, drow) = (src.row(y), self.row_mut(y));
+            if all_band || y < r || y >= ny - r {
+                drow.copy_from_slice(srow);
+            } else {
+                drow[..r].copy_from_slice(&srow[..r]);
+                drow[nx - r..].copy_from_slice(&srow[nx - r..]);
+            }
+        }
+    }
 }
 
 impl core::ops::Index<(usize, usize)> for Grid2D {
@@ -160,6 +179,28 @@ mod tests {
     fn to_dense_strips_padding() {
         let g = Grid2D::from_fn(2, 3, |y, x| (y * 3 + x) as f64);
         assert_eq!(g.to_dense(), vec![0.0, 1.0, 2.0, 3.0, 4.0, 5.0]);
+    }
+
+    #[test]
+    fn copy_band_from_leaves_the_interior_alone() {
+        let src = Grid2D::from_fn(6, 9, |y, x| (y * 10 + x) as f64);
+        for r in 0..5 {
+            let mut dst = Grid2D::zeros(6, 9);
+            dst.fill(f64::NAN);
+            dst.copy_band_from(&src, r);
+            for y in 0..6usize {
+                for x in 0..9usize {
+                    // r = 3 leaves no interior along y: all band
+                    let band = r >= 3 || [(y, 6), (x, 9)].iter().any(|&(c, n)| c < r || c >= n - r);
+                    let got = dst[(y, x)];
+                    if band {
+                        assert_eq!(got, src[(y, x)], "r={r} ({y},{x})");
+                    } else {
+                        assert!(got.is_nan(), "r={r} ({y},{x})");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

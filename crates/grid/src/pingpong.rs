@@ -6,6 +6,13 @@
 //! one holds the latest time level. Tiled executors rely on the *two
 //! latest* levels being available simultaneously — the tessellation
 //! correctness argument uses exactly that property.
+//!
+//! A pair is the unit every sweep works on: a compiled plan advances one
+//! in place (`Plan::run_pair_at` in `stencil-core`, in every
+//! dimensionality), so a caller that owns its grid and a scratch surface
+//! of the same shape — a recycled buffer is fine — runs without
+//! allocating, and `Plan::run` is that entry on a pair cloned from its
+//! input.
 
 /// A pair of equally-shaped buffers with a parity pointer.
 #[derive(Clone, Debug)]
@@ -87,7 +94,7 @@ impl<G> PingPong<G> {
     /// Advance parity by `m` steps at once (used by folded executors that
     /// write the `t+m` level directly into the scratch buffer: the buffer
     /// flip is still a single swap, but the logical step count moves by
-    /// `m`).
+    /// `m`; `m = 0` flips to a copy of the same level in another layout).
     #[inline(always)]
     pub fn swap_folded(&mut self, m: usize) {
         self.cur = 1 - self.cur;

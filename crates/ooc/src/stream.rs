@@ -8,7 +8,7 @@
 //! pass (s steps, surface S -> 1-S):
 //!   for each window k (interior [lo, hi), slab [slo, shi)):
 //!     load  planes [slo, shi) of surface S           (slab + halo)
-//!     run   plan.run_3d_pair_at(pair, s, slo)        (origin-anchored)
+//!     run   plan.run_pair_at(pair, s, slo)           (origin-anchored)
 //!     store planes [lo, hi) to surface 1-S           (interior only)
 //!           ... and, on the final pass of a grid job, scatter them to
 //!           the result grid
@@ -16,7 +16,7 @@
 //! ```
 //!
 //! Each byte moves once. The loaded window *is* one surface of the pair
-//! the plan sweeps ([`Plan::run_3d_pair_at`]; the other is a recycled
+//! the plan sweeps ([`Plan::run_pair_at`]; the other is a recycled
 //! buffer that needs no contents), the swept pair's output surface is
 //! what write-back hands to the store, and the store reads and writes
 //! the window's memory directly (see [`crate::store`]). What a run holds
@@ -49,7 +49,7 @@
 //! of folded macro-steps, per-round time blocks and tail steps; window
 //! geometry reuses the serving sharder's halo arithmetic
 //! ([`shard_geometry`] / [`slab_bounds`]) and the origin-anchored tile
-//! phase of `run_3d_at` — which together make the streamed result
+//! phase of `run_pair_at` — which together make the streamed result
 //! **bit-identical** to the resident run.
 //!
 //! With [`OocConfig::prefetch`] set, a background IO thread loads
@@ -477,7 +477,7 @@ fn sweep_window(
     let scratch = pool.acquire(win.nz(), win.ny(), win.nx());
     let mut pair = PingPong::from_pair(win, scratch);
     let _span = stencil_obs::span(stencil_obs::SpanId::OocCompute);
-    plan.run_3d_pair_at(&mut pair, s, origin_z)?;
+    plan.run_pair_at(&mut pair, s, origin_z)?;
     Ok(pair.into_pair())
 }
 

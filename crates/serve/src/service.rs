@@ -35,8 +35,8 @@ use crate::Manifest;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-use stencil_core::{Pattern, Plan, PlanError, Tuning};
-use stencil_grid::{Grid1D, Grid2D, Grid3D};
+use stencil_core::{Domain, Pattern, Plan, PlanError, Tuning};
+use stencil_grid::{Grid1D, Grid2D, Grid3D, PingPong};
 use stencil_runtime::sync::{Condvar, Mutex};
 
 /// A job's input (and its result's output) domain.
@@ -913,6 +913,14 @@ fn ooc_store_path(key: &str, g: &Grid3D, steps: usize) -> std::path::PathBuf {
     p
 }
 
+/// Advance a job's own grid by `steps` as one surface of the pair the
+/// plan sweeps; `scratch`, of the grid's shape, is the other.
+fn sweep_owned<D: Domain>(plan: &Plan, grid: D, scratch: D, steps: usize) -> Result<D, PlanError> {
+    let mut pair = PingPong::from_pair(grid, scratch);
+    plan.run_pair_at(&mut pair, steps, 0)?;
+    Ok(pair.into_current())
+}
+
 fn run_job(
     inner: &Inner,
     key: &str,
@@ -927,13 +935,25 @@ fn run_job(
     }
     Ok(match (route, domain) {
         (JobRoute::Resident, JobDomain::D1(g)) => {
-            (JobDomain::D1(plan.run_1d(&g, steps)?), resident)
+            let scratch = Grid1D::zeros(g.len());
+            (
+                JobDomain::D1(sweep_owned(plan, g, scratch, steps)?),
+                resident,
+            )
         }
         (JobRoute::Resident, JobDomain::D2(g)) => {
-            (JobDomain::D2(plan.run_2d(&g, steps)?), resident)
+            let scratch = Grid2D::zeros(g.ny(), g.nx());
+            (
+                JobDomain::D2(sweep_owned(plan, g, scratch, steps)?),
+                resident,
+            )
         }
         (JobRoute::Resident, JobDomain::D3(g)) => {
-            (JobDomain::D3(plan.run_3d(&g, steps)?), resident)
+            let scratch = Grid3D::zeros(g.nz(), g.ny(), g.nx());
+            (
+                JobDomain::D3(sweep_owned(plan, g, scratch, steps)?),
+                resident,
+            )
         }
         (JobRoute::Sharded(n), JobDomain::D2(g)) => {
             let lanes = inner.registry.lane_plans(key, plan, n)?;

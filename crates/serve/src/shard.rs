@@ -17,15 +17,16 @@
 //! owns its job's grid and calls the `_owned` entries: the fan-out copies
 //! every slab out of the grid (slabs read it concurrently), and only
 //! then are the advanced interiors stitched back into that same grid —
-//! no second grid is allocated. The borrowed entries stitch into a fresh
-//! zeroed grid and leave the input alone.
+//! no second grid is allocated. The borrowed 3D entry stitches into a
+//! fresh zeroed grid and leaves the input alone.
 //!
 //! Each slab runs on its own single-thread [`Plan`] (same pattern,
 //! method, tiling, width and z-ring geometry as the source plan) so
 //! the slabs really execute concurrently — a shared pool would
-//! serialize them.
+//! serialize them. A slab is one surface of the pair its lane sweeps
+//! ([`Plan::run_pair_at`]); the other needs no contents.
 
-use stencil_core::{Plan, PlanError, Solver};
+use stencil_core::{Domain, Plan, PlanError, Solver};
 use stencil_grid::{Grid2D, Grid3D, PingPong};
 
 pub use stencil_core::slab::{
@@ -86,7 +87,7 @@ pub fn lane_plans(plan: &Plan, lanes: usize) -> Result<Vec<Plan>, PlanError> {
 
 /// What the one shard body needs of a grid it cuts along its outermost
 /// axis.
-trait Sharded: Sized + Send + Sync {
+trait Sharded: Domain + Send + Sync {
     /// The extents, outermost first.
     fn extents(&self) -> Vec<usize>;
     /// A zeroed grid of `outer` layers of this one's shape.
@@ -94,9 +95,6 @@ trait Sharded: Sized + Send + Sync {
     /// Copy `n` outer layers of `src`, from its layer `from`, to this
     /// grid's layer `to` on.
     fn copy_layers(&mut self, src: &Self, from: usize, to: usize, n: usize);
-    /// Advance `slab`, whose first layer is global layer `origin`, by
-    /// `t` steps of `lane`.
-    fn run(lane: &Plan, slab: Self, t: usize, origin: usize) -> Result<Self, PlanError>;
 }
 
 impl Sharded for Grid2D {
@@ -110,9 +108,6 @@ impl Sharded for Grid2D {
         for i in 0..n {
             self.row_mut(to + i).copy_from_slice(src.row(from + i));
         }
-    }
-    fn run(lane: &Plan, slab: Self, t: usize, origin: usize) -> Result<Self, PlanError> {
-        lane.run_2d_at(&slab, t, origin)
     }
 }
 
@@ -130,14 +125,6 @@ impl Sharded for Grid3D {
                     .copy_from_slice(src.row(from + i, y));
             }
         }
-    }
-    fn run(lane: &Plan, slab: Self, t: usize, origin: usize) -> Result<Self, PlanError> {
-        // the slab is one surface of the pair the lane sweeps (the other
-        // needs no contents)
-        let scratch = slab.zeroed(slab.nz());
-        let mut pair = PingPong::from_pair(slab, scratch);
-        lane.run_3d_pair_at(&mut pair, t, origin)
-            .map(|()| pair.into_current())
     }
 }
 
@@ -172,14 +159,18 @@ fn run_slabs<G: Sharded>(
         (0..ranges.len()).map(|_| None).collect();
     let run_slab = |lo: usize, hi: usize, lane: &Plan| {
         let (slab_lo, slab_hi) = slab_bounds(lo, hi, outer, halo, r_eff);
-        let mut slab = grid.zeroed(slab_hi - slab_lo);
-        slab.copy_layers(grid, slab_lo, 0, slab_hi - slab_lo);
-        // the slab's global origin anchors tessellate tile phase
-        G::run(lane, slab, t, slab_lo).map(|grid| Slab {
+        let layers = slab_hi - slab_lo;
+        let mut slab = grid.zeroed(layers);
+        slab.copy_layers(grid, slab_lo, 0, layers);
+        // the slab is one surface of the pair the lane sweeps, and its
+        // global origin anchors tessellate tile phase
+        let mut pair = PingPong::from_pair(slab, grid.zeroed(layers));
+        lane.run_pair_at(&mut pair, t, slab_lo)?;
+        Ok(Slab {
             lo,
             hi,
             origin: slab_lo,
-            grid,
+            grid: pair.into_current(),
         })
     };
     let _fanout = stencil_obs::span(stencil_obs::SpanId::ShardFanout);
@@ -211,7 +202,9 @@ fn stitch<G: Sharded>(out: &mut G, slabs: Vec<Slab<G>>) {
 }
 
 /// Run `t` steps of `plan` on `grid` as parallel halo slabs and stitch
-/// the result into a new grid — bit-identical to `plan.run_2d(grid, t)`.
+/// the result back into the grid the caller gives up once the fan-out
+/// has copied the slabs out of it, so no output grid is allocated —
+/// bit-identical to `plan.run_2d(&grid, t)`.
 ///
 /// `lanes` supplies one single-thread plan per concurrent slab (see
 /// [`lane_plans`]); the number of slabs executed is
@@ -219,21 +212,6 @@ fn stitch<G: Sharded>(out: &mut G, slabs: Vec<Slab<G>>) {
 /// [`effective_shards`] when the outer axis is too short to give every
 /// worker an aligned slab of its own or the tessellate minimum span
 /// binds. With one slab this degenerates to a plain run on `lanes[0]`.
-pub fn run_sharded_2d(
-    lanes: &[Plan],
-    grid: &Grid2D,
-    t: usize,
-    shards: usize,
-) -> Result<Grid2D, PlanError> {
-    let slabs = run_slabs(lanes, grid, t, shards)?;
-    let mut out = Grid2D::zeros(grid.ny(), grid.nx());
-    stitch(&mut out, slabs);
-    Ok(out)
-}
-
-/// [`run_sharded_2d`] on a grid the caller gives up: the slabs are
-/// stitched back into it once the fan-out has copied them out, so no
-/// output grid is allocated.
 pub fn run_sharded_2d_owned(
     lanes: &[Plan],
     mut grid: Grid2D,
@@ -245,8 +223,9 @@ pub fn run_sharded_2d_owned(
     Ok(grid)
 }
 
-/// 3D counterpart of [`run_sharded_2d`]: slabs along `z`, bit-identical
-/// to `plan.run_3d(grid, t)`.
+/// [`run_sharded_2d_owned`] in 3D, slabs along `z`, stitched into a new
+/// grid: bit-identical to `plan.run_3d(grid, t)`, and `grid` is left
+/// alone.
 pub fn run_sharded_3d(
     lanes: &[Plan],
     grid: &Grid3D,
@@ -259,8 +238,8 @@ pub fn run_sharded_3d(
     Ok(out)
 }
 
-/// [`run_sharded_3d`] stitched back into the grid the caller gives up
-/// (see [`run_sharded_2d_owned`]).
+/// [`run_sharded_3d`] stitched back into the grid the caller gives up,
+/// as [`run_sharded_2d_owned`] does.
 pub fn run_sharded_3d_owned(
     lanes: &[Plan],
     mut grid: Grid3D,
@@ -285,16 +264,12 @@ mod tests {
         g.to_dense().iter().map(|v| v.to_bits()).collect()
     }
 
-    /// Both 2D entries, held to each other: the owned one stitches into
-    /// the grid it is given, the borrowed one into a new grid.
     fn sharded_2d(lanes: &[Plan], g: &Grid2D, t: usize, shards: usize) -> Grid2D {
-        let borrowed = run_sharded_2d(lanes, g, t, shards).unwrap();
-        let owned = run_sharded_2d_owned(lanes, g.clone(), t, shards).unwrap();
-        assert_eq!(bits2d(&borrowed), bits2d(&owned), "owned vs borrowed");
-        owned
+        run_sharded_2d_owned(lanes, g.clone(), t, shards).unwrap()
     }
 
-    /// [`sharded_2d`] in 3D.
+    /// Both 3D entries, held to each other: the owned one stitches into
+    /// the grid it is given, the borrowed one into a new grid.
     fn sharded_3d(lanes: &[Plan], g: &Grid3D, t: usize, shards: usize) -> Grid3D {
         let borrowed = run_sharded_3d(lanes, g, t, shards).unwrap();
         let owned = run_sharded_3d_owned(lanes, g.clone(), t, shards).unwrap();

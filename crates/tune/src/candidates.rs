@@ -182,10 +182,12 @@ pub fn generate(p: &Pattern, request: &PlanConfig, threads: usize, top_k: usize)
 /// itself first (a fresh measurement under today's conditions), then
 /// every single-axis move — time block halved/doubled, z-ring
 /// depth/slab halved/doubled, the width narrowed — and finally the
-/// top-ranked *other* methods at their natural tiling. The method
-/// alternates deliberately ignore probe-history dominance: a dominated
-/// method re-enters here, so a changed machine or drifted workload gets
-/// its periodic re-probe for free.
+/// top-ranked *other* methods, at the incumbent's tiling where the rule
+/// table admits it and at their natural tiling otherwise (DLT pairs
+/// with split tiling). The method alternates deliberately ignore
+/// probe-history dominance: a dominated method re-enters here, so a
+/// changed machine or drifted workload gets its periodic re-probe for
+/// free.
 pub fn neighborhood(
     p: &Pattern,
     incumbent: &PlanConfig,
@@ -263,8 +265,9 @@ pub fn neighborhood(
             ..*incumbent
         });
     }
-    // method alternates at their natural tiling — including methods the
-    // probe history has marked dominated
+    // method alternates where the incumbent runs — a block-free key
+    // compares block-free methods — including methods the probe history
+    // has marked dominated
     for (method, score) in ranked_methods_at(p, incumbent.width)
         .into_iter()
         .take(top_k.max(1))
@@ -272,14 +275,16 @@ pub fn neighborhood(
         if method == incumbent.method {
             continue;
         }
-        let tiling = auto_tiling(dims, method, threads);
         for ring3 in rings_for(method, dims, None) {
-            let config = PlanConfig {
+            let at = |tiling| PlanConfig {
                 method,
                 tiling,
                 width: incumbent.width,
                 ring3,
             };
+            let config = Some(at(incumbent.tiling))
+                .filter(|c| c.validate(p).is_ok())
+                .unwrap_or_else(|| at(auto_tiling(dims, method, threads)));
             push(config, score);
         }
     }
@@ -335,7 +340,8 @@ pub fn table1_patterns() -> Vec<(&'static str, Pattern)> {
 mod tests {
     use super::*;
     use crate::open_config as open;
-    use stencil_core::Solver;
+    use stencil_core::tune::TuneRequest;
+    use stencil_core::{Solver, Tuning};
 
     #[test]
     fn cost_model_seeds_a_profitable_leader() {
@@ -411,6 +417,39 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn method_alternates_of_a_block_free_incumbent_survive_a_block_free_pin() {
+        // alternates proposed at the tessellated `auto_tiling` of a
+        // two-thread pool all contradict a request that pins block-free
+        // sweeps, and the challenge would drop every one before probing
+        let p = kernels::heat2d();
+        let request = PlanConfig {
+            tiling: Tiling::None,
+            ..open(Width::W4)
+        };
+        let incumbent = Solver::new(p.clone())
+            .with_config(request)
+            .threads(2)
+            .compile()
+            .unwrap()
+            .config();
+        assert_eq!(incumbent.tiling, Tiling::None);
+        let req = TuneRequest {
+            pattern: &p,
+            config: request,
+            threads: 2,
+            domain_hint: None,
+            mode: Tuning::Measured,
+        };
+        let moves = neighborhood(&p, &incumbent, 2, 4);
+        assert!(
+            moves
+                .iter()
+                .any(|c| req.admits(&c.config) && c.config.method != incumbent.method),
+            "{moves:?}"
+        );
     }
 
     #[test]

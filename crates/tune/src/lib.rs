@@ -696,15 +696,21 @@ mod tests {
             ring3: None,
         };
         let budget = Budget::from_millis(200);
-        // unconstrained: the tiling move and the method alternates (at
-        // their natural, tessellated tiling on 2 threads) are all probed
+        // unconstrained: the tiling move and the method alternates are
+        // all probed
         let open = req(&p, Tuning::Measured, None);
         let free = tuner.challenge(&open, &incumbent, &budget).unwrap();
         assert!(free.probes > 1, "{free:?}");
-        // block-free pinned: every one of those moves contradicts the
-        // request, so the incumbent is the only configuration measured
-        let mut pinned = req(&p, Tuning::Measured, None);
-        pinned.config.tiling = Tiling::None;
+        // block-free pinned: the method alternates, block-free like the
+        // incumbent, are still probed
+        let mut block_free = req(&p, Tuning::Measured, None);
+        block_free.config.tiling = Tiling::None;
+        let alternates = tuner.challenge(&block_free, &incumbent, &budget).unwrap();
+        assert!(alternates.probes > 1, "{alternates:?}");
+        // method and tiling pinned: every one of those moves contradicts
+        // the request, so the incumbent is the only configuration measured
+        let mut pinned = block_free.clone();
+        pinned.config.method = Method::MultipleLoads;
         let before = tuner.probe_count();
         let held = tuner.challenge(&pinned, &incumbent, &budget).unwrap();
         assert_eq!(held.probes, 1, "{held:?}");

@@ -17,9 +17,75 @@
 use stencil_lab::core::kernels;
 use stencil_lab::grid::max_abs_diff;
 use stencil_lab::{
-    Domain, Grid1D, Grid2D, Grid3D, Method, Pattern, PingPong, PlanConfig, PlanError, PoolHandle,
-    Ring3, Solver, Tiling, Tuning, Width,
+    Domain, Grid1D, Grid2D, Grid3D, Method, Pattern, PingPong, Plan, PlanConfig, PlanError,
+    PoolHandle, Ring3, Solver, Tiling, Tuning, Width,
 };
+
+/// What the entry-point checks need of a grid of any dimensionality.
+trait TestGrid: Domain {
+    /// A grid of this one's shape with every cell — padding included —
+    /// NaN: a scratch surface that proves a run never reads what it did
+    /// not write.
+    fn poisoned(&self) -> Self;
+    /// The logical cells, outermost axis first.
+    fn dense(&self) -> Vec<f64>;
+    fn bits(&self) -> Vec<u64> {
+        self.dense().iter().map(|v| v.to_bits()).collect()
+    }
+}
+
+impl TestGrid for Grid1D {
+    fn poisoned(&self) -> Self {
+        let mut g = self.clone();
+        g.as_mut_slice().fill(f64::NAN);
+        g
+    }
+    fn dense(&self) -> Vec<f64> {
+        self.as_slice().to_vec()
+    }
+}
+
+impl TestGrid for Grid2D {
+    fn poisoned(&self) -> Self {
+        let mut g = self.clone();
+        g.as_mut_slice().fill(f64::NAN);
+        g
+    }
+    fn dense(&self) -> Vec<f64> {
+        self.to_dense()
+    }
+}
+
+impl TestGrid for Grid3D {
+    fn poisoned(&self) -> Self {
+        let mut g = self.clone();
+        g.as_mut_slice().fill(f64::NAN);
+        g
+    }
+    fn dense(&self) -> Vec<f64> {
+        self.to_dense()
+    }
+}
+
+/// `plan.run_pair_at` on a pair whose current surface is `g` and whose
+/// scratch surface is [`TestGrid::poisoned`].
+fn run_poisoned<D: TestGrid>(plan: &Plan, g: &D, t: usize, origin: usize) -> Result<D, PlanError> {
+    let mut pair = PingPong::from_pair(g.clone(), g.poisoned());
+    plan.run_pair_at(&mut pair, t, origin)
+        .map(|()| pair.into_current())
+}
+
+/// Every entry point on `g`: the owned-grid run, and the pair entry at
+/// origin 0 and off it.
+fn entries<D: TestGrid>(plan: &Plan, g: &D, t: usize) -> Vec<Result<Vec<f64>, PlanError>> {
+    [
+        plan.run(g, t),
+        run_poisoned(plan, g, t, 0),
+        run_poisoned(plan, g, t, 5),
+    ]
+    .map(|r| r.map(|o| o.dense()))
+    .into()
+}
 
 // ---------------------------------------------------------------------
 // 1. error surface
@@ -280,11 +346,11 @@ fn dlt_rejects_grids_shorter_than_the_lifted_radius() {
     let tiny2 = Grid2D::from_fn(16, 4, |y, x| (y + x) as f64);
     let plan2 = sdsl(Pattern::new_2d(2, &[0.04; 25]));
     assert_eq!(plan2.run_2d(&tiny2, 1).map(drop), too_small);
-    assert_eq!(plan2.run_2d_at(&tiny2, 1, 3).map(drop), too_small);
+    assert_eq!(run_poisoned(&plan2, &tiny2, 1, 3).map(drop), too_small);
     let tiny3 = Grid3D::from_fn(12, 12, 4, |z, y, x| (z + y + x) as f64);
     let plan3 = sdsl(kernels::box3d125p());
     assert_eq!(plan3.run_3d(&tiny3, 1).map(drop), too_small);
-    assert_eq!(plan3.run_3d_at(&tiny3, 1, 3).map(drop), too_small);
+    assert_eq!(run_poisoned(&plan3, &tiny3, 1, 3).map(drop), too_small);
 }
 
 #[test]
@@ -454,23 +520,10 @@ fn no_configuration_panics_through_the_public_api() {
                         assert_eq!(plan.config(), PlanConfig { ring3, ..cell });
                     }
                     for i in 0..2 {
-                        // every entry point, at origin 0 and off it
-                        let runs: Vec<Result<Vec<f64>, PlanError>> = match p.dims() {
-                            1 => vec![plan.run_1d(&g1[i], T).map(|o| o.as_slice().to_vec())],
-                            2 => [
-                                plan.run_2d(&g2[i], T),
-                                plan.run_2d_at(&g2[i], T, 0),
-                                plan.run_2d_at(&g2[i], T, 5),
-                            ]
-                            .map(|r| r.map(|o| o.to_dense()))
-                            .into(),
-                            _ => [
-                                plan.run_3d(&g3[i], T),
-                                plan.run_3d_at(&g3[i], T, 0),
-                                plan.run_3d_at(&g3[i], T, 5),
-                            ]
-                            .map(|r| r.map(|o| o.to_dense()))
-                            .into(),
+                        let runs = match p.dims() {
+                            1 => entries(&plan, &g1[i], T),
+                            2 => entries(&plan, &g2[i], T),
+                            _ => entries(&plan, &g3[i], T),
                         };
                         let (want, extents) = &want[p.dims() - 1][i];
                         let ctx = format!("{}D {m:?}/{tl:?}/{w:?} grid {i}", p.dims());
@@ -697,20 +750,23 @@ fn tessellated_plans_treat_a_grid_without_an_interior_as_the_block_free_route_do
                                     identities += 1;
                                 }
                             };
+                        // the owned-grid entry and the pair entry, its
+                        // scratch surface poisoned
                         match p.dims() {
                             1 => {
                                 let g = Grid1D::from_fn(n, |x| field(0, 0, x));
-                                let out = plan.run_1d(&g, t).expect(&ctx).as_slice().to_vec();
-                                let want = free.run_1d(&g, t).unwrap();
-                                check(&[n], g.as_slice(), &[out], want.as_slice());
+                                let outs = [plan.run(&g, t), run_poisoned(plan, &g, t, 5)]
+                                    .map(|o| o.expect(&ctx).dense());
+                                let want = free.run(&g, t).unwrap().dense();
+                                check(&[n], &g.dense(), &outs, &want);
                             }
                             2 => {
                                 for (ny, nx) in [(n, 12), (12, n), (n, n)] {
                                     let g = Grid2D::from_fn(ny, nx, |y, x| field(0, y, x));
-                                    let outs = [plan.run_2d(&g, t), plan.run_2d_at(&g, t, 5)]
-                                        .map(|o| o.expect(&ctx).to_dense());
-                                    let want = free.run_2d(&g, t).unwrap().to_dense();
-                                    check(&[ny, nx], &g.to_dense(), &outs, &want);
+                                    let outs = [plan.run(&g, t), run_poisoned(plan, &g, t, 5)]
+                                        .map(|o| o.expect(&ctx).dense());
+                                    let want = free.run(&g, t).unwrap().dense();
+                                    check(&[ny, nx], &g.dense(), &outs, &want);
                                 }
                             }
                             _ => {
@@ -718,16 +774,10 @@ fn tessellated_plans_treat_a_grid_without_an_interior_as_the_block_free_route_do
                                     [(n, 12, 12), (12, n, 12), (12, 12, n), (n, n, n)]
                                 {
                                     let g = Grid3D::from_fn(nz, ny, nx, field);
-                                    let [a, b] = [plan.run_3d(&g, t), plan.run_3d_at(&g, t, 5)]
-                                        .map(|o| o.expect(&ctx).to_dense());
-                                    // the pair entry, its scratch surface poisoned
-                                    let mut poison = g.clone();
-                                    poison.fill(f64::NAN);
-                                    let mut pair = PingPong::from_pair(g.clone(), poison);
-                                    plan.run_3d_pair_at(&mut pair, t, 5).expect(&ctx);
-                                    let outs = [a, b, pair.current().to_dense()];
-                                    let want = free.run_3d(&g, t).unwrap().to_dense();
-                                    check(&[nz, ny, nx], &g.to_dense(), &outs, &want);
+                                    let outs = [plan.run(&g, t), run_poisoned(plan, &g, t, 5)]
+                                        .map(|o| o.expect(&ctx).dense());
+                                    let want = free.run(&g, t).unwrap().dense();
+                                    check(&[nz, ny, nx], &g.dense(), &outs, &want);
                                 }
                             }
                         }
@@ -746,26 +796,35 @@ fn tessellated_plans_treat_a_grid_without_an_interior_as_the_block_free_route_do
 
 #[test]
 fn the_pair_entry_equals_the_owned_grid_entry_with_a_poisoned_scratch() {
-    // `run_3d_pair_at` sweeps a caller-owned pair whose scratch surface is
+    // `run_pair_at` sweeps a caller-owned pair whose scratch surface is
     // a recycled buffer: it may copy the Dirichlet band and nothing else,
-    // so every route has to write an interior cell before reading it. NaN
-    // in every scratch cell (padding included) is what proves it: over
-    // every slab-shardable 3D cell of the product, windows at and off the
-    // origin, folded, tail and zero step counts, the pair's current
-    // surface carries the bits `run_3d_at` returns.
-    let bits = |g: &Grid3D| g.to_dense().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-    let poisoned = |like: &Grid3D| {
-        let mut g = like.clone();
-        g.as_mut_slice().fill(f64::NAN);
-        g
-    };
+    // so every route has to write an interior cell before reading it —
+    // the layout-changing ones (transpose layout, DLT, split tiling)
+    // included, which move the grid onto the scratch surface and back.
+    // NaN in every scratch cell (padding included) is what proves it:
+    // over every cell of the product the rule table accepts, in every
+    // dimensionality, on an aligned, a ragged and an interior-less window,
+    // at and off the origin, for folded, tail and zero step counts, the
+    // pair's current surface carries the bits of the clone-a-pair run
+    // (`run` at origin 0), and again when the same pair is reused. A grid
+    // a plan refuses is refused with `run`'s error and the pair untouched.
     let field = |z: usize, y: usize, x: usize| ((z * 5 + y * 3 + x * 7) % 11) as f64 * 0.5 - 2.0;
     let pool = PoolHandle::new(2);
-    let (mut cells, mut identities) = (0usize, 0usize);
-    for p in [kernels::heat3d(), kernels::box3d27p(), kernels::star3d_r2()] {
+    let (mut cells, mut identities, mut refusals) = (0usize, 0usize, 0usize);
+    for p in [
+        kernels::heat1d(),
+        kernels::d1p5(),
+        kernels::heat2d(),
+        kernels::box2d9p(),
+        kernels::heat3d(),
+        kernels::box3d27p(),
+        kernels::star3d_r2(),
+    ] {
         for method in [
             Method::Scalar,
             Method::MultipleLoads,
+            Method::DataReorg,
+            Method::Dlt,
             Method::TransposeLayout,
             Method::Folded { m: 2 },
             Method::Folded { m: 3 },
@@ -774,6 +833,7 @@ fn the_pair_entry_equals_the_owned_grid_entry_with_a_poisoned_scratch() {
                 Tiling::None,
                 Tiling::Tessellate { time_block: 2 },
                 Tiling::Spatial { block: (4, 8) },
+                Tiling::Split { time_block: 2 },
             ] {
                 for width in [Width::W4, Width::W8] {
                     let cell = PlanConfig {
@@ -790,56 +850,102 @@ fn the_pair_entry_equals_the_owned_grid_entry_with_a_poisoned_scratch() {
                         .pool(pool.clone())
                         .compile()
                         .unwrap();
-                    if !stencil_lab::core::slab::shardable(&plan) {
-                        continue;
-                    }
                     cells += 1;
-                    let (m, rr) = (plan.m(), plan.effective_radius());
-                    let mut windows = vec![Grid3D::from_fn(27, 2 * rr + 3, 21, field)];
-                    if tiling == Tiling::None {
-                        // no interior along z: every folded step is the
-                        // identity (the tiled drivers refuse such grids)
-                        windows.push(Grid3D::from_fn(2 * rr, 2 * rr + 3, 21, field));
-                    }
-                    for (w, g) in windows.iter().enumerate() {
-                        for origin in [0, 7] {
-                            for t in [0, 1, m, m + 1, 2 * m + 1] {
-                                let ctx = format!(
-                                    "{}pt {cell:?} window {w} origin {origin} t {t}",
-                                    p.points()
-                                );
-                                let once = plan.run_3d_at(g, t, origin).expect(&ctx);
-                                let twice = plan.run_3d_at(&once, t, origin).expect(&ctx);
-                                let mut pair = PingPong::from_pair(g.clone(), poisoned(g));
-                                plan.run_3d_pair_at(&mut pair, t, origin).expect(&ctx);
-                                assert!(bits(pair.current()) == bits(&once), "{ctx}");
-                                if w == 1 && t % m == 0 {
-                                    assert!(bits(&once) == bits(g), "{ctx}: identity");
-                                    identities += 1;
-                                }
-                                // the same pair again: its scratch surface now
-                                // holds whatever the first run left there
-                                plan.run_3d_pair_at(&mut pair, t, origin).expect(&ctx);
-                                assert!(bits(pair.current()) == bits(&twice), "{ctx}: reused");
-                            }
-                        }
-                    }
+                    let rr = plan.effective_radius();
+                    let ctx = format!("{}pt {cell:?}", p.points());
+                    // aligned (DLT lifts the inner axis into 4 or 8 lanes),
+                    // ragged, and no interior along the outer axis
+                    let (seen, refused) = match p.dims() {
+                        1 => pair_entry_cell(
+                            &plan,
+                            &[200, 203, 2 * rr].map(|n| Grid1D::from_fn(n, |x| field(0, 0, x))),
+                            &ctx,
+                        ),
+                        2 => pair_entry_cell(
+                            &plan,
+                            &[(27, 24), (27, 21), (2 * rr, 24)]
+                                .map(|(ny, nx)| Grid2D::from_fn(ny, nx, |y, x| field(0, y, x))),
+                            &ctx,
+                        ),
+                        _ => pair_entry_cell(
+                            &plan,
+                            &[(27, 24), (27, 21), (2 * rr, 24)]
+                                .map(|(nz, nx)| Grid3D::from_fn(nz, 2 * rr + 3, nx, field)),
+                            &ctx,
+                        ),
+                    };
+                    identities += seen;
+                    refusals += refused;
                 }
             }
         }
     }
-    assert!(cells >= 40 && identities > 0, "{cells} cells");
+    // 210 cells, 1720 identities and 260 refusals in the portable and
+    // AVX2 builds; the rule table's accepted cells follow the build's
+    // fold caps
+    assert!(
+        cells >= 180 && identities >= 1500 && refusals > 0,
+        "{cells} cells, {identities} identities, {refusals} refusals"
+    );
 
-    // errors come before the pair is touched, and match `run_3d_at`'s
+    // a dimensionality the plan was not compiled for: the same
     let plan = Solver::new(kernels::heat2d()).compile().unwrap();
     let g = Grid3D::from_fn(6, 6, 8, field);
-    let mut pair = PingPong::from_pair(g.clone(), poisoned(&g));
+    let mut pair = PingPong::from_pair(g.clone(), g.poisoned());
     assert_eq!(
-        plan.run_3d_pair_at(&mut pair, 2, 0).err(),
-        plan.run_3d_at(&g, 2, 0).err()
+        plan.run_pair_at(&mut pair, 2, 0).err(),
+        plan.run(&g, 2).err()
     );
-    assert!(bits(pair.current()) == bits(&g));
+    assert!(pair.current().bits() == g.bits());
     assert!(pair.previous().as_slice().iter().all(|v| v.is_nan()));
+}
+
+/// One cell of the pair-entry product over `windows`, the last of which
+/// has no interior along its outer axis: returns how many runs were
+/// identities and how many grids the plan refused.
+fn pair_entry_cell<D: TestGrid>(plan: &Plan, windows: &[D], ctx: &str) -> (usize, usize) {
+    let m = plan.m();
+    let (mut identities, mut refusals) = (0, 0);
+    // what `run` sweeps — a pair cloned from the input — at `origin`
+    let clone_pair = |g: &D, t: usize, origin: usize| {
+        if origin == 0 {
+            return plan.run(g, t);
+        }
+        let mut pp = PingPong::new(g.clone());
+        plan.run_pair_at(&mut pp, t, origin)
+            .map(|()| pp.into_current())
+    };
+    for (w, g) in windows.iter().enumerate() {
+        for origin in [0, 7] {
+            for t in [0, 1, m, m + 1, 2 * m + 1] {
+                let ctx = format!("{ctx} window {w} origin {origin} t {t}");
+                let mut pair = PingPong::from_pair(g.clone(), g.poisoned());
+                let once = match clone_pair(g, t, origin) {
+                    Ok(once) => once,
+                    Err(e) => {
+                        // refused before the pair is touched
+                        assert_eq!(plan.run_pair_at(&mut pair, t, origin), Err(e), "{ctx}");
+                        assert!(pair.current().bits() == g.bits(), "{ctx}");
+                        assert!(pair.previous().dense().iter().all(|v| v.is_nan()), "{ctx}");
+                        refusals += 1;
+                        continue;
+                    }
+                };
+                let twice = clone_pair(&once, t, origin).expect(&ctx);
+                plan.run_pair_at(&mut pair, t, origin).expect(&ctx);
+                assert!(pair.current().bits() == once.bits(), "{ctx}");
+                if w + 1 == windows.len() && t % m == 0 {
+                    assert!(once.bits() == g.bits(), "{ctx}: identity");
+                    identities += 1;
+                }
+                // the same pair again: its scratch surface now holds
+                // whatever the first run left there
+                plan.run_pair_at(&mut pair, t, origin).expect(&ctx);
+                assert!(pair.current().bits() == twice.bits(), "{ctx}: reused");
+            }
+        }
+    }
+    (identities, refusals)
 }
 
 // ---------------------------------------------------------------------
