@@ -37,11 +37,11 @@ fn main() {
         "Fig. 8 — single-thread blocking-free 1D-Heat ({})",
         stencil_simd::backend_summary()
     );
-    // one compiled plan per method, reused across every size and both
-    // step counts — the harness never re-plans between cells
+    // one sweep per method, reused across every size and both step
+    // counts — the harness never re-plans between cells
     let plans: Vec<_> = BlockFreeMethod::ALL
         .iter()
-        .map(|&m| (m, m.plan_1d_heat()))
+        .map(|&m| (m, m.sweep_1d_heat()))
         .collect();
     let mut tables = Vec::new();
     for (label, t) in [("T", t_small), ("10T", t_big)] {

@@ -25,10 +25,10 @@ fn main() {
     let levels: &[(&str, [usize; 2])] = if args.quick { &LEVELS[..2] } else { &LEVELS };
 
     println!("Table 2 — relative improvement per storage level (base: Multiple Loads)");
-    // compile each method's plan once for the whole table
+    // build each method's sweep once for the whole table
     let plans: Vec<_> = BlockFreeMethod::ALL
         .iter()
-        .map(|m| m.plan_1d_heat())
+        .map(|m| m.sweep_1d_heat())
         .collect();
     let mut tab = Table::new("Table 2", "x over Multiple Loads");
     let mut means = vec![0.0f64; BlockFreeMethod::ALL.len()];

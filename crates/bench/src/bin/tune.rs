@@ -41,7 +41,7 @@ fn main() {
             continue;
         }
         let model_m = auto_method(&p, width, Tiling::Auto);
-        let model_t = auto_tiling(p.dims(), model_m, threads);
+        let model_t = auto_tiling(p.dims(), threads);
         let before = tuner.probe_count();
         let solver = Solver::new(p.clone())
             .method(Method::Auto)
@@ -80,9 +80,7 @@ fn main() {
             },
         );
         let tb = |t: Tiling| match t {
-            Tiling::Tessellate { time_block } | Tiling::Split { time_block } => {
-                Some(time_block as f64)
-            }
+            Tiling::Tessellate { time_block } => Some(time_block as f64),
             _ => None,
         };
         tab.put(name, "model_tb", tb(model_t));

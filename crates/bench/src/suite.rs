@@ -10,10 +10,10 @@
 use crate::measure;
 use crate::workload;
 use std::time::Duration;
-use stencil_core::exec::{apop, life};
-use stencil_core::tile::{tessellate, tile_width};
-use stencil_core::{kernels, Method, Pattern, Plan, Solver, Tiling, Tuning, Width};
-use stencil_grid::{Grid2D, PingPong};
+use stencil_core::exec::{apop, dlt, life, reorg};
+use stencil_core::tile::{split, tessellate, tile_width};
+use stencil_core::{kernels, Domain, Method, Pattern, Plan, Solver, Tiling, Tuning, Width};
+use stencil_grid::{Grid1D, Grid2D, PingPong};
 use stencil_runtime::PoolHandle;
 use stencil_simd::{NativeF64x4, NativeF64x8, SimdF64};
 
@@ -165,7 +165,8 @@ pub struct Sizes {
     pub reps: usize,
     /// Resolve the tiling of linear cells through the measured tuner
     /// (`Tiling::Auto` + [`Tuning::Measured`], method and width still
-    /// pinned per cell) instead of the hand-set `tb*` fields. Requires
+    /// pinned per cell) instead of the hand-set `tb*` fields; SDSL cells,
+    /// which no plan runs, keep the hand-set time block. Requires
     /// an installed tuner (`stencil_tune::install()`); the `--tuned`
     /// flag on `fig9`/`table3` sets both up.
     pub tuned: bool,
@@ -259,80 +260,93 @@ pub fn run_one(
         }),
         linear => {
             let p = linear.pattern().unwrap();
-            let (sm, st) = method_config(method, sizes, linear.dims())?;
+            let (n3z, n3y, n3x) = sizes.n3;
+            // (extents, steps, time block) of this cell's dimensionality
+            let (hint, t, tb) = match linear.dims() {
+                1 => (vec![sizes.n1], sizes.t1, sizes.tb1),
+                2 => (vec![sizes.n2.0, sizes.n2.1], sizes.t2, sizes.tb2),
+                _ => (vec![n3z, n3y, n3x], sizes.t3, sizes.tb3),
+            };
             // under --tuned, the hand-set time block gives way to the
             // measured tuner (method and width stay pinned — the figure
             // compares methods, the tuner only picks their tiling); the
             // domain hint keys the cache by this run's shape class
-            let hint: Vec<usize> = match linear.dims() {
-                1 => vec![sizes.n1],
-                2 => vec![sizes.n2.0, sizes.n2.1],
-                _ => vec![sizes.n3.0, sizes.n3.1, sizes.n3.2],
-            };
             let (tiling, tuning) = if sizes.tuned {
                 (Tiling::Auto, Tuning::Measured)
             } else {
-                (st, Tuning::Static)
+                (Tiling::Tessellate { time_block: tb }, Tuning::Static)
             };
             // compile once; every repetition reuses the folded kernel
-            // and the shared pool
-            let plan = Solver::new(p)
-                .method(sm)
-                .tiling(tiling)
-                .tuning(tuning)
-                .domain_hint(&hint)
-                .width(if method == MethodId::Our2W8 {
-                    Width::W8
-                } else {
-                    Width::W4
-                })
-                .pool(pool.clone())
-                .compile()
-                .expect("suite configurations are valid");
+            // and the shared pool. SDSL is the paper's baseline, not a
+            // plan method: its cells call split tiling directly.
+            let plan = plan_method(method).map(|m| {
+                Solver::new(p.clone())
+                    .method(m)
+                    .tiling(tiling)
+                    .tuning(tuning)
+                    .domain_hint(&hint)
+                    .width(if method == MethodId::Our2W8 {
+                        Width::W8
+                    } else {
+                        Width::W4
+                    })
+                    .pool(pool.clone())
+                    .compile()
+                    .expect("suite configurations are valid")
+            });
+            let (plan, reps) = (plan.as_ref(), sizes.reps);
             let d = match linear.dims() {
-                1 => {
-                    let g = workload::random_1d(sizes.n1, 42);
-                    measure::best_of(sizes.reps, || plan.run_1d(&g, sizes.t1).unwrap()).1
-                }
+                1 => time_cell(plan, &workload::random_1d(sizes.n1, 42), t, reps, |pp| {
+                    split::sweep_1d::<NativeF64x4>(pool, pp, &p, tb, t)
+                }),
                 2 => {
-                    let (ny, nx) = sizes.n2;
-                    let g = workload::random_2d(ny, nx, 42);
-                    measure::best_of(sizes.reps, || plan.run_2d(&g, sizes.t2).unwrap()).1
+                    let g = workload::random_2d(sizes.n2.0, sizes.n2.1, 42);
+                    time_cell(plan, &g, t, reps, |pp| {
+                        split::sweep_2d::<NativeF64x4>(pool, pp, &p, tb, t)
+                    })
                 }
                 _ => {
-                    let (nz, ny, nx) = sizes.n3;
-                    let g = workload::random_3d(nz, ny, nx, 42);
-                    measure::best_of(sizes.reps, || plan.run_3d(&g, sizes.t3).unwrap()).1
+                    let g = workload::random_3d(n3z, n3y, n3x, 42);
+                    time_cell(plan, &g, t, reps, |pp| {
+                        split::sweep_3d::<NativeF64x4>(pool, pp, &p, tb, t)
+                    })
                 }
             };
-            let (points, steps) = match linear.dims() {
-                1 => (sizes.n1, sizes.t1),
-                2 => (sizes.n2.0 * sizes.n2.1, sizes.t2),
-                _ => (sizes.n3.0 * sizes.n3.1 * sizes.n3.2, sizes.t3),
-            };
-            Some((measure::gflops(points, steps, flops, d), d))
+            Some((measure::gflops(hint.iter().product(), t, flops, d), d))
         }
     }
 }
 
-fn method_config(method: MethodId, sizes: &Sizes, dims: usize) -> Option<(Method, Tiling)> {
-    let tb = match dims {
-        1 => sizes.tb1,
-        2 => sizes.tb2,
-        _ => sizes.tb3,
-    };
-    Some(match method {
-        MethodId::Sdsl => (Method::Dlt, Tiling::Split { time_block: tb }),
-        MethodId::Tess => (Method::MultipleLoads, Tiling::Tessellate { time_block: tb }),
-        MethodId::Our => (
-            Method::TransposeLayout,
-            Tiling::Tessellate { time_block: tb },
-        ),
-        MethodId::Our2 | MethodId::Our2W8 => (
-            Method::Folded { m: 2 },
-            Tiling::Tessellate { time_block: tb },
-        ),
+/// The best of `reps` timed runs of `t` steps from `g`: on the cell's
+/// plan, or, for SDSL, which no plan runs, through `sdsl` — its direct
+/// entry — on a pair cloned from `g`, as a plan's run does.
+fn time_cell<D: Domain>(
+    plan: Option<&Plan>,
+    g: &D,
+    t: usize,
+    reps: usize,
+    sdsl: impl Fn(&mut PingPong<D>),
+) -> Duration {
+    measure::best_of(reps, || match plan {
+        Some(plan) => plan.run(g, t).unwrap(),
+        None => {
+            let mut pp = PingPong::new(g.clone());
+            sdsl(&mut pp);
+            pp.into_current()
+        }
     })
+    .1
+}
+
+/// The plan method of a Fig.-9 column under tessellate tiling; `None`
+/// for SDSL, the baseline no plan runs.
+fn plan_method(method: MethodId) -> Option<Method> {
+    match method {
+        MethodId::Sdsl => None,
+        MethodId::Tess => Some(Method::MultipleLoads),
+        MethodId::Our => Some(Method::TransposeLayout),
+        MethodId::Our2 | MethodId::Our2W8 => Some(Method::Folded { m: 2 }),
+    }
 }
 
 fn run_apop(method: MethodId, pool: &PoolHandle, sizes: &Sizes) -> Option<Duration> {
@@ -548,38 +562,50 @@ impl BlockFreeMethod {
         }
     }
 
-    /// Solver configuration.
-    pub fn method(self) -> Method {
-        match self {
+    /// The single-thread block-free 1D-Heat sweep of this method at 4
+    /// lanes, built once: `fig8`/`table2` reuse it across every problem
+    /// size and step count. The `Solver` methods run a compiled plan;
+    /// Data Reorganization and DLT, the baselines no plan runs, call
+    /// their executors' entries directly.
+    pub fn sweep_1d_heat(self) -> Sweep1d {
+        let p = kernels::heat1d();
+        let method = match self {
+            BlockFreeMethod::DataReorg => return direct_1d(p, reorg::sweep_1d::<NativeF64x4>),
+            BlockFreeMethod::Dlt => return direct_1d(p, dlt::sweep_1d::<NativeF64x4>),
             BlockFreeMethod::MultipleLoads => Method::MultipleLoads,
-            BlockFreeMethod::DataReorg => Method::DataReorg,
-            BlockFreeMethod::Dlt => Method::Dlt,
             BlockFreeMethod::Our => Method::TransposeLayout,
             BlockFreeMethod::Our2 => Method::Folded { m: 2 },
-        }
-    }
-
-    /// Compile the single-thread block-free 1D-Heat plan for this
-    /// method once; `fig8`/`table2` reuse it across every problem size
-    /// and step count.
-    pub fn plan_1d_heat(self) -> Plan {
-        Solver::new(kernels::heat1d())
-            .method(self.method())
+        };
+        let plan = Solver::new(p)
+            .method(method)
             .width(Width::W4)
             .threads(1)
             .compile()
-            .expect("block-free 1D-Heat configurations are valid")
+            .expect("block-free 1D-Heat configurations are valid");
+        Box::new(move |g, t| plan.run_1d(g, t).unwrap())
     }
 }
 
-/// One Fig.-8 cell on a pre-compiled plan (see
-/// [`BlockFreeMethod::plan_1d_heat`]): block-free single-thread 1D-Heat
-/// at size `n` for `t` steps; returns GFLOP/s.
-pub fn run_blockfree_1d_with(plan: &Plan, n: usize, t: usize) -> f64 {
-    let p = plan.pattern();
-    let flops = 2 * p.points();
+/// One Fig.-8 method: `t` steps of 1D-Heat from a grid, into a new one.
+pub type Sweep1d = Box<dyn Fn(&Grid1D, usize) -> Grid1D>;
+
+/// A baseline's [`Sweep1d`]: its pair entry on a pair cloned from the
+/// grid, as a plan's run does.
+fn direct_1d(p: Pattern, sweep: fn(&mut PingPong<Grid1D>, &Pattern, usize)) -> Sweep1d {
+    Box::new(move |g, t| {
+        let mut pp = PingPong::new(g.clone());
+        sweep(&mut pp, &p, t);
+        pp.into_current()
+    })
+}
+
+/// One Fig.-8 cell on a pre-built sweep (see
+/// [`BlockFreeMethod::sweep_1d_heat`]): block-free single-thread
+/// 1D-Heat at size `n` for `t` steps; returns GFLOP/s.
+pub fn run_blockfree_1d_with(sweep: &Sweep1d, n: usize, t: usize) -> f64 {
+    let flops = 2 * kernels::heat1d().points();
     let g = workload::random_1d(n, 7);
-    let (_, d) = measure::time_once(|| plan.run_1d(&g, t).unwrap());
+    let (_, d) = measure::time_once(|| sweep(&g, t));
     measure::gflops(n, t, flops, d)
 }
 
@@ -623,10 +649,10 @@ mod tests {
     #[test]
     fn blockfree_methods_run() {
         for m in BlockFreeMethod::ALL {
-            let plan = m.plan_1d_heat();
-            // same plan, two sizes — no recompilation between cells
+            let sweep = m.sweep_1d_heat();
+            // same sweep, two sizes — no recompilation between cells
             for n in [2048usize, 4096] {
-                let gf = run_blockfree_1d_with(&plan, n, 10);
+                let gf = run_blockfree_1d_with(&sweep, n, 10);
                 assert!(gf > 0.0, "{} n={n}", m.name());
             }
         }

@@ -12,18 +12,16 @@ use stencil_runtime::PoolHandle;
 
 pub use crate::exec::folded3d::Ring3;
 
-/// Vectorization scheme (the methods compared in Fig. 8/9/10).
+/// Vectorization scheme of a plan. The paper's other baselines (data
+/// reorganization, DLT, and DLT under split tiling, SDSL) are not plan
+/// methods: the figures call [`crate::exec::reorg`], [`crate::exec::dlt`]
+/// and [`crate::tile::split`] directly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Method {
     /// Scalar reference sweep.
     Scalar,
     /// Multiple loads: one unaligned load per tap.
     MultipleLoads,
-    /// Data reorganization: aligned loads + shuffles (1D only).
-    DataReorg,
-    /// Global dimension-lifted transpose (1D block-free, or SDSL when
-    /// combined with [`Tiling::Split`]).
-    Dlt,
     /// The paper's transpose layout, single-step (§2).
     TransposeLayout,
     /// The paper's temporal computation folding with unrolling factor
@@ -73,16 +71,6 @@ pub enum Tiling {
     Tessellate {
         /// Inner (possibly folded) steps per round.
         time_block: usize,
-    },
-    /// Split tiling over DLT layout — the SDSL configuration.
-    Split {
-        /// Inner steps per round.
-        time_block: usize,
-    },
-    /// Spatial blocking only (one step at a time).
-    Spatial {
-        /// Tile extents `(outer, inner)` = (y,x) in 2D / (z,y) in 3D.
-        block: (usize, usize),
     },
 }
 
@@ -190,7 +178,7 @@ pub(crate) fn fold_radius_cap(dims: usize, width: Width) -> usize {
 }
 
 /// The `m`-step counterpart plan of `p`, from (or added to) `built`, the
-/// fold plans one compile has made so far: rule 7 needs the plan, the
+/// fold plans one compile has made so far: rule 5 needs the plan, the
 /// static resolver prices it and the route executes it, and sharing
 /// them keeps a compile at one [`FoldPlan::new`] per `m`.
 pub(crate) fn fold_plan<'a>(built: &'a mut Vec<FoldPlan>, p: &Pattern, m: usize) -> &'a FoldPlan {
@@ -208,29 +196,24 @@ impl PlanConfig {
     /// dimensionality rules: [`Solver::compile`] runs it on the request
     /// *before* any tuner is consulted and again on the resolved
     /// configuration, and the measured tuner filters its candidates with
-    /// it. An open axis passes every rule it takes part in, so on a
-    /// request this checks exactly what the pinned axes decide, whatever
-    /// the tuning mode. The first failing rule is reported, in this
-    /// order:
+    /// it. Every method composes with every tiling; an open axis passes
+    /// every rule it takes part in, so on a request this checks exactly
+    /// what the pinned axes decide, whatever the tuning mode. The first
+    /// failing rule is reported, in this order:
     ///
     /// 1. ring geometry inside its bounds ([`PlanError::InvalidRing`]);
-    /// 2. non-degenerate tiling parameters ([`PlanError::InvalidTiling`]);
-    /// 3. method × tiling: DLT takes split tiling or none, split tiling
-    ///    only DLT, spatial blocking no register method
-    ///    ([`PlanError::IncompatibleMethodTiling`]);
-    /// 4. fold factor `m >= 1`, then 5. a register method's folded
+    /// 2. a tessellate time block `>= 1` ([`PlanError::InvalidTiling`]);
+    /// 3. fold factor `m >= 1`, then 4. a register method's folded
     ///    radius `m * r` within the pipeline's bound at this width and
     ///    dimensionality ([`PlanError::InvalidFold`]);
-    /// 6. dimensional limits: no spatial blocking in 1D, block-free DLT
-    ///    in 1D only ([`PlanError::UnsupportedDimension`]);
-    /// 7. a 2D/3D register method's counterpart plan (and, under
+    /// 5. a 2D/3D register method's counterpart plan (and, under
     ///    tessellate tiling, that of its unfolded `t % m` tail) within
     ///    the register budget ([`PlanError::FoldPlanTooComplex`]).
     pub fn validate(&self, p: &Pattern) -> Result<(), PlanError> {
         self.check(p, &mut Vec::new())
     }
 
-    /// [`PlanConfig::validate`], leaving the counterpart plans rule 7
+    /// [`PlanConfig::validate`], leaving the counterpart plans rule 5
     /// had to build in `built` (see [`fold_plan`]).
     pub(crate) fn check(&self, p: &Pattern, built: &mut Vec<FoldPlan>) -> Result<(), PlanError> {
         let PlanConfig {
@@ -252,33 +235,11 @@ impl PlanConfig {
             return Err(PlanError::InvalidRing { ring, reason });
         }
 
-        match tiling {
-            Tiling::Tessellate { time_block } | Tiling::Split { time_block } if time_block == 0 => {
-                return Err(PlanError::InvalidTiling {
-                    tiling,
-                    reason: "time_block must be >= 1",
-                })
-            }
-            Tiling::Spatial { block: (a, b) } if a == 0 || b == 0 => {
-                return Err(PlanError::InvalidTiling {
-                    tiling,
-                    reason: "spatial block extents must be >= 1",
-                })
-            }
-            _ => {}
-        }
-
-        // Every method has a tiling it composes with and every tiling a
-        // method, so an open side decides nothing here.
-        let composes = match (method, tiling) {
-            (Method::Auto, _) | (_, Tiling::Auto) => true,
-            (Method::Dlt, t) => matches!(t, Tiling::Split { .. } | Tiling::None),
-            (_, Tiling::Split { .. }) => false,
-            (m, Tiling::Spatial { .. }) => !m.is_register(),
-            _ => true,
-        };
-        if !composes {
-            return Err(PlanError::IncompatibleMethodTiling { method, tiling });
+        if tiling == (Tiling::Tessellate { time_block: 0 }) {
+            return Err(PlanError::InvalidTiling {
+                tiling,
+                reason: "time_block must be >= 1",
+            });
         }
 
         let m = method.fold();
@@ -296,19 +257,6 @@ impl PlanConfig {
                 m,
                 folded_radius,
                 max_radius,
-            });
-        }
-
-        if dims == 1 && matches!(tiling, Tiling::Spatial { .. }) {
-            return Err(PlanError::UnsupportedDimension {
-                feature: "spatial blocking",
-                pattern_dims: 1,
-            });
-        }
-        if dims > 1 && method == Method::Dlt && tiling == Tiling::None {
-            return Err(PlanError::UnsupportedDimension {
-                feature: "block-free DLT (pair Method::Dlt with Tiling::Split for the SDSL hybrid)",
-                pattern_dims: dims,
             });
         }
 
@@ -495,14 +443,13 @@ impl Solver {
     /// reuse: the folded pattern Λ, the planned register kernel, the
     /// resolved method (for [`Method::Auto`]) and the worker pool.
     ///
-    /// Every invalid method × tiling × dimension combination is reported
-    /// here as a typed [`PlanError`] — by [`PlanConfig::validate`], on
-    /// the request before anything is resolved (so the pinned axes get
-    /// the same error under every [`Tuning`] mode and an uncompilable
-    /// request never reaches a tuner) and on the resolved configuration
-    /// after; the returned [`Plan`] can only fail on grid-shape errors at
-    /// run time (wrong dimensionality, or a DLT-layout extent that is
-    /// ragged or smaller than the lifted radius).
+    /// Every invalid configuration is reported here as a typed
+    /// [`PlanError`] — by [`PlanConfig::validate`], on the request before
+    /// anything is resolved (so the pinned axes get the same error under
+    /// every [`Tuning`] mode and an uncompilable request never reaches a
+    /// tuner) and on the resolved configuration after; the returned
+    /// [`Plan`] can only fail at run time on a grid of the wrong
+    /// dimensionality.
     pub fn compile(&self) -> Result<Plan, PlanError> {
         let _span = stencil_obs::span(stencil_obs::SpanId::PlanCompile);
         Plan::compile(self)

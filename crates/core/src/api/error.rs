@@ -1,25 +1,16 @@
 //! Typed validation errors for [`Solver::compile`](super::Solver::compile).
 
-use super::config::{Method, Ring3, Tiling, Tuning};
+use super::config::{Ring3, Tiling, Tuning};
 use std::fmt;
 
 /// Why a [`Solver`](super::Solver) configuration cannot be compiled into
 /// a [`Plan`](super::Plan), or why a plan cannot run on a given domain.
 ///
-/// Every invalid method × tiling × dimension combination that used to
-/// `panic!` deep inside the execution match now surfaces here, at
-/// compile time, before any grid is touched.
+/// Every invalid configuration surfaces here, at compile time, before
+/// any grid is touched; a run can only fail on a grid of the wrong
+/// dimensionality.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PlanError {
-    /// The vectorization method and the tiling scheme do not compose
-    /// (e.g. DLT pairs with split tiling — the SDSL configuration — and
-    /// with nothing else; split tiling accepts only DLT).
-    IncompatibleMethodTiling {
-        /// The configured method.
-        method: Method,
-        /// The configured tiling.
-        tiling: Tiling,
-    },
     /// The pattern's dimensionality does not match the domain the plan
     /// was asked to run on (e.g. a 2D pattern driven through
     /// [`Plan::run_1d`](super::Plan::run_1d)).
@@ -40,14 +31,6 @@ pub enum PlanError {
         /// Largest folded radius the executor supports here.
         max_radius: usize,
     },
-    /// The feature exists but not at this dimensionality (e.g. spatial
-    /// blocking is 2D/3D-only; block-free DLT is 1D-only).
-    UnsupportedDimension {
-        /// Human-readable feature name.
-        feature: &'static str,
-        /// The pattern's dimensionality.
-        pattern_dims: usize,
-    },
     /// The pinned z-ring pipeline geometry ([`super::Solver::ring3`])
     /// is degenerate or outside the supported bounds.
     InvalidRing {
@@ -56,32 +39,12 @@ pub enum PlanError {
         /// What is wrong with it.
         reason: &'static str,
     },
-    /// A tiling parameter is degenerate (zero time block, zero-sized
-    /// spatial block, ...).
+    /// A tiling parameter is degenerate (a zero time block).
     InvalidTiling {
         /// The offending tiling.
         tiling: Tiling,
         /// What is wrong with it.
         reason: &'static str,
-    },
-    /// The domain's innermost extent is not divisible by the vector
-    /// lane count, which the dimension-lifted-transpose layout (DLT /
-    /// SDSL) requires. Reported by the `run` methods, since the grid is
-    /// only known at run time.
-    MisalignedDomain {
-        /// Innermost (x) extent of the grid.
-        extent: usize,
-        /// Vector lanes the plan was compiled for.
-        lanes: usize,
-    },
-    /// The domain's innermost extent is too small for the plan: the
-    /// DLT-lifted row must cover the stencil radius. Reported by the
-    /// `run` methods.
-    DomainTooSmall {
-        /// Innermost (x) extent of the grid.
-        extent: usize,
-        /// Minimum extent this plan can run on.
-        min: usize,
     },
     /// The fold's counterpart schedule needs more fresh counterparts
     /// than the register pipeline's budget allows, even though the
@@ -95,7 +58,7 @@ pub enum PlanError {
         max: usize,
     },
     /// A measured [`Tuning`] mode was requested, the configuration
-    /// leaves something to tune ([`Method::Auto`] or
+    /// leaves something to tune ([`super::Method::Auto`] or
     /// [`super::Tiling::Auto`]), but no
     /// [`crate::tune::MeasuredTuner`] is installed. Install one
     /// (`stencil_tune::install()`) or use [`Tuning::Static`].
@@ -122,25 +85,6 @@ pub enum PlanError {
 impl fmt::Display for PlanError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            PlanError::IncompatibleMethodTiling { method, tiling } => {
-                write!(
-                    f,
-                    "method {method:?} does not compose with tiling {tiling:?}"
-                )?;
-                match (method, tiling) {
-                    (Method::Dlt, _) => write!(
-                        f,
-                        " (DLT pairs with Tiling::Split — the SDSL configuration)"
-                    ),
-                    (_, Tiling::Split { .. }) => {
-                        write!(
-                            f,
-                            " (Tiling::Split is the SDSL configuration; use Method::Dlt)"
-                        )
-                    }
-                    _ => Ok(()),
-                }
-            }
             PlanError::DimensionMismatch {
                 pattern_dims,
                 domain_dims,
@@ -163,26 +107,12 @@ impl fmt::Display for PlanError {
                     )
                 }
             }
-            PlanError::UnsupportedDimension {
-                feature,
-                pattern_dims,
-            } => write!(f, "{feature} is not available for {pattern_dims}D patterns"),
             PlanError::InvalidRing { ring, reason } => {
                 write!(f, "invalid z-ring geometry {ring:?}: {reason}")
             }
             PlanError::InvalidTiling { tiling, reason } => {
                 write!(f, "invalid tiling {tiling:?}: {reason}")
             }
-            PlanError::MisalignedDomain { extent, lanes } => write!(
-                f,
-                "the DLT layout requires the innermost grid extent ({extent}) to be divisible \
-                 by the vector lane count ({lanes})"
-            ),
-            PlanError::DomainTooSmall { extent, min } => write!(
-                f,
-                "innermost grid extent {extent} is too small for this plan: the DLT-lifted row \
-                 must cover the stencil radius (need at least {min} points)"
-            ),
             PlanError::FoldPlanTooComplex {
                 m,
                 counterparts,
@@ -214,21 +144,6 @@ impl std::error::Error for PlanError {}
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn display_names_the_sdsl_pairing() {
-        let e = PlanError::IncompatibleMethodTiling {
-            method: Method::Dlt,
-            tiling: Tiling::Tessellate { time_block: 4 },
-        };
-        let s = e.to_string();
-        assert!(s.contains("Dlt") && s.contains("SDSL"), "{s}");
-        let e = PlanError::IncompatibleMethodTiling {
-            method: Method::Scalar,
-            tiling: Tiling::Split { time_block: 4 },
-        };
-        assert!(e.to_string().contains("Method::Dlt"));
-    }
 
     #[test]
     fn display_zero_fold() {

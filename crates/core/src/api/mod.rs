@@ -31,18 +31,20 @@
 //! }
 //! ```
 //!
-//! Invalid combinations are rejected at compile time with a typed error
-//! instead of a runtime panic:
+//! Every method composes with every tiling. What cannot run — a fold
+//! deeper than the register pipeline holds, a zero time block — is
+//! rejected at compile time with a typed error instead of a runtime
+//! panic:
 //!
 //! ```
 //! use stencil_core::{kernels, Method, PlanError, Solver, Tiling};
 //!
 //! let err = Solver::new(kernels::heat1d())
-//!     .method(Method::Dlt)
+//!     .method(Method::Folded { m: 9 })
 //!     .tiling(Tiling::Tessellate { time_block: 8 })
 //!     .compile()
 //!     .unwrap_err();
-//! assert!(matches!(err, PlanError::IncompatibleMethodTiling { .. }));
+//! assert!(matches!(err, PlanError::InvalidFold { .. }));
 //! ```
 
 pub mod config;

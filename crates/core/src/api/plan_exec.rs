@@ -5,17 +5,17 @@ use super::config::{Method, PlanConfig, Ring3, Solver, Tiling, Tuning, Width};
 use super::error::PlanError;
 use crate::exec::folded::{self, FoldedKernel};
 use crate::exec::folded3d;
-use crate::exec::{dlt, multiload, reorg, scalar, xlayout};
+use crate::exec::{multiload, scalar, xlayout};
 use crate::folding::fold;
 use crate::pattern::Pattern;
-use crate::tile::{spatial, split, tessellate, tile_width};
+use crate::tile::{tessellate, tile_width};
 use core::ops::Range;
 use stencil_grid::{Grid1D, Grid2D, Grid3D, PingPong};
 use stencil_runtime::PoolHandle;
 use stencil_simd::{NativeF64x4, NativeF64x8, SimdF64};
 
-/// Why a route constructor may assume its combination has a route.
-const VALIDATED: &str = "PlanConfig::validate accepted the resolved configuration";
+/// Why a route constructor may assume its tiling is concrete.
+const VALIDATED: &str = "compile resolved every open axis";
 /// Why a sweep may assume the route of its dimensionality.
 const CHECKED: &str = "Plan::check accepted the domain's dimensionality";
 
@@ -25,8 +25,7 @@ const CHECKED: &str = "Plan::check accepted the domain's dimensionality";
 /// its z-ring geometry in 3D.
 enum Kernel<R> {
     Scalar,
-    /// Unaligned-load vector kernel: `MultipleLoads`, and `DataReorg`
-    /// wherever it has no kernel of its own (tiled runs, 2D, 3D).
+    /// Unaligned-load vector kernel (`MultipleLoads`).
     Vector,
     Register(R),
 }
@@ -38,9 +37,7 @@ impl<R> Kernel<R> {
         match method {
             Method::Scalar => Kernel::Scalar,
             m if m.is_register() => Kernel::Register(register()),
-            // MultipleLoads / DataReorg. Dlt never steps a kernel (it
-            // routes to split tiling or the 1D DLT sweep) and Auto was
-            // resolved before any route is built.
+            // MultipleLoads; Auto was resolved before any route is built.
             _ => Kernel::Vector,
         }
     }
@@ -94,114 +91,47 @@ impl Kernel<(FoldedKernel, Ring3)> {
     }
 }
 
-/// Body and `t % m` tail kernels of a tiled route: the tail is the
-/// single-step kernel of the same method and exists exactly when `m > 1`
-/// leaves a remainder to run.
-fn body_and_tail<R>(
-    method: Method,
-    mut register: impl FnMut(usize) -> R,
-) -> (Kernel<R>, Option<Kernel<R>>) {
-    let m = method.fold();
-    let body = Kernel::new(method, || register(m));
-    let tail = (m > 1).then(|| Kernel::new(method, || register(1)));
-    (body, tail)
-}
-
-/// Whole-grid sweep of a block-free 1D plan, one per method.
-enum Sweep1 {
-    Scalar,
-    MultipleLoads,
-    DataReorg,
-    Dlt,
-    /// Transpose layout, folded `m` steps at a time (`m = 1` for
-    /// `TransposeLayout`).
-    Register,
-}
-
-/// What a 1D plan runs.
-enum Route1 {
-    BlockFree(Sweep1),
+/// What a plan of one dimensionality runs (`R` as in [`Kernel`]).
+enum Sweep<R> {
+    /// Whole-grid sweeps of the method's kernel.
+    BlockFree(Kernel<R>),
+    /// Tessellate tiling: `body` steps the folded pattern, and `tail`,
+    /// the single-step kernel of the same method, the `t % m` remainder;
+    /// it exists exactly when `m > 1` leaves one to run.
     Tessellate {
         time_block: usize,
-        body: Kernel<()>,
-        tail: Option<Kernel<()>>,
-    },
-    Split {
-        time_block: usize,
-    },
-}
-
-impl Route1 {
-    fn new(PlanConfig { method, tiling, .. }: PlanConfig) -> Self {
-        match tiling {
-            Tiling::None => Route1::BlockFree(match method {
-                Method::Scalar => Sweep1::Scalar,
-                Method::DataReorg => Sweep1::DataReorg,
-                Method::Dlt => Sweep1::Dlt,
-                m if m.is_register() => Sweep1::Register,
-                // MultipleLoads; Auto was resolved before any route is built.
-                _ => Sweep1::MultipleLoads,
-            }),
-            Tiling::Tessellate { time_block } => {
-                let (body, tail) = body_and_tail(method, |_| ());
-                Route1::Tessellate {
-                    time_block,
-                    body,
-                    tail,
-                }
-            }
-            Tiling::Split { time_block } => Route1::Split { time_block },
-            Tiling::Spatial { .. } | Tiling::Auto => unreachable!("{VALIDATED}"),
-        }
-    }
-}
-
-/// Tiling driver of a 2D/3D route.
-enum Driver {
-    Tessellate { time_block: usize },
-    Spatial { block: (usize, usize) },
-}
-
-/// What a 2D/3D plan runs (`R` as in [`Kernel`]).
-enum RouteN<R> {
-    BlockFree(Kernel<R>),
-    Tiled {
-        driver: Driver,
         body: Kernel<R>,
         tail: Option<Kernel<R>>,
     },
-    Split {
-        time_block: usize,
-    },
 }
 
-impl<R> RouteN<R> {
+impl<R> Sweep<R> {
     /// `register(m)` builds the `m`-step register-pipeline state.
     fn new(
         PlanConfig { method, tiling, .. }: PlanConfig,
         mut register: impl FnMut(usize) -> R,
     ) -> Self {
-        let mut tiled = |driver| {
-            let (body, tail) = body_and_tail(method, &mut register);
-            RouteN::Tiled { driver, body, tail }
-        };
+        let m = method.fold();
+        let body = Kernel::new(method, || register(m));
         match tiling {
-            Tiling::None => RouteN::BlockFree(Kernel::new(method, || register(method.fold()))),
-            Tiling::Tessellate { time_block } => tiled(Driver::Tessellate { time_block }),
-            Tiling::Spatial { block } => tiled(Driver::Spatial { block }),
-            Tiling::Split { time_block } => RouteN::Split { time_block },
+            Tiling::None => Sweep::BlockFree(body),
+            Tiling::Tessellate { time_block } => Sweep::Tessellate {
+                time_block,
+                body,
+                tail: (m > 1).then(|| Kernel::new(method, || register(1))),
+            },
             Tiling::Auto => unreachable!("{VALIDATED}"),
         }
     }
 }
 
-/// The one route a compiled plan runs: tiling driver plus the kernel it
-/// steps, typed by dimensionality so a run can only reach the executors
-/// of the pattern it was compiled for.
+/// The one route a compiled plan runs: tiling plus the kernel it steps,
+/// typed by dimensionality so a run can only reach the executors of the
+/// pattern it was compiled for.
 enum Route {
-    D1(Route1),
-    D2(RouteN<FoldedKernel>),
-    D3(RouteN<(FoldedKernel, Ring3)>),
+    D1(Sweep<()>),
+    D2(Sweep<FoldedKernel>),
+    D3(Sweep<(FoldedKernel, Ring3)>),
 }
 
 /// A validated, compiled stencil execution plan.
@@ -218,11 +148,8 @@ enum Route {
 ///
 /// `run_1d`/`run_2d`/`run_3d` (or the dimension-generic [`Plan::run`]),
 /// and [`Plan::run_pair_at`] on a pair the caller owns, can be invoked
-/// any number of times; the only errors they can return
-/// concern the grid itself — [`PlanError::DimensionMismatch`], plus
-/// [`PlanError::MisalignedDomain`]/[`PlanError::DomainTooSmall`] for
-/// DLT-layout plans, whose lifted rows constrain the innermost extent.
-/// No planning work happens per run.
+/// any number of times; the only error they can return is
+/// [`PlanError::DimensionMismatch`]. No planning work happens per run.
 pub struct Plan {
     pattern: Pattern,
     config: PlanConfig,
@@ -295,7 +222,7 @@ impl Plan {
                 crate::tune::resolve_method(p, &mut built, resolved.width, resolved.tiling);
         }
         if resolved.tiling == Tiling::Auto {
-            resolved.tiling = crate::tune::auto_tiling(dims, resolved.method, cfg.threads);
+            resolved.tiling = crate::tune::auto_tiling(dims, cfg.threads);
         }
 
         // Nothing is open any more, so this decides every rule (a
@@ -319,9 +246,9 @@ impl Plan {
             FoldedKernel::from_plan(built.swap_remove(at))
         };
         let route = match dims {
-            1 => Route::D1(Route1::new(resolved)),
-            2 => Route::D2(RouteN::new(resolved, kernel)),
-            _ => Route::D3(RouteN::new(resolved, |m| {
+            1 => Route::D1(Sweep::new(resolved, |_| ())),
+            2 => Route::D2(Sweep::new(resolved, kernel)),
+            _ => Route::D3(Sweep::new(resolved, |m| {
                 (kernel(m), ring.expect("a 3D register plan has a ring"))
             })),
         };
@@ -414,12 +341,9 @@ impl Plan {
     /// pair the caller owns instead).
     ///
     /// Errors: [`PlanError::DimensionMismatch`] when the domain's
-    /// dimensionality differs from the pattern's, and
-    /// [`PlanError::MisalignedDomain`]/[`PlanError::DomainTooSmall`]
-    /// when a DLT-layout plan is given a grid whose innermost extent is
-    /// not a lane multiple or shorter than the lifted radius.
+    /// dimensionality differs from the pattern's.
     pub fn run<D: Domain>(&self, domain: &D, t: usize) -> Result<D, PlanError> {
-        self.check(domain)?;
+        self.check::<D>()?;
         let mut pp = PingPong::new(domain.clone());
         D::sweep(self, &mut pp, t, 0);
         Ok(pp.into_current())
@@ -452,8 +376,8 @@ impl Plan {
     /// 2D, `z` in 3D) when it is a local window of a larger domain:
     /// tessellate tile phase is derived from global coordinates, so
     /// windows of one domain agree on every tile they share — the contract
-    /// bit-exact sharding and out-of-core streaming rely on. Other tilings,
-    /// and 1D grids, ignore it.
+    /// bit-exact sharding and out-of-core streaming rely on. Block-free
+    /// plans, and 1D grids, ignore it.
     ///
     /// Bit-identical to [`Plan::run`] at `origin` 0; same errors, and on
     /// an error the pair is untouched.
@@ -466,7 +390,7 @@ impl Plan {
         t: usize,
         origin: usize,
     ) -> Result<(), PlanError> {
-        self.check(pp.current())?;
+        self.check::<D>()?;
         // all a sweep asks of the scratch surface (see `sweep_3d`)
         let (cur, scratch) = pp.both_mut();
         scratch.copy_band_from(cur, self.effective_radius());
@@ -474,34 +398,12 @@ impl Plan {
         Ok(())
     }
 
-    /// The errors a run can return, decided before it touches a grid.
-    fn check<D: Domain>(&self, domain: &D) -> Result<(), PlanError> {
+    /// The error a run can return, decided before it touches a grid.
+    fn check<D: Domain>(&self) -> Result<(), PlanError> {
         if D::DIMS != self.dims() {
             return Err(PlanError::DimensionMismatch {
                 pattern_dims: self.dims(),
                 domain_dims: D::DIMS,
-            });
-        }
-        self.check_layout(domain.inner_extent())
-    }
-
-    /// The DLT layout (block-free 1D and the SDSL split-tiling hybrid)
-    /// lifts the innermost dimension into lanes; a ragged or too-short
-    /// `extent` is a typed run error, not an executor assert.
-    fn check_layout(&self, extent: usize) -> Result<(), PlanError> {
-        if self.config.method != Method::Dlt {
-            return Ok(());
-        }
-        let lanes = self.config.width.lanes();
-        if !extent.is_multiple_of(lanes) {
-            return Err(PlanError::MisalignedDomain { extent, lanes });
-        }
-        // the lifted row (extent / lanes points) must cover the
-        // stencil radius
-        if extent / lanes < self.pattern.radius() {
-            return Err(PlanError::DomainTooSmall {
-                extent,
-                min: self.pattern.radius() * lanes,
             });
         }
         Ok(())
@@ -522,25 +424,23 @@ impl Plan {
         std::iter::once((body, &self.folded, t / m)).chain(tail)
     }
 
-    /// Advance `pp` by `t` steps along the 1D route. Routes that leave
-    /// the grid's layout (the transpose layout, DLT, split tiling) change
-    /// it on the pair's own surfaces and put the result back into it.
+    /// Advance `pp` by `t` steps along the 1D route. The block-free
+    /// transpose layout changes layout on the pair's own surfaces and
+    /// puts the result back into it.
     fn sweep_1d<V: SimdF64>(&self, pp: &mut PingPong<Grid1D>, t: usize) {
         let Route::D1(route) = &self.route else {
             unreachable!("{CHECKED}")
         };
         let p = &self.pattern;
         match route {
-            Route1::BlockFree(Sweep1::Scalar) => scalar::sweep_1d(pp, p, t),
-            Route1::BlockFree(Sweep1::MultipleLoads) => multiload::sweep_1d::<V>(pp, p, t),
-            Route1::BlockFree(Sweep1::DataReorg) => reorg::sweep_1d::<V>(pp, p, t),
-            Route1::BlockFree(Sweep1::Dlt) => dlt::sweep_1d::<V>(pp, p, t),
-            Route1::BlockFree(Sweep1::Register) => {
+            Sweep::BlockFree(Kernel::Scalar) => scalar::sweep_1d(pp, p, t),
+            Sweep::BlockFree(Kernel::Vector) => multiload::sweep_1d::<V>(pp, p, t),
+            Sweep::BlockFree(Kernel::Register(())) => {
                 xlayout::sweep_1d::<V>(pp, p, &self.folded, self.m(), t)
             }
             // Body and leftover steps go through the same tessellated
             // range kernel — threaded, same frozen-boundary discipline.
-            Route1::Tessellate {
+            Sweep::Tessellate {
                 time_block,
                 body,
                 tail,
@@ -559,7 +459,6 @@ impl Plan {
                     );
                 }
             }
-            Route1::Split { time_block } => split::sweep_1d::<V>(&self.pool, pp, p, *time_block, t),
         }
     }
 
@@ -570,32 +469,27 @@ impl Plan {
         };
         let p = &self.pattern;
         match route {
-            RouteN::BlockFree(Kernel::Scalar) => scalar::sweep_2d(pp, p, t),
-            RouteN::BlockFree(Kernel::Vector) => multiload::sweep_2d::<V>(pp, p, t),
-            RouteN::BlockFree(Kernel::Register(k)) => {
+            Sweep::BlockFree(Kernel::Scalar) => scalar::sweep_2d(pp, p, t),
+            Sweep::BlockFree(Kernel::Vector) => multiload::sweep_2d::<V>(pp, p, t),
+            Sweep::BlockFree(Kernel::Register(k)) => {
                 let _span = ring_span();
                 folded::sweep_2d::<V>(k, pp, p, t)
             }
-            RouteN::Tiled { driver, body, tail } => {
+            Sweep::Tessellate {
+                time_block,
+                body,
+                tail,
+            } => {
+                let tb = *time_block;
                 for (kernel, q, steps) in self.legs(body, tail, t) {
                     let _span = matches!(kernel, Kernel::Register(_)).then(ring_span);
                     let r = q.radius();
+                    let w = tile_width(&[pp.current().nx()], r, tb);
                     let step =
                         |s: &Grid2D, d: &mut Grid2D, ys, xs| kernel.step::<V>(q, s, d, ys, xs);
-                    match *driver {
-                        Driver::Tessellate { time_block } => {
-                            let w = tile_width(&[pp.current().nx()], r, time_block);
-                            tessellate::run_2d_at(
-                                &self.pool, pp, r, r, w, time_block, steps, origin_y, &step,
-                            )
-                        }
-                        Driver::Spatial { block } => {
-                            spatial::run_2d(&self.pool, pp, r, block, steps, &step)
-                        }
-                    }
+                    tessellate::run_2d_at(&self.pool, pp, r, r, w, tb, steps, origin_y, &step)
                 }
             }
-            RouteN::Split { time_block } => split::sweep_2d::<V>(&self.pool, pp, p, *time_block, t),
         }
     }
 
@@ -610,34 +504,29 @@ impl Plan {
         };
         let p = &self.pattern;
         match route {
-            RouteN::BlockFree(Kernel::Scalar) => scalar::sweep_3d(pp, p, t),
-            RouteN::BlockFree(Kernel::Vector) => multiload::sweep_3d::<V>(pp, p, t),
-            RouteN::BlockFree(Kernel::Register((k, ring))) => {
+            Sweep::BlockFree(Kernel::Scalar) => scalar::sweep_3d(pp, p, t),
+            Sweep::BlockFree(Kernel::Vector) => multiload::sweep_3d::<V>(pp, p, t),
+            Sweep::BlockFree(Kernel::Register((k, ring))) => {
                 let _span = ring_span();
                 folded3d::sweep_3d_ring::<V>(k, *ring, pp, p, t)
             }
-            RouteN::Tiled { driver, body, tail } => {
+            Sweep::Tessellate {
+                time_block,
+                body,
+                tail,
+            } => {
+                let tb = *time_block;
                 for (kernel, q, steps) in self.legs(body, tail, t) {
                     let _span = matches!(kernel, Kernel::Register(_)).then(ring_span);
                     let r = q.radius();
+                    let (ny, nx) = (pp.current().ny(), pp.current().nx());
+                    let w = tile_width(&[ny, nx], r, tb);
                     let step = |s: &Grid3D, d: &mut Grid3D, zs, ys, xs| {
                         kernel.step::<V>(q, s, d, zs, ys, xs)
                     };
-                    match *driver {
-                        Driver::Tessellate { time_block } => {
-                            let (ny, nx) = (pp.current().ny(), pp.current().nx());
-                            let w = tile_width(&[ny, nx], r, time_block);
-                            tessellate::run_3d_at(
-                                &self.pool, pp, r, r, w, time_block, steps, origin_z, &step,
-                            )
-                        }
-                        Driver::Spatial { block } => {
-                            spatial::run_3d(&self.pool, pp, r, block, steps, &step)
-                        }
-                    }
+                    tessellate::run_3d_at(&self.pool, pp, r, r, w, tb, steps, origin_z, &step)
                 }
             }
-            RouteN::Split { time_block } => split::sweep_3d::<V>(&self.pool, pp, p, *time_block, t),
         }
     }
 }
@@ -682,10 +571,6 @@ pub trait Domain: Clone + sealed::Sealed {
     /// Spatial dimensionality of this domain type.
     const DIMS: usize;
 
-    /// The innermost extent: the axis a DLT-layout plan lifts into lanes.
-    #[doc(hidden)]
-    fn inner_extent(&self) -> usize;
-
     /// Copy `src`'s Dirichlet band of `r` cells per axis into `self`.
     #[doc(hidden)]
     fn copy_band_from(&mut self, src: &Self, r: usize);
@@ -703,10 +588,6 @@ pub trait Domain: Clone + sealed::Sealed {
 impl Domain for Grid1D {
     const DIMS: usize = 1;
 
-    fn inner_extent(&self) -> usize {
-        self.len()
-    }
-
     fn copy_band_from(&mut self, src: &Self, r: usize) {
         Grid1D::copy_band_from(self, src, r)
     }
@@ -722,10 +603,6 @@ impl Domain for Grid1D {
 
 impl Domain for Grid2D {
     const DIMS: usize = 2;
-
-    fn inner_extent(&self) -> usize {
-        self.nx()
-    }
 
     fn copy_band_from(&mut self, src: &Self, r: usize) {
         Grid2D::copy_band_from(self, src, r)
@@ -743,10 +620,6 @@ impl Domain for Grid2D {
 impl Domain for Grid3D {
     const DIMS: usize = 3;
 
-    fn inner_extent(&self) -> usize {
-        self.nx()
-    }
-
     fn copy_band_from(&mut self, src: &Self, r: usize) {
         Grid3D::copy_band_from(self, src, r)
     }
@@ -763,7 +636,9 @@ impl Domain for Grid3D {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::{dlt, reorg};
     use crate::kernels;
+    use crate::tile::split;
     use stencil_grid::max_abs_diff;
 
     fn ref_1d(p: &Pattern, g: &Grid1D, t: usize) -> Grid1D {
@@ -781,12 +656,7 @@ mod tests {
         let g = Grid1D::from_fn(256, |i| ((i * 7) % 13) as f64);
         let t = 6;
         let want = ref_1d(&p, &g, t);
-        for m in [
-            Method::MultipleLoads,
-            Method::DataReorg,
-            Method::Dlt,
-            Method::TransposeLayout,
-        ] {
+        for m in [Method::MultipleLoads, Method::TransposeLayout] {
             let plan = Solver::new(p.clone()).method(m).compile().unwrap();
             let got = plan.run_1d(&g, t).unwrap();
             assert!(
@@ -794,6 +664,13 @@ mod tests {
                 "{m:?}"
             );
         }
+        // the paper's block-free baselines, through their own entries
+        let mut pp = PingPong::new(g.clone());
+        reorg::sweep_1d::<NativeF64x4>(&mut pp, &p, t);
+        assert!(max_abs_diff(want.as_slice(), pp.current().as_slice()) < 1e-12);
+        let mut pp = PingPong::new(g);
+        dlt::sweep_1d::<NativeF64x4>(&mut pp, &p, t);
+        assert!(max_abs_diff(want.as_slice(), pp.current().as_slice()) < 1e-12);
     }
 
     #[test]
@@ -827,15 +704,9 @@ mod tests {
         let g = Grid1D::from_fn(256, |i| (i % 11) as f64);
         let t = 8;
         let want = ref_1d(&p, &g, t);
-        let got = Solver::new(p)
-            .method(Method::Dlt)
-            .tiling(Tiling::Split { time_block: 4 })
-            .threads(4)
-            .compile()
-            .unwrap()
-            .run_1d(&g, t)
-            .unwrap();
-        assert!(max_abs_diff(want.as_slice(), got.as_slice()) < 1e-12);
+        let mut pp = PingPong::new(g);
+        split::sweep_1d::<NativeF64x4>(&PoolHandle::new(4), &mut pp, &p, 4, t);
+        assert!(max_abs_diff(want.as_slice(), pp.current().as_slice()) < 1e-12);
     }
 
     #[test]
@@ -905,26 +776,6 @@ mod tests {
             .run_3d(&g, t)
             .unwrap();
         assert!(max_abs_diff(&want.to_dense(), &tess.to_dense()) < 1e-12);
-    }
-
-    #[test]
-    fn spatial_blocking_2d() {
-        let p = kernels::box2d9p();
-        let g = Grid2D::from_fn(33, 37, |y, x| ((y + 2 * x) % 9) as f64);
-        let want = Solver::new(p.clone())
-            .method(Method::Scalar)
-            .compile()
-            .unwrap()
-            .run_2d(&g, 5)
-            .unwrap();
-        let got = Solver::new(p)
-            .tiling(Tiling::Spatial { block: (8, 8) })
-            .threads(3)
-            .compile()
-            .unwrap()
-            .run_2d(&g, 5)
-            .unwrap();
-        assert!(max_abs_diff(&want.to_dense(), &got.to_dense()) < 1e-12);
     }
 
     #[test]

@@ -18,6 +18,10 @@
 //! All step functions take explicit index ranges so the tiling layer can
 //! drive them over arbitrary tile regions; full-sweep helpers handle the
 //! Dirichlet boundary copy.
+//!
+//! [`reorg`] and [`dlt`] are comparison baselines: no
+//! [`Plan`](crate::Plan) routes to them, and the figures call their
+//! sweeps directly.
 
 pub mod apop;
 pub mod dlt;

@@ -16,8 +16,14 @@
 //! * [`exec`] — sweep executors: scalar reference, multiple-loads,
 //!   data-reorganization, DLT, transpose-layout, and the register-folded
 //!   executor with shifts reuse.
-//! * [`tile`] — tessellate tiling (1D/2D/3D), split tiling (the SDSL
-//!   stand-in), and plain spatial blocking.
+//! * [`tile`] — tessellate tiling (1D/2D/3D), and split tiling (the SDSL
+//!   stand-in).
+//!
+//! A [`Plan`] runs the scalar reference, multiple loads, the transpose
+//! layout and folding, block-free or tessellated. The other baselines —
+//! data reorganization ([`exec::reorg`]), DLT ([`exec::dlt`]) and SDSL
+//! ([`tile::split`]) — are what the paper measures against, and the
+//! figures call their entries directly.
 //! * [`api`] — the high-level facade: a [`Solver`] configuration is
 //!   validated by [`Solver::compile`] into a reusable [`Plan`]
 //!   (pattern x method x tiling x width x thread pool), with invalid

@@ -16,15 +16,14 @@
 //! advances `m` steps, so the budget stays `t * r` total.
 //!
 //! Slabs cut only the outermost axis (`y` in 2D, `z` in 3D): the
-//! innermost extent — which drives vector chunking, alignment and the
-//! DLT lane constraints — is untouched.
+//! innermost extent — which drives vector chunking and alignment — is
+//! untouched, so every 2D and 3D plan slabs.
 //!
 //! Two executor families need two levels of care:
 //!
-//! * **Row-independent families** (scalar, multiple-loads,
-//!   data-reorganization): a cell's instruction stream depends only on
-//!   its x position, so any slab geometry is bit-exact — these slab
-//!   under every tiling.
+//! * **Row-independent families** (scalar, multiple-loads): a cell's
+//!   instruction stream depends only on its x position, so any slab
+//!   geometry is bit-exact — these slab under every tiling.
 //! * **Register pipelines** (transpose-layout, folded): every output is
 //!   one fixed chain of fused multiply-adds whichever block, strip or
 //!   call produces it, so any partition into ranges at least one vector
@@ -72,31 +71,13 @@
 //! boundary at a multiple of `m * C` steps preserves that grouping.
 //! [`pass_quantum`] returns this composition unit.
 
-use crate::api::{Method, Plan, Tiling};
+use crate::api::{Plan, Tiling};
 use crate::tile::{tile_width, DimTiling};
 
 /// Slab starts are aligned down to this many outer-axis layers — the
 /// widest vector lane count, so every register pipeline's row grouping
 /// keeps its phase across slab boundaries.
 pub const SLAB_ALIGN: usize = 8;
-
-/// True when `plan` is eligible for bit-exact slab execution (see the
-/// module docs): 2D/3D, natural layout (no DLT/SDSL). Register
-/// pipelines slab block-free (slab alignment preserves their
-/// origin-relative row grouping) and under tessellate tiling (global
-/// tile-phase anchoring plus the widened halo of [`shard_geometry`]).
-pub fn shardable(plan: &Plan) -> bool {
-    if plan.dims() < 2 {
-        return false;
-    }
-    match plan.method() {
-        Method::Scalar | Method::MultipleLoads | Method::DataReorg => true,
-        m if m.is_register() => {
-            matches!(plan.tiling(), Tiling::None | Tiling::Tessellate { .. })
-        }
-        _ => false,
-    }
-}
 
 /// Halo depth and minimum slab span for running `t` steps of `plan`
 /// sharded along an outer axis of extent `outer` (inner extents in

@@ -1,5 +1,6 @@
-//! Tiling layer: tessellate tiling (§3.4), split tiling (the SDSL
-//! stand-in) and plain spatial blocking.
+//! Tiling layer: tessellate tiling (§3.4), the one tiling a plan runs,
+//! and split tiling over the DLT layout ([`split`]), the SDSL baseline of
+//! Fig. 9 and Table 3, which the figures call directly.
 //!
 //! ## Tessellation geometry
 //!
@@ -54,7 +55,6 @@
 //! `[band, n - band)`, and tiles touching a domain edge do not shrink on
 //! that side (their reads hit frozen boundary cells).
 
-pub mod spatial;
 pub mod split;
 pub mod tessellate;
 

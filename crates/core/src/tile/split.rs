@@ -80,7 +80,11 @@ impl RingTiling {
 /// scratch one, `t_steps` split-tiled steps run on the pair in DLT space
 /// (the ring tiles of a step cover every column, so the scratch surface
 /// may hold anything), and the result is transposed back onto the other
-/// surface. The length must be a multiple of `V::LANES`.
+/// surface.
+///
+/// # Panics
+/// If the length is not a multiple of `V::LANES`, or the lifted row
+/// (`len / V::LANES` points) is shorter than the radius.
 pub fn sweep_1d<V: SimdF64>(
     pool: &ThreadPool,
     pp: &mut PingPong<Grid1D>,
@@ -92,6 +96,8 @@ pub fn sweep_1d<V: SimdF64>(
     let layout = DltLayout::new(pp.current().len(), V::LANES);
     let cols = layout.cols();
     let r = p.radius();
+    // the seam loads of a lifted row reach back `r` columns
+    assert!(r <= cols, "radius exceeds lifted row");
     let taps = p.weights();
     relayout(pp, |s, d| {
         layout.to_dlt::<V>(s.as_slice(), d.as_mut_slice())
@@ -206,8 +212,11 @@ fn dlt_vec_at<V: SimdF64>(row: &[f64], cols: usize, q: isize) -> V {
 /// SDSL-style 2D sweep of a pair: DLT along x, split-tiling triangles
 /// along y. Every row of the current surface is lifted onto the scratch
 /// one, the steps run on the pair, and the rows are un-lifted onto the
-/// other surface; the scratch surface may hold anything. `nx` must be a
-/// multiple of `V::LANES`.
+/// other surface; the scratch surface may hold anything.
+///
+/// # Panics
+/// If `nx` is not a multiple of `V::LANES`, or the lifted row
+/// (`nx / V::LANES` points) is shorter than the radius.
 pub fn sweep_2d<V: SimdF64>(
     pool: &ThreadPool,
     pp: &mut PingPong<Grid2D>,
@@ -219,6 +228,8 @@ pub fn sweep_2d<V: SimdF64>(
     let (ny, nx) = (pp.current().ny(), pp.current().nx());
     let r = p.radius();
     let row_layout = DltLayout::new(nx, V::LANES);
+    // `dlt_vec_at`'s wrapped loads reach back `r` lifted columns
+    assert!(r <= row_layout.cols(), "radius exceeds lifted row");
     let rows = |src: &Grid2D, dst: &mut Grid2D, map: Relayout| {
         for y in 0..ny {
             map(&row_layout, src.row(y), dst.row_mut(y));
@@ -287,8 +298,10 @@ fn step_dlt_rows_3d<V: SimdF64>(
 }
 
 /// SDSL-style 3D sweep of a pair: DLT along x, split-tiling triangles
-/// along z, full y sweeps, the pair handled as in [`sweep_2d`]. `nx` must
-/// be a multiple of `V::LANES`.
+/// along z, full y sweeps, the pair handled as in [`sweep_2d`].
+///
+/// # Panics
+/// As [`sweep_2d`].
 pub fn sweep_3d<V: SimdF64>(
     pool: &ThreadPool,
     pp: &mut PingPong<Grid3D>,
@@ -300,6 +313,8 @@ pub fn sweep_3d<V: SimdF64>(
     let (nz, ny, nx) = (pp.current().nz(), pp.current().ny(), pp.current().nx());
     let r = p.radius();
     let row_layout = DltLayout::new(nx, V::LANES);
+    // `dlt_vec_at`'s wrapped loads reach back `r` lifted columns
+    assert!(r <= row_layout.cols(), "radius exceeds lifted row");
     let rows = |src: &Grid3D, dst: &mut Grid3D, map: Relayout| {
         for z in 0..nz {
             for y in 0..ny {

@@ -38,12 +38,10 @@ pub const AUTO_FOLD_THETA: f64 = 1.5;
 /// 1. temporal folding `m = 2`, when the §3.2 profitability index
 ///    clears [`AUTO_FOLD_THETA`],
 /// 2. the transpose-layout pipeline,
-/// 3. multiple loads,
-/// 4. DLT (what split tiling — the SDSL configuration — admits)
+/// 3. multiple loads, which every pattern admits under every tiling,
 ///
 /// that [`PlanConfig::validate`] accepts with `tiling`. An open
-/// `tiling` resolves afterwards ([`auto_tiling`]) to one every method
-/// composes with.
+/// `tiling` resolves afterwards ([`auto_tiling`]).
 pub fn auto_method(p: &Pattern, width: Width, tiling: Tiling) -> Method {
     resolve_method(p, &mut Vec::new(), width, tiling)
 }
@@ -70,12 +68,11 @@ pub(crate) fn resolve_method(
     {
         return fold2;
     }
-    [Method::TransposeLayout, Method::MultipleLoads, Method::Dlt]
-        .into_iter()
-        .find(|&method| admits(method, built))
-        // nothing composes only for 1D spatial blocking: the request
-        // is invalid, and compile reports that for the default method
-        .unwrap_or(Method::MultipleLoads)
+    if admits(Method::TransposeLayout, built) {
+        Method::TransposeLayout
+    } else {
+        Method::MultipleLoads
+    }
 }
 
 /// Largest folded radius `m * r` the register pipeline supports for a
@@ -101,7 +98,7 @@ pub fn shape_class(hint: Option<&[usize]>) -> &'static str {
     }
 }
 
-/// Default tessellation/split time block for `dims`-dimensional
+/// Default tessellation time block for `dims`-dimensional
 /// patterns — the static seed the measured tuner searches around
 /// (roughly the ratios of the paper's Table-1 hand-tuned values,
 /// scaled to the harness's default domains).
@@ -128,23 +125,20 @@ pub fn default_time_block(dims: usize) -> usize {
 /// environment variable reads or overrides it.
 pub const TILE_BYTES: usize = 1 << 20;
 
-/// Resolve [`Tiling::Auto`] without probe runs: DLT must pair with
-/// split tiling (the SDSL configuration); any other method gets
-/// tessellate tiling with the [`default_time_block`] when worker
-/// threads are available, and plain block-free sweeps single-threaded
-/// (where tiling overhead cannot be amortized across cores). Only the
-/// time block is resolved here — the tile width follows from the grid
-/// at run time ([`crate::tile::tile_width`]), so one plan tiles every
-/// domain it is given to its own cache-sized tiles.
-pub fn auto_tiling(dims: usize, method: Method, threads: usize) -> Tiling {
-    match method {
-        Method::Dlt => Tiling::Split {
+/// Resolve [`Tiling::Auto`] without probe runs: tessellate tiling with
+/// the [`default_time_block`] when worker threads are available, and
+/// plain block-free sweeps single-threaded (where tiling overhead cannot
+/// be amortized across cores). Only the time block is resolved here —
+/// the tile width follows from the grid at run time
+/// ([`crate::tile::tile_width`]), so one plan tiles every domain it is
+/// given to its own cache-sized tiles.
+pub fn auto_tiling(dims: usize, threads: usize) -> Tiling {
+    if threads > 1 {
+        Tiling::Tessellate {
             time_block: default_time_block(dims),
-        },
-        _ if threads > 1 => Tiling::Tessellate {
-            time_block: default_time_block(dims),
-        },
-        _ => Tiling::None,
+        }
+    } else {
+        Tiling::None
     }
 }
 
@@ -285,16 +279,9 @@ mod tests {
     }
 
     #[test]
-    fn auto_tiling_pairs_dlt_with_split_and_threads_with_tessellate() {
-        assert!(matches!(
-            auto_tiling(1, Method::Dlt, 1),
-            Tiling::Split { .. }
-        ));
-        assert!(matches!(
-            auto_tiling(2, Method::Folded { m: 2 }, 8),
-            Tiling::Tessellate { .. }
-        ));
-        assert_eq!(auto_tiling(2, Method::MultipleLoads, 1), Tiling::None);
+    fn auto_tiling_pairs_threads_with_tessellate() {
+        assert!(matches!(auto_tiling(2, 8), Tiling::Tessellate { .. }));
+        assert_eq!(auto_tiling(2, 1), Tiling::None);
         // the resolved pair always compiles
         for threads in [1, 4] {
             let plan = Solver::new(kernels::heat2d())
@@ -336,17 +323,26 @@ mod tests {
 
     #[test]
     fn auto_honors_tiling_constraints() {
-        let p = kernels::heat1d();
+        // whatever tiling is pinned, the method auto picks compiles under
+        // it, across every dimensionality and width
+        let tilings = [Tiling::None, Tiling::Tessellate { time_block: 4 }];
+        for p in [kernels::d1p5(), kernels::gb(), kernels::box3d125p()] {
+            for width in [Width::W1, Width::W4, Width::W8] {
+                for tiling in tilings {
+                    let method = auto_method(&p, width, tiling);
+                    let config = PlanConfig {
+                        method,
+                        tiling,
+                        width,
+                        ring3: None,
+                    };
+                    assert_eq!(config.validate(&p), Ok(()), "{config:?}");
+                }
+            }
+        }
+        // radius 2 at one lane admits no register method in 1D
         assert_eq!(
-            auto_method(&p, Width::W4, Tiling::Split { time_block: 4 }),
-            Method::Dlt
-        );
-        assert_eq!(
-            auto_method(
-                &kernels::heat2d(),
-                Width::W4,
-                Tiling::Spatial { block: (8, 8) }
-            ),
+            auto_method(&kernels::d1p5(), Width::W1, Tiling::None),
             Method::MultipleLoads
         );
     }

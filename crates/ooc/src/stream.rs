@@ -62,9 +62,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::time::Instant;
 
-use stencil_core::slab::{
-    interior_ranges, pass_quantum, shard_geometry, shardable, slab_bounds, SLAB_ALIGN,
-};
+use stencil_core::slab::{interior_ranges, pass_quantum, shard_geometry, slab_bounds, SLAB_ALIGN};
 use stencil_core::Plan;
 use stencil_faults::Failpoint;
 use stencil_grid::{Grid3D, PingPong};
@@ -144,10 +142,10 @@ pub struct StreamReport {
     pub stats: StoreStats,
 }
 
-/// True when `plan` can stream through a [`SlabStore`] bit-exactly:
-/// 3D, and slab-shardable (see [`stencil_core::slab::shardable`]).
+/// True when `plan` can stream through a [`SlabStore`] bit-exactly: a 3D
+/// plan (every 2D/3D plan slabs, see [`stencil_core::slab`]).
 pub fn streamable(plan: &Plan) -> bool {
-    plan.dims() == 3 && shardable(plan)
+    plan.dims() == 3
 }
 
 /// Resident bytes of one z plane (padded row stride, as the window
@@ -339,8 +337,7 @@ fn schedule(
 ) -> Result<Option<Schedule>, OocError> {
     if !streamable(plan) {
         return Err(OocError::UnsupportedPlan {
-            reason: "streaming needs a 3D slab-shardable plan \
-                     (natural layout, block-free or tessellate tiling)",
+            reason: "streaming needs a 3D plan",
         });
     }
     let (nz, ny, nx) = shape;

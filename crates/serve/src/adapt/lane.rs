@@ -5,7 +5,7 @@
 //! to a [`ChallengerLane`] and acts on the verdict, a
 //! [`ChallengeOutcome`]. Production uses [`ProbeLane`], which re-runs
 //! the `stencil-tune` hill-climb over the incumbent's neighborhood
-//! (method × width × time-block × spatial tiles × `Ring3` geometry, as
+//! (method × width × time-block × `Ring3` geometry, as
 //! far as the key's own request leaves those axes open) through the
 //! process-installed [`AutoTuner`] on a small per-challenge budget;
 //! tests use [`ScriptedLane`], whose verdicts are fixed up front so

@@ -29,9 +29,9 @@ use stencil_runtime::PoolHandle;
 
 /// Which execution shape a registry entry serves.
 ///
-/// Large jobs are sharded into single-thread slabs, and the slab lanes
-/// run the block-free configuration ([`shard::shardable`] also admits
-/// tessellated register pipelines; the service does not shard those) —
+/// Large 2D/3D jobs are sharded into single-thread slabs, and the slab
+/// lanes run the block-free configuration (slabs of tessellated plans
+/// are bit-exact too; the service does not shard those) —
 /// so a pattern the service both shards and serves unsharded gets two
 /// entries: the pool-parallel tiled plan and the block-free slab plan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -470,7 +470,7 @@ impl PlanRegistry {
                         // pre-warm the slab lanes too: the first big
                         // job must not pay `shards` compiles on the
                         // executor hot path
-                        if shape == PlanShape::BlockFree && shard::shardable(&plan) {
+                        if shape == PlanShape::BlockFree && plan.dims() >= 2 {
                             if let Err(e) = self.lane_plans(&key, &plan, self.policy.max_shards) {
                                 self.stats.warn(format!(
                                     "warm-up: lane plans for {:?} failed to compile: {e}",

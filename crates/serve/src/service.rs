@@ -633,15 +633,14 @@ impl StencilService {
             .registry
             .entry_for(&spec.pattern, Some(&extents), tuning, shape)?;
         // the out-of-core gate outranks sharding: a domain too big to
-        // hold resident is too big to hold in sharded halves too
+        // hold resident is too big to hold in sharded halves too (every
+        // 3D plan streams)
         let streams = inner.cfg.ooc.as_ref().is_some_and(|th| {
-            matches!(spec.domain, JobDomain::D3(_))
-                && spec.domain.points() > th.max_resident_points
-                && stencil_ooc::streamable(&plan)
+            matches!(spec.domain, JobDomain::D3(_)) && spec.domain.points() > th.max_resident_points
         });
         let route = if streams {
             JobRoute::Streamed
-        } else if want_shards > 1 && shard::shardable(&plan) {
+        } else if want_shards > 1 {
             JobRoute::Sharded(want_shards)
         } else {
             JobRoute::Resident

@@ -30,7 +30,7 @@ use stencil_core::{Domain, Plan, PlanError, Solver};
 use stencil_grid::{Grid2D, Grid3D, PingPong};
 
 pub use stencil_core::slab::{
-    effective_shards, interior_ranges, shard_geometry, shardable, slab_bounds, SLAB_ALIGN,
+    effective_shards, interior_ranges, shard_geometry, slab_bounds, SLAB_ALIGN,
 };
 
 /// When and how much to shard. The service consults this per job.
@@ -304,7 +304,6 @@ mod tests {
                 Tiling::Tessellate { time_block: 2 },
                 3,
             ),
-            (Method::MultipleLoads, Tiling::Spatial { block: (8, 16) }, 2),
             (Method::TransposeLayout, Tiling::None, 1),
             (Method::Folded { m: 2 }, Tiling::None, 1),
         ] {
@@ -314,7 +313,6 @@ mod tests {
                 .threads(threads)
                 .compile()
                 .unwrap();
-            assert!(shardable(&plan), "{method:?}/{tiling:?}");
             let want = plan.run_2d(&g, t).unwrap();
             let lanes = lane_plans(&plan, 3).unwrap();
             for shards in [1, 2, 3] {
@@ -345,26 +343,11 @@ mod tests {
                 .threads(threads)
                 .compile()
                 .unwrap();
-            assert!(shardable(&plan), "{method:?}/{tiling:?}");
             let want = plan.run_3d(&g, 4).unwrap();
             let lanes = lane_plans(&plan, 2).unwrap();
             let got = sharded_3d(&lanes, &g, 4, 2);
             assert_eq!(bits3d(&want), bits3d(&got), "{method:?}/{tiling:?}");
         }
-    }
-
-    #[test]
-    fn non_shardable_configurations_are_refused() {
-        // DLT transforms the whole array
-        let plan = Solver::new(kernels::heat2d())
-            .method(Method::Dlt)
-            .tiling(Tiling::Split { time_block: 2 })
-            .compile()
-            .unwrap();
-        assert!(!shardable(&plan));
-        // 1D has no outer axis to cut
-        let plan1d = Solver::new(kernels::heat1d()).compile().unwrap();
-        assert!(!shardable(&plan1d));
     }
 
     #[test]
@@ -383,7 +366,6 @@ mod tests {
                 .threads(2)
                 .compile()
                 .unwrap();
-            assert!(shardable(&plan), "{method:?}");
             let want = plan.run_2d(&g, t).unwrap();
             let lanes = lane_plans(&plan, 4).unwrap();
             for shards in [1usize, 2, 3, 4] {
@@ -408,7 +390,6 @@ mod tests {
                 .threads(2)
                 .compile()
                 .unwrap();
-            assert!(shardable(&plan));
             let want = plan.run_3d(&g, t).unwrap();
             let lanes = lane_plans(&plan, 3).unwrap();
             for shards in [2usize, 3] {

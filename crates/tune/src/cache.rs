@@ -73,6 +73,9 @@ pub struct CacheHealth {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TuneCache {
     entries: BTreeMap<String, CacheEntry>,
+    /// Entries of the document this image was decoded from that were
+    /// dropped rather than loaded ([`TuneCache::from_json`]).
+    skipped: usize,
 }
 
 impl TuneCache {
@@ -89,6 +92,12 @@ impl TuneCache {
     /// True when no decision is persisted.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
+    }
+
+    /// Entries [`TuneCache::from_json`] dropped from the document this
+    /// image was decoded from: undecodable, or not a concrete decision.
+    pub fn skipped(&self) -> usize {
+        self.skipped
     }
 
     /// Look up a decision.
@@ -281,54 +290,66 @@ impl TuneCache {
 
     /// Rebuild from a JSON document (`None` on schema mismatch).
     ///
-    /// Entries whose decision decodes to `Method::Auto`/`Tiling::Auto`
-    /// are semantically corrupt — a decision must be concrete — and are
-    /// dropped (forcing a re-probe under that key) rather than allowed
-    /// to leak an unresolved `Auto` into a `TuneDecision`.
+    /// An entry is dropped on its own, and counted in
+    /// [`TuneCache::skipped`], when it does not decode — a method or
+    /// tiling token this build does not know, say, from a cache written
+    /// by a build that had more of them — or when its decision is
+    /// `Method::Auto`/`Tiling::Auto`: a decision must be concrete. Its
+    /// key re-probes; every other entry still loads, and a save keeps
+    /// them.
     pub fn from_json(doc: &Value) -> Option<TuneCache> {
         if doc.get("version")?.as_num()? != CACHE_VERSION {
             return None;
         }
         let mut cache = TuneCache::new();
         for e in doc.get("entries")?.as_arr()? {
-            let method = parse_method(e.get("method")?.as_str()?)?;
-            let tiling = parse_tiling(e.get("tiling")?.as_str()?)?;
-            if method == Method::Auto || tiling == Tiling::Auto {
-                continue;
+            match decode_entry(e) {
+                Some(entry) => cache.put(entry),
+                None => cache.skipped += 1,
             }
-            // optional fields (absent in pre-ring/pre-history caches)
-            let ring3 = e.get("ring").and_then(Value::as_str).and_then(parse_ring);
-            let method_rates: Vec<(Method, f64)> = e
-                .get("method_rates")
-                .and_then(Value::as_arr)
-                .map(|arr| {
-                    arr.iter()
-                        .filter_map(|o| {
-                            Some((
-                                parse_method(o.get("method")?.as_str()?)?,
-                                o.get("rate")?.as_num()?,
-                            ))
-                        })
-                        .collect()
-                })
-                .unwrap_or_default();
-            cache.put(CacheEntry {
-                key: e.get("key")?.as_str()?.to_string(),
-                config: PlanConfig {
-                    method,
-                    tiling,
-                    width: parse_width(e.get("width")?.as_num()? as usize)?,
-                    ring3,
-                },
-                rate: e.get("rate")?.as_num()?,
-                model_method: parse_method(e.get("model_method")?.as_str()?)?,
-                probes: e.get("probes")?.as_num()? as usize,
-                spent_ms: e.get("spent_ms")?.as_num()?,
-                method_rates,
-            });
         }
         Some(cache)
     }
+}
+
+/// One cache entry of a JSON document, if it decodes to a concrete
+/// decision.
+fn decode_entry(e: &Value) -> Option<CacheEntry> {
+    let method = parse_method(e.get("method")?.as_str()?)?;
+    let tiling = parse_tiling(e.get("tiling")?.as_str()?)?;
+    if method == Method::Auto || tiling == Tiling::Auto {
+        return None;
+    }
+    // optional fields (absent in pre-ring/pre-history caches)
+    let ring3 = e.get("ring").and_then(Value::as_str).and_then(parse_ring);
+    let method_rates: Vec<(Method, f64)> = e
+        .get("method_rates")
+        .and_then(Value::as_arr)
+        .map(|arr| {
+            arr.iter()
+                .filter_map(|o| {
+                    Some((
+                        parse_method(o.get("method")?.as_str()?)?,
+                        o.get("rate")?.as_num()?,
+                    ))
+                })
+                .collect()
+        })
+        .unwrap_or_default();
+    Some(CacheEntry {
+        key: e.get("key")?.as_str()?.to_string(),
+        config: PlanConfig {
+            method,
+            tiling,
+            width: parse_width(e.get("width")?.as_num()? as usize)?,
+            ring3,
+        },
+        rate: e.get("rate")?.as_num()?,
+        model_method: parse_method(e.get("model_method")?.as_str()?)?,
+        probes: e.get("probes")?.as_num()? as usize,
+        spent_ms: e.get("spent_ms")?.as_num()?,
+        method_rates,
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -388,8 +409,6 @@ pub fn method_str(m: Method) -> String {
     match m {
         Method::Scalar => "scalar".into(),
         Method::MultipleLoads => "multiload".into(),
-        Method::DataReorg => "reorg".into(),
-        Method::Dlt => "dlt".into(),
         Method::TransposeLayout => "xlayout".into(),
         Method::Folded { m } => format!("folded:{m}"),
         Method::Auto => "auto".into(),
@@ -401,8 +420,6 @@ pub fn parse_method(s: &str) -> Option<Method> {
     Some(match s {
         "scalar" => Method::Scalar,
         "multiload" => Method::MultipleLoads,
-        "reorg" => Method::DataReorg,
-        "dlt" => Method::Dlt,
         "xlayout" => Method::TransposeLayout,
         "auto" => Method::Auto,
         _ => Method::Folded {
@@ -411,38 +428,23 @@ pub fn parse_method(s: &str) -> Option<Method> {
     })
 }
 
-/// Encode a tiling as a short stable token (`tess:8`, `spatial:8x64`, ...).
+/// Encode a tiling as a short stable token (`none`, `tess:8`, `auto`).
 pub fn tiling_str(t: Tiling) -> String {
     match t {
         Tiling::None => "none".into(),
         Tiling::Auto => "auto".into(),
         Tiling::Tessellate { time_block } => format!("tess:{time_block}"),
-        Tiling::Split { time_block } => format!("split:{time_block}"),
-        Tiling::Spatial { block: (a, b) } => format!("spatial:{a}x{b}"),
     }
 }
 
 /// Decode [`tiling_str`].
 pub fn parse_tiling(s: &str) -> Option<Tiling> {
-    if s == "none" {
-        return Some(Tiling::None);
-    }
-    if s == "auto" {
-        return Some(Tiling::Auto);
-    }
-    if let Some(tb) = s.strip_prefix("tess:") {
-        return Some(Tiling::Tessellate {
-            time_block: tb.parse().ok()?,
-        });
-    }
-    if let Some(tb) = s.strip_prefix("split:") {
-        return Some(Tiling::Split {
-            time_block: tb.parse().ok()?,
-        });
-    }
-    let (a, b) = s.strip_prefix("spatial:")?.split_once('x')?;
-    Some(Tiling::Spatial {
-        block: (a.parse().ok()?, b.parse().ok()?),
+    Some(match s {
+        "none" => Tiling::None,
+        "auto" => Tiling::Auto,
+        _ => Tiling::Tessellate {
+            time_block: s.strip_prefix("tess:")?.parse().ok()?,
+        },
     })
 }
 
@@ -509,8 +511,8 @@ mod tests {
         cache.put(CacheEntry {
             key: "other".into(),
             config: PlanConfig {
-                method: Method::Dlt,
-                tiling: Tiling::Split { time_block: 8 },
+                method: Method::MultipleLoads,
+                tiling: Tiling::None,
                 width: Width::W8,
                 ring3: None,
             },
@@ -606,6 +608,7 @@ mod tests {
 }"#;
         let cache = TuneCache::from_json(&json::parse(text).unwrap()).unwrap();
         assert_eq!(cache.len(), 1);
+        assert_eq!(cache.skipped(), 2);
         assert!(cache.get("good").is_some());
         assert!(cache.get("bad-method").is_none());
         assert!(cache.get("bad-tiling").is_none());
@@ -620,7 +623,7 @@ mod tests {
             method_rates: rates,
             ..sample_entry("x")
         };
-        let slow = Method::DataReorg;
+        let slow = Method::MultipleLoads;
         let fast = Method::Folded { m: 2 };
         let mut cache = TuneCache::new();
         // one session: not enough history
@@ -646,7 +649,7 @@ mod tests {
         let mut pinned = TuneCache::new();
         for class in ["tiny", "small"] {
             pinned.put(CacheEntry {
-                key: format!("{}|t4|w4|{sig}|{class}|m=*|ti=split:4|ri=*", h.key_prefix()),
+                key: format!("{}|t4|w4|{sig}|{class}|m=*|ti=tess:4|ri=*", h.key_prefix()),
                 method_rates: vec![(fast, 10.0), (slow, 1.0)],
                 ..sample_entry(class)
             });
@@ -776,8 +779,6 @@ mod tests {
         for m in [
             Method::Scalar,
             Method::MultipleLoads,
-            Method::DataReorg,
-            Method::Dlt,
             Method::TransposeLayout,
             Method::Folded { m: 3 },
             Method::Auto,
@@ -788,8 +789,6 @@ mod tests {
             Tiling::None,
             Tiling::Auto,
             Tiling::Tessellate { time_block: 12 },
-            Tiling::Split { time_block: 5 },
-            Tiling::Spatial { block: (8, 64) },
         ] {
             assert_eq!(parse_tiling(&tiling_str(t)), Some(t));
         }
@@ -797,7 +796,7 @@ mod tests {
             assert_eq!(parse_width(w.lanes()), Some(w));
         }
         assert_eq!(parse_method("folded:x"), None);
-        assert_eq!(parse_tiling("spatial:8"), None);
+        assert_eq!(parse_tiling("tess:x"), None);
         assert_eq!(parse_width(3), None);
     }
 }

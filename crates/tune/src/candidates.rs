@@ -1,7 +1,7 @@
 //! Candidate generation for the probe search.
 //!
-//! Exhaustive search over method × width × time block × spatial tiles
-//! would cost seconds per compile; instead the §3.2 op-collect cost
+//! Exhaustive search over method × width × time block would cost
+//! seconds per compile; instead the §3.2 op-collect cost
 //! model ranks the methods first (the same model `Method::Auto` uses
 //! statically), the generator keeps the top-K, and each kept method
 //! gets a small *neighborhood* of tiling parameters around the static
@@ -15,7 +15,7 @@
 //! [`PlanConfig::validate`]'s call alone: the generator proposes, the
 //! rule table filters, so an emitted candidate always compiles.
 
-use stencil_core::tune::{auto_tiling, default_time_block};
+use stencil_core::tune::default_time_block;
 use stencil_core::{cost, kernels, Method, Pattern, PlanConfig, Ring3, Tiling, Width};
 
 /// One concrete configuration the probe harness can compile and time.
@@ -34,20 +34,15 @@ pub struct Candidate {
 /// predicted arithmetic saving, best first. The absolute numbers only
 /// order the search — the probes decide.
 pub fn ranked_methods(p: &Pattern) -> Vec<(Method, f64)> {
-    let mut out: Vec<(Method, f64)> = Vec::new();
-    // Temporal folding saves `profitability` arithmetic per folded
-    // update (Eq. 3) — the model's headline prediction.
-    out.push((Method::Folded { m: 2 }, cost::profitability(p, 2)));
-    // Single-step register pipeline: shifts reuse only (Fig. 6).
-    out.push((Method::TransposeLayout, cost::shift_reuse_profitability(p)));
-    // The baseline every figure normalizes to.
-    out.push((Method::MultipleLoads, 1.0));
-    if p.dims() == 1 {
-        // DLT's aligned loads beat multiple-loads only when shuffles
-        // dominate — rank it just above the baseline so a probe gets a
-        // chance at it in 1D, where the SDSL configuration exists.
-        out.push((Method::Dlt, 1.05));
-    }
+    let mut out = vec![
+        // Temporal folding saves `profitability` arithmetic per folded
+        // update (Eq. 3) — the model's headline prediction.
+        (Method::Folded { m: 2 }, cost::profitability(p, 2)),
+        // Single-step register pipeline: shifts reuse only (Fig. 6).
+        (Method::TransposeLayout, cost::shift_reuse_profitability(p)),
+        // The baseline every figure normalizes to.
+        (Method::MultipleLoads, 1.0),
+    ];
     out.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap());
     out
 }
@@ -128,16 +123,13 @@ fn rings_for(method: Method, dims: usize, fixed_ring: Option<Ring3>) -> Vec<Opti
 pub fn generate(p: &Pattern, request: &PlanConfig, threads: usize, top_k: usize) -> Vec<Candidate> {
     let dims = p.dims();
     let admits = |config: &PlanConfig| config.validate(p).is_ok();
-    let methods: Vec<(Method, f64)> = match (request.method, request.tiling) {
-        // split tiling admits only DLT (the SDSL configuration) in any
-        // dimensionality, which the ranked list omits for 2D/3D
-        (Method::Auto, Tiling::Split { .. }) => vec![(Method::Dlt, f64::NAN)],
-        (Method::Auto, _) => ranked_methods_at(p, request.width)
+    let methods: Vec<(Method, f64)> = match request.method {
+        Method::Auto => ranked_methods_at(p, request.width)
             .into_iter()
             .filter(|&(method, _)| admits(&PlanConfig { method, ..*request }))
             .take(top_k.max(1))
             .collect(),
-        (m, _) => vec![(m, f64::NAN)],
+        m => vec![(m, f64::NAN)],
     };
     // Width is only an open axis on full-auto requests: a caller who
     // pinned the method is comparing configurations (e.g. the fig9
@@ -150,7 +142,7 @@ pub fn generate(p: &Pattern, request: &PlanConfig, threads: usize, top_k: usize)
     let mut out = Vec::new();
     for (method, score) in methods {
         let tilings: Vec<Tiling> = match request.tiling {
-            Tiling::Auto => tilings_for(method, dims, threads),
+            Tiling::Auto => tilings_for(dims, threads),
             t => vec![t],
         };
         for tiling in tilings {
@@ -182,18 +174,12 @@ pub fn generate(p: &Pattern, request: &PlanConfig, threads: usize, top_k: usize)
 /// itself first (a fresh measurement under today's conditions), then
 /// every single-axis move — time block halved/doubled, z-ring
 /// depth/slab halved/doubled, the width narrowed — and finally the
-/// top-ranked *other* methods, at the incumbent's tiling where the rule
-/// table admits it and at their natural tiling otherwise (DLT pairs
-/// with split tiling). The method alternates deliberately ignore
+/// top-ranked *other* methods at the incumbent's tiling, where the rule
+/// table admits them. The method alternates deliberately ignore
 /// probe-history dominance: a dominated method re-enters here, so a
 /// changed machine or drifted workload gets its periodic re-probe for
 /// free.
-pub fn neighborhood(
-    p: &Pattern,
-    incumbent: &PlanConfig,
-    threads: usize,
-    top_k: usize,
-) -> Vec<Candidate> {
+pub fn neighborhood(p: &Pattern, incumbent: &PlanConfig, top_k: usize) -> Vec<Candidate> {
     let dims = p.dims();
     let mut out: Vec<Candidate> = Vec::new();
     let mut push = |config: PlanConfig, score: f64| {
@@ -211,14 +197,6 @@ pub fn neighborhood(
         Tiling::Tessellate { time_block } => tb_moves(time_block)
             .map(|time_block| Tiling::Tessellate { time_block })
             .collect(),
-        Tiling::Split { time_block } => tb_moves(time_block)
-            .map(|time_block| Tiling::Split { time_block })
-            .collect(),
-        Tiling::Spatial { block: (a, b) } => {
-            [(a * 2, b), (a.max(2) / 2, b), (a, b * 2), (a, b.max(2) / 2)]
-                .map(|block| Tiling::Spatial { block })
-                .into()
-        }
         // block-free incumbent: tiling at the static default is the
         // one move on this axis
         Tiling::None | Tiling::Auto => vec![Tiling::Tessellate {
@@ -276,46 +254,27 @@ pub fn neighborhood(
             continue;
         }
         for ring3 in rings_for(method, dims, None) {
-            let at = |tiling| PlanConfig {
+            let config = PlanConfig {
                 method,
-                tiling,
-                width: incumbent.width,
                 ring3,
+                ..*incumbent
             };
-            let config = Some(at(incumbent.tiling))
-                .filter(|c| c.validate(p).is_ok())
-                .unwrap_or_else(|| at(auto_tiling(dims, method, threads)));
             push(config, score);
         }
     }
     out
 }
 
-/// Tiling candidates for one method: its natural pairing first, then
-/// the neighborhood moves. Proposals only — the rule table drops what
-/// the dimensionality does not admit (block-free DLT beyond 1D, spatial
-/// blocking in 1D).
-fn tilings_for(method: Method, dims: usize, threads: usize) -> Vec<Tiling> {
-    let time_blocks = time_blocks(dims).into_iter();
-    if method == Method::Dlt {
-        // DLT pairs with split tiling (SDSL), then runs block-free.
-        return time_blocks
-            .map(|time_block| Tiling::Split { time_block })
-            .chain([Tiling::None])
-            .collect();
-    }
-    let mut out: Vec<Tiling> = time_blocks
+/// Tiling candidates: tessellate tiling at the time-block neighborhood,
+/// and block-free sweeps when single-threaded.
+fn tilings_for(dims: usize, threads: usize) -> Vec<Tiling> {
+    let mut out: Vec<Tiling> = time_blocks(dims)
+        .into_iter()
         .map(|time_block| Tiling::Tessellate { time_block })
         .collect();
     // Block-free is competitive single-threaded and for small grids.
     if threads == 1 {
         out.push(Tiling::None);
-    }
-    // Plain spatial blocking, for the vector/scalar kernel families:
-    // two representative tile shapes.
-    if matches!(method, Method::MultipleLoads | Method::Scalar) {
-        out.push(Tiling::Spatial { block: (8, 64) });
-        out.push(Tiling::Spatial { block: (16, 128) });
     }
     out
 }
@@ -402,7 +361,7 @@ mod tests {
                     .compile()
                     .unwrap()
                     .config();
-                let moves = neighborhood(&p, &incumbent, threads, 4);
+                let moves = neighborhood(&p, &incumbent, 4);
                 assert_eq!(moves[0].config, incumbent, "{name}");
                 for c in generated.iter().chain(&moves) {
                     let plan = Solver::new(p.clone())
@@ -421,9 +380,10 @@ mod tests {
 
     #[test]
     fn method_alternates_of_a_block_free_incumbent_survive_a_block_free_pin() {
-        // alternates proposed at the tessellated `auto_tiling` of a
-        // two-thread pool all contradict a request that pins block-free
-        // sweeps, and the challenge would drop every one before probing
+        // alternates proposed at another tiling than the incumbent's
+        // (the tessellated `auto_tiling` of a two-thread pool, say) all
+        // contradict a request that pins block-free sweeps, and the
+        // challenge would drop every one before probing
         let p = kernels::heat2d();
         let request = PlanConfig {
             tiling: Tiling::None,
@@ -443,7 +403,7 @@ mod tests {
             domain_hint: None,
             mode: Tuning::Measured,
         };
-        let moves = neighborhood(&p, &incumbent, 2, 4);
+        let moves = neighborhood(&p, &incumbent, 4);
         assert!(
             moves
                 .iter()
@@ -455,60 +415,20 @@ mod tests {
     #[test]
     fn a_request_that_validates_always_has_a_candidate() {
         // pinned axes that rule out the top-ranked methods must not
-        // starve the search: spatial blocking admits none of the
-        // register methods the cost model ranks first
-        let spatial = Tiling::Spatial { block: (8, 64) };
-        for p in [kernels::heat2d(), kernels::box3d27p()] {
-            let request = PlanConfig {
-                tiling: spatial,
-                ..open(Width::W4)
-            };
-            request.validate(&p).unwrap();
-            let cands = generate(&p, &request, 4, 3);
-            assert!(!cands.is_empty(), "dims {}", p.dims());
-            assert!(cands.iter().all(|c| c.config.tiling == spatial));
-        }
+        // starve the search: at one lane no register method holds the
+        // radius of d1p5, which the cost model ranks first
+        let p = kernels::d1p5();
+        let request = open(Width::W1);
+        request.validate(&p).unwrap();
+        let cands = generate(&p, &request, 4, 1);
+        assert!(!cands.is_empty());
+        assert!(cands.iter().all(|c| !c.config.method.is_register()));
         // ...and one that does not validate has none to waste a probe on
         let request = PlanConfig {
-            tiling: spatial,
+            tiling: Tiling::Tessellate { time_block: 0 },
             ..open(Width::W4)
         };
-        assert!(generate(&kernels::heat1d(), &request, 4, 3).is_empty());
-    }
-
-    #[test]
-    fn fixed_split_tiling_yields_dlt_candidates_in_any_dimension() {
-        // regression: split tiling admits only DLT, which the ranked
-        // method list omits for 2D/3D — the generator must still
-        // produce compilable candidates (the SDSL configuration)
-        for p in [kernels::heat1d(), kernels::heat2d(), kernels::heat3d()] {
-            let request = PlanConfig {
-                tiling: Tiling::Split { time_block: 4 },
-                ..open(Width::W4)
-            };
-            let cands = generate(&p, &request, 4, 3);
-            assert!(!cands.is_empty(), "dims {}", p.dims());
-            assert!(cands.iter().all(|c| c.config.method == Method::Dlt));
-            for c in &cands {
-                Solver::new(p.clone())
-                    .with_config(c.config)
-                    .compile()
-                    .unwrap();
-            }
-        }
-    }
-
-    #[test]
-    fn spatial_candidates_only_in_2d_plus_and_vector_family() {
-        let c1 = generate(&kernels::heat1d(), &open(Width::W4), 4, 4);
-        assert!(c1
-            .iter()
-            .all(|c| !matches!(c.config.tiling, Tiling::Spatial { .. })));
-        let c2 = generate(&kernels::heat2d(), &open(Width::W4), 4, 4);
-        assert!(c2
-            .iter()
-            .filter(|c| matches!(c.config.tiling, Tiling::Spatial { .. }))
-            .all(|c| matches!(c.config.method, Method::MultipleLoads | Method::Scalar)));
+        assert!(generate(&p, &request, 4, 3).is_empty());
     }
 
     #[test]

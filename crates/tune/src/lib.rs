@@ -6,7 +6,7 @@
 //!
 //! * [`candidates`] — a search space seeded by the §3.2 op-collect cost
 //!   model: the top-K predicted methods plus neighborhood moves over
-//!   time blocks, widths and spatial tiles.
+//!   time blocks and widths.
 //! * [`probe`] — short timed sweeps of each candidate on small
 //!   representative domains, compile-once/run-many, all probes sharing
 //!   one process-wide worker pool, bounded by a wall-clock budget.
@@ -165,15 +165,21 @@ impl AutoTuner {
                 Ok(Some(c)) => {
                     // loaded fine, but entries from a different ISA
                     // build of this machine are dead weight compiles
-                    // can never hit — tell the operator why the warm
-                    // start they expected will re-probe
+                    // can never hit, and entries this build cannot
+                    // decode were dropped — tell the operator why the
+                    // warm start they expected will re-probe
                     let h = c.health_for(&self.hostd);
-                    if h.foreign_isa > 0 {
+                    if h.foreign_isa > 0 || c.skipped() > 0 {
                         self.warn(format!(
                             "tune cache {:?}: {} of {} entries were measured under a \
-                             different ISA build than {} — invalidated, compiles under \
+                             different ISA build than {} — invalidated, and {} entries \
+                             this build cannot decode were dropped; compiles under \
                              those keys re-probe (cold start)",
-                            self.cache_path, h.foreign_isa, h.total, self.hostd.isa
+                            self.cache_path,
+                            h.foreign_isa,
+                            h.total,
+                            self.hostd.isa,
+                            c.skipped()
                         ));
                     }
                     c
@@ -243,7 +249,7 @@ impl AutoTuner {
         incumbent: &PlanConfig,
         budget: &Budget,
     ) -> Result<ChallengeOutcome, TuneFailure> {
-        let mut cands = candidates::neighborhood(req.pattern, incumbent, req.threads, self.top_k);
+        let mut cands = candidates::neighborhood(req.pattern, incumbent, self.top_k);
         cands.retain(|c| req.admits(&c.config));
         let class = cache::shape_class(req.domain_hint);
         let domain = ProbeDomain::build(req.pattern, class);
@@ -631,6 +637,60 @@ mod tests {
     }
 
     #[test]
+    fn undecodable_entries_are_dropped_alone() {
+        // a cache written by a build that knew more methods and tilings:
+        // one entry per token this build cannot decode, beside valid
+        // ones — the valid keys still hit, and a save keeps them
+        let path = temp_path("undecodable");
+        let hostd = HostFingerprint::detect();
+        let (p1, p2) = (kernels::heat1d(), kernels::heat2d());
+        let key = |p| cache::cache_key(&hostd, &req(p, Tuning::CacheOnly, None));
+        let entry = |key: &str, method: &str, tiling: &str, model: &str| {
+            format!(
+                r#"{{ "key": "{key}", "method": "{method}", "tiling": "{tiling}",
+                "width": 4.0, "rate": 1.0, "model_method": "{model}",
+                "probes": 1.0, "spent_ms": 1.0 }}"#
+            )
+        };
+        let entries = [
+            entry(&key(&p1), "xlayout", "none", "xlayout"),
+            entry("old-reorg", "reorg", "none", "xlayout"),
+            entry("old-dlt", "dlt", "none", "xlayout"),
+            entry("old-split", "multiload", "split:4", "xlayout"),
+            entry("old-spatial", "multiload", "spatial:8x64", "xlayout"),
+            entry("old-model", "xlayout", "none", "dlt"),
+            entry(&key(&p2), "folded:2", "tess:8", "folded:2"),
+        ];
+        let doc = format!(
+            r#"{{ "version": 2.0, "entries": [{}] }}"#,
+            entries.join(",")
+        );
+        std::fs::write(&path, doc).unwrap();
+        let tuner = AutoTuner::with_cache_path(&path).budget(Budget::from_millis(100));
+        for (p, method) in [
+            (&p1, Method::TransposeLayout),
+            (&p2, Method::Folded { m: 2 }),
+        ] {
+            let d = tuner.tune(&req(p, Tuning::CacheOnly, None)).unwrap();
+            assert!(d.from_cache);
+            assert_eq!(d.config.method, method);
+        }
+        let warnings = tuner.drain_warnings();
+        assert!(
+            warnings.iter().any(|w| w.contains("5 entries")),
+            "{warnings:?}"
+        );
+        // a save (a new key probed and persisted) keeps the valid entries
+        let p3 = kernels::heat3d();
+        tuner.tune(&req(&p3, Tuning::Measured, None)).unwrap();
+        let on_disk = cache::TuneCache::load(&path).unwrap().unwrap();
+        assert_eq!(on_disk.len(), 3);
+        assert!(on_disk.get(&key(&p1)).is_some());
+        assert!(on_disk.get(&key(&p2)).is_some());
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
     fn corrupt_cache_degrades_to_probing() {
         let path = temp_path("corrupt");
         std::fs::write(&path, "{{{ not json").unwrap();
@@ -727,7 +787,7 @@ mod tests {
         let p = kernels::heat1d();
         let hostd = HostFingerprint::detect();
         // seed two prior sessions (distinct shape classes) whose probe
-        // history shows DataReorg hopelessly dominated
+        // history shows MultipleLoads hopelessly dominated
         let mut seeded = cache::TuneCache::new();
         for (hint, rate) in [(&[2048usize][..], 1.0e8), (&[500_000usize][..], 1.2e8)] {
             let key = cache::cache_key(&hostd, &req(&p, Tuning::Measured, Some(hint)));
@@ -746,7 +806,7 @@ mod tests {
                 method_rates: vec![
                     (Method::Folded { m: 2 }, 10.0 * rate),
                     (Method::TransposeLayout, 9.0 * rate),
-                    (Method::DataReorg, rate),
+                    (Method::MultipleLoads, rate),
                 ],
             });
         }
@@ -766,7 +826,7 @@ mod tests {
             !entry
                 .method_rates
                 .iter()
-                .any(|&(m, _)| m == Method::DataReorg),
+                .any(|&(m, _)| m == Method::MultipleLoads),
             "dominated method must be pruned from the probe list: {:?}",
             entry.method_rates
         );

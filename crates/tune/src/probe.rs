@@ -242,7 +242,7 @@ pub fn run(
 /// The candidate's time block (0 for untiled schemes).
 fn time_block_of(c: &Candidate) -> usize {
     match c.config.tiling {
-        Tiling::Tessellate { time_block } | Tiling::Split { time_block } => time_block,
+        Tiling::Tessellate { time_block } => time_block,
         _ => 0,
     }
 }

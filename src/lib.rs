@@ -69,11 +69,11 @@
 //! // Invalid configurations are compile-time errors, not panics:
 //! use stencil_lab::PlanError;
 //! let err = Solver::new(kernels::heat1d())
-//!     .method(Method::Dlt)
+//!     .method(Method::Folded { m: 9 })
 //!     .tiling(Tiling::Tessellate { time_block: 8 })
 //!     .compile()
 //!     .unwrap_err();
-//! assert!(matches!(err, PlanError::IncompatibleMethodTiling { .. }));
+//! assert!(matches!(err, PlanError::InvalidFold { .. }));
 //! ```
 
 pub use stencil_core as core;

@@ -4,12 +4,41 @@
 
 use std::sync::OnceLock;
 use stencil_lab::core::api::Width;
+use stencil_lab::core::exec::{dlt, reorg};
 use stencil_lab::core::kernels;
 use stencil_lab::grid::max_abs_diff;
+use stencil_lab::simd::{NativeF64x4, NativeF64x8};
 use stencil_lab::tune::probe::Budget;
-use stencil_lab::{AutoTuner, Grid1D, Grid2D, Grid3D, Method, Pattern, Solver, Tiling, Tuning};
+use stencil_lab::{
+    AutoTuner, Grid1D, Grid2D, Grid3D, Method, Pattern, PingPong, Solver, Tiling, Tuning,
+};
 
 const TOL: f64 = 1e-11;
+
+/// A block-free 1D sweep entry: `t` steps of a pattern on a pair.
+type Sweep1 = fn(&mut PingPong<Grid1D>, &Pattern, usize);
+
+/// The paper's block-free 1D baselines no plan runs — data
+/// reorganization and DLT — through their own entries at `width`.
+fn baselines_1d(width: Width) -> [(&'static str, Sweep1); 2] {
+    match width {
+        Width::W8 => [
+            ("DataReorg", reorg::sweep_1d::<NativeF64x8>),
+            ("Dlt", dlt::sweep_1d::<NativeF64x8>),
+        ],
+        _ => [
+            ("DataReorg", reorg::sweep_1d::<NativeF64x4>),
+            ("Dlt", dlt::sweep_1d::<NativeF64x4>),
+        ],
+    }
+}
+
+/// `t` steps of `sweep` from `g`, on a pair cloned from it.
+fn run_baseline(sweep: Sweep1, g: &Grid1D, p: &Pattern, t: usize) -> Grid1D {
+    let mut pp = PingPong::new(g.clone());
+    sweep(&mut pp, p, t);
+    pp.into_current()
+}
 
 fn grid1(n: usize) -> Grid1D {
     Grid1D::from_fn(n, |i| ((i * 2654435761) % 1024) as f64 / 1024.0)
@@ -36,13 +65,8 @@ fn one_dimensional_methods_agree() {
             .unwrap()
             .run_1d(&g, t)
             .unwrap();
-        for method in [
-            Method::MultipleLoads,
-            Method::DataReorg,
-            Method::Dlt,
-            Method::TransposeLayout,
-        ] {
-            for width in [Width::W4, Width::W8] {
+        for width in [Width::W4, Width::W8] {
+            for method in [Method::MultipleLoads, Method::TransposeLayout] {
                 let got = Solver::new(p.clone())
                     .method(method)
                     .width(width)
@@ -53,6 +77,14 @@ fn one_dimensional_methods_agree() {
                 assert!(
                     max_abs_diff(want.as_slice(), got.as_slice()) < TOL,
                     "{method:?} {width:?} pts={}",
+                    p.points()
+                );
+            }
+            for (name, sweep) in baselines_1d(width) {
+                let got = run_baseline(sweep, &g, &p, t);
+                assert!(
+                    max_abs_diff(want.as_slice(), got.as_slice()) < TOL,
+                    "{name} {width:?} pts={}",
                     p.points()
                 );
             }
@@ -300,12 +332,7 @@ fn arbitrary_asymmetric_patterns_1d() {
         .unwrap()
         .run_1d(&g, 8)
         .unwrap();
-    for method in [
-        Method::MultipleLoads,
-        Method::DataReorg,
-        Method::Dlt,
-        Method::TransposeLayout,
-    ] {
+    for method in [Method::MultipleLoads, Method::TransposeLayout] {
         let got = Solver::new(p.clone())
             .method(method)
             .compile()
@@ -315,6 +342,13 @@ fn arbitrary_asymmetric_patterns_1d() {
         assert!(
             max_abs_diff(want.as_slice(), got.as_slice()) < TOL,
             "{method:?}"
+        );
+    }
+    for (name, sweep) in baselines_1d(Width::native_max()) {
+        let got = run_baseline(sweep, &g, &p, 8);
+        assert!(
+            max_abs_diff(want.as_slice(), got.as_slice()) < TOL,
+            "{name}"
         );
     }
 }

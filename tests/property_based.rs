@@ -6,12 +6,13 @@
 //! * vectorized executors agree with scalar on random taps and sizes.
 
 use proptest::prelude::*;
+use stencil_lab::core::exec::reorg;
 use stencil_lab::core::folding::fold;
 use stencil_lab::core::{FoldPlan, Pattern};
 use stencil_lab::grid::layout::{DltLayout, TransposeLayout};
 use stencil_lab::grid::max_abs_diff;
 use stencil_lab::simd::{NativeF64x4, NativeF64x8};
-use stencil_lab::{Grid1D, Method, Solver};
+use stencil_lab::{Grid1D, Method, PingPong, Solver};
 
 fn taps3() -> impl Strategy<Value = Vec<f64>> {
     prop::collection::vec(-1.0f64..1.0, 3)
@@ -75,13 +76,17 @@ proptest! {
         let p = Pattern::new_1d(&taps);
         let g = Grid1D::from_fn(n, |i| ((i * 37 + 11) % 101) as f64 * 0.01);
         let want = Solver::new(p.clone()).method(Method::Scalar).compile().unwrap().run_1d(&g, t).unwrap();
-        for method in [Method::MultipleLoads, Method::DataReorg, Method::TransposeLayout] {
+        for method in [Method::MultipleLoads, Method::TransposeLayout] {
             let got = Solver::new(p.clone()).method(method).compile().unwrap().run_1d(&g, t).unwrap();
             prop_assert!(
                 max_abs_diff(want.as_slice(), got.as_slice()) < 1e-10,
                 "{:?}", method
             );
         }
+        // the data-reorganization baseline, through its own entry
+        let mut pp = PingPong::new(g);
+        reorg::sweep_1d::<NativeF64x4>(&mut pp, &p, t);
+        prop_assert!(max_abs_diff(want.as_slice(), pp.current().as_slice()) < 1e-10, "DataReorg");
     }
 
     #[test]

@@ -1,10 +1,13 @@
-//! Integration: tiled execution (tessellate / split / spatial) must be
-//! bit-compatible with whole-grid sweeps under any thread count — the
-//! tessellation correctness argument, exercised end to end.
+//! Integration: tiled execution (tessellate, and the SDSL baseline's
+//! split tiling) must be bit-compatible with whole-grid sweeps under any
+//! thread count — the tessellation correctness argument, exercised end
+//! to end.
 
 use stencil_lab::core::kernels;
+use stencil_lab::core::tile::split;
 use stencil_lab::grid::max_abs_diff;
-use stencil_lab::{Grid1D, Grid2D, Grid3D, Method, Solver, Tiling};
+use stencil_lab::simd::NativeF64x4;
+use stencil_lab::{Grid1D, Grid2D, Grid3D, Method, PingPong, Solver, ThreadPool, Tiling};
 
 const TOL: f64 = 1e-11;
 
@@ -77,16 +80,10 @@ fn split_tiling_sdsl_1d() {
             .run_1d(&g, t)
             .unwrap();
         for threads in [1usize, 6] {
-            let got = Solver::new(p.clone())
-                .method(Method::Dlt)
-                .tiling(Tiling::Split { time_block: 5 })
-                .threads(threads)
-                .compile()
-                .unwrap()
-                .run_1d(&g, t)
-                .unwrap();
+            let mut pp = PingPong::new(g.clone());
+            split::sweep_1d::<NativeF64x4>(&ThreadPool::new(threads), &mut pp, &p, 5, t);
             assert!(
-                max_abs_diff(want.as_slice(), got.as_slice()) < TOL,
+                max_abs_diff(want.as_slice(), pp.current().as_slice()) < TOL,
                 "threads={threads} pts={}",
                 p.points()
             );
@@ -153,6 +150,7 @@ fn tessellation_2d_folded_vs_blockfree_folded() {
 
 #[test]
 fn sdsl_hybrid_2d_and_3d() {
+    let pool = ThreadPool::new(4);
     let p2 = kernels::heat2d();
     let g2 = Grid2D::from_fn(60, 64, |y, x| ((y + 3 * x) % 43) as f64);
     let want2 = Solver::new(p2.clone())
@@ -161,15 +159,9 @@ fn sdsl_hybrid_2d_and_3d() {
         .unwrap()
         .run_2d(&g2, 12)
         .unwrap();
-    let got2 = Solver::new(p2)
-        .method(Method::Dlt)
-        .tiling(Tiling::Split { time_block: 4 })
-        .threads(4)
-        .compile()
-        .unwrap()
-        .run_2d(&g2, 12)
-        .unwrap();
-    assert!(max_abs_diff(&want2.to_dense(), &got2.to_dense()) < TOL);
+    let mut got2 = PingPong::new(g2);
+    split::sweep_2d::<NativeF64x4>(&pool, &mut got2, &p2, 4, 12);
+    assert!(max_abs_diff(&want2.to_dense(), &got2.current().to_dense()) < TOL);
 
     let p3 = kernels::box3d27p();
     let g3 = Grid3D::from_fn(20, 18, 24, |z, y, x| ((z * 9 + y * 5 + x) % 29) as f64);
@@ -179,15 +171,9 @@ fn sdsl_hybrid_2d_and_3d() {
         .unwrap()
         .run_3d(&g3, 6)
         .unwrap();
-    let got3 = Solver::new(p3)
-        .method(Method::Dlt)
-        .tiling(Tiling::Split { time_block: 3 })
-        .threads(4)
-        .compile()
-        .unwrap()
-        .run_3d(&g3, 6)
-        .unwrap();
-    assert!(max_abs_diff(&want3.to_dense(), &got3.to_dense()) < TOL);
+    let mut got3 = PingPong::new(g3);
+    split::sweep_3d::<NativeF64x4>(&pool, &mut got3, &p3, 3, 6);
+    assert!(max_abs_diff(&want3.to_dense(), &got3.current().to_dense()) < TOL);
 }
 
 #[test]
@@ -212,47 +198,29 @@ fn tessellation_3d_folded() {
     assert!(max_abs_diff(&want.to_dense(), &got.to_dense()) < 1e-10);
 }
 
-#[test]
-fn spatial_blocking_matches() {
-    let p = kernels::box2d9p();
-    let g = Grid2D::from_fn(70, 66, |y, x| ((y * 23 + x) % 37) as f64);
-    let want = Solver::new(p.clone())
-        .method(Method::Scalar)
-        .compile()
-        .unwrap()
-        .run_2d(&g, 9)
-        .unwrap();
-    let got = Solver::new(p)
-        .method(Method::MultipleLoads)
-        .tiling(Tiling::Spatial { block: (16, 32) })
-        .threads(5)
-        .compile()
-        .unwrap()
-        .run_2d(&g, 9)
-        .unwrap();
-    assert!(max_abs_diff(&want.to_dense(), &got.to_dense()) < TOL);
-}
-
 /// The register pipeline is range independent: every output is one fixed
 /// chain of fused multiply-adds over its own inputs, whichever range call
-/// produces it. So a static partition of the interior — every block,
-/// the remainder ones included, at least a vector wide and not a
-/// multiple of it — reproduces the block-free plan's bits on any thread
-/// count, in 2D as in 3D. `PlanConfig::validate` refuses
-/// `Tiling::Spatial` for the register methods, so the partition is driven
-/// through `tile::spatial` with the kernel the plan itself steps with.
-/// 2D tessellate stays at tolerance (the tests above): it cuts `y`, and
-/// the tips of its inverted tiles are fewer rows than a vector and take
-/// the scalar guard, which sums in another order. 3D tessellate cuts `z`
-/// only and is bitwise (`tessellated_3d_register_plans_equal_their_block_free_twin_bitwise`).
+/// produces it. So a partition of the interior into blocks — every
+/// block, the remainder ones included, at least a vector wide and not a
+/// multiple of it — reproduces the block-free plan's bits. No plan tiles
+/// that way, so the blocks are stepped here with the kernel the plan
+/// itself steps with, serially: a pool only reorders the calls, and the
+/// property is about the ranges. 2D tessellate stays at tolerance (the
+/// tests above): it cuts `y`, and the tips of its inverted tiles are
+/// fewer rows than a vector and take the scalar guard, which sums in
+/// another order. 3D tessellate cuts `z` only and is bitwise
+/// (`tessellated_3d_register_plans_equal_their_block_free_twin_bitwise`).
 #[test]
 fn register_plans_are_partition_independent() {
+    use core::ops::Range;
     use stencil_lab::core::exec::folded::{step_range_2d, FoldedKernel};
     use stencil_lab::core::exec::folded3d::step_range_3d_ring;
-    use stencil_lab::core::tile::spatial;
-    use stencil_lab::simd::NativeF64x4;
-    use stencil_lab::{PingPong, ThreadPool, Width};
+    use stencil_lab::Width;
 
+    // `[lo, hi)` in blocks of `b`, the last one short
+    fn blocks(lo: usize, hi: usize, b: usize) -> impl Iterator<Item = Range<usize>> {
+        (lo..hi).step_by(b).map(move |s| s..(s + b).min(hi))
+    }
     let bits = |dense: Vec<f64>| dense.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
     let block_free = |p: &stencil_lab::Pattern, method: Method| {
         Solver::new(p.clone())
@@ -269,29 +237,25 @@ fn register_plans_are_partition_independent() {
             let plan = block_free(&p, method);
             let (m, rr) = (plan.m(), plan.effective_radius());
             // interior 40 x 42: blocks of 7 x 9 leave remainders 5 and 6
-            let g = Grid2D::from_fn(40 + 2 * rr, 42 + 2 * rr, |y, x| {
-                ((y * 13 + x * 7) % 97) as f64 * 0.3
-            });
+            let (ny, nx) = (40 + 2 * rr, 42 + 2 * rr);
+            let g = Grid2D::from_fn(ny, nx, |y, x| ((y * 13 + x * 7) % 97) as f64 * 0.3);
             let want = bits(plan.run_2d(&g, 3 * m).unwrap().to_dense());
             let k = FoldedKernel::new(&p, m);
-            for threads in [1usize, 2] {
-                let mut pp = PingPong::new(g.clone());
-                spatial::run_2d(
-                    &ThreadPool::new(threads),
-                    &mut pp,
-                    rr,
-                    (7, 9),
-                    3,
-                    &|s: &Grid2D, d: &mut Grid2D, ys, xs| {
-                        step_range_2d::<NativeF64x4>(&k, s, d, ys, xs)
-                    },
-                );
-                assert!(
-                    want == bits(pp.current().to_dense()),
-                    "{}pt {method:?} threads={threads}",
-                    p.points()
-                );
+            let mut pp = PingPong::new(g);
+            for _ in 0..3 {
+                let (s, d) = pp.src_dst();
+                for ys in blocks(rr, ny - rr, 7) {
+                    for xs in blocks(rr, nx - rr, 9) {
+                        step_range_2d::<NativeF64x4>(&k, s, d, ys.clone(), xs);
+                    }
+                }
+                pp.swap();
             }
+            assert!(
+                want == bits(pp.current().to_dense()),
+                "{}pt {method:?}",
+                p.points()
+            );
         }
     }
     // what PR 18 established for the ring, pinned beside it
@@ -300,29 +264,29 @@ fn register_plans_are_partition_independent() {
             let plan = block_free(&p, method);
             let (m, rr) = (plan.m(), plan.effective_radius());
             let ring = plan.ring3().expect("3D register plan");
-            let g = Grid3D::from_fn(11 + 2 * rr, 19 + 2 * rr, 23 + 2 * rr, |z, y, x| {
+            let (nz, ny, nx) = (11 + 2 * rr, 19 + 2 * rr, 23 + 2 * rr);
+            let g = Grid3D::from_fn(nz, ny, nx, |z, y, x| {
                 ((z * 3 + y * 7 + x * 11) % 53) as f64 * 0.3
             });
             let want = bits(plan.run_3d(&g, 2 * m).unwrap().to_dense());
             let k = FoldedKernel::new(&p, m);
-            for threads in [1usize, 2] {
-                let mut pp = PingPong::new(g.clone());
-                spatial::run_3d(
-                    &ThreadPool::new(threads),
-                    &mut pp,
-                    rr,
-                    (3, 7),
-                    2,
-                    &|s: &Grid3D, d: &mut Grid3D, zs, ys, xs| {
-                        step_range_3d_ring::<NativeF64x4>(&k, ring, s, d, zs, ys, xs)
-                    },
-                );
-                assert!(
-                    want == bits(pp.current().to_dense()),
-                    "{}pt {method:?} threads={threads}",
-                    p.points()
-                );
+            let mut pp = PingPong::new(g);
+            // blocks of 3 x 7 over z and y, whole x rows
+            for _ in 0..2 {
+                let (s, d) = pp.src_dst();
+                for zs in blocks(rr, nz - rr, 3) {
+                    for ys in blocks(rr, ny - rr, 7) {
+                        let xs = rr..nx - rr;
+                        step_range_3d_ring::<NativeF64x4>(&k, ring, s, d, zs.clone(), ys, xs);
+                    }
+                }
+                pp.swap();
             }
+            assert!(
+                want == bits(pp.current().to_dense()),
+                "{}pt {method:?}",
+                p.points()
+            );
         }
     }
 }

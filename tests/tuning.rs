@@ -168,10 +168,6 @@ fn invalid_pinned_axes_get_the_static_error_in_every_tuning_mode() {
             auto(kernels::heat2d()).tiling(Tiling::Tessellate { time_block: 0 }),
         ),
         (
-            "1D spatial",
-            auto(kernels::heat1d()).tiling(Tiling::Spatial { block: (8, 8) }),
-        ),
-        (
             "ring out of bounds",
             auto(kernels::heat3d()).ring3(Ring3 {
                 depth: usize::MAX,
