@@ -1,34 +1,9 @@
-//! Workload generators: reproducible random grids.
-//!
-//! Uses an in-crate splitmix64 generator instead of the `rand` crate so
-//! the harness stays dependency-free (the build environment is offline).
+//! Workload generators: reproducible random grids, drawn from the
+//! workspace's one seeded generator ([`SplitMix64`], from
+//! `stencil-faults`).
 
+use stencil_faults::SplitMix64;
 use stencil_grid::{Grid1D, Grid2D, Grid3D};
-
-/// Minimal seeded uniform generator (splitmix64 → `f64` in `[0, 1)`).
-#[derive(Clone, Debug)]
-pub struct SplitMix64(u64);
-
-impl SplitMix64 {
-    /// Create a generator from a seed.
-    pub fn new(seed: u64) -> Self {
-        Self(seed)
-    }
-
-    /// Next raw 64-bit value.
-    pub fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E3779B97F4A7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform `f64` in `[0, 1)` (53 significant bits).
-    pub fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-}
 
 /// Seeded uniform random 1D grid in `[0, 1)`.
 pub fn random_1d(n: usize, seed: u64) -> Grid1D {

@@ -110,6 +110,31 @@ fn mix(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// SplitMix64 (Steele, Lea, Flood): the workspace's one seeded generator.
+/// The probability failpoints draw from this recurrence (through an
+/// atomic state), and seeded workloads and tests use it directly, so
+/// one seed names one stream everywhere.
+#[derive(Debug, Clone)]
+pub struct SplitMix64(u64);
+
+impl SplitMix64 {
+    /// A generator whose first draw advances `seed` once.
+    pub fn new(seed: u64) -> Self {
+        Self(seed)
+    }
+
+    /// Next raw 64-bit value.
+    pub fn next_u64(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(GOLDEN);
+        mix(self.0)
+    }
+
+    /// Uniform `f64` in `[0, 1)` (53 significant bits).
+    pub fn next_f64(&mut self) -> f64 {
+        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+    }
+}
+
 /// Per-failpoint trigger state. All fields are plain atomics so the
 /// armed path stays lock-free and the disabled path costs nothing.
 struct Site {
@@ -327,6 +352,22 @@ mod tests {
             disarm_all();
             set_enabled(false);
         }
+    }
+
+    /// Seeded grids and committed benchmark inputs hang on these bits.
+    #[test]
+    fn splitmix64_stream_is_pinned() {
+        let mut g = SplitMix64::new(42);
+        let draws = [g.next_u64(), g.next_u64(), g.next_u64()];
+        assert_eq!(
+            draws,
+            [
+                0xBDD7_3226_2FEB_6E95,
+                0x28EF_E333_B266_F103,
+                0x4752_6757_130F_9F52
+            ]
+        );
+        assert_eq!(SplitMix64::new(42).next_f64(), 0.7415648787718233);
     }
 
     #[test]

@@ -46,6 +46,12 @@ pub enum OocError {
     },
     /// Plan execution failed inside a window.
     Plan(PlanError),
+    /// Another live handle holds the named store at this path (see
+    /// [`crate::store`]): it was neither truncated nor rolled back.
+    Busy {
+        /// The store's path.
+        path: std::path::PathBuf,
+    },
 }
 
 impl OocError {
@@ -90,6 +96,9 @@ impl std::fmt::Display for OocError {
                 write!(f, "plan not streamable: {reason}")
             }
             Self::Plan(e) => write!(f, "plan execution failed: {e}"),
+            Self::Busy { path } => {
+                write!(f, "slab store {} is held by another handle", path.display())
+            }
         }
     }
 }

@@ -52,6 +52,12 @@
 //! well-formed version-1 file), and reads, writes, the retry loop and the
 //! failpoints do not know which kind they serve.
 //!
+//! A named store also holds an exclusive lock on its file for as long as
+//! the handle lives, so one live store has one writer: [`SlabStore::create`],
+//! [`SlabStore::open`] and [`SlabStore::recover`] on a path another handle
+//! holds return [`OocError::Busy`] and leave the file alone. An unnamed
+//! store has no path to contend for and takes no lock.
+//!
 //! ## Moving planes
 //!
 //! A window grid whose rows are unpadded (`stride_y == nx`) holds planes
@@ -163,16 +169,38 @@ pub struct SlabStore {
     stats: StatsCell,
 }
 
+/// Take the exclusive lock a named store holds for its lifetime (it goes
+/// with the handle's file): a second handle on a live store would
+/// truncate, roll back or interleave passes under the first. A file
+/// system without locks serves the store unlocked, as before locks.
+fn lock(file: &File, path: &Path) -> Result<(), OocError> {
+    match file.try_lock() {
+        Ok(()) => Ok(()),
+        Err(std::fs::TryLockError::WouldBlock) => Err(OocError::Busy {
+            path: path.to_path_buf(),
+        }),
+        Err(std::fs::TryLockError::Error(e)) if e.kind() == std::io::ErrorKind::Unsupported => {
+            Ok(())
+        }
+        Err(std::fs::TryLockError::Error(e)) => Err(e.into()),
+    }
+}
+
 impl SlabStore {
     /// Create a store at `path` holding `grid` as round-0 data of
-    /// surface 0. An existing file is truncated.
+    /// surface 0. An existing file is truncated — once this handle holds
+    /// its lock: a store another handle still holds is
+    /// [`OocError::Busy`] and left alone.
     pub fn create(path: &Path, grid: &Grid3D, radius: usize) -> Result<Self, OocError> {
+        // truncated below, once this handle holds the lock
         let file = OpenOptions::new()
             .read(true)
             .write(true)
             .create(true)
-            .truncate(true)
+            .truncate(false)
             .open(path)?;
+        lock(&file, path)?;
+        file.set_len(0)?;
         Self::seed(file, Some(path.to_path_buf()), grid, radius)
     }
 
@@ -241,6 +269,7 @@ impl SlabStore {
 
     fn open_impl(path: &Path, allow_dirty: bool) -> Result<Self, OocError> {
         let file = OpenOptions::new().read(true).write(true).open(path)?;
+        lock(&file, path)?;
         let mut head = [0u8; HEADER_LEN as usize];
         let found = file.metadata()?.len();
         if found < HEADER_LEN {

@@ -174,7 +174,9 @@ fn span_floor(plan: &Plan, s: usize, min_span: usize) -> usize {
 
 /// Lay out the windows of a pass of `s` steps under a budget of
 /// `cap_planes` resident planes per window, or `None` when no window
-/// count satisfies both the cap and the span floor.
+/// count satisfies both the cap and the span floor. A domain the cap
+/// holds whole is always one window, however short: it needs no halo
+/// and has no span floor.
 fn plan_pass(
     plan: &Plan,
     (nz, ny, nx): (usize, usize, usize),
@@ -184,8 +186,11 @@ fn plan_pass(
     let (halo, min_span) = shard_geometry(plan, s, nz, &[ny, nx]);
     let r_eff = plan.effective_radius();
     let floor = span_floor(plan, s, min_span);
+    let whole = (nz <= cap_planes).then(|| PassGeom {
+        windows: vec![(0, nz, 0, nz)],
+    });
     if cap_planes < floor {
-        return None;
+        return whole;
     }
     // start from the fewest windows whose slabs can fit the cap and
     // grow until they do; growing further only shrinks spans, so the
@@ -194,7 +199,7 @@ fn plan_pass(
     let mut w = nz.div_ceil(per).max(1);
     loop {
         if w > nz {
-            return None;
+            return whole;
         }
         let windows: Vec<_> = interior_ranges(nz, w)
             .into_iter()
@@ -210,7 +215,7 @@ fn plan_pass(
             if windows.iter().all(|&(_, _, slo, shi)| shi - slo >= floor) {
                 return Some(PassGeom { windows });
             }
-            return None;
+            return whole;
         }
         w += 1;
     }
@@ -368,8 +373,14 @@ fn schedule(
         w => w.min(t),
     };
     let mut s = if want >= t { t } else { (want / u).max(1) * u };
+    // a depth fits when its passes and the final, shallower one (the
+    // `t % s` remainder) all lay out within the cap
+    let fits = |s: usize, cap: usize| {
+        let tail = t.is_multiple_of(s) || plan_pass(plan, shape, t % s, cap).is_some();
+        plan_pass(plan, shape, s, cap).filter(|_| tail)
+    };
     loop {
-        if let Some(geom) = plan_pass(plan, shape, s, cap_planes) {
+        if let Some(geom) = fits(s, cap_planes) {
             return Ok(Some(Schedule {
                 residency,
                 plane,
@@ -381,12 +392,15 @@ fn schedule(
         }
         if s <= u {
             // even the shallowest legal pass does not fit: report the
-            // smallest budget that would
+            // smallest budget that would (the whole domain always does)
             let (halo, min_span) = shard_geometry(plan, s, nz, &[ny, nx]);
-            let needed_planes = span_floor(plan, s, min_span).max(2 * halo + 1) + 2 * SLAB_ALIGN;
+            let least = span_floor(plan, s, min_span).max(2 * halo + 1).min(nz);
+            let needed_planes = (least..=nz)
+                .find(|&cap| fits(s, cap).is_some())
+                .unwrap_or(nz);
             return Err(OocError::BudgetTooSmall {
                 budget: cfg.budget_bytes,
-                needed: needed_planes.min(nz) * plane * residency + staging,
+                needed: needed_planes * plane * residency + staging,
             });
         }
         s = ((s - 1) / u).max(1) * u;
@@ -419,9 +433,9 @@ fn stream(
     while remaining > 0 {
         let s_pass = sch.s.min(remaining);
         // the final pass may be shallower (it takes the t % quantum
-        // tail); its shallower halo always fits where the deep one did
+        // tail); `schedule` checked that it fits too
         let geom = plan_pass(plan, shape, s_pass, sch.cap_planes)
-            .expect("a shallower pass fits wherever the deep pass fits");
+            .expect("`schedule` fits the final pass too");
         let widest = geom.windows.iter().map(|&(_, _, slo, shi)| shi - slo);
         report.window_planes = report.window_planes.max(widest.max().unwrap_or(0));
         // only the final pass produces the planes the caller asked for
@@ -768,7 +782,10 @@ pub fn resume_streaming(
 /// it is **left in place** so a resubmission of the same job can pick up
 /// where this attempt stopped. A job that can never run (a plan that does
 /// not stream, a budget below the minimum window) is refused before
-/// `path` is touched. This is the serve layer's crash-recovery route for
+/// `path` is touched. While another handle holds the store at `path` (an
+/// identical job still in flight), the run streams through an unnamed
+/// store as [`run_streaming_grid`] does and leaves `path` to the live
+/// attempt. This is the serve layer's crash-recovery route for
 /// out-of-core jobs.
 pub fn run_streaming_grid_resumable(
     plan: &Plan,
@@ -781,13 +798,25 @@ pub fn run_streaming_grid_resumable(
     let shape = (grid.nz(), grid.ny(), grid.nx());
     schedule(plan, shape, total_steps, cfg)?;
     let spill = Instant::now();
-    let store = match SlabStore::recover(path) {
-        Ok(s) if s.shape() == shape && s.radius() == radius && s.round() <= total_steps as u64 => s,
+    let recovered = match SlabStore::recover(path) {
+        Err(OocError::Busy { .. }) => return run_streaming_grid(plan, grid, total_steps, cfg),
+        Ok(s) if s.shape() == shape && s.radius() == radius && s.round() <= total_steps as u64 => {
+            Some(s)
+        }
         // no usable leftover (missing, mismatched, or already past the
-        // requested round): start fresh
-        _ => {
+        // requested round): start fresh, the mismatched handle dropped
+        _ => None,
+    };
+    let store = match recovered {
+        Some(s) => s,
+        None => {
             let _span = stencil_obs::span(stencil_obs::SpanId::OocWriteback);
-            SlabStore::create(path, grid, radius)?
+            match SlabStore::create(path, grid, radius) {
+                Err(OocError::Busy { .. }) => {
+                    return run_streaming_grid(plan, grid, total_steps, cfg)
+                }
+                created => created?,
+            }
         }
     };
     let result = stream_to_grid(plan, &store, total_steps, cfg, spill);

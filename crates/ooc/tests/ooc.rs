@@ -228,6 +228,40 @@ fn streaming_resumes_across_calls_on_one_store() {
     assert_eq!(bits(&want), bits(&got));
 }
 
+/// A named store another handle still streams is not taken over: a
+/// resumable run on its path neither truncates it nor rolls it back,
+/// streams its job through an unnamed store instead, and leaves the file
+/// to the live handle, which goes on to finish its own job.
+#[test]
+fn a_live_named_store_is_not_taken_over_by_a_resumable_run() {
+    let path = std::env::temp_dir().join(format!("stencil-ooc-live-{}.slab", std::process::id()));
+    let g = workload(48, 12, 14);
+    let plan = Solver::new(kernels::heat3d())
+        .method(Method::Folded { m: 2 })
+        .compile()
+        .unwrap();
+    let cfg = OocConfig {
+        budget_bytes: budget_for(12, 14, 24, false),
+        steps_per_pass: 2,
+        prefetch: false,
+    };
+    let want = bits(&plan.run_3d(&g, 6).unwrap());
+    let held = SlabStore::create(&path, &g, plan.pattern().radius()).unwrap();
+    run_streaming(&plan, &held, 2, &cfg).unwrap();
+    assert_eq!(held.round(), 2);
+
+    let (got, report) = run_streaming_grid_resumable(&plan, &g, 6, &cfg, &path).unwrap();
+    assert!(report.passes >= 2, "{report:?}");
+    assert_eq!(bits(&got), want);
+    assert!(path.exists(), "the live store keeps its file");
+    assert!(matches!(SlabStore::open(&path), Err(OocError::Busy { .. })));
+
+    run_streaming(&plan, &held, 4, &cfg).unwrap();
+    assert_eq!(bits(&held.to_grid().unwrap()), want);
+    drop(held);
+    std::fs::remove_file(&path).unwrap();
+}
+
 #[test]
 fn truncated_and_crashed_stores_are_detected() {
     let g = workload(10, 8, 8);

@@ -9,6 +9,10 @@
 //! exactly — the point of deterministic failpoints over `kill -9`
 //! chaos.
 
+#[macro_use]
+#[path = "conformance/mod.rs"]
+mod conformance;
+
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -18,7 +22,9 @@ use stencil_lab::grid::{Grid2D, Grid3D};
 use stencil_lab::ooc::{self, OocConfig, SlabStore};
 use stencil_lab::serve::net::{JobEvent, NetClient, NetConfig, NetError, NetServer, SubmitHeader};
 use stencil_lab::serve::{JobDomain, JobSpec, ServeConfig, ServeError, StencilService};
-use stencil_lab::{Method, Solver};
+use stencil_lab::{Method, Solver, Width};
+
+use conformance::{bits, budget_for, workload, Route};
 
 /// Failpoint state is process-global; tests that arm it must not
 /// interleave with each other.
@@ -38,24 +44,7 @@ impl Drop for Reset {
 }
 
 fn bits3(g: &Grid3D) -> Vec<u64> {
-    g.to_dense().iter().map(|v| v.to_bits()).collect()
-}
-
-fn workload(nz: usize, ny: usize, nx: usize) -> Grid3D {
-    Grid3D::from_fn(nz, ny, nx, |z, y, x| {
-        ((z * 37 + y * 11 + x * 5) % 23) as f64 * 0.25 - 2.0
-    })
-}
-
-/// Budget capping windows at roughly `planes` resident planes.
-fn budget_for(ny: usize, nx: usize, planes: usize, prefetch: bool) -> usize {
-    let plane = Grid3D::zeros(1, ny, nx).stride_z() * 8;
-    let residency = if prefetch {
-        ooc::RESIDENT_WINDOWS_PREFETCH
-    } else {
-        ooc::RESIDENT_WINDOWS_SYNC
-    };
-    planes * plane * residency
+    bits(&g.to_dense())
 }
 
 fn streamable_plan() -> stencil_lab::Plan {
@@ -247,6 +236,17 @@ fn a_hard_io_failure_leaves_a_resumable_store_and_the_resume_is_bit_exact() {
         .expect("resume after recovery");
     assert_eq!(want, bits3(&got), "resumed run diverged from uninterrupted");
     assert!(!path.exists(), "a successful resume removes the store");
+}
+
+/// The conformance product's fault route: a 3D cell of every method ×
+/// tiling streams a pass, dies on a hard store fault with its store left
+/// behind, and the resumed run gives `plan.run`'s bits.
+#[test]
+fn every_sampled_3d_cell_resumes_after_a_hard_store_fault_bit_exactly() {
+    let _g = serial();
+    let _r = Reset;
+    check!(dims: [3], kernels: ["heat3d", "star3d_r2"], widths: [Width::W4], rings: [None],
+        routes: [Route::Fault]);
 }
 
 #[test]

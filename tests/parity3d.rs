@@ -1,189 +1,49 @@
-//! Cross-backend 3D parity suite for the z-ring register pipeline.
+//! Cross-backend 3D parity suite for the z-ring register pipeline, as
+//! slices of the conformance product (`conformance/mod.rs`):
 //!
-//! The pipeline's correctness contract, pinned across every lane width
-//! this build carries (scalar lanes / 4-lane / 8-lane — the intrinsic
-//! AVX2/AVX-512 backends are selected at compile time and the AVX-512
-//! CI lane gates execution on the runner's CPUID):
-//!
-//! * every width agrees with the `exec/scalar.rs` folded reference to
-//!   tight tolerance for `heat3d` and `box3d27p` (radius 1) and the
-//!   radius-2 `box3d125p`, at m ∈ {1, 2}, block-free and tessellated,
-//! * scalar-lane plans agree with `exec/scalar.rs` **bit for bit**
-//!   (they execute through it),
-//! * tessellate thread counts never change a single bit (tile geometry
-//!   is thread-count-independent; threads only change who runs a tile),
+//! * every width agrees with the `exec/scalar.rs` folded reference for
+//!   `heat3d`, `box3d27p` and the radius-2 `box3d125p` and `star3d_r2`,
+//!   at m ∈ {1, 2}, block-free and tessellated;
+//! * scalar-lane plans agree with `exec/scalar.rs` **bit for bit** (they
+//!   execute through it), and a fold past their cap is a compile error;
+//! * tessellate thread counts never change a single bit;
 //! * Static and Measured tuning agree on the field, and a Measured →
-//!   CacheOnly replay is bit-identical (decision determinism).
+//!   CacheOnly replay is bit-identical.
 
-use std::sync::OnceLock;
-use stencil_lab::core::api::Width;
-use stencil_lab::core::exec::scalar;
-use stencil_lab::core::folding::fold;
-use stencil_lab::core::kernels;
-use stencil_lab::grid::max_abs_diff;
-use stencil_lab::tune::probe::Budget;
-use stencil_lab::{AutoTuner, Grid3D, Method, Pattern, PingPong, Solver, Tiling, Tuning};
+#[macro_use]
+#[path = "conformance/mod.rs"]
+mod conformance;
 
-fn grid3(nz: usize, ny: usize, nx: usize) -> Grid3D {
-    Grid3D::from_fn(nz, ny, nx, |z, y, x| {
-        ((z * 131 + y * 31 + x * 17) % 251) as f64 / 251.0
-    })
-}
-
-/// The `exec/scalar.rs` reference with the folded plans' exact macro
-/// semantics: `t / m` sweeps of Λ (`t` must be a multiple of `m`).
-fn scalar_folded_ref(p: &Pattern, m: usize, g: &Grid3D, t: usize) -> Grid3D {
-    assert_eq!(t % m, 0, "reference avoids the unfolded tail");
-    let f = fold(p, m);
-    let mut pp = PingPong::new(g.clone());
-    scalar::sweep_3d(&mut pp, &f, t / m);
-    pp.into_current()
-}
-
-fn cases() -> Vec<(&'static str, Pattern)> {
-    vec![
-        ("heat3d", kernels::heat3d()),
-        ("box3d27p", kernels::box3d27p()),
-        ("box3d125p", kernels::box3d125p()),
-        ("star3d_r2", kernels::star3d_r2()),
-    ]
-}
+use conformance::{Extent::*, Route, Steps};
+use stencil_lab::Method::Folded;
+use stencil_lab::{Tiling, Width::*};
 
 #[test]
 fn zring_agrees_with_scalar_reference_across_widths_and_tilings() {
-    for (name, p) in cases() {
-        for m in [1usize, 2] {
-            let g = grid3(26, 22, 30);
-            let t = 2 * m;
-            let want = scalar_folded_ref(&p, m, &g, t);
-            for width in [Width::W4, Width::W8] {
-                for (tiling, threads) in [
-                    (Tiling::None, 1usize),
-                    (Tiling::Tessellate { time_block: 2 }, 3),
-                ] {
-                    let plan = Solver::new(p.clone())
-                        .method(Method::Folded { m })
-                        .tiling(tiling)
-                        .width(width)
-                        .threads(threads)
-                        .compile()
-                        .unwrap();
-                    let got = plan.run_3d(&g, t).unwrap();
-                    assert!(
-                        max_abs_diff(&want.to_dense(), &got.to_dense()) < 1e-11,
-                        "{name} m={m} {width:?} {tiling:?}"
-                    );
-                }
-            }
-        }
-    }
+    check!(kernels: ["heat3d", "box3d27p", "box3d125p", "star3d_r2"],
+        methods: [Folded { m: 1 }, Folded { m: 2 }],
+        tilings: [Tiling::None, Tiling::Tessellate { time_block: 2 }], widths: [W4, W8],
+        rings: [None], threads: [3], extents: [Ragged], steps: [Steps::Folds(2, 0)],
+        routes: [Route::Scalar]);
 }
 
 #[test]
 fn scalar_lane_plans_agree_bitwise_with_scalar_executor() {
-    // W1 register plans execute through exec/scalar.rs itself — the
-    // agreement is exact, not approximate
-    for (name, p) in cases() {
-        for m in [1usize, 2] {
-            // scalar lanes keep the narrower radius cap (no register
-            // window to spend): deeper folds are a typed compile error
-            if m * p.radius() > stencil_lab::core::tune::fold_radius_cap(3, Width::W1) {
-                assert!(Solver::new(p.clone())
-                    .method(Method::Folded { m })
-                    .width(Width::W1)
-                    .compile()
-                    .is_err());
-                continue;
-            }
-            let g = grid3(20, 18, 24);
-            let t = 2 * m;
-            let want = scalar_folded_ref(&p, m, &g, t);
-            let plan = Solver::new(p.clone())
-                .method(Method::Folded { m })
-                .width(Width::W1)
-                .compile()
-                .unwrap();
-            let got = plan.run_3d(&g, t).unwrap();
-            let wb: Vec<u64> = want.to_dense().iter().map(|v| v.to_bits()).collect();
-            let gb: Vec<u64> = got.to_dense().iter().map(|v| v.to_bits()).collect();
-            assert_eq!(wb, gb, "{name} m={m}");
-        }
-    }
+    check!(kernels: ["heat3d", "box3d27p", "box3d125p", "star3d_r2"],
+        methods: [Folded { m: 1 }, Folded { m: 2 }], tilings: [Tiling::None], widths: [W1],
+        rings: [None], extents: [Ragged], steps: [Steps::Folds(2, 0)], routes: [Route::Scalar]);
 }
 
 #[test]
 fn tessellate_thread_count_never_changes_bits() {
-    for (name, p) in [
-        ("heat3d", kernels::heat3d()),
-        ("box3d125p", kernels::box3d125p()),
-    ] {
-        let g = grid3(40, 24, 28);
-        let t = 6;
-        let run = |threads: usize| {
-            Solver::new(p.clone())
-                .method(Method::Folded { m: 2 })
-                .tiling(Tiling::Tessellate { time_block: 2 })
-                .threads(threads)
-                .compile()
-                .unwrap()
-                .run_3d(&g, t)
-                .unwrap()
-        };
-        let one = run(1);
-        let four = run(4);
-        let ob: Vec<u64> = one.to_dense().iter().map(|v| v.to_bits()).collect();
-        let fb: Vec<u64> = four.to_dense().iter().map(|v| v.to_bits()).collect();
-        assert_eq!(ob, fb, "{name}");
-    }
-}
-
-fn tuner_ready() {
-    static ONCE: OnceLock<()> = OnceLock::new();
-    ONCE.get_or_init(|| {
-        let path =
-            std::env::temp_dir().join(format!("stencil-parity3d-{}.json", std::process::id()));
-        let _ = std::fs::remove_file(&path);
-        let t: &'static AutoTuner = Box::leak(Box::new(
-            AutoTuner::with_cache_path(path).budget(Budget::from_millis(150)),
-        ));
-        stencil_lab::core::tune::install_tuner(t);
-    });
+    check!(kernels: ["heat3d", "box3d125p"], methods: [Folded { m: 2 }],
+        tilings: [Tiling::Tessellate { time_block: 2 }], widths: [W4], rings: [None],
+        threads: [1, 4], extents: [Aligned], steps: [Steps::Exact(6), Steps::Rounds], routes: [Route::Threads]);
 }
 
 #[test]
 fn static_and_measured_tuning_agree_and_cache_only_replays_bitwise() {
-    tuner_ready();
-    for (name, p) in [
-        ("heat3d", kernels::heat3d()),
-        ("box3d27p", kernels::box3d27p()),
-    ] {
-        let g = grid3(24, 24, 28);
-        let t = 4;
-        let want = scalar_folded_ref(&p, 2, &g, t);
-        let compile = |tuning: Tuning| {
-            Solver::new(p.clone())
-                .method(Method::Folded { m: 2 })
-                .tiling(Tiling::Auto)
-                .threads(2)
-                .tuning(tuning)
-                .domain_hint(&[24, 24, 28])
-                .compile()
-                .unwrap()
-        };
-        let st = compile(Tuning::Static).run_3d(&g, t).unwrap();
-        let measured_plan = compile(Tuning::Measured);
-        let me = measured_plan.run_3d(&g, t).unwrap();
-        for (tag, out) in [("static", &st), ("measured", &me)] {
-            assert!(
-                max_abs_diff(&want.to_dense(), &out.to_dense()) < 1e-11,
-                "{name} {tag}"
-            );
-        }
-        // the measured decision is persisted: CacheOnly resolves the
-        // same plan, and its run replays the measured bits exactly
-        let co = compile(Tuning::CacheOnly).run_3d(&g, t).unwrap();
-        let mb: Vec<u64> = me.to_dense().iter().map(|v| v.to_bits()).collect();
-        let cb: Vec<u64> = co.to_dense().iter().map(|v| v.to_bits()).collect();
-        assert_eq!(mb, cb, "{name}");
-    }
+    check!(kernels: ["heat3d", "box3d27p"], methods: [Folded { m: 2 }], tilings: [Tiling::Auto],
+        widths: [W4], rings: [None], threads: [2], extents: [Aligned], steps: [Steps::Folds(2, 0)],
+        routes: [Route::Tuned]);
 }

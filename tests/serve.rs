@@ -11,6 +11,11 @@
 //! * Backpressure is a typed, observable signal, and the stats dump
 //!   round-trips through the shared hand-rolled JSON.
 
+#[macro_use]
+#[path = "conformance/mod.rs"]
+mod conformance;
+
+use conformance::{bits, Extent, Report, Route, Steps};
 use std::sync::Arc;
 use std::time::Duration;
 use stencil_lab::core::api::Width;
@@ -22,7 +27,7 @@ use stencil_lab::serve::{
 };
 use stencil_lab::tune::candidates::Candidate;
 use stencil_lab::tune::ChallengeOutcome;
-use stencil_lab::{Grid2D, Grid3D, Method, PlanConfig, Tiling, Tuning};
+use stencil_lab::{Grid2D, Method, PlanConfig, Tiling, Tuning};
 
 fn sharded_cfg() -> ServeConfig {
     ServeConfig {
@@ -40,101 +45,41 @@ fn sharded_cfg() -> ServeConfig {
     }
 }
 
-fn bits(v: &[f64]) -> Vec<u64> {
-    v.iter().map(|x| x.to_bits()).collect()
+/// The sharding service split every case of the slice.
+fn all_sharded(report: Report) {
+    assert!(
+        report.cases > 0 && report.sharded == report.cases,
+        "{report:?}"
+    );
 }
 
 #[test]
 fn service_sharded_2d_bit_identical_to_unsharded_plan_run() {
-    let svc = StencilService::start(sharded_cfg());
-    // awkward extent: 101 rows, so slab alignment and the top scalar
-    // remainder of the register pipeline are both exercised
-    let g = Grid2D::from_fn(101, 72, |y, x| ((y * 31 + x * 7) % 23) as f64 * 0.25);
-    let steps = 4;
-    let spec = JobSpec::new(kernels::heat2d(), JobDomain::D2(g.clone()), steps);
-    let (plan, shards) = svc.plan_for(&spec).unwrap();
-    assert!(shards > 1, "policy must shard this job (got {shards})");
-    let ticket = svc.submit(spec).unwrap();
-    let result = ticket.wait().unwrap();
-    assert_eq!(result.shards, shards);
-    let served = match result.output {
-        JobDomain::D2(out) => out,
-        _ => panic!("wrong dimensionality"),
-    };
-    let want = plan.run_2d(&g, steps).unwrap();
-    assert_eq!(
-        bits(&want.to_dense()),
-        bits(&served.to_dense()),
-        "sharded service output must be bit-identical to the unsharded plan run"
-    );
-    let stats = svc.shutdown();
-    assert_eq!(stats.sharded_jobs, 1);
-    assert_eq!(stats.shards_executed, shards as u64);
+    // rows off the 8-row slab alignment (33 and 101): slab alignment and
+    // the top scalar remainder of the register pipeline
+    let report = check!(kernels: ["heat2d"], methods: [Method::Auto], tilings: [Tiling::None],
+        widths: [Width::W4], extents: [Extent::Aligned, Extent::Ragged, Extent::Deep],
+        steps: [Steps::Exact(4)], routes: [Route::Service]);
+    all_sharded(report);
 }
 
 #[test]
 fn service_sharded_3d_bit_identical_to_unsharded_plan_run() {
-    let svc = StencilService::start(sharded_cfg());
-    let g = Grid3D::from_fn(29, 14, 18, |z, y, x| ((z * 5 + y * 3 + x) % 11) as f64);
-    let steps = 3;
-    let spec = JobSpec::new(kernels::box3d27p(), JobDomain::D3(g.clone()), steps);
-    let (plan, shards) = svc.plan_for(&spec).unwrap();
-    assert!(shards > 1, "policy must shard this job (got {shards})");
-    let result = svc.submit(spec).unwrap().wait().unwrap();
-    let served = match result.output {
-        JobDomain::D3(out) => out,
-        _ => panic!("wrong dimensionality"),
-    };
-    let want = plan.run_3d(&g, steps).unwrap();
-    assert_eq!(
-        bits(&want.to_dense()),
-        bits(&served.to_dense()),
-        "sharded 3D service output must be bit-identical to the unsharded plan run"
-    );
-    svc.shutdown();
+    let report = check!(kernels: ["box3d27p"], methods: [Method::Auto], tilings: [Tiling::None],
+        widths: [Width::W4], rings: [None], extents: [Extent::Aligned, Extent::Deep],
+        steps: [Steps::Exact(3)], routes: [Route::Service]);
+    all_sharded(report);
 }
 
 #[test]
 fn sharded_3d_zring_pipeline_bit_identical_to_unsharded() {
-    // acceptance pin: sharded 3D runs over the z-ring register pipeline
-    // (block-free and tessellate-tiled, folded m = 2) stitch to exactly
-    // the bits of the unsharded run — including a radius-2 pattern at
-    // folded radius 4, which only the deeper MAX_R3 window admits
-    use stencil_lab::serve::shard::{lane_plans, run_sharded_3d, run_sharded_3d_owned};
-    use stencil_lab::{Method, Solver, Tiling};
-    let g = Grid3D::from_fn(88, 18, 22, |z, y, x| {
-        ((z * 17 + y * 5 + x * 3) % 29) as f64 * 0.125
-    });
-    for (p, tiling, t) in [
-        (kernels::heat3d(), Tiling::None, 4usize),
-        (kernels::box3d27p(), Tiling::None, 4),
-        (kernels::box3d125p(), Tiling::None, 2),
-        (kernels::heat3d(), Tiling::Tessellate { time_block: 2 }, 4),
-        (kernels::box3d27p(), Tiling::Tessellate { time_block: 2 }, 4),
-    ] {
-        let plan = Solver::new(p.clone())
-            .method(Method::Folded { m: 2 })
-            .tiling(tiling)
-            .compile()
-            .unwrap();
-        assert!(plan.ring3().is_some(), "3D register plans carry a ring");
-        let want = plan.run_3d(&g, t).unwrap();
-        let lanes = lane_plans(&plan, 3).unwrap();
-        for shards in [2usize, 3] {
-            // the borrowed entry, and the owned one the service calls
-            for got in [
-                run_sharded_3d(&lanes, &g, t, shards).unwrap(),
-                run_sharded_3d_owned(&lanes, g.clone(), t, shards).unwrap(),
-            ] {
-                assert_eq!(
-                    bits(&want.to_dense()),
-                    bits(&got.to_dense()),
-                    "pts={} {tiling:?} shards={shards}",
-                    p.points()
-                );
-            }
-        }
-    }
+    // the z-ring register pipeline, block-free and tessellated, through
+    // the borrowed and the owned entries — including a radius-2 pattern
+    // at folded radius 4
+    check!(kernels: ["heat3d", "box3d27p", "box3d125p"], methods: [Method::Folded { m: 2 }],
+        tilings: [Tiling::None, Tiling::Tessellate { time_block: 2 }], widths: [Width::W4],
+        rings: [None], extents: [Extent::Deep], steps: [Steps::Folds(2, 0)],
+        routes: [Route::Shard]);
 }
 
 /// The full warm-start story, one test so the process-global tuner and

@@ -19,20 +19,25 @@
 //!   the idle timeout, a peer that stops reading its results is dropped
 //!   at the unsent-backlog cap, and shutdown leaks no pool threads.
 
+#[macro_use]
+#[path = "conformance/mod.rs"]
+mod conformance;
+
 use std::time::{Duration, Instant};
 
+use conformance::{bits, Extent, Route, Steps};
 use proptest::prelude::*;
 use stencil_lab::core::{kernels, Pattern};
 use stencil_lab::grid::{Grid2D, Grid3D};
 use stencil_lab::obs::json;
 use stencil_lab::runtime::PoolHandle;
 use stencil_lab::serve::net::{
-    http_get, round_steps, wire, JobEvent, NetClient, NetConfig, NetError, NetServer, RejectReason,
-    SubmitHeader,
+    http_get, wire, JobEvent, NetClient, NetConfig, NetError, NetServer, RejectReason, SubmitHeader,
 };
 use stencil_lab::serve::{
     JobDomain, JobSpec, OocThreshold, ServeConfig, StatsSnapshot, StencilService,
 };
+use stencil_lab::{Method, Tiling, Width};
 
 fn start_server(cfg: ServeConfig, net: NetConfig) -> NetServer {
     NetServer::start(StencilService::start(cfg), net).expect("bind ephemeral port")
@@ -71,99 +76,33 @@ fn wait_until(timeout: Duration, mut ok: impl FnMut() -> bool) -> bool {
     ok()
 }
 
-fn bits(data: &[f64]) -> Vec<u64> {
-    data.iter().map(|v| v.to_bits()).collect()
-}
+// Jobs over a real socket return the bits the same plan gives in
+// process, and the tenant's counters see every one; every wire check also
+// runs the job in two or three rounds: progress frames in order, and the
+// bits of an identically chunked reference (folded and tessellated plans
+// are bit-stable per step partition).
 
 #[test]
 fn e2e_2d_job_is_bit_identical_to_in_process() {
-    let server = start_server(small_cfg(), NetConfig::default());
-    let grid = Grid2D::from_fn(64, 48, |y, x| ((y * 31 + x * 17) % 23) as f64 * 0.25);
-    let steps = 10;
-
-    let mut client = NetClient::connect(server.addr(), "acme").unwrap();
-    let out = client
-        .run(
-            submit_header("heat2d", kernels::heat2d(), &[64, 48], steps),
-            &grid.to_dense(),
-        )
-        .unwrap();
-    assert_eq!(out.extents, vec![64, 48]);
-
-    // reference: the same plan the service resolves, run in process
-    let spec = JobSpec::new(kernels::heat2d(), JobDomain::D2(grid.clone()), steps);
-    let (plan, _) = server.service().plan_for(&spec).unwrap();
-    let reference = plan.run_2d(&grid, steps).unwrap();
-    assert_eq!(bits(&out.data), bits(&reference.to_dense()));
-
-    client.bye().unwrap();
-    let stats = server.shutdown();
-    assert_eq!(stats.jobs_completed, 1);
-    assert_eq!(stats.tenants["acme"].submitted, 1);
-    assert_eq!(stats.tenants["acme"].completed, 1);
+    check!(kernels: ["heat2d"], methods: [Method::Auto],
+        tilings: [Tiling::None, Tiling::Tessellate { time_block: 2 }], widths: [Width::W4],
+        extents: [Extent::Aligned], steps: [Steps::Exact(10)], routes: [Route::Wire]);
 }
 
 #[test]
 fn e2e_3d_job_is_bit_identical_to_in_process() {
-    let server = start_server(small_cfg(), NetConfig::default());
-    let grid = Grid3D::from_fn(20, 24, 16, |z, y, x| {
-        ((z * 7 + y * 5 + x * 3) % 13) as f64 * 0.5 - 1.0
-    });
-    let steps = 6;
-
-    let mut client = NetClient::connect(server.addr(), "acme").unwrap();
-    let out = client
-        .run(
-            submit_header("heat3d", kernels::heat3d(), &[20, 24, 16], steps),
-            &grid.to_dense(),
-        )
-        .unwrap();
-    assert_eq!(out.extents, vec![20, 24, 16]);
-
-    let spec = JobSpec::new(kernels::heat3d(), JobDomain::D3(grid.clone()), steps);
-    let (plan, _) = server.service().plan_for(&spec).unwrap();
-    let reference = plan.run_3d(&grid, steps).unwrap();
-    assert_eq!(bits(&out.data), bits(&reference.to_dense()));
-
-    client.bye().unwrap();
-    server.shutdown();
+    check!(kernels: ["heat3d"], methods: [Method::Auto],
+        tilings: [Tiling::None, Tiling::Tessellate { time_block: 2 }], widths: [Width::W4],
+        rings: [None], extents: [Extent::Aligned], steps: [Steps::Exact(6)],
+        routes: [Route::Wire]);
 }
 
 #[test]
 fn multi_round_jobs_stream_progress_and_match_chunked_reference() {
-    let server = start_server(small_cfg(), NetConfig::default());
-    let grid = Grid2D::from_fn(48, 40, |y, x| ((y + 2 * x) % 11) as f64);
-    let (steps, rounds) = (8usize, 3usize);
-
-    let mut client = NetClient::connect(server.addr(), "acme").unwrap();
-    let mut header = submit_header("heat2d", kernels::heat2d(), &[48, 40], steps);
-    header.rounds = rounds;
-    let id = client.submit(header, &grid.to_dense()).unwrap();
-    let mut seen_rounds = Vec::new();
-    let outcome = loop {
-        match client.next_event(id).unwrap() {
-            JobEvent::Progress { round, rounds: n } => {
-                assert_eq!(n, 3);
-                seen_rounds.push(round);
-            }
-            JobEvent::Done(out) => break out,
-        }
-    };
-    // every non-final round reported, in order
-    assert_eq!(seen_rounds, vec![1, 2]);
-
-    // the reference must chunk identically: folded/tessellated plans
-    // are only bit-stable for a given step partition
-    let spec = JobSpec::new(kernels::heat2d(), JobDomain::D2(grid.clone()), steps);
-    let (plan, _) = server.service().plan_for(&spec).unwrap();
-    let mut reference = grid;
-    for chunk in round_steps(steps, rounds) {
-        reference = plan.run_2d(&reference, chunk).unwrap();
-    }
-    assert_eq!(bits(&outcome.data), bits(&reference.to_dense()));
-
-    client.bye().unwrap();
-    server.shutdown();
+    check!(kernels: ["heat2d", "box2d9p"], methods: [Method::Folded { m: 2 }],
+        tilings: [Tiling::Tessellate { time_block: 2 }], widths: [Width::W4],
+        extents: [Extent::Aligned], steps: [Steps::Exact(8), Steps::Rounds],
+        routes: [Route::Wire]);
 }
 
 #[test]
