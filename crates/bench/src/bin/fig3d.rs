@@ -13,7 +13,7 @@ use stencil_bench::{gflops, measure, workload, Args, Table};
 use stencil_core::exec::folded::FoldedKernel;
 use stencil_core::exec::folded3d::{self, Ring3};
 use stencil_core::tile::{tessellate, tile_width};
-use stencil_core::{kernels, Method, Pattern, Solver, Tiling, Tuning};
+use stencil_core::{kernels, Method, Pattern, Solver, Tiling, Tuning, Width};
 use stencil_grid::{Grid3D, PingPong};
 use stencil_runtime::PoolHandle;
 use stencil_simd::NativeF64x4;
@@ -27,20 +27,16 @@ fn cases() -> Vec<(&'static str, Pattern)> {
     ]
 }
 
-/// Block-free sweep through the z-ring pipeline.
-fn ring_blockfree(
-    k: &FoldedKernel,
-    ring: Ring3,
-    g: &Grid3D,
-    p: &Pattern,
-    t: usize,
-    reps: usize,
-) -> f64 {
-    let (_, d) = measure::best_of(reps, || {
-        let mut pp = PingPong::new(g.clone());
-        folded3d::sweep_3d_ring::<NativeF64x4>(k, ring, &mut pp, p, t);
-        pp.into_current()
-    });
+/// Block-free sweep through the z-ring pipeline: a one-thread plan with
+/// the ring pinned.
+fn ring_blockfree(m: usize, ring: Ring3, g: &Grid3D, p: &Pattern, t: usize, reps: usize) -> f64 {
+    let plan = Solver::new(p.clone())
+        .method(Method::Folded { m })
+        .width(Width::W4)
+        .ring3(ring)
+        .compile()
+        .expect("every fig3d case compiles at m = 1, 2");
+    let (_, d) = measure::best_of(reps, || plan.run_3d(g, t).expect("a 3D plan"));
     rate(g, p, t, d)
 }
 
@@ -105,7 +101,7 @@ fn main() {
             // m = 2 reaches folded radius 4 = MAX_R3
             let k = FoldedKernel::new(&p, m);
             let ring = Ring3::auto(lanes, k.radius());
-            let zring = ring_blockfree(&k, ring, &g, &p, t, reps);
+            let zring = ring_blockfree(m, ring, &g, &p, t, reps);
             bf.put(name, format!("Z-ring (m={m})"), Some(zring));
             if m == 2 {
                 // t is even, so the folded body covers every step

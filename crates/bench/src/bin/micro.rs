@@ -1,5 +1,6 @@
 //! 1D step-kernel microbenchmark across working-set sizes (L1 to memory):
-//! the per-method cost model behind Fig. 8, one step call per rep.
+//! the per-method cost model behind Fig. 8, one step call per rep (the
+//! plan methods' range kernels over the interior).
 use std::time::Instant;
 use stencil_core::exec::{dlt, folded, multiload, reorg, scalar, xlayout};
 use stencil_core::kernels;
@@ -34,7 +35,13 @@ fn main() {
             std::mem::swap(&mut a, &mut b);
         });
         bench("multiload", n, reps, || {
-            multiload::step_1d::<NativeF64x4>(a.as_slice(), b.as_mut_slice(), &taps);
+            multiload::step_range_1d::<NativeF64x4>(
+                a.as_slice(),
+                b.as_mut_slice(),
+                &taps,
+                1,
+                n - 1,
+            );
             std::mem::swap(&mut a, &mut b);
         });
         bench("reorg", n, reps, || {
@@ -46,12 +53,14 @@ fn main() {
             std::mem::swap(&mut a, &mut b);
         });
         bench("folded-squares m=1", n, reps, || {
-            folded::step_1d::<NativeF64x4>(a.as_slice(), b.as_mut_slice(), &taps);
+            let (s, d) = (a.as_slice(), b.as_mut_slice());
+            folded::step_squares_range_1d::<NativeF64x4>(s, d, &taps, 1, n - 1);
             std::mem::swap(&mut a, &mut b);
         });
         let f2 = stencil_core::folding::fold(&p, 2).weights().to_vec();
         bench("folded-squares m=2", n, reps, || {
-            folded::step_1d::<NativeF64x4>(a.as_slice(), b.as_mut_slice(), &f2);
+            let (s, d) = (a.as_slice(), b.as_mut_slice());
+            folded::step_squares_range_1d::<NativeF64x4>(s, d, &f2, 2, n - 2);
             std::mem::swap(&mut a, &mut b);
         });
         // dlt steady state (transform outside: the step reads any data

@@ -32,18 +32,23 @@ fn main() {
             let mut a = g.clone();
             let mut b = g.clone();
             let flops1 = (2 * p.points() * n * n) as f64;
+            // the range kernels over the interior a band of `r` leaves
+            let inner = |r: usize| (r..n - r, r..n - r);
             bench(&format!("{name} multiload"), n, flops1, reps, || {
-                multiload::step_2d::<NativeF64x4>(&a, &mut b, &p);
+                let (ys, xs) = inner(p.radius());
+                multiload::step_range_2d::<NativeF64x4>(&a, &mut b, &p, ys, xs);
                 std::mem::swap(&mut a, &mut b);
             });
             let k1 = folded::FoldedKernel::new(&p, 1);
             bench(&format!("{name} folded m=1"), n, flops1, reps, || {
-                folded::step_2d::<NativeF64x4>(&k1, &a, &mut b);
+                let (ys, xs) = inner(k1.radius());
+                folded::step_range_2d::<NativeF64x4>(&k1, &a, &mut b, ys, xs);
                 std::mem::swap(&mut a, &mut b);
             });
             let k2 = folded::FoldedKernel::new(&p, 2);
             bench(&format!("{name} folded m=2"), n, flops1 * 2.0, reps, || {
-                folded::step_2d::<NativeF64x4>(&k2, &a, &mut b);
+                let (ys, xs) = inner(k2.radius());
+                folded::step_range_2d::<NativeF64x4>(&k2, &a, &mut b, ys, xs);
                 std::mem::swap(&mut a, &mut b);
             });
         }

@@ -13,16 +13,17 @@ use stencil_core::{kernels, Solver, Tiling};
 use stencil_grid::Grid2D;
 
 fn timed_tiled_run(reps: usize) -> Duration {
-    let grid = Grid2D::from_fn(160, 160, |y, x| ((y * 7 + x * 3) % 23) as f64);
-    // the tessellate tiling drives the worker pool, so every step
-    // crosses the instrumented `WorkerJob` span sites
+    // two tiles of 409 rows: the tessellate tiling drives the worker
+    // pool (a one-tile stage would run on the calling thread), so every
+    // round crosses the instrumented `WorkerJob` span sites
+    let grid = Grid2D::from_fn(480, 160, |y, x| ((y * 7 + x * 3) % 23) as f64);
     let plan = Solver::new(kernels::heat2d())
         .tiling(Tiling::Tessellate { time_block: 2 })
         .threads(1)
         .compile()
         .expect("tiled plan compiles");
     let (out, elapsed) = best_of(reps, || plan.run_2d(&grid, 8).expect("run"));
-    assert_eq!(out.ny(), 160);
+    assert_eq!(out.ny(), 480);
     elapsed
 }
 

@@ -206,9 +206,9 @@ impl PlanConfig {
     /// 3. fold factor `m >= 1`, then 4. a register method's folded
     ///    radius `m * r` within the pipeline's bound at this width and
     ///    dimensionality ([`PlanError::InvalidFold`]);
-    /// 5. a 2D/3D register method's counterpart plan (and, under
-    ///    tessellate tiling, that of its unfolded `t % m` tail) within
-    ///    the register budget ([`PlanError::FoldPlanTooComplex`]).
+    /// 5. a 2D/3D register method's counterpart plan, and that of its
+    ///    unfolded `t % m` tail under either tiling, within the register
+    ///    budget ([`PlanError::FoldPlanTooComplex`]).
     pub fn validate(&self, p: &Pattern) -> Result<(), PlanError> {
         self.check(p, &mut Vec::new())
     }
@@ -261,8 +261,7 @@ impl PlanConfig {
         }
 
         if method.is_register() && dims > 1 {
-            let tail = (m > 1 && matches!(tiling, Tiling::Tessellate { .. })).then_some(1);
-            for m in [Some(m), tail].into_iter().flatten() {
+            for m in [Some(m), (m > 1).then_some(1)].into_iter().flatten() {
                 let counterparts = fold_plan(built, p, m).fresh.len();
                 if counterparts > MAX_F {
                     return Err(PlanError::FoldPlanTooComplex {

@@ -8,14 +8,12 @@ use crate::exec::folded3d;
 use crate::exec::{multiload, scalar, xlayout};
 use crate::folding::fold;
 use crate::pattern::Pattern;
-use crate::tile::{tessellate, tile_width};
+use crate::tile::{self, tessellate};
 use core::ops::Range;
 use stencil_grid::{Grid1D, Grid2D, Grid3D, PingPong};
 use stencil_runtime::PoolHandle;
 use stencil_simd::{NativeF64x4, NativeF64x8, SimdF64};
 
-/// Why a route constructor may assume its tiling is concrete.
-const VALIDATED: &str = "compile resolved every open axis";
 /// Why a sweep may assume the route of its dimensionality.
 const CHECKED: &str = "Plan::check accepted the domain's dimensionality";
 
@@ -91,47 +89,33 @@ impl Kernel<(FoldedKernel, Ring3)> {
     }
 }
 
-/// What a plan of one dimensionality runs (`R` as in [`Kernel`]).
-enum Sweep<R> {
-    /// Whole-grid sweeps of the method's kernel.
-    BlockFree(Kernel<R>),
-    /// Tessellate tiling: `body` steps the folded pattern, and `tail`,
-    /// the single-step kernel of the same method, the `t % m` remainder;
-    /// it exists exactly when `m > 1` leaves one to run.
-    Tessellate {
-        time_block: usize,
-        body: Kernel<R>,
-        tail: Option<Kernel<R>>,
-    },
+/// The legs of a plan of one dimensionality (`R` as in [`Kernel`]):
+/// `body` steps the folded pattern Λ, and `tail`, the single-step kernel
+/// of the same method, the `t % m` remainder; it exists exactly when
+/// `m > 1` leaves one to run. Both run under the plan's tiling.
+struct Legs<R> {
+    body: Kernel<R>,
+    tail: Option<Kernel<R>>,
 }
 
-impl<R> Sweep<R> {
+impl<R> Legs<R> {
     /// `register(m)` builds the `m`-step register-pipeline state.
-    fn new(
-        PlanConfig { method, tiling, .. }: PlanConfig,
-        mut register: impl FnMut(usize) -> R,
-    ) -> Self {
+    fn new(method: Method, mut register: impl FnMut(usize) -> R) -> Self {
         let m = method.fold();
-        let body = Kernel::new(method, || register(m));
-        match tiling {
-            Tiling::None => Sweep::BlockFree(body),
-            Tiling::Tessellate { time_block } => Sweep::Tessellate {
-                time_block,
-                body,
-                tail: (m > 1).then(|| Kernel::new(method, || register(1))),
-            },
-            Tiling::Auto => unreachable!("{VALIDATED}"),
+        Legs {
+            body: Kernel::new(method, || register(m)),
+            tail: (m > 1).then(|| Kernel::new(method, || register(1))),
         }
     }
 }
 
-/// The one route a compiled plan runs: tiling plus the kernel it steps,
-/// typed by dimensionality so a run can only reach the executors of the
-/// pattern it was compiled for.
+/// The one route a compiled plan runs: its legs, which the tiling driver
+/// runs under the plan's tiling, typed by dimensionality so a run can
+/// only reach the executors of the pattern it was compiled for.
 enum Route {
-    D1(Sweep<()>),
-    D2(Sweep<FoldedKernel>),
-    D3(Sweep<(FoldedKernel, Ring3)>),
+    D1(Legs<()>),
+    D2(Legs<FoldedKernel>),
+    D3(Legs<(FoldedKernel, Ring3)>),
 }
 
 /// A validated, compiled stencil execution plan.
@@ -245,10 +229,11 @@ impl Plan {
             let at = at.expect("validating a 2D/3D register method plans its kernels");
             FoldedKernel::from_plan(built.swap_remove(at))
         };
+        let method = resolved.method;
         let route = match dims {
-            1 => Route::D1(Sweep::new(resolved, |_| ())),
-            2 => Route::D2(Sweep::new(resolved, kernel)),
-            _ => Route::D3(Sweep::new(resolved, |m| {
+            1 => Route::D1(Legs::new(method, |_| ())),
+            2 => Route::D2(Legs::new(method, kernel)),
+            _ => Route::D3(Legs::new(method, |m| {
                 (kernel(m), ring.expect("a 3D register plan has a ring"))
             })),
         };
@@ -409,124 +394,71 @@ impl Plan {
         Ok(())
     }
 
-    /// The runs of a tiled route advancing `t` levels: `t / m` inner
-    /// steps of `body` over Λ, then the `t % m` remainder as single
-    /// steps of `tail` over the base pattern. Each entry is `(kernel,
-    /// the pattern it steps, inner steps)`.
+    /// The legs of a route advancing `t` levels: `t / m` inner steps of
+    /// `body` over Λ, then the `t % m` remainder as single steps of
+    /// `tail` over the base pattern. Each entry is `(kernel, the pattern
+    /// it steps, inner steps)`; a leg of no steps is left out.
     fn legs<'a, R>(
         &'a self,
-        body: &'a Kernel<R>,
-        tail: &'a Option<Kernel<R>>,
+        Legs { body, tail }: &'a Legs<R>,
         t: usize,
     ) -> impl Iterator<Item = (&'a Kernel<R>, &'a Pattern, usize)> {
         let m = self.m();
         let tail = tail.iter().map(move |k| (k, &self.pattern, t % m));
-        std::iter::once((body, &self.folded, t / m)).chain(tail)
+        let legs = std::iter::once((body, &self.folded, t / m)).chain(tail);
+        legs.filter(|&(_, _, steps)| steps > 0)
     }
 
     /// Advance `pp` by `t` steps along the 1D route. The block-free
-    /// transpose layout changes layout on the pair's own surfaces and
-    /// puts the result back into it.
+    /// transpose layout relayouts the whole grid, so it has no tiles: it
+    /// changes layout on the pair's own surfaces and puts the result
+    /// back into it.
     fn sweep_1d<V: SimdF64>(&self, pp: &mut PingPong<Grid1D>, t: usize) {
-        let Route::D1(route) = &self.route else {
+        let Route::D1(legs) = &self.route else {
             unreachable!("{CHECKED}")
         };
-        let p = &self.pattern;
-        match route {
-            Sweep::BlockFree(Kernel::Scalar) => scalar::sweep_1d(pp, p, t),
-            Sweep::BlockFree(Kernel::Vector) => multiload::sweep_1d::<V>(pp, p, t),
-            Sweep::BlockFree(Kernel::Register(())) => {
-                xlayout::sweep_1d::<V>(pp, p, &self.folded, self.m(), t)
-            }
-            // Body and leftover steps go through the same tessellated
-            // range kernel — threaded, same frozen-boundary discipline.
-            Sweep::Tessellate {
-                time_block,
-                body,
-                tail,
-            } => {
-                for (kernel, q, steps) in self.legs(body, tail, t) {
-                    let (r, taps) = (q.radius(), q.weights());
-                    tessellate::run_1d(
-                        &self.pool,
-                        pp,
-                        r,
-                        r,
-                        tile_width(&[], r, *time_block),
-                        *time_block,
-                        steps,
-                        &|s: &[f64], d: &mut [f64], lo, hi| kernel.step::<V>(taps, s, d, lo, hi),
-                    );
-                }
-            }
+        if let (Tiling::None, Kernel::Register(())) = (self.config.tiling, &legs.body) {
+            return xlayout::sweep_1d::<V>(pp, &self.pattern, &self.folded, self.m(), t);
+        }
+        for (kernel, q, steps) in self.legs(legs, t) {
+            let (r, taps) = (q.radius(), q.weights());
+            let (w, tb) = tile::cut(self.config.tiling, &[], r);
+            let step = |s: &[f64], d: &mut [f64], lo, hi| kernel.step::<V>(taps, s, d, lo, hi);
+            tessellate::run_1d(&self.pool, pp, r, r, w, tb, steps, &step);
         }
     }
 
     /// Advance `pp` by `t` steps along the 2D route (see `sweep_3d`).
     fn sweep_2d<V: SimdF64>(&self, pp: &mut PingPong<Grid2D>, t: usize, origin_y: usize) {
-        let Route::D2(route) = &self.route else {
+        let Route::D2(legs) = &self.route else {
             unreachable!("{CHECKED}")
         };
-        let p = &self.pattern;
-        match route {
-            Sweep::BlockFree(Kernel::Scalar) => scalar::sweep_2d(pp, p, t),
-            Sweep::BlockFree(Kernel::Vector) => multiload::sweep_2d::<V>(pp, p, t),
-            Sweep::BlockFree(Kernel::Register(k)) => {
-                let _span = ring_span();
-                folded::sweep_2d::<V>(k, pp, p, t)
-            }
-            Sweep::Tessellate {
-                time_block,
-                body,
-                tail,
-            } => {
-                let tb = *time_block;
-                for (kernel, q, steps) in self.legs(body, tail, t) {
-                    let _span = matches!(kernel, Kernel::Register(_)).then(ring_span);
-                    let r = q.radius();
-                    let w = tile_width(&[pp.current().nx()], r, tb);
-                    let step =
-                        |s: &Grid2D, d: &mut Grid2D, ys, xs| kernel.step::<V>(q, s, d, ys, xs);
-                    tessellate::run_2d_at(&self.pool, pp, r, r, w, tb, steps, origin_y, &step)
-                }
-            }
+        for (kernel, q, steps) in self.legs(legs, t) {
+            let _span = matches!(kernel, Kernel::Register(_)).then(ring_span);
+            let r = q.radius();
+            let (w, tb) = tile::cut(self.config.tiling, &[pp.current().nx()], r);
+            let step = |s: &Grid2D, d: &mut Grid2D, ys, xs| kernel.step::<V>(q, s, d, ys, xs);
+            tessellate::run_2d_at(&self.pool, pp, r, r, w, tb, steps, origin_y, &step)
         }
     }
 
     /// Advance `pp` by `t` steps along the 3D route. Both surfaces must
     /// carry the Dirichlet band of `effective_radius()` cells per axis —
-    /// the tiled and register sweeps never write it — and every route
-    /// writes an interior cell of the scratch surface before reading it,
-    /// so that is all the scratch surface needs to hold.
+    /// no leg writes it — and every leg writes an interior cell of the
+    /// scratch surface before reading it, so that is all the scratch
+    /// surface needs to hold.
     fn sweep_3d<V: SimdF64>(&self, pp: &mut PingPong<Grid3D>, t: usize, origin_z: usize) {
-        let Route::D3(route) = &self.route else {
+        let Route::D3(legs) = &self.route else {
             unreachable!("{CHECKED}")
         };
-        let p = &self.pattern;
-        match route {
-            Sweep::BlockFree(Kernel::Scalar) => scalar::sweep_3d(pp, p, t),
-            Sweep::BlockFree(Kernel::Vector) => multiload::sweep_3d::<V>(pp, p, t),
-            Sweep::BlockFree(Kernel::Register((k, ring))) => {
-                let _span = ring_span();
-                folded3d::sweep_3d_ring::<V>(k, *ring, pp, p, t)
-            }
-            Sweep::Tessellate {
-                time_block,
-                body,
-                tail,
-            } => {
-                let tb = *time_block;
-                for (kernel, q, steps) in self.legs(body, tail, t) {
-                    let _span = matches!(kernel, Kernel::Register(_)).then(ring_span);
-                    let r = q.radius();
-                    let (ny, nx) = (pp.current().ny(), pp.current().nx());
-                    let w = tile_width(&[ny, nx], r, tb);
-                    let step = |s: &Grid3D, d: &mut Grid3D, zs, ys, xs| {
-                        kernel.step::<V>(q, s, d, zs, ys, xs)
-                    };
-                    tessellate::run_3d_at(&self.pool, pp, r, r, w, tb, steps, origin_z, &step)
-                }
-            }
+        for (kernel, q, steps) in self.legs(legs, t) {
+            let _span = matches!(kernel, Kernel::Register(_)).then(ring_span);
+            let r = q.radius();
+            let inners = [pp.current().ny(), pp.current().nx()];
+            let (w, tb) = tile::cut(self.config.tiling, &inners, r);
+            let step =
+                |s: &Grid3D, d: &mut Grid3D, zs, ys, xs| kernel.step::<V>(q, s, d, zs, ys, xs);
+            tessellate::run_3d_at(&self.pool, pp, r, r, w, tb, steps, origin_z, &step)
         }
     }
 }
@@ -776,6 +708,66 @@ mod tests {
             .run_3d(&g, t)
             .unwrap();
         assert!(max_abs_diff(&want.to_dense(), &tess.to_dense()) < 1e-12);
+    }
+
+    #[test]
+    fn a_radius_0_pattern_runs_under_either_tiling() {
+        // no neighbour read, so no band: every cell is scaled once a step
+        // (0.5³, exact), whatever the tiling's geometry makes of radius 0
+        let methods = [
+            Method::Scalar,
+            Method::MultipleLoads,
+            Method::TransposeLayout,
+            Method::Folded { m: 2 },
+        ];
+        let tilings = [Tiling::None, Tiling::Tessellate { time_block: 4 }];
+        let field = |i: usize| (i % 7) as f64 - 2.5;
+        for dims in 1..=3 {
+            let p = Pattern::new(dims, 0, vec![0.5]);
+            for (method, tiling) in methods.iter().flat_map(|&m| tilings.map(|t| (m, t))) {
+                let plan = Solver::new(p.clone()).method(method).tiling(tiling);
+                let plan = plan.threads(2).compile().unwrap();
+                let (got, g) = match dims {
+                    1 => {
+                        let g = Grid1D::from_fn(37, field);
+                        (
+                            plan.run_1d(&g, 3).unwrap().as_slice().to_vec(),
+                            g.as_slice().to_vec(),
+                        )
+                    }
+                    2 => {
+                        let g = Grid2D::from_fn(9, 13, |y, x| field(y * 13 + x));
+                        (plan.run_2d(&g, 3).unwrap().to_dense(), g.to_dense())
+                    }
+                    _ => {
+                        let g = Grid3D::from_fn(5, 6, 11, |z, y, x| field((z * 6 + y) * 11 + x));
+                        (plan.run_3d(&g, 3).unwrap().to_dense(), g.to_dense())
+                    }
+                };
+                let want: Vec<f64> = g.iter().map(|v| v * 0.125).collect();
+                assert_eq!(got, want, "{dims}D {method:?} {tiling:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_one_tile_plan_runs_on_the_calling_thread() {
+        // from inside a job of their own two-thread pool: a dispatch
+        // would be a reentrant run, so both must stay on this thread
+        let pool = PoolHandle::new(2);
+        let g = Grid2D::from_fn(24, 20, |y, x| ((y * 5 + x * 3) % 11) as f64);
+        let plans = [Tiling::None, Tiling::Tessellate { time_block: 2 }].map(|tiling| {
+            let plan = Solver::new(kernels::heat2d()).tiling(tiling);
+            plan.pool(pool.clone()).compile().unwrap()
+        });
+        let want = plans[0].run_2d(&g, 4).unwrap();
+        pool.run(&|worker| {
+            if worker == 0 {
+                for plan in &plans {
+                    assert_eq!(plan.run_2d(&g, 4).unwrap(), want, "{:?}", plan.tiling());
+                }
+            }
+        });
     }
 
     #[test]

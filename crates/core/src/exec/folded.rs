@@ -6,7 +6,7 @@
 //! block of grid points is folded vertically, transposed in registers,
 //! folded horizontally and transposed back by the one pane kernel of
 //! [`crate::exec::folded3d`]; a 2D grid is its one-plane case, entered
-//! through [`step_range_2d`], [`step_2d`] and [`sweep_2d`].
+//! through [`step_range_2d`].
 //!
 //! The 1D variant ([`step_squares_range_1d`]) degenerates to: transpose
 //! square, horizontal fold with assembled block-edge vectors, transpose
@@ -17,11 +17,10 @@
 // windows (ext[j + k]) where iterator rewrites obscure the paper's
 // notation and codegen alike
 
-use crate::exec::all_band;
 use crate::exec::folded3d::{self, step_ring_r, Ring3, Sched, View};
 use crate::pattern::Pattern;
 use crate::plan::FoldPlan;
-use stencil_grid::{Grid2D, PingPong};
+use stencil_grid::Grid2D;
 use stencil_simd::SimdF64;
 
 /// Upper bound on folded radius supported by the fixed-size register
@@ -221,15 +220,6 @@ fn step_squares_range_1d_t<V: SimdF64, const T: usize>(
     }
 }
 
-/// Full 1D folded step (Dirichlet band of width `R`).
-pub fn step_1d<V: SimdF64>(src: &[f64], dst: &mut [f64], taps: &[f64]) {
-    let n = src.len();
-    let rr = taps.len() / 2;
-    dst[..rr].copy_from_slice(&src[..rr]);
-    dst[n - rr..].copy_from_slice(&src[n - rr..]);
-    step_squares_range_1d::<V>(src, dst, taps, rr, n - rr);
-}
-
 // ---------------------------------------------------------------------
 // 2D entry points of the pane kernel
 // ---------------------------------------------------------------------
@@ -276,69 +266,36 @@ pub fn step_range_2d<V: SimdF64>(
     }
 }
 
-/// Full folded 2D step (Dirichlet band of width `R` copied from `src`,
-/// so `dst` may hold anything). Grids too small to hold an interior
-/// degenerate to a copy.
-pub fn step_2d<V: SimdF64>(k: &FoldedKernel, src: &Grid2D, dst: &mut Grid2D) {
-    let (ny, nx) = (src.ny(), src.nx());
-    let rr = k.plan.radius;
-    dst.copy_band_from(src, rr);
-    if !all_band(&[ny, nx], rr) {
-        step_range_2d::<V>(k, src, dst, rr..ny - rr, rr..nx - rr);
-    }
-}
-
-/// Block-free "Our (m steps)" 2D sweep of a pair with the planned kernel
-/// supplied by the caller (a plan builds the [`FoldedKernel`] once and
-/// reuses it across every run) — the one-plane twin of
-/// [`folded3d::sweep_3d_ring`]. The scratch surface must carry the
-/// current surface's Dirichlet band of `k.radius()` cells per axis — no
-/// folded step writes it — and may hold anything inside it. `t % m`
-/// leftovers run unfolded through the multiple-loads kernel.
-pub fn sweep_2d<V: SimdF64>(k: &FoldedKernel, pp: &mut PingPong<Grid2D>, p: &Pattern, t: usize) {
-    let m = k.m();
-    let rr = k.plan.radius;
-    let (ny, nx) = (pp.current().ny(), pp.current().nx());
-    // no interior: the surfaces are all band, every step is the identity
-    let has_interior = !all_band(&[ny, nx], rr);
-    for _ in 0..t / m {
-        if has_interior {
-            let (src, dst) = pp.src_dst();
-            step_range_2d::<V>(k, src, dst, rr..ny - rr, rr..nx - rr);
-        }
-        pp.swap_folded(m);
-    }
-    for _ in 0..t % m {
-        let (src, dst) = pp.src_dst();
-        crate::exec::multiload::step_2d::<V>(src, dst, p);
-        pp.swap();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::exec::scalar;
     use crate::folding::fold;
     use crate::kernels;
-    use stencil_grid::{max_abs_diff, Grid1D};
+    use stencil_grid::{max_abs_diff, Grid1D, PingPong};
     use stencil_simd::{NativeF64x4, NativeF64x8};
 
-    /// `steps` whole-grid [`step_1d`] steps with `taps`.
+    /// `steps` range-kernel steps with `taps` over the interior of `g`.
     fn squares_sweep_1d<V: SimdF64>(g: &Grid1D, taps: &[f64], steps: usize) -> Grid1D {
+        let (n, rr) = (g.len(), taps.len() / 2);
         let mut pp = PingPong::new(g.clone());
         for _ in 0..steps {
             let (src, dst) = pp.src_dst();
-            step_1d::<V>(src.as_slice(), dst.as_mut_slice(), taps);
+            step_squares_range_1d::<V>(src.as_slice(), dst.as_mut_slice(), taps, rr, n - rr);
             pp.swap();
         }
         pp.into_current()
     }
 
-    /// [`sweep_2d`] on a fresh pair seeded with `g`.
-    fn sweep<V: SimdF64>(k: &FoldedKernel, g: &Grid2D, p: &Pattern, t: usize) -> Grid2D {
+    /// `steps` folded steps of `k` over the interior of `g`.
+    fn sweep<V: SimdF64>(k: &FoldedKernel, g: &Grid2D, steps: usize) -> Grid2D {
+        let (ny, nx, rr) = (g.ny(), g.nx(), k.radius());
         let mut pp = PingPong::new(g.clone());
-        sweep_2d::<V>(k, &mut pp, p, t);
+        for _ in 0..steps {
+            let (src, dst) = pp.src_dst();
+            step_range_2d::<V>(k, src, dst, rr..ny - rr, rr..nx - rr);
+            pp.swap();
+        }
         pp.into_current()
     }
 
@@ -383,7 +340,7 @@ mod tests {
             let g = Grid2D::from_fn(23, 29, |y, x| ((y * 13 + x * 7) % 19) as f64);
             let mut a = PingPong::new(g.clone());
             scalar::sweep_2d(&mut a, &p, 3);
-            let out = sweep::<NativeF64x4>(&FoldedKernel::new(&p, 1), &g, &p, 3);
+            let out = sweep::<NativeF64x4>(&FoldedKernel::new(&p, 1), &g, 3);
             assert!(
                 max_abs_diff(&a.current().to_dense(), &out.to_dense()) < 1e-12,
                 "pts={}",
@@ -397,7 +354,7 @@ mod tests {
         for p in [kernels::heat2d(), kernels::box2d9p(), kernels::gb()] {
             let g = Grid2D::from_fn(26, 33, |y, x| ((y * 31 + x * 3) % 23) as f64 * 0.5);
             let want = scalar_folded_2d(&g, &p, 2, 3);
-            let out = sweep::<NativeF64x4>(&FoldedKernel::new(&p, 2), &g, &p, 6);
+            let out = sweep::<NativeF64x4>(&FoldedKernel::new(&p, 2), &g, 3);
             assert!(
                 max_abs_diff(&want.to_dense(), &out.to_dense()) < 1e-10,
                 "pts={}",
@@ -424,7 +381,7 @@ mod tests {
         let p = kernels::heat2d();
         let g = Grid2D::from_fn(33, 41, |y, x| ((y * 5 + x * 11) % 29) as f64);
         let want = scalar_folded_2d(&g, &p, 2, 2);
-        let out = sweep::<NativeF64x8>(&FoldedKernel::new(&p, 2), &g, &p, 4);
+        let out = sweep::<NativeF64x8>(&FoldedKernel::new(&p, 2), &g, 2);
         assert!(max_abs_diff(&want.to_dense(), &out.to_dense()) < 1e-10);
     }
 
@@ -435,7 +392,8 @@ mod tests {
         // t=5 with m=2: 2 folded + 1 plain; compare interior to 5 scalar
         let mut a = PingPong::new(g.clone());
         scalar::sweep_2d(&mut a, &p, 5);
-        let out = sweep::<NativeF64x4>(&FoldedKernel::new(&p, 2), &g, &p, 5);
+        let plan = crate::Solver::new(p).method(crate::Method::Folded { m: 2 });
+        let out = plan.compile().unwrap().run_2d(&g, 5).unwrap();
         let ad = a.current().to_dense();
         let od = out.to_dense();
         let nx = 20;

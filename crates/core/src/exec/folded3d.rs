@@ -50,10 +50,10 @@
 //! ranges narrower than one vector in `x` or `y` (and the degenerate
 //! widths the Plan API never produces) run the scalar folded sweep
 //! whole. Every other call reaches `step_ring_r`, whose one `assert!`
-//! bounds every raw load and store of both dimensionalities. The
-//! block-free sweeps run the range kernel on the interior directly; a
-//! grid with no interior is left as it is — every folded step is the
-//! identity.
+//! bounds every raw load and store of both dimensionalities. A plan
+//! calls the range kernel on its tiles, block-free runs being the one
+//! tile of the whole interior; the tiling driver never calls it on a
+//! grid with no interior, where every step is the identity.
 //!
 //! **Range independence.** Every output is one fixed chain of fused
 //! multiply-adds over its own inputs — the same chain whichever block,
@@ -62,7 +62,7 @@
 //! (overlapped blocks merely rewrite them), in 2D and in 3D, which is
 //! what bit-exact domain sharding (serve), static partitions and
 //! out-of-core windows rely on — and what makes a 3D tessellate tile
-//! (`z` cut, `y` and `x` whole) bit-identical to the block-free sweep.
+//! (`z` cut, `y` and `x` whole) bit-identical to the block-free tile.
 //! Ranges narrower than one vector in `x` or `y` — the tips of 2D
 //! tessellate's inverted tiles, `y` being the cut axis there — agree to
 //! rounding only.
@@ -73,13 +73,12 @@
 // kernel entry points mirror the (plan, grid, strides, block) sets
 
 use crate::exec::folded::{separable, FoldedKernel, MAX_R, MAX_R3};
-use crate::pattern::Pattern;
 use crate::plan::FoldPlan;
 use core::any::{Any, TypeId};
 use core::cell::RefCell;
 use core::ops::Range;
 use std::collections::HashMap;
-use stencil_grid::{Grid2D, Grid3D, PingPong};
+use stencil_grid::{Grid2D, Grid3D};
 use stencil_simd::SimdF64;
 
 /// Largest z-strip depth the pipeline accepts.
@@ -248,7 +247,7 @@ pub fn step_range_3d_ring<V: SimdF64>(
     xs: Range<usize>,
 ) {
     debug_assert!(
-        (1..=MAX_R3).contains(&k.radius()) && k.folded().dims() == 3,
+        k.radius() <= MAX_R3 && k.folded().dims() == 3,
         "validated by Solver::compile"
     );
     let Some(sched) = vector_sched::<V>(k, &ys, &xs) else {
@@ -664,62 +663,15 @@ fn march_sep<V: SimdF64, const R: usize, const RZ: usize>(
     }
 }
 
-/// Full folded 3D step through the z-ring pipeline (Dirichlet band of
-/// width `R` copied from `src`, so `dst` may hold anything). Grids too
-/// small to hold an interior degenerate to a copy.
-pub fn step_3d_ring<V: SimdF64>(k: &FoldedKernel, ring: Ring3, src: &Grid3D, dst: &mut Grid3D) {
-    let (nz, ny, nx) = (src.nz(), src.ny(), src.nx());
-    let rr = k.radius();
-    dst.copy_band_from(src, rr);
-    if nz > 2 * rr && ny > 2 * rr && nx > 2 * rr {
-        step_range_3d_ring::<V>(k, ring, src, dst, rr..nz - rr, rr..ny - rr, rr..nx - rr);
-    }
-}
-
-/// Block-free "Our (m steps)" 3D sweep of a pair through the z-ring
-/// pipeline, with the planned kernel supplied by the caller (a plan
-/// builds the [`FoldedKernel`] once and reuses it across every run) —
-/// the 3D twin of [`crate::exec::folded::sweep_2d`]. The scratch surface
-/// must carry the current surface's Dirichlet band of `k.radius()` cells
-/// per axis (a clone does; so does [`Grid3D::copy_band_from`]) — no
-/// folded step writes it — and may hold anything inside it. Leftover
-/// `t % m` steps run unfolded through the multiple-loads kernel.
-pub fn sweep_3d_ring<V: SimdF64>(
-    k: &FoldedKernel,
-    ring: Ring3,
-    pp: &mut PingPong<Grid3D>,
-    p: &Pattern,
-    t: usize,
-) {
-    let m = k.m();
-    let rr = k.radius();
-    let (nz, ny, nx) = (pp.current().nz(), pp.current().ny(), pp.current().nx());
-    let has_interior = nz > 2 * rr && ny > 2 * rr && nx > 2 * rr;
-    // the Dirichlet band is in place on both surfaces and no folded step
-    // ever writes it: the range kernel runs on the interior directly (no
-    // interior: the surfaces are all band, every step is the identity)
-    for _ in 0..t / m {
-        if has_interior {
-            let (src, dst) = pp.src_dst();
-            step_range_3d_ring::<V>(k, ring, src, dst, rr..nz - rr, rr..ny - rr, rr..nx - rr);
-        }
-        pp.swap_folded(m);
-    }
-    for _ in 0..t % m {
-        let (src, dst) = pp.src_dst();
-        crate::exec::multiload::step_3d::<V>(src, dst, p);
-        pp.swap();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::folded::{step_range_2d, sweep_2d, MAX_F};
+    use crate::exec::folded::{step_range_2d, MAX_F};
     use crate::exec::scalar;
     use crate::folding::fold;
     use crate::kernels;
-    use stencil_grid::max_abs_diff;
+    use crate::pattern::Pattern;
+    use stencil_grid::{max_abs_diff, PingPong};
     use stencil_simd::{NativeF64x4, NativeF64x8};
 
     fn scalar_folded_3d(g: &Grid3D, p: &Pattern, m: usize, steps: usize) -> Grid3D {
@@ -736,23 +688,27 @@ mod tests {
         pp.into_current()
     }
 
-    /// [`sweep_3d_ring`] on a fresh pair seeded with `g`.
-    fn ring_sweep<V: SimdF64>(
-        k: &FoldedKernel,
-        ring: Ring3,
-        g: &Grid3D,
-        p: &Pattern,
-        t: usize,
-    ) -> Grid3D {
+    /// `steps` folded steps of `k` over the interior of `g`.
+    fn ring_steps<V: SimdF64>(k: &FoldedKernel, ring: Ring3, g: &Grid3D, steps: usize) -> Grid3D {
+        let (nz, ny, nx, rr) = (g.nz(), g.ny(), g.nx(), k.radius());
         let mut pp = PingPong::new(g.clone());
-        sweep_3d_ring::<V>(k, ring, &mut pp, p, t);
+        for _ in 0..steps {
+            let (src, dst) = pp.src_dst();
+            step_range_3d_ring::<V>(k, ring, src, dst, rr..nz - rr, rr..ny - rr, rr..nx - rr);
+            pp.swap();
+        }
         pp.into_current()
     }
 
-    /// [`sweep_2d`] on a fresh pair seeded with `g`.
-    fn plane_sweep<V: SimdF64>(k: &FoldedKernel, g: &Grid2D, p: &Pattern, t: usize) -> Grid2D {
+    /// The one-plane case of [`ring_steps`].
+    fn plane_steps<V: SimdF64>(k: &FoldedKernel, g: &Grid2D, steps: usize) -> Grid2D {
+        let (ny, nx, rr) = (g.ny(), g.nx(), k.radius());
         let mut pp = PingPong::new(g.clone());
-        sweep_2d::<V>(k, &mut pp, p, t);
+        for _ in 0..steps {
+            let (src, dst) = pp.src_dst();
+            step_range_2d::<V>(k, src, dst, rr..ny - rr, rr..nx - rr);
+            pp.swap();
+        }
         pp.into_current()
     }
 
@@ -787,7 +743,7 @@ mod tests {
                 let want = scalar_folded_3d(&g, p, m, 1).to_dense();
                 for slab in [1usize, 2, 4] {
                     let ring = Ring3 { depth: 2, slab };
-                    let got = ring_sweep::<V>(&k, ring, &g, p, m);
+                    let got = ring_steps::<V>(&k, ring, &g, 1);
                     assert!(
                         max_abs_diff(&want, &got.to_dense()) < 1e-10,
                         "pts={} m={m} vl={vl} rx={rx} ry={ry} slab={slab}",
@@ -809,7 +765,7 @@ mod tests {
                 for blocks in [2, 2 * MAX_RING_SLAB + 1] {
                     let g = plane_with_interior(rr, vl + ry, blocks * vl + rx);
                     let want = scalar_folded_2d(&g, p, m, 1).to_dense();
-                    let got = plane_sweep::<V>(&k, &g, p, m);
+                    let got = plane_steps::<V>(&k, &g, 1);
                     assert!(
                         max_abs_diff(&want, &got.to_dense()) < 1e-10,
                         "pts={} m={m} vl={vl} rx={rx} ry={ry} blocks={blocks}",
@@ -839,7 +795,7 @@ mod tests {
                 let g = Grid3D::from_fn(18, 15, 22, |z, y, x| ((z * 3 + y * 7 + x) % 13) as f64);
                 let want = scalar_folded_3d(&g, &p, m, 2);
                 let ring = Ring3::auto(4, k.radius());
-                let got = ring_sweep::<NativeF64x4>(&k, ring, &g, &p, 2 * m);
+                let got = ring_steps::<NativeF64x4>(&k, ring, &g, 2);
                 assert!(
                     max_abs_diff(&want.to_dense(), &got.to_dense()) < 1e-10,
                     "m={m} pts={}",
@@ -876,7 +832,7 @@ mod tests {
                 slab: 32,
             },
         ] {
-            let got = ring_sweep::<NativeF64x4>(&k, ring, &g, &p, 6);
+            let got = ring_steps::<NativeF64x4>(&k, ring, &g, 3);
             assert!(
                 max_abs_diff(&want.to_dense(), &got.to_dense()) < 1e-10,
                 "{ring:?}"
@@ -991,7 +947,7 @@ mod tests {
         let k = FoldedKernel::new(p, m);
         let rr = k.radius();
         let ring = Ring3::auto(vl, rr);
-        let out = ring_sweep::<V>(&k, ring, g, p, m);
+        let out = ring_steps::<V>(&k, ring, g, 1);
         let mut dst = out.clone();
         for i in 0..6 {
             let (z0, y0, x0) = (rr + i, rr + i, rr + 3 * i);
@@ -1006,7 +962,7 @@ mod tests {
         let vl = V::LANES;
         let k = FoldedKernel::new(p, m);
         let rr = k.radius();
-        let out = plane_sweep::<V>(&k, g, p, m);
+        let out = plane_steps::<V>(&k, g, 1);
         let mut dst = out.clone();
         for i in 0..6 {
             let (y0, x0) = (rr + i, rr + 3 * i);
@@ -1114,9 +1070,9 @@ mod tests {
             let g = Grid3D::from_fn(26, 24, 28, |z, y, x| ((z * 7 + y + x * 5) % 19) as f64);
             let want = scalar_folded_3d(&g, &p, m, 2);
             let got = if w8 {
-                ring_sweep::<NativeF64x8>(&k, Ring3::auto(8, k.radius()), &g, &p, 2 * m)
+                ring_steps::<NativeF64x8>(&k, Ring3::auto(8, k.radius()), &g, 2)
             } else {
-                ring_sweep::<NativeF64x4>(&k, Ring3::auto(4, k.radius()), &g, &p, 2 * m)
+                ring_steps::<NativeF64x4>(&k, Ring3::auto(4, k.radius()), &g, 2)
             };
             assert!(
                 max_abs_diff(&want.to_dense(), &got.to_dense()) < 1e-10,
@@ -1154,11 +1110,15 @@ mod tests {
 
     #[test]
     fn tiny_grids_degenerate_to_copy() {
+        // R = 4 leaves a 6³ grid no interior: every folded step is the
+        // identity
         let p = Pattern::new_3d(2, &[1.0 / 125.0; 125]);
-        let k = FoldedKernel::new(&p, 2); // R = 4
         let g = Grid3D::from_fn(6, 6, 6, |z, y, x| (z + y + x) as f64);
-        let mut dst = Grid3D::zeros(6, 6, 6);
-        step_3d_ring::<NativeF64x4>(&k, Ring3::auto(4, k.radius()), &g, &mut dst);
-        assert!(max_abs_diff(&g.to_dense(), &dst.to_dense()) < 1e-15);
+        let plan = crate::Solver::new(p)
+            .method(crate::Method::Folded { m: 2 })
+            .width(crate::Width::W4)
+            .compile()
+            .unwrap();
+        assert_eq!(plan.run_3d(&g, 2).unwrap(), g);
     }
 }

@@ -16,8 +16,11 @@
 //! | [`life`]      | Game of Life         | 8-neighbour count + branchless rule |
 //!
 //! All step functions take explicit index ranges so the tiling layer can
-//! drive them over arbitrary tile regions; full-sweep helpers handle the
-//! Dirichlet boundary copy.
+//! drive them over arbitrary tile regions: a plan runs every method's
+//! range kernel through the one tiling driver, block-free being the one
+//! tile of the whole interior. The whole-grid sweeps left are the scalar
+//! reference ([`scalar`]), the 1D transpose layout ([`xlayout`], which
+//! relayouts the whole grid and so has no tiles) and the baselines.
 //!
 //! [`reorg`] and [`dlt`] are comparison baselines: no
 //! [`Plan`](crate::Plan) routes to them, and the figures call their

@@ -4,13 +4,17 @@
 //! reorganization at all, at the price of `2r+1` overlapping loads per
 //! output vector — redundant cache traffic that makes it the slowest
 //! scheme in Fig. 8.
+//!
+//! Every cell is one chain over its nonzero taps, in tap order, fused
+//! (`mul_add`), whether a vector lane or the scalar remainder computes
+//! it: any partition of a region into range calls gives the same bits.
 
 // Indexed tap/window loops keep the offset arithmetic explicit and unrolled.
 #![allow(clippy::needless_range_loop)]
 
-use crate::exec::{all_band, dispatch_taps, tap_count};
+use crate::exec::{dispatch_taps, tap_count};
 use crate::pattern::Pattern;
-use stencil_grid::{Grid1D, Grid2D, Grid3D, PingPong};
+use stencil_grid::{Grid2D, Grid3D};
 use stencil_simd::SimdF64;
 
 /// One Jacobi step on `dst[lo..hi]`, vectorized with unaligned loads.
@@ -46,35 +50,13 @@ fn step_range_1d_t<V: SimdF64, const T: usize>(
         unsafe { acc.store(dst.as_mut_ptr().add(i)) };
         i += vl;
     }
-    // scalar tail
+    // the remainder: one lane of the same chain, so no range edge shows
     for j in i..hi {
-        let mut acc = 0.0;
-        for (k, &w) in taps.iter().enumerate() {
-            acc += w * src[j + k - r];
+        let mut acc = taps[0] * src[j - r];
+        for k in 1..nt {
+            acc = src[j + k - r].mul_add(taps[k], acc);
         }
         dst[j] = acc;
-    }
-}
-
-/// Full 1D step with Dirichlet boundaries (a grid with no interior is
-/// copied whole: the step is the identity, as for every full step here).
-pub fn step_1d<V: SimdF64>(src: &[f64], dst: &mut [f64], taps: &[f64]) {
-    let n = src.len();
-    let r = taps.len() / 2;
-    if all_band(&[n], r) {
-        return dst.copy_from_slice(src);
-    }
-    dst[..r].copy_from_slice(&src[..r]);
-    dst[n - r..].copy_from_slice(&src[n - r..]);
-    step_range_1d::<V>(src, dst, taps, r, n - r);
-}
-
-/// Run `t` steps on a 1D ping-pong pair.
-pub fn sweep_1d<V: SimdF64>(pp: &mut PingPong<Grid1D>, p: &Pattern, t: usize) {
-    for _ in 0..t {
-        let (src, dst) = pp.src_dst();
-        step_1d::<V>(src.as_slice(), dst.as_mut_slice(), p.weights());
-        pp.swap();
     }
 }
 
@@ -114,33 +96,15 @@ pub fn step_range_2d<V: SimdF64>(
             unsafe { acc.store(dstm.as_mut_ptr().add(dbase + x)) };
             x += vl;
         }
+        // the remainder: one lane of the same chain
         for xx in x..xhi {
-            let mut acc = 0.0;
-            for dy in 0..side {
-                for dx in 0..side {
-                    acc += w[dy * side + dx] * s[(y + dy - r) * stride + xx + dx - r];
-                }
+            let mut acc = 0.0f64;
+            for &(dy, dx, _) in &taps_nz {
+                let v = s[(y + dy - r) * stride + xx + dx - r];
+                acc = v.mul_add(w[dy * side + dx], acc);
             }
             dstm[dbase + xx] = acc;
         }
-    }
-}
-
-/// Full 2D step with Dirichlet boundaries.
-pub fn step_2d<V: SimdF64>(src: &Grid2D, dst: &mut Grid2D, p: &Pattern) {
-    let (ny, nx, r) = (src.ny(), src.nx(), p.radius());
-    dst.copy_band_from(src, r);
-    if !all_band(&[ny, nx], r) {
-        step_range_2d::<V>(src, dst, p, r..ny - r, r..nx - r);
-    }
-}
-
-/// Run `t` steps on a 2D ping-pong pair.
-pub fn sweep_2d<V: SimdF64>(pp: &mut PingPong<Grid2D>, p: &Pattern, t: usize) {
-    for _ in 0..t {
-        let (src, dst) = pp.src_dst();
-        step_2d::<V>(src, dst, p);
-        pp.swap();
     }
 }
 
@@ -182,37 +146,16 @@ pub fn step_range_3d<V: SimdF64>(
                 unsafe { acc.store(dstm.as_mut_ptr().add(dbase + x)) };
                 x += vl;
             }
+            // the remainder: one lane of the same chain
             for xx in x..xhi {
-                let mut acc = 0.0;
-                for dz in 0..side {
-                    for dy in 0..side {
-                        for dx in 0..side {
-                            acc += w[(dz * side + dy) * side + dx]
-                                * s[(z + dz - r) * sz + (y + dy - r) * sy + xx + dx - r];
-                        }
-                    }
+                let mut acc = 0.0f64;
+                for &(dz, dy, dx, _) in &taps_nz {
+                    let v = s[(z + dz - r) * sz + (y + dy - r) * sy + xx + dx - r];
+                    acc = v.mul_add(w[(dz * side + dy) * side + dx], acc);
                 }
                 dstm[dbase + xx] = acc;
             }
         }
-    }
-}
-
-/// Full 3D step with Dirichlet boundaries.
-pub fn step_3d<V: SimdF64>(src: &Grid3D, dst: &mut Grid3D, p: &Pattern) {
-    let (nz, ny, nx, r) = (src.nz(), src.ny(), src.nx(), p.radius());
-    dst.copy_band_from(src, r);
-    if !all_band(&[nz, ny, nx], r) {
-        step_range_3d::<V>(src, dst, p, r..nz - r, r..ny - r, r..nx - r);
-    }
-}
-
-/// Run `t` steps on a 3D ping-pong pair.
-pub fn sweep_3d<V: SimdF64>(pp: &mut PingPong<Grid3D>, p: &Pattern, t: usize) {
-    for _ in 0..t {
-        let (src, dst) = pp.src_dst();
-        step_3d::<V>(src, dst, p);
-        pp.swap();
     }
 }
 
@@ -221,11 +164,29 @@ mod tests {
     use super::*;
     use crate::exec::scalar;
     use crate::kernels;
-    use stencil_grid::max_abs_diff;
+    use stencil_grid::{max_abs_diff, Grid1D, PingPong};
     use stencil_simd::{NativeF64x4, NativeF64x8};
 
     fn random_grid1(n: usize) -> Grid1D {
         Grid1D::from_fn(n, |i| ((i * 2654435761) % 1000) as f64 / 1000.0)
+    }
+
+    /// `t` range-kernel steps over the interior of a pair seeded with `g`.
+    fn sweep_1d<V: SimdF64>(g: &Grid1D, p: &Pattern, t: usize) -> Grid1D {
+        let (n, r) = (g.len(), p.radius());
+        let mut pp = PingPong::new(g.clone());
+        for _ in 0..t {
+            let (src, dst) = pp.src_dst();
+            step_range_1d::<V>(src.as_slice(), dst.as_mut_slice(), p.weights(), r, n - r);
+            pp.swap();
+        }
+        pp.into_current()
+    }
+
+    fn scalar_1d(g: &Grid1D, p: &Pattern, t: usize) -> Grid1D {
+        let mut pp = PingPong::new(g.clone());
+        scalar::sweep_1d(&mut pp, p, t);
+        pp.into_current()
     }
 
     #[test]
@@ -233,20 +194,11 @@ mod tests {
         for p in [kernels::heat1d(), kernels::d1p5()] {
             for n in [37usize, 64, 129] {
                 let g = random_grid1(n);
-                let mut a = PingPong::new(g.clone());
-                scalar::sweep_1d(&mut a, &p, 4);
-                let mut b = PingPong::new(g.clone());
-                sweep_1d::<NativeF64x4>(&mut b, &p, 4);
-                let mut c = PingPong::new(g);
-                sweep_1d::<NativeF64x8>(&mut c, &p, 4);
-                assert!(
-                    max_abs_diff(a.current().as_slice(), b.current().as_slice()) < 1e-12,
-                    "x4 n={n}"
-                );
-                assert!(
-                    max_abs_diff(a.current().as_slice(), c.current().as_slice()) < 1e-12,
-                    "x8 n={n}"
-                );
+                let a = scalar_1d(&g, &p, 4);
+                let b = sweep_1d::<NativeF64x4>(&g, &p, 4);
+                let c = sweep_1d::<NativeF64x8>(&g, &p, 4);
+                assert!(max_abs_diff(a.as_slice(), b.as_slice()) < 1e-12, "x4 n={n}");
+                assert!(max_abs_diff(a.as_slice(), c.as_slice()) < 1e-12, "x8 n={n}");
             }
         }
     }
@@ -255,10 +207,15 @@ mod tests {
     fn matches_scalar_2d() {
         for p in [kernels::heat2d(), kernels::box2d9p(), kernels::gb()] {
             let g = Grid2D::from_fn(21, 19, |y, x| ((y * 31 + x * 7) % 17) as f64);
+            let (ny, nx, r) = (g.ny(), g.nx(), p.radius());
             let mut a = PingPong::new(g.clone());
             scalar::sweep_2d(&mut a, &p, 3);
             let mut b = PingPong::new(g);
-            sweep_2d::<NativeF64x4>(&mut b, &p, 3);
+            for _ in 0..3 {
+                let (src, dst) = b.src_dst();
+                step_range_2d::<NativeF64x4>(src, dst, &p, r..ny - r, r..nx - r);
+                b.swap();
+            }
             assert!(max_abs_diff(&a.current().to_dense(), &b.current().to_dense()) < 1e-12);
         }
     }
@@ -267,23 +224,76 @@ mod tests {
     fn matches_scalar_3d() {
         for p in [kernels::heat3d(), kernels::box3d27p()] {
             let g = Grid3D::from_fn(9, 11, 13, |z, y, x| ((z * 5 + y * 3 + x) % 7) as f64);
+            let (nz, ny, nx, r) = (g.nz(), g.ny(), g.nx(), p.radius());
             let mut a = PingPong::new(g.clone());
             scalar::sweep_3d(&mut a, &p, 2);
             let mut b = PingPong::new(g);
-            sweep_3d::<NativeF64x8>(&mut b, &p, 2);
+            for _ in 0..2 {
+                let (src, dst) = b.src_dst();
+                step_range_3d::<NativeF64x8>(src, dst, &p, r..nz - r, r..ny - r, r..nx - r);
+                b.swap();
+            }
             assert!(max_abs_diff(&a.current().to_dense(), &b.current().to_dense()) < 1e-12);
         }
     }
 
     #[test]
     fn scalar_lane_executor_matches_scalar_module() {
-        // V = f64 (LANES = 1) must agree exactly, by construction.
+        // V = f64 (LANES = 1) must agree exactly: the heat taps are
+        // powers of two, so every product is exact, fused or not.
         let p = kernels::heat1d();
         let g = random_grid1(40);
-        let mut a = PingPong::new(g.clone());
-        scalar::sweep_1d(&mut a, &p, 5);
-        let mut b = PingPong::new(g);
-        sweep_1d::<f64>(&mut b, &p, 5);
-        assert_eq!(a.current().as_slice(), b.current().as_slice());
+        let a = scalar_1d(&g, &p, 5);
+        let b = sweep_1d::<f64>(&g, &p, 5);
+        assert_eq!(a.as_slice(), b.as_slice());
+    }
+
+    #[test]
+    fn a_range_split_off_the_lane_count_gives_the_same_bits() {
+        // the cut lands mid-vector, so cells move between the vector body
+        // and the remainder: one chain computes them either way
+        let g = Grid1D::from_fn(203, |i| ((i * 37) % 101) as f64 * 0.013 - 0.5);
+        let p1 = Pattern::new_1d(&[0.1, 0.7, 0.2]);
+        for p in [p1, kernels::d1p5()] {
+            let (n, r) = (g.len(), p.radius());
+            let mut whole = g.clone();
+            step_range_1d::<NativeF64x4>(g.as_slice(), whole.as_mut_slice(), p.weights(), r, n - r);
+            let mut split = g.clone();
+            for (lo, hi) in [(r, 103), (103, n - r)] {
+                step_range_1d::<NativeF64x4>(
+                    g.as_slice(),
+                    split.as_mut_slice(),
+                    p.weights(),
+                    lo,
+                    hi,
+                );
+            }
+            assert!(
+                whole.as_slice() == split.as_slice(),
+                "1D pts={}",
+                p.points()
+            );
+        }
+        let g = Grid2D::from_fn(13, 31, |y, x| ((y * 29 + x * 7) % 97) as f64 * 0.021 - 1.0);
+        let (ny, nx) = (g.ny(), g.nx());
+        let mut whole = g.clone();
+        step_range_2d::<NativeF64x4>(&g, &mut whole, &kernels::gb(), 1..ny - 1, 1..nx - 1);
+        let mut split = g.clone();
+        for xs in [1..14, 14..nx - 1] {
+            step_range_2d::<NativeF64x4>(&g, &mut split, &kernels::gb(), 1..ny - 1, xs);
+        }
+        assert!(whole.to_dense() == split.to_dense(), "2D");
+        let g = Grid3D::from_fn(5, 6, 23, |z, y, x| {
+            ((z * 11 + y * 5 + x * 3) % 37) as f64 * 0.3
+        });
+        let (nz, ny, nx) = (g.nz(), g.ny(), g.nx());
+        let p = kernels::heat3d();
+        let mut whole = g.clone();
+        step_range_3d::<NativeF64x4>(&g, &mut whole, &p, 1..nz - 1, 1..ny - 1, 1..nx - 1);
+        let mut split = g.clone();
+        for xs in [1..10, 10..nx - 1] {
+            step_range_3d::<NativeF64x4>(&g, &mut split, &p, 1..nz - 1, 1..ny - 1, xs);
+        }
+        assert!(whole.to_dense() == split.to_dense(), "3D");
     }
 }

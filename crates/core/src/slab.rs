@@ -32,9 +32,9 @@
 //!   every **3D** tessellate tile — tessellation cuts `z` only and hands
 //!   the kernel `y` and `x` whole — so a 3D register plan slabs with the
 //!   classic `t * r` halo under either tiling, and its tessellated
-//!   result equals its block-free one bit for bit wherever both run the
-//!   same kernels (`t % m == 0`). What is left is **2D tessellate
-//!   tips**: `y` is the cut axis there, an inverted tile's first steps
+//!   result equals its block-free one bit for bit: both run the same
+//!   legs, the `t % m` tail being the method's own single-step kernel
+//!   under either tiling. What is left is **2D tessellate tips**: `y` is the cut axis there, an inverted tile's first steps
 //!   are `2 * reff * (t + 1)` rows tall, and below one vector they run
 //!   the scalar folded sweep, which agrees with the vector chain to
 //!   rounding only. Since [`DimTiling`] anchors tile phase to global

@@ -11,7 +11,10 @@
 //! Vectorization Scheme", PAPERS.md), and a tile that keeps its inner
 //! axes whole is never narrower than a vector there. An uncut axis is
 //! the one-tile case — its whole interior `[band, n - band)` at every
-//! step — so the drivers pass it to the kernel as is.
+//! step — so the drivers pass it to the kernel as is. So is block-free
+//! tiling ([`Tiling::None`]): one tile spanning the cut axis too
+//! (`cut`), which is how every plan runs its legs through the one
+//! driver, `tessellate::run_cut`.
 //!
 //! **Tile width and time block are separate parameters** (the paper's
 //! Table 1 tunes them apart). The time block `tb` is how many steps a
@@ -58,6 +61,7 @@
 pub mod split;
 pub mod tessellate;
 
+use crate::api::Tiling;
 use crate::tune::TILE_BYTES;
 use core::ops::Range;
 
@@ -77,6 +81,18 @@ pub fn tile_width(inners: &[usize], reff: usize, tb: usize) -> usize {
         .iter()
         .fold(8usize, |b, &n| b.saturating_mul(n.max(1)));
     DimTiling::min_width(reff, tb).max(TILE_BYTES / 2 / slice_bytes)
+}
+
+/// The tile width and time block a leg of radius `reff` runs under
+/// `tiling` (`inners` as in [`tile_width`]). Block-free tiling is one
+/// tile spanning the cut axis, as many steps a round as the axis admits
+/// ([`DimTiling::max_tb`]): with no tile edge, rounds change no bit.
+pub(crate) fn cut(tiling: Tiling, inners: &[usize], reff: usize) -> (usize, usize) {
+    match tiling {
+        Tiling::Tessellate { time_block } => (tile_width(inners, reff, time_block), time_block),
+        Tiling::None => (usize::MAX, usize::MAX),
+        Tiling::Auto => unreachable!("compile resolved every open axis"),
+    }
 }
 
 /// Tessellation geometry of the cut axis for one round.
@@ -126,11 +142,14 @@ impl DimTiling {
     /// coordinate `origin` — tile phase is derived from global
     /// coordinates, never from the window start.
     ///
+    /// `reff` may be 0: a radius-0 stencil reads no neighbour, so any
+    /// width is valid.
+    ///
     /// # Panics
     /// If the window has no interior (`n <= 2 * band`: the drivers never
     /// build a geometry for one) or `w` is below [`DimTiling::min_width`].
     pub fn new_at(n: usize, band: usize, reff: usize, tb: usize, w: usize, origin: usize) -> Self {
-        assert!(reff >= 1 && tb >= 1);
+        assert!(tb >= 1);
         assert!(n > 2 * band, "grid smaller than its Dirichlet bands");
         assert!(
             w >= Self::min_width(reff, tb),
@@ -159,9 +178,9 @@ impl DimTiling {
         // no interior: the drivers run no round at all; callers sizing a
         // schedule get 1 rather than an underflow
         let interior = n.saturating_sub(2 * band);
-        wanted
-            .max(1)
-            .min((interior / Self::min_width(reff, 1)).max(1))
+        // radius 0: no slope, so no width caps the rounds
+        let cap = interior.checked_div(Self::min_width(reff, 1));
+        wanted.max(1).min(cap.unwrap_or(usize::MAX).max(1))
     }
 
     /// The inverse of [`DimTiling::max_tb`]: the shortest extent whose

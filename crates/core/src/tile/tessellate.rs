@@ -8,8 +8,10 @@
 //! two stages under pool barriers, trapezoids then inverted tiles, in
 //! every dimensionality; the tiles of a stage run in parallel, each its
 //! whole time loop (the temporal reuse that makes tessellation a
-//! cache-blocking scheme), and a stage with no tiles — the inverted stage
-//! of a one-tile axis — dispatches nothing.
+//! cache-blocking scheme). A stage with no tiles — the inverted stage of
+//! a one-tile axis — does nothing, and a stage of one tile runs on the
+//! calling thread: a one-tile run, block-free ones included, never
+//! dispatches to the pool.
 //!
 //! Kernel contract (the tiles' disjointness proof depends on it): a call
 //! `kernel(src, dst, region)` writes exactly `region` of `dst` and reads
@@ -17,7 +19,7 @@
 //!
 //! A grid with no interior on some axis (`n <= 2 * band`) is all
 //! Dirichlet band and every step the identity: the drivers advance the
-//! pair's step count and write nothing, as the block-free routes do.
+//! pair's step count and write nothing.
 
 // every driver takes the geometry's inputs flat: reff, band, w, tb, steps, origin
 #![allow(clippy::too_many_arguments)]
@@ -58,11 +60,7 @@ pub(crate) fn run_cut<G, K>(
         let (cur, scratch) = pp.both_mut();
         let pair = RawPair::new(cur, scratch);
         for inv in [false, true] {
-            let tiles = dim.count(inv);
-            if tiles == 0 {
-                continue;
-            }
-            parallel_for(pool, tiles, 1, &|tile_range: Range<usize>| {
+            let stage = |tile_range: Range<usize>| {
                 for i in tile_range {
                     for t in 0..tb_round {
                         let r = dim.range(inv, i, t);
@@ -77,7 +75,12 @@ pub(crate) fn run_cut<G, K>(
                         kernel(src, dst, r);
                     }
                 }
-            });
+            };
+            match dim.count(inv) {
+                0 => {}
+                1 => stage(0..1),
+                tiles => parallel_for(pool, tiles, 1, &stage),
+            }
         }
         // the band was never written and both surfaces agree on it
         (0..tb_round).for_each(|_| pp.swap());

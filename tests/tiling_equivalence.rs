@@ -87,13 +87,15 @@ fn odd_step_counts_and_leftovers() {
 }
 
 /// Tessellation cuts `z` only, so every 3D kernel call has `y` and `x`
-/// whole and a register plan's tessellated folded steps are the
-/// block-free plan's, bit for bit, on a grid the width rule cuts in three.
+/// whole and a register plan's tessellated legs — folded steps and the
+/// `t % m` tail alike — are the block-free plan's, bit for bit, on a
+/// grid the width rule cuts in three.
 #[test]
 fn tessellated_3d_register_plans_equal_their_block_free_twin_bitwise() {
     check!(kernels: ["heat3d", "box3d27p"], methods: [Folded { m: 2 }, TransposeLayout],
         tilings: [Tessellate { time_block: 2 }, Tessellate { time_block: 4 }], widths: [W4],
-        rings: [None], threads: [3], extents: [Tiles3], steps: [Exact(8)], routes: [Twin]);
+        rings: [None], threads: [3], extents: [Tiles3], steps: [Exact(8), Exact(9)],
+        routes: [Twin]);
 }
 
 /// The width rule cuts a wide 2D grid into cache-sized tiles: the tiled
