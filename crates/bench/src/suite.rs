@@ -319,7 +319,7 @@ pub fn run_one(
 
 /// The best of `reps` timed runs of `t` steps from `g`: on the cell's
 /// plan, or, for SDSL, which no plan runs, through `sdsl` — its direct
-/// entry — on a pair cloned from `g`, as a plan's run does.
+/// entry — on a pair cloned from `g`.
 fn time_cell<D: Domain>(
     plan: Option<&Plan>,
     g: &D,
@@ -590,7 +590,7 @@ impl BlockFreeMethod {
 pub type Sweep1d = Box<dyn Fn(&Grid1D, usize) -> Grid1D>;
 
 /// A baseline's [`Sweep1d`]: its pair entry on a pair cloned from the
-/// grid, as a plan's run does.
+/// grid.
 fn direct_1d(p: Pattern, sweep: fn(&mut PingPong<Grid1D>, &Pattern, usize)) -> Sweep1d {
     Box::new(move |g, t| {
         let mut pp = PingPong::new(g.clone());

@@ -321,16 +321,16 @@ impl Plan {
 
     /// Run `t` time steps on any supported domain ([`Grid1D`],
     /// [`Grid2D`], [`Grid3D`]); dimension-generic front end of
-    /// `run_1d`/`run_2d`/`run_3d`: the grid is cloned into a fresh pair
-    /// and the latest level returned ([`Plan::run_pair_at`] sweeps a
-    /// pair the caller owns instead).
+    /// `run_1d`/`run_2d`/`run_3d`: [`Plan::run_pair_at`] on a pair of
+    /// the grid's clone and a zeroed scratch surface, both from the
+    /// surface pool, and the latest level returned.
     ///
     /// Errors: [`PlanError::DimensionMismatch`] when the domain's
     /// dimensionality differs from the pattern's.
     pub fn run<D: Domain>(&self, domain: &D, t: usize) -> Result<D, PlanError> {
         self.check::<D>()?;
-        let mut pp = PingPong::new(domain.clone());
-        D::sweep(self, &mut pp, t, 0);
+        let mut pp = PingPong::from_pair(domain.clone(), domain.zeros_like());
+        self.run_pair_at(&mut pp, t, 0)?;
         Ok(pp.into_current())
     }
 
@@ -503,6 +503,10 @@ pub trait Domain: Clone + sealed::Sealed {
     /// Spatial dimensionality of this domain type.
     const DIMS: usize;
 
+    /// A zeroed grid of this one's shape.
+    #[doc(hidden)]
+    fn zeros_like(&self) -> Self;
+
     /// Copy `src`'s Dirichlet band of `r` cells per axis into `self`.
     #[doc(hidden)]
     fn copy_band_from(&mut self, src: &Self, r: usize);
@@ -520,6 +524,10 @@ pub trait Domain: Clone + sealed::Sealed {
 impl Domain for Grid1D {
     const DIMS: usize = 1;
 
+    fn zeros_like(&self) -> Self {
+        Grid1D::zeros(self.len())
+    }
+
     fn copy_band_from(&mut self, src: &Self, r: usize) {
         Grid1D::copy_band_from(self, src, r)
     }
@@ -536,6 +544,10 @@ impl Domain for Grid1D {
 impl Domain for Grid2D {
     const DIMS: usize = 2;
 
+    fn zeros_like(&self) -> Self {
+        Grid2D::zeros(self.ny(), self.nx())
+    }
+
     fn copy_band_from(&mut self, src: &Self, r: usize) {
         Grid2D::copy_band_from(self, src, r)
     }
@@ -551,6 +563,10 @@ impl Domain for Grid2D {
 
 impl Domain for Grid3D {
     const DIMS: usize = 3;
+
+    fn zeros_like(&self) -> Self {
+        Grid3D::zeros(self.nz(), self.ny(), self.nx())
+    }
 
     fn copy_band_from(&mut self, src: &Self, r: usize) {
         Grid3D::copy_band_from(self, src, r)
@@ -679,6 +695,34 @@ mod tests {
         let (a, b, c) = (run(Width::W4), run(Width::W8), run(Width::W1));
         assert!(max_abs_diff(&a.to_dense(), &b.to_dense()) < 1e-10);
         assert!(max_abs_diff(&a.to_dense(), &c.to_dense()) < 1e-10);
+    }
+
+    #[test]
+    fn a_run_after_a_run_of_another_shape_returns_the_same_grid() {
+        // every surface is above the surface pool's floor, so the second
+        // run of `a` may sweep on blocks the run of `b` (padded wider)
+        // left behind; odd `t` ends on the scratch surface
+        let plan = |p: Pattern| {
+            let s = Solver::new(p).method(Method::Folded { m: 2 });
+            s.compile().unwrap()
+        };
+        let f = |i: usize| ((i * 7919) % 101) as f64 * 0.25;
+        let p2 = plan(kernels::heat2d());
+        let a = Grid2D::from_fn(400, 397, |y, x| f(y * 397 + x));
+        let b = Grid2D::from_fn(390, 411, |y, x| f(y + x));
+        for t in [4, 5] {
+            let first = p2.run_2d(&a, t).unwrap();
+            drop(p2.run_2d(&b, t).unwrap());
+            assert!(p2.run_2d(&a, t).unwrap() == first, "2D t={t}");
+        }
+        let p3 = plan(kernels::heat3d());
+        let a = Grid3D::from_fn(64, 64, 37, |z, y, x| f(z * 4096 + y * 64 + x));
+        let b = Grid3D::from_fn(66, 62, 41, |z, y, x| f(z + y + x));
+        for t in [4, 5] {
+            let first = p3.run_3d(&a, t).unwrap();
+            drop(p3.run_3d(&b, t).unwrap());
+            assert!(p3.run_3d(&a, t).unwrap() == first, "3D t={t}");
+        }
     }
 
     #[test]

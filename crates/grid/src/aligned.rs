@@ -5,7 +5,7 @@
 //! buffer to 64 so both AVX2 and AVX-512 sets are aligned and no buffer
 //! straddles a cache line unnecessarily).
 
-use std::alloc::{alloc, alloc_zeroed, dealloc, handle_alloc_error, Layout};
+use crate::pool::{Block, Fill, POOL};
 
 /// Cache-line alignment used for all grid storage.
 pub const ALIGN: usize = 64;
@@ -17,23 +17,20 @@ pub const FIRST_TOUCH_MIN_BYTES: usize = 1 << 22;
 
 /// A heap-allocated, 64-byte aligned, fixed-length `f64` buffer.
 ///
-/// The block is over-allocated by [`ALIGN`] bytes at `f64` alignment and
-/// aligned by hand, rather than requested 64-byte aligned: glibc's
-/// `memalign` asks its heap for `size + align + header` and trims, so
-/// the hole a freed grid leaves is always too small for the next grid of
-/// the *same* size. Every run clones two surfaces and frees them, and
-/// the heap ratcheted upward — `tiled_mt`'s peak RSS read 138–226 MiB
-/// for a live peak of 83 MiB, moving by tens of MiB with any unrelated
-/// 40-byte allocation. Plain `malloc` sizes repeat exactly, so holes are
-/// reused (96 MiB, whatever else the process allocates). The price: a
-/// heap that no longer hoards lets glibc trim its top, so a run whose two
-/// surfaces reach the trim threshold (2 × 16 MiB) page-faults them in
-/// again.
+/// Its block comes from the surface pool ([`crate::pool`]) and goes back
+/// to it on drop: a buffer of at least [`crate::pool::POOL_MIN_BYTES`]
+/// takes the smallest held block that fits, so a run's pair, a resident
+/// job's scratch surface or a decoded wire grid reuses the pages the
+/// previous one faulted in, and the pool's byte cap
+/// ([`crate::pool::POOL_CAP_BYTES`]) bounds what it keeps idle. A block
+/// may be larger than the buffer; only `len` doubles are ever visible,
+/// and every constructor writes all of them before handing the buffer
+/// out.
 pub struct AlignedBuf {
     ptr: *mut f64,
     len: usize,
-    /// Start of the allocation `ptr` was aligned within.
-    base: *mut u8,
+    /// The block `ptr` points into; `None` for an empty buffer.
+    block: Option<Block>,
 }
 
 // SAFETY: AlignedBuf owns its allocation exclusively; &AlignedBuf only
@@ -42,53 +39,51 @@ unsafe impl Send for AlignedBuf {}
 unsafe impl Sync for AlignedBuf {}
 
 impl AlignedBuf {
-    /// Allocate a zero-initialized buffer of `len` doubles.
-    pub fn zeroed(len: usize) -> Self {
-        if len == 0 {
-            return Self {
-                ptr: core::ptr::NonNull::<f64>::dangling().as_ptr(),
-                len: 0,
-                base: core::ptr::null_mut(),
-            };
-        }
-        let layout = Self::layout(len);
-        // SAFETY: layout has non-zero size here.
-        let base = unsafe { alloc_zeroed(layout) };
-        if base.is_null() {
-            handle_alloc_error(layout);
-        }
-        Self {
-            ptr: Self::align(base),
-            len,
-            base,
-        }
+    /// A buffer of `len` doubles on a block from the pool; `Fill::Any`
+    /// leaves the contents unspecified, so the caller writes all `len`
+    /// doubles before any is read. The second value is `true` when the
+    /// block was recycled, that is, when `Fill::Zero` did not zero it.
+    fn take(len: usize, fill: Fill) -> (Self, bool) {
+        let (block, recycled) = match len {
+            0 => (None, false),
+            _ => {
+                let (block, recycled) = POOL.take(len, fill);
+                (Some(block), recycled)
+            }
+        };
+        let dangling = core::ptr::NonNull::<f64>::dangling().as_ptr();
+        let ptr = block.as_ref().map_or(dangling, Block::data);
+        (Self { ptr, len, block }, recycled)
     }
 
-    /// Allocate a zero-initialized buffer of `len` doubles, touching
-    /// the pages from `workers` threads in disjoint cache-line-aligned
-    /// chunks.
+    /// A zero-initialized buffer of `len` doubles.
+    pub fn zeroed(len: usize) -> Self {
+        let (buf, recycled) = Self::take(len, Fill::Zero);
+        if recycled {
+            // SAFETY: valid for `len` writes; f64 zero is all zero bytes.
+            unsafe { core::ptr::write_bytes(buf.ptr, 0, len) };
+        }
+        buf
+    }
+
+    /// A zero-initialized buffer of `len` doubles, written from `workers`
+    /// threads in disjoint cache-line-aligned chunks.
     ///
-    /// `alloc_zeroed` hands back untouched copy-on-write pages; the
-    /// first write faults each page in on the writing thread's NUMA
-    /// node. A single-threaded zeroing loop therefore serializes the
-    /// allocation *and* homes every page on one node — this variant
-    /// writes the zeros from the threads that will sweep the data, so
-    /// first-touch placement lands where the work is (the first piece
-    /// of the ROADMAP NUMA item). Falls back to [`Self::zeroed`] below
-    /// [`FIRST_TOUCH_MIN_BYTES`] or for a single worker. The contents
-    /// are identical to `zeroed` either way.
+    /// A fresh block is untouched memory: the first write faults each
+    /// page in on the writing thread's NUMA node. A single-threaded
+    /// zeroing loop therefore serializes the allocation *and* homes every
+    /// page on one node — this variant writes the zeros from the threads
+    /// that will sweep the data, so first-touch placement lands where the
+    /// work is. Falls back to [`Self::zeroed`] below
+    /// [`FIRST_TOUCH_MIN_BYTES`] or for a single worker. The contents are
+    /// identical to `zeroed` either way.
     pub fn zeroed_parallel(len: usize, workers: usize) -> Self {
         let workers = workers.max(1).min(len / (ALIGN / 8) + 1);
         if workers == 1 || len * core::mem::size_of::<f64>() < FIRST_TOUCH_MIN_BYTES {
             return Self::zeroed(len);
         }
-        let layout = Self::layout(len);
-        // SAFETY: layout has non-zero size here (len >= minimum bytes).
-        let base = unsafe { alloc(layout) };
-        if base.is_null() {
-            handle_alloc_error(layout);
-        }
-        let ptr = Self::align(base);
+        let (buf, _) = Self::take(len, Fill::Any);
+        let ptr = buf.ptr;
         // chunk starts stay 64-byte aligned so no two workers share a
         // cache line (or a page, for page-aligned allocations)
         let per = len.div_ceil(workers).next_multiple_of(ALIGN / 8);
@@ -114,7 +109,7 @@ impl AlignedBuf {
             // SAFETY: chunk 0 is this thread's own disjoint range.
             unsafe { core::ptr::write_bytes(ptr, 0, per.min(len)) };
         });
-        Self { ptr, len, base }
+        buf
     }
 
     /// Allocate and initialize from a function of the index.
@@ -126,27 +121,13 @@ impl AlignedBuf {
         buf
     }
 
-    /// Allocate and copy from a slice.
+    /// Allocate and copy from a slice: one `memcpy` into the block.
     pub fn from_slice(src: &[f64]) -> Self {
-        Self::from_fn(src.len(), |i| src[i])
-    }
-
-    /// `len` doubles plus the slack [`Self::align`] may skip.
-    fn layout(len: usize) -> Layout {
-        Layout::from_size_align(
-            len * core::mem::size_of::<f64>() + ALIGN,
-            core::mem::align_of::<f64>(),
-        )
-        .expect("buffer too large for layout")
-    }
-
-    /// First [`ALIGN`]-aligned address of the allocation at `base`.
-    fn align(base: *mut u8) -> *mut f64 {
-        let skip = base as usize % ALIGN;
-        let skip = if skip == 0 { 0 } else { ALIGN - skip };
-        // SAFETY: `skip < ALIGN`, the slack `layout` adds, so `len`
-        // doubles still fit behind the result.
-        unsafe { base.add(skip) }.cast::<f64>()
+        let (buf, _) = Self::take(src.len(), Fill::Any);
+        // SAFETY: the block holds `len` doubles and cannot overlap `src`,
+        // which is borrowed while the block is exclusively ours.
+        unsafe { core::ptr::copy_nonoverlapping(src.as_ptr(), buf.ptr, src.len()) };
+        buf
     }
 
     /// Number of doubles.
@@ -195,9 +176,8 @@ impl AlignedBuf {
 
 impl Drop for AlignedBuf {
     fn drop(&mut self) {
-        if self.len != 0 {
-            // SAFETY: `base` was allocated with this layout.
-            unsafe { dealloc(self.base, Self::layout(self.len)) };
+        if let Some(block) = self.block.take() {
+            POOL.give(block);
         }
     }
 }

@@ -1,7 +1,8 @@
 //! # stencil-grid
 //!
 //! Data-space substrate for the stencil library: cache-line-aligned `f64`
-//! buffers ([`aligned::AlignedBuf`]), dense 1D/2D/3D grids with padded row
+//! buffers ([`aligned::AlignedBuf`]) recycled through one bounded
+//! surface pool ([`pool`]), dense 1D/2D/3D grids with padded row
 //! strides ([`Grid1D`], [`Grid2D`], [`Grid3D`]), Jacobi ping-pong pairs
 //! ([`pingpong::PingPong`]), and the two memory-layout transforms the
 //! paper contrasts:
@@ -39,12 +40,14 @@ pub mod grid2d;
 pub mod grid3d;
 pub mod layout;
 pub mod pingpong;
+pub mod pool;
 
 pub use aligned::AlignedBuf;
 pub use grid1d::Grid1D;
 pub use grid2d::Grid2D;
 pub use grid3d::Grid3D;
 pub use pingpong::PingPong;
+pub use pool::{pool_stats, PoolStats};
 
 /// Maximum absolute difference between two equal-length slices.
 ///

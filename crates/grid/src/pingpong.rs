@@ -11,8 +11,9 @@
 //! in place (`Plan::run_pair_at` in `stencil-core`, in every
 //! dimensionality), so a caller that owns its grid and a scratch surface
 //! of the same shape — a recycled buffer is fine — runs without
-//! allocating, and `Plan::run` is that entry on a pair cloned from its
-//! input.
+//! allocating, and `Plan::run` is that entry on a pair of its input's
+//! clone and a zeroed scratch surface, both taken from the surface pool
+//! ([`crate::pool`]).
 
 /// A pair of equally-shaped buffers with a parity pointer.
 #[derive(Clone, Debug)]

@@ -407,6 +407,14 @@ serve_metrics! {
         /// observable.
         tuner_probes: counter "stencil_tuner_probes_total" "Probe sweeps the installed measured tuner has run."
             = stencil_tune::installed_auto().map_or(0, |t| t.probe_count()),
+        /// Process-wide (`stencil_grid::pool_stats`), so JSON-only: every
+        /// grid of the process, in or out of a service, counts.
+        surface_pool_hits "Grid surfaces served by a block the surface pool held."
+            = stencil_grid::pool_stats().hits,
+        surface_pool_misses "Grid surfaces the surface pool had no fitting block for."
+            = stencil_grid::pool_stats().misses,
+        surface_pool_held_bytes "Bytes of freed grid surfaces the surface pool holds for reuse."
+            = stencil_grid::pool_stats().held_bytes,
         p50_us "Median end-to-end latency, microseconds." = stats.latency.quantile_us(0.50),
         p99_us "99th-percentile end-to-end latency, microseconds." = stats.latency.quantile_us(0.99),
     }

@@ -1,8 +1,10 @@
 //! AVX2 backend: `__m256d` (4 x f64).
 //!
-//! Compiled only when `avx2` is statically enabled (the workspace builds
-//! with `target-cpu=native`), so every intrinsic here is statically
-//! guaranteed to exist — no runtime dispatch inside the hot loops.
+//! Compiled only when `avx2` is statically enabled (the workspace sets no
+//! target features; a build asks for them in `RUSTFLAGS`, as
+//! `benchmark/run.sh` does where the CPU has AVX2), so every intrinsic
+//! here is statically guaranteed to exist — no runtime dispatch inside
+//! the hot loops.
 //!
 //! The lane shuffles map 1:1 onto the instructions named in the paper:
 //!

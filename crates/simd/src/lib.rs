@@ -14,7 +14,10 @@
 //!   backends in almost all cases; they are also the fallback on
 //!   non-x86_64 targets.
 //! * `avx2::F64x4` — `__m256d` wrappers, compiled only when the build
-//!   statically enables `avx2` (this workspace sets `target-cpu=native`).
+//!   statically enables `avx2`. The workspace sets no target features,
+//!   so a default build has the portable backends only; `RUSTFLAGS="-C
+//!   target-feature=+avx2,+fma"` (what `benchmark/run.sh` sets where the
+//!   CPU has both) or `-C target-cpu=native` enables this one.
 //!   Implements the paper's `permute2f128` + `unpackhi/lo` transpose
 //!   (Fig. 3) and the `blend` + lane-rotate assembled vectors (Fig. 2).
 //! * `avx512::F64x8` — `__m512d` wrappers for the AVX-512 experiments,

@@ -1,9 +1,10 @@
 //! Portable `[f64; N]` vector backend.
 //!
 //! Every operation is a fixed-trip-count lane loop marked
-//! `#[inline(always)]`; with optimizations (and especially with
-//! `target-cpu=native`) LLVM turns these into the same packed instructions
-//! the intrinsic backends emit. This backend is the correctness oracle for
+//! `#[inline(always)]`; with optimizations (and especially with the AVX2
+//! and FMA target features, which the workspace does not set by default)
+//! LLVM turns these into the same packed instructions the intrinsic
+//! backends emit. This backend is the correctness oracle for
 //! the intrinsic backends in the property tests, and the fallback on
 //! targets without AVX.
 

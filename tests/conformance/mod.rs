@@ -1034,8 +1034,9 @@ impl Run {
                     same(&pair.current().dense(), "pair entry, poisoned scratch");
                 }
                 Route::Reuse => {
-                    // what `run` sweeps at `origin`: a pair cloned from the
-                    // grid; 1D grids and block-free plans ignore the origin
+                    // what `run` sweeps, at `origin`: the pair entry on a
+                    // pair made from the grid; 1D grids and block-free
+                    // plans ignore the origin
                     let at = |g: &D, origin: usize| match origin {
                         0 => plan.run(g, t).unwrap(),
                         _ => sweep(g, t, |pp, t| plan.run_pair_at(pp, t, origin).unwrap()),

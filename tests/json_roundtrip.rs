@@ -113,6 +113,9 @@ proptest! {
             ooc_prefetch_misses: counters[17] ^ counters[3],
             ooc_stall_us: counters[18] ^ counters[4],
             ooc_io_retries: counters[19] ^ counters[5],
+            surface_pool_hits: counters[9] ^ counters[10],
+            surface_pool_misses: counters[10] ^ counters[11],
+            surface_pool_held_bytes: counters[11] ^ counters[12],
             p50_us: counters[14],
             p99_us: counters[15],
             mean_us: mean,
@@ -213,6 +216,9 @@ fn serve_stats_json_schema_is_pinned() {
             "queue_depth",
             "sharded_jobs",
             "shards_executed",
+            "surface_pool_held_bytes",
+            "surface_pool_hits",
+            "surface_pool_misses",
             "swaps",
             "tenants",
             "tuner_probes",
