@@ -15,7 +15,7 @@ use stencil_core::tile::{split, tessellate, tile_width};
 use stencil_core::{kernels, Domain, Method, Pattern, Plan, Solver, Tiling, Tuning, Width};
 use stencil_grid::{Grid1D, Grid2D, PingPong};
 use stencil_runtime::PoolHandle;
-use stencil_simd::{NativeF64x4, NativeF64x8, SimdF64};
+use stencil_simd::{NativeF64x4, NativeF64x8, SimdF64, WithSimd};
 
 /// The nine benchmarks of Table 1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -566,12 +566,13 @@ impl BlockFreeMethod {
     /// lanes, built once: `fig8`/`table2` reuse it across every problem
     /// size and step count. The `Solver` methods run a compiled plan;
     /// Data Reorganization and DLT, the baselines no plan runs, call
-    /// their executors' entries directly.
+    /// their executors' entries directly, on the backend a plan's
+    /// kernels run on.
     pub fn sweep_1d_heat(self) -> Sweep1d {
         let p = kernels::heat1d();
         let method = match self {
-            BlockFreeMethod::DataReorg => return direct_1d(p, reorg::sweep_1d::<NativeF64x4>),
-            BlockFreeMethod::Dlt => return direct_1d(p, dlt::sweep_1d::<NativeF64x4>),
+            BlockFreeMethod::DataReorg => return direct_1d(p, Baseline::DataReorg),
+            BlockFreeMethod::Dlt => return direct_1d(p, Baseline::Dlt),
             BlockFreeMethod::MultipleLoads => Method::MultipleLoads,
             BlockFreeMethod::Our => Method::TransposeLayout,
             BlockFreeMethod::Our2 => Method::Folded { m: 2 },
@@ -589,12 +590,47 @@ impl BlockFreeMethod {
 /// One Fig.-8 method: `t` steps of 1D-Heat from a grid, into a new one.
 pub type Sweep1d = Box<dyn Fn(&Grid1D, usize) -> Grid1D>;
 
+/// The block-free baselines no plan runs.
+#[derive(Clone, Copy)]
+enum Baseline {
+    DataReorg,
+    Dlt,
+}
+
+/// A baseline's pair entry, run by [`stencil_simd::dispatch`] at 4 lanes
+/// on the backend the plans of its figure run on.
+struct BaselineSweep<'a> {
+    baseline: Baseline,
+    pp: &'a mut PingPong<Grid1D>,
+    p: &'a Pattern,
+    t: usize,
+}
+
+impl WithSimd for BaselineSweep<'_> {
+    type Output = ();
+
+    #[inline(always)]
+    fn run<V: SimdF64>(self) {
+        let Self { baseline, pp, p, t } = self;
+        match baseline {
+            Baseline::DataReorg => reorg::sweep_1d::<V>(pp, p, t),
+            Baseline::Dlt => dlt::sweep_1d::<V>(pp, p, t),
+        }
+    }
+}
+
 /// A baseline's [`Sweep1d`]: its pair entry on a pair cloned from the
 /// grid.
-fn direct_1d(p: Pattern, sweep: fn(&mut PingPong<Grid1D>, &Pattern, usize)) -> Sweep1d {
+fn direct_1d(p: Pattern, baseline: Baseline) -> Sweep1d {
     Box::new(move |g, t| {
         let mut pp = PingPong::new(g.clone());
-        sweep(&mut pp, &p, t);
+        let sweep = BaselineSweep {
+            baseline,
+            pp: &mut pp,
+            p: &p,
+            t,
+        };
+        stencil_simd::dispatch(4, sweep);
         pp.into_current()
     })
 }

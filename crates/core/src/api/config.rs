@@ -86,9 +86,11 @@ pub enum Width {
 }
 
 impl Width {
-    /// Widest width with a native backend on this build.
+    /// Widest width with an intrinsic backend on this CPU: W8 where it
+    /// has AVX-512F (with AVX2 + FMA), W4 otherwise
+    /// ([`stencil_simd::Isa::detected`]).
     pub fn native_max() -> Self {
-        if stencil_simd::HAS_AVX512 {
+        if stencil_simd::Isa::detected() == stencil_simd::Isa::Avx512 {
             Width::W8
         } else {
             Width::W4

@@ -12,7 +12,7 @@ use crate::tile::{self, tessellate};
 use core::ops::Range;
 use stencil_grid::{Grid1D, Grid2D, Grid3D, PingPong};
 use stencil_runtime::PoolHandle;
-use stencil_simd::{NativeF64x4, NativeF64x8, SimdF64};
+use stencil_simd::{SimdF64, WithSimd};
 
 /// Why a sweep may assume the route of its dimensionality.
 const CHECKED: &str = "Plan::check accepted the domain's dimensionality";
@@ -39,11 +39,37 @@ impl<R> Kernel<R> {
             _ => Kernel::Vector,
         }
     }
+
+    /// Step one range at `width`: [`stencil_simd::dispatch`] runs the
+    /// call on the widest backend the CPU has, on whichever thread the
+    /// tiling driver gave the range to.
+    fn step<'a, A>(&'a self, width: Width, args: A)
+    where
+        Step<'a, R, A>: WithSimd<Output = ()>,
+    {
+        stencil_simd::dispatch(width.lanes(), Step { kernel: self, args })
+    }
 }
 
-impl Kernel<()> {
-    fn step<V: SimdF64>(&self, taps: &[f64], s: &[f64], d: &mut [f64], lo: usize, hi: usize) {
-        match self {
+/// One range-kernel call of a route: the kernel and the range-kernel
+/// arguments of its dimensionality (`Args1`..`Args3`). Everything under
+/// `run` is `#[inline(always)]` down to the intrinsics, so each call
+/// compiles into the dispatch entry of its backend.
+struct Step<'a, R, A> {
+    kernel: &'a Kernel<R>,
+    args: A,
+}
+
+/// `(taps, src, dst, lo, hi)`
+type Args1<'a> = (&'a [f64], &'a [f64], &'a mut [f64], usize, usize);
+
+impl WithSimd for Step<'_, (), Args1<'_>> {
+    type Output = ();
+
+    #[inline(always)]
+    fn run<V: SimdF64>(self) {
+        let (taps, s, d, lo, hi) = self.args;
+        match self.kernel {
             Kernel::Scalar => scalar::step_range_1d(s, d, taps, lo, hi),
             Kernel::Vector => multiload::step_range_1d::<V>(s, d, taps, lo, hi),
             Kernel::Register(()) => folded::step_squares_range_1d::<V>(s, d, taps, lo, hi),
@@ -51,16 +77,22 @@ impl Kernel<()> {
     }
 }
 
-impl Kernel<FoldedKernel> {
-    fn step<V: SimdF64>(
-        &self,
-        q: &Pattern,
-        s: &Grid2D,
-        d: &mut Grid2D,
-        ys: Range<usize>,
-        xs: Range<usize>,
-    ) {
-        match self {
+/// `(pattern, src, dst, ys, xs)`
+type Args2<'a> = (
+    &'a Pattern,
+    &'a Grid2D,
+    &'a mut Grid2D,
+    Range<usize>,
+    Range<usize>,
+);
+
+impl WithSimd for Step<'_, FoldedKernel, Args2<'_>> {
+    type Output = ();
+
+    #[inline(always)]
+    fn run<V: SimdF64>(self) {
+        let (q, s, d, ys, xs) = self.args;
+        match self.kernel {
             Kernel::Scalar => scalar::step_range_2d(s, d, q, ys, xs),
             Kernel::Vector => multiload::step_range_2d::<V>(s, d, q, ys, xs),
             Kernel::Register(k) => folded::step_range_2d::<V>(k, s, d, ys, xs),
@@ -68,24 +100,47 @@ impl Kernel<FoldedKernel> {
     }
 }
 
-impl Kernel<(FoldedKernel, Ring3)> {
-    #[allow(clippy::too_many_arguments)] // the 3D range-kernel parameter set
-    fn step<V: SimdF64>(
-        &self,
-        q: &Pattern,
-        s: &Grid3D,
-        d: &mut Grid3D,
-        zs: Range<usize>,
-        ys: Range<usize>,
-        xs: Range<usize>,
-    ) {
-        match self {
+/// `(pattern, src, dst, zs, ys, xs)`
+type Args3<'a> = (
+    &'a Pattern,
+    &'a Grid3D,
+    &'a mut Grid3D,
+    Range<usize>,
+    Range<usize>,
+    Range<usize>,
+);
+
+impl WithSimd for Step<'_, (FoldedKernel, Ring3), Args3<'_>> {
+    type Output = ();
+
+    #[inline(always)]
+    fn run<V: SimdF64>(self) {
+        let (q, s, d, zs, ys, xs) = self.args;
+        match self.kernel {
             Kernel::Scalar => scalar::step_range_3d(s, d, q, zs, ys, xs),
             Kernel::Vector => multiload::step_range_3d::<V>(s, d, q, zs, ys, xs),
             Kernel::Register((k, ring)) => {
                 folded3d::step_range_3d_ring::<V>(k, *ring, s, d, zs, ys, xs)
             }
         }
+    }
+}
+
+/// The 1D block-free transpose-layout arm (`xlayout::sweep_1d`), which
+/// runs whole on the calling thread: one dispatch per run.
+struct LayoutSweep<'a> {
+    plan: &'a Plan,
+    pp: &'a mut PingPong<Grid1D>,
+    t: usize,
+}
+
+impl WithSimd for LayoutSweep<'_> {
+    type Output = ();
+
+    #[inline(always)]
+    fn run<V: SimdF64>(self) {
+        let Self { plan, pp, t } = self;
+        xlayout::sweep_1d::<V>(pp, &plan.pattern, &plan.folded, plan.m(), t)
     }
 }
 
@@ -413,31 +468,34 @@ impl Plan {
     /// transpose layout relayouts the whole grid, so it has no tiles: it
     /// changes layout on the pair's own surfaces and puts the result
     /// back into it.
-    fn sweep_1d<V: SimdF64>(&self, pp: &mut PingPong<Grid1D>, t: usize) {
+    fn sweep_1d(&self, pp: &mut PingPong<Grid1D>, t: usize) {
         let Route::D1(legs) = &self.route else {
             unreachable!("{CHECKED}")
         };
+        let width = self.config.width;
         if let (Tiling::None, Kernel::Register(())) = (self.config.tiling, &legs.body) {
-            return xlayout::sweep_1d::<V>(pp, &self.pattern, &self.folded, self.m(), t);
+            let sweep = LayoutSweep { plan: self, pp, t };
+            return stencil_simd::dispatch(width.lanes(), sweep);
         }
         for (kernel, q, steps) in self.legs(legs, t) {
             let (r, taps) = (q.radius(), q.weights());
             let (w, tb) = tile::cut(self.config.tiling, &[], r);
-            let step = |s: &[f64], d: &mut [f64], lo, hi| kernel.step::<V>(taps, s, d, lo, hi);
+            let step = |s: &[f64], d: &mut [f64], lo, hi| kernel.step(width, (taps, s, d, lo, hi));
             tessellate::run_1d(&self.pool, pp, r, r, w, tb, steps, &step);
         }
     }
 
     /// Advance `pp` by `t` steps along the 2D route (see `sweep_3d`).
-    fn sweep_2d<V: SimdF64>(&self, pp: &mut PingPong<Grid2D>, t: usize, origin_y: usize) {
+    fn sweep_2d(&self, pp: &mut PingPong<Grid2D>, t: usize, origin_y: usize) {
         let Route::D2(legs) = &self.route else {
             unreachable!("{CHECKED}")
         };
+        let width = self.config.width;
         for (kernel, q, steps) in self.legs(legs, t) {
             let _span = matches!(kernel, Kernel::Register(_)).then(ring_span);
             let r = q.radius();
             let (w, tb) = tile::cut(self.config.tiling, &[pp.current().nx()], r);
-            let step = |s: &Grid2D, d: &mut Grid2D, ys, xs| kernel.step::<V>(q, s, d, ys, xs);
+            let step = |s: &Grid2D, d: &mut Grid2D, ys, xs| kernel.step(width, (q, s, d, ys, xs));
             tessellate::run_2d_at(&self.pool, pp, r, r, w, tb, steps, origin_y, &step)
         }
     }
@@ -447,17 +505,18 @@ impl Plan {
     /// no leg writes it — and every leg writes an interior cell of the
     /// scratch surface before reading it, so that is all the scratch
     /// surface needs to hold.
-    fn sweep_3d<V: SimdF64>(&self, pp: &mut PingPong<Grid3D>, t: usize, origin_z: usize) {
+    fn sweep_3d(&self, pp: &mut PingPong<Grid3D>, t: usize, origin_z: usize) {
         let Route::D3(legs) = &self.route else {
             unreachable!("{CHECKED}")
         };
+        let width = self.config.width;
         for (kernel, q, steps) in self.legs(legs, t) {
             let _span = matches!(kernel, Kernel::Register(_)).then(ring_span);
             let r = q.radius();
             let inners = [pp.current().ny(), pp.current().nx()];
             let (w, tb) = tile::cut(self.config.tiling, &inners, r);
             let step =
-                |s: &Grid3D, d: &mut Grid3D, zs, ys, xs| kernel.step::<V>(q, s, d, zs, ys, xs);
+                |s: &Grid3D, d: &mut Grid3D, zs, ys, xs| kernel.step(width, (q, s, d, zs, ys, xs));
             tessellate::run_3d_at(&self.pool, pp, r, r, w, tb, steps, origin_z, &step)
         }
     }
@@ -511,12 +570,11 @@ pub trait Domain: Clone + sealed::Sealed {
     #[doc(hidden)]
     fn copy_band_from(&mut self, src: &Self, r: usize);
 
-    /// Advance `pp` by `t` steps of `plan`'s route at the vector type of
-    /// its compiled width; `origin` is the global coordinate of the
-    /// window's outer axis (see [`Plan::run_pair_at`]; 1D windows have
-    /// none). `plan` has accepted the domain. Not generic, so every
-    /// route's kernels are compiled once, in this crate, whichever crate
-    /// runs a plan.
+    /// Advance `pp` by `t` steps of `plan`'s route at its compiled width;
+    /// `origin` is the global coordinate of the window's outer axis (see
+    /// [`Plan::run_pair_at`]; 1D windows have none). `plan` has accepted
+    /// the domain. Not generic, so every route's kernels are compiled
+    /// once, in this crate, whichever crate runs a plan.
     #[doc(hidden)]
     fn sweep(plan: &Plan, pp: &mut PingPong<Self>, t: usize, origin: usize);
 }
@@ -533,11 +591,7 @@ impl Domain for Grid1D {
     }
 
     fn sweep(plan: &Plan, pp: &mut PingPong<Self>, t: usize, _origin: usize) {
-        match plan.config.width {
-            Width::W1 => plan.sweep_1d::<f64>(pp, t),
-            Width::W4 => plan.sweep_1d::<NativeF64x4>(pp, t),
-            Width::W8 => plan.sweep_1d::<NativeF64x8>(pp, t),
-        }
+        plan.sweep_1d(pp, t)
     }
 }
 
@@ -553,11 +607,7 @@ impl Domain for Grid2D {
     }
 
     fn sweep(plan: &Plan, pp: &mut PingPong<Self>, t: usize, origin: usize) {
-        match plan.config.width {
-            Width::W1 => plan.sweep_2d::<f64>(pp, t, origin),
-            Width::W4 => plan.sweep_2d::<NativeF64x4>(pp, t, origin),
-            Width::W8 => plan.sweep_2d::<NativeF64x8>(pp, t, origin),
-        }
+        plan.sweep_2d(pp, t, origin)
     }
 }
 
@@ -573,11 +623,7 @@ impl Domain for Grid3D {
     }
 
     fn sweep(plan: &Plan, pp: &mut PingPong<Self>, t: usize, origin: usize) {
-        match plan.config.width {
-            Width::W1 => plan.sweep_3d::<f64>(pp, t, origin),
-            Width::W4 => plan.sweep_3d::<NativeF64x4>(pp, t, origin),
-            Width::W8 => plan.sweep_3d::<NativeF64x8>(pp, t, origin),
-        }
+        plan.sweep_3d(pp, t, origin)
     }
 }
 
@@ -588,6 +634,7 @@ mod tests {
     use crate::kernels;
     use crate::tile::split;
     use stencil_grid::max_abs_diff;
+    use stencil_simd::NativeF64x4;
 
     fn ref_1d(p: &Pattern, g: &Grid1D, t: usize) -> Grid1D {
         Solver::new(p.clone())

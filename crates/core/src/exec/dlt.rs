@@ -51,6 +51,7 @@ fn vec_at<V: SimdF64>(dlt: &[f64], cols: usize, q: isize) -> V {
 /// `p_hi` may exceed `cols`, positions wrap modulo `cols`). After
 /// computing each column, original-domain Dirichlet cells (orig `[0,r)`
 /// in lane 0, orig `[n-r, n)` in the last lane) are restored from `src`.
+#[inline(always)]
 pub fn step_dlt_range<V: SimdF64>(
     src: &[f64],
     dst: &mut [f64],
@@ -67,6 +68,7 @@ pub fn step_dlt_range<V: SimdF64>(
     );
 }
 
+#[inline(always)]
 fn step_dlt_range_t<V: SimdF64, const T: usize>(
     src: &[f64],
     dst: &mut [f64],
@@ -119,13 +121,18 @@ fn step_dlt_range_t<V: SimdF64, const T: usize>(
 /// the result is transposed back onto the other surface. A step writes
 /// every cell, so the scratch surface may hold anything. The length must
 /// be a multiple of `V::LANES` whose lifted row covers the radius.
+#[inline(always)]
 pub fn sweep_1d<V: SimdF64>(pp: &mut PingPong<Grid1D>, p: &Pattern, t: usize) {
     let layout = DltLayout::new(pp.current().len(), V::LANES);
     let cols = layout.cols();
     assert!(p.radius() <= cols, "radius exceeds lifted row");
-    relayout(pp, |s, d| {
-        layout.to_dlt::<V>(s.as_slice(), d.as_mut_slice())
-    });
+    // the closures inline too, or their transposes compile out of line
+    // from a dispatch entry
+    relayout(
+        pp,
+        #[inline(always)]
+        |s, d| layout.to_dlt::<V>(s.as_slice(), d.as_mut_slice()),
+    );
     for _ in 0..t {
         let (src, dst) = pp.src_dst();
         step_dlt_range::<V>(
@@ -138,14 +145,17 @@ pub fn sweep_1d<V: SimdF64>(pp: &mut PingPong<Grid1D>, p: &Pattern, t: usize) {
         );
         pp.swap();
     }
-    relayout(pp, |s, d| {
-        layout.from_dlt::<V>(s.as_slice(), d.as_mut_slice())
-    });
+    relayout(
+        pp,
+        #[inline(always)]
+        |s, d| layout.from_dlt::<V>(s.as_slice(), d.as_mut_slice()),
+    );
 }
 
 /// Move `pp`'s current surface to another layout: `convert(current,
 /// scratch)` writes every cell of the scratch surface, which becomes the
 /// current one — a change of layout, not a time level, so no step counts.
+#[inline(always)]
 pub(crate) fn relayout<G>(pp: &mut PingPong<G>, convert: impl FnOnce(&G, &mut G)) {
     let (src, dst) = pp.src_dst();
     convert(src, dst);

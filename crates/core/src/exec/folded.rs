@@ -139,6 +139,7 @@ pub(crate) fn separable(plan: &FoldPlan) -> bool {
 /// loads, so all reads stay within `[lo - R, hi + R)` — the contract the
 /// tessellation tiles rely on. Requires `R = taps.len()/2 <= V::LANES`
 /// and `lo >= R`, `hi + R <= src.len()`.
+#[inline(always)]
 pub fn step_squares_range_1d<V: SimdF64>(
     src: &[f64],
     dst: &mut [f64],
@@ -149,6 +150,7 @@ pub fn step_squares_range_1d<V: SimdF64>(
     crate::exec::dispatch_taps!(step_squares_range_1d_t, V, taps, (src, dst, taps, lo, hi));
 }
 
+#[inline(always)]
 fn step_squares_range_1d_t<V: SimdF64, const T: usize>(
     src: &[f64],
     dst: &mut [f64],
@@ -232,6 +234,7 @@ fn step_squares_range_1d_t<V: SimdF64, const T: usize>(
 /// narrower than one vector in `x` or `y`, degenerate widths and
 /// out-of-bound radii (the latter two unreachable through the Plan API)
 /// run the scalar folded sweep — no panic.
+#[inline(always)]
 pub fn step_range_2d<V: SimdF64>(
     k: &FoldedKernel,
     src: &Grid2D,

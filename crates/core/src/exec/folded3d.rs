@@ -237,6 +237,7 @@ pub(crate) fn vector_sched<'k, V: SimdF64>(
 /// in `x` or `y`, degenerate widths and out-of-bound radii (the latter
 /// two unreachable through the Plan API) run the scalar folded sweep —
 /// no panic.
+#[inline(always)]
 pub fn step_range_3d_ring<V: SimdF64>(
     k: &FoldedKernel,
     ring: Ring3,
@@ -289,6 +290,7 @@ const PANE_BYTES: usize = 32 << 10;
 /// graph can observe it borrowed, and a warmed-up call allocates
 /// nothing. Contents are whatever the previous call left: every entry
 /// phase B reads was written by this call's phase A first.
+#[inline(always)]
 fn with_pane<V: SimdF64>(len: usize, f: impl FnOnce(&mut [V])) {
     let key = TypeId::of::<V>();
     let mut boxed = SCRATCH
@@ -369,6 +371,7 @@ type PlaneRing<V> = [V; RING_VECS];
 /// 2D folds of radius 5..=8, which only 8-lane vectors admit) and
 /// z-radius `RZ`: `R` for a volume, `0` for a plane, whose ring is the
 /// one slot of the plane itself, `zs = 0..1`.
+#[inline(always)]
 pub(crate) fn step_ring_r<V: SimdF64, const R: usize, const RZ: usize>(
     k: &FoldedKernel,
     sched: &Sched,
@@ -430,81 +433,97 @@ pub(crate) fn step_ring_r<V: SimdF64, const R: usize, const RZ: usize>(
         }
     }
 
-    with_pane::<V>(depth * nids * pw, |pane| {
-        for yb in 0..ys.len().div_ceil(vl) {
-            let y = (ys.start + yb * vl).min(ys.end - vl);
-            for z0 in zs.clone().step_by(depth) {
-                let nz = depth.min(zs.end - z0);
-                // the pane holds columns `[org, have)` of x
-                let (mut org, mut have) = (0usize, 0usize);
-                for b0 in (0..nblk).step_by(slab) {
-                    let nb = slab.min(nblk - b0);
-                    let (sx0, sx1) = (block_x(b0), block_x(b0 + nb - 1) + vl);
-                    // phase A: columns [sx0 − R, sx1 + R). Later slabs
-                    // keep what the previous one already produced — its
-                    // last 2R columns, more when a lone ragged block was
-                    // shifted back into it.
-                    let c_hi = sx1 + rr;
-                    let c_lo = if b0 == 0 {
-                        sx0 - rr
-                    } else {
-                        let (from, n) = (sx0 - rr - org, have - (sx0 - rr));
-                        for row in 0..nz * nids {
-                            pane.copy_within(row * pw + from..row * pw + from + n, row * pw);
-                        }
-                        have
-                    };
-                    (org, have) = (sx0 - rr, c_hi);
-                    for a in (c_lo..c_hi).step_by(vl) {
-                        let bx = a.min(c_hi - vl);
-                        let blk = Block { src, sy, sz, y, bx };
-                        let cols = &mut pane[bx - org..];
-                        match sep {
-                            Some(w) => march_sep::<V, R, RZ>(w, &mut planes, blk, z0, nz, cols, pw),
-                            _ => march_gen::<V, RZ>(sched, &mut planes, blk, rr, z0, nz, cols, pw),
-                        }
-                    }
-                    // phase B: per z, horizontal fold + weighted
-                    // transpose of every block of the slab
-                    for zi in 0..nz {
-                        for b in b0..b0 + nb {
-                            let bx = block_x(b);
-                            let mut out = [V::zero(); 8];
-                            let o = zi * nids * pw + (bx - rr - org);
-                            if sep.is_some() {
-                                let cols = &pane[o..o + vl + 2 * R];
-                                for kk in 0..vl {
-                                    out[kk] = cols[kk].mul(hw[0]);
-                                }
-                                for dxi in 1..2 * R + 1 {
-                                    for kk in 0..vl {
-                                        out[kk] = cols[kk + dxi].mul_add(hw[dxi], out[kk]);
-                                    }
-                                }
-                            } else {
-                                for &(u, dxi, c) in hterms {
-                                    let cv = V::splat(c);
-                                    let cols = &pane[o + u * pw + dxi..][..vl];
-                                    for kk in 0..vl {
-                                        out[kk] = cols[kk].mul_add(cv, out[kk]);
-                                    }
-                                }
+    // inlined like the rest, or its intrinsics compile out of line
+    with_pane::<V>(
+        depth * nids * pw,
+        #[inline(always)]
+        |pane| {
+            for yb in 0..ys.len().div_ceil(vl) {
+                let y = (ys.start + yb * vl).min(ys.end - vl);
+                for z0 in zs.clone().step_by(depth) {
+                    let nz = depth.min(zs.end - z0);
+                    // the pane holds columns `[org, have)` of x
+                    let (mut org, mut have) = (0usize, 0usize);
+                    for b0 in (0..nblk).step_by(slab) {
+                        let nb = slab.min(nblk - b0);
+                        let (sx0, sx1) = (block_x(b0), block_x(b0 + nb - 1) + vl);
+                        // phase A: columns [sx0 − R, sx1 + R). Later slabs
+                        // keep what the previous one already produced — its
+                        // last 2R columns, more when a lone ragged block was
+                        // shifted back into it.
+                        let c_hi = sx1 + rr;
+                        let c_lo = if b0 == 0 {
+                            sx0 - rr
+                        } else {
+                            let (from, n) = (sx0 - rr - org, have - (sx0 - rr));
+                            for row in 0..nz * nids {
+                                pane.copy_within(row * pw + from..row * pw + from + n, row * pw);
                             }
-                            V::transpose(&mut out[..vl]);
-                            let row0 = (z0 + zi) * sz + y * sy + bx;
-                            for (j, o) in out[..vl].iter().enumerate() {
-                                // SAFETY: row `y + j` of plane `z0 + zi` at
-                                // columns `bx..bx + vl` is inside the three
-                                // ranges, which the assert above keeps in
-                                // bounds of `dst`.
-                                unsafe { o.store(d.as_mut_ptr().add(row0 + j * sy)) };
+                            have
+                        };
+                        (org, have) = (sx0 - rr, c_hi);
+                        for a in (c_lo..c_hi).step_by(vl) {
+                            let bx = a.min(c_hi - vl);
+                            let blk = Block { src, sy, sz, y, bx };
+                            let cols = &mut pane[bx - org..];
+                            match sep {
+                                Some(w) => {
+                                    march_sep::<V, R, RZ>(w, &mut planes, blk, z0, nz, cols, pw)
+                                }
+                                _ => march_gen::<V, RZ>(
+                                    sched,
+                                    &mut planes,
+                                    blk,
+                                    rr,
+                                    z0,
+                                    nz,
+                                    cols,
+                                    pw,
+                                ),
+                            }
+                        }
+                        // phase B: per z, horizontal fold + weighted
+                        // transpose of every block of the slab
+                        for zi in 0..nz {
+                            for b in b0..b0 + nb {
+                                let bx = block_x(b);
+                                let mut out = [V::zero(); 8];
+                                let o = zi * nids * pw + (bx - rr - org);
+                                if sep.is_some() {
+                                    let cols = &pane[o..o + vl + 2 * R];
+                                    for kk in 0..vl {
+                                        out[kk] = cols[kk].mul(hw[0]);
+                                    }
+                                    for dxi in 1..2 * R + 1 {
+                                        for kk in 0..vl {
+                                            out[kk] = cols[kk + dxi].mul_add(hw[dxi], out[kk]);
+                                        }
+                                    }
+                                } else {
+                                    for &(u, dxi, c) in hterms {
+                                        let cv = V::splat(c);
+                                        let cols = &pane[o + u * pw + dxi..][..vl];
+                                        for kk in 0..vl {
+                                            out[kk] = cols[kk].mul_add(cv, out[kk]);
+                                        }
+                                    }
+                                }
+                                V::transpose(&mut out[..vl]);
+                                let row0 = (z0 + zi) * sz + y * sy + bx;
+                                for (j, o) in out[..vl].iter().enumerate() {
+                                    // SAFETY: row `y + j` of plane `z0 + zi` at
+                                    // columns `bx..bx + vl` is inside the three
+                                    // ranges, which the assert above keeps in
+                                    // bounds of `dst`.
+                                    unsafe { o.store(d.as_mut_ptr().add(row0 + j * sy)) };
+                                }
                             }
                         }
                     }
                 }
             }
-        }
-    });
+        },
+    );
 }
 
 /// The block one march covers: rows `y..y + vl` at columns `bx..bx + vl`

@@ -19,10 +19,12 @@ use stencil_simd::SimdF64;
 
 /// One Jacobi step on `dst[lo..hi]`, vectorized with unaligned loads.
 /// Dispatches on the tap count so the hot loop fully unrolls.
+#[inline(always)]
 pub fn step_range_1d<V: SimdF64>(src: &[f64], dst: &mut [f64], taps: &[f64], lo: usize, hi: usize) {
     dispatch_taps!(step_range_1d_t, V, taps, (src, dst, taps, lo, hi));
 }
 
+#[inline(always)]
 fn step_range_1d_t<V: SimdF64, const T: usize>(
     src: &[f64],
     dst: &mut [f64],
@@ -61,6 +63,7 @@ fn step_range_1d_t<V: SimdF64, const T: usize>(
 }
 
 /// One 2D Jacobi step on rectangle `ys x xs`, row-vectorized.
+#[inline(always)]
 pub fn step_range_2d<V: SimdF64>(
     src: &Grid2D,
     dst: &mut Grid2D,
@@ -76,10 +79,12 @@ pub fn step_range_2d<V: SimdF64>(
     let vl = V::LANES;
     let (xlo, xhi) = (xs.start, xs.end);
     // nonzero taps with hoisted broadcasts: (dy, dx, splat(w))
-    let taps_nz: Vec<(usize, usize, V)> = (0..side * side)
-        .filter(|i| w[*i] != 0.0)
-        .map(|i| (i / side, i % side, V::splat(w[i])))
-        .collect();
+    // (a loop, not a `map` closure: a closure is compiled out of line
+    // from a dispatch entry, and the broadcast with it)
+    let mut taps_nz: Vec<(usize, usize, V)> = Vec::new();
+    for i in (0..side * side).filter(|i| w[*i] != 0.0) {
+        taps_nz.push((i / side, i % side, V::splat(w[i])));
+    }
     for y in ys {
         let dbase = y * stride;
         let dstm = dst.as_mut_slice();
@@ -109,6 +114,7 @@ pub fn step_range_2d<V: SimdF64>(
 }
 
 /// One 3D Jacobi step on cuboid `zs x ys x xs`, row-vectorized.
+#[inline(always)]
 pub fn step_range_3d<V: SimdF64>(
     src: &Grid3D,
     dst: &mut Grid3D,
@@ -125,10 +131,10 @@ pub fn step_range_3d<V: SimdF64>(
     let vl = V::LANES;
     let (xlo, xhi) = (xs.start, xs.end);
     // nonzero taps with hoisted broadcasts: (dz, dy, dx, splat(w))
-    let taps_nz: Vec<(usize, usize, usize, V)> = (0..side * side * side)
-        .filter(|i| w[*i] != 0.0)
-        .map(|i| (i / (side * side), i / side % side, i % side, V::splat(w[i])))
-        .collect();
+    let mut taps_nz: Vec<(usize, usize, usize, V)> = Vec::new();
+    for i in (0..side * side * side).filter(|i| w[*i] != 0.0) {
+        taps_nz.push((i / (side * side), i / side % side, i % side, V::splat(w[i])));
+    }
     for z in zs {
         for y in ys.clone() {
             let dbase = z * sz + y * sy;

@@ -41,6 +41,7 @@ fn offset_vec<V: SimdF64>(prev: V, cur: V, next: V, off: isize) -> V {
 
 /// One Jacobi step on `dst[lo..hi]` using aligned loads + shuffles.
 /// Requires `r <= V::LANES`.
+#[inline(always)]
 pub fn step_range_1d<V: SimdF64>(src: &[f64], dst: &mut [f64], taps: &[f64], lo: usize, hi: usize) {
     let r = taps.len() / 2;
     let vl = V::LANES;
@@ -92,6 +93,7 @@ fn head_tail_scalar(src: &[f64], dst: &mut [f64], taps: &[f64], lo: usize, hi: u
 }
 
 /// Full 1D step with Dirichlet boundaries.
+#[inline(always)]
 pub fn step_1d<V: SimdF64>(src: &[f64], dst: &mut [f64], taps: &[f64]) {
     let n = src.len();
     let r = taps.len() / 2;
@@ -105,6 +107,7 @@ pub fn step_1d<V: SimdF64>(src: &[f64], dst: &mut [f64], taps: &[f64]) {
 }
 
 /// Run `t` steps on a 1D ping-pong pair.
+#[inline(always)]
 pub fn sweep_1d<V: SimdF64>(pp: &mut PingPong<Grid1D>, p: &Pattern, t: usize) {
     for _ in 0..t {
         let (src, dst) = pp.src_dst();

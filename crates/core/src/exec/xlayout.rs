@@ -24,10 +24,12 @@ use stencil_simd::SimdF64;
 /// Full interior blocks are processed as vector sets; the first and last
 /// blocks and the non-covered tail fall back to scalar accesses through
 /// the layout's index map. Requires `r <= V::LANES`.
+#[inline(always)]
 pub fn step_x<V: SimdF64>(src: &[f64], dst: &mut [f64], taps: &[f64]) {
     crate::exec::dispatch_taps!(step_x_t, V, taps, (src, dst, taps));
 }
 
+#[inline(always)]
 fn step_x_t<V: SimdF64, const T: usize>(src: &[f64], dst: &mut [f64], taps: &[f64]) {
     let nt = crate::exec::tap_count::<T>(taps);
     let n = src.len();
@@ -124,6 +126,7 @@ fn load_set<V: SimdF64>(src: &[f64], base: usize) -> [V; 8] {
 /// with `p`, and the layout is undone on the surface holding the result.
 /// [`step_x`] writes every cell, so the scratch surface may hold
 /// anything.
+#[inline(always)]
 pub fn sweep_1d<V: SimdF64>(
     pp: &mut PingPong<Grid1D>,
     p: &Pattern,

@@ -40,6 +40,7 @@ impl TransposeLayout {
     }
 
     /// Apply (or undo — it is an involution) the layout in place.
+    #[inline(always)]
     pub fn apply<V: SimdF64>(&self, buf: &mut [f64]) {
         assert_eq!(V::LANES, self.vl, "vector width mismatch");
         let covered = self.covered(buf.len());
@@ -100,6 +101,7 @@ impl DltLayout {
 
     /// Forward transform `orig -> dlt` (out of place, the extra array the
     /// paper notes DLT needs).
+    #[inline(always)]
     pub fn to_dlt<V: SimdF64>(&self, orig: &[f64], dlt: &mut [f64]) {
         assert_eq!(orig.len(), self.n);
         assert_eq!(dlt.len(), self.n);
@@ -108,6 +110,7 @@ impl DltLayout {
     }
 
     /// Inverse transform `dlt -> orig`.
+    #[inline(always)]
     pub fn from_dlt<V: SimdF64>(&self, dlt: &[f64], orig: &mut [f64]) {
         assert_eq!(orig.len(), self.n);
         assert_eq!(dlt.len(), self.n);

@@ -1,10 +1,10 @@
 //! AVX2 backend: `__m256d` (4 x f64).
 //!
-//! Compiled only when `avx2` is statically enabled (the workspace sets no
-//! target features; a build asks for them in `RUSTFLAGS`, as
-//! `benchmark/run.sh` does where the CPU has AVX2), so every intrinsic
-//! here is statically guaranteed to exist — no runtime dispatch inside
-//! the hot loops.
+//! Compiled on every x86_64 build and private to the crate: a value is
+//! built only inside [`crate::dispatch`]'s `avx2,fma` entry, after
+//! detection, or as [`crate::NativeF64x4`] in a build that enables both
+//! features statically. Every method is `#[inline(always)]`, so the
+//! intrinsics compile into the entry — no dispatch inside the hot loops.
 //!
 //! The lane shuffles map 1:1 onto the instructions named in the paper:
 //!
@@ -28,7 +28,7 @@ impl F64x4 {
     /// Construct from lane values (lane 0 first).
     #[inline(always)]
     pub fn new(lanes: [f64; 4]) -> Self {
-        // SAFETY: avx2 statically enabled for this module.
+        // SAFETY: lanes has 4 elements; the CPU has AVX2 (module docs).
         unsafe { Self(_mm256_loadu_pd(lanes.as_ptr())) }
     }
 
@@ -77,14 +77,7 @@ impl SimdF64 for F64x4 {
 
     #[inline(always)]
     fn mul_add(self, a: Self, b: Self) -> Self {
-        #[cfg(target_feature = "fma")]
-        unsafe {
-            Self(_mm256_fmadd_pd(self.0, a.0, b.0))
-        }
-        #[cfg(not(target_feature = "fma"))]
-        {
-            self.mul(a).add(b)
-        }
+        unsafe { Self(_mm256_fmadd_pd(self.0, a.0, b.0)) }
     }
 
     #[inline(always)]
@@ -164,10 +157,21 @@ impl SimdF64 for F64x4 {
     }
 }
 
+// Each test builds `F64x4` values: it runs only where the CPU has the
+// backend's features, and says so where it does not.
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::portable::PF64x4;
+    use crate::Isa;
+
+    fn skip() -> bool {
+        let skip = Isa::detected() < Isa::Avx2;
+        if skip {
+            eprintln!("CPU lacks avx2 + fma: skipping the AVX2 backend test");
+        }
+        skip
+    }
 
     fn p(v: F64x4) -> PF64x4 {
         PF64x4::new(v.to_array())
@@ -175,6 +179,9 @@ mod tests {
 
     #[test]
     fn matches_portable_arithmetic() {
+        if skip() {
+            return;
+        }
         let a = F64x4::new([1.5, -2.0, 3.25, 4.0]);
         let b = F64x4::new([0.5, 8.0, -1.0, 2.0]);
         let pa = p(a);
@@ -189,6 +196,9 @@ mod tests {
 
     #[test]
     fn matches_portable_shifts() {
+        if skip() {
+            return;
+        }
         let a = F64x4::new([1.0, 2.0, 3.0, 4.0]);
         let b = F64x4::new([5.0, 6.0, 7.0, 8.0]);
         assert_eq!(p(a.shift_in_right(b)), p(a).map_shift_r(p(b)));
@@ -210,6 +220,9 @@ mod tests {
 
     #[test]
     fn transpose_matches_portable() {
+        if skip() {
+            return;
+        }
         let mut a = [
             F64x4::new([1.0, 2.0, 3.0, 4.0]),
             F64x4::new([5.0, 6.0, 7.0, 8.0]),

@@ -9,23 +9,26 @@
 //! ## Backends
 //!
 //! * [`portable::PF64x4`] / [`portable::PF64x8`] — `[f64; N]` wrappers with
-//!   `#[inline(always)]` per-lane operations. With `-C target-cpu=native`
-//!   LLVM lowers these to the same vector instructions as the intrinsic
-//!   backends in almost all cases; they are also the fallback on
-//!   non-x86_64 targets.
-//! * `avx2::F64x4` — `__m256d` wrappers, compiled only when the build
-//!   statically enables `avx2`. The workspace sets no target features,
-//!   so a default build has the portable backends only; `RUSTFLAGS="-C
-//!   target-feature=+avx2,+fma"` (what `benchmark/run.sh` sets where the
-//!   CPU has both) or `-C target-cpu=native` enables this one.
-//!   Implements the paper's `permute2f128` + `unpackhi/lo` transpose
-//!   (Fig. 3) and the `blend` + lane-rotate assembled vectors (Fig. 2).
-//! * `avx512::F64x8` — `__m512d` wrappers for the AVX-512 experiments,
-//!   compiled only when `avx512f` is statically enabled.
+//!   `#[inline(always)]` per-lane operations: the correctness oracle of
+//!   the intrinsic backends, and the fallback on CPUs (and targets)
+//!   without them.
+//! * `avx2::F64x4` — `__m256d` wrappers. Implements the paper's
+//!   `permute2f128` + `unpackhi/lo` transpose (Fig. 3) and the `blend` +
+//!   lane-rotate assembled vectors (Fig. 2).
+//! * `avx512::F64x8` — `__m512d` wrappers: the 3-stage 8×8 transpose and
+//!   one-`valignq` assembled vectors.
 //!
-//! Width selection for kernels happens through the type aliases
-//! [`NativeF64x4`] and [`NativeF64x8`]: the widest *statically available*
-//! implementation of the requested lane count.
+//! Every x86_64 build compiles all three. Which one runs is decided at
+//! run time: [`Isa::detected`] reads CPUID, and [`dispatch`] runs a
+//! [`WithSimd`] operation at 4 lanes on AVX2 + FMA and at 8 lanes on
+//! AVX-512F where the CPU has them, on the portable backend otherwise
+//! ([`isa`] has the details and the soundness argument).
+//!
+//! [`NativeF64x4`] and [`NativeF64x8`] keep their build-time meaning for
+//! direct kernel calls: the intrinsic type where the build enables its
+//! features statically (`RUSTFLAGS="-C target-feature=+avx2,+fma"`, what
+//! `benchmark/run.sh` sets where the CPU has both), the portable type
+//! otherwise.
 //!
 //! ## Relation to the paper
 //!
@@ -54,43 +57,58 @@
 
 pub mod assemble;
 pub mod cost;
+pub mod isa;
 pub mod portable;
 pub mod transpose;
 pub mod vector;
 
-#[cfg(all(target_arch = "x86_64", target_feature = "avx2"))]
-pub mod avx2;
+#[cfg(target_arch = "x86_64")]
+mod avx2;
+#[cfg(target_arch = "x86_64")]
+mod avx512;
 
-#[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
-pub mod avx512;
-
+pub use isa::{dispatch, Isa, WithSimd};
 pub use vector::SimdF64;
 
-/// Widest statically-available 4-lane `f64` vector type.
-#[cfg(all(target_arch = "x86_64", target_feature = "avx2"))]
+/// 4-lane `f64` vector type of direct kernel calls: AVX2 where the build
+/// enables `avx2` and `fma` statically.
+#[cfg(all(
+    target_arch = "x86_64",
+    target_feature = "avx2",
+    target_feature = "fma"
+))]
 pub type NativeF64x4 = avx2::F64x4;
-/// Widest statically-available 4-lane `f64` vector type.
-#[cfg(not(all(target_arch = "x86_64", target_feature = "avx2")))]
+/// 4-lane `f64` vector type of direct kernel calls: AVX2 where the build
+/// enables `avx2` and `fma` statically.
+#[cfg(not(all(
+    target_arch = "x86_64",
+    target_feature = "avx2",
+    target_feature = "fma"
+)))]
 pub type NativeF64x4 = portable::PF64x4;
 
-/// Widest statically-available 8-lane `f64` vector type.
+/// 8-lane `f64` vector type of direct kernel calls: AVX-512F where the
+/// build enables `avx512f` statically.
 #[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
 pub type NativeF64x8 = avx512::F64x8;
-/// Widest statically-available 8-lane `f64` vector type.
+/// 8-lane `f64` vector type of direct kernel calls: AVX-512F where the
+/// build enables `avx512f` statically.
 #[cfg(not(all(target_arch = "x86_64", target_feature = "avx512f")))]
 pub type NativeF64x8 = portable::PF64x8;
 
-/// True when the AVX2 backend was compiled in (static feature detection).
-pub const HAS_AVX2: bool = cfg!(all(target_arch = "x86_64", target_feature = "avx2"));
+/// True when [`NativeF64x4`] is the AVX2 type (static features).
+pub const HAS_AVX2: bool = cfg!(all(
+    target_arch = "x86_64",
+    target_feature = "avx2",
+    target_feature = "fma"
+));
 
-/// True when the AVX-512F backend was compiled in.
+/// True when [`NativeF64x8`] is the AVX-512F type (static features).
 pub const HAS_AVX512: bool = cfg!(all(target_arch = "x86_64", target_feature = "avx512f"));
 
-/// Human-readable description of the active backends, for bench banners.
+/// The backends [`dispatch`] runs on this CPU, for bench banners and
+/// result stamps.
 pub fn backend_summary() -> String {
-    format!(
-        "4-lane: {}, 8-lane: {}",
-        if HAS_AVX2 { "AVX2" } else { "portable" },
-        if HAS_AVX512 { "AVX-512F" } else { "portable" }
-    )
+    let isa = Isa::detected();
+    format!("4-lane: {}, 8-lane: {}", isa.backend(4), isa.backend(8))
 }

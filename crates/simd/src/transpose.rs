@@ -15,7 +15,7 @@ use crate::vector::SimdF64;
 /// Transpose one `vl x vl` tile held contiguously (row-major) at `buf`.
 ///
 /// `buf.len()` must be exactly `V::LANES * V::LANES`.
-#[inline]
+#[inline(always)]
 pub fn transpose_tile_in_place<V: SimdF64>(buf: &mut [f64]) {
     let vl = V::LANES;
     assert_eq!(buf.len(), vl * vl, "tile must be vl*vl elements");
@@ -35,6 +35,7 @@ pub fn transpose_tile_in_place<V: SimdF64>(buf: &mut [f64]) {
 /// `vl*vl` block is transposed in place. `buf.len()` must be a multiple of
 /// `vl*vl`. The transform is an involution: applying it twice restores the
 /// original layout.
+#[inline(always)]
 pub fn transpose_blocks_in_place<V: SimdF64>(buf: &mut [f64]) {
     let tile = V::LANES * V::LANES;
     assert_eq!(
@@ -54,6 +55,7 @@ pub fn transpose_blocks_in_place<V: SimdF64>(buf: &mut [f64]) {
 /// Blocked over `vl x vl` register tiles for the aligned interior, with a
 /// scalar cleanup loop for ragged edges. This is the global transform the
 /// DLT baseline performs before and after its sweeps.
+#[inline(always)]
 pub fn transpose_rect<V: SimdF64>(src: &[f64], dst: &mut [f64], rows: usize, cols: usize) {
     assert_eq!(src.len(), rows * cols);
     assert_eq!(dst.len(), rows * cols);

@@ -1,7 +1,7 @@
 //! Host fingerprinting for the per-host plan cache and the benchmark
-//! dumps: a tuned choice is only trustworthy on the machine (and ISA
-//! build) that measured it, so every cache key and every committed
-//! baseline carries this fingerprint.
+//! dumps: a tuned choice is only trustworthy on the machine (and the
+//! SIMD backend) that measured it, so every cache key and every
+//! committed baseline carries this fingerprint.
 
 use stencil_core::Width;
 
@@ -11,9 +11,9 @@ pub struct HostFingerprint {
     /// Machine hostname (the best of `$HOSTNAME`,
     /// `/proc/sys/kernel/hostname`, `/etc/hostname`, or `"unknown-host"`).
     pub hostname: String,
-    /// The vector ISA this *build* can use — static feature detection,
-    /// so an AVX-512 binary and a portable binary on the same machine
-    /// fingerprint differently, as they must: their plan spaces differ.
+    /// The vector ISA plans run on — run-time detection, so the key
+    /// follows the CPU, not the build flags: every build on one machine
+    /// runs the same backends and shares one plan space.
     pub isa: String,
     /// Hardware threads the runtime sees.
     pub threads: usize,
@@ -37,17 +37,11 @@ impl HostFingerprint {
     }
 }
 
-/// The static-feature ISA label, including the widest native width so
-/// a `Width::native_max()` change shows up in the fingerprint.
+/// The detected ISA label, including the widest native width so a
+/// `Width::native_max()` change shows up in the fingerprint.
 pub fn isa_string() -> String {
-    let features = if stencil_simd::HAS_AVX512 {
-        "avx512f"
-    } else if stencil_simd::HAS_AVX2 {
-        "avx2"
-    } else {
-        "portable"
-    };
-    format!("{}-w{}", features, Width::native_max().lanes())
+    let isa = stencil_simd::Isa::detected();
+    format!("{}-w{}", isa.label(), Width::native_max().lanes())
 }
 
 fn detect_hostname() -> String {
@@ -84,14 +78,11 @@ mod tests {
     }
 
     #[test]
-    fn isa_tracks_the_build_features() {
+    fn isa_tracks_the_detected_backend() {
         let isa = isa_string();
-        if stencil_simd::HAS_AVX512 {
-            assert!(isa.starts_with("avx512f"));
-        } else if stencil_simd::HAS_AVX2 {
-            assert!(isa.starts_with("avx2"));
-        } else {
-            assert!(isa.starts_with("portable"));
-        }
+        assert!(
+            isa.starts_with(stencil_simd::Isa::detected().label()),
+            "{isa}"
+        );
     }
 }
