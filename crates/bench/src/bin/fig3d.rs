@@ -52,7 +52,7 @@ fn ring_tess(
 ) -> Grid3D {
     let reff = k.radius();
     let mut pp = PingPong::new(g.clone());
-    tessellate::run_3d_at(
+    tessellate::run_3d(
         pool,
         &mut pp,
         reff,
@@ -60,7 +60,6 @@ fn ring_tess(
         tile_width(&[g.ny(), g.nx()], reff, tb),
         tb,
         steps,
-        0,
         &|s: &Grid3D, d: &mut Grid3D, zs, ys, xs| {
             folded3d::step_range_3d_ring::<NativeF64x4>(k, ring, s, d, zs, ys, xs)
         },

@@ -454,7 +454,7 @@ fn run_life(method: MethodId, pool: &PoolHandle, sizes: &Sizes) -> Option<Durati
         MethodId::Tess => Some(
             measure::best_of(sizes.reps, || {
                 let mut pp = PingPong::new(g.clone());
-                tessellate::run_2d_at(
+                tessellate::run_2d(
                     pool,
                     &mut pp,
                     1,
@@ -462,7 +462,6 @@ fn run_life(method: MethodId, pool: &PoolHandle, sizes: &Sizes) -> Option<Durati
                     tile_width(&[g.nx()], 1, tb),
                     tb,
                     t,
-                    0,
                     &|s: &Grid2D, d: &mut Grid2D, ys, xs| life::step_range_scalar(s, d, ys, xs),
                 );
                 pp.into_current()
@@ -484,7 +483,7 @@ fn life_tess<V: SimdF64>(
 ) -> Duration {
     measure::best_of(reps, || {
         let mut pp = PingPong::new(g.clone());
-        tessellate::run_2d_at(
+        tessellate::run_2d(
             pool,
             &mut pp,
             1,
@@ -492,7 +491,6 @@ fn life_tess<V: SimdF64>(
             tile_width(&[g.nx()], 1, tb),
             tb,
             t,
-            0,
             &|s: &Grid2D, d: &mut Grid2D, ys, xs| life::step_range::<V>(s, d, ys, xs),
         );
         pp.into_current()
@@ -510,7 +508,7 @@ fn life_tess2<V: SimdF64>(
     measure::best_of(reps, || {
         let mut pp = PingPong::new(g.clone());
         // fused double generation: reff = 2 per inner step
-        tessellate::run_2d_at(
+        tessellate::run_2d(
             pool,
             &mut pp,
             2,
@@ -518,7 +516,6 @@ fn life_tess2<V: SimdF64>(
             tile_width(&[g.nx()], 2, tb),
             tb,
             t / 2,
-            0,
             &|s: &Grid2D, d: &mut Grid2D, ys, xs| life::step2_range::<V>(s, d, ys, xs),
         );
         pp.into_current()

@@ -163,19 +163,20 @@ pub struct PlanConfig {
 
 /// Largest folded radius `m * r` the register pipeline supports for a
 /// pattern of dimensionality `dims` at vector width `width` (the 1D
-/// assembled vectors reach one lane per radius cell; 2D is bounded by
-/// the fixed register windows of [`crate::exec::folded`]). The 3D bound
-/// is the register-budget gate of the z-ring pipeline: [`MAX_R3`]
-/// capped by the lane count, since the transpose window holds one
-/// column per lane — a deep fold that cannot keep its window in
-/// registers is rejected at compile time rather than silently degraded.
-/// Scalar lanes keep the pre-ring cap of 2 (they run the scalar folded
-/// sweep, where the window budget is moot).
+/// assembled vectors reach one lane per radius cell). The 2D and 3D
+/// bound is the register-budget gate of the pane: the fixed register
+/// windows of [`crate::exec::folded`] ([`MAX_R`] in 2D, [`MAX_R3`] for
+/// the z-ring) capped by the lane count, since the transpose window
+/// holds one column per lane — a deep fold the vector pane cannot run is
+/// rejected at compile time rather than silently degraded to the scalar
+/// folded sweep. Scalar lanes keep a cap of 2 (they run the scalar
+/// folded sweep, where the window budget is moot).
 pub(crate) fn fold_radius_cap(dims: usize, width: Width) -> usize {
+    let pane = width.lanes().max(2);
     match dims {
         1 => width.lanes(),
-        2 => MAX_R,
-        _ => MAX_R3.min(width.lanes().max(2)),
+        2 => MAX_R.min(pane),
+        _ => MAX_R3.min(pane),
     }
 }
 

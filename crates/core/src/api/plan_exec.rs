@@ -186,7 +186,7 @@ enum Route {
 ///   runs — clone the handle into several plans to amortize one pool.
 ///
 /// `run_1d`/`run_2d`/`run_3d` (or the dimension-generic [`Plan::run`]),
-/// and [`Plan::run_pair_at`] on a pair the caller owns, can be invoked
+/// and [`Plan::run_pair`] on a pair the caller owns, can be invoked
 /// any number of times; the only error they can return is
 /// [`PlanError::DimensionMismatch`]. No planning work happens per run.
 pub struct Plan {
@@ -376,7 +376,7 @@ impl Plan {
 
     /// Run `t` time steps on any supported domain ([`Grid1D`],
     /// [`Grid2D`], [`Grid3D`]); dimension-generic front end of
-    /// `run_1d`/`run_2d`/`run_3d`: [`Plan::run_pair_at`] on a pair of
+    /// `run_1d`/`run_2d`/`run_3d`: [`Plan::run_pair`] on a pair of
     /// the grid's clone and a zeroed scratch surface, both from the
     /// surface pool, and the latest level returned.
     ///
@@ -385,7 +385,7 @@ impl Plan {
     pub fn run<D: Domain>(&self, domain: &D, t: usize) -> Result<D, PlanError> {
         self.check::<D>()?;
         let mut pp = PingPong::from_pair(domain.clone(), domain.zeros_like());
-        self.run_pair_at(&mut pp, t, 0)?;
+        self.run_pair(&mut pp, t)?;
         Ok(pp.into_current())
     }
 
@@ -412,29 +412,23 @@ impl Plan {
     /// band on it ([`Plan::effective_radius`] cells per axis) and writes
     /// every other cell before reading it.
     ///
-    /// `origin` is the global coordinate of the grid's outer axis (`y` in
-    /// 2D, `z` in 3D) when it is a local window of a larger domain:
-    /// tessellate tile phase is derived from global coordinates, so
-    /// windows of one domain agree on every tile they share — the contract
-    /// bit-exact sharding and out-of-core streaming rely on. Block-free
-    /// plans, and 1D grids, ignore it.
+    /// A 2D or 3D grid may be a slab of a larger domain (a shard, an
+    /// out-of-core window): the slab's tile edges fall where its own
+    /// extent puts them, and no bit depends on where they fall, so every
+    /// cell farther than `t · r` from the slab's cut edges carries the
+    /// bits of the whole domain's run.
     ///
-    /// Bit-identical to [`Plan::run`] at `origin` 0; same errors, and on
-    /// an error the pair is untouched.
+    /// Bit-identical to [`Plan::run`]; same errors, and on an error the
+    /// pair is untouched.
     ///
     /// # Panics
     /// If the two surfaces differ in shape.
-    pub fn run_pair_at<D: Domain>(
-        &self,
-        pp: &mut PingPong<D>,
-        t: usize,
-        origin: usize,
-    ) -> Result<(), PlanError> {
+    pub fn run_pair<D: Domain>(&self, pp: &mut PingPong<D>, t: usize) -> Result<(), PlanError> {
         self.check::<D>()?;
         // all a sweep asks of the scratch surface (see `sweep_3d`)
         let (cur, scratch) = pp.both_mut();
         scratch.copy_band_from(cur, self.effective_radius());
-        D::sweep(self, pp, t, origin);
+        D::sweep(self, pp, t);
         Ok(())
     }
 
@@ -486,7 +480,7 @@ impl Plan {
     }
 
     /// Advance `pp` by `t` steps along the 2D route (see `sweep_3d`).
-    fn sweep_2d(&self, pp: &mut PingPong<Grid2D>, t: usize, origin_y: usize) {
+    fn sweep_2d(&self, pp: &mut PingPong<Grid2D>, t: usize) {
         let Route::D2(legs) = &self.route else {
             unreachable!("{CHECKED}")
         };
@@ -496,7 +490,7 @@ impl Plan {
             let r = q.radius();
             let (w, tb) = tile::cut(self.config.tiling, &[pp.current().nx()], r);
             let step = |s: &Grid2D, d: &mut Grid2D, ys, xs| kernel.step(width, (q, s, d, ys, xs));
-            tessellate::run_2d_at(&self.pool, pp, r, r, w, tb, steps, origin_y, &step)
+            tessellate::run_2d(&self.pool, pp, r, r, w, tb, steps, &step)
         }
     }
 
@@ -505,7 +499,7 @@ impl Plan {
     /// no leg writes it — and every leg writes an interior cell of the
     /// scratch surface before reading it, so that is all the scratch
     /// surface needs to hold.
-    fn sweep_3d(&self, pp: &mut PingPong<Grid3D>, t: usize, origin_z: usize) {
+    fn sweep_3d(&self, pp: &mut PingPong<Grid3D>, t: usize) {
         let Route::D3(legs) = &self.route else {
             unreachable!("{CHECKED}")
         };
@@ -517,7 +511,7 @@ impl Plan {
             let (w, tb) = tile::cut(self.config.tiling, &inners, r);
             let step =
                 |s: &Grid3D, d: &mut Grid3D, zs, ys, xs| kernel.step(width, (q, s, d, zs, ys, xs));
-            tessellate::run_3d_at(&self.pool, pp, r, r, w, tb, steps, origin_z, &step)
+            tessellate::run_3d(&self.pool, pp, r, r, w, tb, steps, &step)
         }
     }
 }
@@ -537,7 +531,7 @@ mod sealed {
 
 /// A grid type a [`Plan`] can run on — implemented by [`Grid1D`],
 /// [`Grid2D`] and [`Grid3D`] (sealed). Enables dimension-generic code,
-/// both through [`Plan::run`] and through [`Plan::run_pair_at`] on a
+/// both through [`Plan::run`] and through [`Plan::run_pair`] on a
 /// [`PingPong`] pair of the domain:
 ///
 /// ```
@@ -555,7 +549,7 @@ mod sealed {
 ///
 /// // the same run on a pair the caller owns: no grid is allocated
 /// let mut pair = PingPong::from_pair(g, Grid2D::zeros(32, 32));
-/// plan.run_pair_at(&mut pair, 3, 0).unwrap();
+/// plan.run_pair(&mut pair, 3).unwrap();
 /// assert_eq!(pair.current(), &out);
 /// ```
 pub trait Domain: Clone + sealed::Sealed {
@@ -571,12 +565,11 @@ pub trait Domain: Clone + sealed::Sealed {
     fn copy_band_from(&mut self, src: &Self, r: usize);
 
     /// Advance `pp` by `t` steps of `plan`'s route at its compiled width;
-    /// `origin` is the global coordinate of the window's outer axis (see
-    /// [`Plan::run_pair_at`]; 1D windows have none). `plan` has accepted
-    /// the domain. Not generic, so every route's kernels are compiled
-    /// once, in this crate, whichever crate runs a plan.
+    /// `plan` has accepted the domain. Not generic, so every route's
+    /// kernels are compiled once, in this crate, whichever crate runs a
+    /// plan.
     #[doc(hidden)]
-    fn sweep(plan: &Plan, pp: &mut PingPong<Self>, t: usize, origin: usize);
+    fn sweep(plan: &Plan, pp: &mut PingPong<Self>, t: usize);
 }
 
 impl Domain for Grid1D {
@@ -590,7 +583,7 @@ impl Domain for Grid1D {
         Grid1D::copy_band_from(self, src, r)
     }
 
-    fn sweep(plan: &Plan, pp: &mut PingPong<Self>, t: usize, _origin: usize) {
+    fn sweep(plan: &Plan, pp: &mut PingPong<Self>, t: usize) {
         plan.sweep_1d(pp, t)
     }
 }
@@ -606,8 +599,8 @@ impl Domain for Grid2D {
         Grid2D::copy_band_from(self, src, r)
     }
 
-    fn sweep(plan: &Plan, pp: &mut PingPong<Self>, t: usize, origin: usize) {
-        plan.sweep_2d(pp, t, origin)
+    fn sweep(plan: &Plan, pp: &mut PingPong<Self>, t: usize) {
+        plan.sweep_2d(pp, t)
     }
 }
 
@@ -622,8 +615,8 @@ impl Domain for Grid3D {
         Grid3D::copy_band_from(self, src, r)
     }
 
-    fn sweep(plan: &Plan, pp: &mut PingPong<Self>, t: usize, origin: usize) {
-        plan.sweep_3d(pp, t, origin)
+    fn sweep(plan: &Plan, pp: &mut PingPong<Self>, t: usize) {
+        plan.sweep_3d(pp, t)
     }
 }
 

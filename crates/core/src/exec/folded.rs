@@ -6,18 +6,23 @@
 //! block of grid points is folded vertically, transposed in registers,
 //! folded horizontally and transposed back by the one pane kernel of
 //! [`crate::exec::folded3d`]; a 2D grid is its one-plane case, entered
-//! through [`step_range_2d`].
+//! through [`step_range_2d`], and shares its one range contract: every
+//! range, however narrow, computes each output with the same chain, so
+//! no bit depends on how a plan cuts its grid.
 //!
 //! The 1D variant ([`step_squares_range_1d`]) degenerates to: transpose
 //! square, horizontal fold with assembled block-edge vectors, transpose
-//! back — matching the paper's "view 4N points as a 4 x N grid".
+//! back — matching the paper's "view 4N points as a 4 x N grid". Its
+//! scalar tail (the cells past the last whole square) sums unfused, so
+//! a 1D result depends on where its ranges end: 1D grids are never
+//! sliced into slabs.
 
 #![allow(clippy::needless_range_loop)]
 // indexed loops here are offset
 // windows (ext[j + k]) where iterator rewrites obscure the paper's
 // notation and codegen alike
 
-use crate::exec::folded3d::{self, step_ring_r, Ring3, Sched, View};
+use crate::exec::folded3d::{self, Ring3, Sched, View};
 use crate::pattern::Pattern;
 use crate::plan::FoldPlan;
 use stencil_grid::Grid2D;
@@ -231,9 +236,9 @@ fn step_squares_range_1d_t<V: SimdF64, const T: usize>(
 /// of which a 2D grid is the one-plane case. Range-kernel contract of
 /// the tiling drivers: writes exactly the rectangle, reads within `R` of
 /// it, caller keeps it `R` from the grid boundary (checked). Rectangles
-/// narrower than one vector in `x` or `y`, degenerate widths and
-/// out-of-bound radii (the latter two unreachable through the Plan API)
-/// run the scalar folded sweep — no panic.
+/// of any width compute the same chain — one narrower than a vector is
+/// staged; scalar lanes and out-of-bound radii (both unreachable through
+/// the Plan API) run the scalar folded sweep — no panic.
 #[inline(always)]
 pub fn step_range_2d<V: SimdF64>(
     k: &FoldedKernel,
@@ -247,7 +252,7 @@ pub fn step_range_2d<V: SimdF64>(
         rr <= MAX_R && k.plan.dims == 2,
         "validated by Solver::compile"
     );
-    let Some(sched) = folded3d::vector_sched::<V>(k, &ys, &xs) else {
+    let Some(sched) = folded3d::vector_sched::<V>(k) else {
         return crate::exec::scalar::step_range_2d(src, dst, &k.plan.folded, ys, xs);
     };
     // one plane deep: the pane budget `Ring3::auto` splits between strip
@@ -258,15 +263,7 @@ pub fn step_range_2d<V: SimdF64>(
         depth: 1,
         slab: auto.depth * auto.slab / 2,
     };
-    let view = View::plane(src, dst);
-    // monomorphize on the folded radius: constant window trip counts
-    match rr {
-        1 => step_ring_r::<V, 1, 0>(k, sched, ring, view, 0..1, ys, xs),
-        2 => step_ring_r::<V, 2, 0>(k, sched, ring, view, 0..1, ys, xs),
-        3 => step_ring_r::<V, 3, 0>(k, sched, ring, view, 0..1, ys, xs),
-        4 => step_ring_r::<V, 4, 0>(k, sched, ring, view, 0..1, ys, xs),
-        _ => step_ring_r::<V, 0, 0>(k, sched, ring, view, 0..1, ys, xs),
-    }
+    folded3d::step_view::<V, true>(k, sched, ring, View::plane(src, dst), 0..1, ys, xs)
 }
 
 #[cfg(test)]
@@ -368,7 +365,8 @@ mod tests {
 
     #[test]
     fn folded_2d_narrow_ranges_fall_back() {
-        // ranges narrower than a vector exercise the scalar paths
+        // ranges narrower than a vector are staged; they agree with the
+        // scalar folded sweep to rounding
         let p = kernels::box2d9p();
         let k = FoldedKernel::new(&p, 2);
         let g = Grid2D::from_fn(16, 16, |y, x| (y * 16 + x) as f64);

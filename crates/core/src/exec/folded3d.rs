@@ -46,26 +46,34 @@
 //! ([`FoldedKernel::from_plan`]); the generic loops walk its taps
 //! outermost with the `vl` rows/columns of a block innermost.
 //!
-//! **One guard, one contract.** `vector_sched` decides per range call:
-//! ranges narrower than one vector in `x` or `y` (and the degenerate
-//! widths the Plan API never produces) run the scalar folded sweep
-//! whole. Every other call reaches `step_ring_r`, whose one `assert!`
-//! bounds every raw load and store of both dimensionalities. A plan
-//! calls the range kernel on its tiles, block-free runs being the one
-//! tile of the whole interior; the tiling driver never calls it on a
-//! grid with no interior, where every step is the identity.
+//! **One guard, one contract.** `vector_sched` decides per kernel, never
+//! per range: scalar lanes, radius 0 and the out-of-bound radii only a
+//! direct kernel call reaches (compile rejects them) run the scalar
+//! folded sweep whole. Every other call reaches `step_view`, whose
+//! `assert!` — and `step_ring_r`'s — bounds every raw load and store of
+//! both dimensionalities. A range at least one vector wide in `y` and `x`
+//! runs the pane in place. A narrower one — the tips of 2D tessellate's
+//! inverted tiles, `y` being the cut axis there, or a grid whose own
+//! interior is that narrow — is *staged*: its `R`-halo box is copied
+//! into a thread-local grid, zero-padded to one vector in the narrow
+//! axis, the unchanged pane runs on that grid and only the real cells
+//! are copied back. A staged box covers at most `STAGE_SPAN` cells of
+//! `y` and of `x` and `STAGE_DEPTH` planes (wider ranges go in
+//! pieces), so the stage is bounded by the kernel, not the grid, and a
+//! warmed-up call allocates nothing. A plan calls the range kernel on
+//! its tiles, block-free runs being the one tile of the whole interior;
+//! the tiling driver never calls it on a grid with no interior, where
+//! every step is the identity.
 //!
 //! **Range independence.** Every output is one fixed chain of fused
 //! multiply-adds over its own inputs — the same chain whichever block,
-//! slab, strip or call produces it. So any partition of a region into
-//! ranges at least `vl` wide in `x` and `y` yields identical bits
-//! (overlapped blocks merely rewrite them), in 2D and in 3D, which is
-//! what bit-exact domain sharding (serve), static partitions and
-//! out-of-core windows rely on — and what makes a 3D tessellate tile
-//! (`z` cut, `y` and `x` whole) bit-identical to the block-free tile.
-//! Ranges narrower than one vector in `x` or `y` — the tips of 2D
-//! tessellate's inverted tiles, `y` being the cut axis there — agree to
-//! rounding only.
+//! slab, strip, staged piece or call produces it (a padded cell of a
+//! staged box is read by padded outputs only). So any partition of a
+//! region into ranges yields identical bits, whatever their widths
+//! (overlapped blocks and pieces merely rewrite them), in 2D and in 3D.
+//! Bit-exact domain sharding (serve), static partitions and out-of-core
+//! windows rely on it, and it makes a tessellated register plan
+//! bit-identical to its block-free twin wherever the tile edges fall.
 
 #![allow(clippy::needless_range_loop)]
 // offset windows (plane[j + dy]) mirror the paper's notation
@@ -75,7 +83,7 @@
 use crate::exec::folded::{separable, FoldedKernel, MAX_R, MAX_R3};
 use crate::plan::FoldPlan;
 use core::any::{Any, TypeId};
-use core::cell::RefCell;
+use core::cell::{Cell, RefCell};
 use core::ops::Range;
 use std::collections::HashMap;
 use stencil_grid::{Grid2D, Grid3D};
@@ -214,28 +222,23 @@ fn factor_rank1(taps: &[(usize, f64)], side_z: usize, side: usize) -> Option<(Ax
     Some((wy, wz))
 }
 
-/// The plan's flat schedule when the register pipeline can run the range
-/// `ys × xs` at width `V`; `None` sends the call to the scalar folded
-/// sweep — ranges narrower than one vector in `x` or `y`, and the
-/// degenerate widths and out-of-bound radii the Plan API never produces
-/// (scalar lanes, `R` wider than the vector or past the pipeline's cap).
-/// The one guard of both dimensionalities.
-pub(crate) fn vector_sched<'k, V: SimdF64>(
-    k: &'k FoldedKernel,
-    ys: &Range<usize>,
-    xs: &Range<usize>,
-) -> Option<&'k Sched> {
+/// The plan's flat schedule when the register pipeline can run `k` at
+/// width `V`; `None` sends every call to the scalar folded sweep — scalar
+/// lanes, radius 0, and the out-of-bound radii only a direct kernel call
+/// reaches (`R` wider than the vector or past the pipeline's cap, which
+/// compile rejects). The one guard of both dimensionalities: it reads the
+/// kernel, never the range.
+pub(crate) fn vector_sched<V: SimdF64>(k: &FoldedKernel) -> Option<&Sched> {
     let (vl, rr) = (V::LANES, k.radius());
-    k.sched()
-        .filter(|_| rr >= 1 && vl >= rr.max(2) && xs.len() >= vl && ys.len() >= vl)
+    k.sched().filter(|_| rr >= 1 && vl >= rr.max(2))
 }
 
 /// One folded step on the cuboid `zs × ys × xs` of a 3D grid through the
 /// z-ring pipeline. Range-kernel contract of the tiling drivers: writes
 /// exactly the region, reads within `R` of it, caller keeps the region
-/// `R` from the grid boundary (checked). Ranges narrower than one vector
-/// in `x` or `y`, degenerate widths and out-of-bound radii (the latter
-/// two unreachable through the Plan API) run the scalar folded sweep —
+/// `R` from the grid boundary (checked). Ranges of any width compute the
+/// same chain (see the module docs); scalar lanes and out-of-bound radii
+/// (both unreachable through the Plan API) run the scalar folded sweep —
 /// no panic.
 #[inline(always)]
 pub fn step_range_3d_ring<V: SimdF64>(
@@ -251,20 +254,186 @@ pub fn step_range_3d_ring<V: SimdF64>(
         k.radius() <= MAX_R3 && k.folded().dims() == 3,
         "validated by Solver::compile"
     );
-    let Some(sched) = vector_sched::<V>(k, &ys, &xs) else {
+    let Some(sched) = vector_sched::<V>(k) else {
         return crate::exec::scalar::step_range_3d(src, dst, k.folded(), zs, ys, xs);
     };
-    let view = View::volume(src, dst);
-    // monomorphize on the folded radius: constant ring/window trip counts
-    match k.radius() {
-        1 => step_ring_r::<V, 1, 1>(k, sched, ring, view, zs, ys, xs),
-        2 => step_ring_r::<V, 2, 2>(k, sched, ring, view, zs, ys, xs),
-        3 => step_ring_r::<V, 3, 3>(k, sched, ring, view, zs, ys, xs),
-        _ => step_ring_r::<V, 4, 4>(k, sched, ring, view, zs, ys, xs),
+    step_view::<V, false>(k, sched, ring, View::volume(src, dst), zs, ys, xs)
+}
+
+/// Most cells of `y` and of `x` one staged box covers: the widest slab
+/// of the pane of a plane at [`Ring3::auto`] (64 columns).
+const STAGE_SPAN: usize = 64;
+/// Most output planes one staged box covers: the deepest
+/// [`Ring3::auto`] strip.
+const STAGE_DEPTH: usize = 8;
+/// What a thread's stage is first allocated at: both surfaces of the
+/// largest box a plane stages, `(8 + 2·MAX_R) × (STAGE_SPAN + 2·MAX_R)`
+/// cells each (30 KiB). A volume only stages when the grid's own `y` or
+/// `x` interior is narrower than a vector; its box may grow the stage,
+/// to 288 KiB at the 3D cap.
+const STAGE_BYTES: usize = 2 * (8 + 2 * MAX_R) * (STAGE_SPAN + 2 * MAX_R) * 8;
+
+/// `r` in pieces of `span` cells, the last shifted back to end at
+/// `r.end` (it recomputes cells of its neighbour, to the same bits);
+/// `r` itself when it is not longer than that.
+fn pieces(r: Range<usize>, span: usize) -> impl Iterator<Item = Range<usize>> {
+    let (end, span) = (r.end, span.min(r.len()));
+    r.step_by(span.max(1)).map(move |lo| {
+        let lo = lo.min(end - span);
+        lo..lo + span
+    })
+}
+
+/// One folded step on the region `zs × ys × xs` of `view` (one plane
+/// deep when `PLANE`): the pane in place when the region is at least one
+/// vector wide in `y` and `x`, else each piece of it staged — its
+/// `R`-halo box copied into this thread's stage, zero-padded to one
+/// vector in `y` and `x`, the pane run there and the real cells copied
+/// back (see the module docs). One call site of the pane for both, so
+/// each radius compiles once per entry.
+#[inline(always)]
+pub(crate) fn step_view<V: SimdF64, const PLANE: bool>(
+    k: &FoldedKernel,
+    sched: &Sched,
+    ring: Ring3,
+    view: View<'_>,
+    zs: Range<usize>,
+    ys: Range<usize>,
+    xs: Range<usize>,
+) {
+    if zs.is_empty() || ys.is_empty() || xs.is_empty() {
+        return;
+    }
+    let (vl, rr) = (V::LANES, k.radius());
+    let rz = if PLANE { 0 } else { rr };
+    assert!(
+        view.admits(&zs, &ys, &xs, rz, rr),
+        "range kernel contract: region R from the boundary, equal shapes"
+    );
+    let View {
+        src,
+        dst,
+        shape: [shape, _],
+    } = view;
+    let narrow = ys.len() < vl || xs.len() < vl;
+    let (span, depth, mut stage) = match narrow {
+        true => (STAGE_SPAN, STAGE_DEPTH, STAGE.take()),
+        false => (usize::MAX, usize::MAX, Vec::new()),
+    };
+    for zp in pieces(zs, depth) {
+        for yp in pieces(ys.clone(), span) {
+            for xp in pieces(xs.clone(), span) {
+                // the box: the piece, padded to a vector, and its halo
+                let (by, bx) = (yp.len().max(vl) + 2 * rr, xp.len().max(vl) + 2 * rr);
+                let boxed = [zp.len() + 2 * rz, by, bx, bx, by * bx];
+                let cells = if narrow { boxed[0] * boxed[4] } else { 0 };
+                if stage.len() < 2 * cells {
+                    let grown = (2 * cells).max(STAGE_BYTES / 8);
+                    stage.reserve_exact(grown - stage.len());
+                    stage.resize(grown, 0.0);
+                }
+                let (s, d) = stage.split_at_mut(cells);
+                let piece = [zp.clone(), yp.clone(), xp.clone()];
+                let (view, region) = if narrow {
+                    stage_in(src, shape, s, boxed, &piece, [rz, rr]);
+                    let staged = View {
+                        src: s,
+                        dst: &mut d[..cells],
+                        shape: [boxed; 2],
+                    };
+                    (staged, [rz..rz + zp.len(), rr..by - rr, rr..bx - rr])
+                } else {
+                    let whole = View {
+                        src,
+                        dst: &mut *dst,
+                        shape: [shape; 2],
+                    };
+                    (whole, piece.clone())
+                };
+                step_pane::<V, PLANE>(k, sched, ring, view, region);
+                if narrow {
+                    stage_out(d, boxed, dst, shape, &piece, [rz, rr]);
+                }
+            }
+        }
+    }
+    if narrow {
+        STAGE.set(stage);
+    }
+}
+
+/// Copy the `[rz, rr]`-halo box of `piece` from `src` (of `shape`) into
+/// `stage` (of `boxed`), zeroing the padding rows and columns past it.
+fn stage_in(
+    src: &[f64],
+    [_, _, _, sy, sz]: [usize; 5],
+    stage: &mut [f64],
+    [bz, by, bx, ..]: [usize; 5],
+    [zp, yp, xp]: &[Range<usize>; 3],
+    [rz, rr]: [usize; 2],
+) {
+    let (real_y, real_x) = (yp.len() + 2 * rr, xp.len() + 2 * rr);
+    for p in 0..bz {
+        for row in 0..by {
+            let out = &mut stage[(p * by + row) * bx..][..bx];
+            if row < real_y {
+                let at = (zp.start - rz + p) * sz + (yp.start - rr + row) * sy + xp.start - rr;
+                out[..real_x].copy_from_slice(&src[at..at + real_x]);
+                out[real_x..].fill(0.0);
+            } else {
+                out.fill(0.0);
+            }
+        }
+    }
+}
+
+/// Copy the real cells of `piece` from the staged output `stage` (of
+/// `boxed`) into `dst` (of `shape`).
+fn stage_out(
+    stage: &[f64],
+    [_, by, bx, ..]: [usize; 5],
+    dst: &mut [f64],
+    [_, _, _, sy, sz]: [usize; 5],
+    [zp, yp, xp]: &[Range<usize>; 3],
+    [rz, rr]: [usize; 2],
+) {
+    for p in 0..zp.len() {
+        for row in 0..yp.len() {
+            let from = ((rz + p) * by + rr + row) * bx + rr;
+            let at = (zp.start + p) * sz + (yp.start + row) * sy + xp.start;
+            dst[at..at + xp.len()].copy_from_slice(&stage[from..from + xp.len()]);
+        }
+    }
+}
+
+/// The pipeline monomorphized on the folded radius — constant ring and
+/// window trip counts: `RZ = R` for a volume, `0` for a plane, whose
+/// 2D folds of radius 5..=8 (8 lanes only) read the radius at run time.
+#[inline(always)]
+fn step_pane<V: SimdF64, const PLANE: bool>(
+    k: &FoldedKernel,
+    sched: &Sched,
+    ring: Ring3,
+    view: View<'_>,
+    [zs, ys, xs]: [Range<usize>; 3],
+) {
+    match (PLANE, k.radius()) {
+        (true, 1) => step_ring_r::<V, 1, 0>(k, sched, ring, view, zs, ys, xs),
+        (true, 2) => step_ring_r::<V, 2, 0>(k, sched, ring, view, zs, ys, xs),
+        (true, 3) => step_ring_r::<V, 3, 0>(k, sched, ring, view, zs, ys, xs),
+        (true, 4) => step_ring_r::<V, 4, 0>(k, sched, ring, view, zs, ys, xs),
+        (true, _) => step_ring_r::<V, 0, 0>(k, sched, ring, view, zs, ys, xs),
+        (false, 1) => step_ring_r::<V, 1, 1>(k, sched, ring, view, zs, ys, xs),
+        (false, 2) => step_ring_r::<V, 2, 2>(k, sched, ring, view, zs, ys, xs),
+        (false, 3) => step_ring_r::<V, 3, 3>(k, sched, ring, view, zs, ys, xs),
+        (false, _) => step_ring_r::<V, 4, 4>(k, sched, ring, view, zs, ys, xs),
     }
 }
 
 thread_local! {
+    /// Per-worker stage of narrow range calls ([`step_view`]): both
+    /// surfaces of a staged box, taken out for the call and put back.
+    static STAGE: Cell<Vec<f64>> = const { Cell::new(Vec::new()) };
     /// Per-worker column panes, keyed by the SIMD backend type the
     /// kernel is monomorphized over. Thread-local so the tessellate path
     /// — many small trapezoid tile calls per worker per sweep — pays no
@@ -327,6 +496,17 @@ fn pane_footprint<V: SimdF64>() -> (usize, usize) {
     })
 }
 
+/// `(bytes, buffer address)` of this thread's stage.
+#[cfg(test)]
+fn stage_footprint() -> (usize, usize) {
+    STAGE.with(|cell| {
+        let stage = cell.take();
+        let got = (stage.capacity() * 8, stage.as_ptr() as usize);
+        cell.set(stage);
+        got
+    })
+}
+
 /// The two surfaces of a range call as the pipeline addresses them —
 /// `(z, y, x)` at `z · sz + y · sy + x` — so that one kernel, one contract
 /// `assert!` and one set of `SAFETY` arguments serve both
@@ -357,6 +537,29 @@ impl<'a> View<'a> {
             dst: dst.as_mut_slice(),
         }
     }
+
+    /// True when the region `zs × ys × xs` lies `rz` planes and `rr` rows
+    /// and columns from the boundary of two surfaces of one shape, each
+    /// long enough to hold its planes: what every raw load and store of
+    /// the pipeline rests on.
+    fn admits(
+        &self,
+        zs: &Range<usize>,
+        ys: &Range<usize>,
+        xs: &Range<usize>,
+        rz: usize,
+        rr: usize,
+    ) -> bool {
+        let [gz, gy, gx, sy, sz] = self.shape[0];
+        zs.start >= rz
+            && ys.start >= rr
+            && xs.start >= rr
+            && zs.end + rz <= gz
+            && ys.end + rr <= gy
+            && xs.end + rr <= gx
+            && self.shape[1] == self.shape[0]
+            && (gz - 1) * sz + (gy - 1) * sy + gx <= self.src.len().min(self.dst.len())
+    }
 }
 
 /// Vectors in the ring of one block march: `2·RZ + 1` plane slots of
@@ -372,7 +575,7 @@ type PlaneRing<V> = [V; RING_VECS];
 /// z-radius `RZ`: `R` for a volume, `0` for a plane, whose ring is the
 /// one slot of the plane itself, `zs = 0..1`.
 #[inline(always)]
-pub(crate) fn step_ring_r<V: SimdF64, const R: usize, const RZ: usize>(
+fn step_ring_r<V: SimdF64, const R: usize, const RZ: usize>(
     k: &FoldedKernel,
     sched: &Sched,
     ring: Ring3,
@@ -386,27 +589,18 @@ pub(crate) fn step_ring_r<V: SimdF64, const R: usize, const RZ: usize>(
     }
     let vl = V::LANES;
     let rr = if R == 0 { k.radius() } else { R };
-    let View {
-        src,
-        dst: d,
-        shape: [[gz, gy, gx, sy, sz], dst_shape],
-    } = view;
     // every raw load and store below is inside `[start − R, end + R)` of
     // the three ranges, on surfaces of one shape, and every vector block
     // fits its range
     assert!(
-        zs.start >= RZ
-            && ys.start >= rr
-            && xs.start >= rr
-            && zs.end + RZ <= gz
-            && ys.end + rr <= gy
-            && xs.end + rr <= gx
-            && ys.len() >= vl
-            && xs.len() >= vl
-            && dst_shape == [gz, gy, gx, sy, sz]
-            && (gz - 1) * sz + (gy - 1) * sy + gx <= src.len().min(d.len()),
+        view.admits(&zs, &ys, &xs, RZ, rr) && ys.len() >= vl && xs.len() >= vl,
         "range kernel contract: region R from the boundary, equal shapes"
     );
+    let View {
+        src,
+        dst: d,
+        shape: [[_, _, _, sy, sz], _],
+    } = view;
     let nids = sched.nids();
     let hterms = k.hterms();
     // vector blocks tile each axis from its start; where the width is
@@ -1079,6 +1273,40 @@ mod tests {
     }
 
     #[test]
+    fn the_stage_is_allocated_once_and_bounded() {
+        // on a thread of its own, so the stage starts empty
+        std::thread::spawn(|| {
+            let plane = Grid2D::from_fn(40, 320, |y, x| ((y * 7 + x) % 13) as f64);
+            // tips of every 2D radius the 8-lane cap admits: each box fits
+            // the first allocation, and the same buffer serves every call
+            let mut first = None;
+            for p in [kernels::heat2d(), kernels::box2d9p()] {
+                let planned = |m: &usize| crate::plan::FoldPlan::new(&p, *m).fresh.len() <= MAX_F;
+                for m in (1..=MAX_R).filter(planned) {
+                    let k = FoldedKernel::new(&p, m);
+                    let (rr, mut dst) = (k.radius(), plane.clone());
+                    let xs = rr..plane.nx() - rr;
+                    step_range_2d::<NativeF64x8>(&k, &plane, &mut dst, rr..rr + 3, xs);
+                    let got = stage_footprint();
+                    assert_eq!(got.0, STAGE_BYTES, "pts={} m={m}", p.points());
+                    assert_eq!(*first.get_or_insert(got), got, "pts={} m={m}", p.points());
+                }
+            }
+            // a volume thin in y stages boxes of 8 planes, 64 columns and
+            // the 3D cap's halo: the most the stage ever holds
+            let p = Pattern::new_3d(2, &[1.0 / 125.0; 125]);
+            let k = FoldedKernel::new(&p, 2);
+            let vol = Grid3D::from_fn(24, 11, 96, |z, y, x| ((z + 2 * y + 3 * x) % 11) as f64);
+            let mut dst = vol.clone();
+            let ring = Ring3::auto(8, k.radius());
+            step_range_3d_ring::<NativeF64x8>(&k, ring, &vol, &mut dst, 4..20, 4..7, 4..92);
+            assert_eq!(stage_footprint().0, 288 << 10);
+        })
+        .join()
+        .expect("stage checks");
+    }
+
+    #[test]
     fn ring_radius2_pattern_folds_to_radius_4() {
         // a radius-2 uniform box folded twice: R = 4 — the deeper window
         // MAX_R3 = 4 exists for
@@ -1114,7 +1342,8 @@ mod tests {
         let g = Grid3D::from_fn(12, 12, 12, |z, y, x| (z * 144 + y * 12 + x) as f64);
         let mut dst = g.clone();
         let ring = Ring3::auto(4, k.radius());
-        // ranges narrower than a vector exercise the scalar paths
+        // ranges narrower than a vector are staged: rounding-close to
+        // the scalar folded sweep
         step_range_3d_ring::<NativeF64x4>(&k, ring, &g, &mut dst, 3..5, 2..5, 2..5);
         let mut want = g.clone();
         scalar::step_range_3d(&g, &mut want, k.folded(), 3..5, 2..5, 2..5);

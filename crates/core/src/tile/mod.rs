@@ -32,7 +32,7 @@
 //! steps; a second-level cut of the next axis waits for a workload that
 //! needs it.
 //!
-//! With tile edges at global multiples of `w`, a round has **two
+//! With tile edges at multiples of `w`, a round has **two
 //! stages** in every dimensionality, a pool barrier between them. At
 //! inner step `t` they update:
 //!
@@ -73,9 +73,10 @@ use core::ops::Range;
 /// `inners` are the extents of the axes *inside* the cut one (none in
 /// 1D, `[nx]` in 2D, `[ny, nx]` in 3D), so a slice is 8 B, a row or a
 /// plane. The width depends on them, `reff` and `tb` **only** — never
-/// on the cut axis' own extent or on the thread count — so every window
-/// of one domain puts its tile edges at the same global coordinates
-/// ([`DimTiling::new_at`]).
+/// on the cut axis' own extent or on the thread count. Where the edges
+/// fall changes no bit of a 2D or 3D plan (the register pipeline
+/// computes every range, however narrow, with the same chain), so the
+/// width is a pure cache choice there.
 pub fn tile_width(inners: &[usize], reff: usize, tb: usize) -> usize {
     let slice_bytes = inners
         .iter()
@@ -95,21 +96,13 @@ pub(crate) fn cut(tiling: Tiling, inners: &[usize], reff: usize) -> (usize, usiz
     }
 }
 
-/// Tessellation geometry of the cut axis for one round.
-///
-/// Tile boundaries are anchored to **global** coordinates: an axis
-/// that models the local window `[origin, origin + n)` of a larger
-/// domain places its tile edges at global multiples of the tile width
-/// `w`, not at multiples of the window start. Two windows of the same
-/// domain therefore agree on every interior tile they share — the
-/// property that lets the serving layer shard register-pipeline plans
-/// under tessellate tiling bit-exactly. `origin = 0` (the
-/// [`DimTiling::new`] constructor) is the whole-domain geometry.
+/// Tessellation geometry of the cut axis for one round: tile edges at
+/// multiples of the tile width `w`.
 #[derive(Debug, Clone, Copy)]
 pub struct DimTiling {
-    /// Grid extent in this dimension (local window length).
+    /// Grid extent in this dimension.
     pub n: usize,
-    /// Dirichlet band width (frozen cells at each end of the window).
+    /// Dirichlet band width (frozen cells at each end of the axis).
     pub band: usize,
     /// Radius advanced per inner step (`m * r` for folded kernels).
     pub reff: usize,
@@ -117,12 +110,8 @@ pub struct DimTiling {
     pub tb: usize,
     /// Tile width, at least [`DimTiling::min_width`] of `reff`, `tb`.
     pub w: usize,
-    /// Number of trapezoid tiles intersecting the window.
+    /// Number of trapezoid tiles.
     pub ntri: usize,
-    /// Global coordinate of local index 0 (tile-phase anchor).
-    pub origin: usize,
-    /// Global index of the first tile intersecting the window.
-    k0: usize,
 }
 
 impl DimTiling {
@@ -133,47 +122,34 @@ impl DimTiling {
         2 * reff * tb
     }
 
-    /// Build the whole-domain geometry (`origin = 0`).
-    pub fn new(n: usize, band: usize, reff: usize, tb: usize, w: usize) -> Self {
-        Self::new_at(n, band, reff, tb, w, 0)
-    }
-
-    /// Build the geometry of a local window starting at global
-    /// coordinate `origin` — tile phase is derived from global
-    /// coordinates, never from the window start.
+    /// Build the geometry of an axis of `n` cells.
     ///
     /// `reff` may be 0: a radius-0 stencil reads no neighbour, so any
     /// width is valid.
     ///
     /// # Panics
-    /// If the window has no interior (`n <= 2 * band`: the drivers never
+    /// If the axis has no interior (`n <= 2 * band`: the drivers never
     /// build a geometry for one) or `w` is below [`DimTiling::min_width`].
-    pub fn new_at(n: usize, band: usize, reff: usize, tb: usize, w: usize, origin: usize) -> Self {
+    pub fn new(n: usize, band: usize, reff: usize, tb: usize, w: usize) -> Self {
         assert!(tb >= 1);
         assert!(n > 2 * band, "grid smaller than its Dirichlet bands");
         assert!(
             w >= Self::min_width(reff, tb),
             "tile narrower than its time block"
         );
-        let k0 = origin / w;
-        let ntri = ((origin + n).div_ceil(w) - k0).max(1);
         Self {
             n,
             band,
             reff,
             tb,
             w,
-            ntri,
-            origin,
-            k0,
+            ntri: n.div_ceil(w).max(1),
         }
     }
 
     /// The round cap of the cut axis: the largest `tb <= wanted` whose
     /// floor-width tile fits the interior. An axis it binds on is one
-    /// tile at every width, so the cap only shortens that tile's rounds;
-    /// it is the round structure [`crate::slab::pass_quantum`] and
-    /// [`crate::slab::shard_geometry`]'s minimum span describe.
+    /// tile at every width, so the cap only shortens that tile's rounds.
     pub fn max_tb(n: usize, band: usize, reff: usize, wanted: usize) -> usize {
         // no interior: the drivers run no round at all; callers sizing a
         // schedule get 1 rather than an underflow
@@ -183,29 +159,22 @@ impl DimTiling {
         wanted.max(1).min(cap.unwrap_or(usize::MAX).max(1))
     }
 
-    /// The inverse of [`DimTiling::max_tb`]: the shortest extent whose
-    /// round cap still admits `tb`.
-    pub fn min_extent(band: usize, reff: usize, tb: usize) -> usize {
-        Self::min_width(reff, tb) + 2 * band
-    }
-
     /// Trapezoid tile `k`'s update range at inner step `t` (may be
-    /// empty), in local window coordinates. Tiles at window edges do not
-    /// shrink on the edge side (the window edge is a frozen band —
-    /// either the true domain edge or a shard's halo boundary).
+    /// empty). Tiles at the axis edges do not shrink on the edge side
+    /// (the edge is a frozen band — the true domain edge or a slab's
+    /// halo boundary).
     pub fn triangle_range(&self, k: usize, t: usize) -> Range<usize> {
         debug_assert!(k < self.ntri && t < self.tb);
         let shrink = self.reff * (t + 1);
         let lo = if k == 0 {
             self.band
         } else {
-            // (k0 + k) * w > origin for k >= 1, so the subtraction is safe
-            ((self.k0 + k) * self.w - self.origin + shrink).max(self.band)
+            (k * self.w + shrink).max(self.band)
         };
         let hi = if k == self.ntri - 1 {
             self.n - self.band
         } else {
-            ((self.k0 + k + 1) * self.w - self.origin)
+            ((k + 1) * self.w)
                 .saturating_sub(shrink)
                 .min(self.n - self.band)
         };
@@ -213,11 +182,11 @@ impl DimTiling {
     }
 
     /// Inverted tile at interior boundary `b` (1..ntri): update range at
-    /// inner step `t`, in local window coordinates.
+    /// inner step `t`.
     pub fn inverted_range(&self, b: usize, t: usize) -> Range<usize> {
         debug_assert!(b >= 1 && b < self.ntri && t < self.tb);
         let grow = self.reff * (t + 1);
-        let c = (self.k0 + b) * self.w - self.origin;
+        let c = b * self.w;
         let lo = c.saturating_sub(grow).max(self.band);
         let hi = (c + grow).min(self.n - self.band);
         lo..hi.max(lo)
@@ -372,93 +341,23 @@ mod tests {
     fn no_write_overlap_within_stage_at_any_step_pair() {
         // Disjointness of concurrent tiles: trapezoid tiles never overlap
         // at any (t, t') pair, and inverted tiles never overlap — at the
-        // floor width and at every wider one, origin 0 and off it.
+        // floor width and at every wider one.
         for (n, band, reff, tb) in [(48usize, 1, 1, 4), (96, 2, 2, 3)] {
             for w in widths(n, reff, tb) {
-                for origin in [0, 5, w - 1, 3 * w + 2] {
-                    let d = DimTiling::new_at(n, band, reff, tb, w, origin);
-                    for inv in [false, true] {
-                        for i1 in 0..d.count(inv) {
-                            for i2 in i1 + 1..d.count(inv) {
-                                for t1 in 0..d.tb {
-                                    for t2 in 0..d.tb {
-                                        let a = d.range(inv, i1, t1);
-                                        let b = d.range(inv, i2, t2);
-                                        assert!(
-                                            a.is_empty() || b.is_empty() || a.end <= b.start,
-                                            "{d:?} inv={inv} tiles {i1},{i2} steps {t1},{t2}"
-                                        );
-                                    }
+                let d = DimTiling::new(n, band, reff, tb, w);
+                for inv in [false, true] {
+                    for i1 in 0..d.count(inv) {
+                        for i2 in i1 + 1..d.count(inv) {
+                            for t1 in 0..d.tb {
+                                for t2 in 0..d.tb {
+                                    let a = d.range(inv, i1, t1);
+                                    let b = d.range(inv, i2, t2);
+                                    assert!(
+                                        a.is_empty() || b.is_empty() || a.end <= b.start,
+                                        "{d:?} inv={inv} tiles {i1},{i2} steps {t1},{t2}"
+                                    );
                                 }
                             }
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn origin_anchored_windows_update_everything_tb_times() {
-        // the tb-updates-per-cell invariant must hold for any window
-        // origin, including origins inside a tile
-        for (n, band, reff, tb, origin) in [
-            (40usize, 1usize, 1usize, 4usize, 8usize),
-            (40, 1, 1, 4, 5),
-            (64, 2, 2, 3, 23),
-            (33, 1, 1, 2, 100),
-            (48, 2, 2, 2, 7),
-        ] {
-            for w in widths(n, reff, tb) {
-                let d = DimTiling::new_at(n, band, reff, tb, w, origin);
-                assert_every_interior_cell_updated_tb_times(&d);
-            }
-        }
-    }
-
-    #[test]
-    fn origin_anchored_interior_tiles_match_whole_domain() {
-        // a window [o, o+n) of a larger domain reproduces, translated,
-        // every tile range that is fully interior to both — tile phase
-        // comes from global coordinates, not the window start
-        let (reff, tb) = (1, 3);
-        for w in widths(96, reff, tb) {
-            let big = DimTiling::new(96, 1, reff, tb, w);
-            for o in [18usize, 21, 30] {
-                let n = 48;
-                let win = DimTiling::new_at(n, 1, reff, tb, w, o);
-                assert_eq!(win.w, big.w);
-                for t in 0..tb {
-                    for k in 1..win.ntri - 1 {
-                        let kg = o / win.w + k;
-                        if kg == 0 || kg >= big.ntri - 1 {
-                            continue;
-                        }
-                        let wr = win.triangle_range(k, t);
-                        let br = big.triangle_range(kg, t);
-                        // compare only ranges unclamped by either edge band
-                        if wr.start > win.band
-                            && wr.end < win.n - win.band
-                            && br.start > big.band
-                            && br.end < big.n - big.band
-                        {
-                            assert_eq!(
-                                (wr.start + o, wr.end + o),
-                                (br.start, br.end),
-                                "w={w} o={o} k={k} t={t}"
-                            );
-                        }
-                    }
-                    for b in 1..win.ntri {
-                        let bg = o / win.w + b;
-                        let wr = win.inverted_range(b, t);
-                        let br = big.inverted_range(bg, t);
-                        if wr.start > win.band && wr.end < win.n - win.band {
-                            assert_eq!(
-                                (wr.start + o, wr.end + o),
-                                (br.start, br.end),
-                                "w={w} o={o} b={b} t={t}"
-                            );
                         }
                     }
                 }
@@ -513,20 +412,6 @@ mod tests {
         assert_eq!(DimTiling::max_tb(100, 1, 1, 1000), 49);
         assert_eq!(DimTiling::max_tb(20, 2, 2, 8), 4);
         assert!(DimTiling::max_tb(6, 2, 1, 5) >= 1);
-    }
-
-    #[test]
-    fn min_extent_inverts_max_tb() {
-        for (band, reff) in [(1usize, 1usize), (2, 2), (4, 2)] {
-            for tb in 1..6 {
-                let n = DimTiling::min_extent(band, reff, tb);
-                assert_eq!(DimTiling::max_tb(n, band, reff, usize::MAX), tb);
-                assert_eq!(
-                    DimTiling::max_tb(n - 1, band, reff, usize::MAX),
-                    (tb - 1).max(1)
-                );
-            }
-        }
     }
 
     #[test]

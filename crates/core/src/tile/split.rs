@@ -242,7 +242,7 @@ pub fn sweep_2d<V: SimdF64>(
     // the triangles along y are tessellate's cut-axis rounds, same width rule
     let w = tile_width(&[nx], r, tb);
     let step = |s: &Grid2D, d: &mut Grid2D, ys| step_dlt_rows_2d::<V>(s, d, p, ys);
-    run_cut(pool, pp, &[ny], r, r, w, tb, t_steps, 0, &step);
+    run_cut(pool, pp, &[ny], r, r, w, tb, t_steps, &step);
     relayout(pp, |s, d| rows(s, d, DltLayout::from_dlt::<V>));
 }
 
@@ -328,7 +328,7 @@ pub fn sweep_3d<V: SimdF64>(
     let w = tile_width(&[ny, nx], r, tb);
     let step = |s: &Grid3D, d: &mut Grid3D, zs| step_dlt_rows_3d::<V>(s, d, p, zs);
     // y is never cut, but a y extent without an interior is all band too
-    run_cut(pool, pp, &[nz, ny], r, r, w, tb, t_steps, 0, &step);
+    run_cut(pool, pp, &[nz, ny], r, r, w, tb, t_steps, &step);
     relayout(pp, |s, d| rows(s, d, DltLayout::from_dlt::<V>));
 }
 

@@ -21,7 +21,7 @@
 //! Dirichlet band and every step the identity: the drivers advance the
 //! pair's step count and write nothing.
 
-// every driver takes the geometry's inputs flat: reff, band, w, tb, steps, origin
+// every driver takes the geometry's inputs flat: reff, band, w, tb, steps
 #![allow(clippy::too_many_arguments)]
 
 use crate::exec::all_band;
@@ -31,9 +31,8 @@ use stencil_grid::{Grid1D, Grid2D, Grid3D, PingPong};
 use stencil_runtime::{parallel_for, ThreadPool};
 
 /// The one driver body: rounds of two stages over tiles `w` wide of the
-/// cut axis `extents[0]`, whose window starts at global coordinate
-/// `origin`; `kernel(src, dst, range)` steps `range` of the cut axis
-/// across the whole interior of the other `extents`.
+/// cut axis `extents[0]`; `kernel(src, dst, range)` steps `range` of the
+/// cut axis across the whole interior of the other `extents`.
 pub(crate) fn run_cut<G, K>(
     pool: &ThreadPool,
     pp: &mut PingPong<G>,
@@ -43,7 +42,6 @@ pub(crate) fn run_cut<G, K>(
     w: usize,
     tb: usize,
     steps: usize,
-    origin: usize,
     kernel: &K,
 ) where
     K: Fn(&G, &mut G, Range<usize>) + Sync,
@@ -56,7 +54,7 @@ pub(crate) fn run_cut<G, K>(
     let mut remaining = steps;
     while remaining > 0 {
         let tb_round = DimTiling::max_tb(n, band, reff, tb).min(remaining);
-        let dim = DimTiling::new_at(n, band, reff, tb_round, w, origin);
+        let dim = DimTiling::new(n, band, reff, tb_round, w);
         let (cur, scratch) = pp.both_mut();
         let pair = RawPair::new(cur, scratch);
         for inv in [false, true] {
@@ -109,16 +107,12 @@ pub fn run_1d<K>(
     let step = |s: &Grid1D, d: &mut Grid1D, xs: Range<usize>| {
         kernel(s.as_slice(), d.as_mut_slice(), xs.start, xs.end)
     };
-    run_cut(pool, pp, &[n], reff, band, w, tb, steps, 0, &step)
+    run_cut(pool, pp, &[n], reff, band, w, tb, steps, &step)
 }
 
 /// Tessellated 2D run: `y` is cut into tiles `w` rows wide and every
-/// `kernel(src, dst, ys, xs)` call gets the whole interior of `x`. The
-/// window's outer (y) axis starts at global coordinate `origin_y` (0 for
-/// a whole domain): tile phase is anchored to global coordinates, so two
-/// windows of one domain agree on every tile they share (the
-/// bit-exact-sharding contract; see [`DimTiling::new_at`]).
-pub fn run_2d_at<K>(
+/// `kernel(src, dst, ys, xs)` call gets the whole interior of `x`.
+pub fn run_2d<K>(
     pool: &ThreadPool,
     pp: &mut PingPong<Grid2D>,
     reff: usize,
@@ -126,7 +120,6 @@ pub fn run_2d_at<K>(
     w: usize,
     tb: usize,
     steps: usize,
-    origin_y: usize,
     kernel: &K,
 ) where
     K: Fn(&Grid2D, &mut Grid2D, Range<usize>, Range<usize>) + Sync,
@@ -134,24 +127,13 @@ pub fn run_2d_at<K>(
     let (ny, nx) = (pp.current().ny(), pp.current().nx());
     // run_cut calls the kernel only on a grid with an interior on every axis
     let step = |s: &Grid2D, d: &mut Grid2D, ys: Range<usize>| kernel(s, d, ys, band..nx - band);
-    run_cut(
-        pool,
-        pp,
-        &[ny, nx],
-        reff,
-        band,
-        w,
-        tb,
-        steps,
-        origin_y,
-        &step,
-    )
+    run_cut(pool, pp, &[ny, nx], reff, band, w, tb, steps, &step)
 }
 
 /// Tessellated 3D run: `z` is cut into tiles `w` planes wide and every
 /// `kernel(src, dst, zs, ys, xs)` call gets the whole interior of `y` and
-/// `x`; `origin_z` as in [`run_2d_at`].
-pub fn run_3d_at<K>(
+/// `x`.
+pub fn run_3d<K>(
     pool: &ThreadPool,
     pp: &mut PingPong<Grid3D>,
     reff: usize,
@@ -159,7 +141,6 @@ pub fn run_3d_at<K>(
     w: usize,
     tb: usize,
     steps: usize,
-    origin_z: usize,
     kernel: &K,
 ) where
     K: Fn(&Grid3D, &mut Grid3D, Range<usize>, Range<usize>, Range<usize>) + Sync,
@@ -168,18 +149,7 @@ pub fn run_3d_at<K>(
     let step = |s: &Grid3D, d: &mut Grid3D, zs: Range<usize>| {
         kernel(s, d, zs, band..ny - band, band..nx - band)
     };
-    run_cut(
-        pool,
-        pp,
-        &[nz, ny, nx],
-        reff,
-        band,
-        w,
-        tb,
-        steps,
-        origin_z,
-        &step,
-    )
+    run_cut(pool, pp, &[nz, ny, nx], reff, band, w, tb, steps, &step)
 }
 
 #[cfg(test)]
@@ -296,7 +266,7 @@ mod tests {
             let pc = p.clone();
             for w in widths(49, 1, 3) {
                 let mut pp = PingPong::new(g.clone());
-                run_2d_at(
+                run_2d(
                     &pool(),
                     &mut pp,
                     1,
@@ -304,7 +274,6 @@ mod tests {
                     w,
                     3,
                     steps,
-                    0,
                     &|s: &Grid2D, d: &mut Grid2D, ys, xs| {
                         multiload::step_range_2d::<NativeF64x4>(s, d, &pc, ys, xs)
                     },
@@ -329,7 +298,7 @@ mod tests {
         scalar::sweep_2d(&mut want, &f, folded_steps);
         for w in widths(53, 2, 2) {
             let mut pp = PingPong::new(g.clone());
-            run_2d_at(
+            run_2d(
                 &pool(),
                 &mut pp,
                 2,
@@ -337,7 +306,6 @@ mod tests {
                 w,
                 2,
                 folded_steps,
-                0,
                 &|s: &Grid2D, d: &mut Grid2D, ys, xs| {
                     folded::step_range_2d::<NativeF64x4>(&k, s, d, ys, xs)
                 },
@@ -356,7 +324,7 @@ mod tests {
         let pc = p.clone();
         for w in widths(17, 1, 2) {
             let mut pp = PingPong::new(g.clone());
-            run_3d_at(
+            run_3d(
                 &pool(),
                 &mut pp,
                 1,
@@ -364,7 +332,6 @@ mod tests {
                 w,
                 2,
                 steps,
-                0,
                 &|s: &Grid3D, d: &mut Grid3D, zs, ys, xs| {
                     multiload::step_range_3d::<NativeF64x4>(s, d, &pc, zs, ys, xs)
                 },
@@ -435,7 +402,7 @@ mod tests {
         let want = life::sweep::<NativeF64x4>(&g, steps);
         for w in widths(40, 1, 3) {
             let mut pp = PingPong::new(g.clone());
-            run_2d_at(
+            run_2d(
                 &pool(),
                 &mut pp,
                 1,
@@ -443,7 +410,6 @@ mod tests {
                 w,
                 3,
                 steps,
-                0,
                 &|s: &Grid2D, d: &mut Grid2D, ys, xs| life::step_range::<NativeF64x4>(s, d, ys, xs),
             );
             assert!(max_abs_diff(&want.to_dense(), &pp.current().to_dense()) < 1e-15);
@@ -465,7 +431,7 @@ mod tests {
             let pc = p.clone();
             for w in widths(ny, 1, tb) {
                 let mut pp = PingPong::new(g.clone());
-                run_2d_at(
+                run_2d(
                     &pool(),
                     &mut pp,
                     1,
@@ -473,45 +439,11 @@ mod tests {
                     w,
                     tb,
                     steps,
-                    0,
                     &|s: &Grid2D, d: &mut Grid2D, ys, xs| scalar::step_range_2d(s, d, &pc, ys, xs),
                 );
                 assert!(
                     max_abs_diff(&want.current().to_dense(), &pp.current().to_dense()) < 1e-12,
                     "ny={ny} nx={nx} steps={steps} tb={tb} w={w}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn windows_off_the_origin_match_plain_sweeps_at_every_width() {
-        // a window's tile edges sit at global multiples of w, wherever
-        // the window starts: same answers as the plain sweep of the window
-        let p = kernels::heat3d();
-        let g = Grid3D::from_fn(21, 12, 14, |z, y, x| ((z * 7 + y * 3 + x) % 17) as f64);
-        let mut want = PingPong::new(g.clone());
-        scalar::sweep_3d(&mut want, &p, 6);
-        for w in widths(21, 1, 3) {
-            for origin in [0, 5, w - 1, 2 * w + 1] {
-                let mut pp = PingPong::new(g.clone());
-                run_3d_at(
-                    &pool(),
-                    &mut pp,
-                    1,
-                    1,
-                    w,
-                    3,
-                    6,
-                    origin,
-                    &|s: &Grid3D, d: &mut Grid3D, zs, ys, xs| {
-                        scalar::step_range_3d(s, d, &p, zs, ys, xs)
-                    },
-                );
-                assert_eq!(
-                    want.current().to_dense(),
-                    pp.current().to_dense(),
-                    "w={w} origin={origin}"
                 );
             }
         }
@@ -533,13 +465,13 @@ mod tests {
             for (ny, nx) in [(n, 9), (9, n)] {
                 let g = Grid2D::from_fn(ny, nx, |y, x| (y * 10 + x) as f64);
                 let mut pp = PingPong::new(g.clone());
-                run_2d_at(&pool(), &mut pp, band, band, 8, 2, 5, 3, &never_2d);
+                run_2d(&pool(), &mut pp, band, band, 8, 2, 5, &never_2d);
                 assert_eq!((pp.steps(), pp.current().to_dense()), (5, g.to_dense()));
             }
             for (nz, ny, nx) in [(n, 9, 9), (9, n, 9), (9, 9, n)] {
                 let g = Grid3D::from_fn(nz, ny, nx, |z, y, x| (z * 100 + y * 10 + x) as f64);
                 let mut pp = PingPong::new(g.clone());
-                run_3d_at(&pool(), &mut pp, band, band, 8, 2, 5, 3, &never_3d);
+                run_3d(&pool(), &mut pp, band, band, 8, 2, 5, &never_3d);
                 assert_eq!((pp.steps(), pp.current().to_dense()), (5, g.to_dense()));
             }
         }

@@ -181,3 +181,101 @@ fn every_range_kernel_computes_the_portable_bits_on_the_dispatched_backend() {
         }
     }
 }
+
+/// One register kernel's narrow ranges at the dispatched width: every
+/// `ys` or `xs` range of 1..vl cells, at the band and mid-axis, against
+/// the same cells of one call over the whole interior (ragged: `2 vl + 3`
+/// cells an axis, three planes in 3D). Returns the ranges whose result —
+/// the range's cells and, untouched, every other — differs.
+struct Narrow {
+    p: Pattern,
+    m: usize,
+}
+
+impl WithSimd for Narrow {
+    type Output = Vec<String>;
+
+    fn run<V: SimdF64>(self) -> Vec<String> {
+        let vl = V::LANES;
+        let k = FoldedKernel::new(&self.p, self.m);
+        let (r, n) = (k.radius(), 2 * vl + 3);
+        let (whole, zs, side) = (r..r + n, r..r + 3, n + 2 * r);
+        let mut ranges = Vec::new();
+        for w in 1..vl {
+            for lo in [r, r + n / 2] {
+                ranges.push((lo..lo + w, whole.clone()));
+                ranges.push((whole.clone(), lo..lo + w));
+            }
+        }
+        let mut bad = Vec::new();
+        if self.p.dims() == 2 {
+            let g = Grid2D::from_fn(side, side, |y, x| field(y * side + x));
+            let step = |ys, xs| {
+                let mut d = g.clone();
+                folded::step_range_2d::<V>(&k, &g, &mut d, ys, xs);
+                d
+            };
+            let wide = step(whole.clone(), whole.clone());
+            for (ys, xs) in ranges {
+                let mut want = g.clone();
+                for y in ys.clone() {
+                    want.row_mut(y)[xs.clone()].copy_from_slice(&wide.row(y)[xs.clone()]);
+                }
+                if bits(&step(ys.clone(), xs.clone()).to_dense()) != bits(&want.to_dense()) {
+                    bad.push(format!("ys={ys:?} xs={xs:?}"));
+                }
+            }
+        } else {
+            let g = Grid3D::from_fn(3 + 2 * r, side, side, |z, y, x| {
+                field((z * side + y) * side + x)
+            });
+            let ring = Ring3::auto(vl, r);
+            let step = |ys, xs| {
+                let mut d = g.clone();
+                folded3d::step_range_3d_ring::<V>(&k, ring, &g, &mut d, zs.clone(), ys, xs);
+                d
+            };
+            let wide = step(whole.clone(), whole.clone());
+            for (ys, xs) in ranges {
+                let mut want = g.clone();
+                for (z, y) in zs.clone().flat_map(|z| ys.clone().map(move |y| (z, y))) {
+                    want.row_mut(z, y)[xs.clone()].copy_from_slice(&wide.row(z, y)[xs.clone()]);
+                }
+                if bits(&step(ys.clone(), xs.clone()).to_dense()) != bits(&want.to_dense()) {
+                    bad.push(format!("ys={ys:?} xs={xs:?}"));
+                }
+            }
+        }
+        bad
+    }
+}
+
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+#[test]
+fn a_narrow_range_computes_the_bits_of_a_wide_call() {
+    // a range narrower than one vector in y or x is staged through the
+    // same pane, so its cells carry the wide call's bits: separable
+    // (boxes) and generic (star, general box) schedules, 2D and 3D, at
+    // the 4- and 8-lane backends dispatch picks
+    let patterns = [
+        kernels::box2d9p(),
+        kernels::gb(),
+        kernels::box3d27p(),
+        kernels::heat3d(),
+    ];
+    for lanes in [4, 8] {
+        for p in &patterns {
+            for m in [1, 2] {
+                let bad = dispatch(lanes, Narrow { p: p.clone(), m });
+                assert!(
+                    bad.is_empty(),
+                    "{} points, m={m}, {lanes} lanes: {bad:?}",
+                    p.points()
+                );
+            }
+        }
+    }
+}

@@ -16,16 +16,20 @@ pub struct Grid2D {
     stride: usize,
 }
 
-/// Round `n` up to a multiple of `unit`.
+/// The row stride, in elements, of every [`Grid2D`] and
+/// [`Grid3D`](crate::Grid3D) with `nx` points a row: `nx` (at least 1)
+/// padded up to a multiple of [`STRIDE_PAD`]. The one statement of the
+/// rule, for the constructors and for whoever sizes grid memory without
+/// a grid.
 #[inline]
-pub fn round_up(n: usize, unit: usize) -> usize {
-    n.div_ceil(unit) * unit
+pub fn row_stride(nx: usize) -> usize {
+    nx.max(1).div_ceil(STRIDE_PAD) * STRIDE_PAD
 }
 
 impl Grid2D {
     /// Zero-initialized `ny x nx` grid.
     pub fn zeros(ny: usize, nx: usize) -> Self {
-        let stride = round_up(nx.max(1), STRIDE_PAD);
+        let stride = row_stride(nx);
         Self {
             buf: AlignedBuf::zeroed(ny * stride),
             ny,

@@ -1,7 +1,7 @@
 //! Dense 3D grid with padded x-stride.
 
 use crate::aligned::AlignedBuf;
-use crate::grid2d::{round_up, STRIDE_PAD};
+use crate::grid2d::row_stride;
 
 /// A dense 3D grid (`nz` planes of `ny` rows of `nx` points), stored
 /// z-major / row-major with the x-stride padded to a multiple of 8 so
@@ -21,7 +21,7 @@ pub struct Grid3D {
 impl Grid3D {
     /// Zero-initialized `nz x ny x nx` grid.
     pub fn zeros(nz: usize, ny: usize, nx: usize) -> Self {
-        let stride_y = round_up(nx.max(1), STRIDE_PAD);
+        let stride_y = row_stride(nx);
         let stride_z = stride_y * ny;
         Self {
             buf: AlignedBuf::zeroed(nz * stride_z),
@@ -40,7 +40,7 @@ impl Grid3D {
     /// follows the threads that will sweep the data. Bit-identical to
     /// [`Self::zeros`].
     pub fn zeros_parallel(nz: usize, ny: usize, nx: usize, workers: usize) -> Self {
-        let stride_y = round_up(nx.max(1), STRIDE_PAD);
+        let stride_y = row_stride(nx);
         let stride_z = stride_y * ny;
         Self {
             buf: AlignedBuf::zeroed_parallel(nz * stride_z, workers),

@@ -44,7 +44,7 @@ pub mod pool;
 
 pub use aligned::AlignedBuf;
 pub use grid1d::Grid1D;
-pub use grid2d::Grid2D;
+pub use grid2d::{row_stride, Grid2D};
 pub use grid3d::Grid3D;
 pub use pingpong::PingPong;
 pub use pool::{pool_stats, PoolStats};

@@ -8,7 +8,7 @@
 //! correctness argument uses exactly that property.
 //!
 //! A pair is the unit every sweep works on: a compiled plan advances one
-//! in place (`Plan::run_pair_at` in `stencil-core`, in every
+//! in place (`Plan::run_pair` in `stencil-core`, in every
 //! dimensionality), so a caller that owns its grid and a scratch surface
 //! of the same shape — a recycled buffer is fine — runs without
 //! allocating, and `Plan::run` is that entry on a pair of its input's

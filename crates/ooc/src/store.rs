@@ -82,7 +82,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use stencil_faults::Failpoint;
-use stencil_grid::Grid3D;
+use stencil_grid::{row_stride, Grid3D};
 
 use crate::error::OocError;
 
@@ -590,7 +590,7 @@ impl std::fmt::Debug for SlabStore {
 /// moves through — 0 when it moves directly (unpadded rows). A function
 /// of the shape, so a run can be sized before its store exists.
 pub(crate) fn staging_bytes(ny: usize, nx: usize) -> usize {
-    if file_layout(&Grid3D::zeros(0, ny, nx)) {
+    if cfg!(target_endian = "little") && row_stride(nx) == nx {
         0
     } else {
         ny * nx * 8

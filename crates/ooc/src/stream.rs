@@ -8,7 +8,7 @@
 //! pass (s steps, surface S -> 1-S):
 //!   for each window k (interior [lo, hi), slab [slo, shi)):
 //!     load  planes [slo, shi) of surface S           (slab + halo)
-//!     run   plan.run_pair_at(pair, s, slo)           (origin-anchored)
+//!     run   plan.run_pair(pair, s)
 //!     store planes [lo, hi) to surface 1-S           (interior only)
 //!           ... and, on the final pass of a grid job, scatter them to
 //!           the result grid
@@ -16,7 +16,7 @@
 //! ```
 //!
 //! Each byte moves once. The loaded window *is* one surface of the pair
-//! the plan sweeps ([`Plan::run_pair_at`]; the other is a recycled
+//! the plan sweeps ([`Plan::run_pair`]; the other is a recycled
 //! buffer that needs no contents), the swept pair's output surface is
 //! what write-back hands to the store, and the store reads and writes
 //! the window's memory directly (see [`crate::store`]). What a run holds
@@ -44,13 +44,12 @@
 //! boundary **once per pass of `s` steps** instead of once per step —
 //! `s` defaults to the largest value the memory budget can carry. Pass
 //! lengths are multiples of the plan's [`pass_quantum`] (the fold
-//! factor `m`, times the tessellate round block where applicable), so
-//! the concatenated passes execute exactly the resident run's sequence
-//! of folded macro-steps, per-round time blocks and tail steps; window
-//! geometry reuses the serving sharder's halo arithmetic
-//! ([`shard_geometry`] / [`slab_bounds`]) and the origin-anchored tile
-//! phase of `run_pair_at` — which together make the streamed result
-//! **bit-identical** to the resident run.
+//! factor `m`), so the concatenated passes execute exactly the resident
+//! run's sequence of folded macro-steps and tail steps, and window
+//! geometry reuses the serving sharder's halo arithmetic ([`slab_halo`]
+//! / [`slab_bounds`]) — which together make the streamed result
+//! **bit-identical** to the resident run: no bit of a plan depends on
+//! where a window's tile edges fall.
 //!
 //! With [`OocConfig::prefetch`] set, a background IO thread loads
 //! window `k + 1` and writes back window `k - 1` while the plan's pool
@@ -62,10 +61,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::time::Instant;
 
-use stencil_core::slab::{interior_ranges, pass_quantum, shard_geometry, slab_bounds, SLAB_ALIGN};
+use stencil_core::slab::{interior_ranges, pass_quantum, slab_bounds, slab_halo, SLAB_ALIGN};
 use stencil_core::Plan;
 use stencil_faults::Failpoint;
-use stencil_grid::{Grid3D, PingPong};
+use stencil_grid::{row_stride, Grid3D, PingPong};
 
 use crate::error::OocError;
 use crate::store::{staging_bytes, SlabStore, StoreStats};
@@ -151,7 +150,7 @@ pub fn streamable(plan: &Plan) -> bool {
 /// Resident bytes of one z plane (padded row stride, as the window
 /// buffers store it).
 fn plane_resident_bytes(ny: usize, nx: usize) -> usize {
-    Grid3D::zeros(1, ny, nx).stride_z() * 8
+    ny * row_stride(nx) * 8
 }
 
 /// One pass's window geometry: `(lo, hi, slab_lo, slab_hi)` per window.
@@ -159,17 +158,16 @@ struct PassGeom {
     windows: Vec<(usize, usize, usize, usize)>,
 }
 
-/// Smallest slab span a pass of `s` steps may run: the tessellate
-/// minimum span, and in all cases enough planes to clear the Dirichlet
-/// band of the deepest kernel the pass runs (`2 * band + 1` — the
-/// "2R+1 planes" floor).
-fn span_floor(plan: &Plan, s: usize, min_span: usize) -> usize {
+/// Smallest slab span a pass of `s` steps may run: enough planes to
+/// clear the Dirichlet band of the deepest kernel the pass runs
+/// (`2 * band + 1` — the "2R+1 planes" floor).
+fn span_floor(plan: &Plan, s: usize) -> usize {
     let band = if s >= plan.m().max(1) {
         plan.effective_radius()
     } else {
         plan.pattern().radius()
     };
-    min_span.max(2 * band + 1)
+    2 * band + 1
 }
 
 /// Lay out the windows of a pass of `s` steps under a budget of
@@ -177,15 +175,10 @@ fn span_floor(plan: &Plan, s: usize, min_span: usize) -> usize {
 /// count satisfies both the cap and the span floor. A domain the cap
 /// holds whole is always one window, however short: it needs no halo
 /// and has no span floor.
-fn plan_pass(
-    plan: &Plan,
-    (nz, ny, nx): (usize, usize, usize),
-    s: usize,
-    cap_planes: usize,
-) -> Option<PassGeom> {
-    let (halo, min_span) = shard_geometry(plan, s, nz, &[ny, nx]);
+fn plan_pass(plan: &Plan, nz: usize, s: usize, cap_planes: usize) -> Option<PassGeom> {
+    let halo = slab_halo(plan.pattern(), s);
     let r_eff = plan.effective_radius();
-    let floor = span_floor(plan, s, min_span);
+    let floor = span_floor(plan, s);
     let whole = (nz <= cap_planes).then(|| PassGeom {
         windows: vec![(0, nz, 0, nz)],
     });
@@ -367,7 +360,7 @@ fn schedule(
 
     // deepest pass the budget can carry: multiples of the composition
     // quantum (or a single pass of all t steps), descending
-    let u = pass_quantum(plan, &[nz, ny, nx]);
+    let u = pass_quantum(plan);
     let want = match cfg.steps_per_pass {
         0 => t,
         w => w.min(t),
@@ -376,8 +369,8 @@ fn schedule(
     // a depth fits when its passes and the final, shallower one (the
     // `t % s` remainder) all lay out within the cap
     let fits = |s: usize, cap: usize| {
-        let tail = t.is_multiple_of(s) || plan_pass(plan, shape, t % s, cap).is_some();
-        plan_pass(plan, shape, s, cap).filter(|_| tail)
+        let tail = t.is_multiple_of(s) || plan_pass(plan, nz, t % s, cap).is_some();
+        plan_pass(plan, nz, s, cap).filter(|_| tail)
     };
     loop {
         if let Some(geom) = fits(s, cap_planes) {
@@ -393,8 +386,8 @@ fn schedule(
         if s <= u {
             // even the shallowest legal pass does not fit: report the
             // smallest budget that would (the whole domain always does)
-            let (halo, min_span) = shard_geometry(plan, s, nz, &[ny, nx]);
-            let least = span_floor(plan, s, min_span).max(2 * halo + 1).min(nz);
+            let halo = slab_halo(plan.pattern(), s);
+            let least = span_floor(plan, s).max(2 * halo + 1).min(nz);
             let needed_planes = (least..=nz)
                 .find(|&cap| fits(s, cap).is_some())
                 .unwrap_or(nz);
@@ -434,7 +427,7 @@ fn stream(
         let s_pass = sch.s.min(remaining);
         // the final pass may be shallower (it takes the t % quantum
         // tail); `schedule` checked that it fits too
-        let geom = plan_pass(plan, shape, s_pass, sch.cap_planes)
+        let geom = plan_pass(plan, shape.0, s_pass, sch.cap_planes)
             .expect("`schedule` fits the final pass too");
         let widest = geom.windows.iter().map(|&(_, _, slo, shi)| shi - slo);
         report.window_planes = report.window_planes.max(widest.max().unwrap_or(0));
@@ -483,12 +476,11 @@ fn sweep_window(
     pool: &mut WindowPool,
     win: Grid3D,
     s: usize,
-    origin_z: usize,
 ) -> Result<(Grid3D, Grid3D), OocError> {
     let scratch = pool.acquire(win.nz(), win.ny(), win.nx());
     let mut pair = PingPong::from_pair(win, scratch);
     let _span = stencil_obs::span(stencil_obs::SpanId::OocCompute);
-    plan.run_pair_at(&mut pair, s, origin_z)?;
+    plan.run_pair(&mut pair, s)?;
     Ok(pair.into_pair())
 }
 
@@ -537,7 +529,7 @@ fn run_pass_sync(
             let _span = stencil_obs::span(stencil_obs::SpanId::OocLoad);
             store.read_window(src, slo, shi, &mut win, &mut scratch)?;
         }
-        let (out, spare) = sweep_window(plan, pool, win, s, slo)?;
+        let (out, spare) = sweep_window(plan, pool, win, s)?;
         pool.release(spare);
         let result = result.as_deref_mut();
         write_back(store, 1 - src, lo, &out, lo - slo, hi - slo, result)?;
@@ -682,7 +674,7 @@ fn run_pass_prefetch(
             if k + 1 < windows.len() {
                 issue_load(&mut *pool, &req_tx, k + 1);
             }
-            let (out, spare) = sweep_window(plan, pool, win, s, slo)?;
+            let (out, spare) = sweep_window(plan, pool, win, s)?;
             pool.release(spare);
             req_tx
                 .send(IoReq::Store {
@@ -908,7 +900,7 @@ mod tests {
                 let store = SlabStore::create(&path, &g, 1).unwrap();
                 let mut pool = WindowPool::new(residency, 1);
                 for s in [4usize, 2] {
-                    let geom = plan_pass(&plan, store.shape(), s, 28).expect("28 planes fit");
+                    let geom = plan_pass(&plan, store.shape().0, s, 28).expect("28 planes fit");
                     let mut spans: Vec<_> = geom.windows.iter().map(|w| w.3 - w.2).collect();
                     spans.dedup();
                     assert!(spans.len() >= 3, "short first and last windows: {spans:?}");

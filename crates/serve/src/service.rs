@@ -30,7 +30,7 @@ use crate::adapt::{AdaptConfig, Decider, ProbeLane, SharedClock};
 use crate::metrics::{ServeStats, StatsSnapshot};
 use crate::queue::{Bounded, PushError};
 use crate::registry::{PlanRegistry, PlanShape, WarmReport};
-use crate::shard::{self, ShardPolicy};
+use crate::shard::{self, slab_halo, ShardPolicy};
 use crate::Manifest;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -615,7 +615,7 @@ impl StencilService {
             }));
         }
         let tuning = spec.tuning.unwrap_or(inner.cfg.tuning);
-        let halo = spec.steps * spec.pattern.radius();
+        let halo = slab_halo(&spec.pattern, spec.steps);
         let want_shards = if spec.pattern.dims() >= 2 {
             inner
                 .cfg
@@ -916,7 +916,7 @@ fn ooc_store_path(key: &str, g: &Grid3D, steps: usize) -> std::path::PathBuf {
 /// plan sweeps; `scratch`, of the grid's shape, is the other.
 fn sweep_owned<D: Domain>(plan: &Plan, grid: D, scratch: D, steps: usize) -> Result<D, PlanError> {
     let mut pair = PingPong::from_pair(grid, scratch);
-    plan.run_pair_at(&mut pair, steps, 0)?;
+    plan.run_pair(&mut pair, steps)?;
     Ok(pair.into_current())
 }
 

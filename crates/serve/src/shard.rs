@@ -3,11 +3,11 @@
 //! parallel, and stitch the interiors back — **bit-identical** to the
 //! unsharded run.
 //!
-//! The geometry arithmetic (why slab execution is exact, halo widening
-//! under tessellate tiling, slab alignment) lives in
-//! [`stencil_core::slab`] — it is shared with the out-of-core streaming
-//! executor (`stencil-ooc`), which marches the same halo-widened slabs
-//! through a file-backed window instead of across worker threads. This
+//! The geometry arithmetic (why slab execution is exact, the halo, slab
+//! alignment) lives in [`stencil_core::slab`] — it is shared with the
+//! out-of-core streaming executor (`stencil-ooc`), which marches the same
+//! halo slabs through a file-backed window instead of across worker
+//! threads. This
 //! module keeps the serving-side concerns: the [`ShardPolicy`] that
 //! decides when sharding pays, per-slab single-thread lane plans, and
 //! the scatter/stitch executors.
@@ -24,13 +24,13 @@
 //! method, tiling, width and z-ring geometry as the source plan) so
 //! the slabs really execute concurrently — a shared pool would
 //! serialize them. A slab is one surface of the pair its lane sweeps
-//! ([`Plan::run_pair_at`]); the other needs no contents.
+//! ([`Plan::run_pair`]); the other needs no contents.
 
 use stencil_core::{Domain, Plan, PlanError, Solver};
 use stencil_grid::{Grid2D, Grid3D, PingPong};
 
 pub use stencil_core::slab::{
-    effective_shards, interior_ranges, shard_geometry, slab_bounds, SLAB_ALIGN,
+    effective_shards, interior_ranges, slab_bounds, slab_halo, SLAB_ALIGN,
 };
 
 /// When and how much to shard. The service consults this per job.
@@ -128,12 +128,12 @@ impl Sharded for Grid3D {
     }
 }
 
-/// An advanced slab: its interior `[lo, hi)`, its first layer's global
-/// index, and its grid.
+/// An advanced slab: its interior `[lo, hi)`, the global index of its
+/// first layer, and its grid.
 struct Slab<G> {
     lo: usize,
     hi: usize,
-    origin: usize,
+    slab_lo: usize,
     grid: G,
 }
 
@@ -151,9 +151,9 @@ fn run_slabs<G: Sharded>(
     let extents = grid.extents();
     let outer = extents[0];
     let shards = shards.clamp(1, lanes.len());
-    let (halo, min_span) = shard_geometry(&lanes[0], t, outer, &extents[1..]);
+    let halo = slab_halo(lanes[0].pattern(), t);
     let r_eff = lanes[0].effective_radius();
-    let shards = effective_shards(outer, shards, halo, r_eff, min_span);
+    let shards = effective_shards(outer, shards);
     let ranges = interior_ranges(outer, shards);
     let mut slots: Vec<Option<Result<Slab<G>, PlanError>>> =
         (0..ranges.len()).map(|_| None).collect();
@@ -162,14 +162,13 @@ fn run_slabs<G: Sharded>(
         let layers = slab_hi - slab_lo;
         let mut slab = grid.zeroed(layers);
         slab.copy_layers(grid, slab_lo, 0, layers);
-        // the slab is one surface of the pair the lane sweeps, and its
-        // global origin anchors tessellate tile phase
+        // the slab is one surface of the pair the lane sweeps
         let mut pair = PingPong::from_pair(slab, grid.zeroed(layers));
-        lane.run_pair_at(&mut pair, t, slab_lo)?;
+        lane.run_pair(&mut pair, t)?;
         Ok(Slab {
             lo,
             hi,
-            origin: slab_lo,
+            slab_lo,
             grid: pair.into_current(),
         })
     };
@@ -197,7 +196,7 @@ fn run_slabs<G: Sharded>(
 fn stitch<G: Sharded>(out: &mut G, slabs: Vec<Slab<G>>) {
     let _join = stencil_obs::span(stencil_obs::SpanId::ShardJoin);
     for s in slabs {
-        out.copy_layers(&s.grid, s.lo - s.origin, s.lo, s.hi - s.lo);
+        out.copy_layers(&s.grid, s.lo - s.slab_lo, s.lo, s.hi - s.lo);
     }
 }
 
@@ -210,8 +209,7 @@ fn stitch<G: Sharded>(out: &mut G, slabs: Vec<Slab<G>>) {
 /// [`lane_plans`]); the number of slabs executed is
 /// `min(requested shards, lanes.len(), ny)`, further degraded by
 /// [`effective_shards`] when the outer axis is too short to give every
-/// worker an aligned slab of its own or the tessellate minimum span
-/// binds. With one slab this degenerates to a plain run on `lanes[0]`.
+/// worker an aligned slab of its own. With one slab this degenerates to a plain run on `lanes[0]`.
 pub fn run_sharded_2d_owned(
     lanes: &[Plan],
     mut grid: Grid2D,
@@ -352,8 +350,8 @@ mod tests {
 
     #[test]
     fn sharded_register_pipelines_under_tessellate_are_bit_identical() {
-        // the origin-anchored tile geometry: register plans now shard
-        // under tessellate tiling, bit for bit, with the widened halo
+        // register plans shard under tessellate tiling, bit for bit,
+        // with the classic halo: each lane tiles its own slab
         let g = Grid2D::from_fn(203, 72, |y, x| ((y * 29 + x * 11) % 31) as f64 * 0.25);
         let t = 6;
         for (method, tb) in [
@@ -404,9 +402,10 @@ mod tests {
         // every grid above is one tile under the production width rule,
         // so its lanes never meet a tile edge. 4096-wide rows leave 16 of
         // them in a tile's budget: fold2 at time block 4 runs at that
-        // width as its floor (tips below a vector take the scalar path),
-        // the transpose layout at twice its floor of 6 — nine tiles along
-        // the 136 rows, and lanes whose halo is the real tile width. The
+        // width as its floor (its inverted tips, 4 rows at the first
+        // step, are staged at 8 lanes), the transpose layout at twice its floor of 6
+        // — nine tiles along the 136 rows, cut elsewhere in each lane
+        // than in the full run, and lanes with the classic halo. The
         // general box and an inexact field: with dyadic weights and data
         // every path is exact and a halo too short would go unnoticed
         let g = Grid2D::from_fn(136, 4096, |y, x| (y as f64 * 0.37 + x as f64 * 0.011).sin());
@@ -420,7 +419,7 @@ mod tests {
                 .threads(2)
                 .compile()
                 .unwrap();
-            assert_eq!(shard_geometry(&plan, t, 136, &[4096]).0, t + 16);
+            assert_eq!(slab_halo(plan.pattern(), t), t);
             let want = plan.run_2d(&g, t).unwrap();
             let lanes = lane_plans(&plan, 3).unwrap();
             for shards in [2usize, 3] {
@@ -448,7 +447,7 @@ mod tests {
             .threads(2)
             .compile()
             .unwrap();
-        assert_eq!(shard_geometry(&plan, t, 56, &[64, 66]), (t, 0));
+        assert_eq!(slab_halo(plan.pattern(), t), t);
         let want = plan.run_3d(&g, t).unwrap();
         let lanes = lane_plans(&plan, 3).unwrap();
         for shards in [2usize, 3] {
@@ -459,9 +458,8 @@ mod tests {
 
     #[test]
     fn span_guard_sheds_shards_instead_of_diverging() {
-        // a domain too small for the requested shard count under the
-        // widened tessellate halo must still be bit-exact (fewer slabs
-        // are executed, never wrong ones)
+        // a domain too small for the requested shard count must still be
+        // bit-exact (fewer slabs are executed, never wrong ones)
         let g = Grid3D::from_fn(28, 16, 20, |z, y, x| ((z + y * 3 + x) % 7) as f64);
         let plan = Solver::new(kernels::heat3d())
             .method(Method::Folded { m: 2 })
@@ -484,9 +482,9 @@ mod tests {
         let nz = 20;
         let workers = 4;
         assert!(nz < SLAB_ALIGN * workers);
-        assert_eq!(effective_shards(nz, workers, 2, 1, 0), nz / SLAB_ALIGN);
+        assert_eq!(effective_shards(nz, workers), nz / SLAB_ALIGN);
         // below a single aligned slab the job is not sharded at all
-        assert_eq!(effective_shards(6, workers, 1, 1, 0), 1);
+        assert_eq!(effective_shards(6, workers), 1);
 
         let g = Grid3D::from_fn(nz, 18, 24, |z, y, x| ((z * 7 + y * 5 + x) % 13) as f64);
         for (method, tiling) in [

@@ -84,7 +84,7 @@ fn main() {
 
     let t0 = Instant::now();
     let mut pp = PingPong::new(soup.clone());
-    tessellate::run_2d_at(
+    tessellate::run_2d(
         &pool,
         &mut pp,
         1,
@@ -92,7 +92,6 @@ fn main() {
         tile_width(&[nx], 1, 8),
         8,
         t,
-        0,
         &|s: &Grid2D, d: &mut Grid2D, ys, xs| life::step_range_scalar(s, d, ys, xs),
     );
     let scalar_out = pp.into_current();
@@ -103,7 +102,7 @@ fn main() {
 
     let t0 = Instant::now();
     let mut pp = PingPong::new(soup.clone());
-    tessellate::run_2d_at(
+    tessellate::run_2d(
         &pool,
         &mut pp,
         1,
@@ -111,7 +110,6 @@ fn main() {
         tile_width(&[nx], 1, 8),
         8,
         t,
-        0,
         &|s: &Grid2D, d: &mut Grid2D, ys, xs| life::step_range::<NativeF64x4>(s, d, ys, xs),
     );
     let vec_out = pp.into_current();
@@ -122,7 +120,7 @@ fn main() {
 
     let t0 = Instant::now();
     let mut pp = PingPong::new(soup.clone());
-    tessellate::run_2d_at(
+    tessellate::run_2d(
         &pool,
         &mut pp,
         2,
@@ -130,7 +128,6 @@ fn main() {
         tile_width(&[nx], 2, 8),
         8,
         t / 2,
-        0,
         &|s: &Grid2D, d: &mut Grid2D, ys, xs| life::step2_range::<NativeF64x4>(s, d, ys, xs),
     );
     println!(

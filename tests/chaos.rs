@@ -466,6 +466,11 @@ fn a_dropped_connection_fails_typed_and_the_server_keeps_serving() {
 fn deadline_shed_surfaces_as_a_typed_frame_over_the_wire() {
     let _g = serial();
     let _r = Reset;
+    // every dequeue stalls a bounded 20 ms before taking the lock, so
+    // the doomed job outlives its 1 ms deadline in the queue however fast
+    // the blocker executes
+    faults::arm_probability(Failpoint::QueueStall, 1.0, 3);
+    faults::set_enabled(true);
     let service = StencilService::start(ServeConfig {
         threads: 1,
         workers: 1,
@@ -474,9 +479,9 @@ fn deadline_shed_surfaces_as_a_typed_frame_over_the_wire() {
     });
     let server = NetServer::start(service, NetConfig::default()).expect("bind");
     let mut client = NetClient::connect(server.addr(), "t").unwrap();
-    // a long blocker on one key occupies the single worker while the
-    // doomed job (a different size class, hence a different registry
-    // key — never batched with the blocker) ages out in the queue
+    // a blocker on one key occupies the single worker while the doomed
+    // job (a different size class, hence a different registry key —
+    // never batched with the blocker) ages out in the queue
     let blocker = Grid2D::from_fn(96, 96, |y, x| ((y ^ x) % 7) as f64);
     let doomed = Grid2D::from_fn(160, 160, |y, x| ((y + x) % 3) as f64);
     let blocker_id = client
@@ -537,6 +542,7 @@ fn deadline_shed_surfaces_as_a_typed_frame_over_the_wire() {
         }
     }
     client.bye().unwrap();
+    assert!(faults::fired(Failpoint::QueueStall) > 0);
     let stats = server.shutdown();
     assert_eq!(stats.jobs_shed, 1);
     assert_eq!(stats.jobs_completed, 1);

@@ -38,7 +38,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use stencil_lab::core::exec::{dlt, reorg, scalar};
-use stencil_lab::core::slab::{pass_quantum, shard_geometry, SLAB_ALIGN};
+use stencil_lab::core::slab::{pass_quantum, slab_halo, SLAB_ALIGN};
 use stencil_lab::core::tile::split;
 use stencil_lab::core::{folding, kernels};
 pub use stencil_lab::faults::SplitMix64;
@@ -158,10 +158,10 @@ pub enum Steps {
 pub enum Route {
     /// Check 1: `exec/scalar.rs`.
     Scalar,
-    /// The pair entry at origin 0 on a NaN-poisoned scratch surface.
+    /// The pair entry on a NaN-poisoned scratch surface.
     Pair,
-    /// The pair entry at origins 0 and 7, twice on one pair: the second
-    /// run's scratch surface holds what the first left there.
+    /// The pair entry twice on one pair: the second run's scratch surface
+    /// holds what the first left there.
     Reuse,
     /// The resolved config on another thread count.
     Threads,
@@ -341,8 +341,8 @@ fn store_path() -> PathBuf {
 /// leave no room for two — a pass per plan quantum.
 fn two_windows(plan: &Plan, g: &Grid3D, prefetch: bool) -> OocConfig {
     let (nz, ny, nx) = (g.nz(), g.ny(), g.nx());
-    let s = pass_quantum(plan, &[nz, ny, nx]);
-    let (halo, _) = shard_geometry(plan, s, nz, &[ny, nx]);
+    let s = pass_quantum(plan);
+    let halo = slab_halo(plan.pattern(), s);
     let planes = nz.div_ceil(2) + 2 * halo + 2 * SLAB_ALIGN + 1;
     OocConfig {
         budget_bytes: budget_for(ny, nx, planes, prefetch),
@@ -1030,34 +1030,17 @@ impl Run {
                 }
                 Route::Pair => {
                     let mut pair = PingPong::from_pair(g.clone(), g.poisoned());
-                    plan.run_pair_at(&mut pair, t, 0).unwrap();
+                    plan.run_pair(&mut pair, t).unwrap();
                     same(&pair.current().dense(), "pair entry, poisoned scratch");
                 }
                 Route::Reuse => {
-                    // what `run` sweeps, at `origin`: the pair entry on a
-                    // pair made from the grid; 1D grids and block-free
-                    // plans ignore the origin
-                    let at = |g: &D, origin: usize| match origin {
-                        0 => plan.run(g, t).unwrap(),
-                        _ => sweep(g, t, |pp, t| plan.run_pair_at(pp, t, origin).unwrap()),
-                    };
-                    let at_0 = [out.clone(), at(&out, 0)];
-                    let at_7 = match c.dims() == 1 || plan.tiling() == Tiling::None {
-                        true => at_0.clone(),
-                        false => {
-                            let once = at(&g, 7);
-                            let twice = at(&once, 7);
-                            [once, twice]
-                        }
-                    };
-                    for (origin, [once, twice]) in [(0, at_0), (7, at_7)] {
-                        let mut pair = PingPong::from_pair(g.clone(), g.poisoned());
-                        for (run, want) in [once, twice].iter().enumerate() {
-                            plan.run_pair_at(&mut pair, t, origin).unwrap();
-                            let what = format!("pair entry at {origin}, run {}", run + 1);
-                            let got = pair.current().dense();
-                            assert!(bits(&got) == bits(&want.dense()), "{ctx}: {what}");
-                        }
+                    let twice = plan.run(&out, t).unwrap();
+                    let mut pair = PingPong::from_pair(g.clone(), g.poisoned());
+                    for (run, want) in [&out, &twice].into_iter().enumerate() {
+                        plan.run_pair(&mut pair, t).unwrap();
+                        let what = format!("pair entry, run {}", run + 1);
+                        let got = pair.current().dense();
+                        assert!(bits(&got) == bits(&want.dense()), "{ctx}: {what}");
                     }
                 }
                 Route::Threads => {
@@ -1090,8 +1073,8 @@ impl Run {
                     let free = solver.pool(plan.pool().clone()).compile().unwrap();
                     let got = free.run(&g, t).unwrap().dense();
                     // 1D: the block-free register route is the transpose
-                    // layout; 2D: inverted tips below a vector run scalar
-                    let exempt = plan.method().is_register() && c.dims() < 3;
+                    // layout, the tessellated one the squares kernel
+                    let exempt = plan.method().is_register() && c.dims() == 1;
                     if free.method() == plan.method() && !exempt {
                         same(&got, "block-free twin bits");
                     }

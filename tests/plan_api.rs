@@ -110,6 +110,29 @@ fn oversized_fold_radius_is_invalid() {
         ),
         "{err}"
     );
+    // 2D: the pane holds one column per lane, so 4 lanes cap the fold
+    // at radius 4 — heat2d folded five times (radius 5) and a radius-2
+    // box folded three times (radius 6) compile at 8 lanes only
+    for (p, m, folded_radius) in [
+        (kernels::heat2d(), 5, 5),
+        (Pattern::new_2d(2, &[1.0 / 25.0; 25]), 3, 6),
+    ] {
+        let err = compile_err(
+            Solver::new(p.clone())
+                .method(Method::Folded { m })
+                .width(Width::W4),
+        );
+        assert_eq!(
+            err,
+            PlanError::InvalidFold {
+                m,
+                folded_radius,
+                max_radius: 4,
+            }
+        );
+        let at_w8 = Solver::new(p).method(Method::Folded { m }).width(Width::W8);
+        assert!(at_w8.compile().is_ok());
+    }
     // ...and scalar lanes keep the narrow cap (the fallback sweep has
     // no register window to spend)
     let err = compile_err(
@@ -258,12 +281,12 @@ fn tessellated_plans_treat_a_grid_without_an_interior_as_the_block_free_route_do
 
 #[test]
 fn the_pair_entry_equals_the_owned_grid_entry_with_a_poisoned_scratch() {
-    // `run_pair_at` sweeps a caller-owned pair whose scratch surface is a
+    // `run_pair` sweeps a caller-owned pair whose scratch surface is a
     // recycled buffer: it may copy the Dirichlet band and nothing else, so
     // every route has to write an interior cell before reading it. NaN in
-    // every scratch cell (padding included) is what proves it, at and off
-    // the origin, for zero, tail-only, folded and tail step counts, and
-    // again on the reused pair; without an interior the grid comes back.
+    // every scratch cell (padding included) is what proves it, for zero,
+    // tail-only, folded and tail step counts, and again on the reused
+    // pair; without an interior the grid comes back.
     check!(kernels: ["heat1d", "d1p5", "heat2d", "box2d9p", "heat3d", "box3d27p", "star3d_r2"],
         methods: [Method::Scalar, Method::MultipleLoads, Method::TransposeLayout,
             Method::Folded { m: 2 }, Method::Folded { m: 3 }],
@@ -280,10 +303,7 @@ fn the_pair_entry_refuses_a_grid_of_another_dimensionality() {
     let plan = Solver::new(kernels::heat2d()).compile().unwrap();
     let g = Grid3D::from_fn(6, 6, 8, |z, y, x| (z * 5 + y * 3 + x * 7) as f64);
     let mut pair = PingPong::from_pair(g.clone(), g.poisoned());
-    assert_eq!(
-        plan.run_pair_at(&mut pair, 2, 0).err(),
-        plan.run(&g, 2).err()
-    );
+    assert_eq!(plan.run_pair(&mut pair, 2).err(), plan.run(&g, 2).err());
     assert!(conformance::bits(&pair.current().dense()) == conformance::bits(&g.dense()));
     assert!(pair.previous().as_slice().iter().all(|v| v.is_nan()));
 }

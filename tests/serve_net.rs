@@ -23,11 +23,13 @@
 #[path = "conformance/mod.rs"]
 mod conformance;
 
+use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use conformance::{bits, Extent, Route, Steps};
 use proptest::prelude::*;
 use stencil_lab::core::{kernels, Pattern};
+use stencil_lab::faults::{self, Failpoint};
 use stencil_lab::grid::{Grid2D, Grid3D};
 use stencil_lab::obs::json;
 use stencil_lab::runtime::PoolHandle;
@@ -38,6 +40,23 @@ use stencil_lab::serve::{
     JobDomain, JobSpec, OocThreshold, ServeConfig, StatsSnapshot, StencilService,
 };
 use stencil_lab::{Method, Tiling, Width};
+
+/// Failpoints are process-wide: the tests that arm one take this lock,
+/// so one's teardown cannot switch off another's failpoint.
+fn faults_lock() -> MutexGuard<'static, ()> {
+    static FAULTS: Mutex<()> = Mutex::new(());
+    FAULTS.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Panic-safe teardown of a failpoint a test armed.
+struct Disarm(Failpoint);
+
+impl Drop for Disarm {
+    fn drop(&mut self) {
+        faults::disarm(self.0);
+        faults::set_enabled(false);
+    }
+}
 
 fn start_server(cfg: ServeConfig, net: NetConfig) -> NetServer {
     NetServer::start(StencilService::start(cfg), net).expect("bind ephemeral port")
@@ -278,6 +297,13 @@ fn full_queue_rejects_with_retry_hint_instead_of_blocking() {
     let mut client = NetClient::connect(server.addr(), "burst").unwrap();
     let mut accepted = Vec::new();
     let mut queue_full = 0u32;
+    // the single worker stalls 20 ms before every dequeue while the burst
+    // arrives, so the slot stays taken however fast a job computes; other
+    // tests of this binary sharing the armed failpoint only run slower
+    let _lock = faults_lock();
+    let stall = Disarm(Failpoint::QueueStall);
+    faults::arm_probability(Failpoint::QueueStall, 1.0, 5);
+    faults::set_enabled(true);
     for _ in 0..6 {
         match client.submit(
             submit_header("heat2d", kernels::heat2d(), &[96, 96], 40),
@@ -300,6 +326,7 @@ fn full_queue_rejects_with_retry_hint_instead_of_blocking() {
         "a 6-job burst into a 1-slot queue must shed"
     );
     assert!(!accepted.is_empty(), "the queue still admits work");
+    drop(stall);
 
     // rejection is load shedding, not an outage: while the backlog
     // drains, the accept loop answers new connections
@@ -726,14 +753,7 @@ fn awkward(i: usize, v: f64) -> f64 {
 
 #[test]
 fn payloads_survive_one_byte_server_reads_and_many_partial_client_reads_bit_for_bit() {
-    use stencil_lab::faults::{self, Failpoint};
-    struct Disarm;
-    impl Drop for Disarm {
-        fn drop(&mut self) {
-            faults::disarm(Failpoint::NetShortRead);
-            faults::set_enabled(false);
-        }
-    }
+    let _lock = faults_lock();
     let server = start_server(small_cfg(), NetConfig::default());
     let mut client = NetClient::connect(server.addr(), "bits").unwrap();
 
@@ -742,7 +762,7 @@ fn payloads_survive_one_byte_server_reads_and_many_partial_client_reads_bit_for_
     // job's grid. Fragmenting reads never changes bytes, so other tests
     // of this binary sharing the armed failpoint only run slower
     let grid = Grid2D::from_fn(24, 40, |y, x| awkward(y * 40 + x, (y * x % 7) as f64));
-    let disarm = Disarm;
+    let disarm = Disarm(Failpoint::NetShortRead);
     faults::arm_probability(Failpoint::NetShortRead, 1.0, 7);
     faults::set_enabled(true);
     let out = client

@@ -98,9 +98,11 @@ fn tessellated_3d_register_plans_equal_their_block_free_twin_bitwise() {
         routes: [Twin]);
 }
 
-/// The width rule cuts a wide 2D grid into cache-sized tiles: the tiled
-/// result agrees with the block-free plan to rounding (2D tips take the
-/// scalar guard) and reproduces its own bits on another thread count.
+/// The width rule cuts a wide 2D grid into cache-sized tiles along `y`:
+/// the tiled result is the block-free plan's, bit for bit — an inverted
+/// tip narrower than a vector (2 rows at the transpose layout's first
+/// step) is staged through the same pane — and reproduces its own bits
+/// on another thread count.
 #[test]
 fn tessellation_2d_cuts_a_wide_grid_into_cache_sized_tiles() {
     check!(kernels: ["gb", "box2d9p"], methods: [Folded { m: 2 }, TransposeLayout],
