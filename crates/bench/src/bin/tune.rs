@@ -10,7 +10,7 @@
 
 use stencil_bench::{Args, Table};
 use stencil_core::tune::{auto_method, auto_tiling};
-use stencil_core::{Method, Solver, Tiling, Tuning, Width};
+use stencil_core::{kernels, Method, Solver, Tiling, Tuning, Width};
 use stencil_tune::cache::{method_str, tiling_str};
 
 fn main() {
@@ -36,7 +36,8 @@ fn main() {
     );
     println!("{}", "-".repeat(84));
     let mut disagreements = 0usize;
-    for (name, p) in stencil_tune::candidates::table1_patterns() {
+    for (_, name, pattern) in kernels::NAMED {
+        let p = pattern();
         if !args.wants(name) {
             continue;
         }

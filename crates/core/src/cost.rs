@@ -116,16 +116,8 @@ mod tests {
 
     #[test]
     fn folding_is_profitable_for_all_linear_benchmarks() {
-        for (name, p) in [
-            ("1D-Heat", kernels::heat1d()),
-            ("1D5P", kernels::d1p5()),
-            ("2D-Heat", kernels::heat2d()),
-            ("2D9P", kernels::box2d9p()),
-            ("GB", kernels::gb()),
-            ("3D-Heat", kernels::heat3d()),
-            ("3D27P", kernels::box3d27p()),
-        ] {
-            let prof = profitability(&p, 2);
+        for (_, name, pattern) in kernels::NAMED {
+            let prof = profitability(&pattern(), 2);
             assert!(prof > 1.0, "{name}: P = {prof}");
         }
     }

@@ -884,6 +884,7 @@ mod tests {
     use crate::folding::fold;
     use crate::kernels;
     use crate::pattern::Pattern;
+    use stencil_faults::SplitMix64;
     use stencil_grid::{max_abs_diff, PingPong};
     use stencil_simd::{NativeF64x4, NativeF64x8};
 
@@ -1056,14 +1057,11 @@ mod tests {
     }
 
     /// Cut `r` into seeded pieces of at least `min` cells each.
-    fn cut(r: Range<usize>, min: usize, seed: &mut u64) -> Vec<Range<usize>> {
+    fn cut(r: Range<usize>, min: usize, rng: &mut SplitMix64) -> Vec<Range<usize>> {
         let mut pieces = Vec::new();
         let mut lo = r.start;
         while r.end - lo >= 2 * min {
-            *seed = seed
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let w = min + (*seed >> 33) as usize % (min + 1);
+            let w = rng.range(min..2 * min + 1);
             let hi = if r.end - (lo + w) < min {
                 r.end
             } else {
@@ -1078,7 +1076,7 @@ mod tests {
         pieces
     }
 
-    fn partition_gives_identical_bits<V: SimdF64>(p: &Pattern, m: usize, seed: &mut u64) {
+    fn partition_gives_identical_bits<V: SimdF64>(p: &Pattern, m: usize, rng: &mut SplitMix64) {
         let vl = V::LANES;
         let k = FoldedKernel::new(p, m);
         let rr = k.radius();
@@ -1097,9 +1095,9 @@ mod tests {
             rr..nx - rr,
         );
         let mut pieces = g.clone();
-        for zs in cut(rr..nz - rr, 1, seed) {
-            for ys in cut(rr..ny - rr, vl, seed) {
-                for xs in cut(rr..nx - rr, vl, seed) {
+        for zs in cut(rr..nz - rr, 1, rng) {
+            for ys in cut(rr..ny - rr, vl, rng) {
+                for xs in cut(rr..nx - rr, vl, rng) {
                     step_range_3d_ring::<V>(&k, ring, &g, &mut pieces, zs.clone(), ys.clone(), xs);
                 }
             }
@@ -1111,7 +1109,7 @@ mod tests {
         );
     }
 
-    fn partition_gives_identical_bits_2d<V: SimdF64>(p: &Pattern, m: usize, seed: &mut u64) {
+    fn partition_gives_identical_bits_2d<V: SimdF64>(p: &Pattern, m: usize, rng: &mut SplitMix64) {
         let vl = V::LANES;
         let k = FoldedKernel::new(p, m);
         let rr = k.radius();
@@ -1121,8 +1119,8 @@ mod tests {
         let mut whole = g.clone();
         step_range_2d::<V>(&k, &g, &mut whole, rr..ny - rr, rr..nx - rr);
         let mut pieces = g.clone();
-        for ys in cut(rr..ny - rr, vl, seed) {
-            for xs in cut(rr..nx - rr, vl, seed) {
+        for ys in cut(rr..ny - rr, vl, rng) {
+            for xs in cut(rr..nx - rr, vl, rng) {
                 step_range_2d::<V>(&k, &g, &mut pieces, ys.clone(), xs);
             }
         }
@@ -1138,17 +1136,17 @@ mod tests {
         // each output is one fixed FMA chain over its own inputs, so the
         // cut into range calls (every piece >= vl wide in x and y) cannot
         // show in the bits
-        let mut seed = 18;
+        let mut rng = SplitMix64::new(18);
         for p in [kernels::heat3d(), kernels::box3d27p(), kernels::star3d_r2()] {
             for m in [1usize, 2] {
-                partition_gives_identical_bits::<NativeF64x4>(&p, m, &mut seed);
-                partition_gives_identical_bits::<NativeF64x8>(&p, m, &mut seed);
+                partition_gives_identical_bits::<NativeF64x4>(&p, m, &mut rng);
+                partition_gives_identical_bits::<NativeF64x8>(&p, m, &mut rng);
             }
         }
         for p in [kernels::heat2d(), kernels::box2d9p(), kernels::gb()] {
             for m in [1usize, 2] {
-                partition_gives_identical_bits_2d::<NativeF64x4>(&p, m, &mut seed);
-                partition_gives_identical_bits_2d::<NativeF64x8>(&p, m, &mut seed);
+                partition_gives_identical_bits_2d::<NativeF64x4>(&p, m, &mut rng);
+                partition_gives_identical_bits_2d::<NativeF64x8>(&p, m, &mut rng);
             }
         }
     }

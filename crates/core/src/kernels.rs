@@ -102,6 +102,33 @@ pub fn star3d_r2() -> Pattern {
     Pattern::new_3d(2, &w)
 }
 
+/// A kernel by name: `(short, paper, pattern)`. The short name is what
+/// manifests, the wire protocol and the conformance harness use; the
+/// paper name is what Table 1 prints.
+pub type Named = (&'static str, &'static str, fn() -> Pattern);
+
+/// Table 1's linear kernels and the radius-2 3D pair, in table order.
+/// APOP and Game of Life are not here: their patterns are only the
+/// linear part of a nonlinear update.
+pub const NAMED: [Named; 9] = [
+    ("heat1d", "1D-Heat", heat1d),
+    ("d1p5", "1D5P", d1p5),
+    ("heat2d", "2D-Heat", heat2d),
+    ("box2d9p", "2D9P", box2d9p),
+    ("gb", "GB", gb),
+    ("heat3d", "3D-Heat", heat3d),
+    ("box3d27p", "3D27P", box3d27p),
+    ("box3d125p", "3D125P", box3d125p),
+    ("star3d_r2", "3DStar-R2", star3d_r2),
+];
+
+/// The pattern of a [`NAMED`] short name, or of `star3d`, an alias of
+/// `heat3d` (the 3D heat star).
+pub fn by_name(name: &str) -> Option<Pattern> {
+    let name = if name == "star3d" { "heat3d" } else { name };
+    NAMED.iter().find(|k| k.0 == name).map(|k| (k.2)())
+}
+
 /// One row of the paper's Table 1.
 #[derive(Debug, Clone)]
 pub struct BenchmarkSpec {

@@ -133,6 +133,22 @@ impl SplitMix64 {
     pub fn next_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
+
+    /// A draw in `0..n`: `next_u64() % n`, so the stream a caller sees
+    /// is the raw one reduced (the modulo bias is below `n / 2^64`).
+    pub fn below(&mut self, n: usize) -> usize {
+        (self.next_u64() % n as u64) as usize
+    }
+
+    /// A draw in `r` ([`below`](Self::below) shifted to its start).
+    pub fn range(&mut self, r: std::ops::Range<usize>) -> usize {
+        r.start + self.below(r.len())
+    }
+
+    /// Uniform `f64` in `[lo, hi)`.
+    pub fn uniform(&mut self, lo: f64, hi: f64) -> f64 {
+        lo + self.next_f64() * (hi - lo)
+    }
 }
 
 /// Per-failpoint trigger state. All fields are plain atomics so the
@@ -368,6 +384,14 @@ mod tests {
             ]
         );
         assert_eq!(SplitMix64::new(42).next_f64(), 0.7415648787718233);
+        // the range draws reduce the same stream
+        let mut g = SplitMix64::new(42);
+        assert_eq!(g.below(1000), (draws[0] % 1000) as usize);
+        assert_eq!(g.range(5..9), 5 + (draws[1] % 4) as usize);
+        assert_eq!(
+            g.uniform(-2.0, 2.0),
+            -2.0 + 4.0 * (draws[2] >> 11) as f64 / (1u64 << 53) as f64
+        );
     }
 
     #[test]

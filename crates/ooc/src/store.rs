@@ -299,7 +299,13 @@ impl SlabStore {
             surface: AtomicU64::new(u64_at(56)),
             stats: StatsCell::default(),
         };
-        let expected = HEADER_LEN + 2 * store.surface_bytes();
+        // two surfaces of nz * ny * nx f64s; a shape no file could hold
+        // (its size overflows) reads as truncated too
+        let expected = [16, 24, 32]
+            .into_iter()
+            .try_fold(2 * 8, |bytes: u64, o| bytes.checked_mul(u64_at(o)))
+            .and_then(|payload| payload.checked_add(HEADER_LEN))
+            .unwrap_or(u64::MAX);
         if found < expected {
             return Err(OocError::Truncated { expected, found });
         }

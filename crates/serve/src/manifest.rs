@@ -259,21 +259,10 @@ fn parse_entry(e: &Value) -> Result<ManifestEntry, String> {
     })
 }
 
-/// Resolve a Table-1 kernel name (the names `stencil-bench` prints,
-/// lower-case, plus the `star3d` alias for the 3D heat star).
+/// Resolve a kernel name: a short name of [`kernels::NAMED`] or its
+/// `star3d` alias ([`kernels::by_name`]).
 pub fn kernel_by_name(name: &str) -> Option<Pattern> {
-    Some(match name {
-        "heat1d" => kernels::heat1d(),
-        "d1p5" => kernels::d1p5(),
-        "heat2d" => kernels::heat2d(),
-        "box2d9p" => kernels::box2d9p(),
-        "gb" => kernels::gb(),
-        "heat3d" | "star3d" => kernels::heat3d(),
-        "box3d27p" => kernels::box3d27p(),
-        "box3d125p" => kernels::box3d125p(),
-        "star3d_r2" => kernels::star3d_r2(),
-        _ => return None,
-    })
+    kernels::by_name(name)
 }
 
 /// Encode a tuning mode for manifests (`static`/`measured`/`cache-only`).

@@ -813,8 +813,11 @@ fn parse_submit(doc: &Value) -> Result<SubmitHeader, WireError> {
                     .ok_or_else(|| bad("\"weights\" must be numbers".into()))
             })
             .collect::<Result<_, _>>()?;
-        let side = 2 * radius + 1;
-        if weights.len() != side.pow(dims as u32) {
+        // (2r + 1)^dims, which a huge radius overflows
+        let points = radius
+            .checked_mul(2)
+            .and_then(|d| (d + 1).checked_pow(dims as u32));
+        if points != Some(weights.len()) {
             return Err(bad(format!(
                 "inline pattern has {} weights, needs (2*{radius}+1)^{dims}",
                 weights.len()
@@ -1034,6 +1037,12 @@ mod tests {
             .unwrap(),
             json::parse(
                 r#"{"type": "submit", "id": 1, "kernel": "heat2d", "extents": [8], "steps": 1}"#,
+            )
+            .unwrap(),
+            // (2r + 1)^dims overflows
+            json::parse(
+                r#"{"type": "submit", "id": 1, "dims": 2, "radius": 4611686018427387904,
+                    "weights": [1], "extents": [8, 8], "steps": 1}"#,
             )
             .unwrap(),
         ] {

@@ -7,13 +7,41 @@
 //! type directly and through [`dispatch`]. Where the CPU lacks a
 //! backend, dispatch picks the portable type too, and the comparison
 //! says so on stderr and passes trivially.
+//!
+//! Each property draws [`CASES`] operations from one seeded
+//! `SplitMix64`; a failing case names its index and operation, and
+//! rerunning the test replays it.
 
-use proptest::prelude::*;
+use std::fmt::Debug;
+use stencil_faults::SplitMix64;
 use stencil_simd::portable::{PF64x4, PF64x8};
 use stencil_simd::{dispatch, Isa, SimdF64, WithSimd};
 
-fn lanes(n: usize) -> impl Strategy<Value = Vec<f64>> {
-    prop::collection::vec(-1e6f64..1e6, n)
+const SEED: u64 = 128;
+const CASES: usize = 128;
+
+/// `n` lane values in `[-1e6, 1e6)`.
+fn lanes(rng: &mut SplitMix64, n: usize) -> Vec<f64> {
+    (0..n).map(|_| rng.uniform(-1e6, 1e6)).collect()
+}
+
+/// Draw [`CASES`] ops with `draw`; each must give the same output on
+/// the portable and the dispatched backend, and pass `check`.
+fn agree<Op>(
+    lanes: usize,
+    mut draw: impl FnMut(&mut SplitMix64) -> Op,
+    check: impl Fn(&Op, &Op::Output) -> bool,
+) where
+    Op: WithSimd + Clone + Debug,
+    Op::Output: PartialEq + Debug,
+{
+    let mut rng = SplitMix64::new(SEED);
+    for case in 0..CASES {
+        let op = draw(&mut rng);
+        let (p, n) = both(lanes, op.clone());
+        assert_eq!(p, n, "case {case}: {op:?}");
+        assert!(check(&op, &n), "case {case}: {op:?} -> {n:?}");
+    }
 }
 
 /// `op` on the portable `lanes`-wide type and on the backend [`dispatch`]
@@ -34,7 +62,7 @@ fn v<V: SimdF64>(s: &[f64]) -> V {
 }
 
 /// Every lane-wise operation on `a`, `b`, `c` (one vector each).
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 struct Arithmetic(Vec<f64>, Vec<f64>, Vec<f64>);
 
 impl WithSimd for Arithmetic {
@@ -59,7 +87,7 @@ impl WithSimd for Arithmetic {
 }
 
 /// The assembled-vector shuffles of `a` with `b`.
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 struct Shifts(Vec<f64>, Vec<f64>);
 
 impl WithSimd for Shifts {
@@ -79,7 +107,7 @@ impl WithSimd for Shifts {
 }
 
 /// The in-register transpose of a `lanes × lanes` tile, row-major.
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 struct Transpose(Vec<f64>);
 
 impl WithSimd for Transpose {
@@ -93,7 +121,7 @@ impl WithSimd for Transpose {
 
 /// An unaligned load and store at offset `.1` of a buffer, then
 /// `insert(.2, .3)`, `extract` of every lane and the horizontal sum.
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 struct Memory(Vec<f64>, usize, usize, f64);
 
 impl WithSimd for Memory {
@@ -113,76 +141,79 @@ impl WithSimd for Memory {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
+#[test]
+fn arithmetic_matches_portable_x4() {
+    agree(
+        4,
+        |r| Arithmetic(lanes(r, 4), lanes(r, 4), lanes(r, 4)),
+        |_, _| true,
+    );
+}
 
-    #[test]
-    fn arithmetic_matches_portable_x4(a in lanes(4), b in lanes(4), c in lanes(4)) {
-        let (p, n) = both(4, Arithmetic(a, b, c));
-        prop_assert_eq!(p, n);
-    }
+#[test]
+fn arithmetic_matches_portable_x8() {
+    agree(
+        8,
+        |r| Arithmetic(lanes(r, 8), lanes(r, 8), lanes(r, 8)),
+        |_, _| true,
+    );
+}
 
-    #[test]
-    fn arithmetic_matches_portable_x8(a in lanes(8), b in lanes(8), c in lanes(8)) {
-        let (p, n) = both(8, Arithmetic(a, b, c));
-        prop_assert_eq!(p, n);
-    }
+#[test]
+fn shifts_match_portable_x4() {
+    agree(4, |r| Shifts(lanes(r, 4), lanes(r, 4)), |_, _| true);
+}
 
-    #[test]
-    fn shifts_match_portable_x4(a in lanes(4), b in lanes(4)) {
-        let (p, n) = both(4, Shifts(a, b));
-        prop_assert_eq!(p, n);
-    }
+#[test]
+fn shifts_match_portable_x8() {
+    agree(8, |r| Shifts(lanes(r, 8), lanes(r, 8)), |_, _| true);
+}
 
-    #[test]
-    fn shifts_match_portable_x8(a in lanes(8), b in lanes(8)) {
-        let (p, n) = both(8, Shifts(a, b));
-        prop_assert_eq!(p, n);
-    }
+/// The dispatched `l × l` transpose is the transpose.
+fn transposes(l: usize) {
+    agree(
+        l,
+        |r| Transpose(lanes(r, l * l)),
+        |Transpose(tile), n| (0..l).all(|r| (0..l).all(|c| n[c * l + r] == tile[r * l + c])),
+    );
+}
 
-    #[test]
-    fn transpose_matches_portable_x4(tile in lanes(16)) {
-        let (p, n) = both(4, Transpose(tile.clone()));
-        prop_assert_eq!(&p, &n);
-        // and it is the transpose
-        for r in 0..4 {
-            for c in 0..4 {
-                prop_assert_eq!(n[c * 4 + r], tile[r * 4 + c]);
-            }
-        }
-    }
+#[test]
+fn transpose_matches_portable_x4() {
+    transposes(4);
+}
 
-    #[test]
-    fn transpose_matches_portable_x8(tile in lanes(64)) {
-        let (p, n) = both(8, Transpose(tile.clone()));
-        prop_assert_eq!(&p, &n);
-        for r in 0..8 {
-            for c in 0..8 {
-                prop_assert_eq!(n[c * 8 + r], tile[r * 8 + c]);
-            }
-        }
-    }
+#[test]
+fn transpose_matches_portable_x8() {
+    transposes(8);
+}
 
-    #[test]
-    fn load_store_roundtrip(a in lanes(8), off in 0usize..16, i in 0usize..8, x in -1e6f64..1e6) {
-        let (p, n) = both(8, Memory(a.clone(), off, i, x));
-        prop_assert_eq!(&p, &n);
-        prop_assert_eq!(&n.0[off..off + 8], &a[..]);
-    }
+#[test]
+fn load_store_roundtrip() {
+    let draw =
+        |r: &mut SplitMix64| Memory(lanes(r, 8), r.below(16), r.below(8), r.uniform(-1e6, 1e6));
+    agree(8, draw, |Memory(a, off, ..), n| {
+        n.0[*off..*off + 8] == a[..]
+    });
+}
 
-    #[test]
-    fn insert_extract_consistency(a in lanes(4), off in 0usize..8, i in 0usize..4, x in -1e6f64..1e6) {
-        let (p, n) = both(4, Memory(a.clone(), off, i, x));
-        prop_assert_eq!(&p, &n);
-        for j in 0..4 {
-            prop_assert_eq!(n.1[j], if j == i { x } else { a[j] });
-        }
-    }
+#[test]
+fn insert_extract_consistency() {
+    let draw =
+        |r: &mut SplitMix64| Memory(lanes(r, 4), r.below(8), r.below(4), r.uniform(-1e6, 1e6));
+    agree(4, draw, |&Memory(ref a, _, i, x), n| {
+        (0..4).all(|j| n.1[j] == if j == i { x } else { a[j] })
+    });
+}
 
-    #[test]
-    fn horizontal_sum_matches(a in lanes(4)) {
-        let (_, (_, lanes, sum)) = both(4, Memory(a, 0, 0, 0.5));
-        let want: f64 = lanes.iter().sum();
-        prop_assert!((want - sum).abs() <= 1e-9 * want.abs().max(1.0));
-    }
+#[test]
+fn horizontal_sum_matches() {
+    agree(
+        4,
+        |r| Memory(lanes(r, 4), 0, 0, 0.5),
+        |_, (_, lanes, sum)| {
+            let want: f64 = lanes.iter().sum();
+            (want - sum).abs() <= 1e-9 * want.abs().max(1.0)
+        },
+    );
 }

@@ -16,7 +16,7 @@
 //! rule table filters, so an emitted candidate always compiles.
 
 use stencil_core::tune::default_time_block;
-use stencil_core::{cost, kernels, Method, Pattern, PlanConfig, Ring3, Tiling, Width};
+use stencil_core::{cost, Method, Pattern, PlanConfig, Ring3, Tiling, Width};
 
 /// One concrete configuration the probe harness can compile and time.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -279,28 +279,12 @@ fn tilings_for(dims: usize, threads: usize) -> Vec<Tiling> {
     out
 }
 
-/// Every candidate list is non-trivial for the Table-1 kernels; used by
-/// tests and kept here so the invariant lives next to the generator.
-pub fn table1_patterns() -> Vec<(&'static str, Pattern)> {
-    vec![
-        ("1D-Heat", kernels::heat1d()),
-        ("1D5P", kernels::d1p5()),
-        ("2D-Heat", kernels::heat2d()),
-        ("2D9P", kernels::box2d9p()),
-        ("GB", kernels::gb()),
-        ("3D-Heat", kernels::heat3d()),
-        ("3D27P", kernels::box3d27p()),
-        ("3D125P", kernels::box3d125p()),
-        ("3DStar-R2", kernels::star3d_r2()),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::open_config as open;
     use stencil_core::tune::TuneRequest;
-    use stencil_core::{Solver, Tuning};
+    use stencil_core::{kernels, Solver, Tuning};
 
     #[test]
     fn cost_model_seeds_a_profitable_leader() {
@@ -308,7 +292,8 @@ mod tests {
         // paper's showcase kernels (dense boxes, where folding shines)
         // put temporal folding first; 3D-Heat legitimately ranks
         // shifts-reuse above folding (sparse star, deep column reuse)
-        for (name, p) in table1_patterns() {
+        for (_, name, pattern) in kernels::NAMED {
+            let p = pattern();
             let ranked = ranked_methods(&p);
             assert!(ranked[0].1 > 1.0, "{name}");
             assert!(
@@ -350,7 +335,8 @@ mod tests {
     fn every_candidate_compiles() {
         // a candidate that does not compile is a generator bug: the
         // rule table filtered it, and the rule table is what compiles
-        for (name, p) in table1_patterns() {
+        for (_, name, pattern) in kernels::NAMED {
+            let p = pattern();
             for threads in [1, 4] {
                 let generated = generate(&p, &open(Width::native_max()), threads, 4);
                 assert!(!generated.is_empty(), "{name}");

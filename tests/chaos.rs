@@ -5,24 +5,32 @@
 //! with a *typed* error. Never a hang, never a process exit, never a
 //! silently wrong answer.
 //!
-//! Every trigger is seeded or scripted, so a failing run replays
-//! exactly — the point of deterministic failpoints over `kill -9`
-//! chaos.
+//! The same contract holds for corrupted bytes: a `submit` and a `done`
+//! frame, a slab store's header and a saved tune cache, with drawn bits
+//! flipped, bytes overwritten or the tail cut off, decode, open or load
+//! to a value or a typed error.
+//!
+//! Every trigger and every edit is seeded or scripted, so a failing run
+//! replays exactly — the point of deterministic failpoints over
+//! `kill -9` chaos.
 
 #[macro_use]
 #[path = "conformance/mod.rs"]
 mod conformance;
 
+use std::panic::AssertUnwindSafe;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use stencil_lab::core::kernels;
-use stencil_lab::faults::{self, Failpoint};
+use stencil_lab::core::{kernels, PlanConfig};
+use stencil_lab::faults::{self, Failpoint, SplitMix64};
 use stencil_lab::grid::{Grid2D, Grid3D};
-use stencil_lab::ooc::{self, OocConfig, SlabStore};
+use stencil_lab::ooc::{self, OocConfig, OocError, SlabStore};
+use stencil_lab::serve::net::wire::{self, ClientMsg, Frame, ServerMsg};
 use stencil_lab::serve::net::{JobEvent, NetClient, NetConfig, NetError, NetServer, SubmitHeader};
 use stencil_lab::serve::{JobDomain, JobSpec, ServeConfig, ServeError, StencilService};
-use stencil_lab::{Method, Solver, Width};
+use stencil_lab::tune::cache::{CacheEntry, TuneCache};
+use stencil_lab::{Method, Ring3, Solver, Tiling, Tuning, Width};
 
 use conformance::{bits, budget_for, workload, Route};
 
@@ -585,4 +593,160 @@ fn enabled_but_idle_failpoints_stay_within_noise_of_disabled() {
         enabled <= bound,
         "enabled-but-idle failpoints too slow: disabled {disabled:?}, enabled {enabled:?} (bound {bound:?})"
     );
+}
+
+// ---------------------------------------------------------------------
+// Corrupted bytes: valid bytes of every persisted or wire format, with
+// drawn bits flipped, bytes overwritten or the tail cut off, end in a
+// value or a typed error, never a panic.
+// ---------------------------------------------------------------------
+
+/// The mutation properties' seed and cases per valid input.
+const MUTATION_SEED: u64 = 6;
+const MUTATION_CASES: usize = 256;
+
+/// One to three drawn edits of `bytes`: flip a bit, overwrite a byte,
+/// or truncate. Returns the edits, for a failing case's message.
+fn mutate(rng: &mut SplitMix64, bytes: &mut Vec<u8>) -> String {
+    let mut edits = String::new();
+    for _ in 0..rng.range(1..4) {
+        if bytes.is_empty() {
+            break;
+        }
+        let at = rng.below(bytes.len());
+        let edit = match rng.below(3) {
+            0 => {
+                let bit = rng.below(8);
+                bytes[at] ^= 1 << bit;
+                format!("flip {at}.{bit}; ")
+            }
+            1 => {
+                let b = rng.next_u64() as u8;
+                bytes[at] = b;
+                format!("set {at}={b:#04x}; ")
+            }
+            _ => {
+                bytes.truncate(at);
+                format!("truncate {at}; ")
+            }
+        };
+        edits += &edit;
+    }
+    edits
+}
+
+/// `check` on [`MUTATION_CASES`] mutations of `valid`. A panic inside
+/// it, the program's or an assertion's, fails the test naming the case
+/// and its edits (below the panic's own message).
+fn mutations(valid: &[u8], check: impl Fn(&[u8])) {
+    let mut rng = SplitMix64::new(MUTATION_SEED);
+    for case in 0..MUTATION_CASES {
+        let mut bytes = valid.to_vec();
+        let edits = mutate(&mut rng, &mut bytes);
+        let run = std::panic::catch_unwind(AssertUnwindSafe(|| check(&bytes)));
+        assert!(run.is_ok(), "case {case}: {edits}");
+    }
+}
+
+#[test]
+fn wire_mutations_decode_to_frames_or_typed_errors() {
+    let submit = ClientMsg::Submit(SubmitHeader {
+        id: 7,
+        // not a named kernel: the header carries its weights inline
+        name: "asym".into(),
+        pattern: kernels::gb(),
+        extents: vec![6, 5],
+        steps: 3,
+        rounds: 2,
+        tuning: Some(Tuning::Static),
+        deadline_ms: Some(250),
+    });
+    let done = ServerMsg::Done {
+        id: 7,
+        shards: 2,
+        batched: true,
+        latency_us: 1234,
+        extents: vec![6, 5],
+    };
+    for doc in [submit.to_json(), done.to_json()] {
+        let mut valid = Vec::new();
+        wire::encode(&Frame::Header(doc), &mut valid);
+        wire::encode(&Frame::Payload(vec![0.5; 30]), &mut valid);
+        // every frame the bytes still hold, each header parsed as both
+        // message kinds; the end of the bytes is the end of the stream
+        mutations(&valid, |mut rest| {
+            while let Ok(Some((frame, used))) = wire::decode_eof(rest, wire::DEFAULT_MAX_FRAME) {
+                assert!((1..=rest.len()).contains(&used));
+                if let Frame::Header(doc) = frame {
+                    let _ = ClientMsg::from_json(&doc);
+                    let _ = ServerMsg::from_json(&doc);
+                }
+                rest = &rest[used..];
+            }
+        });
+    }
+}
+
+#[test]
+fn slab_header_mutations_open_or_fail_typed() {
+    // no armed store failpoint may fail the valid store's create
+    let _g = serial();
+    let path =
+        std::env::temp_dir().join(format!("stencil-chaos-header-{}.slab", std::process::id()));
+    let g = Grid3D::from_fn(4, 3, 5, |z, y, x| (z * 15 + y * 5 + x) as f64);
+    drop(SlabStore::create(&path, &g, 1).unwrap());
+    let valid = std::fs::read(&path).unwrap();
+    mutations(&valid[..64], |head| {
+        std::fs::write(&path, [head, &valid[64..]].concat()).unwrap();
+        // a bad header is a typed verdict on the header, not an io error
+        if let Err(OocError::Io(e)) = SlabStore::open(&path) {
+            panic!("io error {e}");
+        }
+    });
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn tune_cache_mutations_skip_entries_or_fail_typed() {
+    let path = std::env::temp_dir().join(format!("stencil-chaos-tune-{}.json", std::process::id()));
+    let mut cache = TuneCache::new();
+    let methods = [
+        Method::Folded { m: 2 },
+        Method::TransposeLayout,
+        Method::MultipleLoads,
+    ];
+    for (i, method) in methods.into_iter().enumerate() {
+        cache.put(CacheEntry {
+            key: format!("host|avx2-w4|t{i}|w4|sig{i}|small|m=*|ti=*|ri=*"),
+            config: PlanConfig {
+                method,
+                tiling: match i {
+                    1 => Tiling::None,
+                    _ => Tiling::Tessellate { time_block: 3 + i },
+                },
+                width: Width::W4,
+                ring3: (i == 0).then_some(Ring3 { depth: 8, slab: 4 }),
+            },
+            rate: 1.5e9 + i as f64,
+            model_method: Method::Folded { m: 2 },
+            probes: 5 + i,
+            spent_ms: 12.25,
+            method_rates: vec![(method, 1.5e9), (Method::Scalar, 2.5e8)],
+        });
+    }
+    cache.save(&path).unwrap();
+    let valid = std::fs::read(&path).unwrap();
+    mutations(&valid, |bytes| {
+        std::fs::write(&path, bytes).unwrap();
+        // `Err` for a file that no longer parses; otherwise every entry
+        // either loads as a concrete decision or is skipped
+        if let Ok(loaded) = TuneCache::load(&path) {
+            let loaded = loaded.expect("the file exists");
+            assert!(loaded.len() + loaded.skipped() <= cache.len());
+            for e in loaded.entries() {
+                assert!(e.config.method != Method::Auto && e.config.tiling != Tiling::Auto);
+            }
+        }
+    });
+    let _ = std::fs::remove_file(&path);
 }

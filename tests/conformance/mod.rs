@@ -98,27 +98,25 @@ pub const EXTENTS: &[Extent] = &[
 ];
 pub const STEPS: &[Steps] = &[Steps::Folds(2, 0), Steps::Folds(2, 1)];
 
-/// Table 1's kernels, the radius-2 3D ones, and a seeded asymmetric
-/// pattern per dimensionality.
+/// The named kernels (Table 1's linear ones and the radius-2 3D pair),
+/// the linear parts of APOP and Life, and a seeded asymmetric pattern
+/// per dimensionality, in order of dimensionality.
 pub fn kernels() -> Vec<(&'static str, Pattern)> {
     let mut rng = SplitMix64::new(SEED);
     let mut taps = |n: usize| -> Vec<f64> { (0..n).map(|_| rng.next_f64() / n as f64).collect() };
-    vec![
-        ("heat1d", kernels::heat1d()),
-        ("d1p5", kernels::d1p5()),
+    let mut all: Vec<_> = kernels::NAMED
+        .iter()
+        .map(|&(name, _, p)| (name, p()))
+        .collect();
+    all.extend([
         ("apop_linear", kernels::apop_linear()),
         ("asym1d", Pattern::new_1d(&taps(5))),
-        ("heat2d", kernels::heat2d()),
-        ("box2d9p", kernels::box2d9p()),
         ("life_count", kernels::life_count()),
-        ("gb", kernels::gb()),
         ("asym2d", Pattern::new_2d(1, &taps(9))),
-        ("heat3d", kernels::heat3d()),
-        ("box3d27p", kernels::box3d27p()),
-        ("box3d125p", kernels::box3d125p()),
-        ("star3d_r2", kernels::star3d_r2()),
         ("asym3d", Pattern::new_3d(1, &taps(27))),
-    ]
+    ]);
+    all.sort_by_key(|(_, p)| p.dims());
+    all
 }
 
 /// Grid shape classes.
@@ -773,14 +771,10 @@ impl Run {
         }
     }
 
-    fn below(&mut self, n: usize) -> usize {
-        (self.rng.next_u64() % n as u64) as usize
-    }
-
     /// The listed values, or one drawn from `full`.
     fn draw<T: Copy>(&mut self, axis: &'static [T], full: &'static [T]) -> Vec<T> {
         match axis {
-            [] => vec![full[self.below(full.len())]],
+            [] => vec![full[self.rng.below(full.len())]],
             _ => axis.to_vec(),
         }
     }
@@ -880,7 +874,7 @@ impl Run {
             // key no earlier one did
             let mut order: Vec<usize> = (0..cases.len()).collect();
             for i in (1..order.len()).rev() {
-                order.swap(i, self.below(i + 1));
+                order.swap(i, self.rng.below(i + 1));
             }
             let mut keys = BTreeSet::new();
             for c in order.into_iter().map(|i| &cases[i]) {
@@ -926,8 +920,8 @@ impl Run {
             Extent::OneTile => vec![2 * rr + 1; dims],
             Extent::NoInterior => {
                 let mut e = pick([&[256], &[16, 40], &[16, 10, 16]]);
-                let axis = self.below(dims);
-                e[axis] = [1, 2 * r, 2 * rr][self.below(3)];
+                let axis = self.rng.below(dims);
+                e[axis] = [1, 2 * r, 2 * rr][self.rng.below(3)];
                 e
             }
         };

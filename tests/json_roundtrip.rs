@@ -5,10 +5,15 @@
 //! suite covers every artifact: escapes, unicode, nested structures,
 //! number edge cases, and the serve stats document itself.
 
-use proptest::prelude::*;
 use std::collections::BTreeMap;
+use stencil_lab::faults::SplitMix64;
 use stencil_lab::obs::json::{parse, Value};
 use stencil_lab::serve::{PlanTelemetry, StatsSnapshot, TenantCounters};
+
+/// Every property's seed; a failing case names its index and inputs,
+/// and rerunning the test replays it.
+const SEED: u64 = 64;
+const CASES: usize = 64;
 
 /// Map sampled code points onto `char`s, biasing toward the cases the
 /// writer must escape: quotes, backslashes, control characters, and
@@ -27,37 +32,65 @@ fn chars_from(codes: &[u32]) -> String {
         .collect()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+/// Code points in `0..0x3000`, a count drawn from `len` of them.
+fn codes(rng: &mut SplitMix64, len: std::ops::Range<usize>) -> Vec<u32> {
+    (0..rng.range(len))
+        .map(|_| rng.below(0x3000) as u32)
+        .collect()
+}
 
-    #[test]
-    fn strings_with_escapes_round_trip(codes in prop::collection::vec(0u32..0x3000, 0..24)) {
+/// `n` values in `0..1e9`.
+fn counts(rng: &mut SplitMix64, n: usize) -> Vec<u64> {
+    (0..n).map(|_| rng.next_u64() % 1_000_000_000).collect()
+}
+
+#[test]
+fn strings_with_escapes_round_trip() {
+    let mut rng = SplitMix64::new(SEED);
+    for case in 0..CASES {
+        let codes = codes(&mut rng, 0..24);
         let v = Value::Str(chars_from(&codes));
-        prop_assert_eq!(parse(&v.pretty()).unwrap(), v);
+        assert_eq!(
+            parse(&v.pretty()).unwrap(),
+            v,
+            "case {case}: codes={codes:?}"
+        );
     }
+}
 
-    #[test]
-    fn finite_numbers_round_trip_exactly(
-        frac in -1.0e15f64..1.0e15,
-        scale in 0u32..8,
-        int in -9_007_199_254_740_992i64..9_007_199_254_740_992,
-    ) {
+#[test]
+fn finite_numbers_round_trip_exactly() {
+    const INT: i64 = 9_007_199_254_740_992;
+    let mut rng = SplitMix64::new(SEED);
+    for case in 0..CASES {
+        let frac = rng.uniform(-1.0e15, 1.0e15);
+        let scale = rng.below(8) as i32;
+        let int = (rng.next_u64() % (2 * INT as u64)) as i64 - INT;
         // fractional values across magnitudes (the shortest-float
         // writer must re-parse to the identical bits)...
-        let scaled = frac * (10f64).powi(scale as i32 * 4 - 16);
+        let scaled = frac * (10f64).powi(scale * 4 - 16);
         for n in [scaled, frac, int as f64, -0.0, 0.0] {
             let v = Value::Num(n);
             let back = parse(&v.pretty()).unwrap();
-            prop_assert_eq!(back.as_num().unwrap().to_bits(), n.to_bits(), "{}", n);
+            assert_eq!(
+                back.as_num().unwrap().to_bits(),
+                n.to_bits(),
+                "case {case}: frac={frac} scale={scale} int={int}: {n}"
+            );
         }
     }
+}
 
-    #[test]
-    fn nested_arrays_and_objects_round_trip(
-        nums in prop::collection::vec(-1.0e9f64..1.0e9, 0..6),
-        key_codes in prop::collection::vec(0u32..0x3000, 1..10),
-        depth in 1usize..5,
-    ) {
+#[test]
+fn nested_arrays_and_objects_round_trip() {
+    let mut rng = SplitMix64::new(SEED);
+    for case in 0..CASES {
+        let nums: Vec<f64> = (0..rng.range(0..6))
+            .map(|_| rng.uniform(-1.0e9, 1.0e9))
+            .collect();
+        let key_codes = codes(&mut rng, 1..10);
+        let depth = rng.range(1..5);
+        let inputs = format!("case {case}: nums={nums:?} key_codes={key_codes:?} depth={depth}");
         // depth-nested object/array alternation with awkward keys
         let mut v = Value::Arr(nums.iter().map(|&n| Value::Num(n)).collect());
         for level in 0..depth {
@@ -72,20 +105,22 @@ proptest! {
             };
         }
         let text = v.pretty();
-        prop_assert_eq!(parse(&text).unwrap(), v);
+        assert_eq!(parse(&text).unwrap(), v, "{inputs}");
         // and the writer is deterministic: re-serialize == serialize
-        prop_assert_eq!(parse(&text).unwrap().pretty(), text);
+        assert_eq!(parse(&text).unwrap().pretty(), text, "{inputs}");
     }
+}
 
-    #[test]
-    fn serve_stats_dumps_round_trip(
-        counters in prop::collection::vec(0u64..1_000_000_000, 20),
-        mean in 0.0f64..1.0e9,
-        warn_codes in prop::collection::vec(0u32..0x3000, 0..12),
-        tenant_codes in prop::collection::vec(0u32..0x3000, 1..10),
-        tenant_counters in prop::collection::vec(0u64..1_000_000_000, 3),
-        plan_counters in prop::collection::vec(0u64..1_000_000_000, 4),
-    ) {
+#[test]
+fn serve_stats_dumps_round_trip() {
+    let mut rng = SplitMix64::new(SEED);
+    for case in 0..CASES {
+        let counters = counts(&mut rng, 20);
+        let mean = rng.uniform(0.0, 1.0e9);
+        let warn_codes = codes(&mut rng, 0..12);
+        let tenant_codes = codes(&mut rng, 1..10);
+        let tenant_counters = counts(&mut rng, 3);
+        let plan_counters = counts(&mut rng, 4);
         // the serve metrics document uses the same writer; any counter
         // values and any warning text must survive the trip
         let snap = StatsSnapshot {
@@ -152,7 +187,7 @@ proptest! {
         };
         let text = snap.to_json().pretty();
         let back = StatsSnapshot::from_json(&parse(&text).unwrap()).unwrap();
-        prop_assert_eq!(back, snap);
+        assert_eq!(back, snap, "case {case}: {text}");
     }
 }
 

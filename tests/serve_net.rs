@@ -27,9 +27,8 @@ use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use conformance::{bits, Extent, Route, Steps};
-use proptest::prelude::*;
 use stencil_lab::core::{kernels, Pattern};
-use stencil_lab::faults::{self, Failpoint};
+use stencil_lab::faults::{self, Failpoint, SplitMix64};
 use stencil_lab::grid::{Grid2D, Grid3D};
 use stencil_lab::obs::json;
 use stencil_lab::runtime::PoolHandle;
@@ -180,58 +179,84 @@ fn concurrent_jobs_multiplex_on_one_connection() {
     server.shutdown();
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+/// The wire properties' seed and case count; a failing case names its
+/// index and drawn inputs, and rerunning the test replays it.
+const WIRE_SEED: u64 = 64;
+const WIRE_CASES: usize = 64;
 
-    #[test]
-    fn wire_payload_frames_round_trip_arbitrary_bits(
-        raw in prop::collection::vec(0u64..u64::MAX, 0..48),
-    ) {
-        // payloads are raw f64 bits: NaN payloads, signalling bits,
-        // infinities and subnormals must all survive verbatim
-        let data: Vec<f64> = raw.iter().map(|&b| f64::from_bits(b)).collect();
-        let mut buf = Vec::new();
-        wire::encode(&wire::Frame::Payload(data), &mut buf);
-        let (frame, used) = wire::decode(&buf, wire::DEFAULT_MAX_FRAME).unwrap().unwrap();
-        prop_assert_eq!(used, buf.len());
+/// Arbitrary `u64`s, as many as a draw from `len`.
+fn raw_bits(rng: &mut SplitMix64, len: std::ops::Range<usize>) -> Vec<u64> {
+    (0..rng.range(len)).map(|_| rng.next_u64()).collect()
+}
+
+/// `raw` as one payload frame.
+fn payload_frame(raw: &[u64]) -> Vec<u8> {
+    let data: Vec<f64> = raw.iter().map(|&b| f64::from_bits(b)).collect();
+    let mut buf = Vec::new();
+    wire::encode(&wire::Frame::Payload(data), &mut buf);
+    buf
+}
+
+#[test]
+fn wire_payload_frames_round_trip_arbitrary_bits() {
+    // payloads are raw f64 bits: NaN payloads, signalling bits,
+    // infinities and subnormals must all survive verbatim
+    let mut rng = SplitMix64::new(WIRE_SEED);
+    for case in 0..WIRE_CASES {
+        let raw = raw_bits(&mut rng, 0..48);
+        let buf = payload_frame(&raw);
+        let (frame, used) = wire::decode(&buf, wire::DEFAULT_MAX_FRAME)
+            .unwrap()
+            .unwrap();
+        assert_eq!(used, buf.len(), "case {case}: raw={raw:?}");
         let wire::Frame::Payload(back) = frame else {
-            return Err("payload decoded as header".to_string());
+            panic!("case {case}: raw={raw:?}: payload decoded as header");
         };
-        prop_assert_eq!(bits(&back), raw);
+        assert_eq!(bits(&back), raw, "case {case}");
     }
+}
 
-    #[test]
-    fn wire_decode_of_arbitrary_garbage_never_panics(
-        words in prop::collection::vec(0u32..=u32::MAX - 1, 0..16),
-        max in 16usize..4096,
-    ) {
-        // typed error or incomplete — never a panic, never a hang
-        let junk: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+#[test]
+fn wire_decode_of_arbitrary_garbage_never_panics() {
+    // typed error or incomplete — never a panic, never a hang
+    let mut rng = SplitMix64::new(WIRE_SEED);
+    for _ in 0..WIRE_CASES {
+        let words = raw_bits(&mut rng, 0..16);
+        let junk: Vec<u8> = words
+            .iter()
+            .flat_map(|&w| (w as u32).to_le_bytes())
+            .collect();
+        let max = rng.range(16..4096);
         let _ = wire::decode(&junk, max);
         let _ = wire::decode_eof(&junk, max);
     }
+}
 
-    #[test]
-    fn wire_truncations_of_valid_frames_are_typed(
-        raw in prop::collection::vec(0u64..u64::MAX, 1..16),
-        cut_seed in 0usize..10_000,
-    ) {
-        let data: Vec<f64> = raw.iter().map(|&b| f64::from_bits(b)).collect();
-        let mut buf = Vec::new();
-        wire::encode(&wire::Frame::Payload(data), &mut buf);
-        let cut = 1 + cut_seed % (buf.len() - 1);
+#[test]
+fn wire_truncations_of_valid_frames_are_typed() {
+    let mut rng = SplitMix64::new(WIRE_SEED);
+    for case in 0..WIRE_CASES {
+        let raw = raw_bits(&mut rng, 1..16);
+        let buf = payload_frame(&raw);
+        let cut = rng.range(1..buf.len());
+        let inputs = format!("case {case}: raw={raw:?} cut={cut}");
         // a prefix is "incomplete", and at stream end it is a typed
         // truncation error carrying the byte counts
-        prop_assert!(wire::decode(&buf[..cut], wire::DEFAULT_MAX_FRAME).unwrap().is_none());
+        let decoded = wire::decode(&buf[..cut], wire::DEFAULT_MAX_FRAME);
+        assert!(decoded.unwrap().is_none(), "{inputs}");
         match wire::decode_eof(&buf[..cut], wire::DEFAULT_MAX_FRAME) {
             Err(wire::WireError::Truncated { have, need }) => {
-                prop_assert_eq!(have, cut);
+                assert_eq!(have, cut, "{inputs}");
                 // inside the length prefix the decoder only knows it
                 // needs the prefix; after it, the whole frame
-                let expect = if cut < wire::LEN_PREFIX { wire::LEN_PREFIX } else { buf.len() };
-                prop_assert_eq!(need, expect);
+                let expect = if cut < wire::LEN_PREFIX {
+                    wire::LEN_PREFIX
+                } else {
+                    buf.len()
+                };
+                assert_eq!(need, expect, "{inputs}");
             }
-            other => return Err(format!("expected truncated: {other:?}")),
+            other => panic!("{inputs}: expected truncated: {other:?}"),
         }
     }
 }
