@@ -9,6 +9,7 @@
 //! the deeper fold window (`MAX_R3 = 4`) keeps `Folded { m: 2 }`
 //! selectable there, and the probe report shows what the tuner picked.
 
+use std::ops::Range;
 use stencil_bench::{gflops, measure, workload, Args, Table};
 use stencil_core::exec::folded::FoldedKernel;
 use stencil_core::exec::folded3d::{self, Ring3};
@@ -16,7 +17,7 @@ use stencil_core::tile::{tessellate, tile_width};
 use stencil_core::{kernels, Method, Pattern, Solver, Tiling, Tuning, Width};
 use stencil_grid::{Grid3D, PingPong};
 use stencil_runtime::PoolHandle;
-use stencil_simd::NativeF64x4;
+use stencil_simd::{SimdF64, WithSimd};
 
 fn cases() -> Vec<(&'static str, Pattern)> {
     vec![
@@ -27,30 +28,53 @@ fn cases() -> Vec<(&'static str, Pattern)> {
     ]
 }
 
-/// Block-free sweep through the z-ring pipeline: a one-thread plan with
-/// the ring pinned.
-fn ring_blockfree(m: usize, ring: Ring3, g: &Grid3D, p: &Pattern, t: usize, reps: usize) -> f64 {
+/// Block-free sweep through the z-ring pipeline: a one-thread plan, which
+/// runs [`Ring3::auto`].
+fn ring_blockfree(m: usize, g: &Grid3D, p: &Pattern, t: usize, reps: usize) -> f64 {
     let plan = Solver::new(p.clone())
         .method(Method::Folded { m })
         .width(Width::W4)
-        .ring3(ring)
         .compile()
         .expect("every fig3d case compiles at m = 1, 2");
     let (_, d) = measure::best_of(reps, || plan.run_3d(g, t).expect("a 3D plan"));
     rate(g, p, t, d)
 }
 
-/// Tessellate-tiled sweep of `steps` folded inner steps through the
-/// z-ring range kernel.
-fn ring_tess(
-    pool: &PoolHandle,
-    k: &FoldedKernel,
+/// One z-ring range call, run by [`stencil_simd::dispatch`] at 4 lanes
+/// on the backend the plans run on.
+struct RingStep<'a> {
+    k: &'a FoldedKernel,
     ring: Ring3,
-    g: &Grid3D,
-    tb: usize,
-    steps: usize,
-) -> Grid3D {
+    src: &'a Grid3D,
+    dst: &'a mut Grid3D,
+    zs: Range<usize>,
+    ys: Range<usize>,
+    xs: Range<usize>,
+}
+
+impl WithSimd for RingStep<'_> {
+    type Output = ();
+
+    #[inline(always)]
+    fn run<V: SimdF64>(self) {
+        let Self {
+            k,
+            ring,
+            src,
+            dst,
+            zs,
+            ys,
+            xs,
+        } = self;
+        folded3d::step_range_3d_ring::<V>(k, ring, src, dst, zs, ys, xs)
+    }
+}
+
+/// Tessellate-tiled sweep of `steps` folded inner steps through the
+/// z-ring range kernel, at the geometry a 4-lane plan derives.
+fn ring_tess(pool: &PoolHandle, k: &FoldedKernel, g: &Grid3D, tb: usize, steps: usize) -> Grid3D {
     let reff = k.radius();
+    let ring = Ring3::auto(4, reff);
     let mut pp = PingPong::new(g.clone());
     tessellate::run_3d(
         pool,
@@ -60,8 +84,17 @@ fn ring_tess(
         tile_width(&[g.ny(), g.nx()], reff, tb),
         tb,
         steps,
-        &|s: &Grid3D, d: &mut Grid3D, zs, ys, xs| {
-            folded3d::step_range_3d_ring::<NativeF64x4>(k, ring, s, d, zs, ys, xs)
+        &|src: &Grid3D, dst: &mut Grid3D, zs, ys, xs| {
+            let step = RingStep {
+                k,
+                ring,
+                src,
+                dst,
+                zs,
+                ys,
+                xs,
+            };
+            stencil_simd::dispatch(4, step)
         },
     );
     pp.into_current()
@@ -94,17 +127,15 @@ fn main() {
             continue;
         }
         let g = workload::random_3d(nz, ny, nx, 42);
-        let lanes = 4usize;
         for m in [1usize, 2] {
             // the deeper window admits every case here: radius-2 at
             // m = 2 reaches folded radius 4 = MAX_R3
-            let k = FoldedKernel::new(&p, m);
-            let ring = Ring3::auto(lanes, k.radius());
-            let zring = ring_blockfree(m, ring, &g, &p, t, reps);
+            let zring = ring_blockfree(m, &g, &p, t, reps);
             bf.put(name, format!("Z-ring (m={m})"), Some(zring));
             if m == 2 {
                 // t is even, so the folded body covers every step
-                let (_, d) = measure::best_of(reps, || ring_tess(&pool, &k, ring, &g, tb, t / m));
+                let k = FoldedKernel::new(&p, m);
+                let (_, d) = measure::best_of(reps, || ring_tess(&pool, &k, &g, tb, t / m));
                 tess.put(name, "Z-ring tess (m=2)", Some(rate(&g, &p, t, d)));
             }
         }
@@ -114,7 +145,7 @@ fn main() {
 
     // Measured tuner over the radius-2 box: Folded { m: 2 } must be in
     // the candidate pool (folded radius 4 fits the deeper window), and
-    // the probe report shows the pick and its z-ring geometry.
+    // the probe report shows the pick.
     stencil_tune::install();
     match Solver::new(kernels::box3d125p())
         .method(Method::Auto)
@@ -125,10 +156,10 @@ fn main() {
         .compile()
     {
         Ok(plan) => println!(
-            "tuner pick for 3D125P ({threads} threads): {:?} + {:?}, ring = {:?}",
+            "tuner pick for 3D125P ({threads} threads): {:?} + {:?} at {:?}",
             plan.method(),
             plan.tiling(),
-            plan.ring3()
+            plan.width()
         ),
         Err(e) => eprintln!("tuner probe for 3D125P failed: {e}"),
     }

@@ -10,8 +10,6 @@ use crate::plan::FoldPlan;
 use crate::tune::TuneRequest;
 use stencil_runtime::PoolHandle;
 
-pub use crate::exec::folded3d::Ring3;
-
 /// Vectorization scheme of a plan. The paper's other baselines (data
 /// reorganization, DLT, and DLT under split tiling, SDSL) are not plan
 /// methods: the figures call [`crate::exec::reorg`], [`crate::exec::dlt`]
@@ -40,8 +38,8 @@ pub enum Method {
 
 impl Method {
     /// True for the methods that run the register pipeline (transpose
-    /// layout / temporal folding) — the ones the fold bounds, the
-    /// z-ring geometry and the slab alignment rules apply to.
+    /// layout / temporal folding) — the ones the fold bounds and the
+    /// slab alignment rules apply to.
     pub fn is_register(self) -> bool {
         matches!(self, Method::TransposeLayout | Method::Folded { .. })
     }
@@ -138,15 +136,16 @@ pub enum Tuning {
     CacheOnly,
 }
 
-/// One plan configuration: the four axes a compile resolves and a
+/// One plan configuration: the three axes a compile resolves and a
 /// tuner searches, as the one value every layer that names a
 /// configuration holds — [`Solver`], [`Plan`], tune requests and
 /// decisions, the measured tuner's candidates and cache entries, the
-/// serving layer's retune verdicts.
+/// serving layer's retune verdicts. What a kernel derives from it (the
+/// 3D register pipeline's z-ring pane geometry, [`crate::exec::folded3d`])
+/// is not an axis.
 ///
 /// In a *request* an axis may be open: [`Method::Auto`],
-/// [`Tiling::Auto`], `ring3: None`. A [`Plan::config`] has none open
-/// (`ring3` is `Some` exactly for 3D register plans).
+/// [`Tiling::Auto`]. A [`Plan::config`] has none open.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlanConfig {
     /// Vectorization method.
@@ -155,10 +154,6 @@ pub struct PlanConfig {
     pub tiling: Tiling,
     /// Vector width (in a tune request: the widest the tuner may pick).
     pub width: Width,
-    /// Z-ring pipeline geometry of a 3D register plan; `None` leaves it
-    /// to the static [`Ring3::auto`] default or the tuner. Validated
-    /// wherever it is set, executed only by 3D register plans.
-    pub ring3: Option<Ring3>,
 }
 
 /// Largest folded radius `m * r` the register pipeline supports for a
@@ -181,7 +176,7 @@ pub(crate) fn fold_radius_cap(dims: usize, width: Width) -> usize {
 }
 
 /// The `m`-step counterpart plan of `p`, from (or added to) `built`, the
-/// fold plans one compile has made so far: rule 5 needs the plan, the
+/// fold plans one compile has made so far: rule 4 needs the plan, the
 /// static resolver prices it and the route executes it, and sharing
 /// them keeps a compile at one [`FoldPlan::new`] per `m`.
 pub(crate) fn fold_plan<'a>(built: &'a mut Vec<FoldPlan>, p: &Pattern, m: usize) -> &'a FoldPlan {
@@ -195,7 +190,7 @@ pub(crate) fn fold_plan<'a>(built: &'a mut Vec<FoldPlan>, p: &Pattern, m: usize)
 impl PlanConfig {
     /// The rule table: can `p` be compiled under this configuration?
     ///
-    /// The only statement of the method × tiling × width × ring ×
+    /// The only statement of the method × tiling × width ×
     /// dimensionality rules: [`Solver::compile`] runs it on the request
     /// *before* any tuner is consulted and again on the resolved
     /// configuration, and the measured tuner filters its candidates with
@@ -204,39 +199,26 @@ impl PlanConfig {
     /// what the pinned axes decide, whatever the tuning mode. The first
     /// failing rule is reported, in this order:
     ///
-    /// 1. ring geometry inside its bounds ([`PlanError::InvalidRing`]);
-    /// 2. a tessellate time block `>= 1` ([`PlanError::InvalidTiling`]);
-    /// 3. fold factor `m >= 1`, then 4. a register method's folded
+    /// 1. a tessellate time block `>= 1` ([`PlanError::InvalidTiling`]);
+    /// 2. fold factor `m >= 1`, then 3. a register method's folded
     ///    radius `m * r` within the pipeline's bound at this width and
     ///    dimensionality ([`PlanError::InvalidFold`]);
-    /// 5. a 2D/3D register method's counterpart plan, and that of its
+    /// 4. a 2D/3D register method's counterpart plan, and that of its
     ///    unfolded `t % m` tail under either tiling, within the register
     ///    budget ([`PlanError::FoldPlanTooComplex`]).
     pub fn validate(&self, p: &Pattern) -> Result<(), PlanError> {
         self.check(p, &mut Vec::new())
     }
 
-    /// [`PlanConfig::validate`], leaving the counterpart plans rule 5
+    /// [`PlanConfig::validate`], leaving the counterpart plans rule 4
     /// had to build in `built` (see [`fold_plan`]).
     pub(crate) fn check(&self, p: &Pattern, built: &mut Vec<FoldPlan>) -> Result<(), PlanError> {
         let PlanConfig {
             method,
             tiling,
             width,
-            ring3,
         } = *self;
         let dims = p.dims();
-
-        if let Some(ring) = ring3.filter(|r| !r.valid()) {
-            let reason = if ring.depth == 0 {
-                "depth must be >= 1"
-            } else if ring.slab == 0 {
-                "slab must be >= 1"
-            } else {
-                "depth/slab exceed the supported ring bounds"
-            };
-            return Err(PlanError::InvalidRing { ring, reason });
-        }
 
         if tiling == (Tiling::Tessellate { time_block: 0 }) {
             return Err(PlanError::InvalidTiling {
@@ -308,7 +290,6 @@ impl Solver {
                 method: Method::MultipleLoads,
                 tiling: Tiling::None,
                 width: Width::native_max(),
-                ring3: None,
             },
             threads: 1,
             pool: None,
@@ -318,7 +299,7 @@ impl Solver {
         }
     }
 
-    /// Set method, tiling, width and z-ring geometry at once — e.g. to
+    /// Set method, tiling and width at once — e.g. to
     /// recompile exactly what another plan resolved to
     /// ([`Plan::config`]), or a tuner's decision.
     pub fn with_config(mut self, config: PlanConfig) -> Self {
@@ -391,17 +372,6 @@ impl Solver {
     /// advisory: plans still run on any compatible grid.
     pub fn domain_hint(mut self, extents: &[usize]) -> Self {
         self.domain_hint = Some(extents.to_vec());
-        self
-    }
-
-    /// Pin the z-ring pipeline geometry (z-strip depth × x-slab width)
-    /// for 3D register plans. Left unset, [`Solver::compile`] resolves
-    /// it — statically via [`Ring3::auto`], or through the measured
-    /// tuner (the z-ring axes are part of its 3D candidate space).
-    /// Ignored for 1D/2D patterns and non-register methods. Out-of-bound
-    /// values are a compile-time [`PlanError::InvalidRing`].
-    pub fn ring3(mut self, r: Ring3) -> Self {
-        self.config.ring3 = Some(r);
         self
     }
 

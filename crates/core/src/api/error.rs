@@ -1,6 +1,6 @@
 //! Typed validation errors for [`Solver::compile`](super::Solver::compile).
 
-use super::config::{Ring3, Tiling, Tuning};
+use super::config::{Tiling, Tuning};
 use std::fmt;
 
 /// Why a [`Solver`](super::Solver) configuration cannot be compiled into
@@ -30,14 +30,6 @@ pub enum PlanError {
         folded_radius: usize,
         /// Largest folded radius the executor supports here.
         max_radius: usize,
-    },
-    /// The pinned z-ring pipeline geometry ([`super::Solver::ring3`])
-    /// is degenerate or outside the supported bounds.
-    InvalidRing {
-        /// The offending geometry.
-        ring: Ring3,
-        /// What is wrong with it.
-        reason: &'static str,
     },
     /// A tiling parameter is degenerate (a zero time block).
     InvalidTiling {
@@ -107,9 +99,6 @@ impl fmt::Display for PlanError {
                     )
                 }
             }
-            PlanError::InvalidRing { ring, reason } => {
-                write!(f, "invalid z-ring geometry {ring:?}: {reason}")
-            }
             PlanError::InvalidTiling { tiling, reason } => {
                 write!(f, "invalid tiling {tiling:?}: {reason}")
             }
@@ -153,19 +142,6 @@ mod tests {
             max_radius: 0,
         };
         assert!(e.to_string().contains("m must be >= 1"));
-    }
-
-    #[test]
-    fn display_invalid_ring() {
-        let e = PlanError::InvalidRing {
-            ring: Ring3 { depth: 0, slab: 4 },
-            reason: "depth must be >= 1",
-        };
-        let s = e.to_string();
-        assert!(
-            s.contains("z-ring") && s.contains("depth must be >= 1"),
-            "{s}"
-        );
     }
 
     #[test]

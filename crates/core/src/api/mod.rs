@@ -51,6 +51,6 @@ pub mod config;
 pub mod error;
 pub mod plan_exec;
 
-pub use config::{Method, PlanConfig, Ring3, Solver, Tiling, Tuning, Width};
+pub use config::{Method, PlanConfig, Solver, Tiling, Tuning, Width};
 pub use error::PlanError;
 pub use plan_exec::{Domain, Plan};

@@ -1,10 +1,10 @@
 //! Compiled execution plans: validation, derived artifacts, and the
 //! dimension-dispatched run paths.
 
-use super::config::{Method, PlanConfig, Ring3, Solver, Tiling, Tuning, Width};
+use super::config::{Method, PlanConfig, Solver, Tiling, Tuning, Width};
 use super::error::PlanError;
 use crate::exec::folded::{self, FoldedKernel};
-use crate::exec::folded3d;
+use crate::exec::folded3d::{self, Ring3};
 use crate::exec::{multiload, scalar, xlayout};
 use crate::folding::fold;
 use crate::pattern::Pattern;
@@ -213,7 +213,6 @@ impl std::fmt::Debug for Plan {
             .field("threads", &self.pool.threads())
             .field("m", &self.m())
             .field("effective_radius", &self.folded.radius())
-            .field("ring3", &self.config.ring3)
             .field("epoch", &self.epoch)
             .finish()
     }
@@ -246,11 +245,7 @@ impl Plan {
                 crate::tune::TuneFailure::CacheMiss { key } => PlanError::TuneCacheMiss { key },
                 crate::tune::TuneFailure::Failed { reason } => PlanError::TuningFailed { reason },
             })?;
-            PlanConfig {
-                // the user's pinned ring always beats the tuner's
-                ring3: request.ring3.or(d.config.ring3),
-                ..d.config
-            }
+            d.config
         } else {
             request
         };
@@ -272,13 +267,9 @@ impl Plan {
         // Derive the reusable artifacts once.
         let m = resolved.method.fold();
         let folded = if m > 1 { fold(p, m) } else { p.clone() };
-        // only a 3D register plan executes a ring; it always has one
-        resolved.ring3 = (dims == 3 && resolved.method.is_register()).then(|| {
-            resolved
-                .ring3
-                .unwrap_or_else(|| Ring3::auto(resolved.width.lanes(), m * p.radius()))
-        });
-        let ring = resolved.ring3;
+        // the z-ring pane of a 3D register plan, derived once and run by
+        // body and tail legs alike
+        let ring = Ring3::auto(resolved.width.lanes(), m * p.radius());
         let mut kernel = |m| {
             let at = built.iter().position(|f| f.m == m);
             let at = at.expect("validating a 2D/3D register method plans its kernels");
@@ -288,9 +279,7 @@ impl Plan {
         let route = match dims {
             1 => Route::D1(Legs::new(method, |_| ())),
             2 => Route::D2(Legs::new(method, kernel)),
-            _ => Route::D3(Legs::new(method, |m| {
-                (kernel(m), ring.expect("a 3D register plan has a ring"))
-            })),
+            _ => Route::D3(Legs::new(method, |m| (kernel(m), ring))),
         };
 
         let pool = cfg
@@ -342,13 +331,6 @@ impl Plan {
     /// Fold factor `m` (1 unless the method is `Folded { m > 1 }`).
     pub fn m(&self) -> usize {
         self.config.method.fold()
-    }
-
-    /// Resolved z-ring pipeline geometry — `Some` exactly for 3D
-    /// register plans (transpose-layout / folded), `None` otherwise.
-    /// Never `Some(invalid)`: compile validates pinned geometries.
-    pub fn ring3(&self) -> Option<Ring3> {
-        self.config.ring3
     }
 
     /// Identity epoch this plan was compiled with ([`Solver::epoch`]).

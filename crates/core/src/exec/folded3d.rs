@@ -40,9 +40,11 @@
 //! `8 · vl` bytes, 15 KiB for a 3-counterpart plan at [`Ring3::auto`] —
 //! and is the head of a per-thread scratch allocated once at 32 KiB, so
 //! a warmed-up call allocates nothing and a thread that alternates
-//! plans never reallocates. Both knobs are part of the measured tuner's 3D candidate
-//! space; on one plane the depth is 1 and the slab derived from the same
-//! budget. The schedule itself is flattened once at plan time
+//! plans never reallocates. A plan derives both knobs from its width and
+//! folded radius ([`Ring3::auto`]); only a direct call of
+//! [`step_range_3d_ring`] passes another geometry. On one plane the depth
+//! is 1 and the slab derived from the same budget. The schedule itself
+//! is flattened once at plan time
 //! ([`FoldedKernel::from_plan`]); the generic loops walk its taps
 //! outermost with the `vl` rows/columns of a block innermost.
 //!
@@ -89,16 +91,12 @@ use std::collections::HashMap;
 use stencil_grid::{Grid2D, Grid3D};
 use stencil_simd::SimdF64;
 
-/// Largest z-strip depth the pipeline accepts.
-pub const MAX_RING_DEPTH: usize = 64;
-/// Largest x-slab width (in vector blocks) the pipeline accepts.
-pub const MAX_RING_SLAB: usize = 32;
-
 /// Geometry of the z-ring pipeline: how many consecutive z outputs one
 /// ring march produces before the column pane is drained (`depth`), and
 /// how many x vector blocks share one pane (`slab`). Both bound the
 /// pane's footprint (`depth × counterparts × (slab · vl + 2R)` vectors),
-/// which should stay L1-resident.
+/// which should stay L1-resident. A plan runs [`Ring3::auto`]; the
+/// geometry never changes a result bit (see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Ring3 {
     /// Z-strip length (consecutive z outputs per ring march), `>= 1`.
@@ -114,17 +112,11 @@ impl Ring3 {
     /// (`nids = 3`, radius 2) takes 8 × 3 × 20 × 32 B = 15 KiB at 4
     /// lanes and 30 KiB at 8, and every Table-1 3D kernel at every fold
     /// the cap admits stays within 32 KiB (pinned by a unit test) — the
-    /// pane fits L1 beside the ring. The measured tuner probes
-    /// neighbors of this point.
+    /// pane fits L1 beside the ring.
     pub fn auto(lanes: usize, radius: usize) -> Self {
         let depth = if radius <= 2 { 8 } else { 4 };
         let slab = if lanes >= 8 { 2 } else { 4 };
         Self { depth, slab }
-    }
-
-    /// True when both knobs are inside the supported bounds.
-    pub fn valid(self) -> bool {
-        (1..=MAX_RING_DEPTH).contains(&self.depth) && (1..=MAX_RING_SLAB).contains(&self.slab)
     }
 }
 
@@ -452,9 +444,10 @@ thread_local! {
 const PANE_BYTES: usize = 32 << 10;
 
 /// Run `f` over `len` vectors of this thread's pane for backend `V`,
-/// allocated on first use at [`PANE_BYTES`] and grown only by a geometry
-/// pinned beyond the default's bound. Checkout semantics — the box leaves the
-/// map for the duration of `f` and the *same* box goes back — keep the
+/// allocated on first use at [`PANE_BYTES`] and grown only for a pattern
+/// whose [`Ring3::auto`] pane exceeds that bound (or a direct call's
+/// larger geometry). Checkout semantics — the box leaves the map for the
+/// duration of `f` and the *same* box goes back — keep the
 /// `RefCell` borrow scoped to the map access alone, so no reachable call
 /// graph can observe it borrowed, and a warmed-up call allocates
 /// nothing. Contents are whatever the previous call left: every entry
@@ -610,8 +603,8 @@ fn step_ring_r<V: SimdF64, const R: usize, const RZ: usize>(
     // clamp the pane to the region actually covered: tessellate hands
     // this kernel small trapezoid tiles, and the footprint must follow
     // the tile, not the configured maxima
-    let depth = ring.depth.clamp(1, MAX_RING_DEPTH).min(zs.len());
-    let slab = ring.slab.clamp(1, MAX_RING_SLAB).min(nblk);
+    let depth = ring.depth.max(1).min(zs.len());
+    let slab = ring.slab.max(1).min(nblk);
     let pw = slab * vl + 2 * rr;
     let mut planes: PlaneRing<V> = [V::zero(); RING_VECS];
     // a separable schedule is dense in x as well — one term of the one
@@ -976,7 +969,7 @@ mod tests {
         let rr = k.radius();
         for rx in 0..vl {
             for ry in 0..vl {
-                for blocks in [2, 2 * MAX_RING_SLAB + 1] {
+                for blocks in [2, 65] {
                     let g = plane_with_interior(rr, vl + ry, blocks * vl + rx);
                     let want = scalar_folded_2d(&g, p, m, 1).to_dense();
                     let got = plane_steps::<V>(&k, &g, 1);
@@ -1114,7 +1107,7 @@ mod tests {
         let k = FoldedKernel::new(p, m);
         let rr = k.radius();
         // ragged on purpose, and wider than one slab
-        let g = plane_with_interior(rr, 3 * vl + 1, (MAX_RING_SLAB + 2) * vl + 3);
+        let g = plane_with_interior(rr, 3 * vl + 1, 34 * vl + 3);
         let (ny, nx) = (g.ny(), g.nx());
         let mut whole = g.clone();
         step_range_2d::<V>(&k, &g, &mut whole, rr..ny - rr, rr..nx - rr);
@@ -1252,8 +1245,9 @@ mod tests {
             "allocated once, at the bound 8 x 3 x (2*8 + 4) vectors of 64 B = 30 KiB fit"
         );
         assert_eq!(warm, exercise_pane::<NativeF64x8>(&p, 2, &cube));
-        // only a geometry pinned beyond the bound grows the buffer — to
-        // its own clamped formula: 23 blocks of 4 lanes span the interior
+        // only a direct call's geometry beyond the bound grows the buffer
+        // — to its own clamped formula: 23 blocks of 4 lanes span the
+        // interior
         let k = FoldedKernel::new(&p, 2);
         let (pinned, mut dst) = (
             Ring3 {

@@ -73,6 +73,6 @@ pub mod slab;
 pub mod tile;
 pub mod tune;
 
-pub use api::{Domain, Method, Plan, PlanConfig, PlanError, Ring3, Solver, Tiling, Tuning, Width};
+pub use api::{Domain, Method, Plan, PlanConfig, PlanError, Solver, Tiling, Tuning, Width};
 pub use pattern::{Pattern, Shape};
 pub use plan::FoldPlan;

@@ -58,7 +58,6 @@ pub(crate) fn resolve_method(
             method,
             tiling,
             width,
-            ring3: None,
         };
         config.check(p, built).is_ok()
     };
@@ -154,8 +153,7 @@ pub struct TuneRequest<'a> {
     /// The stencil pattern being compiled.
     pub pattern: &'a Pattern,
     /// The requested configuration. Axes the user fixed must be
-    /// honored; an open one ([`Method::Auto`], [`Tiling::Auto`],
-    /// `ring3: None` — the z-ring axes of 3D register methods) means
+    /// honored; an open one ([`Method::Auto`], [`Tiling::Auto`]) means
     /// "tune this". `width` is the configured width: the tuner may probe
     /// narrower ones too — e.g. AVX-512 downclocking can make 4 lanes
     /// beat 8 — but must never widen beyond it.
@@ -171,14 +169,12 @@ pub struct TuneRequest<'a> {
 
 impl TuneRequest<'_> {
     /// True when `config` answers this request: every axis the request
-    /// pins is as pinned (a configuration without a ring defers to a
-    /// pinned one, as compile does) and the width is not widened.
+    /// pins is as pinned and the width is not widened.
     pub fn admits(&self, config: &PlanConfig) -> bool {
         let want = &self.config;
         (want.method == Method::Auto || config.method == want.method)
             && (want.tiling == Tiling::Auto || config.tiling == want.tiling)
             && config.width.lanes() <= want.width.lanes()
-            && (want.ring3.is_none() || config.ring3.is_none() || config.ring3 == want.ring3)
     }
 }
 
@@ -186,9 +182,7 @@ impl TuneRequest<'_> {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TuneDecision {
     /// The chosen configuration: method and tiling never `Auto`, width
-    /// ≤ the requested width, `ring3` the z-ring geometry of a 3D
-    /// register plan (`None` = let the static
-    /// [`Ring3::auto`](crate::Ring3::auto) default stand).
+    /// ≤ the requested width.
     pub config: PlanConfig,
     /// True when the decision came from the persistent cache without
     /// running a probe.
@@ -334,7 +328,6 @@ mod tests {
                         method,
                         tiling,
                         width,
-                        ring3: None,
                     };
                     assert_eq!(config.validate(&p), Ok(()), "{config:?}");
                 }

@@ -6,9 +6,10 @@
 //! dispatch picks the portable type too; the test says so on stderr.
 
 use stencil_core::exec::folded::{self, FoldedKernel};
-use stencil_core::exec::{folded3d, multiload, xlayout};
+use stencil_core::exec::folded3d::{self, Ring3};
+use stencil_core::exec::{multiload, xlayout};
 use stencil_core::folding::fold;
-use stencil_core::{kernels, Pattern, Ring3};
+use stencil_core::{kernels, Pattern};
 use stencil_grid::{Grid1D, Grid2D, Grid3D, PingPong};
 use stencil_simd::portable::{PF64x4, PF64x8};
 use stencil_simd::{dispatch, Isa, SimdF64, WithSimd};

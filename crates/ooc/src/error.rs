@@ -15,6 +15,14 @@ pub enum OocError {
         /// Version found in the header.
         found: u32,
     },
+    /// A header field holds a value no store writes (a `surface` other
+    /// than 0 or 1): the header is corrupt.
+    BadHeader {
+        /// The field's name in the header layout ([`crate::store`]).
+        field: &'static str,
+        /// The value found.
+        found: u64,
+    },
     /// The file is shorter than its header promises — an interrupted
     /// create, or external truncation.
     Truncated {
@@ -79,6 +87,9 @@ impl std::fmt::Display for OocError {
             Self::BadMagic => write!(f, "not a slab store (bad magic)"),
             Self::BadVersion { found } => {
                 write!(f, "unsupported slab store version {found}")
+            }
+            Self::BadHeader { field, found } => {
+                write!(f, "corrupt slab store header: {field} = {found}")
             }
             Self::Truncated { expected, found } => write!(
                 f,

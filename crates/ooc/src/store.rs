@@ -288,6 +288,14 @@ impl SlabStore {
         if version != VERSION {
             return Err(OocError::BadVersion { found: version });
         }
+        // every payload offset rests on it (`offset`)
+        let surface = u64_at(56);
+        if surface > 1 {
+            return Err(OocError::BadHeader {
+                field: "surface",
+                found: surface,
+            });
+        }
         let store = Self {
             file,
             path: Some(path.to_path_buf()),
@@ -296,7 +304,7 @@ impl SlabStore {
             nx: u64_at(32) as usize,
             radius: u64_at(40) as usize,
             round: AtomicU64::new(u64_at(48)),
-            surface: AtomicU64::new(u64_at(56)),
+            surface: AtomicU64::new(surface),
             stats: StatsCell::default(),
         };
         // two surfaces of nz * ny * nx f64s; a shape no file could hold

@@ -235,7 +235,6 @@ mod tests {
             method: Method::MultipleLoads,
             tiling: Tiling::None,
             width: incumbent.width(),
-            ring3: None,
         };
         verdict(config, rate)
     }
@@ -389,7 +388,7 @@ mod tests {
         let entry = tuner
             .lookup(&request(PlanShape::BlockFree).tune_request())
             .expect("the verdict persists under the block-free request");
-        assert!(entry.key.ends_with("|m=*|ti=none|ri=*"), "{}", entry.key);
+        assert!(entry.key.ends_with("|m=*|ti=none"), "{}", entry.key);
         assert_eq!(entry.config, block_free.best.config);
         assert!(tuner
             .lookup(&request(PlanShape::Pooled).tune_request())

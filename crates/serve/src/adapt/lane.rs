@@ -5,8 +5,8 @@
 //! to a [`ChallengerLane`] and acts on the verdict, a
 //! [`ChallengeOutcome`]. Production uses [`ProbeLane`], which re-runs
 //! the `stencil-tune` hill-climb over the incumbent's neighborhood
-//! (method × width × time-block × `Ring3` geometry, as
-//! far as the key's own request leaves those axes open) through the
+//! (method × width × time-block, as far as the key's own request leaves
+//! those axes open) through the
 //! process-installed [`AutoTuner`] on a small per-challenge budget;
 //! tests use [`ScriptedLane`], whose verdicts are fixed up front so
 //! every decider decision is reproducible down to the bit.
@@ -167,7 +167,6 @@ mod tests {
             method: Method::MultipleLoads,
             tiling: Tiling::None,
             width,
-            ring3: None,
         }
     }
 
@@ -219,7 +218,6 @@ mod tests {
             method: Method::Auto,
             tiling: Tiling::Auto,
             width: Width::native_max(),
-            ring3: None,
         };
         assert_eq!(r.config, open);
         assert_eq!(r.threads, 4);

@@ -21,9 +21,9 @@
 //! fresh zeroed grid and leaves the input alone.
 //!
 //! Each slab runs on its own single-thread [`Plan`] (same pattern,
-//! method, tiling, width and z-ring geometry as the source plan) so
-//! the slabs really execute concurrently — a shared pool would
-//! serialize them. A slab is one surface of the pair its lane sweeps
+//! method, tiling and width as the source plan, so the same derived
+//! z-ring geometry) so the slabs really execute concurrently — a shared
+//! pool would serialize them. A slab is one surface of the pair its lane sweeps
 //! ([`Plan::run_pair`]); the other needs no contents.
 
 use stencil_core::{Domain, Plan, PlanError, Solver};
@@ -78,7 +78,7 @@ impl ShardPolicy {
 /// pool. The service's registry caches the returned set per plan key.
 pub fn lane_plans(plan: &Plan, lanes: usize) -> Result<Vec<Plan>, PlanError> {
     // lanes execute the exact configuration the source plan resolved,
-    // its (possibly tuned) z-ring geometry included
+    // and so the z-ring geometry it derives
     let lane = Solver::new(plan.pattern().clone())
         .with_config(plan.config())
         .threads(1);
@@ -505,14 +505,17 @@ mod tests {
 
     #[test]
     fn lane_plans_inherit_the_ring_geometry() {
+        // the ring is derived from the resolved configuration, so a lane
+        // with the plan's configuration runs the plan's ring
         let plan = Solver::new(kernels::box3d27p())
             .method(Method::Folded { m: 2 })
-            .ring3(stencil_core::Ring3 { depth: 5, slab: 3 })
+            .threads(2)
             .compile()
             .unwrap();
         let lanes = lane_plans(&plan, 2).unwrap();
         for lane in &lanes {
-            assert_eq!(lane.ring3(), plan.ring3());
+            assert_eq!(lane.config(), plan.config());
+            assert_eq!(lane.pool().threads(), 1);
         }
     }
 }

@@ -17,24 +17,24 @@ use crate::host::HostFingerprint;
 use std::collections::BTreeMap;
 use std::path::Path;
 use stencil_core::tune::TuneRequest;
-use stencil_core::{Method, Pattern, PlanConfig, Ring3, Tiling, Width};
+use stencil_core::{Method, Pattern, PlanConfig, Tiling, Width};
 use stencil_obs::json::{self, Value};
 
 /// Current cache file schema version; bump on incompatible change
 /// (older files are discarded, not migrated — they are measurements,
-/// not state). v2.0: cache keys gained the `|ri=` z-ring component and
-/// entries the `ring`/`method_rates` fields — v1.0 entries could never
-/// be hit again and would only be dead weight, so they are dropped.
-pub const CACHE_VERSION: f64 = 2.0;
+/// not state). v2.0 keys carried a `|ri=` z-ring component and its
+/// entries a `ring` field; v3.0 has neither, since the ring geometry is
+/// derived from the plan, not tuned. An older image's entries could
+/// never be hit again and would only be dead weight, so it is dropped
+/// whole.
+pub const CACHE_VERSION: f64 = 3.0;
 
 /// One persisted tuning decision.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CacheEntry {
     /// Full cache key (see module docs for the components).
     pub key: String,
-    /// The winning configuration (`ring3`: the z-ring geometry of a 3D
-    /// register decision; `None` = the static [`Ring3::auto`] default,
-    /// and for every other decision).
+    /// The winning configuration.
     pub config: PlanConfig,
     /// Measured throughput of the winner, in grid-point updates/sec.
     pub rate: f64,
@@ -144,7 +144,7 @@ impl TuneCache {
     /// in at least `min_sessions` prior **unconstrained** sessions
     /// (entries under this host/build, thread count and requested width
     /// whose key carries the same pattern signature and no fixed
-    /// method/tiling/ring — a session probed under a pinned axis is not
+    /// method or tiling — a session probed under a pinned axis is not
     /// a fair method comparison) and, in **every** one of them,
     /// measured below `margin` × that session's best rate. The
     /// candidate generator drops these from future searches — the probe
@@ -169,7 +169,7 @@ impl TuneCache {
         for e in self.entries.values() {
             if !e.key.starts_with(&local_prefix)
                 || !e.key.contains(&sig_component)
-                || !e.key.ends_with("|m=*|ti=*|ri=*")
+                || !e.key.ends_with("|m=*|ti=*")
             {
                 continue;
             }
@@ -260,9 +260,6 @@ impl TuneCache {
                 );
                 m.insert("probes".into(), Value::Num(e.probes as f64));
                 m.insert("spent_ms".into(), Value::Num(e.spent_ms));
-                if let Some(r) = e.config.ring3 {
-                    m.insert("ring".into(), Value::Str(ring_str(r)));
-                }
                 if !e.method_rates.is_empty() {
                     m.insert(
                         "method_rates".into(),
@@ -320,8 +317,7 @@ fn decode_entry(e: &Value) -> Option<CacheEntry> {
     if method == Method::Auto || tiling == Tiling::Auto {
         return None;
     }
-    // optional fields (absent in pre-ring/pre-history caches)
-    let ring3 = e.get("ring").and_then(Value::as_str).and_then(parse_ring);
+    // optional (absent in pre-history entries)
     let method_rates: Vec<(Method, f64)> = e
         .get("method_rates")
         .and_then(Value::as_arr)
@@ -342,7 +338,6 @@ fn decode_entry(e: &Value) -> Option<CacheEntry> {
             method,
             tiling,
             width: parse_width(e.get("width")?.as_num()? as usize)?,
-            ring3,
         },
         rate: e.get("rate")?.as_num()?,
         model_method: parse_method(e.get("model_method")?.as_str()?)?,
@@ -376,11 +371,10 @@ pub fn cache_key(host: &HostFingerprint, req: &TuneRequest<'_>) -> String {
         method,
         tiling,
         width,
-        ring3,
     } = req.config;
     let open = || "*".to_string();
     format!(
-        "{}|t{}|w{}|{}|{}|m={}|ti={}|ri={}",
+        "{}|t{}|w{}|{}|{}|m={}|ti={}",
         host.key_prefix(),
         req.threads,
         width.lanes(),
@@ -396,7 +390,6 @@ pub fn cache_key(host: &HostFingerprint, req: &TuneRequest<'_>) -> String {
         } else {
             tiling_str(tiling)
         },
-        ring3.map_or_else(open, ring_str),
     )
 }
 
@@ -448,20 +441,6 @@ pub fn parse_tiling(s: &str) -> Option<Tiling> {
     })
 }
 
-/// Encode a z-ring geometry as `depth x slab` (`"8x4"`).
-pub fn ring_str(r: Ring3) -> String {
-    format!("{}x{}", r.depth, r.slab)
-}
-
-/// Decode [`ring_str`].
-pub fn parse_ring(s: &str) -> Option<Ring3> {
-    let (d, sl) = s.split_once('x')?;
-    Some(Ring3 {
-        depth: d.parse().ok()?,
-        slab: sl.parse().ok()?,
-    })
-}
-
 /// Decode a lane count back into a [`Width`].
 pub fn parse_width(lanes: usize) -> Option<Width> {
     Some(match lanes {
@@ -492,7 +471,6 @@ mod tests {
                 method: Method::Folded { m: 2 },
                 tiling: Tiling::Tessellate { time_block: 16 },
                 width: Width::W4,
-                ring3: None,
             },
             rate: 1.25e9,
             model_method: Method::Folded { m: 2 },
@@ -505,42 +483,29 @@ mod tests {
     #[test]
     fn entry_round_trips_through_json_text() {
         let mut cache = TuneCache::new();
-        cache.put(sample_entry(
-            "h|avx2-w4|t8|w4|d1r1p3-aa|medium|m=*|ti=*|ri=*",
-        ));
+        cache.put(sample_entry("h|avx2-w4|t8|w4|d1r1p3-aa|medium|m=*|ti=*"));
         cache.put(CacheEntry {
             key: "other".into(),
             config: PlanConfig {
                 method: Method::MultipleLoads,
                 tiling: Tiling::None,
                 width: Width::W8,
-                ring3: None,
             },
             model_method: Method::TransposeLayout,
             ..sample_entry("other")
         });
-        // the 3D fields round-trip too: a winning ring and probe history
+        // the probe history round-trips too
         cache.put(CacheEntry {
-            key: "ringy".into(),
-            config: PlanConfig {
-                method: Method::Folded { m: 2 },
-                ring3: Some(Ring3 { depth: 16, slab: 8 }),
-                ..sample_entry("ringy").config
-            },
             method_rates: vec![
                 (Method::Folded { m: 2 }, 2.0e9),
                 (Method::MultipleLoads, 0.9e9),
             ],
-            ..sample_entry("ringy")
+            ..sample_entry("history")
         });
         let text = cache.to_json().pretty();
         let back = TuneCache::from_json(&json::parse(&text).unwrap()).unwrap();
         assert_eq!(back, cache);
-        assert_eq!(
-            back.get("ringy").unwrap().config.ring3,
-            Some(Ring3 { depth: 16, slab: 8 })
-        );
-        assert_eq!(back.get("ringy").unwrap().method_rates.len(), 2);
+        assert_eq!(back.get("history").unwrap().method_rates.len(), 2);
     }
 
     #[test]
@@ -575,19 +540,29 @@ mod tests {
 
     #[test]
     fn v1_cache_files_are_discarded_not_half_loaded() {
-        // v1.0 keys lack the |ri= component: every entry would be
-        // unreachable dead weight under the v2.0 key schema, so the
-        // whole image is dropped (schema mismatch -> re-probe + rewrite)
+        // an image of an older schema is dropped whole (schema mismatch
+        // -> re-probe + rewrite), even where an entry's fields would
+        // decode: v1.0 keys predate the ring; v2.0 keys end in a `|ri=`
+        // component and its 3D entries carry a `ring`, so no v3.0
+        // request could hit them
         let path = std::env::temp_dir().join("stencil-tune-test-v1.json");
-        std::fs::write(
-            &path,
+        for doc in [
             r#"{ "version": 1.0, "entries": [
   { "key": "h|avx2-w4|t8|w4|d1r1p3-aa|medium|m=*|ti=*", "method": "scalar",
     "tiling": "none", "width": 4.0, "rate": 1.0, "model_method": "scalar",
     "probes": 1.0, "spent_ms": 1.0 } ] }"#,
-        )
-        .unwrap();
-        assert!(TuneCache::load(&path).is_err());
+            r#"{ "version": 2.0, "entries": [
+  { "key": "h|avx2-w4|t4|w4|d3r1p7-ab|medium|m=*|ti=*|ri=*", "method": "folded:2",
+    "tiling": "tess:4", "width": 4.0, "rate": 1.0, "model_method": "folded:2",
+    "probes": 3.0, "spent_ms": 1.0, "ring": "16x8" },
+  { "key": "h|avx2-w4|t4|w4|d1r1p3-aa|medium|m=*|ti=*|ri=*", "method": "scalar",
+    "tiling": "none", "width": 4.0, "rate": 1.0, "model_method": "scalar",
+    "probes": 1.0, "spent_ms": 1.0 } ] }"#,
+        ] {
+            assert_eq!(TuneCache::from_json(&json::parse(doc).unwrap()), None);
+            std::fs::write(&path, doc).unwrap();
+            assert!(TuneCache::load(&path).is_err());
+        }
         let _ = std::fs::remove_file(&path);
     }
 
@@ -596,7 +571,7 @@ mod tests {
         // a decision must be concrete: hand-merged or future-schema
         // entries carrying "auto" must not round-trip into the cache
         let text = r#"{
-  "version": 2.0,
+  "version": 3.0,
   "entries": [
     { "key": "bad-method", "method": "auto", "tiling": "none", "width": 4.0,
       "rate": 1.0, "model_method": "scalar", "probes": 1.0, "spent_ms": 1.0 },
@@ -619,7 +594,7 @@ mod tests {
         let h = host("a", "avx2-w4");
         let sig = "d3r1p7-ab";
         let entry = |key: &str, rates: Vec<(Method, f64)>| CacheEntry {
-            key: format!("{}|t4|w4|{sig}|{key}|m=*|ti=*|ri=*", h.key_prefix()),
+            key: format!("{}|t4|w4|{sig}|{key}|m=*|ti=*", h.key_prefix()),
             method_rates: rates,
             ..sample_entry("x")
         };
@@ -649,7 +624,7 @@ mod tests {
         let mut pinned = TuneCache::new();
         for class in ["tiny", "small"] {
             pinned.put(CacheEntry {
-                key: format!("{}|t4|w4|{sig}|{class}|m=*|ti=tess:4|ri=*", h.key_prefix()),
+                key: format!("{}|t4|w4|{sig}|{class}|m=*|ti=tess:4", h.key_prefix()),
                 method_rates: vec![(fast, 10.0), (slow, 1.0)],
                 ..sample_entry(class)
             });
@@ -665,12 +640,12 @@ mod tests {
         // foreign-host history never counts
         let mut foreign = TuneCache::new();
         foreign.put(CacheEntry {
-            key: format!("elsewhere|avx2-w4|t4|w4|{sig}|tiny|m=*|ti=*|ri=*"),
+            key: format!("elsewhere|avx2-w4|t4|w4|{sig}|tiny|m=*|ti=*"),
             method_rates: vec![(fast, 10.0), (slow, 1.0)],
             ..sample_entry("x")
         });
         foreign.put(CacheEntry {
-            key: format!("elsewhere|avx2-w4|t8|w4|{sig}|small|m=*|ti=*|ri=*"),
+            key: format!("elsewhere|avx2-w4|t8|w4|{sig}|small|m=*|ti=*"),
             method_rates: vec![(fast, 10.0), (slow, 1.0)],
             ..sample_entry("y")
         });
@@ -684,22 +659,6 @@ mod tests {
         assert!(old
             .dominated_methods(&h, 4, Width::W4, sig, 2, 0.7)
             .is_empty());
-    }
-
-    #[test]
-    fn ring_encoding_round_trips() {
-        for r in [
-            Ring3 { depth: 8, slab: 4 },
-            Ring3 { depth: 1, slab: 1 },
-            Ring3 {
-                depth: 64,
-                slab: 32,
-            },
-        ] {
-            assert_eq!(parse_ring(&ring_str(r)), Some(r));
-        }
-        assert_eq!(parse_ring("8"), None);
-        assert_eq!(parse_ring("ax4"), None);
     }
 
     #[test]
@@ -734,7 +693,7 @@ mod tests {
             mode: stencil_core::Tuning::Measured,
         };
         let base = cache_key(&host("a", "avx2-w4"), &req(&p, None));
-        assert!(base.ends_with("|m=*|ti=*|ri=*"), "{base}");
+        assert!(base.ends_with("|m=*|ti=*"), "{base}");
         let other_host = cache_key(&host("b", "avx2-w4"), &req(&p, None));
         let other_isa = cache_key(&host("a", "avx512f-w8"), &req(&p, None));
         let other_pat = cache_key(&host("a", "avx2-w4"), &req(&other_p, None));
@@ -743,7 +702,7 @@ mod tests {
         let mut pinned = req(&p, None);
         pinned.config.tiling = Tiling::None;
         let other_pin = cache_key(&host("a", "avx2-w4"), &pinned);
-        assert!(other_pin.ends_with("|m=*|ti=none|ri=*"), "{other_pin}");
+        assert!(other_pin.ends_with("|m=*|ti=none"), "{other_pin}");
         for k in [
             &other_host,
             &other_isa,

@@ -16,14 +16,12 @@
 //! rule table filters, so an emitted candidate always compiles.
 
 use stencil_core::tune::default_time_block;
-use stencil_core::{cost, Method, Pattern, PlanConfig, Ring3, Tiling, Width};
+use stencil_core::{cost, Method, Pattern, PlanConfig, Tiling, Width};
 
 /// One concrete configuration the probe harness can compile and time.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Candidate {
-    /// The configuration: no axis open, and `ring3` is `Some` only for
-    /// a 3D register method whose geometry departs from the static
-    /// [`Ring3::auto`] default (`None` = that default).
+    /// The configuration: no axis open.
     pub config: PlanConfig,
     /// The cost-model score that ranked this candidate's method
     /// (higher = predicted better); kept for reporting.
@@ -59,7 +57,6 @@ pub fn ranked_methods_at(p: &Pattern, width: Width) -> Vec<(Method, f64)> {
         method: Method::Folded { m: 3 },
         tiling: Tiling::Auto,
         width,
-        ring3: None,
     };
     if fold3.validate(p).is_ok() {
         out.push((fold3.method, cost::profitability(p, 3)));
@@ -88,38 +85,13 @@ fn widths(requested: Width) -> Vec<Width> {
     }
 }
 
-/// Z-ring geometry candidates for one 3D register method: the static
-/// default (`None`, resolved to [`Ring3::auto`] at compile time) plus
-/// two neighborhood moves — a shallow/narrow pane for cache-tight hosts
-/// and a deep/wide one for bandwidth-bound ones. Non-3D or non-register
-/// configurations have no ring axis.
-fn rings_for(method: Method, dims: usize, fixed_ring: Option<Ring3>) -> Vec<Option<Ring3>> {
-    if dims != 3 || !method.is_register() {
-        // the ring axis only exists for 3D register pipelines: a pinned
-        // ring must not leak onto methods that cannot execute one (the
-        // [`Candidate::config`] "None elsewhere" contract)
-        return vec![None];
-    }
-    if let Some(r) = fixed_ring {
-        return vec![Some(r)];
-    }
-    vec![
-        None,
-        Some(Ring3 { depth: 4, slab: 2 }),
-        Some(Ring3 { depth: 16, slab: 8 }),
-    ]
-}
-
 /// Generate the ordered candidate list for a tuning `request`.
 ///
-/// The axes `request` pins (a concrete method or tiling, a `Some` ring)
-/// are kept as they are: only the open ones are searched. The 3D
-/// register methods additionally search the z-ring axes (z-strip depth
-/// × x-slab width: the static default plus two neighborhood moves).
-/// `top_k` bounds how many cost-model-ranked methods enter the search
-/// (the budget usually bites first); methods the pinned axes rule out
-/// do not count against it, so a request that validates always has a
-/// candidate.
+/// The axes `request` pins (a concrete method or tiling) are kept as
+/// they are: only the open ones are searched. `top_k` bounds how many
+/// cost-model-ranked methods enter the search (the budget usually bites
+/// first); methods the pinned axes rule out do not count against it, so
+/// a request that validates always has a candidate.
 pub fn generate(p: &Pattern, request: &PlanConfig, threads: usize, top_k: usize) -> Vec<Candidate> {
     let dims = p.dims();
     let admits = |config: &PlanConfig| config.validate(p).is_ok();
@@ -150,16 +122,13 @@ pub fn generate(p: &Pattern, request: &PlanConfig, threads: usize, top_k: usize)
             // needs (m = 3 at 8 lanes does not fit 4): the rule table
             // drops those per width
             for &width in &widths {
-                for ring3 in rings_for(method, dims, request.ring3) {
-                    let config = PlanConfig {
-                        method,
-                        tiling,
-                        width,
-                        ring3,
-                    };
-                    if admits(&config) {
-                        out.push(Candidate { config, score });
-                    }
+                let config = PlanConfig {
+                    method,
+                    tiling,
+                    width,
+                };
+                if admits(&config) {
+                    out.push(Candidate { config, score });
                 }
             }
         }
@@ -172,10 +141,9 @@ pub fn generate(p: &Pattern, request: &PlanConfig, threads: usize, top_k: usize)
 /// searches outward from the *cost model's* ranking, this searches
 /// outward from a configuration that already won a probe: the incumbent
 /// itself first (a fresh measurement under today's conditions), then
-/// every single-axis move — time block halved/doubled, z-ring
-/// depth/slab halved/doubled, the width narrowed — and finally the
-/// top-ranked *other* methods at the incumbent's tiling, where the rule
-/// table admits them. The method alternates deliberately ignore
+/// every single-axis move — time block halved/doubled, the width
+/// narrowed — and finally the top-ranked *other* methods at the
+/// incumbent's tiling, where the rule table admits them. The method alternates deliberately ignore
 /// probe-history dominance: a dominated method re-enters here, so a
 /// changed machine or drifted workload gets its periodic re-probe for
 /// free.
@@ -209,33 +177,6 @@ pub fn neighborhood(p: &Pattern, incumbent: &PlanConfig, top_k: usize) -> Vec<Ca
             ..*incumbent
         });
     }
-    // single-axis z-ring moves (3D register methods only)
-    for ring3 in match incumbent.ring3 {
-        Some(r) => vec![
-            Some(Ring3 {
-                depth: r.depth * 2,
-                ..r
-            }),
-            Some(Ring3 {
-                depth: r.depth.max(2) / 2,
-                ..r
-            }),
-            Some(Ring3 {
-                slab: r.slab * 2,
-                ..r
-            }),
-            Some(Ring3 {
-                slab: r.slab.max(2) / 2,
-                ..r
-            }),
-        ],
-        None => rings_for(incumbent.method, dims, None),
-    } {
-        step(PlanConfig {
-            ring3,
-            ..*incumbent
-        });
-    }
     // width narrowing (the W8-vs-W4 downclocking question, revisited)
     if incumbent.width == Width::W8 {
         step(PlanConfig {
@@ -250,16 +191,14 @@ pub fn neighborhood(p: &Pattern, incumbent: &PlanConfig, top_k: usize) -> Vec<Ca
         .into_iter()
         .take(top_k.max(1))
     {
-        if method == incumbent.method {
-            continue;
-        }
-        for ring3 in rings_for(method, dims, None) {
-            let config = PlanConfig {
-                method,
-                ring3,
-                ..*incumbent
-            };
-            push(config, score);
+        if method != incumbent.method {
+            push(
+                PlanConfig {
+                    method,
+                    ..*incumbent
+                },
+                score,
+            );
         }
     }
     out
@@ -340,6 +279,14 @@ mod tests {
             for threads in [1, 4] {
                 let generated = generate(&p, &open(Width::native_max()), threads, 4);
                 assert!(!generated.is_empty(), "{name}");
+                // one candidate per configuration: no derived geometry
+                // multiplies the probes
+                for (i, c) in generated.iter().enumerate() {
+                    assert!(
+                        !generated[..i].iter().any(|e| e.config == c.config),
+                        "{c:?}"
+                    );
+                }
                 let incumbent = Solver::new(p.clone())
                     .method(Method::Auto)
                     .tiling(Tiling::Auto)
@@ -350,15 +297,10 @@ mod tests {
                 let moves = neighborhood(&p, &incumbent, 4);
                 assert_eq!(moves[0].config, incumbent, "{name}");
                 for c in generated.iter().chain(&moves) {
-                    let plan = Solver::new(p.clone())
+                    Solver::new(p.clone())
                         .with_config(c.config)
                         .compile()
                         .unwrap_or_else(|e| panic!("{name}: {c:?} -> {e}"));
-                    // the ring axis exists for 3D register methods only
-                    if c.config.ring3.is_some() {
-                        assert!(p.dims() == 3 && c.config.method.is_register(), "{c:?}");
-                        assert_eq!(plan.ring3(), c.config.ring3);
-                    }
                 }
             }
         }
@@ -461,35 +403,6 @@ mod tests {
     }
 
     #[test]
-    fn ring_axis_searched_only_for_3d_register_methods() {
-        let folded = |c: &&Candidate| matches!(c.config.method, Method::Folded { .. });
-        let vector = |c: &&Candidate| c.config.method == Method::MultipleLoads;
-        // 3D register candidates carry ring neighborhood moves...
-        let c3 = generate(&kernels::heat3d(), &open(Width::W4), 4, 4);
-        assert!(c3.iter().filter(folded).any(|c| c.config.ring3.is_some()));
-        assert!(c3.iter().filter(folded).any(|c| c.config.ring3.is_none()));
-        // ...the vector family and lower dimensionalities never do
-        assert!(c3.iter().filter(vector).all(|c| c.config.ring3.is_none()));
-        let c2 = generate(&kernels::heat2d(), &open(Width::W4), 4, 4);
-        assert!(c2.iter().all(|c| c.config.ring3.is_none()));
-        // a pinned ring collapses the axis...
-        let pinned = PlanConfig {
-            ring3: Some(Ring3 { depth: 6, slab: 3 }),
-            ..open(Width::W4)
-        };
-        let cp = generate(&kernels::heat3d(), &pinned, 4, 4);
-        assert!(cp
-            .iter()
-            .filter(|c| c.config.method.is_register())
-            .all(|c| c.config.ring3 == pinned.ring3));
-        // ...but never leaks onto methods (or dimensionalities) that
-        // cannot execute a ring
-        assert!(cp.iter().filter(vector).all(|c| c.config.ring3.is_none()));
-        let cp2 = generate(&kernels::heat2d(), &pinned, 4, 4);
-        assert!(cp2.iter().all(|c| c.config.ring3.is_none()));
-    }
-
-    #[test]
     fn deeper_fold_window_keeps_m2_selectable_for_radius2_3d() {
         // the MAX_R3 = 4 window exists so folded m = 2 stays available
         // for radius-2 3D stencils (folded radius 4)
@@ -510,13 +423,12 @@ mod tests {
             .filter(|c| c.config.method == Method::Folded { m: 2 })
             .peekable();
         assert!(m2.peek().is_some());
-        // and every emitted m = 2 candidate compiles with its ring
+        // and every emitted m = 2 candidate compiles
         for c in m2 {
-            let plan = Solver::new(p.clone())
+            Solver::new(p.clone())
                 .with_config(c.config)
                 .compile()
                 .unwrap();
-            assert!(plan.ring3().is_some());
         }
     }
 }

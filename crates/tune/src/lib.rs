@@ -538,7 +538,6 @@ pub(crate) fn open_config(width: stencil_core::Width) -> PlanConfig {
         method: Method::Auto,
         tiling: stencil_core::Tiling::Auto,
         width,
-        ring3: None,
     }
 }
 
@@ -662,7 +661,7 @@ mod tests {
             entry(&key(&p2), "folded:2", "tess:8", "folded:2"),
         ];
         let doc = format!(
-            r#"{{ "version": 2.0, "entries": [{}] }}"#,
+            r#"{{ "version": 3.0, "entries": [{}] }}"#,
             entries.join(",")
         );
         std::fs::write(&path, doc).unwrap();
@@ -687,6 +686,41 @@ mod tests {
         assert_eq!(on_disk.len(), 3);
         assert!(on_disk.get(&key(&p1)).is_some());
         assert!(on_disk.get(&key(&p2)).is_some());
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_v2_cache_with_rings_is_discarded_and_reprobed() {
+        // the entry a v2.0 build persisted for this very request — its
+        // key with the `|ri=` component, a winning `ring` — must neither
+        // hit nor survive: the next Measured compile probes afresh and
+        // rewrites the file in the current schema
+        let path = temp_path("v2");
+        let p = kernels::heat3d();
+        let key = cache::cache_key(&HostFingerprint::detect(), &req(&p, Tuning::Measured, None));
+        let doc = format!(
+            r#"{{ "version": 2.0, "entries": [{{ "key": "{key}|ri=*", "method": "folded:2",
+            "tiling": "tess:4", "width": 4.0, "rate": 1.0, "model_method": "folded:2",
+            "probes": 3.0, "spent_ms": 1.0, "ring": "16x8" }}] }}"#
+        );
+        std::fs::write(&path, doc).unwrap();
+        let tuner = AutoTuner::with_cache_path(&path).budget(Budget::from_millis(100));
+        assert!(tuner.lookup(&req(&p, Tuning::Measured, None)).is_none());
+        match tuner.tune(&req(&p, Tuning::CacheOnly, None)) {
+            Err(TuneFailure::CacheMiss { .. }) => {}
+            other => panic!("a v2.0 entry must not be reused: {other:?}"),
+        }
+        let d = tuner.tune(&req(&p, Tuning::Measured, None)).unwrap();
+        assert!(!d.from_cache, "must re-probe");
+        assert!(tuner.probe_count() > 0);
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert!(
+            !text.contains("\"ring\"") && !text.contains("|ri="),
+            "{text}"
+        );
+        let on_disk = TuneCache::load(&path).unwrap().unwrap();
+        assert_eq!(on_disk.len(), 1);
+        assert!(on_disk.get(&key).is_some());
         let _ = std::fs::remove_file(&path);
     }
 
@@ -753,7 +787,6 @@ mod tests {
             method: Method::MultipleLoads,
             tiling: Tiling::None,
             width: Width::W4,
-            ring3: None,
         };
         let budget = Budget::from_millis(200);
         // unconstrained: the tiling move and the method alternates are
@@ -797,7 +830,6 @@ mod tests {
                     method: Method::Folded { m: 2 },
                     tiling: Tiling::Tessellate { time_block: 8 },
                     width: Width::W4,
-                    ring3: None,
                 },
                 rate: 10.0 * rate,
                 model_method: Method::Folded { m: 2 },

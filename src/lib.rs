@@ -87,8 +87,8 @@ pub use stencil_simd as simd;
 pub use stencil_tune as tune;
 
 pub use stencil_core::{
-    Domain, FoldPlan, Method, Pattern, Plan, PlanConfig, PlanError, Ring3, Shape, Solver, Tiling,
-    Tuning, Width,
+    Domain, FoldPlan, Method, Pattern, Plan, PlanConfig, PlanError, Shape, Solver, Tiling, Tuning,
+    Width,
 };
 pub use stencil_grid::{Grid1D, Grid2D, Grid3D, PingPong};
 pub use stencil_ooc::{OocConfig, OocError, SlabStore, StoreStats, StreamReport};

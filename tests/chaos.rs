@@ -30,7 +30,7 @@ use stencil_lab::serve::net::wire::{self, ClientMsg, Frame, ServerMsg};
 use stencil_lab::serve::net::{JobEvent, NetClient, NetConfig, NetError, NetServer, SubmitHeader};
 use stencil_lab::serve::{JobDomain, JobSpec, ServeConfig, ServeError, StencilService};
 use stencil_lab::tune::cache::{CacheEntry, TuneCache};
-use stencil_lab::{Method, Ring3, Solver, Tiling, Tuning, Width};
+use stencil_lab::{Method, Solver, Tiling, Tuning, Width};
 
 use conformance::{bits, budget_for, workload, Route};
 
@@ -253,7 +253,7 @@ fn a_hard_io_failure_leaves_a_resumable_store_and_the_resume_is_bit_exact() {
 fn every_sampled_3d_cell_resumes_after_a_hard_store_fault_bit_exactly() {
     let _g = serial();
     let _r = Reset;
-    check!(dims: [3], kernels: ["heat3d", "star3d_r2"], widths: [Width::W4], rings: [None],
+    check!(dims: [3], kernels: ["heat3d", "star3d_r2"], widths: [Width::W4],
         routes: [Route::Fault]);
 }
 
@@ -693,16 +693,50 @@ fn slab_header_mutations_open_or_fail_typed() {
     let _g = serial();
     let path =
         std::env::temp_dir().join(format!("stencil-chaos-header-{}.slab", std::process::id()));
-    let g = Grid3D::from_fn(4, 3, 5, |z, y, x| (z * 15 + y * 5 + x) as f64);
+    let g = Grid3D::from_fn(8, 6, 7, |z, y, x| (z * 42 + y * 7 + x) as f64);
     drop(SlabStore::create(&path, &g, 1).unwrap());
     let valid = std::fs::read(&path).unwrap();
-    mutations(&valid[..64], |head| {
-        std::fs::write(&path, [head, &valid[64..]].concat()).unwrap();
-        // a bad header is a typed verdict on the header, not an io error
-        if let Err(OocError::Io(e)) = SlabStore::open(&path) {
-            panic!("io error {e}");
+    let plan = streamable_plan();
+    let cfg = OocConfig {
+        budget_bytes: 1 << 20,
+        steps_per_pass: 0,
+        prefetch: false,
+    };
+    // a bad header is a typed verdict on the header, not an io error,
+    // and a store that opens streams: a pass ends in a value or a typed
+    // error, never a panic or a read past the payload
+    let open_and_stream = |bytes: &[u8]| {
+        std::fs::write(&path, bytes).unwrap();
+        let store = match SlabStore::open(&path) {
+            Err(OocError::Io(e)) => panic!("io error {e}"),
+            Err(e) => return Err(e),
+            Ok(store) => store,
+        };
+        match ooc::run_streaming(&plan, &store, 2, &cfg) {
+            Err(OocError::Io(e)) => panic!("io error in a pass: {e}"),
+            other => other.map(drop),
         }
+    };
+    mutations(&valid[..64], |head| {
+        let _ = open_and_stream(&[head, &valid[64..]].concat());
     });
+    // pinned: a surface past the two payload copies
+    let mut bad = valid.clone();
+    bad[56..64].copy_from_slice(&2u64.to_le_bytes());
+    let surface_2 = |e: &OocError| {
+        matches!(
+            e,
+            OocError::BadHeader {
+                field: "surface",
+                found: 2
+            }
+        )
+    };
+    let got = open_and_stream(&bad).expect_err("surface 2 must not open");
+    assert!(surface_2(&got), "{got}");
+    std::fs::write(&path, &bad).unwrap();
+    let got = SlabStore::recover(&path).expect_err("nor recover");
+    assert!(surface_2(&got), "{got}");
     let _ = std::fs::remove_file(&path);
 }
 
@@ -717,7 +751,7 @@ fn tune_cache_mutations_skip_entries_or_fail_typed() {
     ];
     for (i, method) in methods.into_iter().enumerate() {
         cache.put(CacheEntry {
-            key: format!("host|avx2-w4|t{i}|w4|sig{i}|small|m=*|ti=*|ri=*"),
+            key: format!("host|avx2-w4|t{i}|w4|sig{i}|small|m=*|ti=*"),
             config: PlanConfig {
                 method,
                 tiling: match i {
@@ -725,7 +759,6 @@ fn tune_cache_mutations_skip_entries_or_fail_typed() {
                     _ => Tiling::Tessellate { time_block: 3 + i },
                 },
                 width: Width::W4,
-                ring3: (i == 0).then_some(Ring3 { depth: 8, slab: 4 }),
             },
             rate: 1.5e9 + i as f64,
             model_method: Method::Folded { m: 2 },

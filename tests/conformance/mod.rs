@@ -1,9 +1,9 @@
 //! The conformance harness: one seeded generator over the plan
 //! configuration product, and one oracle for every route a plan runs.
 //!
-//! A *cell* is a kernel and a [`PlanConfig`] `{ method, tiling, width,
-//! ring3 }` compiled at a thread count; a *case* is a cell on one grid (an
-//! extent class) for one step count. The oracle has three checks:
+//! A *cell* is a kernel and a [`PlanConfig`] `{ method, tiling, width }`
+//! compiled at a thread count; a *case* is a cell on one grid (an extent
+//! class) for one step count. The oracle has three checks:
 //!
 //! 0. `PlanConfig::validate` accepts exactly the cells that compile, with
 //!    the same error;
@@ -25,7 +25,7 @@
 //! have taken and did not.
 //!
 //! A [`Slice`] narrows the product: a filter axis (dims, kernels, methods,
-//! tilings, widths, rings) keeps the listed values, a drawn axis (threads,
+//! tilings, widths) keeps the listed values, a drawn axis (threads,
 //! extents, steps) runs every listed value, and an empty axis is the whole
 //! axis — drawn per cell by the generator for the drawn ones. A new axis
 //! value is one line in its list below.
@@ -54,8 +54,8 @@ use stencil_lab::simd::{NativeF64x4, NativeF64x8, SimdF64};
 use stencil_lab::tune::probe::Budget;
 use stencil_lab::{
     AutoTuner, Domain, Grid1D, Grid2D, Grid3D, JobDomain, JobSpec, Method, Pattern, PingPong, Plan,
-    PlanConfig, PlanRegistry, PoolHandle, Ring3, ServeConfig, Solver, StencilService, ThreadPool,
-    Tiling, Tuning, Width,
+    PlanConfig, PlanRegistry, PoolHandle, ServeConfig, Solver, StencilService, ThreadPool, Tiling,
+    Tuning, Width,
 };
 
 /// The product's seed: one number replays every draw.
@@ -79,14 +79,6 @@ pub const TILINGS: &[Tiling] = &[
     Tiling::Tessellate { time_block: 3 },
 ];
 pub const WIDTHS: &[Width] = &[Width::W1, Width::W4, Width::W8];
-/// 3D ring moves: the static default, the smallest, a deep one, one out
-/// of bounds.
-pub const RINGS: &[Option<Ring3>] = &[
-    None,
-    Some(Ring3 { depth: 1, slab: 1 }),
-    Some(Ring3 { depth: 6, slab: 3 }),
-    Some(Ring3 { depth: 0, slab: 4 }),
-];
 pub const THREADS: &[usize] = &[1, 2, 4];
 /// The classes drawn per cell; [`Extent::Tiles3`] goes to one drawn cell
 /// per (dims × tessellate tiling).
@@ -220,7 +212,6 @@ pub struct Slice {
     pub methods: &'static [Method],
     pub tilings: &'static [Tiling],
     pub widths: &'static [Width],
-    pub rings: &'static [Option<Ring3>],
     pub threads: &'static [usize],
     pub extents: &'static [Extent],
     pub steps: &'static [Steps],
@@ -235,7 +226,6 @@ impl Slice {
         methods: &[],
         tilings: &[],
         widths: &[],
-        rings: &[],
         threads: &[],
         extents: &[],
         steps: &[],
@@ -562,17 +552,12 @@ impl Case {
     /// The axis values this case stands for.
     fn values(&self) -> Vec<String> {
         let c = &self.config;
-        let ring = match self.dims() {
-            3 => format!("{:?}", c.ring3),
-            _ => "-".into(),
-        };
         vec![
             format!("dims {}", self.dims()),
             format!("kernel {}", self.kernel),
             format!("method {:?}", c.method),
             format!("tiling {:?}", c.tiling),
             format!("width {:?}", c.width),
-            format!("ring {ring}"),
             format!("threads {}", self.threads),
             format!("extent {:?}", self.extent),
             format!("steps {:?}", self.steps),
@@ -631,9 +616,7 @@ impl Case {
     }
 }
 
-/// The slice's cells in product order. A ring move is an axis of the 3D
-/// plans that may run the register pipeline; the out-of-bounds ring goes
-/// to every cell, where `validate` must refuse it.
+/// The slice's cells in product order.
 fn cells(s: &Slice) -> Vec<(&'static str, Pattern, PlanConfig)> {
     let mut out = Vec::new();
     for (kernel, p) in kernels() {
@@ -644,19 +627,14 @@ fn cells(s: &Slice) -> Vec<(&'static str, Pattern, PlanConfig)> {
             continue;
         }
         for &method in or_all(s.methods, METHODS) {
-            let moves = dims == 3 && (method.is_register() || method == Method::Auto);
             for &tiling in or_all(s.tilings, TILINGS) {
                 for &width in or_all(s.widths, WIDTHS) {
-                    let rings = or_all(s.rings, RINGS).iter();
-                    for &ring3 in rings.filter(|r| moves || !r.is_some_and(|r| r.valid())) {
-                        let config = PlanConfig {
-                            method,
-                            tiling,
-                            width,
-                            ring3,
-                        };
-                        out.push((kernel, p.clone(), config));
-                    }
+                    let config = PlanConfig {
+                        method,
+                        tiling,
+                        width,
+                    };
+                    out.push((kernel, p.clone(), config));
                 }
             }
         }
@@ -1054,8 +1032,7 @@ impl Run {
                     let resolved = plan.config();
                     assert_eq!(resolved.validate(p), Ok(()), "{ctx}");
                     if config.method != Method::Auto && config.tiling != Tiling::Auto {
-                        let ring3 = plan.ring3();
-                        assert_eq!(resolved, PlanConfig { ring3, ..config }, "{ctx}");
+                        assert_eq!(resolved, config, "{ctx}");
                     }
                     let got = self.recompile(c, c.threads).run(&g, t).unwrap();
                     same(&got.dense(), "recompiled");

@@ -45,7 +45,7 @@ fn folded_2d_matches_scalar_folded_all_kernels() {
 #[test]
 fn three_dimensional_methods_agree() {
     check!(kernels: ["heat3d", "box3d27p"], methods: [MultipleLoads, TransposeLayout, Folded { m: 2 }],
-        tilings: [Tiling::None], widths: [W4], rings: [None], extents: [Aligned, Ragged],
+        tilings: [Tiling::None], widths: [W4], extents: [Aligned, Ragged],
         steps: [Steps::Exact(5), Steps::Folds(2, 0)], routes: [Route::Scalar]);
 }
 
@@ -54,7 +54,7 @@ fn three_dimensional_tuned_and_static_selection_agree() {
     // the full auto pipeline under the cost model and the measured tuner,
     // and the measured decision replayed from the cache
     check!(kernels: ["heat3d", "box3d27p"], methods: [Method::Auto], tilings: [Tiling::Auto],
-        widths: [W4], rings: [None], threads: [2], extents: [Aligned], steps: [Steps::Exact(4)],
+        widths: [W4], threads: [2], extents: [Aligned], steps: [Steps::Exact(4)],
         routes: [Route::Tuned]);
 }
 

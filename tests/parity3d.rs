@@ -23,7 +23,7 @@ fn zring_agrees_with_scalar_reference_across_widths_and_tilings() {
     check!(kernels: ["heat3d", "box3d27p", "box3d125p", "star3d_r2"],
         methods: [Folded { m: 1 }, Folded { m: 2 }],
         tilings: [Tiling::None, Tiling::Tessellate { time_block: 2 }], widths: [W4, W8],
-        rings: [None], threads: [3], extents: [Ragged], steps: [Steps::Folds(2, 0)],
+        threads: [3], extents: [Ragged], steps: [Steps::Folds(2, 0)],
         routes: [Route::Scalar]);
 }
 
@@ -31,19 +31,19 @@ fn zring_agrees_with_scalar_reference_across_widths_and_tilings() {
 fn scalar_lane_plans_agree_bitwise_with_scalar_executor() {
     check!(kernels: ["heat3d", "box3d27p", "box3d125p", "star3d_r2"],
         methods: [Folded { m: 1 }, Folded { m: 2 }], tilings: [Tiling::None], widths: [W1],
-        rings: [None], extents: [Ragged], steps: [Steps::Folds(2, 0)], routes: [Route::Scalar]);
+        extents: [Ragged], steps: [Steps::Folds(2, 0)], routes: [Route::Scalar]);
 }
 
 #[test]
 fn tessellate_thread_count_never_changes_bits() {
     check!(kernels: ["heat3d", "box3d125p"], methods: [Folded { m: 2 }],
-        tilings: [Tiling::Tessellate { time_block: 2 }], widths: [W4], rings: [None],
+        tilings: [Tiling::Tessellate { time_block: 2 }], widths: [W4],
         threads: [1, 4], extents: [Aligned], steps: [Steps::Exact(6), Steps::Rounds], routes: [Route::Threads]);
 }
 
 #[test]
 fn static_and_measured_tuning_agree_and_cache_only_replays_bitwise() {
     check!(kernels: ["heat3d", "box3d27p"], methods: [Folded { m: 2 }], tilings: [Tiling::Auto],
-        widths: [W4], rings: [None], threads: [2], extents: [Aligned], steps: [Steps::Folds(2, 0)],
+        widths: [W4], threads: [2], extents: [Aligned], steps: [Steps::Folds(2, 0)],
         routes: [Route::Tuned]);
 }

@@ -27,8 +27,8 @@ use stencil_lab::core::tile::split;
 use stencil_lab::grid::max_abs_diff;
 use stencil_lab::simd::NativeF64x4;
 use stencil_lab::{
-    Domain, Grid1D, Grid2D, Grid3D, Method, Pattern, PingPong, PlanError, PoolHandle, Ring3,
-    Solver, ThreadPool, Tiling, Tuning, Width,
+    Domain, Grid1D, Grid2D, Grid3D, Method, Pattern, PingPong, PlanError, PoolHandle, Solver,
+    ThreadPool, Tiling, Width,
 };
 
 // ---------------------------------------------------------------------
@@ -43,38 +43,6 @@ fn compile_err(s: Solver) -> PlanError {
 fn zero_fold_factor_is_invalid() {
     let err = compile_err(Solver::new(kernels::heat1d()).method(Method::Folded { m: 0 }));
     assert!(matches!(err, PlanError::InvalidFold { m: 0, .. }), "{err}");
-}
-
-#[test]
-fn invalid_ring_is_rejected_before_any_tuner_involvement() {
-    let bad = Ring3 { depth: 0, slab: 4 };
-    // static path: typed error, not a panic
-    let err = compile_err(
-        Solver::new(kernels::heat3d())
-            .method(Method::Folded { m: 2 })
-            .ring3(bad),
-    );
-    assert!(matches!(err, PlanError::InvalidRing { .. }), "{err}");
-    // measured path: the pinned ring is validated before the tuner is
-    // even looked up — no tuner is installed in this test binary, yet
-    // the error is still InvalidRing, never TunerUnavailable or a
-    // TuningFailed after a wasted probe pass
-    let err = compile_err(
-        Solver::new(kernels::heat3d())
-            .method(Method::Auto)
-            .tiling(Tiling::Auto)
-            .tuning(Tuning::Measured)
-            .ring3(bad),
-    );
-    assert!(matches!(err, PlanError::InvalidRing { .. }), "{err}");
-    // a valid ring sticks on the compiled plan
-    let good = Ring3 { depth: 6, slab: 3 };
-    let plan = Solver::new(kernels::heat3d())
-        .method(Method::Folded { m: 2 })
-        .ring3(good)
-        .compile()
-        .unwrap();
-    assert_eq!(plan.ring3(), Some(good));
 }
 
 #[test]
@@ -245,7 +213,7 @@ fn no_configuration_panics_through_the_public_api() {
     // through the owned-grid and pair entries and recompiles from what it
     // reports — never a panic. Odd step counts run the `t % m` tail too.
     check!(kernels: ["heat1d", "heat2d", "heat3d"],
-        tilings: [Tiling::None, Tiling::Tessellate { time_block: 3 }], rings: [None],
+        tilings: [Tiling::None, Tiling::Tessellate { time_block: 3 }],
         extents: [Aligned, Ragged], steps: [Steps::Exact(5)],
         routes: [Route::Scalar, Route::Pair, Route::Recompile, Route::Threads]);
 }
@@ -260,7 +228,7 @@ fn register_plans_survive_grids_without_an_interior() {
     // those accesses stay in bounds.
     check!(kernels: ["heat2d", "box2d9p", "gb", "heat3d"],
         methods: [Method::Auto, Method::TransposeLayout, Method::Folded { m: 2 }],
-        tilings: [Tiling::None], widths: [Width::W4, Width::W8], rings: [None],
+        tilings: [Tiling::None], widths: [Width::W4, Width::W8],
         extents: [NoInterior, OneTile, Ragged], steps: [Steps::Folds(2, 0)], routes: [Route::Scalar]);
 }
 
@@ -275,7 +243,7 @@ fn tessellated_plans_treat_a_grid_without_an_interior_as_the_block_free_route_do
         methods: [Method::Scalar, Method::MultipleLoads, Method::TransposeLayout,
             Method::Folded { m: 2 }, Method::Auto],
         tilings: [Tiling::None, Tiling::Tessellate { time_block: 3 }],
-        widths: [Width::W4, Width::W8], rings: [None], extents: [NoInterior, OneTile],
+        widths: [Width::W4, Width::W8], extents: [NoInterior, OneTile],
         routes: [Route::Scalar, Route::Pair, Route::Twin]);
 }
 
@@ -291,7 +259,7 @@ fn the_pair_entry_equals_the_owned_grid_entry_with_a_poisoned_scratch() {
         methods: [Method::Scalar, Method::MultipleLoads, Method::TransposeLayout,
             Method::Folded { m: 2 }, Method::Folded { m: 3 }],
         tilings: [Tiling::None, Tiling::Tessellate { time_block: 2 }],
-        widths: [Width::W4, Width::W8], rings: [None], extents: [Aligned, Ragged, NoInterior],
+        widths: [Width::W4, Width::W8], extents: [Aligned, Ragged, NoInterior],
         steps: [Steps::Exact(0), Steps::Exact(1), Steps::Folds(1, 0), Steps::Folds(1, 1),
             Steps::Folds(2, 1)],
         routes: [Route::Scalar, Route::Reuse]);
@@ -421,7 +389,7 @@ fn tessellate_leftover_steps_2d() {
 #[test]
 fn tessellate_leftover_steps_3d() {
     check!(kernels: ["heat3d"], methods: [Method::Folded { m: 2 }],
-        tilings: [Tiling::Tessellate { time_block: 2 }], widths: [Width::W4], rings: [None],
+        tilings: [Tiling::Tessellate { time_block: 2 }], widths: [Width::W4],
         threads: [4], extents: [Aligned], steps: [Steps::Exact(5), Steps::Rounds],
         routes: [Route::Scalar]);
 }

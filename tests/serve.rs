@@ -66,7 +66,7 @@ fn service_sharded_2d_bit_identical_to_unsharded_plan_run() {
 #[test]
 fn service_sharded_3d_bit_identical_to_unsharded_plan_run() {
     let report = check!(kernels: ["box3d27p"], methods: [Method::Auto], tilings: [Tiling::None],
-        widths: [Width::W4], rings: [None], extents: [Extent::Aligned, Extent::Deep],
+        widths: [Width::W4], extents: [Extent::Aligned, Extent::Deep],
         steps: [Steps::Exact(3)], routes: [Route::Service]);
     all_sharded(report);
 }
@@ -78,7 +78,7 @@ fn sharded_3d_zring_pipeline_bit_identical_to_unsharded() {
     // at folded radius 4
     check!(kernels: ["heat3d", "box3d27p", "box3d125p"], methods: [Method::Folded { m: 2 }],
         tilings: [Tiling::None, Tiling::Tessellate { time_block: 2 }], widths: [Width::W4],
-        rings: [None], extents: [Extent::Deep], steps: [Steps::Folds(2, 0)],
+        extents: [Extent::Deep], steps: [Steps::Folds(2, 0)],
         routes: [Route::Shard]);
 }
 
@@ -397,7 +397,6 @@ fn scripted_verdict(incumbent_width: Width, rate: f64, incumbent_rate: f64) -> C
                 method: Method::MultipleLoads,
                 tiling: Tiling::None,
                 width: incumbent_width,
-                ring3: None,
             },
             score: f64::NAN,
         },
@@ -653,7 +652,7 @@ fn seeded_virtual_clock_retune_swaps_once_and_persists_the_verdict() {
     let entry = fresh
         .lookup(&warm_start.tune_request())
         .expect("the winning verdict must persist to the tune cache");
-    assert!(entry.key.ends_with("|m=*|ti=*|ri=*"), "{}", entry.key);
+    assert!(entry.key.ends_with("|m=*|ti=*"), "{}", entry.key);
     assert_eq!(entry.config, verdict.best.config);
     svc.shutdown();
     let _ = std::fs::remove_file(&cache);

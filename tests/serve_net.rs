@@ -111,7 +111,7 @@ fn e2e_2d_job_is_bit_identical_to_in_process() {
 fn e2e_3d_job_is_bit_identical_to_in_process() {
     check!(kernels: ["heat3d"], methods: [Method::Auto],
         tilings: [Tiling::None, Tiling::Tessellate { time_block: 2 }], widths: [Width::W4],
-        rings: [None], extents: [Extent::Aligned], steps: [Steps::Exact(6)],
+        extents: [Extent::Aligned], steps: [Steps::Exact(6)],
         routes: [Route::Wire]);
 }
 

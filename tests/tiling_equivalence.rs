@@ -56,14 +56,14 @@ fn tessellation_2d_folded_vs_blockfree_folded() {
 fn sdsl_hybrid_2d_and_3d() {
     check!(kernels: ["heat2d", "box3d27p"], methods: [Method::Scalar],
         tilings: [Tessellate { time_block: 3 }, Tessellate { time_block: 4 }], widths: [W4],
-        rings: [None], threads: [4], extents: [Aligned], steps: [Exact(8), Rounds],
+        threads: [4], extents: [Aligned], steps: [Exact(8), Rounds],
         routes: [Baselines]);
 }
 
 #[test]
 fn tessellation_3d_folded() {
     check!(kernels: ["heat3d"], methods: [Folded { m: 2 }], tilings: [Tessellate { time_block: 2 }],
-        widths: [W4], rings: [None], threads: [8], extents: [Aligned], steps: [Exact(8), Rounds],
+        widths: [W4], threads: [8], extents: [Aligned], steps: [Exact(8), Rounds],
         routes: [Twin]);
 }
 
@@ -75,7 +75,7 @@ fn tessellation_3d_folded() {
 fn register_plans_are_partition_independent() {
     check!(kernels: ["heat2d", "box2d9p", "gb", "heat3d", "box3d27p"],
         methods: [TransposeLayout, Folded { m: 2 }], tilings: [stencil_lab::Tiling::None],
-        widths: [W4], rings: [None], extents: [Aligned, Ragged], steps: [Folds(2, 0), Folds(3, 0)],
+        widths: [W4], extents: [Aligned, Ragged], steps: [Folds(2, 0), Folds(3, 0)],
         routes: [Shard]);
 }
 
@@ -94,7 +94,7 @@ fn odd_step_counts_and_leftovers() {
 fn tessellated_3d_register_plans_equal_their_block_free_twin_bitwise() {
     check!(kernels: ["heat3d", "box3d27p"], methods: [Folded { m: 2 }, TransposeLayout],
         tilings: [Tessellate { time_block: 2 }, Tessellate { time_block: 4 }], widths: [W4],
-        rings: [None], threads: [3], extents: [Tiles3], steps: [Exact(8), Exact(9)],
+        threads: [3], extents: [Tiles3], steps: [Exact(8), Exact(9)],
         routes: [Twin]);
 }
 

@@ -17,7 +17,7 @@ use stencil_lab::grid::max_abs_diff;
 use stencil_lab::tune::cache::TuneCache;
 use stencil_lab::tune::probe::Budget;
 use stencil_lab::{
-    AutoTuner, Grid1D, Method, Pattern, PlanConfig, PlanError, Ring3, Solver, Tiling, Tuning, Width,
+    AutoTuner, Grid1D, Method, Pattern, PlanConfig, PlanError, Solver, Tiling, Tuning, Width,
 };
 
 fn temp_path(tag: &str) -> PathBuf {
@@ -54,7 +54,6 @@ fn open_request(p: &Pattern) -> TuneRequest<'_> {
             method: Method::Auto,
             tiling: Tiling::Auto,
             width: Width::W4,
-            ring3: None,
         },
         threads: 2,
         domain_hint: None,
@@ -166,13 +165,6 @@ fn invalid_pinned_axes_get_the_static_error_in_every_tuning_mode() {
         (
             "time_block = 0",
             auto(kernels::heat2d()).tiling(Tiling::Tessellate { time_block: 0 }),
-        ),
-        (
-            "ring out of bounds",
-            auto(kernels::heat3d()).ring3(Ring3 {
-                depth: usize::MAX,
-                slab: 4,
-            }),
         ),
         (
             "counterpart budget",
